@@ -120,8 +120,9 @@ fleet-smoke:
 	      f'min attribution {min(fractions.values()):.1%}')"
 
 # Conformance fuzz smoke (CI gate, ~30s): a fixed-seed campaign over the
-# six differential oracle families (including compiled-vs-dispatch and
-# reduction-parity) plus the marker-gated pytest suite.
+# seven default differential oracle families (including compiled VM core
+# vs reference evaluator, reduction-parity and store) plus the
+# marker-gated pytest suite.
 # See docs/TESTING.md.
 fuzz-smoke:
 	PYTHONPATH=src python -m repro.cli fuzz --seed 0 --runs 25

@@ -18,9 +18,6 @@ the cache hit rate, so future PRs have an apples-to-apples baseline:
 * ``thttpd_rosa_repeat3`` — the same stage at repeat 3 (the space grows
   another order of magnitude), where reduction's asymptotic win shows:
   baseline versus the reduced engine;
-* ``passwd_pipeline_cold_dispatch`` — the cold pipeline forced onto the
-  per-instruction dispatch loop, isolating the compiled VM core's
-  contribution to end-to-end wall-clock;
 * ``privsep_exposure_table`` — the multi-process study's exposure
   computation, whose phases heavily repeat credential tuples;
 * ``served_warm`` — the passwd ROSA batch answered by a *fresh* engine
@@ -190,22 +187,6 @@ def main(timestamp: Optional[float] = None) -> None:
         }
 
     entries["passwd_pipeline_cold"] = best_of(pipeline_cold)
-
-    # The same cold pipeline on the dispatch loop: the compiled core's
-    # end-to-end contribution is the ratio between these two entries,
-    # measured on the same host in the same run (committed wall-clock
-    # from other machines is not comparable).
-    def pipeline_cold_dispatch():
-        from repro.vm import set_interpreter_class
-        from repro.vm.interpreter import DispatchInterpreter
-
-        previous = set_interpreter_class(DispatchInterpreter)
-        try:
-            return pipeline_cold()
-        finally:
-            set_interpreter_class(previous)
-
-    entries["passwd_pipeline_cold_dispatch"] = best_of(pipeline_cold_dispatch)
 
     shared = PrivAnalyzer()
     shared.analyze(spec_by_name("passwd"))  # prime the shared engine's cache
@@ -377,10 +358,6 @@ def main(timestamp: Optional[float] = None) -> None:
             "thttpd_rosa_repeat3_baseline"
         ]["wall_seconds"]
         / entries["thttpd_rosa_repeat3_engine_reduced"]["wall_seconds"],
-        "passwd_pipeline_compiled_vs_dispatch": entries[
-            "passwd_pipeline_cold_dispatch"
-        ]["wall_seconds"]
-        / entries["passwd_pipeline_cold"]["wall_seconds"],
         "store_served_warm_vs_cold": entries["passwd_rosa_engine_cold_reduced"][
             "wall_seconds"
         ]

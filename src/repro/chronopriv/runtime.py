@@ -45,11 +45,11 @@ class ChronoRecorder:
     def attach(self, vm, kernel: Kernel) -> None:
         """Install the counting hooks and the credential-change observer.
 
-        Both counting paths land here: the ``__chrono_count`` intrinsic
-        (dispatch-loop interpreters) and the ``vm.chrono_count`` method
-        the compiled core calls directly, overridden per-instance so
-        spawned children — whose counter must stay inert until their own
-        recorder attaches — are unaffected.
+        Both counting paths land here: the ``vm.chrono_count`` method the
+        compiled core calls directly, overridden per-instance so spawned
+        children — whose counter must stay inert until their own recorder
+        attaches — are unaffected, and the ``__chrono_count`` intrinsic
+        that the testkit's reference interpreter dispatches.
         """
         vm.register_intrinsic("__chrono_count", self._on_count)
         vm.chrono_count = self.count

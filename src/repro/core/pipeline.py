@@ -37,7 +37,7 @@ from repro.rewriting import SearchBudget
 from repro.rosa.engine import ParallelPolicy, QueryCache, QueryEngine, QueryRequest
 from repro.rosa.query import RosaReport, Verdict
 from repro.telemetry import Telemetry
-from repro.vm import Interpreter, interpreter_class
+from repro.vm import interpreter_class
 
 logger = logging.getLogger("repro.pipeline")
 
@@ -161,8 +161,8 @@ class PrivAnalyzer:
         self.telemetry = telemetry or Telemetry.disabled()
         #: Optional :class:`repro.telemetry.Profiler`.  When live it flows
         #: into the query engine (per-rule / reduction-phase search
-        #: attribution) and swaps the dynamic stage onto
-        #: :class:`repro.vm.ProfilingInterpreter` for per-opcode cost.
+        #: attribution) and compiles per-opcode and per-intrinsic timers
+        #: into the dynamic stage's VM (:meth:`Interpreter.attach_profiler`).
         #: Verdicts and exposure tables are bit-identical either way.
         self.profiler = profiler
         #: The ROSA query engine: dedupes/caches/schedules the phase × attack
@@ -242,31 +242,18 @@ class PrivAnalyzer:
             if self.telemetry.audit is not None:
                 kernel.enable_audit(self.telemetry.audit)
             process = kernel.spawn(spec.uid, spec.gid, permitted=spec.permitted)
-            vm_class = interpreter_class()
-            profiling = (
-                self.profiler is not None
-                and self.profiler.enabled
-                and vm_class is Interpreter
-            )
-            if profiling:
-                # Per-opcode attribution, but only over the stock class —
-                # a custom interpreter (testkit oracles) wins outright.
-                from repro.vm import ProfilingInterpreter
-
-                vm_class = ProfilingInterpreter
-            vm = vm_class(
+            vm = interpreter_class()(
                 module, kernel, process, argv=list(spec.argv), stdin=list(spec.stdin),
                 metrics=self.telemetry.metrics,
             )
-            if profiling:
-                vm.attach(self.profiler)
+            vm.attach_profiler(self.profiler)
             vm.env.update(spec.env)
             recorder = ChronoRecorder(spec.name, process)
             recorder.attach(vm, kernel)
             if spec.setup is not None:
                 spec.setup(kernel, vm)
-            if profiling:
-                profiler = self.profiler
+            profiler = self.profiler
+            if profiler is not None and profiler.enabled:
                 measured_before = sum(
                     record.seconds
                     for stack, record in profiler.records.items()
@@ -281,10 +268,11 @@ class PrivAnalyzer:
                     for stack, record in profiler.records.items()
                     if len(stack) == 2 and stack[0] == "vm"
                 ) - measured_before
-                # Dispatch-loop bookkeeping (block/index checks, budget,
-                # handler lookup) sits between the timed handler windows;
-                # account the remainder so the vm root is 100% attributed
-                # without pretending it was timed (cf. rosa.search.loop).
+                # Block bookkeeping (count pre-adds, budget checks, the
+                # block loop) and the timers' own cost sit between the
+                # timed closures; account the remainder so the vm root is
+                # 100% attributed without pretending it was timed (cf.
+                # rosa.search.loop).
                 remainder = elapsed - measured
                 if remainder > 0.0:
                     profiler.account(("vm", "interp.loop"), remainder)

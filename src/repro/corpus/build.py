@@ -115,7 +115,8 @@ def generate_corpus(spec: CorpusSpec) -> List[CorpusEntry]:
 
     Generated entries cycle through the families; the ``violators``
     planted ones are spread evenly across the generated range so every
-    corpus slice of meaningful size contains at least one.  Entry names
+    corpus slice of meaningful size contains at least one, and rotate
+    through the families (see :func:`_violator_indices`).  Entry names
     encode family, seed and index, so two corpora never collide in a
     shared profile store.
     """
@@ -150,12 +151,7 @@ def generate_corpus(spec: CorpusSpec) -> List[CorpusEntry]:
         raise ValueError(
             f"unknown families {unknown}; known: {', '.join(PROGRAM_FAMILIES)}"
         )
-    violator_indices = set()
-    if spec.violators > 0 and spec.size > 0:
-        stride = max(1, spec.size // spec.violators)
-        violator_indices = {
-            index * stride for index in range(spec.violators) if index * stride < spec.size
-        }
+    violator_indices = _violator_indices(spec)
     for index in range(spec.size):
         family = spec.families[index % len(spec.families)]
         violator = index in violator_indices
@@ -171,6 +167,28 @@ def generate_corpus(spec: CorpusSpec) -> List[CorpusEntry]:
             )
         )
     return entries
+
+
+def _violator_indices(spec: CorpusSpec) -> set:
+    """Where the generated violators go: spread evenly, families rotated.
+
+    Violator ``i`` aims at ``i * stride`` but lands on the nearest free
+    index whose family is ``families[i % len(families)]`` (the nearest
+    free index of any family when none of that family is left).  A plain
+    stride that is a multiple of the family count would plant every
+    violator in one family, where they can form a peer group of their
+    own and hide each other.
+    """
+    families = spec.families
+    stride = max(1, spec.size // max(spec.violators, 1))
+    taken: set = set()
+    for violator in range(min(spec.violators, spec.size)):
+        free = [index for index in range(spec.size) if index not in taken]
+        family = families[violator % len(families)]
+        matching = [i for i in free if families[i % len(families)] == family]
+        target = violator * stride
+        taken.add(min(matching or free, key=lambda i: (abs(i - target), i)))
+    return taken
 
 
 # -- on-disk form --------------------------------------------------------------

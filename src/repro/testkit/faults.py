@@ -53,15 +53,11 @@ def _vm_mul_truncate() -> Callable[[], None]:
     """The production VM silently truncates large ``mul`` results.
 
     Models a narrowing bug in the shared ``BINARY_OPS`` semantics table,
-    which *both* production cores consult — the dispatch loop at every
-    retired instruction, the compiled core when it specializes a ``mul``
+    which the compiled core consults when it specializes a ``mul``
     closure (per-VM caches, so interpreters built inside the fault
     window compile the bug in).  The reference interpreter inlines its
     own arithmetic and stays correct — exactly the disagreement the
-    ``vm`` oracle family exists to catch.  (The ``compiled`` family
-    deliberately does *not* catch this one: both production strategies
-    share the table and agree with each other — see
-    ``compiled-mul-truncate`` for its bug class.)
+    ``vm`` oracle family exists to catch.
     """
     from repro.ir import instructions
 
@@ -85,12 +81,12 @@ def _vm_mul_truncate() -> Callable[[], None]:
 def _compiled_mul_truncate() -> Callable[[], None]:
     """The compiled core bakes a stale ``mul`` into its closures.
 
-    Models compile-time-captured semantics drifting from the dispatch
-    loop's — a table updated in one place but not the other.  Only the
-    compiler module's ``BINARY_OPS`` binding is rebound (to a copy with
-    a truncating ``mul``), so the dispatch loop and the reference
-    evaluator stay correct: the ``compiled`` oracle family's
-    compiled-vs-dispatch comparison is what catches it.
+    Models compile-time-captured semantics drifting from the IR's — a
+    table updated in one place but not the other.  Only the compiler
+    module's ``BINARY_OPS`` binding is rebound (to a copy with a
+    truncating ``mul``), so the shared table and the reference evaluator
+    stay correct: the ``vm`` oracle family's compiled-vs-reference
+    comparison is what catches it.
     """
     from repro.vm import compiled
 

@@ -16,12 +16,10 @@ Differential families (the default campaign):
   pass) must agree search for search;
 * ``pools`` — **serial vs thread vs process** batch execution must
   agree search for search;
-* ``vm`` — the **dispatch-table VM vs the straight-line reference**
+* ``vm`` — the **compiled VM core vs the straight-line reference**
   evaluator must agree on exit code, stdout, instruction count and the
-  entire final kernel state;
-* ``compiled`` — the **closure-compiled VM core vs the dispatch loop**
-  (the two production execution strategies) must agree on the same four
-  sides, including exact error messages and budget-exhaustion points;
+  entire final kernel state, including exact error messages and
+  budget-exhaustion points;
 * ``ledger`` — a run ledger **written, read back and diffed against
   itself** must be clean;
 * ``profile`` — the **privilege profile extracted from the live run vs
@@ -202,7 +200,7 @@ _register(
 )
 
 
-# -- vm: dispatch table vs straight-line reference ----------------------------
+# -- vm: compiled core vs straight-line reference -----------------------------
 
 
 def _fs_listing(fs) -> Tuple:
@@ -309,34 +307,9 @@ def _shrink_program(case: Case) -> Iterable[Case]:
 _register(
     OracleFamily(
         name="vm",
-        description="dispatch-table VM vs straight-line reference evaluator",
+        description="compiled VM core vs straight-line reference evaluator",
         generate=generators.gen_program_case,
         run=_run_vm,
-        shrink_candidates=_shrink_program,
-    )
-)
-
-
-# -- compiled: closure-compiled core vs dispatch loop -------------------------
-
-
-def _run_compiled(case: Case) -> OracleResult:
-    from repro.vm.interpreter import DispatchInterpreter, Interpreter
-
-    compiled = _execute_program(case, Interpreter)
-    dispatch = _execute_program(case, DispatchInterpreter)
-    for label, a, b in zip(_VM_SIDE_LABELS, compiled, dispatch):
-        if a != b:
-            return _mismatch("compiled", f"compiled.{label}", a, f"dispatch.{label}", b)
-    return OracleResult("compiled", ok=True)
-
-
-_register(
-    OracleFamily(
-        name="compiled",
-        description="closure-compiled VM core vs per-instruction dispatch loop",
-        generate=generators.gen_program_case,
-        run=_run_compiled,
         shrink_candidates=_shrink_program,
     )
 )
@@ -773,7 +746,6 @@ DEFAULT_FAMILIES: Tuple[str, ...] = (
     "cache",
     "pools",
     "vm",
-    "compiled",
     "ledger",
     "reduction-parity",
     "profile",

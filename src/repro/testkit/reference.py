@@ -3,21 +3,24 @@
 The value of a differential oracle scales with how little the two sides
 share.  :class:`ReferenceInterpreter` therefore re-implements the VM's
 execution core from the IR semantics rather than reusing the production
-code paths: a straight-line ``isinstance`` ladder instead of the
-dispatch table, its own operand resolution, and inline arithmetic
+code paths: a straight-line ``isinstance`` ladder over per-frame value
+dictionaries instead of the compiled closure core's register lists and
+pre-counted blocks, its own operand resolution, and inline arithmetic
 (explicit two's-complement wrapping, C-style truncating division)
 instead of the shared ``BINARY_OPS``/``ICMP_PREDICATES`` tables.  A bug
-in either evaluation strategy — a stale dispatch entry, a wrong wrap, a
-missed retire — shows up as a disagreement in exit code, stdout,
+in either evaluation strategy — a stale compiled closure, a wrong wrap,
+a missed retire — shows up as a disagreement in exit code, stdout,
 instruction count, or final kernel state.
 
 Call-boundary behaviour (intrinsic dispatch, signal delivery, the call
-depth cap, the instruction budget) intentionally reuses the base class:
-those are *inputs* to the evaluation strategy under test, and sharing
-them keeps disagreements attributable to instruction semantics.
+depth cap) intentionally reuses the base class: those are *inputs* to
+the evaluation strategy under test, and sharing them keeps
+disagreements attributable to instruction semantics.
 
-The interpreter still subclasses :class:`~repro.vm.interpreter.Interpreter`
-so ``spawn_wait`` children inherit it (``type(vm)``) and the whole
+The interpreter subclasses :class:`~repro.vm.interpreter.Interpreter`
+and overrides only its frame-execution hook
+(:meth:`~repro.vm.interpreter.Interpreter._run_function`), so
+``spawn_wait`` children inherit it (``type(vm)``) and the whole
 pipeline can run on it via
 :func:`~repro.vm.interpreter.set_interpreter_class`.
 """
@@ -67,13 +70,10 @@ class ReferenceInterpreter(Interpreter):
     strategy differs.
     """
 
-    #: The whole point is the independent straight-line loop below; the
-    #: compiled core must not route around it.
-    use_compiled = False
-
     def _resolve(self, frame: Frame, value):
         # Literal kinds first — the opposite probe order from the
-        # production fast path, so ordering bugs cannot hide in both.
+        # compiled core's operand resolution, so ordering bugs cannot
+        # hide in both.
         if isinstance(value, ConstantInt):
             return value.value
         if isinstance(value, ConstantString):
@@ -89,6 +89,9 @@ class ReferenceInterpreter(Interpreter):
         raise VMError(
             f"@{frame.function.name}: use of undefined value {value.short()}"
         )
+
+    def _run_function(self, function, args):
+        return self._run_frame(Frame(function, args))
 
     def _run_frame(self, frame: Frame):
         resolve = self._resolve

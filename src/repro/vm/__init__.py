@@ -7,7 +7,6 @@ provides exact per-instruction accounting and the intrinsic surface
 
 from repro.vm.frame import Frame, GlobalSlot, StackSlot
 from repro.vm.interpreter import (
-    DispatchInterpreter,
     Interpreter,
     ProgramExit,
     VMError,
@@ -15,14 +14,11 @@ from repro.vm.interpreter import (
     set_interpreter_class,
 )
 from repro.vm.intrinsics import default_intrinsics
-from repro.vm.profiler import ProfilingInterpreter
 
 __all__ = [
-    "DispatchInterpreter",
     "Frame",
     "GlobalSlot",
     "Interpreter",
-    "ProfilingInterpreter",
     "ProgramExit",
     "StackSlot",
     "VMError",

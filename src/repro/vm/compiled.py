@@ -4,47 +4,79 @@
 :class:`CompiledFunction`: SSA values become integer slots in a flat
 register list, and every instruction becomes a specialized closure with
 its operands resolved at compile time — no per-step ``isinstance``
-ladder, no dispatch-table lookup, no frame-dictionary probes.  The
-stock :class:`~repro.vm.interpreter.Interpreter` routes defined-function
-calls here (``use_compiled``); subclasses that override ``_run_frame``
-(the profiling and testkit reference interpreters) opt out and keep
-their per-instruction strategies.
+ladder, no dispatch-table lookup, no frame-dictionary probes.  It is
+the only production execution path: every
+:class:`~repro.vm.interpreter.Interpreter` routes defined-function calls
+here.  The testkit's :class:`~repro.testkit.reference.ReferenceInterpreter`
+is its independent differential twin — a straight-line evaluator that
+retires one instruction at a time.
 
-Parity is the design constraint, not an afterthought:
+Parity with that one-at-a-time semantics is the design constraint:
 
-* ``executed_instructions`` matches the dispatch interpreter exactly,
-  including on every error path.  Each basic block's count is added
-  *before* the block runs; closures that can terminate early (division,
-  bad pointers, calls that unwind) carry their baked ``tail`` — the
-  number of pre-counted instructions that will now never retire — and
-  subtract it before re-raising, so the counter always reads as if
-  instructions were retired one at a time.
+* ``executed_instructions`` matches a per-instruction retire count
+  exactly, including on every error path.  Each basic block's count is
+  added *before* the block runs; closures that can terminate early
+  (division, bad pointers) carry their baked ``tail`` — the number of
+  pre-counted instructions that will now never retire — and subtract it
+  before raising, so the counter always reads as if instructions were
+  retired one at a time.  Call closures take their tail back out for
+  the whole call, so callees and signal handlers retire onto (and check
+  the budget against) the exact count, and an unwinding call leaves it
+  exact.
 * When a block would cross the instruction budget, the pre-add is
   rolled back and the block re-runs through a per-instruction slow path
-  that raises at exactly the instruction the dispatch loop would.
-  A call that leaves the counter at the budget edge re-checks before
-  letting pre-counted successors run (the dispatch loop would raise on
-  the instruction after the call).
-* Error messages are byte-identical to the dispatch handlers' — the
+  that raises at exactly the instruction a one-at-a-time loop would.
+  A call whose callee leaves too little budget for the block's
+  pre-counted rest hands the remainder of the block to the same slow
+  path, so the instructions before the budget point still run.
+* Error messages are byte-identical to the reference evaluator's — the
   differential oracles fingerprint them.
 * ϕ-nodes compile to per-edge move lists (classic SSA destruction),
   applied in instruction order so a ϕ reading an earlier ϕ of the same
-  block observes the new value, exactly like the sequential dispatch
-  loop.  Block variants are keyed by predecessor only when the block
-  actually contains ϕ-nodes.
+  block observes the new value, exactly like sequential evaluation.
+  Block variants are keyed by predecessor only when the block actually
+  contains ϕ-nodes.
 * Signal delivery stays at call boundaries: every call closure runs the
-  pending-signal dispatch its dispatch-loop counterpart would.
+  pending-signal dispatch after its callee returns.
 
 ChronoPriv's per-block counting call compiles to
 ``vm.chrono_count(n)`` — a direct method call instead of an intrinsic
 dispatch — which the recorder overrides per-instance with a bare
 counter-cell increment (see :mod:`repro.chronopriv.runtime`).
 
-Known (accepted) divergences from the dispatch loop, all outside the
-IR the frontend emits: reading an SSA temporary before its definition
-yields the slot's initial ``0`` instead of a "use of undefined value"
-error, and calling a defined function with too few arguments zero-fills
-the missing parameters instead of erroring at first use.
+**Instrumented mode.**  When the VM carries a :class:`VMTimer` at
+compile time (:meth:`~repro.vm.interpreter.Interpreter.attach_profiler`),
+every step and terminator closure is wrapped with a timer, so a
+profiled run measures the closures that ship:
+
+``("vm", "op:<opcode>")``
+    Self time of one instruction kind.  Times are *exclusive*: a
+    ``call`` instruction's record covers only its own overhead, not the
+    callee's instructions (attributed to their own opcodes) nor
+    intrinsic bodies.
+``("vm", "intrinsic:<name>")``
+    Self time of one intrinsic (syscall wrappers, the AutoPriv runtime,
+    libc-ish helpers).  ``intrinsic:__chrono_count`` is ChronoPriv's
+    per-basic-block hook — its total is exactly the instrumentation tax
+    the paper's counting layer adds to every block.
+
+Exclusive timing uses a nested-time ledger (:attr:`VMTimer.nested`):
+each compiled frame and intrinsic adds its total wall time to the
+ledger on exit, and an enclosing window subtracts the ledger's growth
+from its own.  A window *sets* the ledger to its start value plus its
+own wall (rather than adding), so doubly-nested work is never
+subtracted twice.  ``spawn_wait`` children share their parent's timer,
+so a child's frames are nested work of the parent's ``spawn_wait``.
+Without a timer the closures are built exactly as in the uninstrumented
+core and no clock is ever read; instruction counts, budgets and error
+paths are identical either way.
+
+Known (accepted) divergences from the reference evaluator, all outside
+the IR the frontend emits: reading an SSA temporary before its
+definition yields the slot's initial ``0`` instead of a "use of
+undefined value" error, and calling a defined function with too few
+arguments zero-fills the missing parameters instead of erroring at
+first use.
 """
 
 from __future__ import annotations
@@ -74,7 +106,7 @@ from repro.ir import (
 )
 from repro.ir.instructions import BINARY_OPS, ICMP_PREDICATES
 from repro.vm.frame import StackSlot
-from repro.vm.interpreter import ProgramExit, VMError
+from repro.vm.interpreter import VMError
 
 _BUDGET_MSG = "instruction budget exhausted (runaway program?)"
 
@@ -90,7 +122,7 @@ _RET_NONE = ("ret", None)
 _REG = 0      # value lives in a register slot
 _CONST = 1    # compile-time constant (int, str, FunctionRef, GlobalSlot)
 _GLOBAL = 2   # GlobalVariable missing from vm.globals at compile time
-_UNDEF = 3    # unresolvable value; using it raises the dispatch error
+_UNDEF = 3    # unresolvable value; using it raises the reference error
 
 
 class _BlockCode:
@@ -106,9 +138,21 @@ class _BlockCode:
         self.term: Callable = _unfilled_terminator
         #: Instructions this block pre-adds (steps + retiring terminator).
         self.count: int = 0
-        #: False only for blocks missing a terminator: the dispatch loop
-        #: raises *without* retiring an instruction there.
+        #: False only for blocks missing a terminator: evaluation raises
+        #: there *without* retiring an instruction.
         self.term_retires: bool = True
+
+
+class _BudgetEdge(Exception):
+    """A call ran the count up to where its block's pre-counted rest no
+    longer fits the budget.  The call step leaves the count exact and
+    raises this; the block then finishes on the slow path from the step
+    after the call (``count - tail``), which raises at the exact
+    instruction.  It never escapes the frame that raised it."""
+
+    def __init__(self, tail: int) -> None:
+        super().__init__(tail)
+        self.tail = tail
 
 
 def _unfilled_terminator(vm, regs):  # pragma: no cover - compile-time bug trap
@@ -142,34 +186,42 @@ class CompiledFunction:
                 vm.executed_instructions -= count
                 nxt = _run_slow(vm, regs, code, maxi)
             else:
-                for step in code.steps:
-                    step(vm, regs)
-                nxt = code.term(vm, regs)
+                try:
+                    for step in code.steps:
+                        step(vm, regs)
+                except _BudgetEdge as edge:
+                    nxt = _run_slow(vm, regs, code, maxi, code.count - edge.tail)
+                else:
+                    nxt = code.term(vm, regs)
             if nxt.__class__ is _BlockCode:
                 code = nxt
             else:
                 return nxt[1]
 
 
-def _run_slow(vm, regs, code: _BlockCode, maxi: int):
-    """Re-run one block with per-instruction counting (budget edge).
+def _run_slow(vm, regs, code: _BlockCode, maxi: int, start: int = 0):
+    """Run one block from step ``start`` with per-instruction counting.
 
-    The fast path's pre-add has been rolled back; retire instructions
-    one at a time so the budget error fires at exactly the instruction
-    the dispatch loop would raise on.  Step closures bake in a tail
-    subtraction sized for the pre-added fast path, so a raise here is
-    compensated from the parallel ``tails`` record.
+    The budget edge: the fast path's pre-add has been rolled back (or a
+    call step stopped short, see :class:`_BudgetEdge`); retire
+    instructions one at a time so the budget error fires at exactly the
+    instruction one-at-a-time evaluation would raise on.  Step closures
+    expect their baked tail to be pre-added (and take it back out when
+    they raise), so each step runs with its tail from the parallel
+    ``tails`` record added for its duration.
     """
-    tails = code.tails
-    for index, step in enumerate(code.steps):
+    steps, tails = code.steps, code.tails
+    for index in range(start, len(steps)):
         vm.executed_instructions += 1
         if vm.executed_instructions > maxi:
             raise VMError(_BUDGET_MSG)
+        tail = tails[index]
+        vm.executed_instructions += tail
         try:
-            step(vm, regs)
-        except (VMError, ProgramExit):
-            vm.executed_instructions += tails[index]
-            raise
+            steps[index](vm, regs)
+        except _BudgetEdge:
+            continue  # the call step left the count exact
+        vm.executed_instructions -= tail
     if code.term_retires:
         vm.executed_instructions += 1
         if vm.executed_instructions > maxi:
@@ -177,17 +229,114 @@ def _run_slow(vm, regs, code: _BlockCode, maxi: int):
     return code.term(vm, regs)
 
 
-def compile_function(vm, function: Function) -> CompiledFunction:
-    """Compile ``function`` for ``vm`` (globals prebound to its slots)."""
-    return _Compiler(vm, function).compile()
+class VMTimer:
+    """Compiled-in wall-clock attribution for one VM and its children.
+
+    :meth:`~repro.vm.interpreter.Interpreter.attach_profiler` builds one
+    from a live profiler; the compiler wraps closures with :meth:`op`
+    and :meth:`window`, and the VM's intrinsic dispatch is wrapped with
+    :meth:`timed_intrinsics`.  See the module docstring for the ledger.
+    Each wrapper binds its profile record on first use and bumps it
+    directly: the hot path pays for two clock reads and two additions,
+    and stacks that never run get no record.
+    """
+
+    __slots__ = ("profiler", "clock", "nested")
+
+    def __init__(self, profiler) -> None:
+        self.profiler = profiler
+        self.clock = profiler.clock
+        #: Wall seconds consumed by timed frames and intrinsics so far.
+        self.nested = 0.0
+
+    def op(self, closure: Callable, opcode: str) -> Callable:
+        """``closure`` with its self time accounted to ``op:<opcode>``."""
+        timer, clock = self, self.clock
+        key = ("vm", "op:" + opcode)
+        record = None
+
+        def timed(vm, regs):
+            nonlocal record
+            nested = timer.nested
+            start = clock()
+            try:
+                return closure(vm, regs)
+            finally:
+                # A raising instruction still retired: count it too, so
+                # op calls always sum to executed_instructions.
+                elapsed = (clock() - start) - (timer.nested - nested)
+                if record is None:
+                    record = timer.profiler.record(key)
+                record.calls += 1
+                if elapsed > 0.0:
+                    record.seconds += elapsed
+
+        return timed
+
+    def window(self, fn: Callable, key=None) -> Callable:
+        """``fn(a, b)`` as nested work: its wall time enters the ledger,
+        and its self time is accounted to ``key`` when one is given."""
+        timer, clock = self, self.clock
+        record = None
+
+        def timed(a, b):
+            nonlocal record
+            nested = timer.nested
+            start = clock()
+            try:
+                return fn(a, b)
+            finally:
+                elapsed = clock() - start
+                if key is not None:
+                    if record is None:
+                        record = timer.profiler.record(key)
+                    record.calls += 1
+                    own = elapsed - (timer.nested - nested)
+                    if own > 0.0:
+                        record.seconds += own
+                timer.nested = nested + elapsed
+
+        return timed
+
+    def timed_intrinsics(self, call_intrinsic: Callable) -> Callable:
+        """``call_intrinsic(name, args)`` timed per ``intrinsic:<name>``."""
+        windows: Dict[str, Callable] = {}
+
+        def call(name, args):
+            timed = windows.get(name)
+            if timed is None:
+                if name == _CHRONO_COUNT:
+                    # The compiled counting step already times this
+                    # call (see ``_chrono_step``); inert child counters
+                    # land here and must not count twice.
+                    return call_intrinsic(name, args)
+                timed = windows[name] = self.window(
+                    call_intrinsic, ("vm", "intrinsic:" + name)
+                )
+            return timed(name, args)
+
+        return call
+
+
+def compile_function(vm, function: Function) -> Callable:
+    """Compile ``function`` for ``vm`` (globals prebound to its slots).
+
+    With a timer on the VM the body compiles in instrumented mode and
+    the whole frame is timed as nested work.
+    """
+    code = _Compiler(vm, function).compile()
+    timer = vm._timer
+    return code if timer is None else timer.window(code)
 
 
 class _Compiler:
     def __init__(self, vm, function: Function) -> None:
         self.vm = vm
         self.function = function
+        #: The VM's :class:`VMTimer` when compiling in instrumented mode.
+        self.timer = vm._timer
         #: SSA value -> register slot.  Arguments first, then every
-        #: instruction (identity-keyed, like the dispatch frame map).
+        #: instruction (identity-keyed, like the reference's frame map).
         self.regmap: Dict[Value, int] = {}
         for argument in function.arguments:
             self.regmap[argument] = len(self.regmap)
@@ -279,16 +428,22 @@ class _Compiler:
         step_count = len(body)
         code.term_retires = terminator is not None
         code.count = step_count + (1 if terminator is not None else 0)
+        timer = self.timer
         steps: List[Callable] = []
         tails: List[int] = []
         for position, instruction in enumerate(body):
             # Pre-counted instructions that never retire if this one raises.
             tail = code.count - (position + 1)
-            steps.append(self._compile_step(instruction, pred, tail))
+            step = self._compile_step(instruction, pred, tail)
+            if timer is not None:
+                step = timer.op(step, instruction.opcode)
+            steps.append(step)
             tails.append(tail)
         code.steps = tuple(steps)
         code.tails = tuple(tails)
         code.term = self._compile_terminator(terminator, block)
+        if timer is not None and terminator is not None:
+            code.term = timer.op(code.term, terminator.opcode)
 
     def _compile_step(self, instruction, pred, tail: int) -> Callable:
         if isinstance(instruction, Phi):
@@ -313,7 +468,7 @@ class _Compiler:
                 regs[_d] = StackSlot(_n)
 
             return step
-        # The instruction set is closed; match the dispatch-table error.
+        # The instruction set is closed; this only traps compiler bugs.
         return self._raiser(f"unknown instruction {instruction.opcode}", tail)
 
     def _raiser(self, message: str, tail: int) -> Callable:
@@ -470,8 +625,8 @@ class _Compiler:
         return step
 
     def _compile_store(self, instruction: Store, tail: int) -> Callable:
-        # Dispatch resolves the pointer first, then checks it, then
-        # resolves the value; error precedence here matches that order.
+        # The pointer resolves first, then is checked, then the value
+        # resolves; error precedence here matches that order.
         pointer = self._operand(instruction.pointer)
         kind, payload = pointer
         if kind == _UNDEF:
@@ -541,7 +696,7 @@ class _Compiler:
             get_f = self._fetch(if_false)
 
             def step(vm, regs, _d=dest, _gc=get_c, _gt=get_t, _gf=get_f):
-                # Like the dispatch handler, all three operands resolve.
+                # Like the reference evaluator, all three operands resolve.
                 taken = _gt(vm, regs)
                 other = _gf(vm, regs)
                 regs[_d] = taken if _gc(vm, regs) else other
@@ -569,34 +724,26 @@ class _Compiler:
                     )
 
                 def step(vm, regs, _d=dest, _n=target.name, _g=getters, _t=tail):
-                    try:
-                        regs[_d] = vm._call_intrinsic(
-                            _n, [g(vm, regs) for g in _g]
-                        )
-                        process = vm.process
-                        if process.pending_signals or not process.alive:
-                            vm._dispatch_pending_signals()
-                    except (VMError, ProgramExit):
-                        vm.executed_instructions -= _t
-                        raise
-                    if vm.executed_instructions - _t >= vm.max_instructions:
-                        vm.executed_instructions -= _t - 1
-                        raise VMError(_BUDGET_MSG)
+                    vm.executed_instructions -= _t
+                    regs[_d] = vm._call_intrinsic(_n, [g(vm, regs) for g in _g])
+                    process = vm.process
+                    if process.pending_signals or not process.alive:
+                        vm._dispatch_pending_signals()
+                    if vm.executed_instructions + _t > vm.max_instructions:
+                        raise _BudgetEdge(_t)
+                    vm.executed_instructions += _t
 
                 return step
 
             def step(vm, regs, _d=dest, _f=target, _g=getters, _t=tail):
-                try:
-                    regs[_d] = vm.call_function(_f, [g(vm, regs) for g in _g])
-                    process = vm.process
-                    if process.pending_signals or not process.alive:
-                        vm._dispatch_pending_signals()
-                except (VMError, ProgramExit):
-                    vm.executed_instructions -= _t
-                    raise
-                if vm.executed_instructions - _t >= vm.max_instructions:
-                    vm.executed_instructions -= _t - 1
-                    raise VMError(_BUDGET_MSG)
+                vm.executed_instructions -= _t
+                regs[_d] = vm.call_function(_f, [g(vm, regs) for g in _g])
+                process = vm.process
+                if process.pending_signals or not process.alive:
+                    vm._dispatch_pending_signals()
+                if vm.executed_instructions + _t > vm.max_instructions:
+                    raise _BudgetEdge(_t)
+                vm.executed_instructions += _t
 
             return step
         callee_desc = self._operand(callee)
@@ -607,24 +754,19 @@ class _Compiler:
         getters = tuple(self._fetch(desc) for desc in arg_descs)
 
         def step(vm, regs, _d=dest, _gc=get_callee, _g=getters, _t=tail):
-            try:
-                target = _gc(vm, regs)
-                if not isinstance(target, FunctionRef):
-                    raise VMError(
-                        f"indirect call through non-function {target!r}"
-                    )
-                regs[_d] = vm.call_function(
-                    target.function, [g(vm, regs) for g in _g]
-                )
-                process = vm.process
-                if process.pending_signals or not process.alive:
-                    vm._dispatch_pending_signals()
-            except (VMError, ProgramExit):
-                vm.executed_instructions -= _t
-                raise
-            if vm.executed_instructions - _t >= vm.max_instructions:
-                vm.executed_instructions -= _t - 1
-                raise VMError(_BUDGET_MSG)
+            vm.executed_instructions -= _t
+            target = _gc(vm, regs)
+            if not isinstance(target, FunctionRef):
+                raise VMError(f"indirect call through non-function {target!r}")
+            regs[_d] = vm.call_function(
+                target.function, [g(vm, regs) for g in _g]
+            )
+            process = vm.process
+            if process.pending_signals or not process.alive:
+                vm._dispatch_pending_signals()
+            if vm.executed_instructions + _t > vm.max_instructions:
+                raise _BudgetEdge(_t)
+            vm.executed_instructions += _t
 
         return step
 
@@ -634,22 +776,22 @@ class _Compiler:
         ``vm.chrono_count`` defaults to the intrinsic dispatch (so inert
         and custom hooks keep working) and the recorder overrides it
         per-instance with a counter-cell increment.  Signal delivery at
-        the call boundary is preserved.
+        the call boundary is preserved.  In instrumented mode the step is
+        timed as ``intrinsic:__chrono_count``, the counting layer's tax.
         """
 
         def step(vm, regs, _d=dest, _k=count, _t=tail):
-            try:
-                regs[_d] = vm.chrono_count(_k)
-                process = vm.process
-                if process.pending_signals or not process.alive:
-                    vm._dispatch_pending_signals()
-            except (VMError, ProgramExit):
-                vm.executed_instructions -= _t
-                raise
-            if vm.executed_instructions - _t >= vm.max_instructions:
-                vm.executed_instructions -= _t - 1
-                raise VMError(_BUDGET_MSG)
+            vm.executed_instructions -= _t
+            regs[_d] = vm.chrono_count(_k)
+            process = vm.process
+            if process.pending_signals or not process.alive:
+                vm._dispatch_pending_signals()
+            if vm.executed_instructions + _t > vm.max_instructions:
+                raise _BudgetEdge(_t)
+            vm.executed_instructions += _t
 
+        if self.timer is not None:
+            return self.timer.window(step, ("vm", "intrinsic:" + _CHRONO_COUNT))
         return step
 
     # -- terminators ----------------------------------------------------------

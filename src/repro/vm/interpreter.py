@@ -7,9 +7,10 @@ accounting and hooks for the ChronoPriv runtime.
 
 Design notes:
 
-* SSA values live in per-frame dictionaries; ``alloca`` yields a
-  :class:`~repro.vm.frame.StackSlot` cell, so pointers are first-class
-  runtime objects;
+* defined functions run on the compiled closure core
+  (:mod:`repro.vm.compiled`): SSA values live in per-call register
+  lists, and ``alloca`` yields a :class:`~repro.vm.frame.StackSlot`
+  cell, so pointers are first-class runtime objects;
 * declarations (functions without bodies) dispatch to the intrinsics
   table — syscall wrappers, the AutoPriv ``priv_*`` runtime and libc-ish
   helpers (:mod:`repro.vm.intrinsics`);
@@ -25,55 +26,23 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.ir import (
-    Alloca,
-    Argument,
-    BinOp,
-    Branch,
-    Call,
-    ConstantInt,
-    ConstantString,
-    FunctionRef,
-    Function,
-    GlobalVariable,
-    ICmp,
-    Instruction,
-    Jump,
-    Load,
-    Module,
-    Phi,
-    Ret,
-    Select,
-    Store,
-    UndefValue,
-    Unreachable,
-    Value,
-)
-from repro.ir.instructions import BINARY_OPS, ICMP_PREDICATES
+from repro.ir import Function, GlobalVariable, Module
 from repro.oskernel import Kernel, Process
-from repro.vm.frame import Frame, GlobalSlot, StackSlot
-
-
-#: Sentinel distinguishing "keep executing" from a genuine return value
-#: (functions may legitimately return ``None``).
-_CONTINUE = object()
-
-#: Sentinel for the operand fast path (frame values may legitimately be None).
-_MISSING = object()
+from repro.vm.frame import GlobalSlot
 
 
 #: The interpreter class the pipeline instantiates; ``None`` means the
-#: stock dispatch-table :class:`Interpreter`.  See :func:`interpreter_class`.
+#: stock :class:`Interpreter`.  See :func:`interpreter_class`.
 _INTERPRETER_CLASS: Optional[type] = None
 
 
 def interpreter_class() -> type:
     """The class the pipeline uses to execute programs.
 
-    Defaults to :class:`Interpreter` (the dispatch-table VM).  The
+    Defaults to :class:`Interpreter` (the compiled core).  The
     conformance testkit swaps in its straight-line reference interpreter
     with :func:`set_interpreter_class` to run whole differential
-    pipelines; embedders can install instrumented subclasses the same way.
+    pipelines; embedders can install their own subclasses the same way.
     """
     return _INTERPRETER_CLASS or Interpreter
 
@@ -104,16 +73,14 @@ class VMError(RuntimeError):
 class Interpreter:
     """Executes one module as one process.
 
-    Defined-function calls route through the compiled closure core
-    (:mod:`repro.vm.compiled`) by default; the dispatch-table loop in
-    :meth:`_run_frame` remains the semantic reference and the fallback.
-    Subclasses whose value lies in the per-instruction loop — the
-    profiling interpreter, the testkit reference — set ``use_compiled``
-    to ``False`` so their ``_run_frame`` overrides stay in charge.
+    Defined functions run on the compiled closure core
+    (:mod:`repro.vm.compiled`), compiled once per function per VM.
+    :meth:`attach_profiler` switches later compiles to the core's
+    instrumented mode, so a profiled run times the same closures an
+    unprofiled run executes.  The testkit's reference interpreter
+    overrides :meth:`_run_function`, the one frame-execution hook, with
+    its own straight-line evaluator.
     """
-
-    #: Route defined-function calls through the compiled core.
-    use_compiled = True
 
     def __init__(
         self,
@@ -158,26 +125,35 @@ class Interpreter:
         #: Per-VM compiled-function cache (globals are prebound to this
         #: VM's slots, so the cache cannot be shared across instances).
         self._compiled: Dict[Function, Callable] = {}
-        self._dispatch: Dict[type, Callable] = {
-            Alloca: self._step_alloca,
-            Load: self._step_load,
-            Store: self._step_store,
-            BinOp: self._step_binop,
-            ICmp: self._step_icmp,
-            Select: self._step_select,
-            Phi: self._step_phi,
-            Call: self._step_call,
-            Branch: self._step_branch,
-            Jump: self._step_jump,
-            Ret: self._step_ret,
-            Unreachable: self._step_unreachable,
-        }
+        #: Compiled-in wall-clock attribution (see :meth:`attach_profiler`).
+        self._timer = None
 
     # -- public API -------------------------------------------------------------
 
     def register_intrinsic(self, name: str, fn: Callable) -> None:
         """Install or replace an intrinsic (``fn(vm, args) -> value``)."""
         self.intrinsics[name] = fn
+
+    def attach_profiler(self, profiler) -> "Interpreter":
+        """Time every opcode and intrinsic into ``profiler``.
+
+        Functions compiled from now on carry per-opcode and
+        per-intrinsic timers (``("vm", "op:<opcode>")`` and
+        ``("vm", "intrinsic:<name>")`` records), and every child
+        ``spawn_wait`` creates inherits them.  A ``None`` or disabled
+        profiler attaches nothing, so the closures stay untimed.
+        """
+        if profiler is not None and profiler.enabled:
+            from repro.vm.compiled import VMTimer
+
+            self._adopt_timer(VMTimer(profiler))
+        return self
+
+    def _adopt_timer(self, timer) -> None:
+        self._timer = timer
+        self._compiled.clear()
+        self._call_intrinsic = timer.timed_intrinsics(self._call_intrinsic)
+        self.child_observers.append(lambda child: child._adopt_timer(timer))
 
     def run(self, entry: str = "main", args: Sequence[Any] = ()) -> int:
         """Execute ``entry`` to completion; returns the exit code.
@@ -209,18 +185,18 @@ class Interpreter:
             raise VMError(f"call depth exceeded calling @{function.name}")
         self._call_depth += 1
         try:
-            if self.use_compiled:
-                code = self._compiled.get(function)
-                if code is None:
-                    from repro.vm.compiled import compile_function
-
-                    code = self._compiled[function] = compile_function(
-                        self, function
-                    )
-                return code(self, args)
-            return self._run_frame(Frame(function, args))
+            return self._run_function(function, args)
         finally:
             self._call_depth -= 1
+
+    def _run_function(self, function: Function, args: List[Any]):
+        """Execute one defined function's body: the frame-execution hook."""
+        code = self._compiled.get(function)
+        if code is None:
+            from repro.vm.compiled import compile_function
+
+            code = self._compiled[function] = compile_function(self, function)
+        return code(self, args)
 
     def chrono_count(self, count: int):
         """ChronoPriv's per-block counting hook, as a direct method call.
@@ -228,9 +204,9 @@ class Interpreter:
         The compiled core calls this instead of dispatching the
         ``__chrono_count`` intrinsic; the default defers to the
         intrinsics table so inert counters (spawned children) and custom
-        hooks behave identically on both cores, and the ChronoPriv
-        recorder overrides it per-instance with a bare counter-cell
-        increment (:meth:`repro.chronopriv.runtime.ChronoRecorder.attach`).
+        hooks keep working, and the ChronoPriv recorder overrides it
+        per-instance with a bare counter-cell increment
+        (:meth:`repro.chronopriv.runtime.ChronoRecorder.attach`).
         """
         return self._call_intrinsic("__chrono_count", [count])
 
@@ -246,176 +222,6 @@ class Interpreter:
                 self.metrics.counter("vm.syscall_dispatches").inc()
                 self.metrics.counter(f"vm.syscall.{name}").inc()
         return fn(self, args)
-
-    def _run_frame(self, frame: Frame):
-        # The dispatch table maps concrete instruction types to bound
-        # handlers; ``type(instruction)`` is exact here because the IR
-        # instruction set is closed, and one dict lookup replaces the
-        # isinstance ladder on every retired instruction.
-        dispatch = self._dispatch
-        max_instructions = self.max_instructions
-        while True:
-            block = frame.block
-            if block is None:
-                raise VMError(f"@{frame.function.name}: fell off function end")
-            if frame.index >= len(block.instructions):
-                raise VMError(
-                    f"@{frame.function.name}:%{block.name}: block without terminator"
-                )
-            instruction = block.instructions[frame.index]
-            self.executed_instructions += 1
-            if self.executed_instructions > max_instructions:
-                raise VMError("instruction budget exhausted (runaway program?)")
-            handler = dispatch.get(type(instruction))
-            if handler is None:  # pragma: no cover - the instruction set is closed
-                raise VMError(f"unknown instruction {instruction.opcode}")
-            outcome = handler(frame, instruction)
-            if outcome is not _CONTINUE:
-                return outcome
-
-    def _operand(self, frame: Frame, value: Value):
-        # SSA temporaries vastly outnumber constants on the hot path, so
-        # probe the frame's value map first and fall back to the literal
-        # kinds only on a miss.
-        resolved = frame.values.get(value, _MISSING)
-        if resolved is not _MISSING:
-            return resolved
-        if isinstance(value, ConstantInt):
-            return value.value
-        if isinstance(value, ConstantString):
-            return value.value
-        if isinstance(value, FunctionRef):
-            return value
-        if isinstance(value, GlobalVariable):
-            return self.globals[value]
-        if isinstance(value, UndefValue):
-            return 0
-        raise VMError(
-            f"@{frame.function.name}: use of undefined value {value.short()}"
-        )
-
-    def _retire(self, instruction: Instruction) -> None:
-        self.executed_instructions += 1
-        if self.executed_instructions > self.max_instructions:
-            raise VMError("instruction budget exhausted (runaway program?)")
-
-    def _step(self, frame: Frame, instruction: Instruction):
-        """Retire and execute one instruction (the non-looping entry point).
-
-        ``_run_frame`` inlines the retire bookkeeping and dispatch for
-        speed; this method keeps the original single-step API for tests
-        and embedders.
-        """
-        self._retire(instruction)
-        handler = self._dispatch.get(type(instruction))
-        if handler is None:  # pragma: no cover - the instruction set is closed
-            raise VMError(f"unknown instruction {instruction.opcode}")
-        return handler(frame, instruction)
-
-    # -- per-opcode handlers ------------------------------------------------------
-
-    def _step_alloca(self, frame: Frame, instruction):
-        frame.values[instruction] = StackSlot(instruction.name)
-        frame.index += 1
-        return _CONTINUE
-
-    def _step_load(self, frame: Frame, instruction):
-        slot = self._operand(frame, instruction.pointer)
-        if not isinstance(slot, StackSlot):
-            raise VMError(f"load through non-pointer {slot!r}")
-        frame.values[instruction] = slot.value if slot.value is not None else 0
-        frame.index += 1
-        return _CONTINUE
-
-    def _step_store(self, frame: Frame, instruction):
-        slot = self._operand(frame, instruction.pointer)
-        if not isinstance(slot, StackSlot):
-            raise VMError(f"store through non-pointer {slot!r}")
-        slot.value = self._operand(frame, instruction.value)
-        frame.index += 1
-        return _CONTINUE
-
-    def _step_binop(self, frame: Frame, instruction):
-        operands = instruction.operands
-        lhs = self._operand(frame, operands[0])
-        rhs = self._operand(frame, operands[1])
-        try:
-            raw = BINARY_OPS[instruction.op](lhs, rhs)
-        except ZeroDivisionError:
-            raise VMError(f"{instruction.op} by zero") from None
-        frame.values[instruction] = instruction.type.wrap(raw)
-        frame.index += 1
-        return _CONTINUE
-
-    def _step_icmp(self, frame: Frame, instruction):
-        operands = instruction.operands
-        lhs = self._operand(frame, operands[0])
-        rhs = self._operand(frame, operands[1])
-        frame.values[instruction] = int(ICMP_PREDICATES[instruction.predicate](lhs, rhs))
-        frame.index += 1
-        return _CONTINUE
-
-    def _step_select(self, frame: Frame, instruction):
-        cond, if_true, if_false = (
-            self._operand(frame, operand) for operand in instruction.operands
-        )
-        frame.values[instruction] = if_true if cond else if_false
-        frame.index += 1
-        return _CONTINUE
-
-    def _step_phi(self, frame: Frame, instruction):
-        incoming = instruction.incoming.get(frame.prev_block)
-        if incoming is None:
-            raise VMError(
-                f"phi has no incoming for predecessor "
-                f"%{frame.prev_block.name if frame.prev_block else '?'}"
-            )
-        frame.values[instruction] = self._operand(frame, incoming)
-        frame.index += 1
-        return _CONTINUE
-
-    def _step_call(self, frame: Frame, instruction):
-        result = self._execute_call(frame, instruction)
-        frame.values[instruction] = result
-        self._dispatch_pending_signals()
-        frame.index += 1
-        return _CONTINUE
-
-    def _step_branch(self, frame: Frame, instruction):
-        cond = self._operand(frame, instruction.operands[0])
-        self._enter_block(frame, instruction.if_true if cond else instruction.if_false)
-        return _CONTINUE
-
-    def _step_jump(self, frame: Frame, instruction):
-        self._enter_block(frame, instruction.target)
-        return _CONTINUE
-
-    def _step_ret(self, frame: Frame, instruction):
-        if instruction.value is not None:
-            return self._operand(frame, instruction.value)
-        return None
-
-    def _step_unreachable(self, frame: Frame, instruction):
-        raise VMError(
-            f"@{frame.function.name}:%{frame.block.name}: reached unreachable"
-        )
-
-    def _enter_block(self, frame: Frame, target) -> None:
-        frame.prev_block = frame.block
-        frame.block = target
-        frame.index = 0
-
-    def _execute_call(self, frame: Frame, call: Call):
-        callee = call.callee
-        if isinstance(callee, FunctionRef):
-            target = callee.function
-        else:
-            runtime_callee = self._operand(frame, callee)
-            if not isinstance(runtime_callee, FunctionRef):
-                raise VMError(f"indirect call through non-function {runtime_callee!r}")
-            target = runtime_callee.function
-        args = [self._operand(frame, arg) for arg in call.args]
-        return self.call_function(target, args)
 
     # -- signals --------------------------------------------------------------------
 
@@ -439,14 +245,3 @@ class Interpreter:
         finally:
             self._in_signal_handler = False
 
-
-class DispatchInterpreter(Interpreter):
-    """The dispatch-table VM with the compiled core switched off.
-
-    Semantically identical to :class:`Interpreter` — same handlers, same
-    counters, same errors — but every instruction goes through the
-    per-step dispatch loop.  The differential oracles and benchmarks use
-    it as the independent slow side against the compiled core.
-    """
-
-    use_compiled = False

@@ -83,7 +83,34 @@ class TestGenerateCorpus:
                           include_builtins=False, include_exemplars=False)
         flagged = [i for i, e in enumerate(generate_corpus(spec)) if e.violator]
         assert len(flagged) == 4
-        assert flagged == [0, 5, 10, 15]
+        # Stride 5 aims at 0/5/10/15; each lands on the nearest index of
+        # the next family in rotation.
+        assert flagged == [0, 6, 12, 13]
+
+    @pytest.mark.parametrize(
+        "size,violators,families",
+        [
+            (200, 5, PROGRAM_FAMILIES),
+            (20, 4, PROGRAM_FAMILIES),
+            (37, 6, PROGRAM_FAMILIES[:3]),
+            (10, 10, PROGRAM_FAMILIES[:2]),
+            (12, 7, PROGRAM_FAMILIES),
+            (3, 5, PROGRAM_FAMILIES),
+            (50, 7, ("daemon",)),
+        ],
+    )
+    def test_violators_rotate_through_families(self, size, violators, families):
+        spec = CorpusSpec(seed=0, size=size, violators=violators,
+                          families=families, include_builtins=False,
+                          include_exemplars=False)
+        entries = generate_corpus(spec)
+        planted = [e.family for e in entries if e.violator]
+        assert len(planted) == min(size, violators)
+        wanted = [families[i % len(families)] for i in range(violators)]
+        available = [families[i % len(families)] for i in range(size)]
+        if all(wanted.count(f) <= available.count(f) for f in set(wanted)):
+            # Violator i is a families[i % len(families)] program.
+            assert sorted(planted) == sorted(wanted)
 
     def test_families_cycle_and_unknown_family_rejected(self):
         spec = CorpusSpec(seed=0, size=len(PROGRAM_FAMILIES),

@@ -224,3 +224,16 @@ class TestViolatorFlagging:
         flagged = {f.program for f in report.findings
                    if f.capability == "CapSysAdmin"}
         assert violator in flagged
+
+    def test_default_spec_flags_every_planted_violator(self):
+        # Regression: the default spec once planted all five violators
+        # as CapSysAdmin daemons, and at this seed k-medoids grouped them
+        # into a peer group of their own, which hid every one of them.
+        entries = generate_corpus(
+            CorpusSpec(seed=97484635, include_builtins=False)
+        )
+        report = peer_analysis(sweep_corpus(entries, mode="serial"))
+        flagged = {finding.program for finding in report.findings}
+        planted = {entry.name for entry in entries if entry.violator}
+        assert len(planted) >= 5
+        assert planted <= flagged

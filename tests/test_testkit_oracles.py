@@ -41,12 +41,11 @@ class TestFamiliesPassOnCorrectCode:
         assert result.passed, [f.details for f in result.failures]
         assert result.executed == 4
 
-    def test_default_families_are_the_differential_eight(self):
+    def test_default_families_are_the_differential_seven(self):
         assert DEFAULT_FAMILIES == (
             "cache",
             "pools",
             "vm",
-            "compiled",
             "ledger",
             "reduction-parity",
             "profile",
@@ -71,22 +70,16 @@ class TestFaultInjection:
         # The patch is fully undone on exit.
         assert oracle.run(MUL_CASE).ok
 
-    def test_compiled_fault_caught_by_compiled_oracle(self):
-        oracle = family("compiled")
+    def test_compiled_fault_caught_by_vm_oracle(self):
+        # A stale table baked into the compiled closures: the reference
+        # evaluator inlines its own arithmetic and disagrees.
+        oracle = family("vm")
         assert oracle.run(MUL_CASE).ok
         with install_fault("compiled-mul-truncate"):
             result = oracle.run(MUL_CASE)
         assert result.failed
-        assert "compiled." in result.details
+        assert "vm." in result.details and "reference." in result.details
         assert oracle.run(MUL_CASE).ok
-
-    def test_shared_table_fault_is_invisible_to_compiled_oracle(self):
-        # Both production strategies consult the shared BINARY_OPS table,
-        # so a bug there makes them agree (the vm family catches it
-        # against the independent reference instead).
-        oracle = family("compiled")
-        with install_fault("vm-mul-truncate"):
-            assert oracle.run(MUL_CASE).ok
 
     def test_cache_fault_caught_by_cache_oracle(self):
         oracle = family("cache")
@@ -237,31 +230,78 @@ class TestReproFiles:
             load_repro(path)
 
 
+#: The Table III/V programs plus one generated program.
+PARITY_PROGRAMS = (
+    "generated", "passwd", "passwdRef", "ping", "su", "suRef",
+    "thttpd", "sshd", "sshdPrivsep",
+)
+
+
 class TestReferenceInterpreterThroughPipeline:
-    def test_whole_pipeline_agrees_under_reference_interpreter(self):
-        """The interpreter_class hook swaps the evaluator pipeline-wide."""
+    """The interpreter_class hook swaps the evaluator pipeline-wide, and
+    the compiled core and the reference retire exactly the same counts."""
+
+    @staticmethod
+    def _spec(program):
+        from repro.programs import spec_by_name
+        from repro.testkit import generators
+
+        if program == "generated":
+            case = generators.gen_program_case(random.Random("pipe"), 15)
+            return generators.build_program_spec(case, name="pipe")
+        return spec_by_name(program)
+
+    @staticmethod
+    def _run(analyzer, spec, module, interpreter):
+        from repro.vm import set_interpreter_class
+
+        previous = set_interpreter_class(interpreter)
+        try:
+            chrono, exit_code, stdout = analyzer.run_dynamic(spec, module)
+        finally:
+            set_interpreter_class(previous)
+        executed = analyzer.telemetry.metrics.counter(
+            "vm.instructions_executed"
+        ).value
+        phases = [
+            (p.name, p.privileges, p.uids, p.gids, p.instruction_count)
+            for p in chrono.phases
+        ]
+        return executed, phases, exit_code, stdout
+
+    @pytest.mark.parametrize("program", PARITY_PROGRAMS)
+    def test_whole_pipeline_agrees_under_reference_interpreter(self, program):
         from repro.core.pipeline import PrivAnalyzer
         from repro.rewriting import SearchBudget
-        from repro.testkit import generators
-        from repro.vm import interpreter_class, set_interpreter_class
+        from repro.vm import interpreter_class
         from repro.vm.interpreter import Interpreter
 
-        case = generators.gen_program_case(random.Random("pipe"), 15)
-        spec = generators.build_program_spec(case, name="pipe")
         budget = SearchBudget(max_states=20_000, max_seconds=10.0)
-
+        sides = []
+        for interpreter in (None, ReferenceInterpreter):
+            # A fresh spec per side: workloads consume their env queues.
+            spec = self._spec(program)
+            analyzer = PrivAnalyzer(budget=budget)
+            module = analyzer.compile(spec)[0]
+            sides.append(self._run(analyzer, spec, module, interpreter))
+        stock, reference = sides
         assert interpreter_class() is Interpreter
+        assert stock[0] > 0
+        assert stock == reference
+
+    def test_verdicts_agree_under_reference_interpreter(self):
+        from repro.core.pipeline import PrivAnalyzer
+        from repro.rewriting import SearchBudget
+        from repro.vm import set_interpreter_class
+
+        spec = self._spec("generated")
+        budget = SearchBudget(max_states=20_000, max_seconds=10.0)
         stock = PrivAnalyzer(budget=budget).analyze(spec)
         previous = set_interpreter_class(ReferenceInterpreter)
         try:
-            assert interpreter_class() is ReferenceInterpreter
             reference = PrivAnalyzer(budget=budget).analyze(spec)
         finally:
             set_interpreter_class(previous)
-        assert interpreter_class() is Interpreter
-
-        assert stock.exit_code == reference.exit_code
-        assert stock.stdout == reference.stdout
         assert stock.chrono.total == reference.chrono.total
         for stock_phase, reference_phase in zip(stock.phases, reference.phases):
             for attack_id, report in stock_phase.verdicts.items():
