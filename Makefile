@@ -139,7 +139,10 @@ fuzz:
 # corpus with one planted CAP_SYS_ADMIN hoarder.  The peers report must
 # rank the violator top-1 with the report's only capability finding,
 # and a warm rerun over the same profile store must serve every program
-# from cache (see docs/CORPUS.md).
+# from cache.  Flipping one value inside one stored profile must then be
+# caught: the rerun rejects and recomputes exactly that profile (31 hits,
+# 1 miss) and its report is byte-identical to the cold one (see
+# docs/CORPUS.md).
 corpus-smoke:
 	rm -rf $(CORPUS_SMOKE_DIR)
 	PYTHONPATH=src python -m repro.cli corpus build \
@@ -168,6 +171,21 @@ corpus-smoke:
 		|| { echo "corpus-smoke: warm sweep was not fully cached:"; \
 		     cat $(CORPUS_SMOKE_DIR)/warm-stats.txt; exit 1; }
 	@echo "corpus-smoke ok: warm sweep served 32/32 from the profile store"
+	PYTHONPATH=src python -c "\
+	import glob, json; \
+	path = sorted(glob.glob('$(CORPUS_SMOKE_DIR)/profiles/objects/*/*.json'))[0]; \
+	entry = json.load(open(path)); \
+	entry['payload']['invulnerable_window'] = 1.0 - entry['payload']['invulnerable_window']; \
+	json.dump(entry, open(path, 'w'))"
+	PYTHONPATH=src python -m repro.cli peers $(CORPUS_SMOKE_DIR)/corpus \
+		--store $(CORPUS_SMOKE_DIR)/profiles --out $(CORPUS_SMOKE_DIR)/tampered.json \
+		> $(CORPUS_SMOKE_DIR)/tampered.txt 2> $(CORPUS_SMOKE_DIR)/tampered-stats.txt
+	grep -q "31 hit(s), 1 miss(es)" $(CORPUS_SMOKE_DIR)/tampered-stats.txt \
+		|| { echo "corpus-smoke: tampered profile was not rejected:"; \
+		     cat $(CORPUS_SMOKE_DIR)/tampered-stats.txt; exit 1; }
+	cmp $(CORPUS_SMOKE_DIR)/peers.json $(CORPUS_SMOKE_DIR)/tampered.json \
+		|| { echo "corpus-smoke: tampered rerun differs from the cold peers.json"; exit 1; }
+	@echo "corpus-smoke ok: tampered profile rejected, recomputed, output byte-identical"
 
 # Control-plane smoke test (CI gate): start `privanalyzer serve`, run
 # two concurrent cold clients over a corpus slice (no duplicated

@@ -136,10 +136,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="disable ROSA result caching; every query searches from scratch",
     )
     group.add_argument(
-        "--query-cache", metavar="PATH", default=None,
-        help="persist the ROSA result cache as JSON at PATH across runs",
-    )
-    group.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="run distinct ROSA searches on a pool of N worker processes "
         "(default: serial, which is fastest at repro-scale budgets)",
@@ -173,7 +169,6 @@ def _engine_kwargs(args) -> dict:
 
     kwargs: dict = {
         "use_query_cache": not getattr(args, "no_query_cache", False),
-        "query_cache_path": getattr(args, "query_cache", None),
         "reduction": not getattr(args, "no_reduction", False),
         "capsules": not getattr(args, "no_capsules", False),
         "verdict_store": getattr(args, "verdict_store", None),

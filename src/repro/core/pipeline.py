@@ -142,7 +142,6 @@ class PrivAnalyzer:
         telemetry: Optional[Telemetry] = None,
         engine: Optional[QueryEngine] = None,
         use_query_cache: bool = True,
-        query_cache_path: Optional[str] = None,
         parallel: Optional[ParallelPolicy] = None,
         progress=None,
         progress_interval: Optional[int] = None,
@@ -170,9 +169,7 @@ class PrivAnalyzer:
         #: shared engine carries answers across programs/table regenerations.
         #: ``use_query_cache=False`` degrades to plain per-query searches.
         if engine is None:
-            cache = (
-                QueryCache(path=query_cache_path) if use_query_cache else None
-            )
+            cache = QueryCache() if use_query_cache else None
             engine_kwargs = {} if progress_interval is None else {
                 "progress_interval": progress_interval
             }

@@ -404,14 +404,6 @@ class ObjectSystem:
             for rule in self.rules
         )
 
-    @property
-    def signature(self) -> Tuple:
-        """Deterministic identity of the rule set, for query cache keys."""
-        return (
-            self.name,
-            tuple((type(rule).__name__, rule.label) for rule in self.rules),
-        )
-
     def successors(self, config: Configuration) -> Iterator[Tuple[str, Configuration]]:
         if not self.indexed:
             for rule in self.rules:

@@ -4,8 +4,8 @@ Maude's ``search init =>* pattern such that cond`` explores the states
 reachable from ``init`` by rule rewriting, looking for one matching a
 pattern.  We generalise slightly: a *state space* is any initial state
 plus a successor function, and the goal is a predicate.  ROSA instantiates
-this with syscall-message configurations; the generic term
-:class:`~repro.rewriting.rules.RewriteSystem` instantiates it with terms.
+this with syscall-message configurations (an
+:class:`~repro.rewriting.objects.ObjectSystem` supplies the successors).
 
 Bounded model checking needs explicit budgets.  The paper ran ROSA with a
 5-hour wall-clock limit and observed out-of-memory kills at 3 days (§VIII);

@@ -12,8 +12,9 @@ redundancy free:
   query from its initial configuration's canonical key, its goal
   identity, the rule system and the search budget;
 * :class:`QueryCache` memoizes verdicts by canonical key — an in-memory
-  LRU with optional on-disk JSON persistence, so repeated questions are
-  answered in O(1) instead of re-running the BFS;
+  LRU (L1), so repeated questions are answered in O(1) instead of
+  re-running the BFS; persistence across processes is the attested
+  :class:`~repro.rosa.store.SharedVerdictStore` (L2);
 * :class:`QueryEngine` is the batch front end: :meth:`QueryEngine.check`
   is a cache-aware drop-in for :func:`repro.rosa.query.check`, and
   :meth:`QueryEngine.run_queries` dedupes a batch by canonical key and
@@ -24,26 +25,28 @@ Caching never changes a verdict: two queries share a cache entry only
 when their initial configurations are AC-equal, their goals are
 structurally identical, the rule system matches and the budget matches —
 exactly the conditions under which the bounded search is deterministic.
+Queries whose identity cannot be derived stably (a goal whose identity
+embeds an object address, a rule system without readable source) get no
+key and always search; wall-clock ``TIMEOUT`` verdicts are never cached.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import dataclasses
-import errno
 import functools
 import hashlib
-import json
+import importlib
 import logging
 import os
-import tempfile
+import re
 import threading
-import time
+import weakref
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.rewriting import (
+    ObjectSystem,
     PROGRESS_INTERVAL,
     ProgressSample,
     SearchBudget,
@@ -71,7 +74,8 @@ from repro.telemetry.tracing import NULL_TRACER
 logger = logging.getLogger("repro.rosa.engine")
 
 #: Bump when the cache entry format or the key derivation changes;
-#: persisted caches with another version are discarded, not misread.
+#: persisted entries with another version are never found (the version is
+#: key material), so they are recomputed, not misread.
 #: Version 2: the reduction flag joined the key material and cached
 #: outcomes grew the reduction counters.
 #: Version 3: lazy canonicalization and working partial-order reduction
@@ -81,64 +85,38 @@ logger = logging.getLogger("repro.rosa.engine")
 #: Version 4: keys hash per-element digests (memoized across queries)
 #: instead of re-``repr``-ing the whole configuration key per query —
 #: same determinism guarantees, different bytes under the hash.
-CACHE_SCHEMA_VERSION = 4
+#: Version 5: the rule-system signature is a digest of the model's source
+#: code and the rules' parameters, not their class names and labels.
+CACHE_SCHEMA_VERSION = 5
 
+#: The modules whose source defines what a stored answer holds: the
+#: syscall rules and the constants, object model, capabilities and
+#: permission checks they consult; the goal predicates; the rewriting
+#: objects, the search that decides the verdict, witness path and
+#: ``states_explored``; and the reductions that decide which states are
+#: equal.  Editing any of them changes every system signature.
+MODEL_MODULES = (
+    "repro.rosa.rules",
+    "repro.rosa.syscalls",
+    "repro.rosa.model",
+    "repro.rosa.permissions",
+    "repro.caps.capability",
+    "repro.rosa.goals",
+    "repro.rosa.independence",
+    "repro.rewriting.objects",
+    "repro.rewriting.search",
+    "repro.rewriting.reduction",
+)
 
-# -- cross-process file locking ----------------------------------------------
-
-
-@contextlib.contextmanager
-def advisory_lock(
-    path: str, timeout: float = 10.0, stale_after: float = 30.0
-) -> Iterator[None]:
-    """An advisory cross-process lock around ``path`` (a ``.lock`` sibling).
-
-    Lockfile-based (``O_CREAT | O_EXCL``), so it works on any filesystem
-    the cache or the shared verdict store can live on — no ``fcntl``
-    dependency, no byte-range semantics to get wrong over NFS.  Waiting
-    processes poll; a lockfile older than ``stale_after`` seconds is
-    treated as an orphan (its holder crashed between acquire and
-    release) and broken.  Raises ``TimeoutError`` if the lock cannot be
-    won inside ``timeout`` seconds — callers must fail loudly rather
-    than scribble over a file another process is merging.
-    """
-    lock_path = path + ".lock"
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except OSError as error:
-            if error.errno != errno.EEXIST:
-                raise
-        try:
-            age = time.time() - os.stat(lock_path).st_mtime
-            if age > stale_after:
-                # The holder died without releasing; break the orphan.
-                # (A racing breaker just loses the unlink — harmless.)
-                logger.warning("breaking stale lock %s (age %.1fs)", lock_path, age)
-                os.unlink(lock_path)
-                continue
-        except OSError:
-            pass  # the holder released between our open and stat
-        if time.monotonic() >= deadline:
-            raise TimeoutError(f"could not acquire {lock_path} in {timeout}s")
-        time.sleep(0.002)
-    try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
-        os.close(fd)
-        yield
-    finally:
-        try:
-            os.unlink(lock_path)
-        except OSError:  # pragma: no cover - already broken as stale
-            pass
+#: A ``repr`` that embeds an object address (``<function f at 0x7f…>``)
+#: names one object in one process: it cannot identify a query.
+_ADDRESS = re.compile(r" at 0x[0-9a-fA-F]+")
 
 
 # -- canonical query keys -----------------------------------------------------
 
 
-def goal_identity(goal) -> Hashable:
+def goal_identity(goal) -> Optional[Hashable]:
     """A deterministic, structural identity for a goal predicate.
 
     Goals are closures (see :mod:`repro.rosa.goals`); two goals built by
@@ -147,20 +125,23 @@ def goal_identity(goal) -> Hashable:
     description of every closed-over value, recursively (``any_of`` /
     ``all_of`` close over tuples of goals).  Queries may short-circuit
     this with :attr:`RosaQuery.goal_key`.
+
+    ``None`` when the description would embed an object address (a
+    closed-over value whose ``repr`` is not structural): such a goal has
+    no identity that outlives the object, so its queries are uncacheable.
     """
-    qualname = getattr(goal, "__qualname__", None)
-    if qualname is None:  # pragma: no cover - goals are plain functions
-        return repr(goal)
-    cells: Tuple = ()
-    closure = getattr(goal, "__closure__", None)
-    if closure:
-        cells = tuple(_describe_value(cell.cell_contents) for cell in closure)
-    return (getattr(goal, "__module__", ""), qualname, cells)
+    identity = _describe_value(goal)
+    return None if _ADDRESS.search(repr(identity)) else identity
 
 
 def _describe_value(value) -> Hashable:
     if callable(value) and hasattr(value, "__qualname__"):
-        return goal_identity(value)
+        closure = getattr(value, "__closure__", None) or ()
+        return (
+            getattr(value, "__module__", ""),
+            value.__qualname__,
+            tuple(_describe_value(cell.cell_contents) for cell in closure),
+        )
     if isinstance(value, (tuple, list)):
         return ("seq",) + tuple(_describe_value(item) for item in value)
     if isinstance(value, (set, frozenset)):
@@ -174,11 +155,6 @@ def _describe_value(value) -> Hashable:
 
 def budget_identity(budget: SearchBudget) -> Tuple:
     return (budget.max_states, budget.max_depth, budget.max_seconds)
-
-
-#: The default rule set's signature, computed once — building the 17-rule
-#: UNIX module per key derivation would dominate small-query lookups.
-_DEFAULT_SIGNATURE = None
 
 
 @functools.lru_cache(maxsize=131072)
@@ -210,31 +186,82 @@ def _config_digest(config) -> bytes:
     return hasher.digest()
 
 
-@functools.lru_cache(maxsize=64)
-def _signature_digest(signature: Hashable) -> bytes:
-    """Memoized digest of a rule-system signature tuple."""
-    return hashlib.sha256(repr(signature).encode("utf-8")).digest()
+def _source_digest(module_name: str) -> Optional[str]:
+    """sha256 of a module's source file; ``None`` if it has none."""
+    path = getattr(importlib.import_module(module_name), "__file__", None)
+    try:
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+    except (OSError, TypeError):
+        return None
 
 
-def system_signature(system=None) -> Hashable:
-    """The rule-system signature keys and attestations bind to.
+#: Per class object, so reloading an edited module (new classes) re-reads
+#: its file while the stock rules' module is read once per process.
+_class_source = functools.lru_cache(maxsize=256)(
+    lambda cls: _source_digest(cls.__module__)
+)
+_model_source = functools.lru_cache(maxsize=1)(
+    lambda: tuple(_source_digest(name) for name in MODEL_MODULES)
+)
 
-    ``None`` means the default 17-rule UNIX module (cached — building it
-    per lookup would dominate small queries).
+#: Instance attributes of a system that the signature covers otherwise
+#: (``name``, ``rules``) or that cannot change a verdict.
+_SYSTEM_FIELDS = frozenset({"name", "rules", "indexed", "_triggers"})
+
+#: System signatures by system instance (see :func:`system_signature`).
+_SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _describe_system(system: ObjectSystem) -> Optional[str]:
+    """The hex digest :func:`system_signature` memoizes, or ``None``."""
+    material: List[Any] = [_model_source(), system.name]
+    digests: List[Optional[str]] = []  # None marks an unstable identity
+    for part in (system, *system.rules):
+        cls = type(part)
+        skip = _SYSTEM_FIELDS if part is system else ()
+        attributes = []
+        for name, value in sorted(getattr(part, "__dict__", {}).items()):
+            if isinstance(value, ObjectSystem):
+                value = system_signature(value)
+                digests.append(value)
+            if name not in skip:
+                attributes.append((name, repr(value)))
+        digests.append(_class_source(cls))
+        label = getattr(part, "label", None)
+        material.append((cls.__module__, cls.__qualname__, digests[-1], label, attributes))
+    text = repr(material)
+    if None in digests or _ADDRESS.search(text):
+        return None
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def system_signature(system: Optional[ObjectSystem] = None) -> Optional[str]:
+    """The rule-system signature that keys and store entries bind to.
+
+    A hex digest over what a verdict depends on: the source of the model
+    modules (:data:`MODEL_MODULES`); the system's name, class, defining
+    module source and other attributes (a CFI system's syscall order);
+    and each rule's class, defining module source, label and instance
+    attributes.  An edited rule body changes it even when the label
+    stays.  ``None`` means no stable identity (a class without a source
+    file, a ``repr`` with an object address): the queries are uncacheable.
+    Computed once per system instance; ``None`` is the default UNIX
+    module, whose one shared instance is described once per process.
     """
-    if system is not None:
-        return system.signature
-    global _DEFAULT_SIGNATURE
-    if _DEFAULT_SIGNATURE is None:
-        _DEFAULT_SIGNATURE = unix_system().signature
-    return _DEFAULT_SIGNATURE
+    system = system or unix_system()
+    try:
+        return _SIGNATURES[system]
+    except KeyError:
+        signature = _SIGNATURES[system] = _describe_system(system)
+        return signature
 
 
 def query_cache_key(
     query: RosaQuery,
     budget: SearchBudget = DEFAULT_BUDGET,
     reduction: bool = True,
-) -> str:
+) -> Optional[str]:
     """The canonical content-hash key of one (query, budget) pair.
 
     Derived from the initial configuration's canonical (AC-equality) key,
@@ -243,10 +270,17 @@ def query_cache_key(
     *and its cost counters* (reduction never changes the verdict, but
     sharing entries across the flag would report the wrong state counts).
     The hash is stable across processes and interpreter runs (no
-    ``hash()`` involvement), so it keys the on-disk cache and the
-    fleet-wide :class:`~repro.rosa.store.SharedVerdictStore` too.
+    ``hash()`` involvement), so it keys the fleet-wide
+    :class:`~repro.rosa.store.SharedVerdictStore` too.
+
+    ``None`` when the goal or the rule system has no stable identity
+    (see :func:`goal_identity`, :func:`system_signature`): the query is
+    then answered by a live search and never cached or published.
     """
     goal = query.goal_key if query.goal_key is not None else goal_identity(query.goal)
+    signature = system_signature(query.system)
+    if goal is None or signature is None:
+        return None
     tail = (
         "rosa-query",
         CACHE_SCHEMA_VERSION,
@@ -256,7 +290,7 @@ def query_cache_key(
     )
     hasher = hashlib.sha256()
     hasher.update(_config_digest(query.initial))
-    hasher.update(_signature_digest(system_signature(query.system)))
+    hasher.update(signature.encode("ascii"))
     hasher.update(repr(tail).encode("utf-8"))
     return hasher.hexdigest()
 
@@ -344,52 +378,25 @@ class CachedOutcome:
 class _CacheEntry:
     outcome: CachedOutcome
     #: The full report, kept for in-memory hits so witnesses'
-    #: compromised states survive; dropped on disk round-trips.
+    #: compromised states survive; absent for store-served entries.
     report: Optional[RosaReport] = None
 
 
-def read_cache_entries(path: str) -> Dict[str, Any]:
-    """Raw same-schema entry payloads from a cache file on disk.
-
-    Unreadable, corrupt or schema-skewed files come back empty — the
-    merge primitive (:meth:`QueryCache.save`, and the shared store's
-    index compaction) treats anything it cannot trust as absent rather
-    than propagating it forward.
-    """
-    if not os.path.exists(path):
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError) as error:
-        logger.warning("query cache %s unreadable, ignoring: %s", path, error)
-        return {}
-    if not isinstance(data, dict) or data.get("version") != CACHE_SCHEMA_VERSION:
-        return {}
-    entries = data.get("entries", {})
-    return dict(entries) if isinstance(entries, dict) else {}
-
-
 class QueryCache:
-    """An LRU of search outcomes keyed by canonical query key.
+    """An in-memory LRU (L1) of search outcomes keyed by canonical query key.
 
-    ``capacity`` bounds the in-memory entry count (least recently used
-    entries evict first).  With ``path`` set, entries persist as JSON:
-    :meth:`load` runs at construction, :meth:`save` writes atomically and
-    is called by the engine after each batch that added entries.
+    ``capacity`` bounds the entry count (least recently used entries
+    evict first).  Persistence across processes is the engine's L2
+    ``store`` (:class:`~repro.rosa.store.SharedVerdictStore`), never this.
     """
 
-    def __init__(self, capacity: int = 4096, path: Optional[str] = None) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError(f"cache capacity must be positive: {capacity}")
         self.capacity = capacity
-        self.path = path
         self.hits = 0
         self.misses = 0
         self._entries: "OrderedDict[str, _CacheEntry]" = OrderedDict()
-        self._dirty = False
-        if path is not None:
-            self.load()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -414,76 +421,24 @@ class QueryCache:
     ) -> None:
         self._entries[key] = _CacheEntry(outcome=outcome, report=report)
         self._entries.move_to_end(key)
-        self._dirty = True
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self._dirty = True
 
-    # -- persistence ----------------------------------------------------------
+def reusable(report: RosaReport, budget: SearchBudget) -> bool:
+    """Whether ``report`` may be cached or published under its key.
 
-    def load(self) -> int:
-        """Load persisted entries from ``path``; returns the count loaded."""
-        if self.path is None or not os.path.exists(self.path):
-            return 0
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as error:
-            logger.warning("query cache %s unreadable, ignoring: %s", self.path, error)
-            return 0
-        if data.get("version") != CACHE_SCHEMA_VERSION:
-            logger.info(
-                "query cache %s has version %r, want %d; starting fresh",
-                self.path, data.get("version"), CACHE_SCHEMA_VERSION,
-            )
-            return 0
-        loaded = 0
-        for key, entry in data.get("entries", {}).items():
-            try:
-                self._entries[key] = _CacheEntry(CachedOutcome.from_json(entry))
-                loaded += 1
-            except (KeyError, TypeError, ValueError):
-                continue
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return loaded
-
-    def save(self) -> bool:
-        """Merge entries into ``path`` atomically; returns True if written.
-
-        Save is load-merge-replace under an :func:`advisory_lock`, not
-        last-writer-wins: same-schema entries already on disk are kept
-        and this cache's entries layered on top, so two processes
-        sharing one ``--query-cache`` path union their work instead of
-        silently dropping each other's batches.  Only the in-memory LRU
-        is capacity-bounded — the disk file keeps the fleet's union.
-        """
-        if self.path is None or not self._dirty:
-            return False
-        with advisory_lock(self.path):
-            merged = read_cache_entries(self.path)
-            for key, entry in self._entries.items():
-                merged[key] = entry.outcome.to_json()
-            payload = {"version": CACHE_SCHEMA_VERSION, "entries": merged}
-            directory = os.path.dirname(os.path.abspath(self.path))
-            fd, tmp_path = tempfile.mkstemp(prefix=".rosa-cache-", dir=directory)
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, indent=0, sort_keys=True)
-                os.replace(tmp_path, self.path)
-            except OSError:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-        self._dirty = False
-        return True
+    A ``TIMEOUT`` that ran out of wall-clock seconds says how fast this
+    host was, not what the model allows: the same key on a faster or
+    idler host may well decide.  Only deterministic outcomes are reused;
+    a state-budget ``TIMEOUT`` is one (the same search always stops at
+    the same state).
+    """
+    return not (
+        report.verdict is Verdict.TIMEOUT
+        and budget.max_seconds is not None
+        and report.elapsed > budget.max_seconds
+    )
 
 
 # -- batch scheduling ---------------------------------------------------------
@@ -682,7 +637,8 @@ class QueryEngine:
         """Cache-aware ``check``: a hit skips the search entirely.
 
         ``track_states`` bypasses the cache (witness configurations are
-        not memoized) and always searches.
+        not memoized) and always searches, as does a query without a
+        stable key (see :func:`query_cache_key`).
         """
         budget = budget or self.budget
         tracer = self.telemetry.tracer
@@ -691,6 +647,8 @@ class QueryEngine:
             return self._checked(query, budget, track_states=track_states)
         reduction = self._effective_reduction(query)
         key = query_cache_key(query, budget, reduction=reduction)
+        if key is None:
+            return self._checked(query, budget, reduction=reduction)
         if self.cache is not None:
             entry = self.cache.get(key)
             if entry is not None:
@@ -704,11 +662,15 @@ class QueryEngine:
             return self._served_from_cache(
                 query, _CacheEntry(outcome=outcome), tracer
             )
-        report = self._checked(query, budget, reduction=reduction)
-        outcome = CachedOutcome.from_report(report)
-        if self.cache is not None:
-            self.cache.put(key, outcome, report)
-        self._store_put(key, outcome)
+        try:
+            report = self._checked(query, budget, reduction=reduction)
+            if reusable(report, budget):
+                outcome = CachedOutcome.from_report(report)
+                if self.cache is not None:
+                    self.cache.put(key, outcome, report)
+                self._store_put(key, outcome)
+        finally:
+            self._store_release(key)
         return report
 
     def _store_get(self, key: str) -> Optional[CachedOutcome]:
@@ -728,6 +690,11 @@ class QueryEngine:
             return
         if self.store.put(key, outcome):
             self.telemetry.metrics.counter("rosa.store.published").inc()
+
+    def _store_release(self, key: str) -> None:
+        """Free ``key``'s single-flight slot even if nothing was published."""
+        if self.store is not None:
+            self.store.release(key)
 
     def _checked(
         self,
@@ -788,7 +755,10 @@ class QueryEngine:
         The batch is deduplicated by canonical key first (duplicates get
         the same search's answer re-attached to their own query), cache
         hits are served without searching, and the remaining distinct
-        searches run under the engine's :class:`ParallelPolicy`.
+        searches run under the engine's :class:`ParallelPolicy`.  A query
+        without a stable key is its own distinct search and is never
+        cached; a :func:`reusable`-failing answer is shared with its
+        deduplicated siblings in this batch only.
         """
         entries = [
             request if isinstance(request, QueryRequest) else QueryRequest(request)
@@ -825,8 +795,11 @@ class QueryEngine:
         #    first-occurrence order for deterministic scheduling.  A key's
         #    first L1 miss consults the shared store (once per distinct
         #    key); a store hit warms L1 so deduped siblings stay local.
-        distinct: "OrderedDict[str, List[int]]" = OrderedDict()
+        distinct: "OrderedDict[Union[str, int], List[int]]" = OrderedDict()
         for index, (request, key) in enumerate(zip(entries, keys)):
+            if key is None:
+                distinct[index] = [index]  # uncacheable: searched alone
+                continue
             if self.cache is not None:
                 lookup_start = profiler.clock() if profiler is not None else 0.0
                 entry = self.cache.get(key)
@@ -858,75 +831,84 @@ class QueryEngine:
         if distinct:
             metrics.counter("rosa.batch.unique").inc(len(distinct))
 
-        # 2. Run each distinct search once.
-        if distinct:
-            leaders = [indices[0] for indices in distinct.values()]
-            budget_for = lambda index: entries[index].budget or self.budget
-            all_have_specs = all(
-                entries[index].spec is not None for index in leaders
-            )
-            widest = max(
-                (budget_for(index).max_states or 0 for index in leaders), default=0
-            )
-            mode = self.parallel.resolve(
-                len(leaders),
-                dataclasses.replace(self.budget, max_states=widest or None)
-                if widest
-                else self.budget,
-                all_have_specs,
-            )
-            if mode == "serial" or len(leaders) == 1:
-                if profiler is not None:
-                    # Serial scheduling is one worker draining the queue:
-                    # queue wait is time spent behind earlier searches.
-                    batch_start = profiler.clock()
-                    leader_reports = []
-                    for index in leaders:
-                        start = profiler.clock()
-                        profiler.account(
-                            ("engine", "worker:0", "queue_wait"), start - batch_start
-                        )
-                        leader_reports.append(
+        # 2. Run each distinct search once.  Every key this batch led in
+        #    the store is released afterwards, published or not.
+        try:
+            if distinct:
+                leaders = [indices[0] for indices in distinct.values()]
+                budget_for = lambda index: entries[index].budget or self.budget
+                all_have_specs = all(
+                    entries[index].spec is not None for index in leaders
+                )
+                widest = max(
+                    (budget_for(index).max_states or 0 for index in leaders), default=0
+                )
+                mode = self.parallel.resolve(
+                    len(leaders),
+                    dataclasses.replace(self.budget, max_states=widest or None)
+                    if widest
+                    else self.budget,
+                    all_have_specs,
+                )
+                if mode == "serial" or len(leaders) == 1:
+                    if profiler is not None:
+                        # Serial scheduling is one worker draining the queue:
+                        # queue wait is time spent behind earlier searches.
+                        batch_start = profiler.clock()
+                        leader_reports = []
+                        for index in leaders:
+                            start = profiler.clock()
+                            profiler.account(
+                                ("engine", "worker:0", "queue_wait"), start - batch_start
+                            )
+                            leader_reports.append(
+                                self._checked(
+                                    entries[index].query,
+                                    budget_for(index),
+                                    reduction=reductions[index],
+                                )
+                            )
+                            profiler.account(
+                                ("engine", "worker:0", "execute"),
+                                profiler.clock() - start,
+                            )
+                    else:
+                        leader_reports = [
                             self._checked(
                                 entries[index].query,
                                 budget_for(index),
                                 reduction=reductions[index],
                             )
-                        )
-                        profiler.account(
-                            ("engine", "worker:0", "execute"),
-                            profiler.clock() - start,
-                        )
+                            for index in leaders
+                        ]
                 else:
-                    leader_reports = [
-                        self._checked(
-                            entries[index].query,
-                            budget_for(index),
-                            reduction=reductions[index],
-                        )
-                        for index in leaders
-                    ]
-            else:
-                leader_reports = self._run_parallel(
-                    mode, entries, leaders, budget_for, profiler, keys, reductions
-                )
-            for key_indices, report in zip(distinct.values(), leader_reports):
-                if self.cache is not None or self.store is not None:
-                    outcome = CachedOutcome.from_report(report)
-                    if self.cache is not None:
-                        self.cache.put(keys[key_indices[0]], outcome, report)
-                    self._store_put(keys[key_indices[0]], outcome)
-                for position, index in enumerate(key_indices):
-                    if position == 0:
-                        reports[index] = report
-                    else:
-                        # A deduped sibling: same answer, its own query.
-                        metrics.counter("rosa.batch.dedup_hits").inc()
-                        reports[index] = dataclasses.replace(
-                            report, query=entries[index].query
-                        )
-        if self.cache is not None and self.cache.path is not None:
-            self.cache.save()
+                    leader_reports = self._run_parallel(
+                        mode, entries, leaders, budget_for, profiler, keys, reductions
+                    )
+                for key_indices, report in zip(distinct.values(), leader_reports):
+                    key = keys[key_indices[0]]
+                    if (
+                        key is not None
+                        and (self.cache is not None or self.store is not None)
+                        and reusable(report, budget_for(key_indices[0]))
+                    ):
+                        outcome = CachedOutcome.from_report(report)
+                        if self.cache is not None:
+                            self.cache.put(key, outcome, report)
+                        self._store_put(key, outcome)
+                    for position, index in enumerate(key_indices):
+                        if position == 0:
+                            reports[index] = report
+                        else:
+                            # A deduped sibling: same answer, its own query.
+                            metrics.counter("rosa.batch.dedup_hits").inc()
+                            reports[index] = dataclasses.replace(
+                                report, query=entries[index].query
+                            )
+        finally:
+            for key in distinct:
+                if isinstance(key, str):
+                    self._store_release(key)
         return [report for report in reports if report is not None]
 
     def _capsule_request(self, profiler) -> Optional[CapsuleRequest]:
@@ -1226,10 +1208,6 @@ class QueryEngine:
         return reports
 
     # -- maintenance -----------------------------------------------------------
-
-    def save_cache(self) -> bool:
-        """Persist the cache now (no-op without a cache path)."""
-        return self.cache.save() if self.cache is not None else False
 
     def cache_stats(self) -> Dict[str, Any]:
         """Hit/miss counters for reports and benchmarks."""

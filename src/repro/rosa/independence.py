@@ -573,7 +573,9 @@ def build_reducer(
     goal_fp = getattr(goal, "footprint", None)
     if not isinstance(goal_fp, GoalFootprint):
         return None
-    if system.signature != _unix_signature():
+    from repro.rosa.engine import system_signature  # engine imports this module
+
+    if system_signature(system) != system_signature():
         return None
     for name in initial.message_names():
         if name not in MESSAGE_ARG_DOMAINS or name not in MESSAGE_FOOTPRINTS:
@@ -605,14 +607,3 @@ def build_reducer(
     por = budget.max_depth is None
     return RosaReducer(system, goal_fp, pinned, por, initial=initial)
 
-
-_UNIX_SIGNATURE = None
-
-
-def _unix_signature():
-    global _UNIX_SIGNATURE
-    if _UNIX_SIGNATURE is None:
-        from repro.rosa.rules import unix_rules
-
-        _UNIX_SIGNATURE = ObjectSystem("UNIX", unix_rules()).signature
-    return _UNIX_SIGNATURE

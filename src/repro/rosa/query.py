@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import logging
 import time
 from typing import Callable, Hashable, List, Optional
@@ -55,9 +56,13 @@ class Verdict(enum.Enum):
         return {"vulnerable": "✓", "invulnerable": "✗", "timeout": "⊙"}[self.value]
 
 
-#: The default UNIX rewrite system (all 17 syscall rules).
+@functools.lru_cache(maxsize=1)
 def unix_system() -> ObjectSystem:
-    """The UNIX module: every syscall rule from :mod:`repro.rosa.rules`."""
+    """The UNIX module: every syscall rule from :mod:`repro.rosa.rules`.
+
+    One shared instance per process (systems and rules hold no mutable
+    state), so its signature is derived once, not per search.
+    """
     return ObjectSystem("UNIX", unix_rules())
 
 

@@ -1,45 +1,44 @@
-"""Fleet-wide, content-addressed shared verdict store.
+"""Fleet-wide, content-addressed, attested store for verdicts and profiles.
 
-:class:`SharedVerdictStore` turns per-process query caching into
-compute-once across a whole fleet: every verdict lives as one JSON
-object named by its canonical query key (sha256 — see
-:func:`repro.rosa.engine.query_cache_key`), sharded into fanout
-directories, published atomically, and attested.  Any process — engine
-batches, corpus sweep workers, ``privanalyzer serve`` request handlers —
-that derives the same key reads the same object instead of re-running
-the BFS.
+:class:`AttestedStore` is the one persistence primitive for results that
+are pure functions of a content key.  Every record is one JSON object
+named by its key, sharded into fanout directories, published
+atomically, attested, and logged in an append-only lineage file.
+Records are typed by a ``kind``: ``"verdict"`` (:class:`SharedVerdictStore`,
+ROSA outcomes under :func:`repro.rosa.engine.query_cache_key`) and
+``"profile"`` (:class:`repro.corpus.store.ProfileStore`, privilege
+profiles under :func:`repro.corpus.profile.profile_key`).  Any process
+that derives the same key reads the same object instead of recomputing.
 
 Design rules, following the fail-closed promotion discipline of the
 Crypto-Anaylzer exemplar (SNIPPETS.md):
 
-* **Content addressing.** The object path is a pure function of the
-  canonical query key; the key already binds the initial configuration,
-  goal, rule-system signature, budget, reduction flag and cache schema
-  version, so two processes cannot disagree about where a verdict lives.
-* **Atomic publish.** Objects are written tempfile-then-``os.replace``
-  in the destination shard, so readers never observe a torn entry and
-  concurrent publishers of the same key are harmless (same content —
-  last replace wins bit-identically).
-* **Fail closed.** An entry is served only if its recorded rule-system
-  signature matches this store's, its schema versions match, and its
-  attestation (a sha256 over the canonical entry material) re-validates.
-  Anything else — corruption, tampering, version skew, a foreign rule
-  system — is *rejected*: counted, skipped, and recomputed live by the
-  caller, never trusted.
+* **Content addressing.** The object path is a pure function of the key,
+  and the key binds every input of the result.
+* **Binding.** A store handle also carries a *binding*: what the result
+  depends on beyond its key — the rule-system signature
+  (:func:`repro.rosa.engine.system_signature`, a digest of the model's
+  source), plus the profile schema for profiles.
+* **Atomic publish.** Objects are written tempfile-then-``os.replace``,
+  so readers never observe a torn entry and concurrent publishers of the
+  same key are harmless (same content, last replace wins).
+* **Fail closed.** An entry is served only if its schema, kind, key and
+  binding match and its attestation (a sha256 over all of them plus the
+  payload) re-validates.  Anything else is *rejected*: counted, skipped,
+  and recomputed by the caller, whose publish repairs the entry.
 * **Append-only lineage.** Every publish appends one JSON line to
-  ``lineage.jsonl`` under the same advisory lock primitive the query
-  cache's merge-on-save uses, so the store's history is auditable
-  (who published what, when, under which signature).
+  ``lineage.jsonl`` under :func:`advisory_lock`.
 
-The store is deliberately engine-shaped: ``get(key)`` returns a
-:class:`~repro.rosa.engine.CachedOutcome` or ``None`` and
-``put(key, outcome)`` returns whether a fresh object was published —
-exactly the duck type :class:`~repro.rosa.engine.QueryEngine` consults
-as its L2 behind the in-memory LRU.
+Each kind is a class of a few lines with its own ``get(key)`` (the value
+or ``None``) and ``put(key, value)`` (whether a fresh object landed) —
+for verdicts, the duck type :class:`~repro.rosa.engine.QueryEngine`
+consults as its L2 behind the in-memory LRU.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import hashlib
 import json
 import logging
@@ -48,56 +47,88 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
-from repro.rosa.engine import (
-    CACHE_SCHEMA_VERSION,
-    CachedOutcome,
-    advisory_lock,
-    system_signature,
-)
+from repro.rosa.engine import CachedOutcome, system_signature
 
 logger = logging.getLogger("repro.rosa.store")
 
 #: Bump when the on-disk entry layout or the attestation material
 #: changes; entries with another version are rejected (recomputed and
-#: republished), never misread.
-STORE_SCHEMA_VERSION = 1
+#: republished), never misread.  Version 2: one layout for every kind,
+#: ``{schema, kind, key, binding, payload, attestation}``.
+STORE_SCHEMA_VERSION = 2
 
-#: Subdirectory holding the sharded verdict objects.
+#: Subdirectory holding the sharded objects.
 OBJECTS_DIR = "objects"
 
 #: Append-only publish history, one JSON line per published object.
 LINEAGE_FILE = "lineage.jsonl"
 
 
-def rule_signature_hex(system=None) -> str:
-    """Hex digest of the rule-system signature entries bind to.
+@contextlib.contextmanager
+def advisory_lock(
+    path: str, timeout: float = 10.0, stale_after: float = 30.0
+) -> Iterator[None]:
+    """An advisory cross-process lock around ``path`` (a ``.lock`` sibling).
 
-    ``None`` means the default UNIX module.  Stored in every entry and
-    checked on every read: a store written under one rule set is never
-    served under another.
+    Lockfile-based (``O_CREAT | O_EXCL``), so it works on any filesystem
+    a store can live on — no ``fcntl`` dependency, no byte-range
+    semantics to get wrong over NFS.  Waiting processes poll; a lockfile
+    older than ``stale_after`` seconds is treated as an orphan (its
+    holder crashed between acquire and release) and broken.  Raises
+    ``TimeoutError`` if the lock cannot be won inside ``timeout`` seconds
+    — callers must fail loudly rather than interleave their writes.
     """
-    signature = system_signature(system)
-    return hashlib.sha256(repr(signature).encode("utf-8")).hexdigest()
+    lock_path = path + ".lock"
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except OSError as error:
+            if error.errno != errno.EEXIST:
+                raise
+        try:
+            age = time.time() - os.stat(lock_path).st_mtime
+            if age > stale_after:
+                # The holder died without releasing; break the orphan.
+                # (A racing breaker just loses the unlink — harmless.)
+                logger.warning("breaking stale lock %s (age %.1fs)", lock_path, age)
+                os.unlink(lock_path)
+                continue
+        except OSError:
+            pass  # the holder released between our open and stat
+        if time.monotonic() >= deadline:
+            raise TimeoutError(f"could not acquire {lock_path} in {timeout}s")
+        time.sleep(0.002)
+    try:
+        os.write(fd, str(os.getpid()).encode("ascii"))
+        os.close(fd)
+        yield
+    finally:
+        try:
+            os.unlink(lock_path)
+        except OSError:  # pragma: no cover - already broken as stale
+            pass
 
 
-def attest(key: str, outcome: CachedOutcome, signature: str) -> str:
+def attest(kind: str, key: str, binding: str, payload: Any) -> str:
     """The attestation digest of one store entry.
 
     A sha256 over the canonical JSON of everything the entry asserts:
-    both schema versions, the canonical query key, the rule-system
-    signature digest, and the full outcome.  Readers recompute this and
-    compare; a single flipped byte anywhere in the served material
-    changes the digest and the entry is rejected (fail closed).
+    the store schema, the record kind, the key, the binding and the
+    payload.  Readers recompute this and compare; a single flipped byte
+    anywhere in the served material changes the digest and the entry is
+    rejected (fail closed).
     """
     material = json.dumps(
         {
             "schema": STORE_SCHEMA_VERSION,
-            "cache_schema": CACHE_SCHEMA_VERSION,
+            "kind": kind,
             "key": key,
-            "signature": signature,
-            "outcome": outcome.to_json(),
+            "binding": binding,
+            "payload": payload,
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -105,24 +136,29 @@ def attest(key: str, outcome: CachedOutcome, signature: str) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-class SharedVerdictStore:
-    """A directory of attested, content-addressed search outcomes.
+class AttestedStore:
+    """A directory of attested, content-addressed records of one kind.
 
     Layout::
 
-        <root>/objects/<key[:2]>/<key>.json   one verdict per canonical key
+        <root>/objects/<key[:2]>/<key>.json   one record per key
         <root>/lineage.jsonl                  append-only publish history
 
     Safe for any number of concurrent reader and writer processes: reads
     never block, publishes are atomic replaces, and the only lock taken
-    is around the lineage append.
+    is around the lineage append.  Subclasses set :attr:`kind` and the
+    payload codec (``encode``: value to JSON; ``decode``: back, raising
+    on a malformed payload) and expose ``get``/``put`` over
+    :meth:`_read` / :meth:`_publish`.
     """
 
-    def __init__(self, root: Union[str, Path], system=None) -> None:
+    kind = ""
+
+    def __init__(self, root: Union[str, Path], binding: str) -> None:
         self.root = Path(root)
         self.objects = self.root / OBJECTS_DIR
         self.objects.mkdir(parents=True, exist_ok=True)
-        self.signature = rule_signature_hex(system)
+        self.binding = binding
         self.hits = 0
         self.misses = 0
         self.published = 0
@@ -131,16 +167,21 @@ class SharedVerdictStore:
     def _path(self, key: str) -> Path:
         return self.objects / key[:2] / f"{key}.json"
 
+    def _lineage_fields(self, value: Any) -> Dict[str, Any]:
+        """Kind-specific summary fields of one lineage record."""
+        return {}
+
     # -- reads -----------------------------------------------------------------
 
-    def get(self, key: str) -> Optional[CachedOutcome]:
-        """The attested outcome under ``key``, or ``None``.
+    def _read(self, key: str) -> Optional[Any]:
+        """The attested value under ``key``, or ``None``.
 
         A missing object is a plain miss.  A present-but-invalid object
-        (corrupt JSON, schema skew, foreign rule signature, attestation
-        mismatch) is a *rejection*: counted separately, logged once, and
-        reported as a miss so the caller recomputes live — the
-        fail-closed path never serves what it cannot re-validate.
+        (corrupt JSON, schema skew, wrong kind, foreign binding, key or
+        attestation mismatch, undecodable payload) is a *rejection*:
+        counted separately, logged, and reported as a miss so the caller
+        recomputes — the fail-closed path never serves what it cannot
+        re-validate.
         """
         path = self._path(key)
         try:
@@ -150,47 +191,44 @@ class SharedVerdictStore:
             self.misses += 1
             return None
         except (OSError, ValueError):
-            logger.warning("store entry %s unreadable; rejecting", path)
-            self.rejected += 1
-            self.misses += 1
-            return None
-        outcome = self._validate(key, entry)
-        if outcome is None:
-            logger.warning("store entry %s failed attestation; rejecting", path)
+            entry = None
+        value = self._validate(key, entry)
+        if value is None:
+            logger.warning("store entry %s failed validation; rejecting", path)
             self.rejected += 1
             self.misses += 1
             return None
         self.hits += 1
-        return outcome
+        return value
 
-    def _validate(self, key: str, entry: Any) -> Optional[CachedOutcome]:
+    def _validate(self, key: str, entry: Any) -> Optional[Any]:
         """Re-derive the entry's attestation; ``None`` on any mismatch."""
         if not isinstance(entry, dict):
             return None
-        if entry.get("schema") != STORE_SCHEMA_VERSION:
+        if (
+            entry.get("schema") != STORE_SCHEMA_VERSION
+            or entry.get("kind") != self.kind
+            or entry.get("key") != key
+            or entry.get("binding") != self.binding
+            or "payload" not in entry
+        ):
             return None
-        if entry.get("cache_schema") != CACHE_SCHEMA_VERSION:
-            return None
-        if entry.get("key") != key:
-            return None
-        if entry.get("signature") != self.signature:
+        payload = entry["payload"]
+        if entry.get("attestation") != attest(self.kind, key, self.binding, payload):
             return None
         try:
-            outcome = CachedOutcome.from_json(entry["outcome"])
-        except (KeyError, TypeError, ValueError):
+            return self.decode(payload)
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
-        if entry.get("attestation") != attest(key, outcome, self.signature):
-            return None
-        return outcome
 
     # -- writes ----------------------------------------------------------------
 
-    def put(self, key: str, outcome: CachedOutcome) -> bool:
-        """Publish ``outcome`` under ``key``; True if a fresh object landed.
+    def _publish(self, key: str, value: Any) -> bool:
+        """Publish ``value`` under ``key``; True if a fresh object landed.
 
         Re-publishing a key whose on-disk object already validates is a
         no-op (the content is identical by construction — the key binds
-        every search input).  An invalid object in the way is replaced:
+        every input).  An invalid object in the way is replaced:
         publishing is also the repair path for rejected entries.
         """
         path = self._path(key)
@@ -201,17 +239,18 @@ class SharedVerdictStore:
                         return False
             except (OSError, ValueError):
                 pass  # torn or corrupt: fall through and replace it
+        payload = self.encode(value)
         entry = {
             "schema": STORE_SCHEMA_VERSION,
-            "cache_schema": CACHE_SCHEMA_VERSION,
+            "kind": self.kind,
             "key": key,
-            "signature": self.signature,
-            "outcome": outcome.to_json(),
-            "attestation": attest(key, outcome, self.signature),
+            "binding": self.binding,
+            "payload": payload,
+            "attestation": attest(self.kind, key, self.binding, payload),
         }
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".verdict-", suffix=".tmp"
+            dir=str(path.parent), prefix=f".{self.kind}-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
@@ -224,20 +263,19 @@ class SharedVerdictStore:
                 pass
             raise
         self.published += 1
-        self._append_lineage(key, outcome, entry["attestation"])
+        self._append_lineage(key, value, entry["attestation"])
         return True
 
-    def _append_lineage(
-        self, key: str, outcome: CachedOutcome, attestation: str
-    ) -> None:
+    def _append_lineage(self, key: str, value: Any, attestation: str) -> None:
         """One publish record into the append-only history, under the lock."""
         record = {
             "ts": round(time.time(), 3),
             "pid": os.getpid(),
+            "kind": self.kind,
             "key": key,
-            "verdict": outcome.verdict,
-            "signature": self.signature,
+            "binding": self.binding,
             "attestation": attestation,
+            **self._lineage_fields(value),
         }
         lineage = self.root / LINEAGE_FILE
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
@@ -290,7 +328,8 @@ class SharedVerdictStore:
         return {
             "root": str(self.root),
             "schema": STORE_SCHEMA_VERSION,
-            "signature": self.signature,
+            "kind": self.kind,
+            "binding": self.binding,
             "entries": self.entry_count(),
             "hits": self.hits,
             "misses": self.misses,
@@ -300,6 +339,32 @@ class SharedVerdictStore:
         }
 
 
+class SharedVerdictStore(AttestedStore):
+    """ROSA search outcomes, bound to one rule system's signature."""
+
+    kind = "verdict"
+    encode = staticmethod(CachedOutcome.to_json)
+    decode = staticmethod(CachedOutcome.from_json)
+
+    def __init__(self, root: Union[str, Path], system=None) -> None:
+        binding = system_signature(system)
+        if binding is None:
+            raise ValueError("a rule system without a stable signature")
+        super().__init__(root, binding)
+
+    def get(self, key: str) -> Optional[CachedOutcome]:
+        return self._read(key)
+
+    def put(self, key: str, outcome: CachedOutcome) -> bool:
+        return self._publish(key, outcome)
+
+    def release(self, key: str) -> None:
+        """Give up ``key`` without publishing (no slot to free here)."""
+
+    def _lineage_fields(self, outcome: CachedOutcome) -> Dict[str, Any]:
+        return {"verdict": outcome.verdict}
+
+
 class SingleFlight:
     """In-process request coalescing in front of a shared store.
 
@@ -307,7 +372,8 @@ class SingleFlight:
     coalescing, N simultaneous requests for the same cold key would all
     miss the store and run N identical searches.  The first thread to
     miss becomes the *leader* (gets ``None`` back and is expected to
-    search and :meth:`put`); threads that miss the same key while the
+    search, then :meth:`put` or, for an answer it may not publish,
+    :meth:`release`); threads that miss the same key while the
     leader is in flight *join*: they block until the leader publishes,
     then read the published object.  A leader that dies without
     publishing stops nobody — joiners time out and compute the answer
@@ -335,23 +401,28 @@ class SingleFlight:
             if event is None:
                 self._inflight[key] = threading.Event()
                 self.leaders += 1
-                return None  # this caller is the leader: search, then put()
+                return None  # this caller is the leader: search, then put()/release()
         if event.wait(self.timeout):
             outcome = self.store.get(key)
             if outcome is not None:
                 self.joined += 1
                 return outcome
-        # The leader timed out or its publish was rejected: fall back to
+        # The leader timed out, published nothing or was rejected: fall back to
         # computing live — correctness over coalescing.
         return None
 
     def put(self, key: str, outcome: CachedOutcome) -> bool:
         published = self.store.put(key, outcome)
+        self.release(key)
+        return published
+
+    def release(self, key: str) -> None:
+        """End ``key``'s flight, published or not: joiners wake and re-read
+        the store, then search live if the leader published nothing."""
         with self._lock:
             event = self._inflight.pop(key, None)
         if event is not None:
             event.set()
-        return published
 
     def stats(self) -> Dict[str, Any]:
         stats = self.store.stats()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import os
 import time
 from typing import Any, Dict, Optional, Tuple
 
@@ -56,6 +57,9 @@ class _RequestStore:
         if published:
             self.published += 1
         return published
+
+    def release(self, key):
+        self.inner.release(key)
 
     def served(self) -> Dict[str, int]:
         return {
@@ -123,8 +127,11 @@ class VerdictServer:
         async def main() -> None:
             host, port = await self.start()
             if port_file is not None:
-                with open(port_file, "w", encoding="utf-8") as handle:
+                # Atomic, so a poller never reads a created-but-empty file.
+                partial = f"{port_file}.tmp"
+                with open(partial, "w", encoding="utf-8") as handle:
                     handle.write(f"{host}:{port}\n")
+                os.replace(partial, port_file)
             await self.wait_closed()
 
         asyncio.run(main())

@@ -178,7 +178,7 @@ def _store_attestation_skew() -> Callable[[], None]:
     """Every published store object is corrupted after attestation.
 
     Models bit rot (or a hostile writer) between the attestation being
-    computed and the object landing on disk: the written outcome's
+    computed and the object landing on disk: the written payload's
     ``states_explored`` is bumped by one, so the recorded attestation no
     longer covers what the file says.  The fail-closed read path rejects
     every such entry and recomputes live — verdicts never flip — so the
@@ -199,8 +199,8 @@ def _store_attestation_skew() -> Callable[[], None]:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
-            entry["outcome"]["states_explored"] = (
-                int(entry["outcome"].get("states_explored", 0)) + 1
+            entry["payload"]["states_explored"] = (
+                int(entry["payload"].get("states_explored", 0)) + 1
             )
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(entry, handle, sort_keys=True)

@@ -9,6 +9,7 @@ depend on which path produced a profile.
 
 import json
 import random
+import re
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.corpus import (
     sweep_corpus,
 )
 from repro.corpus.profile import PrivilegeProfile
+from repro.corpus.sweep import DEFAULT_SWEEP_BUDGET
 from repro.programs import spec_by_name
 from repro.rewriting import SearchBudget
 from repro.telemetry import Telemetry
@@ -128,21 +130,33 @@ class TestProfileStore:
         assert store.get("deadbeef") is None
         analysis, telemetry = _analyze(spec_by_name("ping"))
         profile = profile_from_analysis(analysis, audit=telemetry.audit)
-        store.put("deadbeef", profile)
+        assert store.put("deadbeef", profile) is True
         assert store.get("deadbeef") == profile
-        assert store.stats() == {
-            "entries": 1, "hits": 1, "misses": 1, "hit_rate": 0.5,
-        }
+        stats = store.stats()
+        assert stats["kind"] == "profile"
+        assert (stats["entries"], stats["hits"], stats["misses"]) == (1, 1, 1)
+        assert stats["hit_rate"] == 0.5 and stats["rejected"] == 0
+        assert [record["key"] for record in store.lineage()] == ["deadbeef"]
 
     def test_foreign_schema_is_a_miss(self, tmp_path):
+        writer = ProfileStore(tmp_path)
+        assert writer.binding.startswith(f"profile-v{PROFILE_SCHEMA_VERSION}:")
+        writer.binding = writer.binding.replace(
+            f"profile-v{PROFILE_SCHEMA_VERSION}:", "profile-v999:"
+        )
+        analysis, telemetry = _analyze(spec_by_name("ping"))
+        writer.put("key", profile_from_analysis(analysis, audit=telemetry.audit))
         store = ProfileStore(tmp_path)
-        (tmp_path / "key.json").write_text(json.dumps({"schema": 999}))
         assert store.get("key") is None
+        assert store.rejected == 1 and store.misses == 1
 
     def test_torn_json_is_a_miss(self, tmp_path):
         store = ProfileStore(tmp_path)
-        (tmp_path / "key.json").write_text("{not json")
+        path = store._path("key")
+        path.parent.mkdir(parents=True)
+        path.write_text("{not json")
         assert store.get("key") is None
+        assert store.rejected == 1
 
 
 class TestSweepCaching:
@@ -180,6 +194,29 @@ class TestSweepCaching:
         sweep_corpus(entries, store=store)
         assert store.hits == 2
         assert store.misses == 1
+
+    def test_tampered_profile_is_recomputed_and_republished(self, tmp_path):
+        entries = generate_corpus(
+            CorpusSpec(seed=3, size=2, violators=0,
+                       include_builtins=False, include_exemplars=False)
+        )
+        store = ProfileStore(tmp_path)
+        cold = sweep_corpus(entries, store=store)
+        key = profile_key(entries[0].spec(), budget=DEFAULT_SWEEP_BUDGET)
+        path = store._path(key)
+        # A plausible lie: one value flipped, the JSON still well formed.
+        text, flipped = re.subn(
+            r'("invulnerable_window":\s*)[0-9.e-]+', r"\g<1>1.0", path.read_text()
+        )
+        assert flipped == 1
+        path.write_text(text)
+
+        store = ProfileStore(tmp_path)
+        warm = sweep_corpus(entries, store=store)
+        assert [p.to_dict() for p in warm] == [p.to_dict() for p in cold]
+        assert store.rejected == 1 and store.hits == 1
+        assert store.published == 1  # the repair
+        assert ProfileStore(tmp_path).get(key) == cold[0]
 
     def test_storeless_sweep_always_profiles(self):
         entries = generate_corpus(

@@ -6,7 +6,8 @@ on versus off, while repeated questions stop costing a search.
 """
 
 import dataclasses
-import json
+import functools
+import itertools
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from repro.rosa import (
     QueryEngine,
     QueryRequest,
     RosaQuery,
+    Verdict,
     check,
     goals,
     model,
@@ -30,6 +32,8 @@ from repro.rosa import (
     syscalls,
     unix_rules,
 )
+from repro.rosa.engine import goal_identity
+from repro.rosa.store import SharedVerdictStore
 from repro.telemetry import Telemetry
 
 BUDGET = SearchBudget(max_states=50_000, max_seconds=30.0)
@@ -46,6 +50,16 @@ def shadow_query(name="read-shadow", perms=0o640, goal=None):
         ]
     )
     return RosaQuery(name, config, goal or goals.file_opened_for_read(3))
+
+
+def opaque_goal(marker):
+    """A goal closing over ``marker``, whose ``repr`` is an address."""
+    inner = goals.file_opened_for_read(3)
+
+    def goal(config):
+        return marker is not None and inner(config)
+
+    return goal
 
 
 def attack_requests(privs, uids, gids, surface, repeat=1):
@@ -98,12 +112,112 @@ class TestCanonicalKeys:
         other = dataclasses.replace(shadow_query(), goal_key=("attack", 2))
         assert query_cache_key(explicit, BUDGET) != query_cache_key(other, BUDGET)
 
+    def test_address_bearing_goal_has_no_key(self):
+        query = shadow_query(goal=opaque_goal(object()))
+        assert goal_identity(query.goal) is None
+        assert query_cache_key(query, BUDGET) is None
+
+    def test_structural_closures_keep_their_key(self):
+        nested = goals.any_of(goals.file_opened_for_read(3), goals.entry_removed(7))
+        identity = goal_identity(nested)
+        assert identity is not None and "0x" not in repr(identity)
+        assert query_cache_key(shadow_query(goal=nested), BUDGET) is not None
+
     def test_attack_queries_carry_goal_keys(self):
         privs = CapabilitySet.of("CAP_DAC_READ_SEARCH")
         query = ALL_ATTACKS[0].build_query(
             privs, (1000, 1000, 1000), (1000, 1000, 1000), frozenset({"open"})
         )
         assert query.goal_key == ("attack", 1)
+
+
+class TestUncacheableGoals:
+    def test_two_checks_run_two_searches_and_publish_nothing(self, tmp_path):
+        searches = []
+
+        def counting_check(query, budget, **kwargs):
+            searches.append(query.name)
+            return check(query, budget, **kwargs)
+
+        store = SharedVerdictStore(tmp_path)
+        engine = QueryEngine(
+            budget=BUDGET, cache=QueryCache(), store=store, checker=counting_check
+        )
+        query = shadow_query(goal=opaque_goal(object()))
+        first = engine.check(query)
+        second = engine.check(query)
+        assert first.verdict == second.verdict
+        assert not first.from_cache and not second.from_cache
+        assert len(searches) == 2
+        assert len(engine.cache) == 0
+        assert store.published == 0 and store.entry_count() == 0
+
+    def test_batch_searches_each_uncacheable_query(self, tmp_path):
+        store = SharedVerdictStore(tmp_path)
+        engine = QueryEngine(budget=BUDGET, cache=QueryCache(), store=store)
+        goal = opaque_goal(object())
+        reports = engine.run_queries(
+            [shadow_query("a", goal=goal), shadow_query("b", goal=goal)]
+        )
+        assert [report.query.name for report in reports] == ["a", "b"]
+        assert not any(report.from_cache for report in reports)
+        assert len(engine.cache) == 0 and store.entry_count() == 0
+
+
+def ticking_check(tick=1.0):
+    """``check`` on a clock that advances ``tick`` seconds per reading."""
+    ticks = itertools.count()
+    return functools.partial(check, clock=lambda: next(ticks) * tick)
+
+
+class TestTimeoutCaching:
+    WALL_CLOCK = SearchBudget(max_states=50_000, max_seconds=0.5)
+
+    def test_wall_clock_timeout_is_neither_cached_nor_published(self, tmp_path):
+        store = SharedVerdictStore(tmp_path)
+        engine = QueryEngine(
+            budget=self.WALL_CLOCK, cache=QueryCache(), store=store,
+            checker=ticking_check(),
+        )
+        first = engine.check(shadow_query())
+        assert first.verdict is Verdict.TIMEOUT
+        assert first.elapsed > self.WALL_CLOCK.max_seconds
+        second = engine.check(shadow_query())
+        assert not second.from_cache
+        assert len(engine.cache) == 0
+        assert store.published == 0 and store.entry_count() == 0
+
+    def test_batch_siblings_share_a_wall_clock_timeout(self, tmp_path):
+        store = SharedVerdictStore(tmp_path)
+        engine = QueryEngine(
+            budget=self.WALL_CLOCK, cache=QueryCache(), store=store,
+            checker=ticking_check(),
+        )
+        reports = engine.run_queries([shadow_query("a"), shadow_query("b")])
+        assert [report.verdict for report in reports] == [Verdict.TIMEOUT] * 2
+        assert reports[1].elapsed == reports[0].elapsed  # one search, shared
+        assert len(engine.cache) == 0 and store.entry_count() == 0
+
+    def test_state_budget_timeout_is_published(self, tmp_path):
+        store = SharedVerdictStore(tmp_path)
+        budget = SearchBudget(max_states=1, max_seconds=30.0)
+        engine = QueryEngine(budget=budget, cache=QueryCache(), store=store)
+        # setuid to its own uid always fires; the open never does.
+        config = Configuration(
+            [
+                model.process_for_user(1, uid=1000, gid=1000),
+                model.file_obj(3, name="/etc/shadow", owner=0, group=42, perms=0o600),
+                model.user(4, 1000),
+                syscalls.sys_setuid(1, 1000, []),
+                syscalls.sys_setuid(1, 1000, []),
+            ]
+        )
+        query = RosaQuery("stuck", config, goals.file_opened_for_read(3))
+        report = engine.check(query)
+        assert report.verdict is Verdict.TIMEOUT
+        assert report.elapsed <= budget.max_seconds
+        assert store.published == 1
+        assert engine.check(query).from_cache
 
 
 class TestQueryCache:
@@ -154,30 +268,6 @@ class TestQueryCache:
         engine.check(shadow_query())
         assert cache.hits == 2 and cache.misses == 1
         assert cache.hit_rate == pytest.approx(2 / 3)
-
-    def test_disk_round_trip(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        warm = QueryEngine(budget=BUDGET, cache=QueryCache(path=path))
-        original = warm.check(shadow_query())
-        warm.save_cache()
-
-        cold = QueryEngine(budget=BUDGET, cache=QueryCache(path=path))
-        served = cold.check(shadow_query())
-        assert served.from_cache
-        assert served.verdict == original.verdict
-        assert served.witness == original.witness
-        # Disk entries are slim: no live configuration graph.
-        assert served.compromised_state is None
-
-    def test_version_mismatch_starts_fresh(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({"version": 999, "entries": {"x": {}}}))
-        assert len(QueryCache(path=str(path))) == 0
-
-    def test_corrupt_file_ignored(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("not json{")
-        assert len(QueryCache(path=str(path))) == 0
 
 
 class TestRunQueries:

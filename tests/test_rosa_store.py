@@ -9,27 +9,35 @@ schema skew, or a foreign rule system mean recompute, never trust.
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import multiprocessing
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.caps import CapabilitySet
-from repro.rewriting import SearchBudget
-from repro.rosa import QueryCache, QueryEngine, query_cache_key
-from repro.rosa.engine import CachedOutcome, advisory_lock, read_cache_entries
+from repro.corpus import PrivilegeProfile, ProfileStore
+from repro.rewriting import ObjectSystem, SearchBudget
+from repro.rosa import QueryCache, QueryEngine, Verdict, query_cache_key, unix_rules
+from repro.rosa.engine import CachedOutcome, system_signature
 from repro.rosa.store import (
     STORE_SCHEMA_VERSION,
     SharedVerdictStore,
     SingleFlight,
+    advisory_lock,
     attest,
-    rule_signature_hex,
 )
 from repro.testkit.oracles import report_fingerprint
 
-from tests.test_rosa_engine import BUDGET, attack_requests, shadow_query
+from tests.test_rosa_engine import (
+    BUDGET,
+    attack_requests,
+    shadow_query,
+    ticking_check,
+)
 
 
 def outcome_for(index: int) -> CachedOutcome:
@@ -46,8 +54,64 @@ def outcome_for(index: int) -> CachedOutcome:
     )
 
 
+def profile_for(index: int) -> PrivilegeProfile:
+    """A synthetic, deterministic profile distinguishable per index."""
+    return PrivilegeProfile(
+        program=f"prog-{index}",
+        schema=1,
+        total_instructions=1000 + index,
+        phase_count=3,
+        windows={"read-shadow": 0.25, "kill-sshd": 0.5},
+        invulnerable_window=0.25,
+        cap_hold={"CapSetuid": 0.5 + index / 100},
+        root_euid_fraction=0.1,
+        cred_tuples=2,
+        static_surface=["open", "setuid"],
+        dynamic_surface=["open"],
+    )
+
+
 def key_for(index: int) -> str:
     return hashlib.sha256(b"stress-key-%d" % index).hexdigest()
+
+
+@dataclasses.dataclass(frozen=True)
+class Kind:
+    """One record kind of the attested store, for the shared suite."""
+
+    name: str
+    open: object  # root -> store handle
+    value: object  # index -> a distinguishable value
+    tamper: object  # payload -> None, flips one value in place
+
+
+KINDS = {
+    "verdict": Kind(
+        "verdict",
+        SharedVerdictStore,
+        outcome_for,
+        lambda payload: payload.update(verdict="invulnerable"),
+    ),
+    "profile": Kind(
+        "profile",
+        ProfileStore,
+        profile_for,
+        lambda payload: payload["cap_hold"].update(CapSetuid=0.0),
+    ),
+}
+
+
+@pytest.fixture(params=sorted(KINDS))
+def kind(request) -> Kind:
+    return KINDS[request.param]
+
+
+def rewrite_entry(store, key, edit) -> None:
+    """Apply ``edit`` to the JSON entry stored under ``key``."""
+    path = store._path(key)
+    entry = json.loads(path.read_text())
+    edit(entry)
+    path.write_text(json.dumps(entry))
 
 
 class TestAdvisoryLock:
@@ -77,44 +141,6 @@ class TestAdvisoryLock:
         assert not lock.exists()
 
 
-class TestQueryCacheMergeOnSave:
-    def test_two_caches_union_instead_of_clobbering(self, tmp_path):
-        """The persistence race: last save must not drop the first's work."""
-        path = str(tmp_path / "cache.json")
-        a = QueryCache(path=path)
-        b = QueryCache(path=path)  # loaded before a saved: sees nothing
-        a.put(key_for(1), outcome_for(1))
-        b.put(key_for(2), outcome_for(2))
-        assert a.save()
-        assert b.save()  # merges on disk, does not replace
-        entries = read_cache_entries(path)
-        assert set(entries) == {key_for(1), key_for(2)}
-
-        fresh = QueryCache(path=path)
-        assert len(fresh) == 2
-        assert fresh.get(key_for(1)).outcome == outcome_for(1)
-        assert fresh.get(key_for(2)).outcome == outcome_for(2)
-
-    def test_disk_keeps_union_beyond_memory_capacity(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = QueryCache(capacity=2, path=path)
-        for index in range(5):
-            cache.put(key_for(index), outcome_for(index))
-            assert cache.save()
-        assert len(cache) == 2  # the LRU bounds memory...
-        # ...while successive merges kept every entry ever saved.
-        assert set(read_cache_entries(path)) == {key_for(i) for i in range(5)}
-
-    def test_corrupt_file_on_disk_is_ignored_not_propagated(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{definitely not json")
-        cache = QueryCache(path=str(path))
-        assert len(cache) == 0
-        cache.put(key_for(0), outcome_for(0))
-        assert cache.save()
-        assert set(read_cache_entries(str(path))) == {key_for(0)}
-
-
 class TestSharedVerdictStore:
     def test_round_trip_is_bit_identical(self, tmp_path):
         store = SharedVerdictStore(tmp_path)
@@ -141,55 +167,82 @@ class TestSharedVerdictStore:
         assert second.get(key_for(2)) == outcome_for(2)
         assert second.hits == 1 and second.rejected == 0
 
-    def test_tampered_outcome_is_rejected_and_recomputable(self, tmp_path):
-        store = SharedVerdictStore(tmp_path)
+    def test_tampered_outcome_is_rejected_and_recomputable(self, tmp_path, kind):
+        store = kind.open(tmp_path)
         key = key_for(3)
-        store.put(key, outcome_for(3))
-        path = store._path(key)
-        entry = json.loads(path.read_text())
-        entry["outcome"]["verdict"] = "invulnerable"  # flip the verdict
-        path.write_text(json.dumps(entry))
+        store.put(key, kind.value(3))
+        rewrite_entry(store, key, lambda entry: kind.tamper(entry["payload"]))
 
         assert store.get(key) is None  # fail closed: never served
         assert store.rejected == 1
         # Publishing again is the repair path.
-        assert store.put(key, outcome_for(3)) is True
-        assert store.get(key) == outcome_for(3)
+        assert store.put(key, kind.value(3)) is True
+        assert store.get(key) == kind.value(3)
 
-    def test_truncated_object_is_rejected(self, tmp_path):
-        store = SharedVerdictStore(tmp_path)
+    def test_truncated_object_is_rejected(self, tmp_path, kind):
+        store = kind.open(tmp_path)
         key = key_for(4)
-        store.put(key, outcome_for(4))
-        store._path(key).write_text('{"schema": 1, "ke')  # torn write
+        store.put(key, kind.value(4))
+        store._path(key).write_text('{"schema": 2, "ke')  # torn write
         assert store.get(key) is None
         assert store.rejected == 1
 
-    def test_schema_skew_is_rejected(self, tmp_path):
-        store = SharedVerdictStore(tmp_path)
+    def test_schema_skew_is_rejected(self, tmp_path, kind):
+        store = kind.open(tmp_path)
         key = key_for(5)
-        store.put(key, outcome_for(5))
-        path = store._path(key)
-        entry = json.loads(path.read_text())
-        entry["schema"] = STORE_SCHEMA_VERSION + 1
-        path.write_text(json.dumps(entry))
+        store.put(key, kind.value(5))
+        rewrite_entry(
+            store, key, lambda entry: entry.update(schema=STORE_SCHEMA_VERSION + 1)
+        )
         assert store.get(key) is None
         assert store.rejected == 1
 
-    def test_foreign_rule_signature_is_rejected(self, tmp_path):
-        writer = SharedVerdictStore(tmp_path)
+    def test_foreign_rule_signature_is_rejected(self, tmp_path, kind):
+        writer = kind.open(tmp_path)
         key = key_for(6)
-        writer.put(key, outcome_for(6))
-        reader = SharedVerdictStore(tmp_path)
-        reader.signature = "0" * 64  # a store bound to other rules
+        writer.put(key, kind.value(6))
+        reader = kind.open(tmp_path)
+        reader.binding = "0" * 64  # a store bound to other rules
+        assert reader.get(key) is None
+        assert reader.rejected == 1
+
+    def test_wrong_kind_is_rejected(self, tmp_path, kind):
+        store = kind.open(tmp_path)
+        key = key_for(7)
+        store.put(key, kind.value(7))
+        other = "profile" if kind.name == "verdict" else "verdict"
+        rewrite_entry(store, key, lambda entry: entry.update(kind=other))
+        assert store.get(key) is None
+        assert store.rejected == 1
+
+    def test_mismatched_key_is_rejected(self, tmp_path, kind):
+        store = kind.open(tmp_path)
+        store.put(key_for(8), kind.value(8))
+        # A valid entry copied under another key's name.
+        moved = store._path(key_for(9))
+        moved.parent.mkdir(parents=True, exist_ok=True)
+        moved.write_text(store._path(key_for(8)).read_text())
+        assert store.get(key_for(9)) is None
+        assert store.rejected == 1
+        assert store.get(key_for(8)) == kind.value(8)
+
+    def test_verdict_store_under_other_rules_is_rejected(self, tmp_path):
+        key = key_for(6)
+        SharedVerdictStore(tmp_path).put(key, outcome_for(6))
+        subset = ObjectSystem("UNIX-open-only", unix_rules()[:1])
+        reader = SharedVerdictStore(tmp_path, system=subset)
+        assert reader.binding == system_signature(subset)
         assert reader.get(key) is None
         assert reader.rejected == 1
 
     def test_attestation_covers_every_field(self, tmp_path):
-        signature = rule_signature_hex()
-        base = attest(key_for(7), outcome_for(7), signature)
-        assert attest(key_for(8), outcome_for(7), signature) != base
-        assert attest(key_for(7), outcome_for(8), signature) != base
-        assert attest(key_for(7), outcome_for(7), "0" * 64) != base
+        binding = system_signature()
+        payload = outcome_for(7).to_json()
+        base = attest("verdict", key_for(7), binding, payload)
+        assert attest("profile", key_for(7), binding, payload) != base
+        assert attest("verdict", key_for(8), binding, payload) != base
+        assert attest("verdict", key_for(7), "0" * 64, payload) != base
+        assert attest("verdict", key_for(7), binding, outcome_for(8).to_json()) != base
 
     def test_lineage_records_every_publish(self, tmp_path):
         store = SharedVerdictStore(tmp_path)
@@ -198,8 +251,10 @@ class TestSharedVerdictStore:
         store.put(key_for(0), outcome_for(0))  # idempotent: no new record
         records = store.lineage()
         assert [r["key"] for r in records] == [key_for(i) for i in range(3)]
-        for record in records:
-            assert record["signature"] == store.signature
+        for index, record in enumerate(records):
+            assert record["binding"] == store.binding
+            assert record["kind"] == "verdict"
+            assert record["verdict"] == outcome_for(index).verdict
             assert "ts" in record and "pid" in record
 
     def test_stats_shape(self, tmp_path):
@@ -213,6 +268,70 @@ class TestSharedVerdictStore:
         assert stats["hit_rate"] == 0.5
         assert stats["published"] == 1 and stats["rejected"] == 0
         assert stats["schema"] == STORE_SCHEMA_VERSION
+        assert stats["kind"] == "verdict"
+
+
+RULE_MODULE = """
+from repro.rosa.rules import OpenRule
+
+
+class PluggableOpen(OpenRule):
+    label = "open"
+"""
+
+EDITED_RULE_MODULE = RULE_MODULE + """
+    def fire(self, config, message, proc):
+        return iter(())  # the edit: open never succeeds
+"""
+
+
+class TestRuleSemanticsBinding:
+    def test_edited_rule_body_invalidates_published_verdicts(
+        self, tmp_path, monkeypatch
+    ):
+        """Same class name, same label, different body: nothing is served."""
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        source = tmp_path / "pluggable_rules.py"
+        source.write_text(RULE_MODULE)
+        module = importlib.import_module("pluggable_rules")
+        try:
+            def query():
+                system = ObjectSystem("UNIX", [module.PluggableOpen()])
+                return dataclasses.replace(shadow_query(), system=system)
+
+            store_root = tmp_path / "store"
+            before = query()
+            engine = QueryEngine(
+                budget=BUDGET, cache=QueryCache(),
+                store=SharedVerdictStore(store_root),
+            )
+            published = engine.check(before)
+            assert published.verdict.value == "vulnerable"
+            assert engine.store.published == 1
+
+            source.write_text(EDITED_RULE_MODULE)
+            importlib.reload(module)
+            after = query()
+            assert query_cache_key(after, BUDGET) != query_cache_key(before, BUDGET)
+
+            store = SharedVerdictStore(store_root)
+            fresh = QueryEngine(budget=BUDGET, cache=QueryCache(), store=store)
+            report = fresh.check(after)
+            assert not report.from_cache
+            assert store.hits == 0
+            assert report.verdict.value == "invulnerable"
+        finally:
+            sys.modules.pop("pluggable_rules", None)
+
+    def test_signature_binds_rule_parameters(self):
+        rules = unix_rules()
+        tweaked = type(rules[0])()
+        tweaked.message_name = "creat"  # an instance attribute, same label
+        assert system_signature(ObjectSystem("UNIX", rules)) == system_signature()
+        assert system_signature(
+            ObjectSystem("UNIX", (tweaked,) + rules[1:])
+        ) != system_signature()
 
 
 # -- multi-process stress ------------------------------------------------------
@@ -316,6 +435,58 @@ class TestSingleFlight:
         assert flight.get(key_for(2)) == outcome_for(2)
         stats = flight.stats()
         assert stats["single_flight"] == {"leaders": 1, "joined": 0, "inflight": 0}
+
+    def test_release_wakes_joiners_without_a_publish(self, tmp_path):
+        flight = SingleFlight(SharedVerdictStore(tmp_path), timeout=10.0)
+        key = key_for(3)
+        assert flight.get(key) is None
+        flight.release(key)
+        started = time.monotonic()
+        assert flight.get(key) is None  # a new leader, not a 10 s wait
+        assert time.monotonic() - started < 5.0
+        assert flight.leaders == 2 and flight.joined == 0
+
+
+def _flight_engine(tmp_path, checker):
+    flight = SingleFlight(SharedVerdictStore(tmp_path), timeout=10.0)
+    engine = QueryEngine(
+        budget=SearchBudget(max_states=50_000, max_seconds=0.5), cache=None, store=flight,
+        checker=checker,
+    )
+    return flight, engine
+
+
+class TestSingleFlightEngine:
+    """A leader that publishes nothing still frees the key's flight."""
+
+    def test_wall_clock_timeout_releases_the_flight(self, tmp_path):
+        flight, engine = _flight_engine(tmp_path, ticking_check())
+        assert engine.check(shadow_query()).verdict is Verdict.TIMEOUT
+        assert flight.stats()["single_flight"]["inflight"] == 0
+        started = time.monotonic()
+        assert engine.check(shadow_query()).verdict is Verdict.TIMEOUT
+        assert time.monotonic() - started < 5.0
+        assert flight.leaders == 2 and flight.store.entry_count() == 0
+
+    def test_batch_wall_clock_timeout_releases_the_flight(self, tmp_path):
+        flight, engine = _flight_engine(tmp_path, ticking_check())
+        engine.run_queries([shadow_query("a"), shadow_query("b")])
+        assert flight.stats()["single_flight"]["inflight"] == 0
+        engine.run_queries([shadow_query("a")])
+        assert flight.leaders == 2 and flight.store.entry_count() == 0
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_failed_search_releases_the_flight(self, tmp_path, batch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("search failed")
+
+        flight, engine = _flight_engine(tmp_path, failing)
+        with pytest.raises(RuntimeError):
+            if batch:
+                engine.run_queries([shadow_query()])
+            else:
+                engine.check(shadow_query())
+        assert flight.stats()["single_flight"]["inflight"] == 0
 
 
 # -- engine integration --------------------------------------------------------
