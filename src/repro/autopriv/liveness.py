@@ -18,6 +18,10 @@ The analysis has three layers:
    block-level liveness seeded at returns with ``live_out(F)``, with each
    call site generating ``uses(callee)``.
 
+Facts are kernel bit masks (``int``, as :meth:`CapabilitySet.to_mask`
+encodes them), and every call site's generated mask is computed once;
+the public results are converted back to capability sets at the end.
+
 Privileges used by registered signal handlers are pinned live for the
 whole program: a handler can run at any instruction (§VII-C), so its
 privileges never die.  This is exactly the mechanism that keeps sshd's
@@ -30,15 +34,11 @@ import dataclasses
 from typing import Dict, FrozenSet, List, Tuple
 
 from repro.caps import Capability, CapabilitySet
-from repro.ir import BasicBlock, Call, CallGraph, Function, Instruction, Module
+from repro.ir import BasicBlock, Call, CallGraph, Function, Module
 from repro.ir.dataflow import SetDataflowProblem, solve
 from repro.autopriv import privuse
 
 CapFacts = FrozenSet[Capability]
-
-
-def _facts(caps: CapabilitySet) -> CapFacts:
-    return caps.as_frozenset()
 
 
 @dataclasses.dataclass
@@ -56,56 +56,33 @@ class PrivLiveness:
     #: Per-block liveness at block entry/exit, per function.
     block_in: Dict[Function, Dict[BasicBlock, CapFacts]]
     block_out: Dict[Function, Dict[BasicBlock, CapFacts]]
-
-    def call_uses(self, call: Call) -> CapabilitySet:
-        """Privileges a call site may (transitively) use."""
-        used = privuse.instruction_uses(call)
-        for target in self.callgraph.resolve_call(call):
-            used = used | self.uses.get(target, CapabilitySet.empty())
-        return used
-
-    def live_after_instruction(
-        self, function: Function, block: BasicBlock, index: int
-    ) -> CapabilitySet:
-        """Privileges live immediately after ``block.instructions[index]``.
-
-        Walks backward from the block's out-set through the instructions
-        following ``index``, adding each one's generated uses.
-        """
-        live = set(self.block_out[function][block])
-        for instruction in reversed(block.instructions[index + 1 :]):
-            live |= self._instruction_gen(instruction)
-        return CapabilitySet(live) | self.pinned
-
-    def _instruction_gen(self, instruction: Instruction) -> CapFacts:
-        if isinstance(instruction, Call):
-            return _facts(self.call_uses(instruction))
-        return frozenset()
+    #: The kernel bit mask each call site in a defined function generates:
+    #: its own raise/lower mask plus its possible targets' ``uses``.
+    call_gen: Dict[Call, int]
 
 
 class _BlockLiveness(SetDataflowProblem):
-    """Backward may-liveness of privileges within one function."""
+    """Backward may-liveness of privileges within one function, as bitsets.
+
+    Privileges do not die syntactically (removal points are where we
+    *insert* kills), so the transfer is ``gen | incoming``.
+    """
 
     direction = "backward"
     meet = "union"
 
-    def __init__(self, analysis_uses, live_out: CapabilitySet) -> None:
-        self._gen_for = analysis_uses
-        self._live_out = _facts(live_out)
+    def __init__(self, block_gen: Dict[BasicBlock, int], live_out: int) -> None:
+        self._block_gen = block_gen
+        self._live_out = live_out
 
-    def gen(self, block: BasicBlock) -> CapFacts:
-        generated: set = set()
-        for instruction in block.instructions:
-            generated |= self._gen_for(instruction)
-        return frozenset(generated)
+    def transfer(self, block: BasicBlock, incoming: int) -> int:
+        return self._block_gen[block] | incoming
 
-    def kill(self, block: BasicBlock) -> CapFacts:
-        # Privileges do not die syntactically: removal points are where we
-        # *insert* kills, so the analysis itself never kills.
-        return frozenset()
-
-    def boundary(self) -> CapFacts:
+    def boundary(self) -> int:
         return self._live_out
+
+    def initial(self) -> int:
+        return 0
 
 
 def analyze_module(
@@ -115,43 +92,57 @@ def analyze_module(
 ) -> PrivLiveness:
     """Run the full interprocedural privilege-liveness analysis."""
     callgraph = CallGraph(module, indirect_targets_filter)
+    functions = list(module.functions.values())
+    defined = list(module.defined_functions())
+
+    # Every call site's targets, resolved once; ``call_gen`` starts as each
+    # site's own raise/lower mask and gains its targets' uses below.
+    sites: Dict[BasicBlock, List[Tuple[Call, List[Function]]]] = {}
+    call_gen: Dict[Call, int] = {}
+    direct: Dict[Function, int] = {function: 0 for function in functions}
+    for function in defined:
+        for block in function.blocks:
+            block_sites = sites[block] = []
+            for instruction in block.instructions:
+                if isinstance(instruction, Call):
+                    own = privuse.instruction_uses(instruction).to_mask()
+                    call_gen[instruction] = own
+                    direct[function] |= own
+                    block_sites.append((instruction, callgraph.resolve_call(instruction)))
 
     # Layer 1: transitive uses per function.
-    uses: Dict[Function, CapabilitySet] = {}
-    for function in module.functions.values():
-        used = privuse.direct_uses(function) if not function.is_declaration else CapabilitySet.empty()
+    uses: Dict[Function, int] = {}
+    for function in functions:
+        used = direct[function]
         for callee in callgraph.transitive_callees(function):
-            used = used | privuse.direct_uses(callee)
+            used |= direct[callee]
         uses[function] = used
 
     # Pinned privileges: whatever registered signal handlers may use.
-    pinned = CapabilitySet.empty()
+    pinned = 0
     for handler in privuse.registered_signal_handlers(module):
-        pinned = pinned | uses.get(handler, CapabilitySet.empty())
+        pinned |= uses.get(handler, 0)
 
-    def instruction_gen(instruction: Instruction) -> CapFacts:
-        if isinstance(instruction, Call):
-            generated = privuse.instruction_uses(instruction)
-            for target in callgraph.resolve_call(instruction):
-                generated = generated | uses.get(target, CapabilitySet.empty())
-            return _facts(generated)
-        return frozenset()
+    block_gen: Dict[BasicBlock, int] = {}
+    for block, block_sites in sites.items():
+        generated = 0
+        for call, targets in block_sites:
+            for target in targets:
+                call_gen[call] |= uses.get(target, 0)
+            generated |= call_gen[call]
+        block_gen[block] = generated
 
     # Layer 2 + 3: iterate return-liveness and per-function block liveness
     # to a joint fixpoint.
-    live_out: Dict[Function, CapabilitySet] = {
-        function: CapabilitySet.empty() for function in module.functions.values()
-    }
-    block_in: Dict[Function, Dict[BasicBlock, CapFacts]] = {}
-    block_out: Dict[Function, Dict[BasicBlock, CapFacts]] = {}
-
-    defined = list(module.defined_functions())
+    live_out: Dict[Function, int] = {function: 0 for function in functions}
+    block_in: Dict[Function, Dict[BasicBlock, int]] = {}
+    block_out: Dict[Function, Dict[BasicBlock, int]] = {}
+    entry_function = module.functions.get(entry)
     changed = True
     while changed:
         changed = False
         for function in defined:
-            problem = _BlockLiveness(instruction_gen, live_out[function])
-            result = solve(problem, function)
+            result = solve(_BlockLiveness(block_gen, live_out[function]), function)
             if (
                 block_in.get(function) != result.block_in
                 or block_out.get(function) != result.block_out
@@ -160,34 +151,44 @@ def analyze_module(
                 block_out[function] = result.block_out
                 changed = True
         # Propagate liveness-after-call-site into callees' live_out.
-        new_live_out = {
-            function: CapabilitySet.empty() for function in module.functions.values()
-        }
+        new_live_out = {function: 0 for function in functions}
         for function in defined:
-            for block in function.blocks:
-                if block not in block_out.get(function, {}):
-                    continue  # unreachable block
-                live = set(block_out[function][block])
-                for index in range(len(block.instructions) - 1, -1, -1):
-                    instruction = block.instructions[index]
-                    if isinstance(instruction, Call):
-                        # ``live`` currently holds liveness *after* this call.
-                        for target in callgraph.resolve_call(instruction):
-                            new_live_out[target] = new_live_out[target] | CapabilitySet(live)
-                    live |= instruction_gen(instruction)
-        entry_function = module.functions.get(entry)
+            for block, live in block_out[function].items():
+                for call, targets in reversed(sites[block]):
+                    # ``live`` currently holds liveness *after* this call.
+                    for target in targets:
+                        new_live_out[target] |= live
+                    live |= call_gen[call]
         if entry_function is not None:
-            new_live_out[entry_function] = CapabilitySet.empty()
+            new_live_out[entry_function] = 0
         if new_live_out != live_out:
             live_out = new_live_out
             changed = True
 
+    sets: Dict[int, CapabilitySet] = {}
+
+    def as_set(mask: int) -> CapabilitySet:
+        if mask not in sets:
+            sets[mask] = CapabilitySet.from_mask(mask)
+        return sets[mask]
+
+    def as_facts(
+        per_function: Dict[Function, Dict[BasicBlock, int]]
+    ) -> Dict[Function, Dict[BasicBlock, CapFacts]]:
+        return {
+            function: {
+                block: as_set(mask).as_frozenset() for block, mask in masks.items()
+            }
+            for function, masks in per_function.items()
+        }
+
     return PrivLiveness(
         module=module,
         callgraph=callgraph,
-        uses=uses,
-        live_out=live_out,
-        pinned=pinned,
-        block_in=block_in,
-        block_out=block_out,
+        uses={function: as_set(mask) for function, mask in uses.items()},
+        live_out={function: as_set(mask) for function, mask in live_out.items()},
+        pinned=as_set(pinned),
+        block_in=as_facts(block_in),
+        block_out=as_facts(block_out),
+        call_gen=call_gen,
     )

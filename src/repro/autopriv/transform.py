@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple
 
-from repro.caps import CapabilitySet
-from repro.ir import Call, ConstantInt, Function, I64, Module
-from repro.ir.instructions import Instruction
-from repro.ir.types import VOID
+from repro.caps import Capability, CapabilitySet
+from repro.ir import Call, ConstantInt, Function, I64, Module, predecessors
 from repro.autopriv import privuse
-from repro.autopriv.liveness import PrivLiveness, analyze_module
+from repro.autopriv.liveness import analyze_module
 
 
 @dataclasses.dataclass
@@ -53,9 +51,13 @@ def _runtime_fn(module: Module, name: str, param_types) -> "Function":
     return module.declare(name, I64, param_types)
 
 
-def _remove_call(module: Module, mask: CapabilitySet) -> Call:
+def _to_mask(facts: FrozenSet[Capability]) -> int:
+    return CapabilitySet(facts).to_mask()
+
+
+def _remove_call(module: Module, mask: int) -> Call:
     remove_fn = _runtime_fn(module, privuse.PRIV_REMOVE, [I64])
-    return Call(remove_fn.ref(), [ConstantInt(I64, mask.to_mask())], I64)
+    return Call(remove_fn.ref(), [ConstantInt(I64, mask)], I64)
 
 
 def transform_module(
@@ -77,36 +79,35 @@ def transform_module(
     liveness_seconds = clock() - pass_start
     insertion_start = clock()
     insertions: List[Tuple[str, str, int, CapabilitySet]] = []
-    candidates = initial_permitted - liveness.pinned
+    candidates = (initial_permitted - liveness.pinned).to_mask()
+    call_gen = liveness.call_gen
 
     for function in module.defined_functions():
         if function not in liveness.block_in:
             continue
-        from repro.ir import predecessors
-
         preds = predecessors(function)
-        block_in = liveness.block_in[function]
-        block_out = liveness.block_out[function]
+        block_in = {block: _to_mask(f) for block, f in liveness.block_in[function].items()}
+        block_out = {block: _to_mask(f) for block, f in liveness.block_out[function].items()}
         for block in function.blocks:
             if block not in block_in:
                 continue  # unreachable
-            # Walk the block backward tracking instruction-level liveness.
-            live_after = set(block_out[block])
-            transitions: List[Tuple[int, CapabilitySet]] = []
+            # Walk the block backward tracking instruction-level liveness:
+            # a privilege dies after the instruction that generates it
+            # when it is not live after that instruction.
+            live_after = block_out[block]
+            transitions: List[Tuple[int, int]] = []
             for index in range(len(block.instructions) - 1, -1, -1):
                 instruction = block.instructions[index]
-                generated = _instruction_gen(liveness, instruction)
-                live_before = live_after | generated
-                dying = (
-                    CapabilitySet(live_before - live_after) & candidates
-                )
+                generated = call_gen.get(instruction, 0)
+                dying = generated & ~live_after & candidates
                 if dying and not instruction.is_terminator:
                     transitions.append((index, dying))
-                live_after = live_before
+                live_after |= generated
             # Insert from the highest index down so indices stay valid.
             for index, dying in transitions:
                 block.insert(index + 1, _remove_call(module, dying))
-                insertions.append((function.name, block.name, index + 1, dying))
+                removed = CapabilitySet.from_mask(dying)
+                insertions.append((function.name, block.name, index + 1, removed))
 
             # Edge deaths: a privilege live out of some predecessor (on
             # behalf of a *different* successor) but dead on entry here —
@@ -117,30 +118,29 @@ def transform_module(
             reachable_preds = [pred for pred in preds[block] if pred in block_out]
             if not reachable_preds:
                 continue
-            incoming = set()
+            incoming = 0
             for pred in reachable_preds:
-                incoming |= set(block_out[pred])
-            dying_at_entry = CapabilitySet(incoming - set(block_in[block])) & candidates
+                incoming |= block_out[pred]
+            dying_at_entry = incoming & ~block_in[block] & candidates
             if dying_at_entry:
                 block.insert(0, _remove_call(module, dying_at_entry))
-                insertions.append((function.name, block.name, 0, dying_at_entry))
+                removed = CapabilitySet.from_mask(dying_at_entry)
+                insertions.append((function.name, block.name, 0, removed))
 
     # Entry sweep: privileges never live at program start die immediately.
     entry_removed = CapabilitySet.empty()
     entry_function = module.functions.get(entry)
     if entry_function is not None and not entry_function.is_declaration:
         entry_block = entry_function.entry
-        live_at_entry = CapabilitySet(
-            liveness.block_in.get(entry_function, {}).get(entry_block, frozenset())
-        )
-        entry_removed = candidates - live_at_entry
+        live_at_entry = liveness.block_in.get(entry_function, {}).get(entry_block, frozenset())
+        entry_removed = CapabilitySet.from_mask(candidates & ~_to_mask(live_at_entry))
         position = 0
         if insert_lockdown:
             lockdown = _runtime_fn(module, "prctl_lockdown", [])
             entry_block.insert(0, Call(lockdown.ref(), [], I64))
             position = 1
         if entry_removed:
-            entry_block.insert(position, _remove_call(module, entry_removed))
+            entry_block.insert(position, _remove_call(module, entry_removed.to_mask()))
 
     return TransformReport(
         insertions=insertions,
@@ -151,9 +151,3 @@ def transform_module(
             "insertion": clock() - insertion_start,
         },
     )
-
-
-def _instruction_gen(liveness: PrivLiveness, instruction: Instruction):
-    if isinstance(instruction, Call):
-        return liveness.call_uses(instruction).as_frozenset()
-    return frozenset()

@@ -21,6 +21,10 @@ from repro.caps.capability import Capability, parse_capability
 
 CapLike = Union[Capability, str]
 
+#: Capabilities indexed by kernel bit number (the numbers are dense from 0).
+_BY_BIT = tuple(sorted(Capability))
+assert [int(cap) for cap in _BY_BIT] == list(range(len(_BY_BIT)))
+
 
 def _coerce(caps: Iterable[CapLike]) -> frozenset:
     return frozenset(
@@ -151,13 +155,14 @@ class CapabilitySet:
         """Decode a kernel-style bit mask produced by :meth:`to_mask`."""
         if mask < 0:
             raise ValueError("capability mask must be non-negative")
+        unknown = mask >> len(_BY_BIT) << len(_BY_BIT)
+        if unknown:
+            raise ValueError(f"mask contains unknown capability bits: {unknown:#x}")
         caps = []
-        for cap in Capability:
-            if mask & (1 << int(cap)):
-                caps.append(cap)
-                mask &= ~(1 << int(cap))
-        if mask:
-            raise ValueError(f"mask contains unknown capability bits: {mask:#x}")
+        while mask:
+            lowest = mask & -mask
+            caps.append(_BY_BIT[lowest.bit_length() - 1])
+            mask ^= lowest
         return cls(caps)
 
     def describe(self) -> str:

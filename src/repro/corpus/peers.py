@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.caps import POWERFUL_CAPABILITIES
 from repro.corpus.profile import PrivilegeProfile
@@ -68,23 +68,53 @@ def _cap_hold_distance(a: Dict[str, float], b: Dict[str, float]) -> float:
     return total
 
 
-def _jaccard_distance(a: Sequence[str], b: Sequence[str]) -> float:
-    first, second = set(a), set(b)
+def _jaccard_distance(first: FrozenSet[str], second: FrozenSet[str]) -> float:
     if not first and not second:
         return 0.0
     return 1.0 - len(first & second) / len(first | second)
 
 
-def profile_distance(a: PrivilegeProfile, b: PrivilegeProfile) -> float:
-    """The documented weighted distance between two profiles."""
+def _surfaces(profile: PrivilegeProfile) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """The static and dynamic syscall surfaces as sets."""
+    return frozenset(profile.static_surface), frozenset(profile.dynamic_surface)
+
+
+def _distance(
+    a: PrivilegeProfile,
+    a_surfaces: Tuple[FrozenSet[str], FrozenSet[str]],
+    b: PrivilegeProfile,
+    b_surfaces: Tuple[FrozenSet[str], FrozenSet[str]],
+) -> float:
     return (
         W_WINDOWS * _l1(a.windows, b.windows)
         + W_INVULNERABLE * abs(a.invulnerable_window - b.invulnerable_window)
         + _cap_hold_distance(a.cap_hold, b.cap_hold)
         + W_ROOT * abs(a.root_euid_fraction - b.root_euid_fraction)
-        + W_SURFACE * _jaccard_distance(a.static_surface, b.static_surface)
-        + W_SURFACE * _jaccard_distance(a.dynamic_surface, b.dynamic_surface)
+        + W_SURFACE * _jaccard_distance(a_surfaces[0], b_surfaces[0])
+        + W_SURFACE * _jaccard_distance(a_surfaces[1], b_surfaces[1])
     )
+
+
+def profile_distance(a: PrivilegeProfile, b: PrivilegeProfile) -> float:
+    """The documented weighted distance between two profiles."""
+    return _distance(a, _surfaces(a), b, _surfaces(b))
+
+
+def distance_matrix(profiles: Sequence[PrivilegeProfile]) -> List[List[float]]:
+    """All pairwise :func:`profile_distance` values, in ``profiles`` order.
+
+    The distance is bit-symmetric — every term is an ``abs`` difference
+    or a Jaccard distance, summed in sorted-key order — and zero on the
+    diagonal, so only the upper triangle is computed and then mirrored.
+    """
+    count = len(profiles)
+    surfaces = [_surfaces(profile) for profile in profiles]
+    matrix = [[0.0] * count for _ in range(count)]
+    for i in range(count):
+        row, a, a_surfaces = matrix[i], profiles[i], surfaces[i]
+        for j in range(i + 1, count):
+            row[j] = matrix[j][i] = _distance(a, a_surfaces, profiles[j], surfaces[j])
+    return matrix
 
 
 # -- seeded k-medoids ----------------------------------------------------------
@@ -262,9 +292,7 @@ def _peer_analysis(
     if k is None:
         k = max(2, int(round((count / 2) ** 0.5)))
 
-    matrix = [
-        [profile_distance(a, b) for b in ordered] for a in ordered
-    ]
+    matrix = distance_matrix(ordered)
     medoids, assignment = k_medoids(matrix, k=k, seed=seed)
 
     clusters: List[Dict[str, Any]] = []

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, List
+import re
+from typing import List
 
 from repro.frontend.ast import Pos
 
@@ -72,108 +73,96 @@ class LexError(SyntaxError):
         self.pos = pos
 
 
+#: One alternative per token class, tried at the current index.  Only an
+#: ASCII character starts a match.  ``str.isdigit``/``str.isalpha`` accept
+#: more than ``[0-9]``/``[A-Za-z]``, so ``tokenize`` sends any other start
+#: character to those predicates.  ``\w`` is exactly ``str.isalnum()`` plus
+#: ``_``, so it continues identifiers whatever their first character.  The
+#: string body is the unrolled ``[^"\\]*(?:\\.[^"\\]*)*`` loop, which
+#: stays linear when the literal is unterminated.
+_TOKEN = re.compile(
+    r"""
+    (?P<space>[ \t\r\n]+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*)
+    | (?P<string>"(?P<body>[^"\\]*(?:\\[\s\S][^"\\]*)*)")
+    | (?P<unterminated>")
+    | (?P<hex>0[xX][0-9a-fA-F]*)
+    | (?P<octal>0[oO][0-7]*)
+    | (?P<decimal>[0-9]+)
+    | (?P<name>[A-Za-z_]\w*)
+    | (?P<op>"""
+    + "|".join(re.escape(op) for op in OPERATORS)
+    + ")",
+    re.VERBOSE,
+)
+_NAME_REST = re.compile(r"\w*")
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+
+def _unescape(match: "re.Match[str]") -> str:
+    escape = match.group(1)
+    return _ESCAPES.get(escape, escape)
+
+
 def tokenize(source: str) -> List[Token]:
     """Turn PrivC source into a token list ending with an EOF token."""
     tokens: List[Token] = []
-    line, column = 1, 1
+    append = tokens.append
+    match_at = _TOKEN.match
+    line, line_start = 1, 0  # line number and index of its first character
     index = 0
     length = len(source)
 
-    def pos() -> Pos:
-        return Pos(line, column)
-
-    def advance(count: int = 1) -> None:
-        nonlocal index, line, column
-        for _ in range(count):
-            if index < length and source[index] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            index += 1
-
     while index < length:
-        char = source[index]
-        # whitespace
-        if char in " \t\r\n":
-            advance()
-            continue
-        # comments: // and /* */
-        if source.startswith("//", index):
-            while index < length and source[index] != "\n":
-                advance()
-            continue
-        if source.startswith("/*", index):
-            start = pos()
-            advance(2)
-            while index < length and not source.startswith("*/", index):
-                advance()
-            if index >= length:
-                raise LexError("unterminated block comment", start)
-            advance(2)
-            continue
-        # string literal
-        if char == '"':
-            start = pos()
-            advance()
-            chars: List[str] = []
-            while index < length and source[index] != '"':
-                if source[index] == "\\":
-                    advance()
-                    if index >= length:
-                        break
-                    escape = source[index]
-                    chars.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(escape, escape))
-                    advance()
-                else:
-                    chars.append(source[index])
-                    advance()
-            if index >= length:
-                raise LexError("unterminated string literal", start)
-            advance()  # closing quote
-            tokens.append(Token("string", "".join(chars), pos=start))
-            continue
-        # number (decimal, hex 0x, octal 0o — file modes read naturally)
-        if char.isdigit():
-            start = pos()
-            begin = index
-            if source.startswith("0x", index) or source.startswith("0X", index):
-                advance(2)
-                while index < length and source[index] in "0123456789abcdefABCDEF":
-                    advance()
-                text = source[begin:index]
-                value = int(text, 16)
-            elif source.startswith("0o", index) or source.startswith("0O", index):
-                advance(2)
-                while index < length and source[index] in "01234567":
-                    advance()
-                text = source[begin:index]
-                value = int(text[2:], 8)
-            else:
-                while index < length and source[index].isdigit():
-                    advance()
-                text = source[begin:index]
-                value = int(text)
-            tokens.append(Token("int", text, value, start))
-            continue
-        # identifier / keyword
-        if char.isalpha() or char == "_":
-            start = pos()
-            begin = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                advance()
-            text = source[begin:index]
-            kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, pos=start))
-            continue
-        # operator
-        for op in OPERATORS:
-            if source.startswith(op, index):
-                start = pos()
-                advance(len(op))
-                tokens.append(Token("op", op, pos=start))
-                break
+        match = match_at(source, index)
+        if match is not None:
+            kind, end = match.lastgroup, match.end()
         else:
-            raise LexError(f"unexpected character {char!r}", pos())
-    tokens.append(Token("eof", "", pos=pos()))
+            # A non-ASCII start character: classify it as ``str`` does.
+            char = source[index]
+            if char.isdigit():
+                kind, end = "decimal", index
+            elif char.isalpha():
+                kind, end = "name", _NAME_REST.match(source, index).end()
+            else:
+                raise LexError(f"unexpected character {char!r}", Pos(line, index - line_start + 1))
+        if kind != "space" and kind != "line_comment":
+            start = Pos(line, index - line_start + 1)
+            if kind == "op":
+                append(Token("op", source[index:end], pos=start))
+            elif kind == "name":
+                text = source[index:end]
+                append(Token("keyword" if text in KEYWORDS else "ident", text, pos=start))
+            elif kind == "decimal":
+                # A decimal literal runs on through non-ASCII digits too.
+                while end < length and source[end].isdigit():
+                    end += 1
+                text = source[index:end]
+                append(Token("int", text, int(text), start))
+            elif kind == "hex":
+                text = source[index:end]
+                append(Token("int", text, int(text, 16), start))
+            elif kind == "octal":
+                text = source[index:end]
+                append(Token("int", text, int(text[2:], 8), start))
+            elif kind == "string":
+                body = match.group("body")
+                if "\\" in body:
+                    body = _ESCAPE.sub(_unescape, body)
+                append(Token("string", body, pos=start))
+            elif kind == "block_comment":
+                close = source.find("*/", end)
+                if close < 0:
+                    raise LexError("unterminated block comment", start)
+                end = close + 2
+            else:
+                raise LexError("unterminated string literal", start)
+        newlines = source.count("\n", index, end)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", index, end) + 1
+        index = end
+    append(Token("eof", "", pos=Pos(line, index - line_start + 1)))
     return tokens

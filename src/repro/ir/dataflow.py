@@ -6,21 +6,29 @@ use of the privilege.  Rather than hard-coding that one analysis, we
 provide the standard worklist framework for set-based (powerset lattice)
 problems; :mod:`repro.autopriv.liveness` instantiates it.
 
-The framework works at basic-block granularity with gen/kill transfer
-functions and exposes the in/out sets per block; analyses needing
-instruction-level results refine within a block themselves.
+Facts may be frozensets or ``int`` bitsets: the meet is ``|`` (union)
+or ``&`` (intersection), which both support.  The default gen/kill
+:meth:`~SetDataflowProblem.transfer` is written for frozensets; a bitset
+problem overrides it (liveness, which never kills, returns
+``gen | incoming``) and returns ``0`` from :meth:`boundary` and
+:meth:`initial`.
+
+The framework works at basic-block granularity and exposes the in/out
+facts per block; analyses needing instruction-level results refine
+within a block themselves.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, FrozenSet, TypeVar
+import operator
+from typing import Dict, FrozenSet, TypeVar, Union
 
 from repro.ir.cfg import postorder, predecessors, reverse_postorder
 from repro.ir.function import BasicBlock, Function
 
 Fact = TypeVar("Fact")
-BlockSets = Dict[BasicBlock, FrozenSet]
+BlockSets = Dict[BasicBlock, Union[FrozenSet, int]]
 
 
 @dataclasses.dataclass
@@ -69,47 +77,37 @@ def solve(problem: SetDataflowProblem, function: Function) -> DataflowResult:
         return DataflowResult({}, {})
     forward = problem.direction == "forward"
     order = reverse_postorder(function) if forward else postorder(function)
-    preds = predecessors(function)
+    if forward:
+        preds = predecessors(function)
+        sources = {block: preds[block] for block in order}
+        boundaries = {function.entry}
+    else:
+        sources = {block: list(block.successors()) for block in order}
+        boundaries = {block for block in order if not sources[block]}
 
-    def neighbours_in(block: BasicBlock):
-        """The blocks whose facts flow into ``block``."""
-        return preds[block] if forward else list(block.successors())
-
-    def is_boundary(block: BasicBlock) -> bool:
-        if forward:
-            return block is function.entry
-        terminator = block.terminator
-        return terminator is None or not block.successors()
-
-    merge: Callable = frozenset.union if problem.meet == "union" else frozenset.intersection
-    block_in: BlockSets = {block: problem.initial() for block in order}
-    block_out: BlockSets = {block: problem.initial() for block in order}
+    merge = operator.or_ if problem.meet == "union" else operator.and_
+    initial, boundary = problem.initial(), problem.boundary()
+    block_in: BlockSets = {block: initial for block in order}
+    block_out: BlockSets = {block: initial for block in order}
+    # Facts flow out of ``block_out`` into ``block_in`` going forward, and
+    # the other way round going backward.
+    into, out_of = (block_in, block_out) if forward else (block_out, block_in)
 
     changed = True
     while changed:
         changed = False
         for block in order:
-            sources = neighbours_in(block)
-            if sources:
-                facts = [
-                    (block_out if forward else block_in)[source] for source in sources
-                ]
-                incoming = facts[0]
-                for fact in facts[1:]:
-                    incoming = merge(incoming, fact)
-                if is_boundary(block):
-                    incoming = merge(incoming, problem.boundary())
-            elif is_boundary(block):
-                incoming = problem.boundary()
+            neighbours = sources[block]
+            if neighbours:
+                incoming = out_of[neighbours[0]]
+                for source in neighbours[1:]:
+                    incoming = merge(incoming, out_of[source])
+                if block in boundaries:
+                    incoming = merge(incoming, boundary)
             else:
-                incoming = problem.initial()
+                incoming = boundary if block in boundaries else initial
             outgoing = problem.transfer(block, incoming)
-            if forward:
-                if incoming != block_in[block] or outgoing != block_out[block]:
-                    block_in[block], block_out[block] = incoming, outgoing
-                    changed = True
-            else:
-                if incoming != block_out[block] or outgoing != block_in[block]:
-                    block_out[block], block_in[block] = incoming, outgoing
-                    changed = True
+            if incoming != into[block] or outgoing != out_of[block]:
+                into[block], out_of[block] = incoming, outgoing
+                changed = True
     return DataflowResult(block_in, block_out)

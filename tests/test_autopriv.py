@@ -314,3 +314,37 @@ class TestCallGraphPrecisionAblation:
         # loud() takes 2 parameters; the call site passes 1, so the precise
         # call graph proves CapChown unreachable.
         assert "CapChown" in report.entry_removed
+
+
+class TestCallSiteCost:
+    """A host-independent cost gate: AutoPriv resolves each call site once.
+
+    The liveness fixpoint iterates until nothing changes, so an analysis
+    that re-resolves call targets per round (or again during insertion)
+    does a multiple of this work on every program with a loop or a
+    helper.
+    """
+
+    @pytest.mark.parametrize("program", ["passwd", "sshd"])
+    def test_one_resolve_call_per_call_site(self, program, monkeypatch):
+        from repro.ir import CallGraph
+        from repro.programs import spec_by_name
+
+        spec = spec_by_name(program)
+        module = compile_source(spec.source, spec.name)
+        call_sites = sum(
+            isinstance(instruction, Call)
+            for function in module.defined_functions()
+            for instruction in function.instructions()
+        )
+        resolved = []
+        original = CallGraph.resolve_call
+
+        def counting(self, call):
+            resolved.append(call)
+            return original(self, call)
+
+        monkeypatch.setattr(CallGraph, "resolve_call", counting)
+        transform_module(module, spec.permitted)
+        assert call_sites > 0
+        assert len(resolved) == call_sites

@@ -90,6 +90,26 @@ class TestMaskEncoding:
         with pytest.raises(ValueError):
             CapabilitySet.from_mask(-1)
 
+    def test_from_mask_error_names_only_the_unknown_bits(self):
+        with pytest.raises(ValueError, match=r"^mask contains unknown capability bits: 0x4000000000$"):
+            CapabilitySet.from_mask(1 << 38)
+        with pytest.raises(ValueError, match=r"^mask contains unknown capability bits: 0x10000000000$"):
+            CapabilitySet.from_mask((1 << 40) | 3)
+
+    def test_single_bit_masks_roundtrip(self):
+        for cap in Capability:
+            decoded = CapabilitySet.from_mask(1 << int(cap))
+            assert list(decoded) == [cap]
+            assert decoded.to_mask() == 1 << int(cap)
+
+    @given(st.integers(min_value=0, max_value=(1 << len(Capability)) - 1))
+    def test_random_masks_roundtrip(self, mask):
+        decoded = CapabilitySet.from_mask(mask)
+        assert decoded.to_mask() == mask
+        assert decoded == CapabilitySet(
+            cap for cap in Capability if mask & (1 << int(cap))
+        )
+
     @given(capsets)
     def test_mask_roundtrip(self, caps):
         assert CapabilitySet.from_mask(caps.to_mask()) == caps

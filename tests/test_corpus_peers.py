@@ -20,7 +20,7 @@ from repro.corpus import (
     profile_distance,
     sweep_corpus,
 )
-from repro.corpus.peers import HOLD_FINDING_MARGIN, k_medoids
+from repro.corpus.peers import HOLD_FINDING_MARGIN, distance_matrix, k_medoids
 from repro.corpus.profile import PROFILE_SCHEMA_VERSION, PrivilegeProfile
 
 CAPS = ("CapSysAdmin", "CapKill", "CapChown", "CapSetuid", "CapNetBindService")
@@ -144,6 +144,14 @@ class TestDeterminismProperties:
             for member in cluster["members"]
         )
         assert clustered == sorted(p.program for p in profile_list)
+
+
+class TestDistanceMatrix:
+    @settings(max_examples=25, deadline=None)
+    @given(profiles(min_size=0))
+    def test_mirrored_matrix_equals_full_matrix(self, profile_list):
+        full = [[profile_distance(a, b) for b in profile_list] for a in profile_list]
+        assert distance_matrix(profile_list) == full
 
 
 class TestSweepModeParity:
