@@ -6,15 +6,32 @@ commutative *configuration*: a multiset of objects
 consumed.  Rewrite rules match an object together with a message and
 produce updated objects (and possibly new messages).
 
-We implement configurations as immutable multisets with canonical hash
-keys, so the breadth-first search in :mod:`repro.rewriting.search`
-identifies configurations up to reordering — which is exactly the
-associative-commutative equality Maude provides.
+We implement configurations as immutable multisets, so the breadth-first
+search in :mod:`repro.rewriting.search` identifies configurations up to
+reordering — which is exactly the associative-commutative equality Maude
+provides.
 
 Attribute values are plain hashable Python values (ints, strings,
 frozensets, tuples); this keeps ROSA's rules readable while preserving
 the term-rewriting discipline: every rule consumes a message and produces
 a new configuration, never mutating in place.
+
+Two notions of sameness serve two purposes:
+
+* **identity** — an object's ``(cls, oid, attribute names, attribute
+  values)`` with the raw values, attributes in name order.  ``==`` and
+  ``hash`` use it, and a configuration's hash is an O(1)-maintained sum
+  over its elements' identity hashes, so the search's visited set never
+  builds a canonical form.  Identity hashes are salted per process;
+* the **canonical key** — the same content in a deterministic,
+  process-independent form (frozensets as sorted tuples).  Cache keys,
+  digests, symmetry reduction and reports read it; it is built on first
+  access and then cached, so a search that only dedups never builds one.
+
+A configuration derived by :meth:`Configuration.consume` (one message
+consumed, at most one object replaced) costs one count-map copy, and it
+takes its oid index and per-class object tuples from its parent: shared
+when only a message went away, patched when one object changed.
 """
 
 from __future__ import annotations
@@ -30,7 +47,7 @@ def _mix(value: int) -> int:
     Configuration hashes are *multiset homomorphic*: the hash of a
     configuration is the wrapped sum of ``_mix(hash(element))`` over its
     element occurrences, so :meth:`Configuration.add` / ``remove`` /
-    ``update_object`` maintain the hash with O(1) arithmetic instead of
+    ``consume`` / ``update_object`` maintain the hash with O(1) arithmetic instead of
     rehashing the whole object graph.  Plain summation of raw hashes
     would cancel catastrophically (e.g. small-int hashes); the mixer
     spreads each element over the full 64 bits first.
@@ -56,23 +73,30 @@ class Obj:
     Objects are immutable; :meth:`update` returns a modified copy.  The
     ``oid`` is unique within a configuration (the rewriting layer does not
     enforce this; :class:`Configuration.update_object` does).
+
+    Equality and hashing use the object's *identity* ``(cls, oid, attribute
+    names, attribute values)`` with the raw hashable values, attributes in
+    name order.  The canonical :attr:`key` says the same thing in a
+    process-independent, sortable form; it is built on first access only.
     """
 
-    __slots__ = ("oid", "cls", "attrs", "_key", "_hash")
+    __slots__ = ("oid", "cls", "attrs", "_ident", "_hash", "_key")
 
     def __init__(self, oid: int, cls: str, **attrs) -> None:
+        attrs = {name: attrs[name] for name in sorted(attrs)}
+        self._set(oid, cls, attrs, tuple(attrs))
+
+    def _set(self, oid: int, cls: str, attrs: Dict, names: Tuple[str, ...]) -> None:
+        # ``attrs`` is in name order and ``names`` is its key tuple, so
+        # equal attribute maps give equal identities without a sort.
         self.oid = oid
         self.cls = cls
-        self.attrs = dict(attrs)
-        self._key = (
-            "obj",
-            cls,
-            oid,
-            tuple(sorted((name, _canonical_value(value)) for name, value in attrs.items())),
-        )
+        self.attrs = attrs
+        self._ident = ident = (cls, oid, names, tuple(attrs.values()))
         # Objects are shared across the many configurations a search
-        # builds, so the canonical key is hashed once, not per lookup.
-        self._hash = hash(self._key)
+        # builds, so the identity is hashed once, not per lookup.
+        self._hash = hash(ident)
+        self._key = None
 
     def __getitem__(self, name: str):
         return self.attrs[name]
@@ -84,20 +108,37 @@ class Obj:
         """Return a copy with the given attributes replaced."""
         attrs = dict(self.attrs)
         attrs.update(changes)
-        return Obj(self.oid, self.cls, **attrs)
+        if len(attrs) == len(self.attrs):
+            names = self._ident[2]
+        else:
+            # A new attribute name: restore name order.
+            attrs = {name: attrs[name] for name in sorted(attrs)}
+            names = tuple(attrs)
+        obj = Obj.__new__(Obj)
+        obj._set(self.oid, self.cls, attrs, names)
+        return obj
 
     @property
     def key(self) -> Hashable:
-        return self._key
+        """The canonical key: equal keys mean equal objects, in any process."""
+        key = self._key
+        if key is None:
+            key = self._key = (
+                "obj",
+                self.cls,
+                self.oid,
+                tuple((name, _canonical_value(value)) for name, value in self.attrs.items()),
+            )
+        return key
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Obj) and other._key == self._key
+        return isinstance(other, Obj) and other._ident == self._ident
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{name}: {value!r}" for name, value in sorted(self.attrs.items()))
+        inner = ", ".join(f"{name}: {value!r}" for name, value in self.attrs.items())
         return f"< {self.oid} : {self.cls} | {inner} >"
 
     def __reduce__(self):
@@ -154,7 +195,7 @@ class Configuration:
     time.
     """
 
-    __slots__ = ("_counts", "_ihash", "_key", "_by_oid", "_msg_names")
+    __slots__ = ("_counts", "_ihash", "_key", "_index", "_delta", "_msg_names")
 
     def __init__(self, elements: Iterable = ()) -> None:
         counts: Dict = {}
@@ -176,7 +217,12 @@ class Configuration:
         # by the visited set (via the incremental hash plus a count-map
         # comparison) and never enumerated again.
         self._key: Optional[Tuple] = None
-        self._by_oid: Optional[Dict[int, Obj]] = None
+        #: ``(oid -> object, class -> objects in element order)``; while
+        #: ``_delta`` is set, the parent's index that still needs it.
+        self._index: Optional[Tuple[Dict[int, Obj], Dict[str, Tuple[Obj, ...]]]] = None
+        #: The ``(old, new)`` object a functional edit replaced, applied
+        #: to the parent's index on first use (see :meth:`_indexes`).
+        self._delta: Optional[Tuple[Obj, Obj]] = None
         self._msg_names: Optional[frozenset] = None
 
     @classmethod
@@ -231,10 +277,10 @@ class Configuration:
         return self._counts.get(element, 0)
 
     def objects(self, cls: Optional[str] = None) -> Iterator[Obj]:
-        """All objects, optionally filtered by class name."""
-        for element in self._counts:
-            if isinstance(element, Obj) and (cls is None or element.cls == cls):
-                yield element
+        """All objects in element order, optionally filtered by class name."""
+        if cls is not None:
+            return iter(self._indexes()[1].get(cls, ()))
+        return (element for element in self._counts if isinstance(element, Obj))
 
     def messages(self, name: Optional[str] = None) -> Iterator[Msg]:
         """All distinct pending messages, optionally filtered by name."""
@@ -258,14 +304,32 @@ class Configuration:
 
     def find_object(self, oid: int) -> Optional[Obj]:
         """The object with identifier ``oid``, or None."""
-        index = self._by_oid
-        if index is None:
-            index = self._by_oid = {
-                element.oid: element
-                for element in self._counts
-                if isinstance(element, Obj)
-            }
-        return index.get(oid)
+        return self._indexes()[0].get(oid)
+
+    def _indexes(self) -> Tuple[Dict[int, Obj], Dict[str, Tuple[Obj, ...]]]:
+        """The oid index and the per-class object tuples (built once).
+
+        A configuration derived by :meth:`consume` or :meth:`update_object`
+        from an indexed parent shares the parent's index when only a
+        message went away, and patches it on first use when one object
+        was replaced (most derived configurations are dedup hits that
+        never need it).  Any other configuration scans its elements.
+        """
+        index = self._index
+        if self._delta is not None:
+            index = self._index = _patched_index(index, *self._delta)
+            self._delta = None
+        elif index is None:
+            by_oid: Dict[int, Obj] = {}
+            by_cls: Dict[str, list] = {}
+            for element in self._counts:
+                if isinstance(element, Obj):
+                    by_oid[element.oid] = element
+                    by_cls.setdefault(element.cls, []).append(element)
+            index = self._index = (
+                by_oid, {cls: tuple(objs) for cls, objs in by_cls.items()}
+            )
+        return index
 
     # -- functional updates ------------------------------------------------------
 
@@ -306,30 +370,82 @@ class Configuration:
             raise KeyError(f"no object with oid {new_obj.oid}")
         if old == new_obj:
             return self
-        counts = dict(self._counts)
-        count = counts[old]
-        if count == 1:
-            del counts[old]
-        else:  # pragma: no cover - object oids are unique in practice
-            counts[old] = count - 1
-        counts[new_obj] = counts.get(new_obj, 0) + 1
-        ihash = (self._ihash - _mix(old._hash) + _mix(new_obj._hash)) & _MASK64
-        return Configuration._from_counts(counts, ihash)
+        return self._edit(None, old, new_obj)
 
-    def consume(self, message: Msg, *updates: Obj) -> "Configuration":
-        """Remove one occurrence of ``message`` and apply object updates.
+    def consume(self, message: Msg, obj: Optional[Obj] = None) -> "Configuration":
+        """Remove one occurrence of ``message`` and replace one object.
 
         This is the shape of almost every ROSA rule: a process consumes a
-        system-call message and one or more objects change state.
+        system-call message and at most one object changes state.  It is
+        ``remove(message)`` then ``update_object(obj)`` done as one edit:
+        one count-map copy and one new configuration.
+
+        :raises KeyError: if the message is not pending, or no object
+            has ``obj.oid``.
         """
-        config = self.remove(message)
-        for obj in updates:
-            config = config.update_object(obj)
+        if message not in self._counts:
+            raise KeyError(f"element not in configuration: {message!r}")
+        old = None
+        if obj is not None:
+            old = self.find_object(obj.oid)
+            if old is None:
+                raise KeyError(f"no object with oid {obj.oid}")
+            if old == obj:
+                old = None
+        return self._edit(message, old, obj)
+
+    def _edit(
+        self, message: Optional[Msg], old: Optional[Obj], new: Optional[Obj]
+    ) -> "Configuration":
+        """One occurrence of ``message`` consumed and ``old`` replaced by
+        ``new`` (either may be None), in the element order the separate
+        ``remove`` and ``update_object`` steps would leave."""
+        counts = dict(self._counts)
+        ihash = self._ihash
+        messages_kept = message is None
+        if message is not None:
+            count = counts[message]
+            if count == 1:
+                del counts[message]
+            else:
+                counts[message] = count - 1
+                messages_kept = True
+            ihash -= _mix(message._hash)
+        delta = None
+        if old is not None:
+            count = counts[old]
+            if count == 1:
+                del counts[old]
+            else:  # pragma: no cover - object oids are unique in practice
+                counts[old] = count - 1
+            if counts.get(new, 0) == 0 and count == 1:
+                delta = (old, new)
+            counts[new] = counts.get(new, 0) + 1
+            ihash += _mix(new._hash) - _mix(old._hash)
+        config = Configuration._from_counts(counts, ihash & _MASK64)
+        if self._index is not None and (old is None or delta is not None):
+            # Otherwise (no parent index, duplicate objects) it is scanned.
+            config._index = self._indexes()
+            config._delta = delta
+        if messages_kept:
+            config._msg_names = self._msg_names
         return config
 
     def __repr__(self) -> str:
         parts = sorted(repr(element) for element in self)
         return "Configuration{\n  " + "\n  ".join(parts) + "\n}"
+
+
+def _patched_index(index, old: Obj, new: Obj):
+    """``index`` with ``old`` replaced by ``new``, which goes last in its
+    class, where it sits in the edited configuration's element order."""
+    by_oid, by_cls = index
+    by_oid = dict(by_oid)
+    by_oid[new.oid] = new
+    by_cls = dict(by_cls)
+    by_cls[old.cls] = tuple(obj for obj in by_cls[old.cls] if obj is not old)
+    by_cls[new.cls] = by_cls.get(new.cls, ()) + (new,)
+    return by_oid, by_cls
 
 
 class ObjectRule:

@@ -258,14 +258,17 @@ REDUCTION_MIN_SPACE = 256
 
 
 def estimated_space(initial: Configuration, cap: int = 1 << 20) -> int:
-    """A cheap upper bound on the reachable state-space size.
+    """A cheap size heuristic for gating reduction, *not* a bound.
 
-    Every UNIX rule consumes one pending message and creates none, so
-    each reachable state is the initial objects rewritten by some
-    sub-multiset of the initial messages: the space is bounded by
-    ``prod(count + 1)`` over the pending message multiset.  The product
-    is clamped at ``cap`` — callers only compare it against small
-    thresholds, and unclamped it grows combinatorially.
+    ``prod(count + 1)`` over the pending message multiset counts the
+    sub-multisets of messages a search can consume.  Every UNIX rule
+    consumes one message, but a wildcard argument rewrites one message
+    in many ways, so the reachable space can be far larger: for suRef's
+    phase 4, attack 2 (five wildcard messages) this returns 32 while the
+    raw search sees 12712 states.  It only ranks queries against
+    :data:`REDUCTION_MIN_SPACE`.  The product is clamped at ``cap`` —
+    callers only compare it against small thresholds, and unclamped it
+    grows combinatorially.
     """
     bound = 1
     for element, count in initial._counts.items():

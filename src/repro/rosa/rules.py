@@ -16,7 +16,8 @@ multiset.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+import itertools
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 from repro.rewriting import Configuration, MessageRule, Msg, Obj
 from repro.rosa import model, permissions
@@ -118,35 +119,54 @@ class SeteuidRule(SyscallRule):
                 yield config.consume(message, proc.update(euid=uid))
 
 
-class SetresuidRule(SyscallRule):
+class _SetresRule(SyscallRule):
+    """``setres[ug]id(pid, r, e, s, privs)``: shared by the uid and gid rules.
+
+    Each id may be :data:`KEEP` (kernel's −1), a concrete id, or a
+    wildcard.  A combination is allowed when every assigned id passes
+    :attr:`may_set` on its own, so each field's candidates are filtered
+    once, before the product; the product of the filtered lists yields
+    the allowed combinations in the order the unfiltered one would.
+    """
+
+    #: The three process attributes the call assigns, in argument order.
+    fields: Tuple[str, str, str]
+    #: The wildcard domain of an id: ``model.candidate_uids`` or ``_gids``.
+    domain: Callable
+    #: Whether one id may be assigned: ``permissions.may_set_uid`` or ``_gid``.
+    may_set: Callable
+
+    def fire(self, config, message, proc):
+        privs = message.args[4]
+        domain = self.domain(config)
+        candidates = [
+            [
+                value
+                for value in _expand(arg, domain)
+                if value == KEEP or self.may_set(proc, value, privs)
+            ]
+            for arg in message.args[1:4]
+        ]
+        for values in itertools.product(*candidates):
+            updates = {
+                field: value for field, value in zip(self.fields, values) if value != KEEP
+            }
+            if updates:
+                yield config.consume(message, proc.update(**updates))
+
+
+class SetresuidRule(_SetresRule):
     """``setresuid(pid, ruid, euid, suid, privs)``.
 
-    Each id may be :data:`KEEP` (kernel's −1), a concrete uid, or a
-    wildcard.  Unprivileged processes may only assign values drawn from
-    their current real/effective/saved uids (setresuid(2)).
+    Unprivileged processes may only assign values drawn from their
+    current real/effective/saved uids (setresuid(2)).
     """
 
     label = "setresuid"
     message_name = "setresuid"
-
-    def fire(self, config, message, proc):
-        _, r_arg, e_arg, s_arg, privs = message.args
-        domain = model.candidate_uids(config)
-        for new_r in _expand(r_arg, domain):
-            for new_e in _expand(e_arg, domain):
-                for new_s in _expand(s_arg, domain):
-                    values = dict(ruid=new_r, euid=new_e, suid=new_s)
-                    updates = {}
-                    allowed = True
-                    for field, value in values.items():
-                        if value == KEEP:
-                            continue
-                        if not permissions.may_set_uid(proc, value, privs):
-                            allowed = False
-                            break
-                        updates[field] = value
-                    if allowed and updates:
-                        yield config.consume(message, proc.update(**updates))
+    fields = ("ruid", "euid", "suid")
+    domain = staticmethod(model.candidate_uids)
+    may_set = staticmethod(permissions.may_set_uid)
 
 
 class SetgidRule(SyscallRule):
@@ -187,30 +207,14 @@ class SetegidRule(SyscallRule):
                 yield config.consume(message, proc.update(egid=gid))
 
 
-class SetresgidRule(SyscallRule):
+class SetresgidRule(_SetresRule):
     """``setresgid(pid, rgid, egid, sgid, privs)``."""
 
     label = "setresgid"
     message_name = "setresgid"
-
-    def fire(self, config, message, proc):
-        _, r_arg, e_arg, s_arg, privs = message.args
-        domain = model.candidate_gids(config)
-        for new_r in _expand(r_arg, domain):
-            for new_e in _expand(e_arg, domain):
-                for new_s in _expand(s_arg, domain):
-                    values = dict(rgid=new_r, egid=new_e, sgid=new_s)
-                    updates = {}
-                    allowed = True
-                    for field, value in values.items():
-                        if value == KEEP:
-                            continue
-                        if not permissions.may_set_gid(proc, value, privs):
-                            allowed = False
-                            break
-                        updates[field] = value
-                    if allowed and updates:
-                        yield config.consume(message, proc.update(**updates))
+    fields = ("rgid", "egid", "sgid")
+    domain = staticmethod(model.candidate_gids)
+    may_set = staticmethod(permissions.may_set_gid)
 
 
 class SetgroupsRule(SyscallRule):
@@ -284,9 +288,7 @@ class ChmodRule(SyscallRule):
                 continue
             if target["perms"] == new_perms:
                 continue
-            yield config.consume(message).update_object(
-                target.update(perms=new_perms)
-            )
+            yield config.consume(message, target.update(perms=new_perms))
 
 
 class FchmodRule(ChmodRule):
@@ -323,8 +325,8 @@ class ChownRule(SyscallRule):
                         proc, target, new_owner, new_group, privs
                     ):
                         continue
-                    yield config.consume(message).update_object(
-                        target.update(owner=new_owner, group=new_group)
+                    yield config.consume(
+                        message, target.update(owner=new_owner, group=new_group)
                     )
 
 
@@ -460,7 +462,7 @@ class RenameRule(SyscallRule):
                 continue
             if entry["name"] == new_name:
                 continue
-            yield config.consume(message).update_object(entry.update(name=new_name))
+            yield config.consume(message, entry.update(name=new_name))
 
 
 class SocketRule(SyscallRule):
@@ -501,7 +503,7 @@ class BindRule(SyscallRule):
                     continue  # EADDRINUSE
                 if not permissions.may_bind(port, privs):
                     continue
-                yield config.consume(message).update_object(sock.update(port=port))
+                yield config.consume(message, sock.update(port=port))
 
 
 class ConnectRule(SyscallRule):

@@ -123,6 +123,49 @@ class TestConfiguration:
         assert after.count(msg) == 0
         assert after.find_object(1)["euid"] == 0
 
+    def test_consume_is_remove_then_update_object(self):
+        msg = Msg("setuid", 1, 0)
+        proc = Obj(1, "Process", euid=10)
+        config = Configuration(sample_objects() + [msg, msg])
+        for update in (None, proc.update(euid=0), config.find_object(3)):
+            consumed = config.consume(msg, update)
+            stepwise = config.remove(msg)
+            if update is not None:
+                stepwise = stepwise.update_object(update)
+            assert consumed == stepwise and hash(consumed) == hash(stepwise)
+            assert list(consumed) == list(stepwise)
+        with pytest.raises(KeyError):
+            config.consume(Msg("kill", 1))
+        with pytest.raises(KeyError):
+            config.consume(msg, Obj(9, "User", uid=0))
+
+    def test_derived_indexes_match_a_fresh_scan(self):
+        """Edits chained without lookups in between: every derived
+        configuration's oid index and class order must be the ones a
+        configuration built from its elements would scan."""
+        first, second = Msg("open", 1), Msg("kill", 1)
+        config = Configuration(sample_objects() + [first, second, first])
+        config.find_object(1)
+        steps = [
+            lambda c: c.consume(first, c.find_object(1).update(euid=0)),
+            lambda c: c.consume(second),
+            lambda c: c.update_object(Obj(3, "User", uid=0)),
+            lambda c: c.consume(first, Obj(2, "File", name="/etc/shadow", owner=0)),
+        ]
+        for length in range(1, len(steps) + 1):
+            # Each chain is checked only at its end, so the later edits
+            # start from configurations nobody has looked up yet.
+            current = config
+            for step in steps[:length]:
+                current = step(current)
+            fresh = Configuration(list(current))
+            for cls in ("Process", "File", "User"):
+                assert list(current.objects(cls)) == list(fresh.objects(cls))
+            for oid in (1, 2, 3, 4):
+                assert current.find_object(oid) == fresh.find_object(oid)
+            assert list(current.objects()) == list(fresh.objects())
+            assert current.message_names() == fresh.message_names()
+
     @given(st.permutations(sample_objects() + [Msg("open", 1), Msg("open", 1)]))
     def test_key_invariant_under_permutation(self, elements):
         reference = Configuration(sample_objects() + [Msg("open", 1), Msg("open", 1)])
