@@ -87,7 +87,8 @@ profile-smoke:
 
 # Fleet-telemetry smoke test: a --jobs 4 process-pool rosa run must
 # merge one telemetry capsule per worker — a single Perfetto trace with
-# a distinct track per worker, a workers.json section in the ledger,
+# a distinct track per worker, a process-mode workers.json section in
+# the ledger, no lump worker:pool inflight frame in the profile,
 # and >= 95% of each worker's execute time attributed in the profiler
 # report (see docs/OBSERVABILITY.md).  The queries are vulnerable by
 # design, so the rosa exit code 1 is expected.
@@ -112,7 +113,10 @@ fleet-smoke:
 	assert len(workers) >= 2, f'expected multiple worker tracks, got {tracks}'; \
 	fleet = json.load(open('$(FLEET_SMOKE_DIR)/ledger/workers.json')); \
 	assert fleet['workers'], fleet; \
+	assert fleet['mode'] == 'process', fleet['mode']; \
 	prof = json.load(open('$(FLEET_SMOKE_DIR)/ledger/profile.json')); \
+	assert not [r for r in prof['records'] if r['stack'][:2] == ['engine', 'worker:pool']], \
+	       'unexpected worker:pool inflight frame'; \
 	fractions = {w: s['attributed_fraction'] for w, s in prof['workers'].items()}; \
 	assert fractions and all(f >= 0.95 for f in fractions.values()), fractions; \
 	print(f'fleet-smoke ok: tracks {sorted(workers)}, ' \

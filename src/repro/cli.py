@@ -151,16 +151,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "store at DIR: distinct searches run once across every process "
         "sharing the directory (see docs/SERVING.md)",
     )
-    _add_capsules_flag(group)
-
-
-def _add_capsules_flag(target) -> None:
-    target.add_argument(
-        "--no-capsules", action="store_true",
-        help="pool workers search dark instead of returning telemetry "
-        "capsules (merged worker spans/metrics/profiles; verdicts are "
-        "identical either way)",
-    )
 
 
 def _engine_kwargs(args) -> dict:
@@ -170,7 +160,6 @@ def _engine_kwargs(args) -> dict:
     kwargs: dict = {
         "use_query_cache": not getattr(args, "no_query_cache", False),
         "reduction": not getattr(args, "no_reduction", False),
-        "capsules": not getattr(args, "no_capsules", False),
         "verdict_store": getattr(args, "verdict_store", None),
     }
     jobs = getattr(args, "jobs", None)
@@ -257,7 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "each worker returns a telemetry capsule merged into this "
         "session's trace/metrics/profile (one Perfetto track per worker)",
     )
-    _add_capsules_flag(rosa)
     _add_observability_flags(rosa)
     _add_ledger_flag(rosa)
 
@@ -705,7 +693,7 @@ def _cmd_analyze(args, out, telemetry: Optional[Telemetry] = None) -> int:
             cache_stats=analyzer.engine.cache_stats(),
             cli_args=_manifest_args(args),
             profiler=profiler,
-            fleet=analyzer.engine.fleet_stats() or None,
+            fleet=analyzer.engine.fleet.stats() or None,
         ),
     )
     if args.format == "table":
@@ -773,7 +761,6 @@ def _cmd_rosa(args, out, telemetry: Optional[Telemetry] = None) -> int:
             progress_interval=_progress_interval_from_args(args),
             reduction=not args.no_reduction,
             profiler=profiler,
-            capsules=not args.no_capsules,
         )
         reports = engine.run_queries(
             [
@@ -781,7 +768,7 @@ def _cmd_rosa(args, out, telemetry: Optional[Telemetry] = None) -> int:
                 for query, text in parsed
             ]
         )
-        fleet = engine.fleet_stats() or None
+        fleet = engine.fleet.stats() or None
     else:
         tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
         reports = [

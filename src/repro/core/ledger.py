@@ -34,7 +34,7 @@ generation both assume:
     Fleet telemetry: per-worker capsule accounting from pool runs
     (``--jobs N``) — tasks, execute/queue-wait seconds, states
     explored, spans/samples/audit volume per stable ``worker:N`` id
-    (see :meth:`repro.rosa.engine.QueryEngine.fleet_stats`).  The
+    (see :meth:`repro.rosa.pool.Fleet.stats`).  The
     differ compares load balance and per-worker execute time.
 ``profile.json``
     The hot-path profiler's schema-versioned report (per rewrite rule,
@@ -203,8 +203,8 @@ def capture_analysis(
     ``timestamp`` injects the manifest's creation time (tests pass a
     constant; the CLI passes nothing and gets ``time.time()``).
     ``profiler``, when live, adds its report as ``profile.json``;
-    ``fleet`` (the engine's :meth:`~repro.rosa.engine.QueryEngine.
-    fleet_stats`), when non-empty, adds ``workers.json``.
+    ``fleet`` (the engine's :meth:`repro.rosa.pool.Fleet.stats`), when
+    non-empty, adds ``workers.json``.
     """
     extra = [
         (EXPOSURE_FILE, analysis_to_dict(analysis)),

@@ -147,7 +147,6 @@ class PrivAnalyzer:
         progress_interval: Optional[int] = None,
         reduction: bool = True,
         profiler=None,
-        capsules: bool = True,
         verdict_store=None,
     ) -> None:
         self.attacks = tuple(attacks)
@@ -190,7 +189,6 @@ class PrivAnalyzer:
                 progress=progress,
                 reduction=reduction,
                 profiler=profiler,
-                capsules=capsules,
                 store=verdict_store,
                 **engine_kwargs,
             )

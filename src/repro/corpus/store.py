@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.corpus.profile import PROFILE_SCHEMA_VERSION, PrivilegeProfile
-from repro.rosa.engine import system_signature
+from repro.rosa.keys import system_signature
 from repro.rosa.store import AttestedStore
 
 

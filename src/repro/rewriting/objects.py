@@ -67,6 +67,14 @@ def _canonical_value(value) -> Hashable:
     return value
 
 
+def _total_order(value) -> Tuple:
+    """A sort key that orders any two canonical keys: a type tag before
+    every leaf, so a ``str`` and an ``int`` in one position compare by tag."""
+    if isinstance(value, tuple):
+        return (0, tuple(_total_order(item) for item in value))
+    return (1, type(value).__name__, value)
+
+
 class Obj:
     """One object in a configuration: ``< oid : cls | attrs >``.
 
@@ -248,9 +256,14 @@ class Configuration:
         """
         key = self._key
         if key is None:
-            key = self._key = tuple(
-                sorted((elem.key, count) for elem, count in self._counts.items())
-            )
+            items = [(elem.key, count) for elem, count in self._counts.items()]
+            try:
+                items.sort()
+            except TypeError:
+                # Same-name messages holding ``KEEP`` (a str) and an id (an
+                # int) in one argument position have no natural order.
+                items.sort(key=_total_order)
+            key = self._key = tuple(items)
         return key
 
     def __eq__(self, other: object) -> bool:

@@ -24,14 +24,9 @@ Typical use::
 
 from repro.rewriting import Configuration, Msg, Obj, SearchBudget
 from repro.rosa import defenses, dsl, goals, model, permissions, syscalls
-from repro.rosa.engine import (
-    ParallelPolicy,
-    QueryCache,
-    QueryEngine,
-    QueryRequest,
-    query_cache_key,
-)
+from repro.rosa.engine import ParallelPolicy, QueryCache, QueryEngine, QueryRequest
 from repro.rosa.explain import explain_witness
+from repro.rosa.keys import query_cache_key
 from repro.rosa.query import (
     DEFAULT_BUDGET,
     RosaQuery,

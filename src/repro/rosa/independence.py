@@ -250,10 +250,11 @@ def _typed_msg_key(msg: Msg) -> Tuple:
 #: it can possibly save: the reducer's setup (inert classification) plus
 #: per-state canonicalization overwhelm a search that finishes in a few
 #: dozen states either way.  The query engine downgrades such searches
-#: to the raw space (see :meth:`repro.rosa.engine.QueryEngine.check`);
-#: direct :func:`repro.rosa.query.check` calls are never downgraded —
-#: baselines, differential oracles and reduction tests rely on the flag
-#: meaning exactly what it says.
+#: to the raw space (see
+#: :meth:`repro.rosa.engine.QueryEngine._effective_reduction`); direct
+#: :func:`repro.rosa.query.check` calls are never downgraded — baselines,
+#: differential oracles and reduction tests rely on the flag meaning
+#: exactly what it says.
 REDUCTION_MIN_SPACE = 256
 
 
@@ -576,7 +577,7 @@ def build_reducer(
     goal_fp = getattr(goal, "footprint", None)
     if not isinstance(goal_fp, GoalFootprint):
         return None
-    from repro.rosa.engine import system_signature  # engine imports this module
+    from repro.rosa.keys import system_signature  # keys -> query -> this module
 
     if system_signature(system) != system_signature():
         return None

@@ -5,7 +5,7 @@ are pure functions of a content key.  Every record is one JSON object
 named by its key, sharded into fanout directories, published
 atomically, attested, and logged in an append-only lineage file.
 Records are typed by a ``kind``: ``"verdict"`` (:class:`SharedVerdictStore`,
-ROSA outcomes under :func:`repro.rosa.engine.query_cache_key`) and
+ROSA outcomes under :func:`repro.rosa.keys.query_cache_key`) and
 ``"profile"`` (:class:`repro.corpus.store.ProfileStore`, privilege
 profiles under :func:`repro.corpus.profile.profile_key`).  Any process
 that derives the same key reads the same object instead of recomputing.
@@ -17,7 +17,7 @@ Crypto-Anaylzer exemplar (SNIPPETS.md):
   and the key binds every input of the result.
 * **Binding.** A store handle also carries a *binding*: what the result
   depends on beyond its key — the rule-system signature
-  (:func:`repro.rosa.engine.system_signature`, a digest of the model's
+  (:func:`repro.rosa.keys.system_signature`, a digest of the model's
   source), plus the profile schema for profiles.
 * **Atomic publish.** Objects are written tempfile-then-``os.replace``,
   so readers never observe a torn entry and concurrent publishers of the
@@ -49,7 +49,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Union
 
-from repro.rosa.engine import CachedOutcome, system_signature
+from repro.rosa.engine import CachedOutcome
+from repro.rosa.keys import system_signature
 
 logger = logging.getLogger("repro.rosa.store")
 

@@ -1,7 +1,7 @@
 """Telemetry capsules: fleet observability across pool workers.
 
-The query engine fans distinct ROSA searches out over thread and process
-pools (:mod:`repro.rosa.engine`), and before this module those workers
+The query engine fans distinct ROSA searches out over a process pool
+(:mod:`repro.rosa.pool`), and before this module those workers
 searched dark — spans, metrics, hot-path profiles, progress samples and
 the audit ring never crossed the pool boundary.  A
 :class:`TelemetryCapsule` is the fix: each worker runs its search under
@@ -20,8 +20,7 @@ Design points:
 * **clock-skew normalization** — worker clocks are not the parent's
   clock.  The merge anchors a capsule by the parent-side completion
   timestamp: ``offset = anchor - capsule.clock_end`` shifts every worker
-  span into the parent clock domain (thread-mode capsules share the
-  parent clock and merge with ``anchor=None`` → offset 0).
+  span into the parent clock domain.
 * **trace-context propagation** — the engine stamps each capsule with
   the canonical query key as its ``trace_id``; merged spans carry it
   plus a ``worker`` attribute, which is what gives each worker its own
@@ -42,7 +41,7 @@ import dataclasses
 import logging
 import os
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.telemetry.audit import SyscallAuditTrail
 from repro.telemetry.clock import Clock, MONOTONIC
@@ -295,26 +294,23 @@ def merge_capsule(
     capsule: TelemetryCapsule,
     *,
     worker: str,
+    anchor: float,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     profiler: Optional[Profiler] = None,
     audit: Optional[SyscallAuditTrail] = None,
-    anchor: Optional[float] = None,
-    graft_under: Optional[Tuple[str, ...]] = None,
 ) -> bool:
     """Fold one worker capsule into the parent session's collectors.
 
     ``worker`` is the normalized ``worker:N`` id.  ``anchor`` is the
     parent-clock timestamp at which the worker's result arrived; the
     capsule's spans shift by ``anchor - capsule.clock_end`` into the
-    parent clock domain (``None`` means the clocks are shared — thread
-    mode — and spans merge unshifted).  Span adoption hangs worker roots
-    under the parent tracer's innermost open span and stamps every
-    adopted span with ``worker`` (the Perfetto track key) and the
-    capsule's ``trace_id``.  Metrics merge additively into both the base
+    parent clock domain.  Span adoption hangs worker roots under the
+    parent tracer's innermost open span and stamps every adopted span
+    with ``worker`` (the Perfetto track key) and the capsule's
+    ``trace_id``.  Metrics merge additively into both the base
     instrument and a ``name{worker="N"}`` labeled variant; profile
-    records graft under ``graft_under`` (default
-    ``("engine", worker, "execute")``) with a derived
+    records graft under ``("engine", worker, "execute")`` with a derived
     ``capsule.overhead`` remainder frame so worker attribution coverage
     stays complete; audit records re-sequence into the parent ring.
 
@@ -328,7 +324,7 @@ def merge_capsule(
         if metrics is not None:
             metrics.counter("rosa.capsule.schema_skew").inc()
         return False
-    offset = (anchor - capsule.clock_end) if anchor is not None else 0.0
+    offset = anchor - capsule.clock_end
     if tracer is not None and tracer.enabled and capsule.spans:
         stamp: Dict[str, Any] = {"worker": worker}
         if capsule.trace_id is not None:
@@ -340,7 +336,7 @@ def merge_capsule(
         )
         metrics.counter("rosa.capsule.merged").inc()
     if profiler is not None and profiler.enabled and capsule.profile:
-        under = graft_under or ("engine", worker, "execute")
+        under = ("engine", worker, "execute")
         profiler.graft(capsule.profile, under)
         # The worker's profile roots cover the search itself; whatever
         # the capsule's execute window spent outside them (query build,

@@ -14,7 +14,7 @@ Differential families (the default campaign):
 
 * ``cache`` — query-cache **on vs off** (plus a second cache-served
   pass) must agree search for search;
-* ``pools`` — **serial vs thread vs process** batch execution must
+* ``pools`` — **serial vs process-pool** batch execution must
   agree search for search;
 * ``vm`` — the **compiled VM core vs the straight-line reference**
   evaluator must agree on exit code, stdout, instruction count and the
@@ -169,30 +169,27 @@ _register(
 )
 
 
-# -- pools: serial vs thread vs process ---------------------------------------
+# -- pools: serial vs process -------------------------------------------------
 
 
 def _run_pools(case: Case) -> OracleResult:
     from repro.rosa.engine import ParallelPolicy, QueryEngine
 
     sides = {}
-    for mode in ("serial", "thread", "process"):
+    for mode in ("serial", "process"):
         engine = QueryEngine(cache=None, parallel=ParallelPolicy(mode=mode))
         reports = engine.run_queries(generators.build_batch_requests(case))
         sides[mode] = [report_fingerprint(report) for report in reports]
-    for mode in ("thread", "process"):
-        for index, (a, b) in enumerate(zip(sides["serial"], sides[mode])):
-            if a != b:
-                return _mismatch(
-                    "pools", f"serial[{index}]", a, f"{mode}[{index}]", b
-                )
+    for index, (a, b) in enumerate(zip(sides["serial"], sides["process"])):
+        if a != b:
+            return _mismatch("pools", f"serial[{index}]", a, f"process[{index}]", b)
     return OracleResult("pools", ok=True)
 
 
 _register(
     OracleFamily(
         name="pools",
-        description="serial vs thread vs process batch execution",
+        description="serial vs process-pool batch execution",
         generate=generators.gen_batch_case,
         run=_run_pools,
         shrink_candidates=_shrink_batch,

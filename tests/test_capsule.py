@@ -17,6 +17,7 @@ import pytest
 from repro.rewriting import SearchBudget
 from repro.rosa import ParallelPolicy, QueryEngine, QueryRequest
 from repro.rosa.dsl import DslQuerySpec, parse_query
+from repro.rosa.pool import capsule_request
 from repro.telemetry import (
     CAPSULE_SCHEMA_VERSION,
     CapsuleCollector,
@@ -193,19 +194,12 @@ class TestMergeCapsule:
         assert span.attributes["trace_id"] == "key123"
         assert span.attributes["query"] == "q"
 
-    def test_thread_mode_merges_unshifted(self):
-        capsule = self.build_capsule()
-        parent = Tracer(clock=ManualClock(start=0.0, tick=0.1))
-        assert merge_capsule(capsule, worker="worker:0", tracer=parent)
-        (span,) = parent.finished
-        assert span.start == pytest.approx(100.25)
-
     def test_schema_skew_is_skipped_and_counted(self):
         capsule = self.build_capsule(schema=CAPSULE_SCHEMA_VERSION + 1)
         parent = Tracer(clock=ManualClock())
         metrics = MetricsRegistry()
         assert not merge_capsule(
-            capsule, worker="worker:0", tracer=parent, metrics=metrics
+            capsule, worker="worker:0", anchor=0.0, tracer=parent, metrics=metrics
         )
         assert parent.finished == []
         assert metrics.counter("rosa.capsule.schema_skew").value == 1
@@ -219,7 +213,9 @@ class TestMergeCapsule:
         capsule = collector.capsule()
         metrics = MetricsRegistry()
         metrics.counter("rosa.worker.states_explored").inc(5)
-        assert merge_capsule(capsule, worker="worker:3", metrics=metrics)
+        assert merge_capsule(
+            capsule, worker="worker:3", anchor=capsule.clock_end, metrics=metrics
+        )
         snapshot = metrics.snapshot()
         assert snapshot["rosa.worker.states_explored"]["value"] == 15
         assert snapshot['rosa.worker.states_explored{worker="3"}']["value"] == 10
@@ -237,7 +233,9 @@ class TestMergeCapsule:
         capsule = collector.capsule()
         capsule = dataclasses.replace(capsule, clock_start=0.0, clock_end=1.0)
         parent = Profiler(clock=ManualClock())
-        assert merge_capsule(capsule, worker="worker:1", profiler=parent)
+        assert merge_capsule(
+            capsule, worker="worker:1", anchor=capsule.clock_end, profiler=parent
+        )
         under = ("engine", "worker:1", "execute")
         assert parent.records[under + ("rosa.search",)].seconds == pytest.approx(0.6)
         assert parent.records[
@@ -260,7 +258,9 @@ class TestMergeCapsule:
         capsule = dataclasses.replace(capsule, audit_total=5)  # 3 evicted upstream
         metrics = MetricsRegistry()
         parent = SyscallAuditTrail(capacity=16, metrics=metrics)
-        assert merge_capsule(capsule, worker="worker:0", audit=parent)
+        assert merge_capsule(
+            capsule, worker="worker:0", anchor=capsule.clock_end, audit=parent
+        )
         assert [record.syscall for record in parent.records] == ["open", "setuid"]
         assert [record.seq for record in parent.records] == [1, 2]
         assert parent.total == 5
@@ -293,7 +293,7 @@ class TestAuditDroppedGauge:
 
 
 class TestEngineFleet:
-    def fleet_engine(self, mode, capsules=True, workers=4, audit=True):
+    def fleet_engine(self, mode, workers=4, audit=True):
         telemetry = Telemetry.enabled(audit=audit)
         profiler = Profiler()
         engine = QueryEngine(
@@ -302,7 +302,6 @@ class TestEngineFleet:
             parallel=ParallelPolicy(mode=mode, max_workers=workers),
             telemetry=telemetry,
             profiler=profiler,
-            capsules=capsules,
         )
         return engine, telemetry, profiler
 
@@ -323,7 +322,7 @@ class TestEngineFleet:
             if "worker" in span.attributes
         }
         assert len(trace_ids) == 4  # one canonical key per distinct query
-        fleet = engine.fleet_stats()
+        fleet = engine.fleet.stats()
         assert fleet["capsule_schema"] == CAPSULE_SCHEMA_VERSION
         assert fleet["mode"] == "process"
         assert sum(stats["tasks"] for stats in fleet["workers"].values()) == 4
@@ -350,24 +349,15 @@ class TestEngineFleet:
         for stats in report["workers"].values():
             assert stats["attributed_fraction"] >= 0.95
 
-    def test_process_pool_without_capsules_keeps_inflight_accounting(self):
-        engine, telemetry, profiler = self.fleet_engine("process", capsules=False)
-        reports = engine.run_queries(distinct_requests(4))
-        assert [r.verdict.value for r in reports] == ["vulnerable"] * 4
-        assert ("engine", "worker:pool", "inflight") in profiler.records
-        assert engine.fleet_stats() == {}
-        # The synthetic per-query span is still recorded.
-        names = [span.name for span in telemetry.tracer.finished]
-        assert names.count("rosa.query") == 4
-
     def test_capsules_on_off_verdict_parity(self):
+        # Capsules are on exactly when a parent collector is live; a dark
+        # engine's workers ship bare outcomes and no fleet accounting.
         requests = distinct_requests(4)
         engine_on, _, _ = self.fleet_engine("process")
         engine_off = QueryEngine(
             budget=BUDGET,
             cache=None,
             parallel=ParallelPolicy(mode="process", max_workers=4),
-            capsules=False,
         )
         on = engine_on.run_queries(requests)
         off = engine_off.run_queries(requests)
@@ -375,45 +365,26 @@ class TestEngineFleet:
         assert [list(r.witness) for r in on] == [list(r.witness) for r in off]
         assert [r.states_explored for r in on] == [r.states_explored for r in off]
         assert [r.states_seen for r in on] == [r.states_seen for r in off]
+        assert engine_on.fleet.stats()["workers"]
+        assert engine_off.fleet.stats() == {}
 
-    def test_thread_pool_worker_ids_are_normalized(self):
-        engine, telemetry, profiler = self.fleet_engine(
-            "thread", workers=2, audit=False
-        )
-        requests = [QueryRequest(request.query) for request in distinct_requests(4)]
-        reports = engine.run_queries(requests)
-        assert [r.verdict.value for r in reports] == ["vulnerable"] * 4
-        fleet = engine.fleet_stats()
-        assert fleet["mode"] == "thread"
-        assert set(fleet["workers"]) <= {"worker:0", "worker:1"}
+    def test_worker_ids_stable_across_batches(self):
+        engine, _, profiler = self.fleet_engine("process", workers=2, audit=False)
+        engine.run_queries(distinct_requests(2))
+        first = dict(engine.fleet.worker_ids)
+        assert first and all(name.startswith("pid:") for name in first)
+        engine.run_queries(distinct_requests(2))
+        for name, index in first.items():
+            assert engine.fleet.worker_ids[name] == index
         worker_frames = {
             stack[1]
             for stack in profiler.records
             if len(stack) == 3 and stack[0] == "engine"
         }
-        assert worker_frames <= {"worker:0", "worker:1"}
-        # Merged spans carry the normalized id too.
-        span_workers = {
-            span.attributes["worker"]
-            for span in telemetry.tracer.finished
-            if "worker" in span.attributes
+        assert worker_frames == {
+            f"worker:{index}" for index in engine.fleet.worker_ids.values()
         }
-        assert span_workers <= {"worker:0", "worker:1"} and span_workers
-
-    def test_worker_ids_stable_across_batches(self):
-        engine, _, _ = self.fleet_engine("thread", workers=2, audit=False)
-        engine.run_queries(
-            [QueryRequest(request.query) for request in distinct_requests(2)]
-        )
-        first = dict(engine._worker_ids)
-        engine.run_queries(
-            [QueryRequest(request.query) for request in distinct_requests(2)]
-        )
-        for name, index in first.items():
-            assert engine._worker_ids[name] == index
 
     def test_dark_engine_requests_no_capsules(self):
         engine = QueryEngine(budget=BUDGET, cache=None)
-        assert engine._capsule_request(None) is None
-        engine_off = QueryEngine(budget=BUDGET, cache=None, capsules=False)
-        assert engine_off._capsule_request(object()) is None
+        assert capsule_request(engine.telemetry, None, engine.progress) is None

@@ -24,7 +24,8 @@ from repro.rewriting.reduction import (
     typed_id,
 )
 from repro.rosa import RosaQuery, Verdict, check, goals, model, syscalls
-from repro.rosa.engine import CachedOutcome, query_cache_key
+from repro.rosa.engine import CachedOutcome
+from repro.rosa.keys import query_cache_key
 from repro.rosa.independence import build_reducer
 from repro.rosa.query import DEFAULT_BUDGET, unix_system
 from repro.rosa.syscalls import WILDCARD

@@ -32,7 +32,8 @@ from repro.rosa import (
     syscalls,
     unix_rules,
 )
-from repro.rosa.engine import goal_identity
+from repro.rosa.engine import PROCESS_BATCH_MIN, PROCESS_MIN_STATES
+from repro.rosa.keys import goal_identity
 from repro.rosa.store import SharedVerdictStore
 from repro.telemetry import Telemetry
 
@@ -129,6 +130,30 @@ class TestCanonicalKeys:
             privs, (1000, 1000, 1000), (1000, 1000, 1000), frozenset({"open"})
         )
         assert query.goal_key == ("attack", 1)
+
+    def test_mixed_keep_and_id_arguments_have_a_key(self):
+        # Same-name messages with KEEP (a str) and an id (an int) in one
+        # argument position used to make the key sort raise TypeError.
+        elements = [
+            model.process_for_user(1, uid=1000, gid=1000),
+            syscalls.sys_setresuid(1, 1, -1, -1),
+            syscalls.sys_setresuid(1, syscalls.KEEP, -1, -1),
+            syscalls.sys_setresgid(1, 5, syscalls.KEEP, -1),
+            syscalls.sys_setresgid(1, syscalls.KEEP, 5, -1),
+        ]
+        goal = goals.file_opened_for_read(3)
+        keys = set()
+        query_keys = set()
+        for order in itertools.permutations(elements):
+            query = RosaQuery("mixed", Configuration(order), goal)
+            query_keys.add(query_cache_key(query, BUDGET))
+            keys.add(Configuration(order).key)
+        assert len(keys) == 1 and len(query_keys) == 1
+        assert None not in query_keys
+        engine = QueryEngine(budget=BUDGET, cache=QueryCache())
+        query = RosaQuery("mixed", Configuration(elements), goal)
+        assert engine.check(query).verdict is Verdict.INVULNERABLE
+        assert engine.check(query).from_cache
 
 
 class TestUncacheableGoals:
@@ -295,17 +320,6 @@ class TestRunQueries:
         assert len({report.verdict for report in reports}) == 1
         assert engine.cache.misses == 3 and len(engine.cache) == 1
 
-    def test_thread_pool_matches_serial(self):
-        requests = attack_requests(self.PRIVS, *self.IDS, self.SURFACE)
-        engine = QueryEngine(
-            budget=BUDGET, cache=None, parallel=ParallelPolicy(mode="thread")
-        )
-        for threaded, serial in zip(
-            engine.run_queries(requests), self.serial_reports(requests)
-        ):
-            assert threaded.verdict == serial.verdict
-            assert threaded.witness == serial.witness
-
     def test_process_pool_matches_serial(self):
         requests = attack_requests(self.PRIVS, *self.IDS, self.SURFACE)
         engine = QueryEngine(
@@ -328,10 +342,18 @@ class TestRunQueries:
 
     def test_auto_mode_stays_serial_at_repro_budgets(self):
         policy = ParallelPolicy()
-        assert policy.resolve(8, BUDGET, all_have_specs=True) == "serial"
-        paper_scale = SearchBudget(max_states=5_000_000)
+        assert BUDGET.max_states < PROCESS_MIN_STATES
+        assert policy.resolve(8, BUDGET.max_states, all_have_specs=True) == "serial"
+        paper_scale = 5_000_000
+        assert paper_scale >= PROCESS_MIN_STATES
         assert policy.resolve(8, paper_scale, all_have_specs=True) == "process"
         assert policy.resolve(8, paper_scale, all_have_specs=False) == "serial"
+        small_batch = PROCESS_BATCH_MIN - 1
+        assert policy.resolve(small_batch, paper_scale, all_have_specs=True) == "serial"
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown parallel mode 'thread'"):
+            ParallelPolicy(mode="thread")
 
     def test_empty_batch(self):
         assert QueryEngine(budget=BUDGET).run_queries([]) == []

@@ -27,7 +27,8 @@ from repro.core.extract import syscalls_used
 from repro.core.pipeline import PrivAnalyzer
 from repro.programs import spec_by_name
 from repro.rewriting import SearchBudget
-from repro.rosa.engine import QueryEngine, _config_digest
+from repro.rosa.engine import QueryEngine
+from repro.rosa.keys import _config_digest
 from repro.rosa.query import check
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "rosa"

@@ -22,7 +22,8 @@ from repro.caps import CapabilitySet
 from repro.corpus import PrivilegeProfile, ProfileStore
 from repro.rewriting import ObjectSystem, SearchBudget
 from repro.rosa import QueryCache, QueryEngine, Verdict, query_cache_key, unix_rules
-from repro.rosa.engine import CachedOutcome, system_signature
+from repro.rosa.engine import CachedOutcome
+from repro.rosa.keys import system_signature
 from repro.rosa.store import (
     STORE_SCHEMA_VERSION,
     SharedVerdictStore,

@@ -71,6 +71,13 @@ class RefObj:
         return self._hash
 
 
+def _ref_total_order(value) -> Tuple:
+    """A type tag before every leaf, so a str and an int compare."""
+    if isinstance(value, tuple):
+        return (0, tuple(_ref_total_order(item) for item in value))
+    return (1, type(value).__name__, value)
+
+
 class RefConfiguration:
     """The reference configuration: every edit copies the count map."""
 
@@ -105,9 +112,12 @@ class RefConfiguration:
     def key(self) -> Hashable:
         key = self._key
         if key is None:
-            key = self._key = tuple(
-                sorted((elem.key, count) for elem, count in self._counts.items())
-            )
+            items = [(elem.key, count) for elem, count in self._counts.items()]
+            try:
+                items.sort()
+            except TypeError:  # same-name messages mixing KEEP and an id
+                items.sort(key=_ref_total_order)
+            key = self._key = tuple(items)
         return key
 
     def __eq__(self, other: object) -> bool:
@@ -266,19 +276,6 @@ def to_reference(config: Configuration) -> RefConfiguration:
     )
 
 
-def _state_key(config) -> Hashable:
-    """``config.key``, or, where building it raises ``TypeError`` (a known
-    defect: same-name messages mixing ``KEEP`` and an id in one argument
-    position cannot be sorted), that error plus the element keys in
-    ``repr`` order, so both layers must fail alike."""
-    try:
-        return config.key
-    except TypeError:
-        return ("TypeError",) + tuple(
-            sorted(repr((element.key, count)) for element, count in config._counts.items())
-        )
-
-
 def _objects_view(config) -> Tuple:
     """Every object key in element order, per class and by oid."""
     objects = list(config.objects())
@@ -295,7 +292,7 @@ def assert_same_successors(config: Configuration, max_states: int = 60) -> int:
     return how many state pairs were compared."""
     system = unix_system()
     pending = [(config, to_reference(config))]
-    seen = {_state_key(config)}
+    seen = {config.key}
     compared = 0
     with pytest.MonkeyPatch.context() as patch:
         while pending and compared < max_states:
@@ -309,8 +306,8 @@ def assert_same_successors(config: Configuration, max_states: int = 60) -> int:
             patch.undo()
             assert [label for label, _ in produced] == [label for label, _ in expected]
             for (label, successor), (_, ref_successor) in zip(produced, expected):
-                key = _state_key(successor)
-                assert key == _state_key(ref_successor), label
+                key = successor.key
+                assert key == ref_successor.key, label
                 assert _objects_view(successor) == _objects_view(ref_successor), label
                 assert successor.message_names() == ref_successor.message_names(), label
                 if key not in seen:
