@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-json perf-check perf-history examples reproduce trace-smoke ledger-smoke profile-smoke fleet-smoke fuzz-smoke fuzz corpus-smoke serve-smoke clean
+.PHONY: install test bench bench-counters examples reproduce trace-smoke ledger-smoke profile-smoke fleet-smoke fuzz-smoke fuzz corpus-smoke serve-smoke clean
 
 TRACE_SMOKE_OUT := /tmp/privanalyzer-trace-smoke.jsonl
 LEDGER_SMOKE_DIR := /tmp/privanalyzer-ledger-smoke
@@ -6,6 +6,8 @@ PROFILE_SMOKE_DIR := /tmp/privanalyzer-profile-smoke
 FLEET_SMOKE_DIR := /tmp/privanalyzer-fleet-smoke
 CORPUS_SMOKE_DIR := /tmp/privanalyzer-corpus-smoke
 SERVE_SMOKE_DIR := /tmp/privanalyzer-serve-smoke
+BENCH_COUNTERS_DIR := /tmp/privanalyzer-bench-counters
+BENCH_COUNTERS_GOLDEN := tests/golden/bench_counters.json
 FUZZ_SEED ?= 0
 FUZZ_RUNS ?= 300
 
@@ -18,20 +20,41 @@ test:
 bench:
 	pytest benchmarks/ --benchmark-only
 
-# Write BENCH_rosa.json: the ROSA query engine's perf trajectory
-# (per-benchmark wall-clock, states explored, cache hit rate).
-bench-json:
-	python benchmarks/perf_snapshot.py
-
-# Assert the cached passwd pipeline run is not slower than the uncached
-# one and that the query cache actually served hits.
-perf-check:
-	python benchmarks/perf_check.py
-
-# Fold the current BENCH_rosa.json into BENCH_history.jsonl (SHA-stamped)
-# and print the wall-clock trajectory table.
-perf-history:
-	python benchmarks/perf_history.py append
+# Exact-counter gate (CI): one traced perfbench run per workload at
+# seed 0.  Every run must be correct with no failed op, and every metric
+# whose unit is `count` must equal the committed golden value, except
+# serve.requests and serve.server_threads_peak, which depend on time and
+# sampling.  A mismatch names each counter that moved.  Regenerate the
+# golden file with `make bench-counters UPDATE_GOLDEN=1`.  The three
+# result lines are left in $(BENCH_COUNTERS_DIR)/<workload>.json.
+bench-counters:
+	rm -rf $(BENCH_COUNTERS_DIR) && mkdir -p $(BENCH_COUNTERS_DIR)
+	for workload in corpus-cold tables-cold served-warm; do \
+		python3 perfbench/run.py --workload $$workload --seed 0 --seconds 10 \
+			--trace 1 > $(BENCH_COUNTERS_DIR)/$$workload.txt || exit 1; \
+		tail -n 1 $(BENCH_COUNTERS_DIR)/$$workload.txt \
+			> $(BENCH_COUNTERS_DIR)/$$workload.json; done
+	python3 -c "\
+	import json, os, sys; \
+	workloads = ('corpus-cold', 'tables-cold', 'served-warm'); \
+	timed = {'serve.requests', 'serve.server_threads_peak'}; \
+	results = {w: json.load(open(f'$(BENCH_COUNTERS_DIR)/{w}.json')) for w in workloads}; \
+	wrong = [f'{w}: correct={r[\"correct\"]}, failed={r[\"failed\"]}' \
+	         for w, r in results.items() if not r['correct'] or r['failed']]; \
+	wrong and sys.exit('bench-counters FAILED: ' + '; '.join(wrong)); \
+	measured = {w: {name: metric['value'] for name, metric in r['metrics'].items() \
+	                if metric['unit'] == 'count' and name not in timed} \
+	            for w, r in results.items()}; \
+	os.environ.get('UPDATE_GOLDEN') and open('$(BENCH_COUNTERS_GOLDEN)', 'w').write( \
+	    json.dumps(measured, indent=2, sort_keys=True) + '\n'); \
+	golden = json.load(open('$(BENCH_COUNTERS_GOLDEN)')); \
+	moved = [f'{w} {name}: golden {golden.get(w, {}).get(name)}, measured {measured.get(w, {}).get(name)}' \
+	         for w in sorted(set(golden) | set(measured)) \
+	         for name in sorted(set(golden.get(w, {})) | set(measured.get(w, {}))) \
+	         if golden.get(w, {}).get(name) != measured.get(w, {}).get(name)]; \
+	moved and sys.exit('bench-counters FAILED, counters moved:\n  ' + '\n  '.join(moved)); \
+	print(f'bench-counters ok: {sum(map(len, measured.values()))} counters over ' \
+	      f'{len(workloads)} workloads match $(BENCH_COUNTERS_GOLDEN)')"
 
 # Regenerate every paper table and figure with the printed series visible.
 reproduce:

@@ -744,7 +744,10 @@ def _cmd_rosa(args, out, telemetry: Optional[Telemetry] = None) -> int:
         )
     parsed = []
     for name in args.files:
-        text = Path(name).read_text()
+        try:
+            text = Path(name).read_text()
+        except OSError as error:
+            raise SystemExit(f"privanalyzer: cannot read {name}: {error.strerror}")
         parsed.append((parse_query(text, name=Path(name).stem), text))
     budget = SearchBudget(max_states=args.max_states, max_seconds=args.max_seconds)
     profiler = _profiler_from_args(args)

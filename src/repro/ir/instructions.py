@@ -204,10 +204,6 @@ class Call(Instruction):
         return self.operands[1:]
 
     @property
-    def is_direct(self) -> bool:
-        return isinstance(self.callee, FunctionRef)
-
-    @property
     def direct_target(self):
         """The called :class:`~repro.ir.function.Function`, if direct."""
         return self.callee.function if isinstance(self.callee, FunctionRef) else None

@@ -48,10 +48,6 @@ class Inode:
     def is_dir(self) -> bool:
         return self.kind == DIRECTORY
 
-    @property
-    def is_device(self) -> bool:
-        return self.kind == CHAR_DEVICE
-
 
 @dataclasses.dataclass(frozen=True)
 class Stat:

@@ -105,9 +105,6 @@ class SearchBudget:
     max_depth: Optional[int] = None
     max_seconds: Optional[float] = None
 
-    def unlimited_depth(self) -> "SearchBudget":
-        return dataclasses.replace(self, max_depth=None)
-
 
 @dataclasses.dataclass
 class SearchResult(Generic[State]):

@@ -116,11 +116,6 @@ class VerdictServer:
         self._server.close()
         await self._server.wait_closed()
 
-    async def serve_until_shutdown(self) -> Tuple[str, int]:
-        address = await self.start()
-        await self.wait_closed()
-        return address
-
     def run(self, port_file: Optional[str] = None) -> None:
         """Start, optionally publish the bound port, serve until shutdown."""
 

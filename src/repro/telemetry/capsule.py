@@ -30,9 +30,9 @@ Design points:
   skew surfaces as the ``rosa.capsule.schema_skew`` counter.
 
 :func:`worker_index` / :func:`normalize_worker` turn raw worker names
-(pool thread names, ``pid:N``) into the stable ``worker:N`` ids every
-downstream surface keys on — profiler stacks, Perfetto tracks, metric
-labels and the ledger's per-worker section.
+(``pid:N``) into the stable ``worker:N`` ids every downstream surface
+keys on — profiler stacks, Perfetto tracks, metric labels and the
+ledger's per-worker section.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
-import re
 from typing import Any, Dict, List, Optional
 
 from repro.telemetry.audit import SyscallAuditTrail
@@ -76,8 +75,6 @@ SAMPLE_FIELDS = (
 #: pickling cost stays bounded however long the search ran.
 MAX_CAPSULE_SAMPLES = 64
 
-_POOL_THREAD = re.compile(r"^ThreadPoolExecutor-\d+_(\d+)$")
-
 
 # -- worker identity ----------------------------------------------------------
 
@@ -85,22 +82,15 @@ _POOL_THREAD = re.compile(r"^ThreadPoolExecutor-\d+_(\d+)$")
 def worker_index(name: str, assigned: Dict[str, int]) -> int:
     """The stable integer id for one raw worker name.
 
-    Pool thread names carry their pool slot (``ThreadPoolExecutor-0_3``
-    → 3) and keep it when free; every other name (``MainThread``, a
-    process worker's ``pid:4242``) gets the first unused integer, in
-    first-seen order.  ``assigned`` is the caller's persistent
-    name→index map, so ids are stable across batches of one session.
+    Every name (a process worker's ``pid:4242``, ``MainThread``) gets
+    the first unused integer, in first-seen order.  ``assigned`` is the
+    caller's persistent name→index map, so ids are stable across
+    batches of one session.
     """
     index = assigned.get(name)
     if index is not None:
         return index
-    match = _POOL_THREAD.match(name)
     used = set(assigned.values())
-    if match:
-        index = int(match.group(1))
-        if index not in used:
-            assigned[name] = index
-            return index
     index = 0
     while index in used:
         index += 1
@@ -147,7 +137,7 @@ class TelemetryCapsule:
     """One worker's telemetry for one search, as plain picklable data."""
 
     schema: int
-    #: Raw worker identity (pool thread name or ``pid:N``); the parent
+    #: Raw worker identity (``pid:N``); the parent
     #: normalizes it to a stable ``worker:N`` id at merge time.
     worker: str
     pid: int

@@ -79,13 +79,6 @@ class FakeSample:
 
 
 class TestWorkerIdentity:
-    def test_pool_thread_names_keep_their_slot(self):
-        assigned = {}
-        assert worker_index("ThreadPoolExecutor-0_3", assigned) == 3
-        assert worker_index("ThreadPoolExecutor-0_0", assigned) == 0
-        # Stable on re-query.
-        assert worker_index("ThreadPoolExecutor-0_3", assigned) == 3
-
     def test_main_thread_normalizes_to_integer_id(self):
         # Regression: threads whose name lacks the pool suffix used to
         # produce "worker:MainThread"; every name must yield worker:N.
@@ -93,11 +86,6 @@ class TestWorkerIdentity:
         assert normalize_worker("MainThread", assigned) == "worker:0"
         assert normalize_worker("MainThread", assigned) == "worker:0"
         assert normalize_worker("my-custom-thread", assigned) == "worker:1"
-
-    def test_pool_slot_collision_falls_back_to_first_free(self):
-        assigned = {"pid:4242": 3}
-        assert worker_index("ThreadPoolExecutor-0_3", assigned) == 0
-        assert assigned["ThreadPoolExecutor-0_3"] == 0
 
     def test_process_worker_names(self):
         assigned = {}

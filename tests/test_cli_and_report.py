@@ -3,8 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cli import main
 from repro.core import PrivAnalyzer
@@ -181,6 +187,18 @@ class TestCli:
         code, out = run_cli("rosa", str(path))
         assert code == 0
         assert "invulnerable" in out
+
+    def test_rosa_missing_file_is_a_one_line_error(self, tmp_path):
+        missing = tmp_path / "absent.rosa"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "rosa", str(missing)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode != 0
+        assert "Traceback" not in result.stderr
+        assert str(missing) in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
 
     def test_shipped_example_query(self):
         code, out = run_cli("rosa", "examples/queries/figure2.rosa")

@@ -23,12 +23,23 @@ from repro.rewriting.reduction import (
     typed_fset,
     typed_id,
 )
-from repro.rosa import RosaQuery, Verdict, check, goals, model, syscalls
+from repro.rosa import (
+    QueryCache,
+    QueryEngine,
+    RosaQuery,
+    Verdict,
+    check,
+    goals,
+    model,
+    syscalls,
+)
 from repro.rosa.engine import CachedOutcome
 from repro.rosa.keys import query_cache_key
 from repro.rosa.independence import build_reducer
 from repro.rosa.query import DEFAULT_BUDGET, unix_system
 from repro.rosa.syscalls import WILDCARD
+
+from tests.test_rosa_engine import PHASE_BUDGET, phase_requests
 
 BUDGET = SearchBudget(max_states=50_000, max_seconds=30.0)
 
@@ -341,6 +352,39 @@ class TestReductionParity:
             reduced = check(query, BUDGET, reduction=True)
             if full.verdict is Verdict.INVULNERABLE:
                 assert reduced.states_seen <= full.states_seen
+
+    @pytest.mark.parametrize(
+        "program, repeat, raw_seen, reduced_seen",
+        [("passwd", 1, 13, 11), ("thttpd", 2, 522, 198)],
+    )
+    def test_program_queries_parity(self, program, repeat, raw_seen, reduced_seen):
+        # Every phase×attack query of a real program: reduction keeps the
+        # verdict and witness existence, never makes an exhaustive search
+        # see more states, and on thttpd at repeat 2 sees fewer in total.
+        raw_total = reduced_total = 0
+        for request in phase_requests(program, repeat):
+            raw = check(request.query, PHASE_BUDGET, reduction=False)
+            reduced = check(request.query, PHASE_BUDGET, reduction=True)
+            assert reduced.verdict is raw.verdict, request.query.name
+            assert bool(reduced.witness) == bool(raw.witness), request.query.name
+            # Found-verdict searches stop early; only exhaustive ones
+            # explore their whole (reduced) space.
+            if raw.verdict is Verdict.INVULNERABLE:
+                assert reduced.states_seen <= raw.states_seen, request.query.name
+                raw_total += raw.states_seen
+                reduced_total += reduced.states_seen
+        assert (raw_total, reduced_total) == (raw_seen, reduced_seen)
+
+    def test_engine_declines_reduction_on_tiny_searches(self):
+        # passwd's searches are below REDUCTION_MIN_SPACE, so the default
+        # engine runs them raw: no symmetry merges, no POR prunes, and
+        # the raw state counts.
+        requests = phase_requests("passwd")
+        reduced = QueryEngine(cache=QueryCache()).run_queries(requests)
+        raw = QueryEngine(cache=QueryCache(), reduction=False).run_queries(requests)
+        assert [r.stats.symmetry_hits for r in reduced] == [0] * len(requests)
+        assert [r.stats.por_pruned for r in reduced] == [0] * len(requests)
+        assert [r.states_seen for r in reduced] == [r.states_seen for r in raw]
 
     def test_pipeline_exposure_table_is_bit_identical(self):
         # The whole-tool acceptance check: reduction on vs off must

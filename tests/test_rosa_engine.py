@@ -15,6 +15,7 @@ import pytest
 from repro.caps import CapabilitySet
 from repro.core import PrivAnalyzer
 from repro.core.attacks import ALL_ATTACKS, AttackQuerySpec
+from repro.core.extract import syscalls_used
 from repro.core.multiprocess import DEFAULT_MULTIPROCESS_BUDGET
 from repro.programs import spec_by_name
 from repro.rewriting import Configuration, ObjectSystem, SearchBudget
@@ -32,6 +33,7 @@ from repro.rosa import (
     syscalls,
     unix_rules,
 )
+from repro.rosa import engine as engine_module
 from repro.rosa.engine import PROCESS_BATCH_MIN, PROCESS_MIN_STATES
 from repro.rosa.keys import goal_identity
 from repro.rosa.store import SharedVerdictStore
@@ -71,6 +73,44 @@ def attack_requests(privs, uids, gids, surface, repeat=1):
         )
         for attack in ALL_ATTACKS
     ]
+
+
+#: No wall-clock limit: tests over real programs' queries count work,
+#: whatever the host's speed.
+PHASE_BUDGET = SearchBudget(max_states=200_000, max_seconds=None)
+
+
+def phase_requests(program, repeat=1):
+    """The phase×attack requests the pipeline issues for ``program``."""
+    analyzer = PrivAnalyzer(message_repeat=repeat)
+    spec = spec_by_name(program)
+    module, _, _ = analyzer.compile(spec)
+    chrono, _, _ = analyzer.run_dynamic(spec, module)
+    surface = syscalls_used(module)
+    requests = []
+    for phase in chrono.phases:
+        for attack in ALL_ATTACKS:
+            args = (phase.privileges, phase.uids, phase.gids, surface)
+            kwargs = {"repeat": repeat, "label": f"{phase.name}/attack{attack.attack_id}"}
+            requests.append(QueryRequest(
+                attack.build_query(*args, **kwargs),
+                budget=PHASE_BUDGET,
+                spec=attack.query_spec(*args, **kwargs),
+            ))
+    return requests
+
+
+def counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper; returns its call list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
 
 
 class TestCanonicalKeys:
@@ -470,10 +510,32 @@ class TestVerdictParity:
         budget = dataclasses.replace(DEFAULT_MULTIPROCESS_BUDGET, max_states=50_000)
         assert cached.exposure_table(budget) == plain.exposure_table(budget)
 
-    def test_pipeline_reuses_verdicts_across_phases(self):
+    def test_pipeline_reuses_verdicts_across_phases(self, monkeypatch):
+        # The engine binds its checker at construction: count from here.
+        searches = counting(monkeypatch, engine_module, "check")
         analyzer = PrivAnalyzer()
         analyzer.analyze(spec_by_name("passwd"))
         stats = analyzer.engine.cache_stats()
         # passwd issues 20 phase×attack queries but only 17 are distinct.
+        assert len(searches) == 17
         assert stats["misses"] == 17
         assert stats["hits"] == 3
+
+        # A warm rerun on the same analyzer is answered entirely by L1.
+        analyzer.analyze(spec_by_name("passwd"))
+        stats = analyzer.engine.cache_stats()
+        assert len(searches) == 17
+        assert stats["misses"] == 17
+        assert stats["hits"] == 3 + 20
+
+    def test_cold_batch_derives_each_key_once(self, monkeypatch):
+        # The engine's fixed per-query work on a cold tiny batch, as
+        # counts: one key per request and one search per distinct key.
+        requests = phase_requests("passwd")
+        keys = counting(monkeypatch, engine_module, "query_cache_key")
+        searches = counting(monkeypatch, engine_module, "check")
+        engine = QueryEngine(cache=QueryCache(), reduction=False)
+        engine.run_queries(requests)
+        assert len(requests) == 20
+        assert len(keys) == 20
+        assert len(searches) == 17

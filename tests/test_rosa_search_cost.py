@@ -10,7 +10,12 @@ explored, no goal.  Its cost is pinned here as counts, not seconds:
   one ``Configuration`` is built per successor.
 
 It also pins how far :func:`~repro.rosa.independence.estimated_space`
-sits below the true state count, so a change to the estimate shows.
+sits below the true state count, so a change to the estimate shows, and
+caps what the thttpd (message repeat 2) engine batch — the batch where
+symmetry + partial-order reduction is active — spends on states, blind
+signatures and canonical keys.  The caps are ceilings, not wall-clock claims: they keep
+reduction from getting *more* expensive, not from losing to the raw
+search in seconds.
 """
 
 import pytest
@@ -20,8 +25,11 @@ from repro.core.pipeline import PrivAnalyzer
 from repro.programs import spec_by_name
 from repro.rewriting import Configuration, SearchBudget, breadth_first_search
 from repro.rewriting import objects
+from repro.rosa import QueryCache, QueryEngine, independence
 from repro.rosa.independence import REDUCTION_MIN_SPACE, estimated_space
 from repro.rosa.query import check, unix_system
+
+from tests.test_rosa_engine import counting, phase_requests
 
 #: No wall-clock limit: the gates count work, whatever the host's speed.
 BUDGET = SearchBudget(max_states=20_000, max_seconds=None)
@@ -43,14 +51,7 @@ def query():
 
 
 def test_raw_search_builds_no_canonical_key(query, monkeypatch):
-    calls = []
-    canonical_value = objects._canonical_value
-
-    def counting(value):
-        calls.append(1)
-        return canonical_value(value)
-
-    monkeypatch.setattr(objects, "_canonical_value", counting)
+    calls = counting(monkeypatch, objects, "_canonical_value")
     report = check(query, BUDGET, reduction=False)
     assert report.states_seen == RAW_STATES
     assert len(calls) == 0
@@ -88,3 +89,24 @@ def test_estimated_space_is_a_gate_not_a_bound(query):
     assert estimated_space(query.initial) == 32
     assert estimated_space(query.initial) < REDUCTION_MIN_SPACE
     assert check(query, BUDGET, reduction=False).states_seen == RAW_STATES
+
+
+#: The thttpd (message repeat 2) reduced engine batch, 24 queries: the
+#: states it sees and the states its reducer keys by blind signature.
+THTTPD_R2_STATES_SEEN = 306
+THTTPD_R2_BLIND_KEYS = 236
+
+
+def test_thttpd_reduced_batch_cost_ceiling(monkeypatch):
+    requests = phase_requests("thttpd", repeat=2)
+    blind = counting(monkeypatch, independence, "blind_signature")
+    bodies = counting(monkeypatch, independence, "canonical_key")
+    reports = QueryEngine(cache=QueryCache()).run_queries(requests)
+    assert sum(report.stats.por_pruned for report in reports) > 0
+    assert sum(report.states_seen for report in reports) <= THTTPD_R2_STATES_SEEN
+    assert len(blind) <= THTTPD_R2_BLIND_KEYS
+    # A canonical body is resolved only for states whose blind signature
+    # collides with another's.  How many collide varies run to run (72-82
+    # here), because the signature hashes non-anonymous elements by
+    # ``id``; eager canonicalization would resolve all of them.
+    assert len(bodies) <= THTTPD_R2_BLIND_KEYS // 2
