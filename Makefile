@@ -146,13 +146,16 @@ fleet-smoke:
 	      f'{len(fleet[\"workers\"])} ledger worker(s), ' \
 	      f'min attribution {min(fractions.values()):.1%}')"
 
-# Conformance fuzz smoke (CI gate, ~30s): a fixed-seed campaign over the
+# Conformance fuzz smoke (CI gate, ~35s): a fixed-seed campaign over the
 # seven default differential oracle families (including compiled VM core
-# vs reference evaluator, reduction-parity and store) plus the
-# marker-gated pytest suite.
+# vs reference evaluator, reduction-parity and store), a second-seed
+# 500-run campaign of the `vm` family alone (~5s: every closure
+# specialization of the compiled core meets many random programs), plus
+# the marker-gated pytest suite.
 # See docs/TESTING.md.
 fuzz-smoke:
 	PYTHONPATH=src python -m repro.cli fuzz --seed 0 --runs 25
+	PYTHONPATH=src python -m repro.cli fuzz --seed 1 --runs 500 --oracle vm
 	PYTHONPATH=src python -m pytest tests/ -m fuzz -q
 
 # Nightly-scale campaign (not a CI gate): every oracle family including

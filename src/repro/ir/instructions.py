@@ -14,6 +14,7 @@ unreachable instruction terminates the program.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.types import BOOL, IntType, PTR, Type, VOID
@@ -84,24 +85,10 @@ class Store(Instruction):
         return self.operands[1]
 
 
-#: Binary integer operations and their Python semantics (applied to
-#: already-wrapped operands; results are re-wrapped by the interpreter).
-BINARY_OPS = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "sdiv": lambda a, b: _signed_div(a, b),
-    "srem": lambda a, b: _signed_rem(a, b),
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: a << b,
-    "lshr": lambda a, b: (a % (1 << 64)) >> b,
-}
-
-
 def _signed_div(a: int, b: int) -> int:
     """C-style truncating division (LLVM ``sdiv``)."""
+    if a >= 0 and b > 0:
+        return a // b
     if b == 0:
         raise ZeroDivisionError("sdiv by zero")
     quotient = abs(a) // abs(b)
@@ -110,9 +97,34 @@ def _signed_div(a: int, b: int) -> int:
 
 def _signed_rem(a: int, b: int) -> int:
     """C-style remainder: sign follows the dividend (LLVM ``srem``)."""
+    if a >= 0 and b > 0:
+        return a % b
     if b == 0:
         raise ZeroDivisionError("srem by zero")
     return a - _signed_div(a, b) * b
+
+
+def _logical_shr(a: int, b: int) -> int:
+    """Logical shift right of the 64-bit pattern (LLVM ``lshr``)."""
+    return (a % (1 << 64)) >> b
+
+
+#: Binary integer operations and their Python semantics, applied to
+#: already-wrapped operands.  The raw result is unwrapped: whoever
+#: applies the table wraps it to the instruction's width (the compiled
+#: VM inlines that wrap, constant folding calls ``IntType.wrap``).
+BINARY_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "sdiv": _signed_div,
+    "srem": _signed_rem,
+    "and": operator.and_,
+    "or": operator.or_,
+    "xor": operator.xor,
+    "shl": operator.lshift,
+    "lshr": _logical_shr,
+}
 
 
 class BinOp(Instruction):
@@ -132,12 +144,12 @@ class BinOp(Instruction):
 
 #: Signed comparison predicates (LLVM ``icmp``).
 ICMP_PREDICATES = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "slt": lambda a, b: a < b,
-    "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b,
-    "sge": lambda a, b: a >= b,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "slt": operator.lt,
+    "sle": operator.le,
+    "sgt": operator.gt,
+    "sge": operator.ge,
 }
 
 

@@ -46,6 +46,10 @@ class IntType(Type):
         if bits not in cls._cache:
             instance = super().__new__(cls)
             instance.bits = bits
+            #: The sign bit's weight: adding it maps the signed range
+            #: onto ``[0, 2**bits)``, where ``mask`` wraps.
+            instance.half = 1 << (bits - 1)
+            instance.mask = (1 << bits) - 1
             cls._cache[bits] = instance
         return cls._cache[bits]
 
@@ -54,19 +58,15 @@ class IntType(Type):
 
     @property
     def min_value(self) -> int:
-        return -(1 << (self.bits - 1))
+        return -self.half
 
     @property
     def max_value(self) -> int:
-        return (1 << (self.bits - 1)) - 1
+        return self.half - 1
 
     def wrap(self, value: int) -> int:
         """Wrap an arbitrary integer into this type's two's-complement range."""
-        mask = (1 << self.bits) - 1
-        value &= mask
-        if value > self.max_value:
-            value -= 1 << self.bits
-        return value
+        return ((value + self.half) & self.mask) - self.half
 
 
 class PointerType(Type):

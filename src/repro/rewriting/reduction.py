@@ -165,12 +165,35 @@ def _resolve(node, rename: Mapping, self_id=None):
 _LABEL_BASE = -1000
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _spread(value: int) -> int:
+    """``value`` scattered over 64 bits (the splitmix64 finalizer).
+
+    :func:`blind_signature` sums per-element and per-id terms, and sums
+    of structured hashes collide systematically: tuple hashes of small
+    or address-like integers are close to additive, which made the
+    collisions of ``hash((id(tkey), count))`` terms depend on where the
+    allocator put each key, and of ``hash((7, profile))`` terms on the
+    string-hash seed.  Spread terms sum without that structure.
+    """
+    z = ((value + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def _memo_entry(memo: Dict, tkey, pinned: Mapping[str, FrozenSet]) -> Tuple:
-    """The shared per-typed-key memo record: (tkey, anonymous ids, cache).
+    """The shared per-typed-key memo record: (tkey, anonymous ids, cache,
+    stable hash).
 
     Typed keys are interned by the caller (one instance per distinct
     element), so ``id(tkey)`` is a stable identity within one memo's
-    lifetime; the entry keeps the key alive, which makes that safe.
+    lifetime; the entry keeps the key alive, which makes that safe.  The
+    stable hash stands for the element in :func:`blind_signature`: its
+    first-seen index in the memo, spread over 64 bits, so it does not
+    depend on object addresses.
     """
     entry = memo.get(id(tkey))
     if entry is None:
@@ -184,7 +207,7 @@ def _memo_entry(memo: Dict, tkey, pinned: Mapping[str, FrozenSet]) -> Tuple:
                 if ident[1] not in pinned.get(ident[0], empty)
             )
         )
-        entry = (tkey, anon_here, {})
+        entry = (tkey, anon_here, {}, _spread(len(memo)))
         memo[id(tkey)] = entry
     return entry
 
@@ -218,7 +241,13 @@ def blind_signature(
     disjoint from :func:`canonical_key`'s per-colouring keys), so after
     warm-up the cost per state is dict probes and integer hashing.  The
     combines are plain 64-bit sums: commutative, so neither element nor
-    id order matters.
+    id order matters.  An element enters the sum as its stable value
+    (blinded hash, or the memo entry's spread index) times its count,
+    so two states' element terms collide only when they hold the same
+    values with the same counts, barring a 2**-64 accident; each id's
+    profile enters spread (see :func:`_spread`).  The collisions, and so
+    how many states pay for a canonical body, are then the same on
+    every run, whatever the string-hash seed or object addresses.
     """
     total = 0
     has_anon = False
@@ -234,15 +263,15 @@ def blind_signature(
                 markers = {ident: ("?", ident[0]) for ident in anon_here}
                 blinded = hash(repr(_resolve(tkey, markers)))
                 cache[0] = blinded
-            total += hash((blinded, count))
+            total += blinded * count
             for ident in anon_here:
                 profiles.setdefault(ident, []).append((blinded, count))
         else:
-            total += hash((id(tkey), count))
+            total += entry[3] * count
     for profile in profiles.values():
         profile.sort()
-        total += hash((7, tuple(profile)))
-    return total & 0xFFFFFFFFFFFFFFFF, has_anon
+        total += _spread(hash(tuple(profile)))
+    return total & _MASK64, has_anon
 
 
 class LazyCanonicalKey:

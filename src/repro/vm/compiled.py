@@ -23,8 +23,8 @@ Parity with that one-at-a-time semantics is the design constraint:
   the whole call, so callees and signal handlers retire onto (and check
   the budget against) the exact count, and an unwinding call leaves it
   exact.
-* When a block would cross the instruction budget, the pre-add is
-  rolled back and the block re-runs through a per-instruction slow path
+* When a block would cross the instruction budget, its count is not
+  pre-added and the block runs through a per-instruction slow path
   that raises at exactly the instruction a one-at-a-time loop would.
   A call whose callee leaves too little budget for the block's
   pre-counted rest hands the remainder of the block to the same slow
@@ -38,6 +38,31 @@ Parity with that one-at-a-time semantics is the design constraint:
   contains ϕ-nodes.
 * Signal delivery stays at call boundaries: every call closure runs the
   pending-signal dispatch after its callee returns.
+
+**Specializations.**  The work a closure can do at compile time, it
+does there, so a step pays only for its own operation:
+
+* constants live in the register file: each distinct constant operand
+  gets a pool slot after the SSA slots, every call starts from a copy
+  of the pooled file, and a constant operand is read exactly like a
+  register one (``regs[i]``).  Getter closures
+  (:meth:`_Compiler._fetch`) remain only for call arguments and for a
+  global missing from ``vm.globals`` at compile time;
+* a binop bakes its width's ``half`` and ``mask`` and wraps inline,
+  ``((raw + half) & mask) - half``; no ``IntType.wrap`` call runs;
+* ``load``/``store`` through a register pointer index ``regs`` and test
+  ``slot.__class__ is StackSlot`` before the ``isinstance`` fallback
+  (which admits a :class:`~repro.vm.frame.GlobalSlot`);
+* call steps test ``process.state`` against ``RUNNING`` instead of
+  reading the ``alive`` property.
+
+Operation semantics still come from the shared tables
+(``BINARY_OPS``/``ICMP_PREDICATES``, C-level ``operator`` functions
+where one exists), read through this module's ``BINARY_OPS`` binding
+when each closure is built.  Fault hooks that patch either the shared
+table or that binding (the testkit's ``vm-mul-truncate`` and
+``compiled-mul-truncate``) therefore compile into every VM built while
+they are installed, and the ``vm`` oracle family catches them.
 
 ChronoPriv's per-block counting call compiles to
 ``vm.chrono_count(n)`` — a direct method call instead of an intrinsic
@@ -105,6 +130,7 @@ from repro.ir import (
     Value,
 )
 from repro.ir.instructions import BINARY_OPS, ICMP_PREDICATES
+from repro.oskernel.process import RUNNING
 from repro.vm.frame import StackSlot
 from repro.vm.interpreter import VMError
 
@@ -162,16 +188,20 @@ def _unfilled_terminator(vm, regs):  # pragma: no cover - compile-time bug trap
 class CompiledFunction:
     """A compiled function body; called as ``code(vm, args)``."""
 
-    __slots__ = ("function", "nregs", "argc", "entry")
+    __slots__ = ("function", "registers", "argc", "entry")
 
-    def __init__(self, function: Function, nregs: int, argc: int, entry: _BlockCode) -> None:
+    def __init__(
+        self, function: Function, registers: List[Any], argc: int, entry: _BlockCode
+    ) -> None:
         self.function = function
-        self.nregs = nregs
+        #: The register file a call starts from: zeroed argument and SSA
+        #: slots, then the constant pool.
+        self.registers = registers
         self.argc = argc
         self.entry = entry
 
     def __call__(self, vm, args: List[Any]):
-        regs = [0] * self.nregs
+        regs = self.registers.copy()
         argc = self.argc
         for index, value in enumerate(args):
             if index >= argc:
@@ -180,12 +210,11 @@ class CompiledFunction:
         code = self.entry
         maxi = vm.max_instructions
         while True:
-            count = code.count
-            vm.executed_instructions += count
-            if vm.executed_instructions > maxi:
-                vm.executed_instructions -= count
+            executed = vm.executed_instructions + code.count
+            if executed > maxi:
                 nxt = _run_slow(vm, regs, code, maxi)
             else:
+                vm.executed_instructions = executed
                 try:
                     for step in code.steps:
                         step(vm, regs)
@@ -202,8 +231,8 @@ class CompiledFunction:
 def _run_slow(vm, regs, code: _BlockCode, maxi: int, start: int = 0):
     """Run one block from step ``start`` with per-instruction counting.
 
-    The budget edge: the fast path's pre-add has been rolled back (or a
-    call step stopped short, see :class:`_BudgetEdge`); retire
+    The budget edge: the fast path did not pre-add the block (or a call
+    step stopped short, see :class:`_BudgetEdge`); retire
     instructions one at a time so the budget error fires at exactly the
     instruction one-at-a-time evaluation would raise on.  Step closures
     expect their baked tail to be pre-added (and take it back out when
@@ -344,6 +373,10 @@ class _Compiler:
         for block in function.blocks:
             for instruction in block.instructions:
                 self.regmap[instruction] = len(self.regmap)
+        #: Constant value -> register slot, after the SSA slots.  Every
+        #: call's register file starts with these filled in, so a
+        #: constant operand is read exactly like a register one.
+        self.constants: Dict[Any, int] = {}
         #: (block, pred-or-None) -> _BlockCode.  Blocks without ϕ-nodes
         #: compile once and share the code across every in-edge.
         self.variants: Dict[Tuple[Any, Any], _BlockCode] = {}
@@ -354,7 +387,8 @@ class _Compiler:
         while self._worklist:
             code, block, pred = self._worklist.pop()
             self._fill(code, block, pred)
-        return CompiledFunction(self.function, len(self.regmap), self.argc, entry)
+        registers = [0] * len(self.regmap) + list(self.constants)
+        return CompiledFunction(self.function, registers, self.argc, entry)
 
     def _variant(self, block, pred) -> _BlockCode:
         has_phi = any(isinstance(i, Phi) for i in block.instructions)
@@ -388,23 +422,31 @@ class _Compiler:
             f"@{self.function.name}: use of undefined value {value.short()}",
         )
 
-    def _fetch(self, desc: Tuple[int, Any]) -> Callable:
+    def _reg(self, desc: Tuple[int, Any]) -> Optional[int]:
+        """The register slot holding a register or constant operand's
+        value (a constant gets a pool slot on first use); ``None`` for a
+        late-bound global, which only a getter closure can read."""
         kind, payload = desc
         if kind == _REG:
-            index = payload
+            return payload
+        if kind == _CONST:
+            index = self.constants.get(payload)
+            if index is None:
+                index = self.constants[payload] = len(self.regmap) + len(self.constants)
+            return index
+        return None
 
-            def get(vm, regs, _i=index):
-                return regs[_i]
-
-        elif kind == _GLOBAL:
+    def _fetch(self, desc: Tuple[int, Any]) -> Callable:
+        kind, payload = desc
+        if kind == _GLOBAL:
 
             def get(vm, regs, _v=payload):
                 return vm.globals[_v]
 
         else:
 
-            def get(vm, regs, _c=payload):
-                return _c
+            def get(vm, regs, _i=self._reg(desc)):
+                return regs[_i]
 
         return get
 
@@ -494,24 +536,19 @@ class _Compiler:
                 tail,
             )
         desc = self._operand(incoming)
-        kind, payload = desc
-        if kind == _UNDEF:
-            return self._raiser(payload, tail)
+        if desc[0] == _UNDEF:
+            return self._raiser(desc[1], tail)
         dest = self.regmap[instruction]
-        if kind == _REG:
+        source = self._reg(desc)
+        if source is None:
 
-            def step(vm, regs, _d=dest, _s=payload):
-                regs[_d] = regs[_s]
-
-        elif kind == _GLOBAL:
-
-            def step(vm, regs, _d=dest, _v=payload):
+            def step(vm, regs, _d=dest, _v=desc[1]):
                 regs[_d] = vm.globals[_v]
 
         else:
 
-            def step(vm, regs, _d=dest, _c=payload):
-                regs[_d] = _c
+            def step(vm, regs, _d=dest, _s=source):
+                regs[_d] = regs[_s]
 
         return step
 
@@ -524,42 +561,44 @@ class _Compiler:
         dest = self.regmap[instruction]
         op = instruction.op
         opfn = BINARY_OPS[op]
-        wrap = instruction.type.wrap
+        half, mask = instruction.type.half, instruction.type.mask
+        a, b = self._reg(lhs), self._reg(rhs)
+        fast = a is not None and b is not None
         if op in ("sdiv", "srem"):
-            get_l = self._fetch(lhs)
-            get_r = self._fetch(rhs)
+            if fast:
 
-            def step(vm, regs, _d=dest, _l=get_l, _r=get_r, _o=opfn, _w=wrap,
-                     _op=op, _t=tail):
+                def step(vm, regs, _d=dest, _a=a, _b=b, _o=opfn, _h=half, _m=mask,
+                         _op=op, _t=tail):
+                    try:
+                        raw = _o(regs[_a], regs[_b])
+                    except ZeroDivisionError:
+                        vm.executed_instructions -= _t
+                        raise VMError(f"{_op} by zero") from None
+                    regs[_d] = ((raw + _h) & _m) - _h
+
+                return step
+            get_l, get_r = self._fetch(lhs), self._fetch(rhs)
+
+            def step(vm, regs, _d=dest, _l=get_l, _r=get_r, _o=opfn, _h=half,
+                     _m=mask, _op=op, _t=tail):
                 try:
                     raw = _o(_l(vm, regs), _r(vm, regs))
                 except ZeroDivisionError:
                     vm.executed_instructions -= _t
                     raise VMError(f"{_op} by zero") from None
-                regs[_d] = _w(raw)
+                regs[_d] = ((raw + _h) & _m) - _h
 
             return step
-        if lhs[0] == _REG and rhs[0] == _REG:
+        if fast:
 
-            def step(vm, regs, _d=dest, _a=lhs[1], _b=rhs[1], _o=opfn, _w=wrap):
-                regs[_d] = _w(_o(regs[_a], regs[_b]))
+            def step(vm, regs, _d=dest, _a=a, _b=b, _o=opfn, _h=half, _m=mask):
+                regs[_d] = ((_o(regs[_a], regs[_b]) + _h) & _m) - _h
 
-        elif lhs[0] == _REG and rhs[0] == _CONST:
+            return step
+        get_l, get_r = self._fetch(lhs), self._fetch(rhs)
 
-            def step(vm, regs, _d=dest, _a=lhs[1], _k=rhs[1], _o=opfn, _w=wrap):
-                regs[_d] = _w(_o(regs[_a], _k))
-
-        elif lhs[0] == _CONST and rhs[0] == _REG:
-
-            def step(vm, regs, _d=dest, _k=lhs[1], _b=rhs[1], _o=opfn, _w=wrap):
-                regs[_d] = _w(_o(_k, regs[_b]))
-
-        else:
-            get_l = self._fetch(lhs)
-            get_r = self._fetch(rhs)
-
-            def step(vm, regs, _d=dest, _l=get_l, _r=get_r, _o=opfn, _w=wrap):
-                regs[_d] = _w(_o(_l(vm, regs), _r(vm, regs)))
+        def step(vm, regs, _d=dest, _l=get_l, _r=get_r, _o=opfn, _h=half, _m=mask):
+            regs[_d] = ((_o(_l(vm, regs), _r(vm, regs)) + _h) & _m) - _h
 
         return step
 
@@ -571,27 +610,17 @@ class _Compiler:
             return self._raiser(undef, tail)
         dest = self.regmap[instruction]
         predicate = ICMP_PREDICATES[instruction.predicate]
-        if lhs[0] == _REG and rhs[0] == _REG:
+        a, b = self._reg(lhs), self._reg(rhs)
+        if a is not None and b is not None:
 
-            def step(vm, regs, _d=dest, _a=lhs[1], _b=rhs[1], _p=predicate):
-                regs[_d] = int(_p(regs[_a], regs[_b]))
+            def step(vm, regs, _d=dest, _a=a, _b=b, _p=predicate):
+                regs[_d] = 1 if _p(regs[_a], regs[_b]) else 0
 
-        elif lhs[0] == _REG and rhs[0] == _CONST:
+            return step
+        get_l, get_r = self._fetch(lhs), self._fetch(rhs)
 
-            def step(vm, regs, _d=dest, _a=lhs[1], _k=rhs[1], _p=predicate):
-                regs[_d] = int(_p(regs[_a], _k))
-
-        elif lhs[0] == _CONST and rhs[0] == _REG:
-
-            def step(vm, regs, _d=dest, _k=lhs[1], _b=rhs[1], _p=predicate):
-                regs[_d] = int(_p(_k, regs[_b]))
-
-        else:
-            get_l = self._fetch(lhs)
-            get_r = self._fetch(rhs)
-
-            def step(vm, regs, _d=dest, _l=get_l, _r=get_r, _p=predicate):
-                regs[_d] = int(_p(_l(vm, regs), _r(vm, regs)))
+        def step(vm, regs, _d=dest, _l=get_l, _r=get_r, _p=predicate):
+            regs[_d] = 1 if _p(_l(vm, regs), _r(vm, regs)) else 0
 
         return step
 
@@ -611,6 +640,20 @@ class _Compiler:
             return step
         if kind == _CONST:
             return self._raiser(f"load through non-pointer {payload!r}", tail)
+        if kind == _REG:
+            # The exact-class test is the common case; the isinstance
+            # fallback admits GlobalSlot (a global's address in a register).
+
+            def step(vm, regs, _d=dest, _p=payload, _t=tail):
+                slot = regs[_p]
+                if slot.__class__ is StackSlot or isinstance(slot, StackSlot):
+                    value = slot.value
+                    regs[_d] = 0 if value is None else value
+                else:
+                    vm.executed_instructions -= _t
+                    raise VMError(f"load through non-pointer {slot!r}")
+
+            return step
         get_p = self._fetch(pointer)
 
         def step(vm, regs, _d=dest, _g=get_p, _t=tail):
@@ -649,21 +692,32 @@ class _Compiler:
                 raise VMError(f"store through non-pointer {slot!r}")
 
             return step
+        source = self._reg(value)
         if kind == _CONST and isinstance(payload, StackSlot):
-            if value[0] == _REG:
+            if source is not None:
 
-                def step(vm, regs, _s=payload, _v=value[1]):
+                def step(vm, regs, _s=payload, _v=source):
                     _s.value = regs[_v]
 
             else:
-                get_v = self._fetch(value)
 
-                def step(vm, regs, _s=payload, _g=get_v):
+                def step(vm, regs, _s=payload, _g=self._fetch(value)):
                     _s.value = _g(vm, regs)
 
             return step
         if kind == _CONST:
             return self._raiser(f"store through non-pointer {payload!r}", tail)
+        if kind == _REG and source is not None:
+
+            def step(vm, regs, _p=payload, _v=source, _t=tail):
+                slot = regs[_p]
+                if slot.__class__ is StackSlot or isinstance(slot, StackSlot):
+                    slot.value = regs[_v]
+                else:
+                    vm.executed_instructions -= _t
+                    raise VMError(f"store through non-pointer {slot!r}")
+
+            return step
         get_p = self._fetch(pointer)
         get_v = self._fetch(value)
 
@@ -685,21 +739,22 @@ class _Compiler:
         if undef is not None:
             return self._raiser(undef, tail)
         dest = self.regmap[instruction]
-        if cond[0] == _REG and if_true[0] == _REG and if_false[0] == _REG:
+        c, t, f = self._reg(cond), self._reg(if_true), self._reg(if_false)
+        if c is not None and t is not None and f is not None:
 
-            def step(vm, regs, _d=dest, _c=cond[1], _t=if_true[1], _f=if_false[1]):
+            def step(vm, regs, _d=dest, _c=c, _t=t, _f=f):
                 regs[_d] = regs[_t] if regs[_c] else regs[_f]
 
-        else:
-            get_c = self._fetch(cond)
-            get_t = self._fetch(if_true)
-            get_f = self._fetch(if_false)
+            return step
+        get_c = self._fetch(cond)
+        get_t = self._fetch(if_true)
+        get_f = self._fetch(if_false)
 
-            def step(vm, regs, _d=dest, _gc=get_c, _gt=get_t, _gf=get_f):
-                # Like the reference evaluator, all three operands resolve.
-                taken = _gt(vm, regs)
-                other = _gf(vm, regs)
-                regs[_d] = taken if _gc(vm, regs) else other
+        def step(vm, regs, _d=dest, _gc=get_c, _gt=get_t, _gf=get_f):
+            # Like the reference evaluator, all three operands resolve.
+            taken = _gt(vm, regs)
+            other = _gf(vm, regs)
+            regs[_d] = taken if _gc(vm, regs) else other
 
         return step
 
@@ -712,22 +767,21 @@ class _Compiler:
             if undef is not None:
                 return self._raiser(undef, tail)
             target = callee.function
+            if (
+                target.is_declaration
+                and target.name == _CHRONO_COUNT
+                and len(instruction.args) == 1
+                and isinstance(instruction.args[0], ConstantInt)
+            ):
+                return self._chrono_step(dest, instruction.args[0].value, tail)
             getters = tuple(self._fetch(desc) for desc in arg_descs)
             if target.is_declaration:
-                if (
-                    target.name == _CHRONO_COUNT
-                    and len(instruction.args) == 1
-                    and isinstance(instruction.args[0], ConstantInt)
-                ):
-                    return self._chrono_step(
-                        dest, instruction.args[0].value, tail
-                    )
 
                 def step(vm, regs, _d=dest, _n=target.name, _g=getters, _t=tail):
                     vm.executed_instructions -= _t
                     regs[_d] = vm._call_intrinsic(_n, [g(vm, regs) for g in _g])
                     process = vm.process
-                    if process.pending_signals or not process.alive:
+                    if process.pending_signals or process.state != RUNNING:
                         vm._dispatch_pending_signals()
                     if vm.executed_instructions + _t > vm.max_instructions:
                         raise _BudgetEdge(_t)
@@ -739,7 +793,7 @@ class _Compiler:
                 vm.executed_instructions -= _t
                 regs[_d] = vm.call_function(_f, [g(vm, regs) for g in _g])
                 process = vm.process
-                if process.pending_signals or not process.alive:
+                if process.pending_signals or process.state != RUNNING:
                     vm._dispatch_pending_signals()
                 if vm.executed_instructions + _t > vm.max_instructions:
                     raise _BudgetEdge(_t)
@@ -762,7 +816,7 @@ class _Compiler:
                 target.function, [g(vm, regs) for g in _g]
             )
             process = vm.process
-            if process.pending_signals or not process.alive:
+            if process.pending_signals or process.state != RUNNING:
                 vm._dispatch_pending_signals()
             if vm.executed_instructions + _t > vm.max_instructions:
                 raise _BudgetEdge(_t)
@@ -784,7 +838,7 @@ class _Compiler:
             vm.executed_instructions -= _t
             regs[_d] = vm.chrono_count(_k)
             process = vm.process
-            if process.pending_signals or not process.alive:
+            if process.pending_signals or process.state != RUNNING:
                 vm._dispatch_pending_signals()
             if vm.executed_instructions + _t > vm.max_instructions:
                 raise _BudgetEdge(_t)
@@ -855,16 +909,15 @@ class _Compiler:
                 def term(vm, regs, _m=payload):
                     raise VMError(_m)
 
-            elif kind == _REG:
+            elif kind == _GLOBAL:
 
-                def term(vm, regs, _c=payload, _t=if_true, _f=if_false):
-                    return _t if regs[_c] else _f
+                def term(vm, regs, _v=payload, _t=if_true, _f=if_false):
+                    return _t if vm.globals[_v] else _f
 
             else:
-                get_c = self._fetch(desc)
 
-                def term(vm, regs, _g=get_c, _t=if_true, _f=if_false):
-                    return _t if _g(vm, regs) else _f
+                def term(vm, regs, _c=self._reg(desc), _t=if_true, _f=if_false):
+                    return _t if regs[_c] else _f
 
             return term
         if isinstance(instruction, Unreachable):

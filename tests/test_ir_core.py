@@ -1,6 +1,7 @@
 """IR types, values, builder, functions, printer."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.ir import (
     BOOL,
@@ -19,6 +20,7 @@ from repro.ir import (
     print_function,
     print_module,
 )
+from repro.testkit.reference import _wrap as _reference_wrap
 
 
 class TestTypes:
@@ -36,6 +38,20 @@ class TestTypes:
         assert IntType(8).wrap(255) == -1
         assert IntType(8).wrap(128) == -128
         assert IntType(8).wrap(127) == 127
+
+    @pytest.mark.parametrize("bits", [1, 8, 32, 64])
+    def test_wrap_matches_reference_at_each_boundary(self, bits):
+        vtype = IntType(bits)
+        edges = (0, vtype.min_value, vtype.max_value, 1 << bits, -(1 << bits))
+        for edge in edges:
+            for value in range(edge - 3, edge + 4):
+                assert vtype.wrap(value) == _reference_wrap(bits, value), value
+
+    @given(st.sampled_from([1, 8, 32, 64]), st.integers(-(2**130), 2**130))
+    def test_wrap_matches_reference(self, bits, value):
+        wrapped = IntType(bits).wrap(value)
+        assert wrapped == _reference_wrap(bits, value)
+        assert IntType(bits).min_value <= wrapped <= IntType(bits).max_value
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):

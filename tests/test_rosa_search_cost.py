@@ -12,10 +12,10 @@ explored, no goal.  Its cost is pinned here as counts, not seconds:
 It also pins how far :func:`~repro.rosa.independence.estimated_space`
 sits below the true state count, so a change to the estimate shows, and
 caps what the thttpd (message repeat 2) engine batch — the batch where
-symmetry + partial-order reduction is active — spends on states, blind
-signatures and canonical keys.  The caps are ceilings, not wall-clock claims: they keep
-reduction from getting *more* expensive, not from losing to the raw
-search in seconds.
+symmetry + partial-order reduction is active — spends on states and
+blind signatures, and pins its canonical-key count exactly.  These are
+counts, not wall-clock claims: they keep reduction from getting *more*
+expensive, not from losing to the raw search in seconds.
 """
 
 import pytest
@@ -95,6 +95,8 @@ def test_estimated_space_is_a_gate_not_a_bound(query):
 #: states it sees and the states its reducer keys by blind signature.
 THTTPD_R2_STATES_SEEN = 306
 THTTPD_R2_BLIND_KEYS = 236
+#: ... and the states among those whose canonical body it resolves.
+THTTPD_R2_CANONICAL_BODIES = 72
 
 
 def test_thttpd_reduced_batch_cost_ceiling(monkeypatch):
@@ -106,7 +108,7 @@ def test_thttpd_reduced_batch_cost_ceiling(monkeypatch):
     assert sum(report.states_seen for report in reports) <= THTTPD_R2_STATES_SEEN
     assert len(blind) <= THTTPD_R2_BLIND_KEYS
     # A canonical body is resolved only for states whose blind signature
-    # collides with another's.  How many collide varies run to run (72-82
-    # here), because the signature hashes non-anonymous elements by
-    # ``id``; eager canonicalization would resolve all of them.
-    assert len(bodies) <= THTTPD_R2_BLIND_KEYS // 2
+    # collides with another's (eager canonicalization would resolve all
+    # 236).  The signature's terms do not depend on object addresses or
+    # the string-hash seed, so the count is exact.
+    assert len(bodies) == THTTPD_R2_CANONICAL_BODIES
