@@ -147,8 +147,8 @@ fleet-smoke:
 	      f'min attribution {min(fractions.values()):.1%}')"
 
 # Conformance fuzz smoke (CI gate, ~35s): a fixed-seed campaign over the
-# seven default differential oracle families (including compiled VM core
-# vs reference evaluator, reduction-parity and store), a second-seed
+# six default differential oracle families (cache, pools, vm — compiled
+# VM core vs reference evaluator — ledger, profile and store), a second-seed
 # 500-run campaign of the `vm` family alone (~5s: every closure
 # specialization of the compiled core meets many random programs), plus
 # the marker-gated pytest suite.

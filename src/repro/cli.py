@@ -14,7 +14,7 @@ Subcommands:
 * ``fuzz`` — run the conformance testkit's seeded differential/metamorphic
   campaign; failures shrink to replayable repro files (docs/TESTING.md);
 * ``profile`` — run a program or query under the hot-path profiler and
-  print per-rule / per-reduction-phase / per-opcode cost attribution
+  print per-rule / per-opcode cost attribution
   (``--out DIR`` writes flamegraph + JSON artifacts);
 * ``corpus build`` — materialize a seeded, reproducible scenario corpus
   (family-conditioned generated programs + exemplars + the paper's
@@ -31,8 +31,8 @@ table to stderr, ``--metrics-out``/``--prometheus-out`` export the
 metrics registry, ``--audit-out`` dumps the simulated kernel's syscall
 audit trail, ``--progress`` renders live ROSA search progress, and
 ``--verbose``/``--quiet`` control stderr logging.  ``--profile-out DIR``
-attaches the hot-path profiler (per rewrite rule, reduction phase, VM
-opcode, engine worker — see docs/PERFORMANCE.md) and writes
+attaches the hot-path profiler (per rewrite rule, VM opcode, engine
+worker — see docs/PERFORMANCE.md) and writes
 ``DIR/profile.collapsed`` (flamegraph.pl format) plus
 ``DIR/profile.json``.  ``--ledger DIR``
 captures the whole run as a versioned artifact directory that
@@ -141,11 +141,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "(default: serial, which is fastest at repro-scale budgets)",
     )
     group.add_argument(
-        "--no-reduction", action="store_true",
-        help="disable symmetry + partial-order state-space reduction; "
-        "searches explore the raw state space (verdicts are identical)",
-    )
-    group.add_argument(
         "--verdict-store", metavar="DIR", default=None,
         help="back the query engine with the fleet-wide shared verdict "
         "store at DIR: distinct searches run once across every process "
@@ -159,7 +154,6 @@ def _engine_kwargs(args) -> dict:
 
     kwargs: dict = {
         "use_query_cache": not getattr(args, "no_query_cache", False),
-        "reduction": not getattr(args, "no_reduction", False),
         "verdict_store": getattr(args, "verdict_store", None),
     }
     jobs = getattr(args, "jobs", None)
@@ -236,11 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(incompatible with --jobs > 1)",
     )
     rosa.add_argument(
-        "--no-reduction", action="store_true",
-        help="search the raw state space without symmetry/partial-order "
-        "reduction (verdicts are identical; states explored may grow)",
-    )
-    rosa.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="answer distinct queries on a pool of N worker processes; "
         "each worker returns a telemetry capsule merged into this "
@@ -312,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="run a program or query under the hot-path profiler "
-        "(per rule, reduction phase, VM opcode; see docs/PERFORMANCE.md)",
+        "(per rule, VM opcode; see docs/PERFORMANCE.md)",
     )
     profile.add_argument(
         "target", help="built-in program name or path to a .rosa query file"
@@ -329,10 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--max-states", type=int, default=200_000)
     profile.add_argument("--max-seconds", type=float, default=60.0)
-    profile.add_argument(
-        "--no-reduction", action="store_true",
-        help="profile the raw search without symmetry/partial-order reduction",
-    )
     profile.add_argument(
         "--limit", type=int, default=30, metavar="N",
         help="rows in the printed cost table (default 30)",
@@ -762,7 +747,6 @@ def _cmd_rosa(args, out, telemetry: Optional[Telemetry] = None) -> int:
             telemetry=telemetry,
             progress=_progress_from_args(args),
             progress_interval=_progress_interval_from_args(args),
-            reduction=not args.no_reduction,
             profiler=profiler,
         )
         reports = engine.run_queries(
@@ -779,7 +763,6 @@ def _cmd_rosa(args, out, telemetry: Optional[Telemetry] = None) -> int:
                 query, budget, track_states=args.explain, tracer=tracer,
                 progress=_progress_from_args(args),
                 progress_interval=_progress_interval_from_args(args),
-                reduction=not args.no_reduction,
                 profiler=profiler,
             )
             for query, _ in parsed
@@ -899,7 +882,6 @@ def _cmd_profile(args, out) -> int:
         analyzer = PrivAnalyzer(
             budget=budget,
             message_repeat=args.repeat,
-            reduction=not args.no_reduction,
             profiler=profiler,
         )
         analyzer.analyze(spec_by_name(args.target))
@@ -914,10 +896,7 @@ def _cmd_profile(args, out) -> int:
         from repro.rosa.dsl import parse_query
 
         query = parse_query(path.read_text(), name=path.stem)
-        check(
-            query, budget,
-            reduction=not args.no_reduction, profiler=profiler,
-        )
+        check(query, budget, profiler=profiler)
     print(profiler.render(limit=args.limit), file=out)
     print(file=out)
     roots = profiler.to_report()["roots"]

@@ -38,7 +38,7 @@ generation both assume:
     differ compares load balance and per-worker execute time.
 ``profile.json``
     The hot-path profiler's schema-versioned report (per rewrite rule,
-    reduction phase, VM opcode, engine worker — see
+    VM opcode, engine worker — see
     :mod:`repro.telemetry.profiler`), written only when the run carried
     a live profiler (``--profile-out``).
 
@@ -70,7 +70,8 @@ from repro.telemetry import (
 
 #: Bump when any artifact's layout changes; the differ refuses to
 #: compare ledgers written under different schema versions.
-LEDGER_SCHEMA_VERSION = 1
+#: Version 2: verdict records lost the reduction counters.
+LEDGER_SCHEMA_VERSION = 2
 
 MANIFEST_FILE = "manifest.json"
 SPANS_FILE = "spans.jsonl"
@@ -117,8 +118,6 @@ def _report_record(
         "states_seen": report.states_seen,
         "peak_frontier": report.stats.peak_frontier,
         "max_depth": report.stats.max_depth,
-        "symmetry_hits": report.stats.symmetry_hits,
-        "por_pruned": report.stats.por_pruned,
         "elapsed": report.elapsed,
         "from_cache": report.from_cache,
     }
@@ -475,20 +474,6 @@ def _diff_verdicts(old: RunLedger, new: RunLedger, findings: List[DiffFinding]) 
                     f"{' -> '.join(after['witness']) or '(none)'}",
                 )
             )
-        else:
-            # Reduction-stat drift (e.g. one side ran --no-reduction, or
-            # the reduction got stronger/weaker) is worth surfacing but
-            # is never a regression: verdict and witness already matched.
-            for stat in ("symmetry_hits", "por_pruned"):
-                was, now = before.get(stat, 0), after.get(stat, 0)
-                if was != now:
-                    findings.append(
-                        DiffFinding(
-                            "info", "verdict",
-                            f"{label}: {stat} {was} -> {now} "
-                            "(state-space reduction drift)",
-                        )
-                    )
 
 
 def _diff_exposure(

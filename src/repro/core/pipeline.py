@@ -145,7 +145,6 @@ class PrivAnalyzer:
         parallel: Optional[ParallelPolicy] = None,
         progress=None,
         progress_interval: Optional[int] = None,
-        reduction: bool = True,
         profiler=None,
         verdict_store=None,
     ) -> None:
@@ -158,8 +157,7 @@ class PrivAnalyzer:
         #: and (when its ``audit`` is set) a kernel syscall audit trail.
         self.telemetry = telemetry or Telemetry.disabled()
         #: Optional :class:`repro.telemetry.Profiler`.  When live it flows
-        #: into the query engine (per-rule / reduction-phase search
-        #: attribution) and compiles per-opcode and per-intrinsic timers
+        #: into the query engine (per-rule search attribution) and compiles per-opcode and per-intrinsic timers
         #: into the dynamic stage's VM (:meth:`Interpreter.attach_profiler`).
         #: Verdicts and exposure tables are bit-identical either way.
         self.profiler = profiler
@@ -187,7 +185,6 @@ class PrivAnalyzer:
                 parallel=parallel,
                 telemetry=self.telemetry,
                 progress=progress,
-                reduction=reduction,
                 profiler=profiler,
                 store=verdict_store,
                 **engine_kwargs,

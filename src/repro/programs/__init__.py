@@ -2,8 +2,9 @@
 
 Each module exposes a ``spec()`` returning the
 :class:`~repro.programs.common.ProgramSpec` for that program with the
-paper's §VII-B workload.  ``ALL_PROGRAMS`` covers Table III;
-``REFACTORED_PROGRAMS`` covers Table V.
+paper's §VII-B workload.  ``PROGRAM_MODULES`` registers every model
+by name: the Table III programs, the Table V refactors and the corpus
+exemplars.
 """
 
 from repro.programs import (
@@ -28,22 +29,6 @@ from repro.programs import (
     vsftpd,
 )
 from repro.programs.common import ProgramSpec, source_sloc
-
-
-def all_specs():
-    """The five Table III programs, in the paper's order."""
-    return [
-        passwd.spec(),
-        ping.spec(),
-        sshd.spec(),
-        su.spec(),
-        thttpd.spec(),
-    ]
-
-
-def refactored_specs():
-    """The two Table V refactored programs."""
-    return [passwd_refactored.spec(), su_refactored.spec()]
 
 
 PROGRAM_MODULES = {
@@ -91,8 +76,6 @@ __all__ = [
     "EXEMPLAR_NAMES",
     "PROGRAM_MODULES",
     "ProgramSpec",
-    "all_specs",
-    "refactored_specs",
     "source_sloc",
     "spec_by_name",
 ]

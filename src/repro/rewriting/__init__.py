@@ -6,9 +6,7 @@ The paper implements ROSA in Maude with the Full-Maude object extension
 * :mod:`repro.rewriting.objects` — Object Maude configurations: multisets
   of objects and messages with canonical (associative-commutative) keys;
 * :mod:`repro.rewriting.search` — the bounded breadth-first ``search``
-  command with state/depth/time budgets and a tri-state outcome;
-* :mod:`repro.rewriting.reduction` — symmetry canonicalization and
-  partial-order footprints over configurations.
+  command with state/depth/time budgets and a tri-state outcome.
 """
 
 from repro.rewriting.objects import (
@@ -18,15 +16,6 @@ from repro.rewriting.objects import (
     Obj,
     ObjectRule,
     ObjectSystem,
-)
-from repro.rewriting.reduction import (
-    Footprint,
-    ReductionStats,
-    TIE_CAP,
-    canonical_key,
-    footprint,
-    typed_fset,
-    typed_id,
 )
 from repro.rewriting.search import (
     MAX_RETAINED_SAMPLES,
@@ -41,7 +30,6 @@ from repro.rewriting.search import (
 
 __all__ = [
     "Configuration",
-    "Footprint",
     "MAX_RETAINED_SAMPLES",
     "MessageRule",
     "Msg",
@@ -50,15 +38,9 @@ __all__ = [
     "ObjectSystem",
     "PROGRESS_INTERVAL",
     "ProgressSample",
-    "ReductionStats",
     "SearchBudget",
     "SearchOutcome",
     "SearchResult",
     "SearchStats",
-    "TIE_CAP",
     "breadth_first_search",
-    "canonical_key",
-    "footprint",
-    "typed_fset",
-    "typed_id",
 ]

@@ -25,8 +25,8 @@ Two notions of sameness serve two purposes:
   builds a canonical form.  Identity hashes are salted per process;
 * the **canonical key** — the same content in a deterministic,
   process-independent form (frozensets as sorted tuples).  Cache keys,
-  digests, symmetry reduction and reports read it; it is built on first
-  access and then cached, so a search that only dedups never builds one.
+  digests and reports read it; it is built on first access and then
+  cached, so a search that only dedups never builds one.
 
 A configuration derived by :meth:`Configuration.consume` (one message
 consumed, at most one object replaced) costs one count-map copy, and it

@@ -70,12 +70,9 @@ class SearchStats:
     dedup_hits: int = 0
     #: Deepest state expanded (rewrite-path length).
     max_depth: int = 0
-    #: Successor states merged because their symmetry-canonical key was
-    #: already visited under a different raw configuration (only with a
-    #: reduction layer installed; see :mod:`repro.rewriting.reduction`).
+    #: Always 0 (the search has no state-space reduction); kept because
+    #: the benchmark's layer probes read them.
     symmetry_hits: int = 0
-    #: Pending messages deferred at ample states by partial-order
-    #: reduction (only with a reduction layer installed).
     por_pruned: int = 0
     #: Periodic readings, oldest first (only with a progress callback).
     samples: List[ProgressSample] = dataclasses.field(default_factory=list)

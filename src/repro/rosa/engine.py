@@ -34,7 +34,6 @@ from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.rewriting import PROGRESS_INTERVAL, SearchBudget, SearchStats
-from repro.rosa.independence import REDUCTION_MIN_SPACE, estimated_space
 # perfbench's probes patch engine.query_cache_key and engine.check: call by name.
 from repro.rosa.keys import query_cache_key
 from repro.rosa.pool import Fleet, run_pool
@@ -64,8 +63,6 @@ class CachedOutcome:
     peak_frontier: int
     dedup_hits: int
     max_depth: int
-    symmetry_hits: int = 0
-    por_pruned: int = 0
 
     def to_json(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -81,8 +78,6 @@ class CachedOutcome:
             peak_frontier=int(data.get("peak_frontier", 0)),
             dedup_hits=int(data.get("dedup_hits", 0)),
             max_depth=int(data.get("max_depth", 0)),
-            symmetry_hits=int(data.get("symmetry_hits", 0)),
-            por_pruned=int(data.get("por_pruned", 0)),
         )
 
     @classmethod
@@ -96,8 +91,6 @@ class CachedOutcome:
             peak_frontier=report.stats.peak_frontier,
             dedup_hits=report.stats.dedup_hits,
             max_depth=report.stats.max_depth,
-            symmetry_hits=report.stats.symmetry_hits,
-            por_pruned=report.stats.por_pruned,
         )
 
     def to_report(self, query: RosaQuery) -> RosaReport:
@@ -114,8 +107,6 @@ class CachedOutcome:
                 peak_frontier=self.peak_frontier,
                 dedup_hits=self.dedup_hits,
                 max_depth=self.max_depth,
-                symmetry_hits=self.symmetry_hits,
-                por_pruned=self.por_pruned,
             ),
             from_cache=True,
         )
@@ -267,7 +258,6 @@ class QueryEngine:
         progress=None,
         progress_interval: int = PROGRESS_INTERVAL,
         checker=None,
-        reduction: bool = True,
         profiler=None,
         store=None,
     ) -> None:
@@ -282,19 +272,12 @@ class QueryEngine:
         #: back so sibling processes hit instead of recomputing.
         self.store = store
         #: Optional :class:`repro.telemetry.Profiler`.  When live, every
-        #: serial search gets per-rule/reduction-phase attribution (the
+        #: serial search gets per-rule attribution (the
         #: ``profiler`` kwarg is forwarded to ``checker`` — only then, so
         #: custom checkers without the parameter keep working), and batch
         #: scheduling records queue-wait versus execute time per worker
         #: under the ``engine`` root.
         self.profiler = profiler
-        #: Symmetry + partial-order state-space reduction for every
-        #: search this engine runs (see :mod:`repro.rosa.independence`).
-        #: Verdict-preserving; disable for baselines and differential
-        #: runs.  Even when enabled, searches whose estimated raw space
-        #: is below :data:`~repro.rosa.independence.REDUCTION_MIN_SPACE`
-        #: run unreduced — see :meth:`_effective_reduction`.
-        self.reduction = reduction
         #: ``None`` disables caching entirely (every check searches).
         self.cache = cache
         self.parallel = parallel or ParallelPolicy()
@@ -317,24 +300,6 @@ class QueryEngine:
         #: :func:`repro.rosa.pool.capsule_request`).
         self.fleet = Fleet()
 
-    def _effective_reduction(self, query: RosaQuery) -> bool:
-        """The reduction flag for one query: the engine's setting,
-        downgraded to a raw search when the estimated state space is too
-        small to repay the reducer's setup and per-state key derivation.
-
-        The gate lives here, not in :func:`repro.rosa.query.check`,
-        because direct ``check`` calls are the measurement surface —
-        baselines, differential oracles and the reduction tests need
-        ``reduction=True`` to mean the reducer actually runs.  The
-        downgrade is deterministic in the query, so cache entries keyed
-        with the effective flag stay consistent across runs, and it is
-        verdict-neutral: both searches are exhaustive over the same
-        space.
-        """
-        return self.reduction and (
-            estimated_space(query.initial) >= REDUCTION_MIN_SPACE
-        )
-
     def check(
         self,
         query: RosaQuery,
@@ -355,38 +320,20 @@ class QueryEngine:
         query: RosaQuery,
         budget: SearchBudget,
         track_states: bool = False,
-        reduction: Optional[bool] = None,
     ) -> RosaReport:
-        """One live search with the engine's tracer and progress wiring.
-
-        ``reduction`` takes the precomputed effective flag when the
-        caller already derived it for key derivation — the estimate walk
-        is cheap but measurable on tiny batches, so it runs once per
-        query, not twice.
-        """
+        """One live search with the engine's tracer and progress wiring."""
         extra = {}
         if self.profiler is not None:
             extra["profiler"] = self.profiler
-        report = self.checker(
+        return self.checker(
             query,
             budget,
             track_states=track_states,
             tracer=self.telemetry.tracer,
             progress=self.progress,
             progress_interval=self.progress_interval,
-            reduction=(
-                self._effective_reduction(query) if reduction is None else reduction
-            ),
             **extra,
         )
-        metrics = self.telemetry.metrics
-        if report.stats.symmetry_hits:
-            metrics.counter("rosa.reduction.symmetry_hits").inc(
-                report.stats.symmetry_hits
-            )
-        if report.stats.por_pruned:
-            metrics.counter("rosa.reduction.por_pruned").inc(report.stats.por_pruned)
-        return report
 
     def _served_from_cache(self, query: RosaQuery, entry: _CacheEntry, tracer):
         with tracer.span("rosa.query", query=query.name, cached=True) as span:
@@ -424,22 +371,15 @@ class QueryEngine:
         if entries:
             metrics.counter("rosa.batch.queries").inc(len(entries))
 
-        # Per-batch setup hoisted out of the per-query path: the effective
-        # reduction flag is derived once per query (key derivation and the
-        # search both need it) and the counter objects once per batch —
-        # registry lookups per query were a measurable slice of the cold
-        # tiny-batch tax.
+        # The counter objects are looked up once per batch — registry
+        # lookups per query were a measurable slice of the cold tiny-batch
+        # tax.
         cache_hits = metrics.counter("rosa.cache.hits")
         cache_misses = metrics.counter("rosa.cache.misses")
         with (profiler or NULL_PROFILER).section("engine", "key_derivation"):
-            reductions = [
-                self._effective_reduction(request.query) for request in entries
-            ]
             keys = [
-                query_cache_key(
-                    request.query, request.budget or self.budget, reduction=reduced
-                )
-                for request, reduced in zip(entries, reductions)
+                query_cache_key(request.query, request.budget or self.budget)
+                for request in entries
             ]
         reports: List[Optional[RosaReport]] = [None] * len(entries)
 
@@ -502,7 +442,7 @@ class QueryEngine:
                 )
                 if mode == "serial" or len(leaders) == 1:
                     leader_reports = self._run_serial(
-                        entries, leaders, budgets, reductions, profiler
+                        entries, leaders, budgets, profiler
                     )
                 else:
                     leader_reports = run_pool(
@@ -511,7 +451,6 @@ class QueryEngine:
                             dataclasses.replace(entries[index], budget=budgets[index])
                             for index in leaders
                         ],
-                        [reductions[index] for index in leaders],
                         [keys[index] for index in leaders],
                         profiler,
                     )
@@ -545,9 +484,7 @@ class QueryEngine:
                         self.store.release(key)
         return [report for report in reports if report is not None]
 
-    def _run_serial(
-        self, entries, leaders, budgets, reductions, profiler
-    ) -> List[RosaReport]:
+    def _run_serial(self, entries, leaders, budgets, profiler) -> List[RosaReport]:
         """Search the leaders in this thread, in order.
 
         Serial scheduling is one worker draining the queue, so with a
@@ -562,11 +499,7 @@ class QueryEngine:
                 profiler.account(
                     ("engine", "worker:0", "queue_wait"), start - batch_start
                 )
-            reports.append(
-                self._checked(
-                    entries[index].query, budgets[index], reduction=reductions[index]
-                )
-            )
+            reports.append(self._checked(entries[index].query, budgets[index]))
             if profiler is not None:
                 profiler.account(
                     ("engine", "worker:0", "execute"), profiler.clock() - start

@@ -13,22 +13,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.rewriting import Configuration
-from repro.rosa import independence, model
-from repro.rosa.independence import GoalFootprint
+from repro.rosa import model
 
 Goal = Callable[[Configuration], bool]
-
-
-def _with_footprint(goal: Goal, footprint: Optional[GoalFootprint]) -> Goal:
-    """Attach the reduction footprint (see :mod:`repro.rosa.independence`).
-
-    The footprint states what the predicate reads — so partial-order
-    reduction knows which messages are *visible* — and which concrete
-    ids it mentions — so symmetry reduction pins them.  A goal without a
-    footprint simply runs unreduced.
-    """
-    goal.footprint = footprint
-    return goal
 
 
 def file_opened_for_read(fid: int, pid: Optional[int] = None) -> Goal:
@@ -46,10 +33,7 @@ def file_opened_for_read(fid: int, pid: Optional[int] = None) -> Goal:
                 return True
         return False
 
-    oids = frozenset({fid} if pid is None else {fid, pid})
-    return _with_footprint(
-        goal, GoalFootprint(reads=frozenset({independence.PROC_FDS}), oids=oids)
-    )
+    return goal
 
 
 def file_opened_for_write(fid: int, pid: Optional[int] = None) -> Goal:
@@ -63,10 +47,7 @@ def file_opened_for_write(fid: int, pid: Optional[int] = None) -> Goal:
                 return True
         return False
 
-    oids = frozenset({fid} if pid is None else {fid, pid})
-    return _with_footprint(
-        goal, GoalFootprint(reads=frozenset({independence.PROC_FDS}), oids=oids)
-    )
+    return goal
 
 
 def socket_bound_to_privileged_port(
@@ -82,13 +63,7 @@ def socket_bound_to_privileged_port(
                 return True
         return False
 
-    return _with_footprint(
-        goal,
-        GoalFootprint(
-            reads=frozenset({independence.POP_SOCK, independence.SOCK_PORT}),
-            oids=frozenset() if pid is None else frozenset({pid}),
-        ),
-    )
+    return goal
 
 
 def process_terminated(pid: int) -> Goal:
@@ -98,12 +73,7 @@ def process_terminated(pid: int) -> Goal:
         proc = config.find_object(pid)
         return proc is not None and proc["state"] == model.STATE_DEAD
 
-    return _with_footprint(
-        goal,
-        GoalFootprint(
-            reads=frozenset({independence.PROC_STATE}), oids=frozenset({pid})
-        ),
-    )
+    return goal
 
 
 def file_owner_is(fid: int, owner: int) -> Goal:
@@ -113,14 +83,7 @@ def file_owner_is(fid: int, owner: int) -> Goal:
         target = config.find_object(fid)
         return target is not None and target["owner"] == owner
 
-    return _with_footprint(
-        goal,
-        GoalFootprint(
-            reads=frozenset({independence.FILE_OWNER, independence.POP_FILE}),
-            oids=frozenset({fid}),
-            uids=frozenset({owner}),
-        ),
-    )
+    return goal
 
 
 def entry_removed(entry_id: int) -> Goal:
@@ -129,22 +92,7 @@ def entry_removed(entry_id: int) -> Goal:
     def goal(config: Configuration) -> bool:
         return config.find_object(entry_id) is None
 
-    # The predicate tests bare oid existence, so any object creation
-    # could in principle re-occupy the id: read every population token.
-    return _with_footprint(
-        goal,
-        GoalFootprint(
-            reads=frozenset(
-                {
-                    independence.DIRS,
-                    independence.POP_FILE,
-                    independence.POP_SOCK,
-                    independence.OID_MAX,
-                }
-            ),
-            oids=frozenset({entry_id}),
-        ),
-    )
+    return goal
 
 
 def any_of(*goals: Goal) -> Goal:
@@ -153,7 +101,7 @@ def any_of(*goals: Goal) -> Goal:
     def goal(config: Configuration) -> bool:
         return any(sub(config) for sub in goals)
 
-    return _with_footprint(goal, independence.combined_footprint(goals))
+    return goal
 
 
 def all_of(*goals: Goal) -> Goal:
@@ -162,4 +110,4 @@ def all_of(*goals: Goal) -> Goal:
     def goal(config: Configuration) -> bool:
         return all(sub(config) for sub in goals)
 
-    return _with_footprint(goal, independence.combined_footprint(goals))
+    return goal

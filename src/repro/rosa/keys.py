@@ -1,9 +1,9 @@
 """Canonical ROSA query keys: what makes two questions the same question.
 
 :func:`query_cache_key` derives a deterministic content hash for one
-(query, budget, reduction) triple from the initial configuration's
-canonical (AC-equality) key, the goal identity, the rule-system
-signature and the budget.  Two queries share a key only when the
+(query, budget) pair from the initial configuration's canonical
+(AC-equality) key, the goal identity, the rule-system signature and the
+budget.  Two queries share a key only when the
 bounded search is guaranteed to answer them identically, so the key
 addresses both the engine's in-memory L1 and the fleet-wide attested
 store (:mod:`repro.rosa.store`).  Queries whose identity cannot be
@@ -37,14 +37,15 @@ from repro.rosa.query import DEFAULT_BUDGET, RosaQuery, unix_system
 #: same determinism guarantees, different bytes under the hash.
 #: Version 5: the rule-system signature is a digest of the model's source
 #: code and the rules' parameters, not their class names and labels.
-CACHE_SCHEMA_VERSION = 5
+#: Version 6: state-space reduction is gone, so the reduction flag left
+#: the key material and cached outcomes lost the reduction counters.
+CACHE_SCHEMA_VERSION = 6
 
 #: The modules whose source defines what a stored answer holds: the
 #: syscall rules and the constants, object model, capabilities and
 #: permission checks they consult; the goal predicates; the rewriting
 #: objects, the search that decides the verdict, witness path and
-#: ``states_explored``; and the reductions that decide which states are
-#: equal.  Editing any of them changes every system signature.
+#: ``states_explored``.  Editing any of them changes every system signature.
 MODEL_MODULES = (
     "repro.rosa.rules",
     "repro.rosa.syscalls",
@@ -52,10 +53,8 @@ MODEL_MODULES = (
     "repro.rosa.permissions",
     "repro.caps.capability",
     "repro.rosa.goals",
-    "repro.rosa.independence",
     "repro.rewriting.objects",
     "repro.rewriting.search",
-    "repro.rewriting.reduction",
 )
 
 #: A ``repr`` that embeds an object address (``<function f at 0x7f…>``)
@@ -207,15 +206,12 @@ def system_signature(system: Optional[ObjectSystem] = None) -> Optional[str]:
 def query_cache_key(
     query: RosaQuery,
     budget: SearchBudget = DEFAULT_BUDGET,
-    reduction: bool = True,
 ) -> Optional[str]:
     """The canonical content-hash key of one (query, budget) pair.
 
     Derived from the initial configuration's canonical (AC-equality) key,
-    the goal identity, the rule-system signature, the budget and the
-    reduction flag — every input that determines the search's verdict
-    *and its cost counters* (reduction never changes the verdict, but
-    sharing entries across the flag would report the wrong state counts).
+    the goal identity, the rule-system signature and the budget — every
+    input that determines the search's verdict and its cost counters.
     The hash is stable across processes and interpreter runs (no
     ``hash()`` involvement), so it keys the fleet-wide
     :class:`~repro.rosa.store.SharedVerdictStore` too.
@@ -233,7 +229,6 @@ def query_cache_key(
         CACHE_SCHEMA_VERSION,
         goal,
         budget_identity(budget),
-        bool(reduction),
     )
     hasher = hashlib.sha256()
     hasher.update(_config_digest(query.initial))

@@ -42,7 +42,6 @@ from repro.telemetry.tracing import NULL_TRACER
 def _run_spec_in_worker(
     spec,
     budget: SearchBudget,
-    reduction: bool = True,
     capsule_request: Optional[CapsuleRequest] = None,
 ):
     """Process-pool entry point: rebuild the query, search, return the essence.
@@ -56,7 +55,7 @@ def _run_spec_in_worker(
     from repro.rosa.engine import CachedOutcome  # the engine imports this module
 
     if capsule_request is None:
-        report = check(spec.build(), budget, tracer=NULL_TRACER, reduction=reduction)
+        report = check(spec.build(), budget, tracer=NULL_TRACER)
         return CachedOutcome.from_report(report)
     collector = CapsuleCollector(capsule_request)
     report = check(
@@ -64,7 +63,6 @@ def _run_spec_in_worker(
         budget,
         tracer=collector.tracer,
         progress=collector.progress,
-        reduction=reduction,
         profiler=collector.profiler,
     )
     collector.observe_report(report)
@@ -147,17 +145,17 @@ class Fleet:
 
 
 def run_pool(
-    engine, requests: Sequence, reductions: Sequence[bool], keys: Sequence, profiler
+    engine, requests: Sequence, keys: Sequence, profiler
 ) -> List[RosaReport]:
     """Answer distinct searches on a process pool; reports in request order.
 
     ``requests`` are :class:`~repro.rosa.engine.QueryRequest` s with
-    their budgets resolved, each with a picklable ``spec``; ``reductions``
-    and ``keys`` are their effective reduction flags and canonical keys
-    (a key is its capsule's trace id).  ``profiler`` is the engine's
-    live profiler or ``None``.  Scheduling is attributed per worker: the
-    parent observes each future's submit-to-done window, and the
-    capsule's own execute window splits it into queue wait and execute.
+    their budgets resolved, each with a picklable ``spec``; ``keys`` are
+    their canonical keys (a key is its capsule's trace id).  ``profiler``
+    is the engine's live profiler or ``None``.  Scheduling is attributed
+    per worker: the parent observes each future's submit-to-done window,
+    and the capsule's own execute window splits it into queue wait and
+    execute.
     """
     unbuildable = sum(request.spec is None for request in requests)
     if unbuildable:
@@ -180,12 +178,11 @@ def run_pool(
                 _run_spec_in_worker,
                 request.spec,
                 request.budget,
-                reduced,
                 # Trace-context propagation: the canonical query key is the
                 # capsule's trace id, shared by every span the worker emits.
                 None if wanted is None else dataclasses.replace(wanted, trace_id=key),
             )
-            for request, reduced, key in zip(requests, reductions, keys)
+            for request, key in zip(requests, keys)
         ]
         if wanted is not None:
             # Workers are separate processes; the scheduling thread can

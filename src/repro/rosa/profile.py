@@ -1,4 +1,4 @@
-"""Per-rule and per-reduction-phase cost attribution for ROSA search.
+"""Per-rule cost attribution for ROSA search.
 
 :class:`ProfiledSearch` wraps the three callables
 :func:`repro.rewriting.breadth_first_search` already takes — successor
@@ -13,20 +13,6 @@ that attribute every expansion's wall time to named frames under the
     :meth:`repro.rewriting.ObjectSystem.successors` element for element
     (same trigger index, same rule order), so the successor stream the
     search consumes is identical to the unprofiled one.
-``reduction.ample``
-    Partial-order ample-set computation (:meth:`RosaReducer._ample`).
-    ``selected`` counts states where an ample set fired and every other
-    pending message was deferred; at repro scale this stays 0 because
-    every pending syscall message writes tokens the goal reads.
-``reduction.canonical.cache_hit`` / ``.fast_path`` / ``.canonicalize``
-    The symmetry layer's three outcomes: raw-configuration cache hit,
-    no-anonymous-ids fast path (the key *is* the configuration), and
-    lazy-key construction (the O(state) blinded signature).  The full
-    colour refinement is collision-triggered — it runs inside the
-    visited set's equality probes — so its wall time lands in
-    ``search.loop``; :meth:`ProfiledSearch.finish` surfaces its volume
-    as the ``resolved`` (bodies computed) and ``merges``
-    (``symmetry_hits``) counters on the canonicalize frame.
 ``hash.incremental``
     Hashing the visited-set key — O(1) by construction (configurations
     carry an incremental multiset hash), and the profile proves it.
@@ -47,7 +33,7 @@ search itself never changes, and parity tests in
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.rewriting import Configuration, ObjectSystem
 from repro.telemetry.profiler import Profiler
@@ -55,10 +41,6 @@ from repro.telemetry.profiler import Profiler
 #: The root frame every search-phase record nests under.
 SEARCH_ROOT = "rosa.search"
 
-_AMPLE = (SEARCH_ROOT, "reduction.ample")
-_CACHE_HIT = (SEARCH_ROOT, "reduction.canonical.cache_hit")
-_FAST_PATH = (SEARCH_ROOT, "reduction.canonical.fast_path")
-_CANONICALIZE = (SEARCH_ROOT, "reduction.canonical.canonicalize")
 _HASH = (SEARCH_ROOT, "hash.incremental")
 _GOAL = (SEARCH_ROOT, "goal")
 _LOOP = (SEARCH_ROOT, "search.loop")
@@ -77,12 +59,10 @@ class ProfiledSearch:
         self,
         profiler: Profiler,
         system: ObjectSystem,
-        reducer,  # Optional[RosaReducer]; untyped to avoid a cycle
         goal: Callable[[Configuration], bool],
     ) -> None:
         self.profiler = profiler
         self.system = system
-        self.reducer = reducer
         self.goal_fn = goal
         #: Wall seconds attributed to named frames so far; finish() turns
         #: the gap to the search's elapsed time into ``search.loop``.
@@ -97,15 +77,6 @@ class ProfiledSearch:
     def successors(self, config: Configuration) -> List[Tuple[str, Configuration]]:
         profiler = self.profiler
         clock = profiler.clock
-        reducer = self.reducer
-        if reducer is not None and reducer.por:
-            start = clock()
-            ample = reducer._ample(config)
-            self._account(_AMPLE, clock() - start)
-            if ample is not None:
-                profiler.count(_AMPLE, "selected")
-                profiler.count(_AMPLE, "applications", len(ample))
-                return ample
         # Replicate ObjectSystem.successors (trigger index, rule order)
         # with the per-rule enumeration materialised so each timed window
         # covers exactly one rule's rewrites — a generator would charge
@@ -134,35 +105,13 @@ class ProfiledSearch:
         return out
 
     def canonical(self, config: Configuration):
+        # The visited set is keyed by the configuration itself; time the
+        # (incremental, O(1)) hash the set will take.
         clock = self.profiler.clock
-        reducer = self.reducer
-        if reducer is None:
-            # Unreduced searches key the visited set by the configuration
-            # itself; time the (incremental, O(1)) hash the set will take.
-            start = clock()
-            hash(config)
-            self._account(_HASH, clock() - start)
-            return config
         start = clock()
-        if config in reducer._canon:
-            key = reducer.canonical(config)
-            self._account(_CACHE_HIT, clock() - start)
-        else:
-            key = reducer.canonical(config)
-            elapsed = clock() - start
-            if key is config:
-                self._account(_FAST_PATH, elapsed)
-            else:
-                # Lazy-key construction: the blinded signature only.  The
-                # colour refinement itself now runs inside the visited
-                # set's equality probes (hash collisions), which land in
-                # the search.loop remainder; finish() surfaces its volume
-                # via the ``resolved``/``merges`` counters.
-                self._account(_CANONICALIZE, elapsed)
-        start = clock()
-        hash(key)
+        hash(config)
         self._account(_HASH, clock() - start)
-        return key
+        return config
 
     def goal(self, config: Configuration) -> bool:
         clock = self.profiler.clock
@@ -190,27 +139,3 @@ class ProfiledSearch:
         if remainder > 0.0:
             profiler.account(_LOOP, remainder)
             profiler.count(_LOOP, "derived")
-        reducer = self.reducer
-        if reducer is not None:
-            # Colour refinement is collision-triggered under lazy keys and
-            # runs inside set equality probes; report its totals here.
-            if reducer.stats.canonicalized:
-                profiler.count(
-                    _CANONICALIZE, "resolved", reducer.stats.canonicalized
-                )
-            if reducer.stats.symmetry_hits:
-                profiler.count(
-                    _CANONICALIZE, "merges", reducer.stats.symmetry_hits
-                )
-
-
-def profiled_callables(
-    profiler: Optional[Profiler],
-    system: ObjectSystem,
-    reducer,
-    goal: Callable[[Configuration], bool],
-) -> Optional[ProfiledSearch]:
-    """A :class:`ProfiledSearch` when profiling is live, else ``None``."""
-    if profiler is None or not profiler.enabled:
-        return None
-    return ProfiledSearch(profiler, system, reducer, goal)

@@ -35,7 +35,6 @@ from repro.rewriting import (
     breadth_first_search,
 )
 from repro.rosa.goals import Goal
-from repro.rosa.independence import build_reducer
 from repro.rosa.rules import unix_rules
 from repro.telemetry.profiler import Profiler
 from repro.telemetry.tracing import NULL_TRACER, Tracer
@@ -137,7 +136,6 @@ def check(
     progress: Optional[Callable[[ProgressSample], None]] = None,
     progress_interval: int = PROGRESS_INTERVAL,
     clock: Callable[[], float] = time.monotonic,
-    reduction: bool = True,
     profiler: Optional[Profiler] = None,
 ) -> RosaReport:
     """Run one bounded model-checking query and classify the outcome.
@@ -149,40 +147,23 @@ def check(
     so long-running searches (the paper's 5-hour budgets) are observable
     while they run.
 
-    ``reduction`` enables symmetry + partial-order state-space reduction
-    (:mod:`repro.rosa.independence`) when the query is eligible — the
-    goal declares a footprint and the system is the stock UNIX module.
-    Reduction preserves the verdict and witness existence; pass
-    ``reduction=False`` to search the raw state space (baselines,
-    differential testing).
-
     ``profiler``, when live, attributes the search's wall time to named
-    rules and reduction phases (:mod:`repro.rosa.profile`) by wrapping
-    the three injectable callables — the search loop itself is
-    unchanged, so the verdict and every cost counter are bit-identical
-    with or without it.
+    rules (:mod:`repro.rosa.profile`) by wrapping the three injectable
+    callables — the search loop itself is unchanged, so the verdict and
+    every cost counter are bit-identical with or without it.
     """
     system = query.system or unix_system()
-    reducer = (
-        build_reducer(query.initial, query.goal, system, budget)
-        if reduction
-        else None
-    )
+    successors = system.successors
     goal = query.goal
-    if reducer is not None:
-        successors = reducer.successors
-        canonical = reducer.canonical
-    else:
-        successors = system.successors
-        # Configurations hash incrementally (see rewriting.objects), so
-        # the state itself is its visited-set key — no full-key
-        # materialisation per successor.
-        canonical = lambda config: config  # noqa: E731
+    # Configurations hash incrementally (see rewriting.objects), so the
+    # state itself is its visited-set key — no full-key materialisation
+    # per successor.
+    canonical = lambda config: config  # noqa: E731
     profiled = None
     if profiler is not None and profiler.enabled:
-        from repro.rosa.profile import profiled_callables
+        from repro.rosa.profile import ProfiledSearch
 
-        profiled = profiled_callables(profiler, system, reducer, query.goal)
+        profiled = ProfiledSearch(profiler, system, query.goal)
         successors = profiled.successors
         canonical = profiled.canonical
         goal = profiled.goal
@@ -201,9 +182,6 @@ def check(
         )
         if profiled is not None:
             profiled.finish(profiler.clock() - search_start)
-        if reducer is not None:
-            result.stats.symmetry_hits = reducer.stats.symmetry_hits
-            result.stats.por_pruned = reducer.stats.por_pruned
         if result.outcome is SearchOutcome.FOUND:
             verdict = Verdict.VULNERABLE
         elif result.outcome is SearchOutcome.EXHAUSTED:
@@ -214,10 +192,6 @@ def check(
         span.set_attribute("states_seen", result.states_seen)
         span.set_attribute("states_explored", result.states_explored)
         span.set_attribute("peak_frontier", result.stats.peak_frontier)
-        span.set_attribute("reduction", reducer is not None)
-        if reducer is not None:
-            span.set_attribute("symmetry_hits", reducer.stats.symmetry_hits)
-            span.set_attribute("por_pruned", reducer.stats.por_pruned)
     logger.debug(
         "query %s: %s (%d states, %.1f ms)",
         query.name, verdict.value, result.states_seen, result.elapsed * 1000,

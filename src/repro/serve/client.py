@@ -78,7 +78,6 @@ class ServeClient:
         name: str = "query",
         max_states: int = 200_000,
         max_seconds: float = 60.0,
-        reduction: bool = True,
     ) -> Dict[str, Any]:
         return self.request(
             "rosa",
@@ -86,7 +85,6 @@ class ServeClient:
             name=name,
             max_states=max_states,
             max_seconds=max_seconds,
-            reduction=reduction,
         )
 
     def analyze(self, program: str, **fields: Any) -> Dict[str, Any]:

@@ -6,7 +6,7 @@ Requests::
     {"op": "stats"}
     {"op": "metrics"}
     {"op": "rosa", "text": "<Figure 2/4 query source>",
-     "max_states": 200000, "max_seconds": 60.0, "reduction": true}
+     "max_states": 200000, "max_seconds": 60.0}
     {"op": "analyze", "program": "passwd"}
     {"op": "corpus", "seed": 0, "generated": 4, "exemplars": false,
      "builtins": false, "limit": 8}

@@ -257,7 +257,6 @@ class VerdictServer:
             budget=budget,
             cache=QueryCache(),
             store=store,
-            reduction=bool(message.get("reduction", True)),
             **self._fresh_engine_kwargs(),
         )
         report = engine.check(query)

@@ -127,10 +127,6 @@ class CapsuleRequest:
     trace_id: Optional[str] = None
     max_samples: int = MAX_CAPSULE_SAMPLES
 
-    @property
-    def any(self) -> bool:
-        return self.trace or self.profile or self.samples or self.audit
-
 
 @dataclasses.dataclass
 class TelemetryCapsule:
@@ -162,22 +158,6 @@ class TelemetryCapsule:
     def execute_seconds(self) -> float:
         """Worker-side wall time, immune to cross-process clock skew."""
         return max(self.clock_end - self.clock_start, 0.0)
-
-    def stats(self) -> Dict[str, Any]:
-        """Size accounting for ledgers and fleet dashboards."""
-        return {
-            "schema": self.schema,
-            "worker": self.worker,
-            "pid": self.pid,
-            "execute_seconds": self.execute_seconds,
-            "trace_id": self.trace_id,
-            "spans": len(self.spans),
-            "metrics": len(self.metrics),
-            "profile_records": len(self.profile),
-            "samples": len(self.samples),
-            "audit_records": len(self.audit_records),
-            "audit_total": self.audit_total,
-        }
 
 
 class CapsuleCollector:
@@ -229,23 +209,10 @@ class CapsuleCollector:
             del samples[1:-1:2]
 
     def observe_report(self, report) -> None:
-        """Fold one search report's counters into the worker registry.
-
-        Mirrors what the engine's serial path records, so aggregate
-        counters (reduction hits, states explored) come out identical
-        whether a search ran in-process or on a pool worker.
-        """
+        """Fold one search report's counters into the worker registry."""
         metrics = self.metrics
         metrics.counter("rosa.worker.queries").inc()
         metrics.counter("rosa.worker.states_explored").inc(report.states_explored)
-        stats = getattr(report, "stats", None)
-        if stats is not None:
-            if stats.symmetry_hits:
-                metrics.counter("rosa.reduction.symmetry_hits").inc(
-                    stats.symmetry_hits
-                )
-            if stats.por_pruned:
-                metrics.counter("rosa.reduction.por_pruned").inc(stats.por_pruned)
 
     def capsule(self) -> TelemetryCapsule:
         """Pack everything collected so far into one picklable capsule."""
@@ -330,7 +297,7 @@ def merge_capsule(
         profiler.graft(capsule.profile, under)
         # The worker's profile roots cover the search itself; whatever
         # the capsule's execute window spent outside them (query build,
-        # reducer setup, capsule assembly) becomes one derived remainder
+        # capsule assembly) becomes one derived remainder
         # frame, so the worker's execute time stays fully attributed.
         rooted = sum(row[2] for row in capsule.profile if len(row[0]) == 1)
         overhead = capsule.execute_seconds - rooted

@@ -2,8 +2,8 @@
 
 The span tracer (:mod:`repro.telemetry.tracing`) answers "how long did
 each pipeline *stage* take"; this module answers "where inside the hot
-loops did the time go" — per rewrite rule, per reduction phase, per VM
-opcode, per engine worker.  The design constraints mirror the tracer's:
+loops did the time go" — per rewrite rule, per VM opcode, per engine
+worker.  The design constraints mirror the tracer's:
 
 * **zero dependencies, injectable clock** — all timing goes through a
   ``() -> float`` clock, so tests with a

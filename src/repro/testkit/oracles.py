@@ -675,64 +675,6 @@ _register(
 )
 
 
-# -- reduction-parity: reduced and raw searches agree -------------------------
-
-
-def _run_reduction_parity(case: Case) -> OracleResult:
-    from repro.rosa.query import Verdict, check
-
-    request = generators.build_query_request(case)
-    full = check(request.query, request.budget, reduction=False)
-    reduced = check(request.query, request.budget, reduction=True)
-    # Parity is guaranteed only when both searches complete: a reduced
-    # search can EXHAUST a space the raw search would still be walking
-    # when its budget runs out, so TIMEOUT on either side is a skip, not
-    # a verdict flip.
-    if full.verdict is Verdict.TIMEOUT or reduced.verdict is Verdict.TIMEOUT:
-        return OracleResult(
-            "reduction-parity", ok=True, skipped=True,
-            details="a search exceeded its budget; verdicts incomparable",
-        )
-    if full.verdict is not reduced.verdict:
-        return _mismatch(
-            "reduction-parity",
-            "verdict(raw)", full.verdict.value,
-            "verdict(reduced)", reduced.verdict.value,
-        )
-    if bool(full.witness) != bool(reduced.witness):
-        return _mismatch(
-            "reduction-parity",
-            "witness(raw)", full.witness,
-            "witness(reduced)", reduced.witness,
-        )
-    # The state-count inequality holds only for exhaustive searches: a
-    # VULNERABLE search stops at its first witness, and partial-order
-    # reduction may defer the goal-reaching step behind a wide ample
-    # fan-out, legitimately enqueueing more states first.
-    if (
-        full.verdict is Verdict.INVULNERABLE
-        and reduced.states_seen > full.states_seen
-    ):
-        return _mismatch(
-            "reduction-parity",
-            "states_seen(raw)", full.states_seen,
-            "states_seen(reduced)", reduced.states_seen,
-        )
-    return OracleResult("reduction-parity", ok=True)
-
-
-_register(
-    OracleFamily(
-        name="reduction-parity",
-        description="symmetry/partial-order reduction preserves verdicts "
-        "and never explores more states",
-        generate=generators.gen_query_case,
-        run=_run_reduction_parity,
-        shrink_candidates=_shrink_query,
-    )
-)
-
-
 #: Family names, in registration order.
 ALL_FAMILIES: Tuple[str, ...] = tuple(_REGISTRY)
 
@@ -744,7 +686,6 @@ DEFAULT_FAMILIES: Tuple[str, ...] = (
     "pools",
     "vm",
     "ledger",
-    "reduction-parity",
     "profile",
     "store",
 )

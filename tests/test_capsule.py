@@ -137,20 +137,13 @@ class TestCapsuleCollector:
     def test_observe_report_mirrors_engine_counters(self):
         collector = CapsuleCollector(CapsuleRequest(trace=False))
 
-        class Stats:
-            symmetry_hits = 7
-            por_pruned = 2
-
         class Report:
             states_explored = 41
-            stats = Stats()
 
         collector.observe_report(Report())
         snapshot = collector.capsule().metrics
         assert snapshot["rosa.worker.queries"]["value"] == 1
         assert snapshot["rosa.worker.states_explored"]["value"] == 41
-        assert snapshot["rosa.reduction.symmetry_hits"]["value"] == 7
-        assert snapshot["rosa.reduction.por_pruned"]["value"] == 2
 
 
 class TestMergeCapsule:

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.rewriting import Configuration, Msg, Obj
+from repro.rewriting.objects import _mix
+from repro.rosa import model, syscalls
+from repro.rosa.syscalls import WILDCARD
 
 
 def sample_objects():
@@ -170,3 +173,64 @@ class TestConfiguration:
     def test_key_invariant_under_permutation(self, elements):
         reference = Configuration(sample_objects() + [Msg("open", 1), Msg("open", 1)])
         assert Configuration(elements).key == reference.key
+
+
+# -- incremental multiset hashing ---------------------------------------------
+
+
+def setuid_config(repeat=2):
+    """A process that may become any of three users."""
+    elements = [
+        model.process_for_user(1, 10, 10),
+        model.user(4, 10),
+        model.user(5, 20),
+        model.user(6, 30),
+    ]
+    elements += [syscalls.sys_setuid(1, WILDCARD, ["CapSetuid"])] * repeat
+    return Configuration(elements)
+
+
+class TestIncrementalHash:
+    def test_add_matches_fresh_construction(self):
+        base = setuid_config()
+        extra = model.user(7, 40)
+        assert hash(base.add(extra)) == hash(Configuration(list(base) + [extra]))
+        assert base.add(extra) == Configuration(list(base) + [extra])
+
+    def test_remove_matches_fresh_construction(self):
+        base = setuid_config()
+        msg = next(base.messages("setuid"))
+        removed = base.remove(msg)
+        rebuilt_elements = list(base)
+        rebuilt_elements.remove(msg)
+        assert hash(removed) == hash(Configuration(rebuilt_elements))
+        assert removed == Configuration(rebuilt_elements)
+
+    def test_update_object_matches_fresh_construction(self):
+        base = setuid_config()
+        proc = base.find_object(1)
+        updated = base.update_object(proc.update(euid=20))
+        rebuilt = [
+            proc.update(euid=20) if element == proc else element
+            for element in base
+        ]
+        assert hash(updated) == hash(Configuration(rebuilt))
+        assert updated == Configuration(rebuilt)
+
+    def test_hash_ignores_construction_order(self):
+        elements = list(setuid_config())
+        assert hash(Configuration(elements)) == hash(
+            Configuration(list(reversed(elements)))
+        )
+
+    def test_duplicate_counts_change_the_hash(self):
+        msg = Msg("socket", 1, frozenset())
+        once = Configuration([msg])
+        twice = Configuration([msg, msg])
+        assert hash(once) != hash(twice)
+        assert once != twice
+
+    def test_mixer_is_spread_not_identity(self):
+        # Plain summation of small-int hashes would collide multisets
+        # like {1, 3} and {2, 2}; the mixer must keep them apart.
+        assert _mix(1) + _mix(3) != _mix(2) + _mix(2)

@@ -534,7 +534,7 @@ class TestVerdictParity:
         requests = phase_requests("passwd")
         keys = counting(monkeypatch, engine_module, "query_cache_key")
         searches = counting(monkeypatch, engine_module, "check")
-        engine = QueryEngine(cache=QueryCache(), reduction=False)
+        engine = QueryEngine(cache=QueryCache())
         engine.run_queries(requests)
         assert len(requests) == 20
         assert len(keys) == 20

@@ -1,13 +1,12 @@
 """Golden ROSA search counters for the paper's Table III/V programs.
 
 One checked-in JSON per program under ``tests/golden/rosa/``.  Each
-(phase, attack) query of the program is searched under the golden budget
-with the query engine's own reduction choice, and the file pins what the
-search decides and what it costs in states: the verdict, the witness
-labels, ``states_explored``, ``states_seen``, the dedup, frontier and
-depth counters, the reduction counters, and the content digest of the
-initial configuration.  A change to the rewriting layer, the rules or the
-reducer that moves a single state shows up here as a named cell.
+(phase, attack) query of the program is searched under the golden budget,
+and the file pins what the search decides and what it costs in states:
+the verdict, the witness labels, ``states_explored``, ``states_seen``,
+the dedup, frontier and depth counters, and the content digest of the
+initial configuration.  A change to the rewriting layer or the rules
+that moves a single state shows up here as a named cell.
 
 The query cache key is deliberately not pinned: it binds the model's
 source code, so it changes with every edit to the searched modules.
@@ -27,7 +26,6 @@ from repro.core.extract import syscalls_used
 from repro.core.pipeline import PrivAnalyzer
 from repro.programs import spec_by_name
 from repro.rewriting import SearchBudget
-from repro.rosa.engine import QueryEngine
 from repro.rosa.keys import _config_digest
 from repro.rosa.query import check
 
@@ -59,8 +57,6 @@ def _search_record(report, digest: str) -> dict:
         "dedup_hits": stats.dedup_hits,
         "peak_frontier": stats.peak_frontier,
         "max_depth": stats.max_depth,
-        "symmetry_hits": stats.symmetry_hits,
-        "por_pruned": stats.por_pruned,
         "initial_digest": digest,
     }
 
@@ -73,7 +69,6 @@ def _current_counters(program: str) -> dict:
     chrono, exit_code, _ = analyzer.run_dynamic(spec, module)
     assert exit_code == spec.expected_exit
     program_syscalls = syscalls_used(module)
-    engine = QueryEngine(budget=BUDGET, cache=None)
     searched = {}
     counters = {}
     for phase in chrono.phases:
@@ -82,16 +77,13 @@ def _current_counters(program: str) -> dict:
             query = attack.build_query(
                 phase.privileges, phase.uids, phase.gids, program_syscalls, label=label
             )
-            reduction = engine._effective_reduction(query)
             digest = _config_digest(query.initial).hex()
             # Phases sharing a credential tuple ask the same question;
             # search it once, as the engine's batch dedup does.
-            identity = (attack.attack_id, digest, reduction)
+            identity = (attack.attack_id, digest)
             if identity not in searched:
-                searched[identity] = check(query, BUDGET, reduction=reduction)
-            record = _search_record(searched[identity], digest)
-            record["reduction"] = reduction
-            counters[label] = record
+                searched[identity] = check(query, BUDGET)
+            counters[label] = _search_record(searched[identity], digest)
     return counters
 
 

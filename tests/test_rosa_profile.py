@@ -22,11 +22,10 @@ def figure2_query():
 class TestParity:
     """The profiler wraps injected callables; the search never changes."""
 
-    @pytest.mark.parametrize("reduction", [True, False])
-    def test_check_verdict_and_costs_identical(self, reduction):
-        plain = check(figure2_query(), reduction=reduction)
+    def test_check_verdict_and_costs_identical(self):
+        plain = check(figure2_query())
         profiler = Profiler()
-        profiled = check(figure2_query(), reduction=reduction, profiler=profiler)
+        profiled = check(figure2_query(), profiler=profiler)
         assert profiled.verdict is plain.verdict
         assert profiled.witness == plain.witness
         assert profiled.states_seen == plain.states_seen
@@ -34,8 +33,6 @@ class TestParity:
         assert profiled.stats.peak_frontier == plain.stats.peak_frontier
         assert profiled.stats.dedup_hits == plain.stats.dedup_hits
         assert profiled.stats.max_depth == plain.stats.max_depth
-        assert profiled.stats.symmetry_hits == plain.stats.symmetry_hits
-        assert profiled.stats.por_pruned == plain.stats.por_pruned
         assert profiler.records  # and the profiler actually saw the search
 
     def test_analyze_verdicts_and_exposure_bit_identical(self):
@@ -67,7 +64,7 @@ class TestAttribution:
 
     def test_rule_frames_carry_attempt_and_application_counters(self):
         profiler = Profiler()
-        check(figure2_query(), reduction=False, profiler=profiler)
+        check(figure2_query(), profiler=profiler)
         rules = {
             stack[1]: record
             for stack, record in profiler.records.items()
@@ -78,25 +75,11 @@ class TestAttribution:
         # The figure-2 witness applies setuid/chown/chmod/open rules.
         assert rules["rule:open"].counters.get("applications", 0) > 0
 
-    def test_reduction_phases_split_by_outcome(self):
+    def test_search_times_hashing_and_goal(self):
         profiler = Profiler()
-        check(figure2_query(), reduction=True, profiler=profiler)
-        names = {stack[1] for stack in profiler.records if len(stack) == 2}
-        # Every canonicalization outcome is a distinct frame, plus the
-        # ample-set probe and the hash cost.
-        assert "reduction.ample" in names
-        assert names & {
-            "reduction.canonical.cache_hit",
-            "reduction.canonical.fast_path",
-            "reduction.canonical.canonicalize",
-        }
-        assert "hash.incremental" in names
-        assert "goal" in names
-
-    def test_unreduced_search_still_times_hashing(self):
-        profiler = Profiler()
-        check(figure2_query(), reduction=False, profiler=profiler)
+        check(figure2_query(), profiler=profiler)
         assert ("rosa.search", "hash.incremental") in profiler.records
+        assert ("rosa.search", "goal") in profiler.records
 
 
 class TestPipelineFrames:

@@ -155,6 +155,38 @@ class TestGoals:
         assert goals.entry_removed(7)(config.remove(config.find_object(7)))
 
 
+class TestShortestWitness:
+    """Plain ``check`` is breadth-first, so a witness is a shortest one.
+
+    passwd's phase 4 runs with euid 0: ROSA should read /dev/mem with one
+    ``open`` under the stock 0o640 mode, and chmod it first under 0o000.
+    """
+
+    @pytest.fixture(scope="class")
+    def passwd(self):
+        from repro.core.pipeline import PrivAnalyzer
+        from repro.programs import spec_by_name
+
+        return PrivAnalyzer().analyze(spec_by_name("passwd"))
+
+    @pytest.mark.parametrize(
+        "mode, witness",
+        [(0o640, ["open"]), (0o000, ["chmod", "open"])],
+        ids=["mode-640", "mode-000"],
+    )
+    def test_devmem_read_witness_is_shortest(self, passwd, mode, witness):
+        from repro.core.attacks import READ_DEV_MEM
+
+        phase = passwd.phases[4].phase
+        query = READ_DEV_MEM.build_query(
+            phase.privileges, phase.uids, phase.gids, passwd.syscalls,
+            devmem_perms=mode,
+        )
+        report = check(query)
+        assert report.verdict is Verdict.VULNERABLE
+        assert report.witness == witness
+
+
 class TestSearchSpaceBehaviour:
     """§VIII: failing attacks explore the whole space; successes are fast."""
 

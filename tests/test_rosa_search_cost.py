@@ -9,13 +9,8 @@ explored, no goal.  Its cost is pinned here as counts, not seconds:
 * every ``setres*``/``open`` successor is one functional edit, so exactly
   one ``Configuration`` is built per successor.
 
-It also pins how far :func:`~repro.rosa.independence.estimated_space`
-sits below the true state count, so a change to the estimate shows, and
-caps what the thttpd (message repeat 2) engine batch — the batch where
-symmetry + partial-order reduction is active — spends on states and
-blind signatures, and pins its canonical-key count exactly.  These are
-counts, not wall-clock claims: they keep reduction from getting *more*
-expensive, not from losing to the raw search in seconds.
+It also pins the raw states seen by the exhaustive phase queries of
+passwd (message repeat 1) and thttpd (message repeat 2).
 """
 
 import pytest
@@ -25,11 +20,9 @@ from repro.core.pipeline import PrivAnalyzer
 from repro.programs import spec_by_name
 from repro.rewriting import Configuration, SearchBudget, breadth_first_search
 from repro.rewriting import objects
-from repro.rosa import QueryCache, QueryEngine, independence
-from repro.rosa.independence import REDUCTION_MIN_SPACE, estimated_space
-from repro.rosa.query import check, unix_system
+from repro.rosa.query import Verdict, check, unix_system
 
-from tests.test_rosa_engine import counting, phase_requests
+from tests.test_rosa_engine import PHASE_BUDGET, counting, phase_requests
 
 #: No wall-clock limit: the gates count work, whatever the host's speed.
 BUDGET = SearchBudget(max_states=20_000, max_seconds=None)
@@ -52,7 +45,7 @@ def query():
 
 def test_raw_search_builds_no_canonical_key(query, monkeypatch):
     calls = counting(monkeypatch, objects, "_canonical_value")
-    report = check(query, BUDGET, reduction=False)
+    report = check(query, BUDGET)
     assert report.states_seen == RAW_STATES
     assert len(calls) == 0
 
@@ -83,32 +76,16 @@ def test_one_configuration_per_setres_or_open_successor(query, monkeypatch):
         assert set(per_successor[label]) == {1}, label
 
 
-def test_estimated_space_is_a_gate_not_a_bound(query):
-    """``prod(count + 1)`` counts consumable message sub-multisets; each
-    wildcard argument rewrites many ways, so the raw space is ~400x it."""
-    assert estimated_space(query.initial) == 32
-    assert estimated_space(query.initial) < REDUCTION_MIN_SPACE
-    assert check(query, BUDGET, reduction=False).states_seen == RAW_STATES
-
-
-#: The thttpd (message repeat 2) reduced engine batch, 24 queries: the
-#: states it sees and the states its reducer keys by blind signature.
-THTTPD_R2_STATES_SEEN = 306
-THTTPD_R2_BLIND_KEYS = 236
-#: ... and the states among those whose canonical body it resolves.
-THTTPD_R2_CANONICAL_BODIES = 72
-
-
-def test_thttpd_reduced_batch_cost_ceiling(monkeypatch):
-    requests = phase_requests("thttpd", repeat=2)
-    blind = counting(monkeypatch, independence, "blind_signature")
-    bodies = counting(monkeypatch, independence, "canonical_key")
-    reports = QueryEngine(cache=QueryCache()).run_queries(requests)
-    assert sum(report.stats.por_pruned for report in reports) > 0
-    assert sum(report.states_seen for report in reports) <= THTTPD_R2_STATES_SEEN
-    assert len(blind) <= THTTPD_R2_BLIND_KEYS
-    # A canonical body is resolved only for states whose blind signature
-    # collides with another's (eager canonicalization would resolve all
-    # 236).  The signature's terms do not depend on object addresses or
-    # the string-hash seed, so the count is exact.
-    assert len(bodies) == THTTPD_R2_CANONICAL_BODIES
+@pytest.mark.parametrize(
+    "program, repeat, states_seen", [("passwd", 1, 13), ("thttpd", 2, 522)]
+)
+def test_exhaustive_phase_queries_states_seen(program, repeat, states_seen):
+    # Found-verdict searches stop at their first witness; the exhaustive
+    # ones walk their whole raw space.
+    requests = phase_requests(program, repeat)
+    reports = [check(request.query, PHASE_BUDGET) for request in requests]
+    assert sum(
+        report.states_seen
+        for report in reports
+        if report.verdict is Verdict.INVULNERABLE
+    ) == states_seen

@@ -590,7 +590,4 @@ class TestEngineIntegration:
         engine = QueryEngine(budget=BUDGET, cache=QueryCache(), store=store)
         query = shadow_query()
         engine.check(query)
-        key = query_cache_key(
-            query, BUDGET, reduction=engine._effective_reduction(query)
-        )
-        assert store._path(key).exists()
+        assert store._path(query_cache_key(query, BUDGET)).exists()

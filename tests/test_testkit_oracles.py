@@ -41,13 +41,12 @@ class TestFamiliesPassOnCorrectCode:
         assert result.passed, [f.details for f in result.failures]
         assert result.executed == 4
 
-    def test_default_families_are_the_differential_seven(self):
+    def test_default_families_are_the_differential_six(self):
         assert DEFAULT_FAMILIES == (
             "cache",
             "pools",
             "vm",
             "ledger",
-            "reduction-parity",
             "profile",
             "store",
         )
