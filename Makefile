@@ -146,16 +146,19 @@ fleet-smoke:
 	      f'{len(fleet[\"workers\"])} ledger worker(s), ' \
 	      f'min attribution {min(fractions.values()):.1%}')"
 
-# Conformance fuzz smoke (CI gate, ~35s): a fixed-seed campaign over the
-# six default differential oracle families (cache, pools, vm — compiled
-# VM core vs reference evaluator — ledger, profile and store), a second-seed
-# 500-run campaign of the `vm` family alone (~5s: every closure
-# specialization of the compiled core meets many random programs), plus
-# the marker-gated pytest suite.
+# Conformance fuzz smoke (CI gate, ~40s): a fixed-seed campaign over the
+# seven default differential oracle families (cache, pools, vm — compiled
+# VM core vs reference evaluator — ledger, profile, store and prove), a
+# second-seed 500-run campaign of the `vm` family alone (~5s: every
+# closure specialization of the compiled core meets many random
+# programs), a third-seed 500-run campaign of the `prove` family alone
+# (~2s: every abstract proof re-searched by the raw BFS), plus the
+# marker-gated pytest suite.
 # See docs/TESTING.md.
 fuzz-smoke:
 	PYTHONPATH=src python -m repro.cli fuzz --seed 0 --runs 25
 	PYTHONPATH=src python -m repro.cli fuzz --seed 1 --runs 500 --oracle vm
+	PYTHONPATH=src python -m repro.cli fuzz --seed 2 --runs 500 --oracle prove
 	PYTHONPATH=src python -m pytest tests/ -m fuzz -q
 
 # Nightly-scale campaign (not a CI gate): every oracle family including
@@ -226,10 +229,11 @@ serve-smoke:
 	rm -rf $(SERVE_SMOKE_DIR)
 	PYTHONPATH=src python scripts/serve_smoke.py --dir $(SERVE_SMOKE_DIR)
 
+# Run every example script against the working tree (CI gate, ~4s).
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \
-		python $$script || exit 1; \
+		PYTHONPATH=src python $$script || exit 1; \
 	done
 
 clean:

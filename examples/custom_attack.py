@@ -11,10 +11,15 @@ This example asks two custom questions the paper does not:
 2. Can a process holding CAP_DAC_OVERRIDE *hide its tracks* by unlinking
    the audit log's directory entry?
 
-    python examples/custom_attack.py
+The questions go through a :class:`~repro.rosa.QueryEngine`, like the
+pipeline's: goals built from :mod:`repro.rosa.goals` can be *proved*
+unreachable by the engine's abstract pre-check before any search runs
+(those answers read "proved"); the rest are searched.
+
+    PYTHONPATH=src python examples/custom_attack.py
 """
 
-from repro.rosa import Configuration, RosaQuery, check, goals, model, syscalls
+from repro.rosa import Configuration, QueryEngine, RosaQuery, goals, model, syscalls
 from repro.rosa.syscalls import WILDCARD
 
 
@@ -68,9 +73,10 @@ def log_tampering_query(caps):
 
 
 def main() -> None:
+    engine = QueryEngine()
     print("=== Custom attack 1: corrupt /etc/shadow ===")
     for caps in ([], ["CapFowner"], ["CapChown"], ["CapDacOverride"], ["CapSetuid"]):
-        report = check(shadow_corruption_query(caps))
+        report = engine.check(shadow_corruption_query(caps))
         print(f"  {report.summary()}")
     print()
     print("CAP_FOWNER alone suffices: chmod the shadow file world-writable,")
@@ -78,7 +84,7 @@ def main() -> None:
     print()
     print("=== Custom attack 2: unlink the audit log ===")
     for caps in ([], ["CapFowner"], ["CapDacOverride"]):
-        report = check(log_tampering_query(caps))
+        report = engine.check(log_tampering_query(caps))
         print(f"  {report.summary()}")
     print()
     print("Directory-entry removal is gated by *directory* write permission,")

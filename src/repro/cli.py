@@ -280,8 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--oracle", action="append", default=[], metavar="FAMILY",
         help="oracle family to run (repeatable; default: the differential "
-        "families cache, pools, vm, ledger; 'all' adds the metamorphic "
-        "properties)",
+        "families cache, pools, vm, ledger, profile, store, prove; 'all' adds "
+        "the metamorphic properties)",
     )
     fuzz.add_argument(
         "--artifacts", metavar="DIR", default="artifacts/fuzz",

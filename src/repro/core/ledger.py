@@ -120,6 +120,7 @@ def _report_record(
         "max_depth": report.stats.max_depth,
         "elapsed": report.elapsed,
         "from_cache": report.from_cache,
+        "proved": report.proved,
     }
 
 

@@ -14,22 +14,29 @@ each distinct question once:
   persistence across processes is the attested
   :class:`~repro.rosa.store.SharedVerdictStore` (L2);
 * :meth:`QueryEngine.run_queries` is the one lookup chain: derive keys,
-  dedupe the batch, serve L1 then L2 hits, search each distinct miss
-  once (serially, or on the process pool of :mod:`repro.rosa.pool`),
-  then publish and release.  :meth:`QueryEngine.check` is a one-query
-  batch.
+  dedupe the batch, serve L1 then L2 hits, try to *prove* each distinct
+  miss INVULNERABLE without searching (:mod:`repro.rosa.prove`), search
+  the rest once each (serially, or on the process pool of
+  :mod:`repro.rosa.pool`), then publish and release.
+  :meth:`QueryEngine.check` is a one-query batch.
 
 Caching never changes a verdict: two queries share a cache entry only
 when their initial configurations are AC-equal, their goals are
 structurally identical, the rule system matches and the budget matches —
 exactly the conditions under which the bounded search is deterministic.
-Queries without a stable key always search; wall-clock ``TIMEOUT``
+Queries without a stable key are never cached; wall-clock ``TIMEOUT``
 verdicts are never cached.
+
+A proof is a deterministic verdict like any other: INVULNERABLE with
+zero states and ``proved=True``, cached and published under the query's
+key.  It is answered even where the search would have run out of its
+state budget: ⊙ means "undecided within the budget", and a proof decides.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -37,6 +44,7 @@ from repro.rewriting import PROGRESS_INTERVAL, SearchBudget, SearchStats
 # perfbench's probes patch engine.query_cache_key and engine.check: call by name.
 from repro.rosa.keys import query_cache_key
 from repro.rosa.pool import Fleet, run_pool
+from repro.rosa.prove import prove
 from repro.rosa.query import DEFAULT_BUDGET, RosaQuery, RosaReport, Verdict, check
 from repro.telemetry.profiler import NULL_PROFILER
 
@@ -63,6 +71,7 @@ class CachedOutcome:
     peak_frontier: int
     dedup_hits: int
     max_depth: int
+    proved: bool = False
 
     def to_json(self) -> Dict[str, Any]:
         return dataclasses.asdict(self)
@@ -78,6 +87,7 @@ class CachedOutcome:
             peak_frontier=int(data.get("peak_frontier", 0)),
             dedup_hits=int(data.get("dedup_hits", 0)),
             max_depth=int(data.get("max_depth", 0)),
+            proved=bool(data.get("proved", False)),
         )
 
     @classmethod
@@ -91,6 +101,7 @@ class CachedOutcome:
             peak_frontier=report.stats.peak_frontier,
             dedup_hits=report.stats.dedup_hits,
             max_depth=report.stats.max_depth,
+            proved=report.proved,
         )
 
     def to_report(self, query: RosaQuery) -> RosaReport:
@@ -109,6 +120,7 @@ class CachedOutcome:
                 max_depth=self.max_depth,
             ),
             from_cache=True,
+            proved=self.proved,
         )
 
 
@@ -426,7 +438,8 @@ class QueryEngine:
         if distinct:
             metrics.counter("rosa.batch.unique").inc(len(distinct))
 
-        # 2. Run each distinct search once.  Every key this batch led in
+        # 2. Prove what the abstract pre-check can, then run each
+        #    remaining distinct search once.  Every key this batch led in
         #    the store is released afterwards, published or not.
         try:
             if distinct:
@@ -434,27 +447,36 @@ class QueryEngine:
                 budgets = {
                     index: entries[index].budget or self.budget for index in leaders
                 }
-                widest = max(budget.max_states or 0 for budget in budgets.values())
-                mode = self.parallel.resolve(
-                    len(leaders),
-                    widest or self.budget.max_states or 0,
-                    all(entries[index].spec is not None for index in leaders),
-                )
-                if mode == "serial" or len(leaders) == 1:
-                    leader_reports = self._run_serial(
-                        entries, leaders, budgets, profiler
+                answers: Dict[int, RosaReport] = {}
+                for index in leaders:
+                    report = self._proved(entries[index].query, profiler)
+                    if report is not None:
+                        answers[index] = report
+                searched = [index for index in leaders if index not in answers]
+                if searched:
+                    widest = max(budgets[index].max_states or 0 for index in searched)
+                    mode = self.parallel.resolve(
+                        len(searched),
+                        widest or self.budget.max_states or 0,
+                        all(entries[index].spec is not None for index in searched),
                     )
-                else:
-                    leader_reports = run_pool(
-                        self,
-                        [
-                            dataclasses.replace(entries[index], budget=budgets[index])
-                            for index in leaders
-                        ],
-                        [keys[index] for index in leaders],
-                        profiler,
-                    )
-                for key_indices, report in zip(distinct.values(), leader_reports):
+                    if mode == "serial" or len(searched) == 1:
+                        searched_reports = self._run_serial(
+                            entries, searched, budgets, profiler
+                        )
+                    else:
+                        searched_reports = run_pool(
+                            self,
+                            [
+                                dataclasses.replace(entries[index], budget=budgets[index])
+                                for index in searched
+                            ],
+                            [keys[index] for index in searched],
+                            profiler,
+                        )
+                    answers.update(zip(searched, searched_reports))
+                for key_indices in distinct.values():
+                    report = answers[key_indices[0]]
                     key = keys[key_indices[0]]
                     if (
                         key is not None
@@ -483,6 +505,37 @@ class QueryEngine:
                     if isinstance(key, str):
                         self.store.release(key)
         return [report for report in reports if report is not None]
+
+    def _proved(self, query: RosaQuery, profiler) -> Optional[RosaReport]:
+        """The abstract pre-check: an INVULNERABLE report, or None to search.
+
+        Runs in this process before any dispatch, and not through
+        :attr:`checker`: the search implementation only ever sees queries
+        the check could not prove.
+        """
+        with (profiler or NULL_PROFILER).section("engine", "prove"):
+            with self.telemetry.tracer.span("rosa.prove", query=query.name) as span:
+                start = time.perf_counter()
+                proved = prove(query)
+                elapsed = time.perf_counter() - start
+                span.set_attribute("proved", proved)
+        if not proved:
+            return None
+        self.telemetry.metrics.counter("rosa.proved").inc()
+        with self.telemetry.tracer.span(
+            "rosa.query", query=query.name, proved=True
+        ) as span:
+            span.set_attribute("verdict", Verdict.INVULNERABLE.value)
+        return RosaReport(
+            query=query,
+            verdict=Verdict.INVULNERABLE,
+            witness=[],
+            compromised_state=None,
+            states_explored=0,
+            states_seen=0,
+            elapsed=elapsed,
+            proved=True,
+        )
 
     def _run_serial(self, entries, leaders, budgets, profiler) -> List[RosaReport]:
         """Search the leaders in this thread, in order.

@@ -6,6 +6,15 @@ pattern as a Maude term with don't-care variables plus a ``such that``
 condition; in our engine a goal is a predicate over configurations.  This
 module provides the patterns the paper's four modeled attacks use, plus
 combinators for writing new ones.
+
+Each factory also attaches ``may_hold``: the same pattern over an
+:class:`~repro.rosa.prove.AbstractState`, true whenever some
+configuration the abstract state describes may match.  The abstract
+pre-check (:mod:`repro.rosa.prove`) proves a query INVULNERABLE when the
+goal's ``may_hold`` stays false at the fixpoint; a goal without one (a
+hand-written predicate) is never proved, only searched.  ``may_hold`` is
+an attribute, not a closure cell, so it leaves the goal's cache identity
+(:func:`repro.rosa.keys.goal_identity`) unchanged.
 """
 
 from __future__ import annotations
@@ -16,6 +25,11 @@ from repro.rewriting import Configuration
 from repro.rosa import model
 
 Goal = Callable[[Configuration], bool]
+
+
+def _abstract(goal: Goal, may_hold: Callable) -> Goal:
+    goal.may_hold = may_hold
+    return goal
 
 
 def file_opened_for_read(fid: int, pid: Optional[int] = None) -> Goal:
@@ -33,7 +47,14 @@ def file_opened_for_read(fid: int, pid: Optional[int] = None) -> Goal:
                 return True
         return False
 
-    return goal
+    def may_hold(state) -> bool:
+        return any(
+            fid in state.values[(oid, "rdfset")]
+            for oid in state.oids(model.PROCESS)
+            if pid is None or oid == pid
+        )
+
+    return _abstract(goal, may_hold)
 
 
 def file_opened_for_write(fid: int, pid: Optional[int] = None) -> Goal:
@@ -47,7 +68,14 @@ def file_opened_for_write(fid: int, pid: Optional[int] = None) -> Goal:
                 return True
         return False
 
-    return goal
+    def may_hold(state) -> bool:
+        return any(
+            fid in state.values[(oid, "wrfset")]
+            for oid in state.oids(model.PROCESS)
+            if pid is None or oid == pid
+        )
+
+    return _abstract(goal, may_hold)
 
 
 def socket_bound_to_privileged_port(
@@ -63,7 +91,14 @@ def socket_bound_to_privileged_port(
                 return True
         return False
 
-    return goal
+    def may_hold(state) -> bool:
+        return any(
+            (pid is None or pid in state.values[(oid, "owner_pid")])
+            and any(0 < port < bound for port in state.values[(oid, "port")])
+            for oid in state.oids(model.SOCKET)
+        )
+
+    return _abstract(goal, may_hold)
 
 
 def process_terminated(pid: int) -> Goal:
@@ -73,7 +108,12 @@ def process_terminated(pid: int) -> Goal:
         proc = config.find_object(pid)
         return proc is not None and proc["state"] == model.STATE_DEAD
 
-    return goal
+    def may_hold(state) -> bool:
+        return state.may_exist(pid) and model.STATE_DEAD in state.values.get(
+            (pid, "state"), ()
+        )
+
+    return _abstract(goal, may_hold)
 
 
 def file_owner_is(fid: int, owner: int) -> Goal:
@@ -83,7 +123,10 @@ def file_owner_is(fid: int, owner: int) -> Goal:
         target = config.find_object(fid)
         return target is not None and target["owner"] == owner
 
-    return goal
+    def may_hold(state) -> bool:
+        return state.may_exist(fid) and owner in state.values.get((fid, "owner"), ())
+
+    return _abstract(goal, may_hold)
 
 
 def entry_removed(entry_id: int) -> Goal:
@@ -92,7 +135,10 @@ def entry_removed(entry_id: int) -> Goal:
     def goal(config: Configuration) -> bool:
         return config.find_object(entry_id) is None
 
-    return goal
+    def may_hold(state) -> bool:
+        return state.may_be_absent(entry_id)
+
+    return _abstract(goal, may_hold)
 
 
 def any_of(*goals: Goal) -> Goal:
@@ -101,6 +147,8 @@ def any_of(*goals: Goal) -> Goal:
     def goal(config: Configuration) -> bool:
         return any(sub(config) for sub in goals)
 
+    if all(hasattr(sub, "may_hold") for sub in goals):
+        return _abstract(goal, lambda state: any(sub.may_hold(state) for sub in goals))
     return goal
 
 
@@ -110,4 +158,6 @@ def all_of(*goals: Goal) -> Goal:
     def goal(config: Configuration) -> bool:
         return all(sub(config) for sub in goals)
 
+    if all(hasattr(sub, "may_hold") for sub in goals):
+        return _abstract(goal, lambda state: all(sub.may_hold(state) for sub in goals))
     return goal

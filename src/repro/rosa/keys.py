@@ -39,13 +39,17 @@ from repro.rosa.query import DEFAULT_BUDGET, RosaQuery, unix_system
 #: code and the rules' parameters, not their class names and labels.
 #: Version 6: state-space reduction is gone, so the reduction flag left
 #: the key material and cached outcomes lost the reduction counters.
-CACHE_SCHEMA_VERSION = 6
+#: Version 7: the engine proves queries INVULNERABLE before searching, so
+#: cached outcomes grew ``proved`` and a proved key holds zero states.
+CACHE_SCHEMA_VERSION = 7
 
 #: The modules whose source defines what a stored answer holds: the
 #: syscall rules and the constants, object model, capabilities and
 #: permission checks they consult; the goal predicates; the rewriting
 #: objects, the search that decides the verdict, witness path and
-#: ``states_explored``.  Editing any of them changes every system signature.
+#: ``states_explored``; and the abstract pre-check, whose proofs are
+#: published verdicts too.  Editing any of them changes every system
+#: signature.
 MODEL_MODULES = (
     "repro.rosa.rules",
     "repro.rosa.syscalls",
@@ -53,6 +57,7 @@ MODEL_MODULES = (
     "repro.rosa.permissions",
     "repro.caps.capability",
     "repro.rosa.goals",
+    "repro.rosa.prove",
     "repro.rewriting.objects",
     "repro.rewriting.search",
 )

@@ -12,6 +12,11 @@ outcome into the paper's three verdicts:
   compromised state exists;
 * ⊙ **TIMEOUT** — a budget ran out first (the paper's 5-hour limit and
   out-of-memory kills, §VII-D / §VIII).
+
+:func:`check` is always the plain search.  The query engine
+(:mod:`repro.rosa.engine`) first tries to *prove* a query INVULNERABLE
+without searching (:mod:`repro.rosa.prove`); such a report carries
+``proved=True`` and zero states.
 """
 
 from __future__ import annotations
@@ -102,6 +107,9 @@ class RosaReport:
     #: True when the query engine served this report from its result cache
     #: instead of searching (see :mod:`repro.rosa.engine`).
     from_cache: bool = False
+    #: True when the verdict is an abstract proof of unreachability
+    #: (:mod:`repro.rosa.prove`), reached without searching.
+    proved: bool = False
 
     @property
     def vulnerable(self) -> bool:
@@ -112,10 +120,17 @@ class RosaReport:
         head = f"{self.query.name}: {self.verdict.symbol} {self.verdict.value}"
         if self.verdict is Verdict.VULNERABLE and self.witness:
             head += " via " + " -> ".join(self.witness)
+        if self.proved:
+            return head + f" (proved, {self.elapsed * 1000:.1f} ms)"
         return head + f" ({self.states_seen} states, {self.elapsed * 1000:.1f} ms)"
 
     def cost_line(self) -> str:
         """The search's cost, for ✗/⊙ verdicts that would otherwise hide it."""
+        if self.proved:
+            return (
+                "search cost: proved unreachable (abstract pre-check), "
+                f"{self.elapsed * 1000:.1f} ms"
+            )
         return (
             f"search cost: {self.states_explored} states explored, "
             f"{self.states_seen} seen, peak frontier {self.stats.peak_frontier}, "

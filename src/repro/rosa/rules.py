@@ -12,6 +12,12 @@ during matching over the candidate domains carried by the configuration's
 User/Group/Port objects and by the object population itself, exactly as
 Maude would enumerate matches of an unbound variable against the object
 multiset.
+
+Next to each ``fire`` sits the rule's abstract ``transfer``: the same
+checks over an :class:`~repro.rosa.prove.AbstractState`, joining every
+value the rewrite may produce instead of yielding configurations.
+:func:`repro.rosa.prove.prove` iterates them to a fixpoint.  A rule
+without a transfer (the object-creating ones) makes the proof decline.
 """
 
 from __future__ import annotations
@@ -22,6 +28,11 @@ from typing import Callable, Iterable, Iterator, List, Tuple
 from repro.rewriting import Configuration, MessageRule, Msg, Obj
 from repro.rosa import model, permissions
 from repro.rosa.syscalls import KEEP, O_RDONLY, O_RDWR, O_WRONLY, WILDCARD
+
+#: What the DAC checks of :mod:`repro.rosa.permissions` read of the
+#: calling process and of the file or entry they guard.
+DAC_SUBJECT = ("euid", "egid", "supplementary")
+DAC_OBJECT = ("owner", "group", "perms")
 
 
 def _expand(value, domain: Iterable) -> List:
@@ -34,6 +45,11 @@ def _expand(value, domain: Iterable) -> List:
 class SyscallRule(MessageRule):
     """Base class: resolves the calling process and skips dead ones."""
 
+    #: ``transfer(state, message, pid)`` joins into the abstract ``state``
+    #: every value ``fire`` may produce from a configuration it describes;
+    #: None when the rule has no abstract transfer.
+    transfer = None
+
     def rewrites_for_message(
         self, config: Configuration, message: Msg
     ) -> Iterator[Configuration]:
@@ -42,6 +58,12 @@ class SyscallRule(MessageRule):
         if proc is None or proc["state"] != model.STATE_RUN:
             return
         yield from self.fire(config, message, proc)
+
+    def abstract(self, state, message: Msg) -> None:
+        """The abstract counterpart of :meth:`rewrites_for_message`."""
+        pid = message.args[0]
+        if state.may_run(pid):
+            self.transfer(state, message, pid)
 
     def fire(
         self, config: Configuration, message: Msg, proc: Obj
@@ -74,6 +96,26 @@ class OpenRule(SyscallRule):
             wrfset = proc["wrfset"] | {fid} if want_write else proc["wrfset"]
             yield config.consume(message, proc.update(rdfset=rdfset, wrfset=wrfset))
 
+    def transfer(self, state, message, pid):
+        _, fid_arg, mode, privs = message.args
+        subject = state.views(pid, *DAC_SUBJECT)
+        for fid in _expand(fid_arg, state.domain(model.candidate_files)):
+            if not state.may_be(fid, model.FILE):
+                continue
+            if not state.lookup_may_permit(fid, pid, privs):
+                continue
+            target = state.views(fid, *DAC_OBJECT)
+            want_read = mode in (O_RDONLY, O_RDWR)
+            want_write = mode in (O_WRONLY, O_RDWR)
+            if want_read and not state.may(permissions.may_read, subject, target, privs):
+                continue
+            if want_write and not state.may(permissions.may_write, subject, target, privs):
+                continue
+            if want_read:
+                state.join(pid, rdfset=fid)
+            if want_write:
+                state.join(pid, wrfset=fid)
+
 
 class SetuidRule(SyscallRule):
     """``setuid(pid, uid, privs)``.
@@ -99,6 +141,16 @@ class SetuidRule(SyscallRule):
             elif uid in (proc["ruid"], proc["suid"]):
                 yield config.consume(message, proc.update(euid=uid))
 
+    def transfer(self, state, message, pid):
+        from repro.caps import Capability
+
+        _, uid_arg, privs = message.args
+        for uid in _expand(uid_arg, state.domain(model.candidate_uids)):
+            if Capability.CAP_SETUID in privs:
+                state.join(pid, ruid=uid, euid=uid, suid=uid)
+            elif uid in state.values[(pid, "ruid")] | state.values[(pid, "suid")]:
+                state.join(pid, euid=uid)
+
 
 class SeteuidRule(SyscallRule):
     """``seteuid(pid, uid, privs)`` — change the effective uid only."""
@@ -117,6 +169,17 @@ class SeteuidRule(SyscallRule):
             )
             if allowed:
                 yield config.consume(message, proc.update(euid=uid))
+
+    def transfer(self, state, message, pid):
+        from repro.caps import Capability
+
+        _, uid_arg, privs = message.args
+        for uid in _expand(uid_arg, state.domain(model.candidate_uids)):
+            allowed = Capability.CAP_SETUID in privs or uid in (
+                state.values[(pid, "ruid")] | state.values[(pid, "suid")]
+            )
+            if allowed:
+                state.join(pid, euid=uid)
 
 
 class _SetresRule(SyscallRule):
@@ -154,6 +217,15 @@ class _SetresRule(SyscallRule):
             if updates:
                 yield config.consume(message, proc.update(**updates))
 
+    def transfer(self, state, message, pid):
+        privs = message.args[4]
+        domain = state.domain(self.domain)
+        ids = state.views(pid, *self.fields)
+        for field, arg in zip(self.fields, message.args[1:4]):
+            for value in _expand(arg, domain):
+                if value != KEEP and state.may(self.may_set, ids, value, privs):
+                    state.join(pid, **{field: value})
+
 
 class SetresuidRule(_SetresRule):
     """``setresuid(pid, ruid, euid, suid, privs)``.
@@ -187,6 +259,16 @@ class SetgidRule(SyscallRule):
             elif gid in (proc["rgid"], proc["sgid"]):
                 yield config.consume(message, proc.update(egid=gid))
 
+    def transfer(self, state, message, pid):
+        from repro.caps import Capability
+
+        _, gid_arg, privs = message.args
+        for gid in _expand(gid_arg, state.domain(model.candidate_gids)):
+            if Capability.CAP_SETGID in privs:
+                state.join(pid, rgid=gid, egid=gid, sgid=gid)
+            elif gid in state.values[(pid, "rgid")] | state.values[(pid, "sgid")]:
+                state.join(pid, egid=gid)
+
 
 class SetegidRule(SyscallRule):
     """``setegid(pid, gid, privs)`` — change the effective gid only."""
@@ -205,6 +287,17 @@ class SetegidRule(SyscallRule):
             )
             if allowed:
                 yield config.consume(message, proc.update(egid=gid))
+
+    def transfer(self, state, message, pid):
+        from repro.caps import Capability
+
+        _, gid_arg, privs = message.args
+        for gid in _expand(gid_arg, state.domain(model.candidate_gids)):
+            allowed = Capability.CAP_SETGID in privs or gid in (
+                state.values[(pid, "rgid")] | state.values[(pid, "sgid")]
+            )
+            if allowed:
+                state.join(pid, egid=gid)
 
 
 class SetresgidRule(_SetresRule):
@@ -240,6 +333,15 @@ class SetgroupsRule(SyscallRule):
                 message, proc.update(supplementary=proc["supplementary"] | {gid})
             )
 
+    def transfer(self, state, message, pid):
+        from repro.caps import Capability
+
+        _, gid_arg, privs = message.args
+        if Capability.CAP_SETGID not in privs:
+            return
+        for gid in _expand(gid_arg, state.domain(model.candidate_gids)):
+            state.join(pid, supplementary=gid)
+
 
 class KillRule(SyscallRule):
     """``kill(pid, target, sig, privs)`` — SIGKILL terminates the target."""
@@ -261,6 +363,45 @@ class KillRule(SyscallRule):
                 # Delivery of a non-fatal signal: observable only as message
                 # consumption (we do not model handlers inside ROSA).
                 yield config.consume(message)
+
+    def transfer(self, state, message, pid):
+        _, target_arg, signal, privs = message.args
+        sender = state.views(pid, "euid", "ruid")
+        for target_pid in _expand(target_arg, state.domain(model.candidate_processes)):
+            if not state.may_run(target_pid):
+                continue
+            victim = state.views(target_pid, "ruid", "suid")
+            if signal == model.SIGKILL and state.may(
+                permissions.may_signal, sender, victim, privs
+            ):
+                state.join(target_pid, state=model.STATE_DEAD)
+
+
+def _may_reach(rule, state, pid, fid, privs) -> bool:
+    """The abstract access step of chmod/chown and their f-variants: an
+    existing file, open already (``requires_open``) or found by lookup."""
+    if not state.may_be(fid, model.FILE):
+        return False
+    if rule.requires_open:
+        return fid in state.values[(pid, "rdfset")] | state.values[(pid, "wrfset")]
+    return state.lookup_may_permit(fid, pid, privs)
+
+
+def _may_modify_entry(state, pid, entry_id, privs) -> bool:
+    """The abstract checks unlink and rename share: write+search on the
+    entry and the sticky-bit rule against the file it names, if any."""
+    if not state.may_be(entry_id, model.DIR):
+        return False
+    subject = state.views(pid, *DAC_SUBJECT)
+    entry = state.views(entry_id, *DAC_OBJECT)
+    if not state.may(permissions.may_write, subject, entry, privs):
+        return False
+    if not state.may(permissions.may_search, subject, entry, privs):
+        return False
+    target_file = state.referent(entry_id, "inode", model.FILE, "owner")
+    return state.may(
+        permissions.sticky_permits_removal, subject, entry, target_file, privs
+    )
 
 
 class ChmodRule(SyscallRule):
@@ -289,6 +430,19 @@ class ChmodRule(SyscallRule):
             if target["perms"] == new_perms:
                 continue
             yield config.consume(message, target.update(perms=new_perms))
+
+    def transfer(self, state, message, pid):
+        _, fid_arg, new_perms, privs = message.args
+        for fid in _expand(fid_arg, state.domain(model.candidate_files)):
+            if not _may_reach(self, state, pid, fid, privs):
+                continue
+            if state.may(
+                permissions.may_chmod,
+                state.views(pid, "euid"),
+                state.views(fid, "owner"),
+                privs,
+            ):
+                state.join(fid, perms=new_perms)
 
 
 class FchmodRule(ChmodRule):
@@ -329,6 +483,20 @@ class ChownRule(SyscallRule):
                         message, target.update(owner=new_owner, group=new_group)
                     )
 
+    def transfer(self, state, message, pid):
+        _, fid_arg, owner_arg, group_arg, privs = message.args
+        subject = state.views(pid, *DAC_SUBJECT)
+        for fid in _expand(fid_arg, state.domain(model.candidate_files)):
+            if not _may_reach(self, state, pid, fid, privs):
+                continue
+            target = state.views(fid, "owner", "group")
+            for new_owner in _expand(owner_arg, state.domain(model.candidate_uids)):
+                for new_group in _expand(group_arg, state.domain(model.candidate_gids)):
+                    if state.may(
+                        permissions.may_chown, subject, target, new_owner, new_group, privs
+                    ):
+                        state.join(fid, owner=new_owner, group=new_group)
+
 
 class FchownRule(ChownRule):
     label = "fchown"
@@ -359,6 +527,12 @@ class UnlinkRule(SyscallRule):
             if not permissions.sticky_permits_removal(proc, entry, target_file, privs):
                 continue
             yield config.consume(message).remove(entry)
+
+    def transfer(self, state, message, pid):
+        _, entry_arg, privs = message.args
+        for entry_id in _expand(entry_arg, state.domain(model.candidate_dirs)):
+            if _may_modify_entry(state, pid, entry_id, privs):
+                state.join(entry_id, present=False)
 
 
 class CreatRule(SyscallRule):
@@ -463,6 +637,12 @@ class RenameRule(SyscallRule):
             if entry["name"] == new_name:
                 continue
             yield config.consume(message, entry.update(name=new_name))
+
+    def transfer(self, state, message, pid):
+        _, entry_arg, new_name, privs = message.args
+        for entry_id in _expand(entry_arg, state.domain(model.candidate_dirs)):
+            if _may_modify_entry(state, pid, entry_id, privs):
+                state.join(entry_id, name=new_name)
 
 
 class SocketRule(SyscallRule):

@@ -216,6 +216,32 @@ def _store_attestation_skew() -> Callable[[], None]:
     return undo
 
 
+@fault("prove-drop-transition")
+def _prove_drop_transition() -> Callable[[], None]:
+    """The abstract pre-check forgets that ``setgroups`` adds a group.
+
+    Models an abstract transfer that drops one concrete transition: the
+    fixpoint never grows a supplementary set, so a process that could
+    join a file's group looks locked out, and a reachable goal gets
+    "proved" unreachable.  The concrete rule still fires, so the per-rule
+    local soundness property (``tests/test_rosa_prove.py``) and the
+    ``prove`` oracle family, which re-searches every proof, catch it.
+    """
+    from repro.rosa.rules import SetgroupsRule
+
+    original = SetgroupsRule.transfer
+
+    def dropped(self, state, message, pid) -> None:
+        return None
+
+    SetgroupsRule.transfer = dropped
+
+    def undo() -> None:
+        SetgroupsRule.transfer = original
+
+    return undo
+
+
 @dataclasses.dataclass(frozen=True)
 class CrashingSpec:
     """A picklable query spec whose ``build()`` kills its process.

@@ -33,8 +33,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.caps import CapabilitySet
 from repro.core.attacks import ALL_ATTACKS, ATTACKS_BY_ID
 from repro.programs.common import ProgramSpec
-from repro.rewriting import Configuration, SearchBudget
-from repro.rosa import model, syscalls
+from repro.rewriting import Configuration, Msg, SearchBudget
+from repro.rosa import goals, model, syscalls
 from repro.rosa.engine import QueryRequest
 
 Case = Dict[str, Any]
@@ -175,6 +175,35 @@ def build_batch_requests(case: Case) -> List[QueryRequest]:
 # -- ROSA configurations -------------------------------------------------------
 
 
+#: The message names :func:`gen_config_case` draws from.
+CONFIG_MESSAGES = (
+    "open_read",
+    "open_write",
+    "setuid",
+    "seteuid",
+    "setgid",
+    "chmod",
+    "chown",
+    "kill",
+    "unlink",
+    "socket",
+    "bind",
+)
+
+#: More message names a config case may hold (:func:`config_message`
+#: builds them); tests and the ``prove`` oracle family add them.
+EXTRA_CONFIG_MESSAGES = (
+    "open_rdwr",
+    "setresuid",
+    "setegid",
+    "setresgid",
+    "setgroups",
+    "fchmod",
+    "fchown",
+    "rename",
+)
+
+
 def gen_config_case(rng: random.Random, max_size: int = 20) -> Case:
     """A bounded random configuration: objects plus wildcard messages.
 
@@ -206,24 +235,7 @@ def gen_config_case(rng: random.Random, max_size: int = 20) -> Case:
             }
         )
     message_count = rng.randint(1, max(2, min(4, max_size // 5)))
-    messages = [
-        rng.choice(
-            (
-                "open_read",
-                "open_write",
-                "setuid",
-                "seteuid",
-                "setgid",
-                "chmod",
-                "chown",
-                "kill",
-                "unlink",
-                "socket",
-                "bind",
-            )
-        )
-        for _ in range(message_count)
-    ]
+    messages = [rng.choice(CONFIG_MESSAGES) for _ in range(message_count)]
     return {
         "proc": {"uids": uids, "gids": gids},
         "caps": caps,
@@ -271,23 +283,79 @@ def build_configuration(case: Case) -> Configuration:
         )
     for index, port in enumerate(case.get("ports", [])):
         elements.append(model.port_obj(60 + index, port))
+    for name in case["messages"]:
+        elements.append(config_message(name, pid, caps))
+    return Configuration(elements)
+
+
+def config_message(name: str, pid: int, caps) -> Msg:
+    """One wildcard syscall message of a config case, by its name in
+    :data:`CONFIG_MESSAGES` or :data:`EXTRA_CONFIG_MESSAGES`."""
     W = syscalls.WILDCARD
+    KEEP = syscalls.KEEP
     builders = {
         "open_read": lambda: syscalls.sys_open(pid, W, syscalls.O_RDONLY, caps),
         "open_write": lambda: syscalls.sys_open(pid, W, syscalls.O_WRONLY, caps),
+        "open_rdwr": lambda: syscalls.sys_open(pid, W, syscalls.O_RDWR, caps),
         "setuid": lambda: syscalls.sys_setuid(pid, W, caps),
         "seteuid": lambda: syscalls.sys_seteuid(pid, W, caps),
+        "setresuid": lambda: syscalls.sys_setresuid(pid, KEEP, W, W, caps),
         "setgid": lambda: syscalls.sys_setgid(pid, W, caps),
+        "setegid": lambda: syscalls.sys_setegid(pid, W, caps),
+        "setresgid": lambda: syscalls.sys_setresgid(pid, W, W, KEEP, caps),
+        "setgroups": lambda: syscalls.sys_setgroups(pid, W, caps),
         "chmod": lambda: syscalls.sys_chmod(pid, W, 0o777, caps),
+        "fchmod": lambda: syscalls.sys_fchmod(pid, W, 0o604, caps),
         "chown": lambda: syscalls.sys_chown(pid, W, W, W, caps),
+        "fchown": lambda: syscalls.sys_fchown(pid, W, W, W, caps),
         "kill": lambda: syscalls.sys_kill(pid, W, model.SIGKILL, caps),
         "unlink": lambda: syscalls.sys_unlink(pid, W, caps),
+        "rename": lambda: syscalls.sys_rename(pid, W, "attacker", caps),
         "socket": lambda: syscalls.sys_socket(pid, caps),
         "bind": lambda: syscalls.sys_bind(pid, W, W, caps),
     }
-    for name in case["messages"]:
-        elements.append(builders[name]())
-    return Configuration(elements)
+    return builders[name]()
+
+
+
+
+def gen_goal(rng: random.Random, case: Case) -> List:
+    """A random compromised-state goal over one config case's objects.
+
+    Goals are JSON lists (``["read", fid]``, ``["any", goal, goal]``…)
+    that :func:`build_goal` turns into :mod:`repro.rosa.goals` predicates.
+    """
+    fids = [entry["oid"] for entry in case["files"]]
+    choices = [
+        ["read", rng.choice(fids)],
+        ["write", rng.choice(fids)],
+        ["owner", rng.choice(fids), rng.choice(UID_POOL)],
+        ["terminated", 1],
+        ["port"],
+    ]
+    if case["dirs"]:
+        choices.append(["removed", case["dirs"][0]["oid"]])
+    goal = rng.choice(choices)
+    if rng.random() < 0.25:
+        return [rng.choice(("any", "all")), goal, rng.choice(choices)]
+    return goal
+
+
+def build_goal(spec: List):
+    """The live goal predicate of one :func:`gen_goal` spec."""
+    kind, args = spec[0], spec[1:]
+    if kind in ("any", "all"):
+        combine = goals.any_of if kind == "any" else goals.all_of
+        return combine(*(build_goal(sub) for sub in args))
+    factories = {
+        "read": goals.file_opened_for_read,
+        "write": goals.file_opened_for_write,
+        "owner": goals.file_owner_is,
+        "terminated": goals.process_terminated,
+        "removed": goals.entry_removed,
+        "port": goals.socket_bound_to_privileged_port,
+    }
+    return factories[kind](*args)
 
 
 # -- PrivC programs ------------------------------------------------------------

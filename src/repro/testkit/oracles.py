@@ -25,7 +25,12 @@ Differential families (the default campaign):
 * ``profile`` — the **privilege profile extracted from the live run vs
   from its captured ledger** must agree bit for bit (the corpus sweep's
   cache stores ledger-shaped profiles; a skew here silently poisons
-  every peer-group comparison).
+  every peer-group comparison);
+* ``prove`` — a query the **abstract pre-check proves** INVULNERABLE
+  (:mod:`repro.rosa.prove`) must never be VULNERABLE to the **raw
+  search** (INVULNERABLE or a state-budget TIMEOUT only).  Cases are
+  attack queries and config cases with extra messages and a random goal;
+  unproved cases are skips.
 
 Metamorphic families (opt-in via ``--oracle``; slower, run whole
 pipelines or searches per case):
@@ -675,6 +680,71 @@ _register(
 )
 
 
+# -- prove: the search never contradicts a proof ------------------------------
+
+
+def _gen_prove_case(rng: random.Random, max_size: int = 20) -> Case:
+    """An attack query case, or a config case with extra messages and a goal."""
+    if rng.random() < 0.5:
+        return dict(generators.gen_query_case(rng, max_size), kind="query")
+    case = generators.gen_config_case(rng, max_size)
+    case["messages"] += [
+        rng.choice(generators.EXTRA_CONFIG_MESSAGES) for _ in range(rng.randint(0, 2))
+    ]
+    case["goal"] = generators.gen_goal(rng, case)
+    case["kind"] = "config"
+    return case
+
+
+def _run_prove(case: Case) -> OracleResult:
+    from repro.rewriting import SearchBudget
+    from repro.rosa.prove import prove
+    from repro.rosa.query import RosaQuery, Verdict, check
+
+    if case["kind"] == "query":
+        request = generators.build_query_request(case)
+        query, budget = request.query, request.budget
+    else:
+        query = RosaQuery(
+            "prove-config",
+            generators.build_configuration(case),
+            generators.build_goal(case["goal"]),
+        )
+        budget = SearchBudget(max_states=int(case.get("max_states", 30_000)))
+    if not prove(query):
+        return OracleResult("prove", ok=True, skipped=True, details="not proved")
+    # No wall-clock budget: a TIMEOUT here is a state-budget one, which
+    # a proof may decide.
+    report = check(query, budget)
+    if report.verdict is Verdict.VULNERABLE:
+        return OracleResult(
+            "prove", ok=False,
+            details=(
+                "proved unreachable, but the search reaches the goal via "
+                + " -> ".join(report.witness)
+            ),
+        )
+    return OracleResult("prove", ok=True)
+
+
+def _shrink_prove(case: Case) -> Iterable[Case]:
+    if case["kind"] == "query":
+        yield from _shrink_query(case)
+    else:
+        yield from _shrink_config(case)
+
+
+_register(
+    OracleFamily(
+        name="prove",
+        description="a query the abstract pre-check proves is never found vulnerable",
+        generate=_gen_prove_case,
+        run=_run_prove,
+        shrink_candidates=_shrink_prove,
+    )
+)
+
+
 #: Family names, in registration order.
 ALL_FAMILIES: Tuple[str, ...] = tuple(_REGISTRY)
 
@@ -688,4 +758,5 @@ DEFAULT_FAMILIES: Tuple[str, ...] = (
     "ledger",
     "profile",
     "store",
+    "prove",
 )

@@ -95,6 +95,18 @@ class TestCapture:
         assert old.syscalls["by_credential"]  # the kernel ran under audit
         assert old.cache["enabled"] is True
 
+    def test_proofs_are_recorded(self, captured):
+        old, _ = captured
+        proved = [record for record in old.verdicts if record["proved"]]
+        assert proved and len(proved) < len(old.verdicts)
+        assert all(
+            record["verdict"] == "invulnerable" and record["states_explored"] == 0
+            for record in proved
+        )
+        # Proofs count once per distinct question; the records repeat
+        # them for every phase that asked it again.
+        assert 0 < old.metrics["rosa.proved"]["value"] <= len(proved)
+
     def test_perfetto_artifact_is_an_event_array(self, captured):
         old, _ = captured
         events = json.loads((old.root / "trace.perfetto.json").read_text())

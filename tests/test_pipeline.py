@@ -118,9 +118,10 @@ class TestPipeline:
         from repro.rewriting import SearchBudget
 
         analyzer = PrivAnalyzer(budget=SearchBudget(max_states=1))
-        analysis = analyzer.analyze(spec_for(GOOD_CITIZEN, "good", "CapDacReadSearch"))
-        # With a 1-state budget everything times out (no verdicts possible
-        # beyond the initial state)...
+        analysis = analyzer.analyze(spec_for(HOARDER, "bad", "CapSetuid"))
+        # With a 1-state budget every search times out (no verdicts
+        # possible beyond the initial state); the hoarder keeps CAP_SETUID,
+        # so the abstract pre-check cannot prove its reachable attacks...
         has_timeout = any(
             report.verdict is Verdict.TIMEOUT
             for phase in analysis.phases

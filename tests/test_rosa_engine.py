@@ -113,6 +113,19 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
+def proving(monkeypatch):
+    """Record the engine's abstract pre-check answers; returns their list."""
+    answers = []
+    original = engine_module.prove
+
+    def wrapper(query):
+        answers.append(original(query))
+        return answers[-1]
+
+    monkeypatch.setattr(engine_module, "prove", wrapper)
+    return answers
+
+
 class TestCanonicalKeys:
     def test_same_query_content_same_key(self):
         assert query_cache_key(shadow_query("a"), BUDGET) == query_cache_key(
@@ -267,18 +280,22 @@ class TestTimeoutCaching:
         store = SharedVerdictStore(tmp_path)
         budget = SearchBudget(max_states=1, max_seconds=30.0)
         engine = QueryEngine(budget=budget, cache=QueryCache(), store=store)
-        # setuid to its own uid always fires; the open never does.
+        # The open succeeds only after setuid(0), two states in: beyond
+        # the 1-state budget, and reachable, so the abstract pre-check
+        # cannot prove it and the search runs out of states.
         config = Configuration(
             [
                 model.process_for_user(1, uid=1000, gid=1000),
                 model.file_obj(3, name="/etc/shadow", owner=0, group=42, perms=0o600),
                 model.user(4, 1000),
-                syscalls.sys_setuid(1, 1000, []),
-                syscalls.sys_setuid(1, 1000, []),
+                model.user(5, 0),
+                syscalls.sys_setuid(1, 0, ["CapSetuid"]),
+                syscalls.sys_open(1, 3, "r", []),
             ]
         )
         query = RosaQuery("stuck", config, goals.file_opened_for_read(3))
         report = engine.check(query)
+        assert not report.proved
         assert report.verdict is Verdict.TIMEOUT
         assert report.elapsed <= budget.max_seconds
         assert store.published == 1
@@ -513,18 +530,22 @@ class TestVerdictParity:
     def test_pipeline_reuses_verdicts_across_phases(self, monkeypatch):
         # The engine binds its checker at construction: count from here.
         searches = counting(monkeypatch, engine_module, "check")
+        proofs = proving(monkeypatch)
         analyzer = PrivAnalyzer()
         analyzer.analyze(spec_by_name("passwd"))
         stats = analyzer.engine.cache_stats()
-        # passwd issues 20 phase×attack queries but only 17 are distinct.
-        assert len(searches) == 17
+        # passwd issues 20 phase×attack queries but only 17 are distinct:
+        # the abstract pre-check proves 4 of them, and 13 are searched.
+        assert len(proofs) == 17 and proofs.count(True) == 4
+        assert len(searches) == 13
         assert stats["misses"] == 17
         assert stats["hits"] == 3
 
         # A warm rerun on the same analyzer is answered entirely by L1.
         analyzer.analyze(spec_by_name("passwd"))
         stats = analyzer.engine.cache_stats()
-        assert len(searches) == 17
+        assert len(proofs) == 17
+        assert len(searches) == 13
         assert stats["misses"] == 17
         assert stats["hits"] == 3 + 20
 
@@ -534,8 +555,11 @@ class TestVerdictParity:
         requests = phase_requests("passwd")
         keys = counting(monkeypatch, engine_module, "query_cache_key")
         searches = counting(monkeypatch, engine_module, "check")
+        proofs = proving(monkeypatch)
         engine = QueryEngine(cache=QueryCache())
         engine.run_queries(requests)
         assert len(requests) == 20
         assert len(keys) == 20
-        assert len(searches) == 17
+        # 17 distinct keys: 4 proved, 13 searched.
+        assert len(proofs) == 17 and proofs.count(True) == 4
+        assert len(searches) == 13

@@ -10,7 +10,9 @@ explored, no goal.  Its cost is pinned here as counts, not seconds:
   one ``Configuration`` is built per successor.
 
 It also pins the raw states seen by the exhaustive phase queries of
-passwd (message repeat 1) and thttpd (message repeat 2).
+passwd (message repeat 1) and thttpd (message repeat 2), and what a
+whole suRef analyze costs through the engine, whose abstract pre-check
+proves most of suRef's INVULNERABLE cells before any search.
 """
 
 import pytest
@@ -20,9 +22,10 @@ from repro.core.pipeline import PrivAnalyzer
 from repro.programs import spec_by_name
 from repro.rewriting import Configuration, SearchBudget, breadth_first_search
 from repro.rewriting import objects
+from repro.rosa import engine as engine_module
 from repro.rosa.query import Verdict, check, unix_system
 
-from tests.test_rosa_engine import PHASE_BUDGET, counting, phase_requests
+from tests.test_rosa_engine import PHASE_BUDGET, counting, phase_requests, proving
 
 #: No wall-clock limit: the gates count work, whatever the host's speed.
 BUDGET = SearchBudget(max_states=20_000, max_seconds=None)
@@ -89,3 +92,26 @@ def test_exhaustive_phase_queries_states_seen(program, repeat, states_seen):
         for report in reports
         if report.verdict is Verdict.INVULNERABLE
     ) == states_seen
+
+
+def test_suref_analyze_proves_then_searches(monkeypatch):
+    # 28 phase x attack queries, 26 distinct: 18 proved, 8 searched.
+    # The 8 searches see 2530 states; the 28 raw searches pinned in
+    # tests/golden/rosa/suRef.json see 18397.
+    searched = []
+    original = engine_module.check
+
+    def searching(query, budget, **kwargs):
+        report = original(query, budget, **kwargs)
+        searched.append(report.states_seen)
+        return report
+
+    monkeypatch.setattr(engine_module, "check", searching)
+    proofs = proving(monkeypatch)
+    analyzer = PrivAnalyzer(budget=BUDGET)
+    analysis = analyzer.analyze(spec_by_name("suRef"))
+    assert len(proofs) == 26 and proofs.count(True) == 18
+    assert len(searched) == 8 and sum(searched) == 2530
+    reports = [report for phase in analysis.phases for report in phase.verdicts.values()]
+    assert len(reports) == 28
+    assert {report.verdict for report in reports if report.proved} == {Verdict.INVULNERABLE}

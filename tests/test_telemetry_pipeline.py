@@ -77,9 +77,25 @@ class TestPipelineSpans:
 
     def test_rosa_report_carries_search_stats(self, traced_ping):
         _, analysis = traced_ping
-        report = analysis.phases[0].verdicts[1]
-        assert report.stats.peak_frontier >= 1
-        assert "peak frontier" in report.cost_line()
+        reports = [
+            report for phase in analysis.phases for report in phase.verdicts.values()
+        ]
+        searched = next(report for report in reports if not report.proved)
+        assert searched.stats.peak_frontier >= 1
+        assert "peak frontier" in searched.cost_line()
+        proved = next(report for report in reports if report.proved)
+        assert proved.states_explored == 0 and proved.stats.peak_frontier == 0
+        assert "proved unreachable (abstract pre-check)" in proved.cost_line()
+        assert "states explored" not in proved.cost_line()
+
+    def test_one_rosa_prove_span_per_distinct_miss(self, traced_ping):
+        telemetry, analysis = traced_ping
+        prove_spans = [
+            span for span in telemetry.tracer.finished if span.name == "rosa.prove"
+        ]
+        proved = [span for span in prove_spans if span.attributes["proved"]]
+        assert proved and len(proved) < len(prove_spans)
+        assert telemetry.metrics.counter("rosa.proved").value == len(proved)
 
 
 class TestTransformTimings:

@@ -41,7 +41,7 @@ class TestFamiliesPassOnCorrectCode:
         assert result.passed, [f.details for f in result.failures]
         assert result.executed == 4
 
-    def test_default_families_are_the_differential_six(self):
+    def test_default_families_are_the_differential_seven(self):
         assert DEFAULT_FAMILIES == (
             "cache",
             "pools",
@@ -49,6 +49,7 @@ class TestFamiliesPassOnCorrectCode:
             "ledger",
             "profile",
             "store",
+            "prove",
         )
         for name in DEFAULT_FAMILIES:
             assert name in ALL_FAMILIES
@@ -139,6 +140,7 @@ class TestFaultInjection:
         assert "cache-verdict-flip" in FAULTS
         assert "profile-ledger-skew" in FAULTS
         assert "store-attestation-skew" in FAULTS
+        assert "prove-drop-transition" in FAULTS
 
 
 class TestCampaignShrinkAndReplay:

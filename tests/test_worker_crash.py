@@ -14,6 +14,7 @@ from repro.core.attacks import ALL_ATTACKS, Attack
 from repro.core.multiprocess import analyze_multiprocess
 from repro.rewriting import SearchBudget
 from repro.rosa.engine import ParallelPolicy, QueryEngine, QueryRequest
+from repro.rosa.prove import prove
 from repro.testkit import generators
 from repro.testkit.faults import CrashingSpec
 
@@ -25,11 +26,15 @@ def process_engine() -> QueryEngine:
 
 
 def seeded_requests(count: int) -> list:
+    """``count`` seeded requests the abstract pre-check cannot prove, so
+    each one reaches the pool instead of being answered in the parent."""
     rng = random.Random("worker-crash")
-    return [
-        generators.build_query_request(generators.gen_query_case(rng, 10))
-        for _ in range(count)
-    ]
+    requests = []
+    while len(requests) < count:
+        request = generators.build_query_request(generators.gen_query_case(rng, 10))
+        if not prove(request.query):
+            requests.append(request)
+    return requests
 
 
 class TestEngineLevel:
@@ -60,16 +65,19 @@ class TestMultiprocessPipeline:
         # its last use; the loop supplies counted blocks in the second
         # phase) produce two distinct queries, so the batch actually
         # reaches the pool instead of deduplicating down to one
-        # serially-run search.
+        # serially-run search.  The program runs as root and opens a
+        # file, so neither phase's /dev/mem read is provably unreachable:
+        # the abstract pre-check answers neither in the parent.
         case = {
             "vars": 1,
             "body": [
                 ["set", 0, ["lit", 1]],
+                ["open", 0, "/etc/passwd", "r"],
                 ["sys1", "setuid", 0],
                 ["loop", 2, [["set", 0, ["bin", "+", ["var", 0], ["lit", 1]]]]],
             ],
             "permitted": ["CapSetuid"],
-            "uid": 1000,
+            "uid": 0,
             "gid": 1000,
         }
         spec = generators.build_program_spec(case, name="crashy")
