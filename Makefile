@@ -171,8 +171,9 @@ fuzz:
 # Corpus + peers smoke test (CI gate): a seeded 32-program daemon
 # corpus with one planted CAP_SYS_ADMIN hoarder.  The peers report must
 # rank the violator top-1 with the report's only capability finding,
-# and a warm rerun over the same profile store must serve every program
-# from cache.  Flipping one value inside one stored profile must then be
+# and a serial sweep (no store) must write a byte-identical report to
+# the --jobs 2 process-pool one.  A warm rerun over the same profile
+# store must serve every program from cache.  Flipping one value inside one stored profile must then be
 # caught: the rerun rejects and recomputes exactly that profile (31 hits,
 # 1 miss) and its report is byte-identical to the cold one (see
 # docs/CORPUS.md).
@@ -197,6 +198,11 @@ corpus-smoke:
 	assert all(p in violators and c == 'CapSysAdmin' for p, c in findings), findings; \
 	print(f'corpus-smoke ok: violator {top[\"program\"]} is top-1 ' \
 	      f'(score {top[\"score\"]:.1f}), findings {findings}')"
+	PYTHONPATH=src python -m repro.cli peers $(CORPUS_SMOKE_DIR)/corpus \
+		--format json --out $(CORPUS_SMOKE_DIR)/peers-serial.json > /dev/null
+	cmp $(CORPUS_SMOKE_DIR)/peers.json $(CORPUS_SMOKE_DIR)/peers-serial.json \
+		|| { echo "corpus-smoke: serial and --jobs 2 peers reports differ"; exit 1; }
+	@echo "corpus-smoke ok: serial and --jobs 2 peers reports are byte-identical"
 	PYTHONPATH=src python -m repro.cli peers $(CORPUS_SMOKE_DIR)/corpus \
 		--store $(CORPUS_SMOKE_DIR)/profiles \
 		> $(CORPUS_SMOKE_DIR)/warm.txt 2> $(CORPUS_SMOKE_DIR)/warm-stats.txt

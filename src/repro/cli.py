@@ -128,6 +128,14 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker count, at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """ROSA query-engine flags shared by analyze / table commands."""
     group = parser.add_argument_group("query engine (see docs/PERFORMANCE.md)")
@@ -136,9 +144,9 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="disable ROSA result caching; every query searches from scratch",
     )
     group.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_jobs, default=1, metavar="N",
         help="run distinct ROSA searches on a pool of N worker processes "
-        "(default: serial, which is fastest at repro-scale budgets)",
+        "(default 1: serial, which is fastest at repro-scale budgets)",
     )
     group.add_argument(
         "--verdict-store", metavar="DIR", default=None,
@@ -150,18 +158,11 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 def _engine_kwargs(args) -> dict:
     """PrivAnalyzer keyword arguments derived from the engine flags."""
-    from repro.rosa.engine import ParallelPolicy
-
-    kwargs: dict = {
+    return {
         "use_query_cache": not getattr(args, "no_query_cache", False),
         "verdict_store": getattr(args, "verdict_store", None),
+        "jobs": args.jobs,
     }
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        kwargs["parallel"] = ParallelPolicy(
-            mode="process" if jobs > 1 else "serial", max_workers=jobs
-        )
-    return kwargs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -227,10 +228,10 @@ def _build_parser() -> argparse.ArgumentParser:
     rosa.add_argument(
         "--explain", action="store_true",
         help="narrate the witness step by step when vulnerable "
-        "(incompatible with --jobs > 1)",
+        "(always searches in this process)",
     )
     rosa.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_jobs, default=1, metavar="N",
         help="answer distinct queries on a pool of N worker processes; "
         "each worker returns a telemetry capsule merged into this "
         "session's trace/metrics/profile (one Perfetto track per worker)",
@@ -377,12 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "unchanged corpus profiles nothing",
     )
     peers.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="profile cache misses on N pool workers (default 1: serial)",
-    )
-    peers.add_argument(
-        "--pool", choices=("thread", "process"), default="thread",
-        help="worker pool flavour for --jobs > 1 (default thread)",
+        "--jobs", type=_jobs, default=1, metavar="N",
+        help="profile cache misses on N worker processes (default 1: serial)",
     )
     peers.add_argument(
         "--clusters", type=int, default=None, metavar="K",
@@ -443,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "scripts starting the server with --port 0)",
     )
     serve.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_jobs, default=1, metavar="N",
         help="shard each request's distinct cold searches over N process-"
         "pool workers (default 1: serial per request; concurrency across "
         "requests is always on)",
@@ -717,16 +714,10 @@ def _cmd_hints(args, out) -> int:
 def _cmd_rosa(args, out, telemetry: Optional[Telemetry] = None) -> int:
     from repro.core import ledger as ledger_mod
     from repro.rewriting import SearchBudget
-    from repro.rosa import check, explain_witness
+    from repro.rosa import explain_witness
     from repro.rosa.dsl import DslQuerySpec, parse_query
-    from repro.telemetry.tracing import NULL_TRACER
+    from repro.rosa.engine import QueryEngine, QueryRequest
 
-    jobs = args.jobs or 1
-    if jobs > 1 and args.explain:
-        raise SystemExit(
-            "privanalyzer: --explain needs the serial searcher "
-            "(witness states do not cross the pool); drop --jobs"
-        )
     parsed = []
     for name in args.files:
         try:
@@ -734,45 +725,33 @@ def _cmd_rosa(args, out, telemetry: Optional[Telemetry] = None) -> int:
         except OSError as error:
             raise SystemExit(f"privanalyzer: cannot read {name}: {error.strerror}")
         parsed.append((parse_query(text, name=Path(name).stem), text))
-    budget = SearchBudget(max_states=args.max_states, max_seconds=args.max_seconds)
     profiler = _profiler_from_args(args)
-    fleet = None
-    if jobs > 1:
-        from repro.rosa.engine import ParallelPolicy, QueryEngine, QueryRequest
-
-        engine = QueryEngine(
-            budget=budget,
-            cache=None,
-            parallel=ParallelPolicy(mode="process", max_workers=jobs),
-            telemetry=telemetry,
-            progress=_progress_from_args(args),
-            progress_interval=_progress_interval_from_args(args),
-            profiler=profiler,
-        )
+    engine = QueryEngine(
+        budget=SearchBudget(max_states=args.max_states, max_seconds=args.max_seconds),
+        cache=None,
+        jobs=args.jobs,
+        telemetry=telemetry,
+        progress=_progress_from_args(args),
+        progress_interval=_progress_interval_from_args(args),
+        profiler=profiler,
+    )
+    if args.explain:
+        # Witness states are never cached or pooled: each query searches here.
+        reports = [engine.check(query, track_states=True) for query, _ in parsed]
+    else:
         reports = engine.run_queries(
             [
                 QueryRequest(query, spec=DslQuerySpec(text, query.name))
                 for query, text in parsed
             ]
         )
-        fleet = engine.fleet.stats() or None
-    else:
-        tracer = telemetry.tracer if telemetry is not None else NULL_TRACER
-        reports = [
-            check(
-                query, budget, track_states=args.explain, tracer=tracer,
-                progress=_progress_from_args(args),
-                progress_interval=_progress_interval_from_args(args),
-                profiler=profiler,
-            )
-            for query, _ in parsed
-        ]
     _export_profile(args, profiler)
     _capture_ledger(
         args, telemetry,
         lambda directory: ledger_mod.capture_rosa(
             directory, reports if len(reports) > 1 else reports[0], telemetry,
-            cli_args=_manifest_args(args), profiler=profiler, fleet=fleet,
+            cli_args=_manifest_args(args), profiler=profiler,
+            fleet=engine.fleet.stats() or None,
         ),
     )
     for report in reports:
@@ -960,12 +939,10 @@ def _cmd_peers(args, out, telemetry: Optional[Telemetry] = None) -> int:
     except (FileNotFoundError, ValueError) as error:
         raise SystemExit(f"privanalyzer: {error}")
     store = ProfileStore(args.store) if args.store else None
-    jobs = args.jobs or 1
     profiles = sweep_corpus(
         entries,
         store=store,
-        jobs=jobs,
-        mode="serial" if jobs <= 1 else args.pool,
+        jobs=args.jobs,
         budget=SearchBudget(
             max_states=args.max_states, max_seconds=args.max_seconds
         ),

@@ -14,12 +14,11 @@ import dataclasses
 import os
 from typing import Dict, List
 
-from repro.autopriv import transform_module
-from repro.chronopriv import ChronoRecorder, ChronoReport, instrument_module
+from repro.chronopriv import ChronoRecorder, ChronoReport
 from repro.core.attacks import ALL_ATTACKS, Attack
 from repro.core.extract import syscalls_used
-from repro.frontend import compile_source
-from repro.ir import Module, verify_module
+from repro.core.pipeline import PrivAnalyzer
+from repro.ir import Module
 from repro.oskernel.setup import build_kernel
 from repro.programs.common import ProgramSpec
 from repro.rewriting import SearchBudget
@@ -115,10 +114,7 @@ def analyze_multiprocess(
     fleet-wide L2, so exposure tables across concurrent studies share
     their searches.
     """
-    module = compile_source(spec.source, spec.name)
-    transform_module(module, spec.permitted)
-    instrument_module(module)
-    verify_module(module)
+    module, _, _ = PrivAnalyzer().compile(spec)
 
     kernel = build_kernel(refactored_ownership=spec.refactored_fs)
     process = kernel.spawn(spec.uid, spec.gid, permitted=spec.permitted)

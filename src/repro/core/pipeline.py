@@ -34,7 +34,7 @@ from repro.ir import Module, verify_module
 from repro.oskernel.setup import build_kernel
 from repro.programs.common import ProgramSpec
 from repro.rewriting import SearchBudget
-from repro.rosa.engine import ParallelPolicy, QueryCache, QueryEngine, QueryRequest
+from repro.rosa.engine import QueryCache, QueryEngine, QueryRequest
 from repro.rosa.query import RosaReport, Verdict
 from repro.telemetry import Telemetry
 from repro.vm import interpreter_class
@@ -142,7 +142,7 @@ class PrivAnalyzer:
         telemetry: Optional[Telemetry] = None,
         engine: Optional[QueryEngine] = None,
         use_query_cache: bool = True,
-        parallel: Optional[ParallelPolicy] = None,
+        jobs: int = 1,
         progress=None,
         progress_interval: Optional[int] = None,
         profiler=None,
@@ -182,7 +182,7 @@ class PrivAnalyzer:
             engine = QueryEngine(
                 budget=self.budget,
                 cache=cache,
-                parallel=parallel,
+                jobs=jobs,
                 telemetry=self.telemetry,
                 progress=progress,
                 profiler=profiler,

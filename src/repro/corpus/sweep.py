@@ -7,8 +7,8 @@ telemetry bundle so the dynamic syscall surface lands in the profile —
 then cache the result.  A warm rerun over an unchanged corpus therefore
 profiles nothing.
 
-``--jobs N`` fans cache misses over a thread or process pool.  Process
-workers receive only picklable payloads: generated entries ship their
+``--jobs N`` fans cache misses over a pool of N worker processes.  Workers
+receive only picklable payloads: generated entries ship their
 case dict, built-ins and exemplars ship just their *name* and are
 rebuilt via ``spec_by_name`` inside the worker (specs carry setup
 callables that don't pickle).  Results are keyed back by name, so the
@@ -93,7 +93,7 @@ def sweep_corpus(
     entries: Sequence[CorpusEntry],
     store: Optional[ProfileStore] = None,
     jobs: int = 1,
-    mode: str = "thread",
+    mode: str = "process",
     budget: SearchBudget = DEFAULT_SWEEP_BUDGET,
     telemetry: Optional[Telemetry] = None,
     verdict_store: Optional[str] = None,
@@ -101,22 +101,25 @@ def sweep_corpus(
     """Profiles for every corpus entry, in entry order.
 
     ``store=None`` disables caching (every entry is profiled live).
-    ``jobs`` > 1 pools the cache misses; ``mode`` picks ``thread`` or
-    ``process`` workers (``serial`` ignores ``jobs``).
+    ``jobs`` > 1 profiles the cache misses on that many worker processes;
+    ``mode="serial"`` ignores ``jobs``.
     ``verdict_store`` (a directory path) additionally backs every
     worker's query engine with the fleet-wide shared verdict store —
     profile-cache misses still rerun the pipeline, but their ROSA
     searches are served for every (phase × attack) pair the fleet has
     already answered.
     """
-    if mode not in ("serial", "thread", "process"):
+    if mode not in ("serial", "process"):
         raise ValueError(f"unknown sweep mode {mode!r}")
+    pooled = jobs > 1 and mode == "process"
     telemetry = telemetry or Telemetry.disabled()
     programs = telemetry.metrics.counter("rosa.corpus.programs")
     cache_hits = telemetry.metrics.counter("rosa.corpus.cache_hits")
     profiled = telemetry.metrics.counter("rosa.corpus.profiled")
 
-    with telemetry.tracer.span("corpus.sweep", entries=len(entries), mode=mode):
+    with telemetry.tracer.span(
+        "corpus.sweep", entries=len(entries), mode="process" if pooled else "serial"
+    ):
         results: Dict[str, PrivilegeProfile] = {}
         keys: Dict[str, str] = {}
         misses: List[CorpusEntry] = []
@@ -133,17 +136,12 @@ def sweep_corpus(
             misses.append(entry)
 
         if misses:
-            if jobs <= 1 or mode == "serial":
+            if not pooled:
                 produced = []
                 for entry in misses:
                     with telemetry.tracer.span("corpus.profile", program=entry.name):
                         produced.append(_profile_task(_entry_payload(entry, budget, verdict_store)))
             else:
-                executor_type = (
-                    concurrent.futures.ThreadPoolExecutor
-                    if mode == "thread"
-                    else concurrent.futures.ProcessPoolExecutor
-                )
                 payloads = [
                     _entry_payload(entry, budget, verdict_store)
                     for entry in misses
@@ -151,7 +149,7 @@ def sweep_corpus(
                 with telemetry.tracer.span(
                     "corpus.profile.pool", tasks=len(payloads), workers=jobs
                 ):
-                    with executor_type(max_workers=jobs) as pool:
+                    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
                         produced = list(pool.map(_profile_task, payloads))
             for name, data in produced:
                 profiled.inc()

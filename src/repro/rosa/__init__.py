@@ -24,7 +24,7 @@ Typical use::
 
 from repro.rewriting import Configuration, Msg, Obj, SearchBudget
 from repro.rosa import defenses, dsl, goals, model, permissions, syscalls
-from repro.rosa.engine import ParallelPolicy, QueryCache, QueryEngine, QueryRequest
+from repro.rosa.engine import QueryCache, QueryEngine, QueryRequest
 from repro.rosa.explain import explain_witness
 from repro.rosa.keys import query_cache_key
 from repro.rosa.query import (
@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "Msg",
     "Obj",
-    "ParallelPolicy",
     "QueryCache",
     "QueryEngine",
     "QueryRequest",

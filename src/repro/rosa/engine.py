@@ -193,49 +193,6 @@ def reusable(report: RosaReport, budget: SearchBudget) -> bool:
 
 # -- batch scheduling ---------------------------------------------------------
 
-#: ``"auto"`` runs a batch on the process pool only when it has at least
-#: this many distinct searches, all with specs, and its widest state
-#: budget reaches :data:`PROCESS_MIN_STATES` (paper scale).  At this
-#: repo's repro-scale budgets a pool costs more than the searches.
-PROCESS_BATCH_MIN = 4
-PROCESS_MIN_STATES = 1_000_000
-
-
-@dataclasses.dataclass(frozen=True)
-class ParallelPolicy:
-    """How :meth:`QueryEngine.run_queries` executes distinct searches.
-
-    ``mode``:
-
-    * ``"serial"`` — run in the calling thread (full tracing fidelity);
-    * ``"process"`` — a process pool (:mod:`repro.rosa.pool`): real CPU
-      parallelism; requires each request to carry a picklable ``spec``
-      builder (goal closures do not pickle), and pays a pool-startup
-      cost only worth it for paper-scale budgets;
-    * ``"auto"`` (default) — ``process`` when every distinct request has
-      a spec, the batch has at least :data:`PROCESS_BATCH_MIN` of them
-      and the widest state budget reaches :data:`PROCESS_MIN_STATES`;
-      otherwise serial.
-    """
-
-    mode: str = "auto"
-    max_workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("auto", "serial", "process"):
-            raise ValueError(f"unknown parallel mode {self.mode!r}")
-
-    def resolve(self, distinct: int, max_states: int, all_have_specs: bool) -> str:
-        if self.mode != "auto":
-            return self.mode
-        if (
-            all_have_specs
-            and distinct >= PROCESS_BATCH_MIN
-            and max_states >= PROCESS_MIN_STATES
-        ):
-            return "process"
-        return "serial"
-
 
 @dataclasses.dataclass
 class QueryRequest:
@@ -265,7 +222,7 @@ class QueryEngine:
         self,
         budget: SearchBudget = DEFAULT_BUDGET,
         cache: Optional[QueryCache] = None,
-        parallel: Optional[ParallelPolicy] = None,
+        jobs: int = 1,
         telemetry=None,
         progress=None,
         progress_interval: int = PROGRESS_INTERVAL,
@@ -292,7 +249,12 @@ class QueryEngine:
         self.profiler = profiler
         #: ``None`` disables caching entirely (every check searches).
         self.cache = cache
-        self.parallel = parallel or ParallelPolicy()
+        if not isinstance(jobs, int) or jobs < 1:
+            raise ValueError(f"jobs must be a positive integer: {jobs!r}")
+        #: Distinct searches per batch run in this process when 1, and on
+        #: a pool of ``jobs`` worker processes (:mod:`repro.rosa.pool`)
+        #: otherwise; pooled requests must carry a picklable ``spec``.
+        self.jobs = jobs
         self.telemetry = telemetry or Telemetry.disabled()
         #: The search implementation behind every serial check; defaults
         #: to :func:`repro.rosa.query.check`.  The conformance testkit
@@ -366,7 +328,8 @@ class QueryEngine:
         The batch is deduplicated by canonical key first (duplicates get
         the same search's answer re-attached to their own query), cache
         hits are served without searching, and the remaining distinct
-        searches run under the engine's :class:`ParallelPolicy`.  A query
+        searches run in this process, or on a pool of :attr:`jobs` workers
+        when ``jobs`` > 1 and more than one search is left.  A query
         without a stable key is its own distinct search and is never
         cached; a :func:`reusable`-failing answer is shared with its
         deduplicated siblings in this batch only.
@@ -454,13 +417,7 @@ class QueryEngine:
                         answers[index] = report
                 searched = [index for index in leaders if index not in answers]
                 if searched:
-                    widest = max(budgets[index].max_states or 0 for index in searched)
-                    mode = self.parallel.resolve(
-                        len(searched),
-                        widest or self.budget.max_states or 0,
-                        all(entries[index].spec is not None for index in searched),
-                    )
-                    if mode == "serial" or len(searched) == 1:
+                    if self.jobs == 1 or len(searched) == 1:
                         searched_reports = self._run_serial(
                             entries, searched, budgets, profiler
                         )

@@ -1,8 +1,8 @@
 """The ROSA process pool: a batch's distinct searches on worker processes.
 
 :meth:`repro.rosa.engine.QueryEngine.run_queries` hands its distinct
-searches to :func:`run_pool` when the engine's
-:class:`~repro.rosa.engine.ParallelPolicy` resolves to ``"process"``.
+searches to :func:`run_pool` when the engine's ``jobs`` is above 1 and
+more than one search is left.
 Queries hold goal closures, which do not pickle, so every request
 travels as its picklable ``spec`` and the worker rebuilds the query
 (:func:`_run_spec_in_worker`).
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import os
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.rewriting import ProgressSample, SearchBudget
@@ -166,13 +165,12 @@ def run_pool(
     telemetry = engine.telemetry
     tracer = telemetry.tracer
     metrics = telemetry.metrics
-    workers = engine.parallel.max_workers or min(len(requests), os.cpu_count() or 1)
-    metrics.gauge("rosa.pool.workers").set_max(workers)
+    metrics.gauge("rosa.pool.workers").set_max(engine.jobs)
     wanted = capsule_request(telemetry, profiler, engine.progress)
     clock = profiler.clock if profiler is not None else tracer.clock
     submit_time = clock() if wanted is not None else 0.0
     done_at = [0.0] * len(requests)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as executor:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=engine.jobs) as executor:
         futures = [
             executor.submit(
                 _run_spec_in_worker,

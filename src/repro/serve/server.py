@@ -199,17 +199,6 @@ class VerdictServer:
         if served.get("published"):
             metrics.counter("rosa.store.published").inc(served["published"])
 
-    def _fresh_engine_kwargs(self) -> Dict[str, Any]:
-        """Per-request engine configuration: empty L1, shared L2, jobs."""
-        kwargs: Dict[str, Any] = {}
-        if self.jobs > 1:
-            from repro.rosa.engine import ParallelPolicy
-
-            kwargs["parallel"] = ParallelPolicy(
-                mode="process", max_workers=self.jobs
-            )
-        return kwargs
-
     # -- operations ------------------------------------------------------------
 
     def _op_ping(self, message) -> Tuple[Any, Optional[Dict[str, int]]]:
@@ -257,7 +246,7 @@ class VerdictServer:
             budget=budget,
             cache=QueryCache(),
             store=store,
-            **self._fresh_engine_kwargs(),
+            jobs=self.jobs,
         )
         report = engine.check(query)
         return {
@@ -287,7 +276,7 @@ class VerdictServer:
             )
         store = _RequestStore(self.store)
         analyzer = PrivAnalyzer(
-            budget=budget, verdict_store=store, **self._fresh_engine_kwargs()
+            budget=budget, verdict_store=store, jobs=self.jobs
         )
         analysis = analyzer.analyze(spec)
         return analysis_to_dict(analysis), store.served()
@@ -315,7 +304,7 @@ class VerdictServer:
             analyzer = PrivAnalyzer(
                 budget=DEFAULT_SWEEP_BUDGET,
                 verdict_store=store,
-                **self._fresh_engine_kwargs(),
+                jobs=self.jobs,
             )
             analysis = analyzer.analyze(entry.spec())
             programs.append(analysis_to_dict(analysis))

@@ -31,7 +31,7 @@ import random
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.caps import CapabilitySet
-from repro.core.attacks import ALL_ATTACKS, ATTACKS_BY_ID
+from repro.core.attacks import ALL_ATTACKS, ATTACKS_BY_ID, GID_KMEM
 from repro.programs.common import ProgramSpec
 from repro.rewriting import Configuration, Msg, SearchBudget
 from repro.rosa import goals, model, syscalls
@@ -125,10 +125,25 @@ def gen_credentials(
 # -- attack query batches ------------------------------------------------------
 
 
+#: The share of query cases whose only way to read /dev/mem (root:kmem
+#: 0640) is joining kmem with ``setgroups``.  Uniform draws almost never
+#: assemble one (it takes ``CapSetgid``, ``setgroups`` and an open, and
+#: no other way in), yet it is the one path through the abstract
+#: pre-check's ``setgroups`` transfer.
+GROUP_JOIN_SHARE = 0.1
+
+#: Calls such a case may also hold: none of them opens /dev/mem for a
+#: non-root, non-kmem process holding only ``CapSetgid``.
+GROUP_JOIN_EXTRAS = (
+    "open_write", "seteuid", "setuid", "setresuid", "chmod", "chown",
+    "unlink", "rename", "kill",
+)
+
+
 def gen_query_case(rng: random.Random, max_size: int = 20) -> Case:
     """One (attack, caps, credentials, surface) question, as a case."""
     uids, gids = gen_credentials(rng)
-    return {
+    case = {
         "attack": rng.choice([attack.attack_id for attack in ALL_ATTACKS]),
         "caps": gen_capset_names(rng, max_size=3),
         "uids": uids,
@@ -137,6 +152,17 @@ def gen_query_case(rng: random.Random, max_size: int = 20) -> Case:
         "repeat": rng.choice([1, 1, 1, 2]),
         "max_states": 20_000,
     }
+    if rng.random() < GROUP_JOIN_SHARE:
+        case["attack"] = 1
+        case["caps"] = sorted(
+            {"CapSetgid"} | set(subset(rng, ("CapKill", "CapNetBindService")))
+        )
+        case["uids"] = [rng.choice([uid for uid in UID_POOL if uid != 0])] * 3
+        case["gids"] = [rng.choice([gid for gid in GID_POOL if gid != GID_KMEM])] * 3
+        case["surface"] = sorted(
+            {"open_read", "setgroups"} | set(subset(rng, GROUP_JOIN_EXTRAS, 0, 3))
+        )
+    return case
 
 
 def gen_batch_case(rng: random.Random, max_size: int = 20) -> Case:

@@ -129,11 +129,10 @@ def _mismatch(family_name: str, label_a: str, a, label_b: str, b) -> OracleResul
 
 
 def _run_cache(case: Case) -> OracleResult:
-    from repro.rosa.engine import ParallelPolicy, QueryCache, QueryEngine
+    from repro.rosa.engine import QueryCache, QueryEngine
 
-    serial = ParallelPolicy(mode="serial")
-    off = QueryEngine(cache=None, parallel=serial)
-    on = QueryEngine(cache=QueryCache(), parallel=serial)
+    off = QueryEngine(cache=None)
+    on = QueryEngine(cache=QueryCache())
 
     reports_off = off.run_queries(generators.build_batch_requests(case))
     first = on.run_queries(generators.build_batch_requests(case))
@@ -174,18 +173,18 @@ _register(
 )
 
 
-# -- pools: serial vs process -------------------------------------------------
+# -- pools: jobs=1 vs jobs=2 --------------------------------------------------
 
 
 def _run_pools(case: Case) -> OracleResult:
-    from repro.rosa.engine import ParallelPolicy, QueryEngine
+    from repro.rosa.engine import QueryEngine
 
-    sides = {}
-    for mode in ("serial", "process"):
-        engine = QueryEngine(cache=None, parallel=ParallelPolicy(mode=mode))
+    sides = []
+    for jobs in (1, 2):
+        engine = QueryEngine(cache=None, jobs=jobs)
         reports = engine.run_queries(generators.build_batch_requests(case))
-        sides[mode] = [report_fingerprint(report) for report in reports]
-    for index, (a, b) in enumerate(zip(sides["serial"], sides["process"])):
+        sides.append([report_fingerprint(report) for report in reports])
+    for index, (a, b) in enumerate(zip(*sides)):
         if a != b:
             return _mismatch("pools", f"serial[{index}]", a, f"process[{index}]", b)
     return OracleResult("pools", ok=True)
@@ -432,19 +431,16 @@ def _run_store(case: Case) -> OracleResult:
     rejections): a fail-closed path that silently rejected everything
     would be correct but useless, and that is a bug too.
     """
-    from repro.rosa.engine import ParallelPolicy, QueryCache, QueryEngine
+    from repro.rosa.engine import QueryCache, QueryEngine
     from repro.rosa.store import SharedVerdictStore
 
-    serial = ParallelPolicy(mode="serial")
-    live = QueryEngine(cache=None, parallel=serial)
+    live = QueryEngine(cache=None)
     reports_live = live.run_queries(generators.build_batch_requests(case))
     with tempfile.TemporaryDirectory(prefix="fuzz-store-") as root:
-        first = QueryEngine(
-            cache=QueryCache(), parallel=serial, store=SharedVerdictStore(root)
-        )
+        first = QueryEngine(cache=QueryCache(), store=SharedVerdictStore(root))
         reports_first = first.run_queries(generators.build_batch_requests(case))
         warm_store = SharedVerdictStore(root)
-        warm = QueryEngine(cache=QueryCache(), parallel=serial, store=warm_store)
+        warm = QueryEngine(cache=QueryCache(), store=warm_store)
         reports_warm = warm.run_queries(generators.build_batch_requests(case))
         if warm_store.hits == 0:
             return OracleResult(

@@ -15,7 +15,7 @@ import pickle
 import pytest
 
 from repro.rewriting import SearchBudget
-from repro.rosa import ParallelPolicy, QueryEngine, QueryRequest
+from repro.rosa import QueryEngine, QueryRequest
 from repro.rosa.dsl import DslQuerySpec, parse_query
 from repro.rosa.pool import capsule_request
 from repro.telemetry import (
@@ -274,20 +274,20 @@ class TestAuditDroppedGauge:
 
 
 class TestEngineFleet:
-    def fleet_engine(self, mode, workers=4, audit=True):
+    def fleet_engine(self, workers=4, audit=True):
         telemetry = Telemetry.enabled(audit=audit)
         profiler = Profiler()
         engine = QueryEngine(
             budget=BUDGET,
             cache=None,
-            parallel=ParallelPolicy(mode=mode, max_workers=workers),
+            jobs=workers,
             telemetry=telemetry,
             profiler=profiler,
         )
         return engine, telemetry, profiler
 
     def test_process_pool_merges_worker_capsules(self):
-        engine, telemetry, profiler = self.fleet_engine("process")
+        engine, telemetry, profiler = self.fleet_engine()
         requests = distinct_requests(4)
         reports = engine.run_queries(requests)
         assert [r.verdict.value for r in reports] == ["vulnerable"] * 4
@@ -317,7 +317,7 @@ class TestEngineFleet:
         # Satellite: the scheduling thread must split each worker's
         # submit-to-done window into queue_wait + execute, per worker,
         # instead of the old lump "worker:pool inflight".
-        engine, _, profiler = self.fleet_engine("process")
+        engine, _, profiler = self.fleet_engine()
         engine.run_queries(distinct_requests(4))
         stacks = set(profiler.records)
         execute = {s for s in stacks if len(s) == 3 and s[2] == "execute"}
@@ -334,12 +334,8 @@ class TestEngineFleet:
         # Capsules are on exactly when a parent collector is live; a dark
         # engine's workers ship bare outcomes and no fleet accounting.
         requests = distinct_requests(4)
-        engine_on, _, _ = self.fleet_engine("process")
-        engine_off = QueryEngine(
-            budget=BUDGET,
-            cache=None,
-            parallel=ParallelPolicy(mode="process", max_workers=4),
-        )
+        engine_on, _, _ = self.fleet_engine()
+        engine_off = QueryEngine(budget=BUDGET, cache=None, jobs=4)
         on = engine_on.run_queries(requests)
         off = engine_off.run_queries(requests)
         assert [r.verdict.value for r in on] == [r.verdict.value for r in off]
@@ -350,7 +346,7 @@ class TestEngineFleet:
         assert engine_off.fleet.stats() == {}
 
     def test_worker_ids_stable_across_batches(self):
-        engine, _, profiler = self.fleet_engine("process", workers=2, audit=False)
+        engine, _, profiler = self.fleet_engine(workers=2, audit=False)
         engine.run_queries(distinct_requests(2))
         first = dict(engine.fleet.worker_ids)
         assert first and all(name.startswith("pid:") for name in first)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -221,7 +222,23 @@ class TestCli:
         """
         path = tmp_path / "q.rosa"
         path.write_text(query)
-        code, out = run_cli("rosa", str(path), "--explain")
-        assert code == 1
-        assert "step 1: open" in out
-        assert "compromised state reached." in out
+        # --explain searches in-process whatever --jobs says.
+        for jobs in ("1", "2"):
+            code, out = run_cli("rosa", str(path), "--explain", "--jobs", jobs)
+            assert code == 1
+            assert "step 1: open" in out
+            assert "compromised state reached." in out
+
+    def test_rosa_answer_does_not_depend_on_jobs(self, tmp_path):
+        # Figure 2 with CapKill on the chown: the abstract pre-check
+        # proves it, and --jobs only picks where searches would run.
+        text = Path("examples/queries/figure2.rosa").read_text()
+        path = tmp_path / "figure2_capkill.rosa"
+        path.write_text(text.replace("41, CapChown)", "41, CapKill)"))
+        outputs = []
+        for jobs in ("1", "2"):
+            code, out = run_cli("rosa", str(path), "--jobs", jobs)
+            assert code == 0
+            outputs.append(re.sub(r"[0-9.]+ ms", "N ms", out))
+        assert outputs[0] == outputs[1]
+        assert "proved unreachable (abstract pre-check)" in outputs[0]

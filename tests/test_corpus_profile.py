@@ -229,3 +229,5 @@ class TestSweepCaching:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep mode"):
             sweep_corpus([], mode="quantum")
+        with pytest.raises(ValueError, match="unknown sweep mode 'thread'"):
+            sweep_corpus([], mode="thread")

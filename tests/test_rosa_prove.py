@@ -34,6 +34,7 @@ from repro.rosa.query import RosaQuery, Verdict, check, unix_system
 from repro.rosa.rules import unix_rules
 from repro.testkit import generators
 from repro.testkit.faults import install_fault
+from repro.testkit.fuzz import run_campaign
 from repro.testkit.oracles import family
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "rosa"
@@ -154,6 +155,16 @@ def test_dropped_transition_is_caught_by_prove_oracle():
         result = oracle.run(case)
     assert result.failed
     assert "setgroups -> open" in result.details
+
+
+def test_dropped_transition_is_caught_by_generated_cases(tmp_path):
+    # The fuzz-smoke campaign itself, not a pinned case: the generated
+    # mix must hold setgroups-only paths into the kmem group.
+    result = run_campaign(
+        seed=2, runs=500, families=["prove"], artifacts_dir=tmp_path,
+        inject="prove-drop-transition",
+    )
+    assert result.failures
 
 
 # -- the paper's programs ------------------------------------------------------

@@ -13,16 +13,14 @@ import pytest
 from repro.core.attacks import ALL_ATTACKS, Attack
 from repro.core.multiprocess import analyze_multiprocess
 from repro.rewriting import SearchBudget
-from repro.rosa.engine import ParallelPolicy, QueryEngine, QueryRequest
+from repro.rosa.engine import QueryEngine, QueryRequest
 from repro.rosa.prove import prove
 from repro.testkit import generators
 from repro.testkit.faults import CrashingSpec
 
 
 def process_engine() -> QueryEngine:
-    return QueryEngine(
-        cache=None, parallel=ParallelPolicy(mode="process", max_workers=2)
-    )
+    return QueryEngine(cache=None, jobs=2)
 
 
 def seeded_requests(count: int) -> list:
