@@ -9,6 +9,7 @@ never-invoked, differently-typed handler) dies.
 
 import pytest
 
+from repro.chronopriv import CHRONO_COUNT
 from repro.core import PrivAnalyzer
 from repro.programs import spec_by_name
 
@@ -44,9 +45,21 @@ class TestCallGraphPrecision:
 
     def test_type_matched_retires_syschroot(self, conservative, type_matched):
         assert syschroot_window(type_matched) < syschroot_window(conservative)
-        # The handler is provably unreachable under arity matching, so the
-        # capability should never even enter a counted phase.
-        assert syschroot_window(type_matched) == pytest.approx(0.0)
+        # The handler is provably unreachable under arity matching, so
+        # main removes the capability in its entry block, right after
+        # prctl_lockdown.  ChronoPriv charges a block's instructions at
+        # block entry (the paper counts per basic block too), so exactly
+        # that block — the first phase — holds it.
+        holders = [
+            phase.phase
+            for phase in type_matched.phases
+            if "CapSysChroot" in phase.phase.privileges
+        ]
+        assert holders == [type_matched.phases[0].phase]
+        entry = type_matched.module.get_function("main").blocks[0]
+        counter = entry.instructions[0]
+        assert counter.direct_target.name == CHRONO_COUNT
+        assert holders[0].instruction_count == counter.args[0].value
 
     def test_dynamic_behaviour_unchanged(self, conservative, type_matched):
         """Precision only changes removal points, never observable output."""

@@ -66,6 +66,7 @@ from repro.core import report as report_mod
 from repro.programs import PROGRAM_MODULES, spec_by_name
 from repro.programs.common import ProgramSpec
 from repro.telemetry import (
+    Profiler,
     Telemetry,
     metrics_to_jsonl,
     metrics_to_prometheus,
@@ -466,8 +467,8 @@ def _add_ledger_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _telemetry_from_args(args) -> Optional[Telemetry]:
-    """Build the telemetry bundle the flags ask for, or ``None``."""
+def _telemetry_from_args(args) -> Telemetry:
+    """The one telemetry handle the flags ask for (dark by default)."""
     want_ledger = getattr(args, "ledger", None) is not None
     want_trace = bool(
         getattr(args, "trace", False)
@@ -479,44 +480,31 @@ def _telemetry_from_args(args) -> Optional[Telemetry]:
         or want_ledger
     )
     want_audit = getattr(args, "audit_out", None) is not None or want_ledger
-    if not want_trace and not want_audit:
-        return None
-    return Telemetry.enabled(audit=want_audit)
+    telemetry = (
+        Telemetry.enabled(audit=want_audit)
+        if want_trace or want_audit
+        else Telemetry.disabled()
+    )
+    if getattr(args, "profile_out", None) is not None:
+        telemetry.profiler = Profiler()
+    if getattr(args, "progress", False):
 
+        def emit(sample) -> None:
+            print(render_progress(sample, label="rosa"), file=sys.stderr)
 
-def _progress_from_args(args):
-    """The stderr progress callback ``--progress`` asks for, or ``None``."""
-    if not getattr(args, "progress", False):
-        return None
-
-    def emit(sample) -> None:
-        print(render_progress(sample, label="rosa"), file=sys.stderr)
-
-    return emit
-
-
-def _progress_interval_from_args(args) -> int:
-    from repro.rewriting import PROGRESS_INTERVAL
-
+        telemetry.progress = emit
     interval = getattr(args, "progress_interval", None)
-    return interval if interval and interval > 0 else PROGRESS_INTERVAL
+    if interval and interval > 0:
+        telemetry.progress_interval = interval
+    return telemetry
 
 
-def _profiler_from_args(args):
-    """A live :class:`~repro.telemetry.Profiler` when ``--profile-out`` asks."""
-    if getattr(args, "profile_out", None) is None:
-        return None
-    from repro.telemetry import Profiler
-
-    return Profiler()
-
-
-def _export_profile(args, profiler) -> None:
+def _export_profile(args, telemetry: Telemetry) -> None:
     """Write the profile artifacts ``--profile-out`` asked for."""
     directory = getattr(args, "profile_out", None)
-    if directory is None or profiler is None:
+    if directory is None:
         return
-    _write_profile_artifacts(directory, profiler)
+    _write_profile_artifacts(directory, telemetry.profiler)
     print(f"profile written to {directory}", file=sys.stderr)
 
 
@@ -545,10 +533,8 @@ def _manifest_args(args) -> dict:
     return safe
 
 
-def _export_telemetry(args, telemetry: Optional[Telemetry]) -> None:
+def _export_telemetry(args, telemetry: Telemetry) -> None:
     """Honour --trace-out / --trace / --profile / --audit-out after a command."""
-    if telemetry is None:
-        return
     if telemetry.audit is not None:
         # kernel.audit.dropped refreshes on append only; republish at
         # export time so the written snapshots carry the final figure.
@@ -638,13 +624,11 @@ def _cmd_list(args, out) -> int:
     return 0
 
 
-def _capture_ledger(args, telemetry: Optional[Telemetry], capture) -> None:
+def _capture_ledger(args, capture) -> None:
     """Write the run ledger ``--ledger`` asked for (``capture(directory)``)."""
     directory = getattr(args, "ledger", None)
     if not directory:
         return
-    if telemetry is None:  # pragma: no cover - --ledger implies telemetry
-        raise SystemExit("privanalyzer: --ledger needs telemetry enabled")
     try:
         capture(directory)
     except OSError as error:
@@ -654,27 +638,23 @@ def _capture_ledger(args, telemetry: Optional[Telemetry], capture) -> None:
     print(f"run ledger written to {directory}", file=sys.stderr)
 
 
-def _cmd_analyze(args, out, telemetry: Optional[Telemetry] = None) -> int:
+def _cmd_analyze(args, out, telemetry: Telemetry) -> int:
     from repro.core import ledger as ledger_mod
 
     spec = _resolve_spec(args)
-    profiler = _profiler_from_args(args)
     analyzer = PrivAnalyzer(
         indirect_targets_filter=args.callgraph, optimize=args.optimize,
-        telemetry=telemetry, progress=_progress_from_args(args),
-        progress_interval=getattr(args, "progress_interval", None),
-        profiler=profiler,
+        telemetry=telemetry,
         **_engine_kwargs(args),
     )
     analysis = analyzer.analyze(spec)
-    _export_profile(args, profiler)
+    _export_profile(args, telemetry)
     _capture_ledger(
-        args, telemetry,
+        args,
         lambda directory: ledger_mod.capture_analysis(
             directory, analysis, telemetry,
             cache_stats=analyzer.engine.cache_stats(),
             cli_args=_manifest_args(args),
-            profiler=profiler,
             fleet=analyzer.engine.fleet.stats() or None,
         ),
     )
@@ -711,7 +691,7 @@ def _cmd_hints(args, out) -> int:
     return 0
 
 
-def _cmd_rosa(args, out, telemetry: Optional[Telemetry] = None) -> int:
+def _cmd_rosa(args, out, telemetry: Telemetry) -> int:
     from repro.core import ledger as ledger_mod
     from repro.rewriting import SearchBudget
     from repro.rosa import explain_witness
@@ -725,15 +705,11 @@ def _cmd_rosa(args, out, telemetry: Optional[Telemetry] = None) -> int:
         except OSError as error:
             raise SystemExit(f"privanalyzer: cannot read {name}: {error.strerror}")
         parsed.append((parse_query(text, name=Path(name).stem), text))
-    profiler = _profiler_from_args(args)
     engine = QueryEngine(
         budget=SearchBudget(max_states=args.max_states, max_seconds=args.max_seconds),
         cache=None,
         jobs=args.jobs,
         telemetry=telemetry,
-        progress=_progress_from_args(args),
-        progress_interval=_progress_interval_from_args(args),
-        profiler=profiler,
     )
     if args.explain:
         # Witness states are never cached or pooled: each query searches here.
@@ -745,12 +721,12 @@ def _cmd_rosa(args, out, telemetry: Optional[Telemetry] = None) -> int:
                 for query, text in parsed
             ]
         )
-    _export_profile(args, profiler)
+    _export_profile(args, telemetry)
     _capture_ledger(
-        args, telemetry,
+        args,
         lambda directory: ledger_mod.capture_rosa(
             directory, reports if len(reports) > 1 else reports[0], telemetry,
-            cli_args=_manifest_args(args), profiler=profiler,
+            cli_args=_manifest_args(args),
             fleet=engine.fleet.stats() or None,
         ),
     )
@@ -851,9 +827,9 @@ def _cmd_fuzz(args, out) -> int:
 
 def _cmd_profile(args, out) -> int:
     from repro.rewriting import SearchBudget
-    from repro.telemetry import Profiler
 
     profiler = Profiler()
+    telemetry = Telemetry(profiler=profiler)
     budget = SearchBudget(
         max_states=args.max_states, max_seconds=args.max_seconds
     )
@@ -861,7 +837,7 @@ def _cmd_profile(args, out) -> int:
         analyzer = PrivAnalyzer(
             budget=budget,
             message_repeat=args.repeat,
-            profiler=profiler,
+            telemetry=telemetry,
         )
         analyzer.analyze(spec_by_name(args.target))
     else:
@@ -875,7 +851,7 @@ def _cmd_profile(args, out) -> int:
         from repro.rosa.dsl import parse_query
 
         query = parse_query(path.read_text(), name=path.stem)
-        check(query, budget, profiler=profiler)
+        check(query, budget, telemetry=telemetry)
     print(profiler.render(limit=args.limit), file=out)
     print(file=out)
     roots = profiler.to_report()["roots"]
@@ -930,7 +906,7 @@ def _cmd_corpus(args, out) -> int:
     return 0
 
 
-def _cmd_peers(args, out, telemetry: Optional[Telemetry] = None) -> int:
+def _cmd_peers(args, out, telemetry: Telemetry) -> int:
     from repro.corpus import ProfileStore, load_corpus, peer_analysis, sweep_corpus
     from repro.rewriting import SearchBudget
 
@@ -993,18 +969,12 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
-def _cmd_table(args, out, names, telemetry: Optional[Telemetry] = None) -> int:
+def _cmd_table(args, out, names, telemetry: Telemetry) -> int:
     # One analyzer for the whole table: its query cache carries verdicts
     # across programs that share (privileges, uids, gids, surface) tuples.
-    profiler = _profiler_from_args(args)
-    analyzer = PrivAnalyzer(
-        telemetry=telemetry, progress=_progress_from_args(args),
-        progress_interval=getattr(args, "progress_interval", None),
-        profiler=profiler,
-        **_engine_kwargs(args),
-    )
+    analyzer = PrivAnalyzer(telemetry=telemetry, **_engine_kwargs(args))
     analyses = [analyzer.analyze(spec_by_name(name)) for name in names]
-    _export_profile(args, profiler)
+    _export_profile(args, telemetry)
     if args.format == "markdown":
         for analysis in analyses:
             print(report_mod.to_markdown(analysis), file=out)

@@ -33,14 +33,14 @@ generation both assume:
 ``workers.json``
     Fleet telemetry: per-worker capsule accounting from pool runs
     (``--jobs N``) — tasks, execute/queue-wait seconds, states
-    explored, spans/samples/audit volume per stable ``worker:N`` id
+    explored, span/sample/profile-record volume per stable ``worker:N`` id
     (see :meth:`repro.rosa.pool.Fleet.stats`).  The
     differ compares load balance and per-worker execute time.
 ``profile.json``
     The hot-path profiler's schema-versioned report (per rewrite rule,
     VM opcode, engine worker — see
-    :mod:`repro.telemetry.profiler`), written only when the run carried
-    a live profiler (``--profile-out``).
+    :mod:`repro.telemetry.profiler`), written only when the run's
+    telemetry carried a live profiler (``--profile-out``).
 
 :func:`diff_ledgers` is the structural comparator behind
 ``privanalyzer diff OLD NEW``: verdict flips, exposure-fraction deltas
@@ -71,7 +71,8 @@ from repro.telemetry import (
 #: Bump when any artifact's layout changes; the differ refuses to
 #: compare ledgers written under different schema versions.
 #: Version 2: verdict records lost the reduction counters.
-LEDGER_SCHEMA_VERSION = 2
+#: Version 3: ``workers.json`` lost the per-worker audit counts.
+LEDGER_SCHEMA_VERSION = 3
 
 MANIFEST_FILE = "manifest.json"
 SPANS_FILE = "spans.jsonl"
@@ -143,7 +144,7 @@ def _write_telemetry(root: Path, telemetry: Telemetry) -> List[str]:
     if telemetry.audit is not None:
         # Refresh kernel.audit.dropped before any snapshot-bearing
         # artifact: the gauge otherwise only updates on record append,
-        # so a ring cleared or absorbed since would export stale.
+        # so a ring cleared since would export stale.
         telemetry.audit.publish_dropped()
     jsonl = spans_to_jsonl(telemetry.tracer)
     (root / SPANS_FILE).write_text(jsonl + "\n" if jsonl else "")
@@ -195,14 +196,13 @@ def capture_analysis(
     cache_stats: Optional[Dict[str, Any]] = None,
     cli_args: Optional[Dict[str, Any]] = None,
     timestamp: Optional[float] = None,
-    profiler=None,
     fleet: Optional[Dict[str, Any]] = None,
 ) -> "RunLedger":
     """Write one ``analyze`` run's artifacts; returns the loaded ledger.
 
     ``timestamp`` injects the manifest's creation time (tests pass a
     constant; the CLI passes nothing and gets ``time.time()``).
-    ``profiler``, when live, adds its report as ``profile.json``;
+    ``telemetry.profiler``, when live, adds its report as ``profile.json``;
     ``fleet`` (the engine's :meth:`repro.rosa.pool.Fleet.stats`), when
     non-empty, adds ``workers.json``.
     """
@@ -211,7 +211,7 @@ def capture_analysis(
         (VERDICTS_FILE, _verdict_records(analysis)),
         (CACHE_FILE, cache_stats or {}),
     ]
-    extra += _profile_extra(profiler)
+    extra += _profile_extra(telemetry.profiler)
     extra += _fleet_extra(fleet)
     return _capture(
         directory, "analyze", analysis.spec.name, telemetry, extra, cli_args, timestamp
@@ -224,7 +224,6 @@ def capture_rosa(
     telemetry: Telemetry,
     cli_args: Optional[Dict[str, Any]] = None,
     timestamp: Optional[float] = None,
-    profiler=None,
     fleet: Optional[Dict[str, Any]] = None,
 ) -> "RunLedger":
     """Write one ``rosa`` run's artifacts; returns the loaded ledger.
@@ -240,7 +239,7 @@ def capture_rosa(
             [_report_record(item, item.query.name, None) for item in reports],
         )
     ]
-    extra += _profile_extra(profiler)
+    extra += _profile_extra(telemetry.profiler)
     extra += _fleet_extra(fleet)
     program = ",".join(item.query.name or "?" for item in reports)
     return _capture(
@@ -250,7 +249,7 @@ def capture_rosa(
 
 def _profile_extra(profiler) -> List[Tuple[str, Any]]:
     """The optional ``profile.json`` entry for :func:`_capture`."""
-    if profiler is None or not getattr(profiler, "enabled", False):
+    if not profiler.enabled:
         return []
     return [(PROFILE_FILE, profiler.to_report())]
 

@@ -140,12 +140,8 @@ class PrivAnalyzer:
         message_repeat: int = 1,
         optimize: bool = False,
         telemetry: Optional[Telemetry] = None,
-        engine: Optional[QueryEngine] = None,
         use_query_cache: bool = True,
         jobs: int = 1,
-        progress=None,
-        progress_interval: Optional[int] = None,
-        profiler=None,
         verdict_store=None,
     ) -> None:
         self.attacks = tuple(attacks)
@@ -154,42 +150,32 @@ class PrivAnalyzer:
         self.message_repeat = message_repeat
         self.optimize = optimize
         #: Observability sink: spans per pipeline stage, VM/search metrics,
-        #: and (when its ``audit`` is set) a kernel syscall audit trail.
+        #: (when its ``audit`` is set) a kernel syscall audit trail, and
+        #: (when its ``profiler`` is live) per-rule search attribution plus
+        #: per-opcode and per-intrinsic timers compiled into the dynamic
+        #: stage's VM (:meth:`Interpreter.attach_profiler`).  Verdicts and
+        #: exposure tables are bit-identical either way.
         self.telemetry = telemetry or Telemetry.disabled()
-        #: Optional :class:`repro.telemetry.Profiler`.  When live it flows
-        #: into the query engine (per-rule search attribution) and compiles per-opcode and per-intrinsic timers
-        #: into the dynamic stage's VM (:meth:`Interpreter.attach_profiler`).
-        #: Verdicts and exposure tables are bit-identical either way.
-        self.profiler = profiler
-        #: The ROSA query engine: dedupes/caches/schedules the phase × attack
-        #: queries.  Phases sharing a credential tuple search once, and a
-        #: shared engine carries answers across programs/table regenerations.
-        #: ``use_query_cache=False`` degrades to plain per-query searches.
-        if engine is None:
-            cache = QueryCache() if use_query_cache else None
-            engine_kwargs = {} if progress_interval is None else {
-                "progress_interval": progress_interval
-            }
-            #: ``verdict_store`` is the fleet-wide L2 (see
-            #: :mod:`repro.rosa.store`): a store object, or a directory
-            #: path to open one at.  Sibling analyzers — other processes,
-            #: sweep workers, ``privanalyzer serve`` handlers — sharing
-            #: the directory compute each distinct search exactly once.
-            if isinstance(verdict_store, (str, os.PathLike)):
-                from repro.rosa.store import SharedVerdictStore
+        #: ``verdict_store`` is the fleet-wide L2 (see
+        #: :mod:`repro.rosa.store`): a store object, or a directory path
+        #: to open one at.  Sibling analyzers — other processes, sweep
+        #: workers, ``privanalyzer serve`` handlers — sharing the
+        #: directory compute each distinct search exactly once.
+        if isinstance(verdict_store, (str, os.PathLike)):
+            from repro.rosa.store import SharedVerdictStore
 
-                verdict_store = SharedVerdictStore(verdict_store)
-            engine = QueryEngine(
-                budget=self.budget,
-                cache=cache,
-                jobs=jobs,
-                telemetry=self.telemetry,
-                progress=progress,
-                profiler=profiler,
-                store=verdict_store,
-                **engine_kwargs,
-            )
-        self.engine = engine
+            verdict_store = SharedVerdictStore(verdict_store)
+        #: The ROSA query engine: dedupes/caches/schedules the phase × attack
+        #: queries.  Phases sharing a credential tuple search once, and one
+        #: analyzer carries answers across programs/table regenerations.
+        #: ``use_query_cache=False`` degrades to plain per-query searches.
+        self.engine = QueryEngine(
+            budget=self.budget,
+            cache=QueryCache() if use_query_cache else None,
+            jobs=jobs,
+            telemetry=self.telemetry,
+            store=verdict_store,
+        )
 
     # -- stage 1: compile + AutoPriv + ChronoPriv ---------------------------------
 
@@ -238,14 +224,14 @@ class PrivAnalyzer:
                 module, kernel, process, argv=list(spec.argv), stdin=list(spec.stdin),
                 metrics=self.telemetry.metrics,
             )
-            vm.attach_profiler(self.profiler)
+            vm.attach_profiler(self.telemetry.profiler)
             vm.env.update(spec.env)
             recorder = ChronoRecorder(spec.name, process)
             recorder.attach(vm, kernel)
             if spec.setup is not None:
                 spec.setup(kernel, vm)
-            profiler = self.profiler
-            if profiler is not None and profiler.enabled:
+            profiler = self.telemetry.profiler
+            if profiler.enabled:
                 measured_before = sum(
                     record.seconds
                     for stack, record in profiler.records.items()

@@ -40,13 +40,13 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.rewriting import PROGRESS_INTERVAL, SearchBudget, SearchStats
+from repro.rewriting import SearchBudget, SearchStats
 # perfbench's probes patch engine.query_cache_key and engine.check: call by name.
 from repro.rosa.keys import query_cache_key
 from repro.rosa.pool import Fleet, run_pool
 from repro.rosa.prove import prove
 from repro.rosa.query import DEFAULT_BUDGET, RosaQuery, RosaReport, Verdict, check
-from repro.telemetry.profiler import NULL_PROFILER
+from repro.telemetry import Telemetry
 
 
 # -- the result cache ---------------------------------------------------------
@@ -223,15 +223,10 @@ class QueryEngine:
         budget: SearchBudget = DEFAULT_BUDGET,
         cache: Optional[QueryCache] = None,
         jobs: int = 1,
-        telemetry=None,
-        progress=None,
-        progress_interval: int = PROGRESS_INTERVAL,
+        telemetry: Optional[Telemetry] = None,
         checker=None,
-        profiler=None,
         store=None,
     ) -> None:
-        from repro.telemetry import Telemetry
-
         self.budget = budget
         #: Optional fleet-wide L2 behind the in-memory LRU: any object
         #: with ``get(key) -> Optional[CachedOutcome]``,
@@ -240,13 +235,6 @@ class QueryEngine:
         #: misses consult it before searching; fresh outcomes publish
         #: back so sibling processes hit instead of recomputing.
         self.store = store
-        #: Optional :class:`repro.telemetry.Profiler`.  When live, every
-        #: serial search gets per-rule attribution (the
-        #: ``profiler`` kwarg is forwarded to ``checker`` — only then, so
-        #: custom checkers without the parameter keep working), and batch
-        #: scheduling records queue-wait versus execute time per worker
-        #: under the ``engine`` root.
-        self.profiler = profiler
         #: ``None`` disables caching entirely (every check searches).
         self.cache = cache
         if not isinstance(jobs, int) or jobs < 1:
@@ -255,6 +243,13 @@ class QueryEngine:
         #: a pool of ``jobs`` worker processes (:mod:`repro.rosa.pool`)
         #: otherwise; pooled requests must carry a picklable ``spec``.
         self.jobs = jobs
+        #: Every collector this engine feeds: spans and metrics, the
+        #: profiler (key derivation, cache lookups and the pre-check
+        #: under the ``engine`` root; per-rule search attribution), and
+        #: the progress callback each serial search samples into.  Pool
+        #: workers sample into their telemetry capsule instead (a
+        #: bounded, decimated tail reattached to the report at merge
+        #: time — not live).  Cache hits emit no samples.
         self.telemetry = telemetry or Telemetry.disabled()
         #: The search implementation behind every serial check; defaults
         #: to :func:`repro.rosa.query.check`.  The conformance testkit
@@ -262,13 +257,6 @@ class QueryEngine:
         #: cache and the pool never change an answer (process-pool
         #: workers always run the stock checker — closures do not pickle).
         self.checker = checker or check
-        #: Live-search observability: every serially executed search
-        #: forwards periodic :class:`~repro.rewriting.ProgressSample`
-        #: readings here.  Pool workers sample into their telemetry
-        #: capsule instead (a bounded, decimated tail reattached to the
-        #: report at merge time — not live).  Cache hits emit none.
-        self.progress = progress
-        self.progress_interval = progress_interval
         #: Per-worker accounting of the telemetry capsules pool workers
         #: return whenever a parent collector is live (see
         #: :func:`repro.rosa.pool.capsule_request`).
@@ -295,18 +283,9 @@ class QueryEngine:
         budget: SearchBudget,
         track_states: bool = False,
     ) -> RosaReport:
-        """One live search with the engine's tracer and progress wiring."""
-        extra = {}
-        if self.profiler is not None:
-            extra["profiler"] = self.profiler
+        """One live search under the engine's telemetry."""
         return self.checker(
-            query,
-            budget,
-            track_states=track_states,
-            tracer=self.telemetry.tracer,
-            progress=self.progress,
-            progress_interval=self.progress_interval,
-            **extra,
+            query, budget, track_states=track_states, telemetry=self.telemetry
         )
 
     def _served_from_cache(self, query: RosaQuery, entry: _CacheEntry, tracer):
@@ -340,9 +319,7 @@ class QueryEngine:
         ]
         metrics = self.telemetry.metrics
         tracer = self.telemetry.tracer
-        profiler = self.profiler if (
-            self.profiler is not None and self.profiler.enabled
-        ) else None
+        profiler = self.telemetry.profiler
         if entries:
             metrics.counter("rosa.batch.queries").inc(len(entries))
 
@@ -351,7 +328,7 @@ class QueryEngine:
         # tax.
         cache_hits = metrics.counter("rosa.cache.hits")
         cache_misses = metrics.counter("rosa.cache.misses")
-        with (profiler or NULL_PROFILER).section("engine", "key_derivation"):
+        with profiler.section("engine", "key_derivation"):
             keys = [
                 query_cache_key(request.query, request.budget or self.budget)
                 for request in entries
@@ -368,9 +345,9 @@ class QueryEngine:
                 distinct[index] = [index]  # uncacheable: searched alone
                 continue
             if self.cache is not None:
-                lookup_start = profiler.clock() if profiler is not None else 0.0
+                lookup_start = profiler.clock() if profiler.enabled else 0.0
                 entry = self.cache.get(key)
-                if profiler is not None:
+                if profiler.enabled:
                     profiler.account(
                         ("engine", "cache.lookup"), profiler.clock() - lookup_start
                     )
@@ -412,15 +389,16 @@ class QueryEngine:
                 }
                 answers: Dict[int, RosaReport] = {}
                 for index in leaders:
-                    report = self._proved(entries[index].query, profiler)
+                    report = self._proved(entries[index].query)
                     if report is not None:
                         answers[index] = report
                 searched = [index for index in leaders if index not in answers]
                 if searched:
                     if self.jobs == 1 or len(searched) == 1:
-                        searched_reports = self._run_serial(
-                            entries, searched, budgets, profiler
-                        )
+                        searched_reports = [
+                            self._checked(entries[index].query, budgets[index])
+                            for index in searched
+                        ]
                     else:
                         searched_reports = run_pool(
                             self,
@@ -429,7 +407,6 @@ class QueryEngine:
                                 for index in searched
                             ],
                             [keys[index] for index in searched],
-                            profiler,
                         )
                     answers.update(zip(searched, searched_reports))
                 for key_indices in distinct.values():
@@ -463,14 +440,14 @@ class QueryEngine:
                         self.store.release(key)
         return [report for report in reports if report is not None]
 
-    def _proved(self, query: RosaQuery, profiler) -> Optional[RosaReport]:
+    def _proved(self, query: RosaQuery) -> Optional[RosaReport]:
         """The abstract pre-check: an INVULNERABLE report, or None to search.
 
         Runs in this process before any dispatch, and not through
         :attr:`checker`: the search implementation only ever sees queries
         the check could not prove.
         """
-        with (profiler or NULL_PROFILER).section("engine", "prove"):
+        with self.telemetry.profiler.section("engine", "prove"):
             with self.telemetry.tracer.span("rosa.prove", query=query.name) as span:
                 start = time.perf_counter()
                 proved = prove(query)
@@ -493,28 +470,6 @@ class QueryEngine:
             elapsed=elapsed,
             proved=True,
         )
-
-    def _run_serial(self, entries, leaders, budgets, profiler) -> List[RosaReport]:
-        """Search the leaders in this thread, in order.
-
-        Serial scheduling is one worker draining the queue, so with a
-        live profiler queue wait is the time spent behind earlier
-        searches; without one no clock is read.
-        """
-        batch_start = profiler.clock() if profiler is not None else 0.0
-        reports = []
-        for index in leaders:
-            if profiler is not None:
-                start = profiler.clock()
-                profiler.account(
-                    ("engine", "worker:0", "queue_wait"), start - batch_start
-                )
-            reports.append(self._checked(entries[index].query, budgets[index]))
-            if profiler is not None:
-                profiler.account(
-                    ("engine", "worker:0", "execute"), profiler.clock() - start
-                )
-        return reports
 
     def cache_stats(self) -> Dict[str, Any]:
         """Hit/miss counters for reports and benchmarks."""

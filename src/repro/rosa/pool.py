@@ -7,15 +7,15 @@ Queries hold goal closures, which do not pickle, so every request
 travels as its picklable ``spec`` and the worker rebuilds the query
 (:func:`_run_spec_in_worker`).
 
-When some parent collector is live (:func:`capsule_request`), each
-worker searches under a private collector set and returns a telemetry
-capsule beside its outcome, and :func:`run_pool` merges it back: spans
-adopt into the session tracer (clock-skew-normalized against the
-parent-side completion time, stamped with ``worker`` + ``trace_id``),
-metrics fold in additively with per-worker labeled variants, profile
-subtrees graft under ``("engine", "worker:N", "execute")``, audit
-records re-sequence into the parent ring, and progress samples reattach
-to the report.  :class:`Fleet` accumulates the per-worker accounting
+When some collector on the engine's telemetry is live
+(:func:`capsule_request`), each worker searches under a private
+telemetry and returns a capsule beside its outcome, and :func:`run_pool`
+merges it back: spans adopt into the session tracer
+(clock-skew-normalized against the parent-side completion time, stamped
+with ``worker`` + ``trace_id``), metrics fold in additively with
+per-worker labeled variants, profile subtrees graft under
+``("engine", "worker:N", "execute")``, and progress samples reattach to
+the report.  :class:`Fleet` accumulates the per-worker accounting
 behind the ledger's ``workers.json``.  With every collector dark the
 workers search dark and ship bare outcomes.
 """
@@ -35,7 +35,6 @@ from repro.telemetry.capsule import (
     merge_capsule,
     normalize_worker,
 )
-from repro.telemetry.tracing import NULL_TRACER
 
 
 def _run_spec_in_worker(
@@ -54,35 +53,33 @@ def _run_spec_in_worker(
     from repro.rosa.engine import CachedOutcome  # the engine imports this module
 
     if capsule_request is None:
-        report = check(spec.build(), budget, tracer=NULL_TRACER)
-        return CachedOutcome.from_report(report)
+        return CachedOutcome.from_report(check(spec.build(), budget))
     collector = CapsuleCollector(capsule_request)
-    report = check(
-        spec.build(),
-        budget,
-        tracer=collector.tracer,
-        progress=collector.progress,
-        profiler=collector.profiler,
-    )
+    report = check(spec.build(), budget, telemetry=collector.telemetry)
     collector.observe_report(report)
     return CachedOutcome.from_report(report), collector.capsule()
 
 
-def capsule_request(telemetry, profiler, progress) -> Optional[CapsuleRequest]:
+def capsule_request(telemetry) -> Optional[CapsuleRequest]:
     """What pool workers should collect, or ``None`` for nothing.
 
     Derived from the parent session's live collectors: no tracer → no
     span collection, and so on.  When no collector is live (the default
     dark pipeline) this returns ``None`` and workers run the bare fast
-    path — zero added overhead.
+    path — zero added overhead.  The audit trail never travels: a
+    worker only searches, and the search never runs the kernel.
     """
     trace = telemetry.active
-    profile = profiler is not None
-    audit = telemetry.audit is not None
-    samples = trace or progress is not None
-    if not (trace or profile or audit or samples):
+    profile = telemetry.profiler.enabled
+    samples = trace or telemetry.progress is not None
+    if not (trace or profile or samples):
         return None
-    return CapsuleRequest(trace=trace, profile=profile, samples=samples, audit=audit)
+    return CapsuleRequest(
+        trace=trace,
+        profile=profile,
+        samples=samples,
+        progress_interval=telemetry.progress_interval,
+    )
 
 
 class Fleet:
@@ -109,8 +106,6 @@ class Fleet:
                 "spans": 0,
                 "samples": 0,
                 "profile_records": 0,
-                "audit_records": 0,
-                "syscalls": 0,
                 "names": [],
             }
         stats["tasks"] += 1
@@ -120,8 +115,6 @@ class Fleet:
         stats["spans"] += len(capsule.spans)
         stats["samples"] += len(capsule.samples)
         stats["profile_records"] += len(capsule.profile)
-        stats["audit_records"] += len(capsule.audit_records)
-        stats["syscalls"] += capsule.audit_total
         if capsule.worker not in stats["names"]:
             stats["names"].append(capsule.worker)
 
@@ -143,18 +136,15 @@ class Fleet:
         }
 
 
-def run_pool(
-    engine, requests: Sequence, keys: Sequence, profiler
-) -> List[RosaReport]:
+def run_pool(engine, requests: Sequence, keys: Sequence) -> List[RosaReport]:
     """Answer distinct searches on a process pool; reports in request order.
 
     ``requests`` are :class:`~repro.rosa.engine.QueryRequest` s with
     their budgets resolved, each with a picklable ``spec``; ``keys`` are
-    their canonical keys (a key is its capsule's trace id).  ``profiler``
-    is the engine's live profiler or ``None``.  Scheduling is attributed
-    per worker: the parent observes each future's submit-to-done window,
-    and the capsule's own execute window splits it into queue wait and
-    execute.
+    their canonical keys (a key is its capsule's trace id).  Scheduling
+    is attributed per worker: the parent observes each future's
+    submit-to-done window, and the capsule's own execute window splits
+    it into queue wait and execute.
     """
     unbuildable = sum(request.spec is None for request in requests)
     if unbuildable:
@@ -165,9 +155,10 @@ def run_pool(
     telemetry = engine.telemetry
     tracer = telemetry.tracer
     metrics = telemetry.metrics
+    profiler = telemetry.profiler
     metrics.gauge("rosa.pool.workers").set_max(engine.jobs)
-    wanted = capsule_request(telemetry, profiler, engine.progress)
-    clock = profiler.clock if profiler is not None else tracer.clock
+    wanted = capsule_request(telemetry)
+    clock = profiler.clock if profiler.enabled else tracer.clock
     submit_time = clock() if wanted is not None else 0.0
     done_at = [0.0] * len(requests)
     with concurrent.futures.ProcessPoolExecutor(max_workers=engine.jobs) as executor:
@@ -221,16 +212,14 @@ def run_pool(
             inflight = max(done_at[position] - submit_time, 0.0)
             execute = min(capsule.execute_seconds, inflight)
             queue_wait = inflight - execute
-            if profiler is not None:
-                profiler.account(("engine", worker, "queue_wait"), queue_wait)
-                profiler.account(("engine", worker, "execute"), execute)
+            profiler.account(("engine", worker, "queue_wait"), queue_wait)
+            profiler.account(("engine", worker, "execute"), execute)
             merged = merge_capsule(
                 capsule,
                 worker=worker,
                 tracer=tracer if telemetry.active else None,
                 metrics=metrics,
                 profiler=profiler,
-                audit=telemetry.audit,
                 anchor=done_at[position],
             )
             if merged:

@@ -32,7 +32,6 @@ from repro.rewriting import (
     Configuration,
     ObjectSystem,
     PROGRESS_INTERVAL,
-    ProgressSample,
     SearchBudget,
     SearchOutcome,
     SearchResult,
@@ -41,8 +40,7 @@ from repro.rewriting import (
 )
 from repro.rosa.goals import Goal
 from repro.rosa.rules import unix_rules
-from repro.telemetry.profiler import Profiler
-from repro.telemetry.tracing import NULL_TRACER, Tracer
+from repro.telemetry import Telemetry
 
 logger = logging.getLogger("repro.rosa")
 
@@ -147,26 +145,25 @@ def check(
     query: RosaQuery,
     budget: SearchBudget = DEFAULT_BUDGET,
     track_states: bool = False,
-    tracer: Tracer = NULL_TRACER,
-    progress: Optional[Callable[[ProgressSample], None]] = None,
-    progress_interval: int = PROGRESS_INTERVAL,
+    telemetry: Optional[Telemetry] = None,
     clock: Callable[[], float] = time.monotonic,
-    profiler: Optional[Profiler] = None,
 ) -> RosaReport:
     """Run one bounded model-checking query and classify the outcome.
 
     With ``track_states`` the report carries every configuration along
     the witness path, enabling :func:`repro.rosa.explain.explain_witness`.
-    ``tracer`` wraps the search in a ``rosa.query`` span; ``progress``
-    receives periodic :class:`~repro.rewriting.ProgressSample` readings
-    so long-running searches (the paper's 5-hour budgets) are observable
-    while they run.
+    ``telemetry``'s tracer wraps the search in a ``rosa.query`` span; its
+    ``progress`` callback receives a :class:`~repro.rewriting.ProgressSample`
+    every ``progress_interval`` expansions, so long-running searches (the
+    paper's 5-hour budgets) are observable while they run.
 
-    ``profiler``, when live, attributes the search's wall time to named
-    rules (:mod:`repro.rosa.profile`) by wrapping the three injectable
-    callables — the search loop itself is unchanged, so the verdict and
-    every cost counter are bit-identical with or without it.
+    ``telemetry.profiler``, when live, attributes the search's wall time
+    to named rules (:mod:`repro.rosa.profile`) by wrapping the three
+    injectable callables — the search loop itself is unchanged, so the
+    verdict and every cost counter are bit-identical with or without it.
     """
+    telemetry = telemetry or Telemetry.disabled()
+    profiler = telemetry.profiler
     system = query.system or unix_system()
     successors = system.successors
     goal = query.goal
@@ -175,14 +172,14 @@ def check(
     # per successor.
     canonical = lambda config: config  # noqa: E731
     profiled = None
-    if profiler is not None and profiler.enabled:
+    if profiler.enabled:
         from repro.rosa.profile import ProfiledSearch
 
         profiled = ProfiledSearch(profiler, system, query.goal)
         successors = profiled.successors
         canonical = profiled.canonical
         goal = profiled.goal
-    with tracer.span("rosa.query", query=query.name) as span:
+    with telemetry.tracer.span("rosa.query", query=query.name) as span:
         search_start = profiler.clock() if profiled is not None else 0.0
         result: SearchResult = breadth_first_search(
             query.initial,
@@ -191,8 +188,8 @@ def check(
             budget=budget,
             canonical=canonical,
             track_states=track_states,
-            progress=progress,
-            progress_interval=progress_interval,
+            progress=telemetry.progress,
+            progress_interval=telemetry.progress_interval or PROGRESS_INTERVAL,
             clock=clock,
         )
         if profiled is not None:

@@ -10,14 +10,14 @@ many connections progress concurrently and the single-flight window is
 real.
 
 Every request gets a *fresh* :class:`~repro.rosa.engine.QueryEngine`
-(empty in-memory LRU) over the shared store, behind a per-request
-accounting wrapper — the ``served`` field of each response therefore
-reports honestly how many of that request's distinct searches were
-store-served versus computed live, with zero help from warm process
-state.  After each request the counts fold into the server's metrics
-registry, so ``{"op": "metrics"}`` (Prometheus text exposition) is the
-live service dashboard: ``serve.*`` request counters plus
-``rosa.store.*`` fleet-wide compute-once counters.
+(empty in-memory LRU) over the shared store, and one private
+:class:`~repro.telemetry.Telemetry` its engines count into — the
+``served`` field of each response therefore reports honestly how many
+of that request's distinct searches were store-served versus computed
+live, with zero help from warm process state.  After each request the
+counts fold into the server's metrics registry, so ``{"op": "metrics"}``
+(Prometheus text exposition) is the live service dashboard: ``serve.*``
+request counters plus ``rosa.store.*`` fleet-wide compute-once counters.
 """
 
 from __future__ import annotations
@@ -35,38 +35,23 @@ from repro.telemetry import Telemetry, metrics_to_prometheus
 logger = logging.getLogger("repro.serve")
 
 
-class _RequestStore:
-    """Per-request accounting shim over the shared (single-flight) store."""
+#: The request-registry counters behind a response's ``served`` field
+#: (the query engine bumps them once per store ``get`` and once per
+#: ``put`` that publishes), keyed by their ``served`` name.
+_SERVED_COUNTERS = {
+    "store_hits": "rosa.store.hits",
+    "store_misses": "rosa.store.misses",
+    "published": "rosa.store.published",
+}
 
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.hits = 0
-        self.misses = 0
-        self.published = 0
 
-    def get(self, key):
-        outcome = self.inner.get(key)
-        if outcome is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return outcome
-
-    def put(self, key, outcome):
-        published = self.inner.put(key, outcome)
-        if published:
-            self.published += 1
-        return published
-
-    def release(self, key):
-        self.inner.release(key)
-
-    def served(self) -> Dict[str, int]:
-        return {
-            "store_hits": self.hits,
-            "store_misses": self.misses,
-            "published": self.published,
-        }
+def _served(telemetry: Telemetry) -> Dict[str, int]:
+    """One request's store accounting, read from its telemetry."""
+    metrics = telemetry.metrics
+    return {
+        field: metrics.counter(name).value
+        for field, name in _SERVED_COUNTERS.items()
+    }
 
 
 class VerdictServer:
@@ -84,8 +69,8 @@ class VerdictServer:
         self.port = port
         self.jobs = jobs
         self.store = SingleFlight(SharedVerdictStore(store_root))
-        #: The dashboard registry; request engines run their own private
-        #: telemetry, and their store accounting folds in here after
+        #: The dashboard registry; each request's engines count into a
+        #: private telemetry, whose store counters fold in here after
         #: every response (see :meth:`_account`).
         self.telemetry = telemetry or Telemetry.enabled()
         self._started = time.monotonic()
@@ -192,12 +177,9 @@ class VerdictServer:
         if not served:
             return
         metrics = self.telemetry.metrics
-        if served.get("store_hits"):
-            metrics.counter("rosa.store.hits").inc(served["store_hits"])
-        if served.get("store_misses"):
-            metrics.counter("rosa.store.misses").inc(served["store_misses"])
-        if served.get("published"):
-            metrics.counter("rosa.store.published").inc(served["published"])
+        for field, name in _SERVED_COUNTERS.items():
+            if served.get(field):
+                metrics.counter(name).inc(served[field])
 
     # -- operations ------------------------------------------------------------
 
@@ -241,12 +223,13 @@ class VerdictServer:
             max_states=int(message.get("max_states", 200_000)),
             max_seconds=float(message.get("max_seconds", 60.0)),
         )
-        store = _RequestStore(self.store)
+        telemetry = Telemetry.disabled()
         engine = QueryEngine(
             budget=budget,
             cache=QueryCache(),
-            store=store,
+            store=self.store,
             jobs=self.jobs,
+            telemetry=telemetry,
         )
         report = engine.check(query)
         return {
@@ -256,7 +239,7 @@ class VerdictServer:
             "states_explored": report.states_explored,
             "states_seen": report.states_seen,
             "from_cache": report.from_cache,
-        }, store.served()
+        }, _served(telemetry)
 
     def _op_analyze(self, message) -> Tuple[Any, Optional[Dict[str, int]]]:
         from repro.core.pipeline import PrivAnalyzer
@@ -274,12 +257,13 @@ class VerdictServer:
                 max_states=int(message.get("max_states", 200_000)),
                 max_seconds=float(message.get("max_seconds", 60.0)),
             )
-        store = _RequestStore(self.store)
+        telemetry = Telemetry.disabled()
         analyzer = PrivAnalyzer(
-            budget=budget, verdict_store=store, jobs=self.jobs
+            budget=budget, verdict_store=self.store, jobs=self.jobs,
+            telemetry=telemetry,
         )
         analysis = analyzer.analyze(spec)
-        return analysis_to_dict(analysis), store.served()
+        return analysis_to_dict(analysis), _served(telemetry)
 
     def _op_corpus(self, message) -> Tuple[Any, Optional[Dict[str, int]]]:
         from repro.core.pipeline import PrivAnalyzer
@@ -298,14 +282,15 @@ class VerdictServer:
         limit = message.get("limit")
         if limit is not None:
             entries = entries[: int(limit)]
-        store = _RequestStore(self.store)
+        telemetry = Telemetry.disabled()
         programs = []
         for entry in entries:
             analyzer = PrivAnalyzer(
                 budget=DEFAULT_SWEEP_BUDGET,
-                verdict_store=store,
+                verdict_store=self.store,
                 jobs=self.jobs,
+                telemetry=telemetry,
             )
             analysis = analyzer.analyze(entry.spec())
             programs.append(analysis_to_dict(analysis))
-        return {"corpus_seed": spec.seed, "programs": programs}, store.served()
+        return {"corpus_seed": spec.seed, "programs": programs}, _served(telemetry)

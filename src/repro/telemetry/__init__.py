@@ -11,15 +11,17 @@ Three pillars (see ``docs/OBSERVABILITY.md``):
   the simulated kernel, the raw material for seccomp-style policy
   extraction.
 
-:class:`Telemetry` bundles all three plus the injectable clock; the
-pipeline, VM, kernel and CLI all accept one.  ``Telemetry.disabled()``
-is the default everywhere and costs nothing on hot paths.
+:class:`Telemetry` bundles all three with the hot-path profiler
+(:mod:`repro.telemetry.profiler`) and the live search-progress callback;
+the pipeline, query engine, search, pool and CLI all read their
+collectors from one.  ``Telemetry.disabled()`` is the default everywhere
+and costs nothing on hot paths.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.telemetry.audit import AuditRecord, SyscallAuditTrail
 from repro.telemetry.capsule import (
@@ -62,11 +64,26 @@ from repro.telemetry.tracing import NULL_TRACER, Span, Tracer
 
 @dataclasses.dataclass
 class Telemetry:
-    """Everything one pipeline run records, behind one handle."""
+    """Everything one pipeline run records, behind one handle.
 
-    tracer: Tracer
-    metrics: MetricsRegistry
+    Every collector defaults to dark, so ``Telemetry(profiler=p)`` is a
+    run that profiles and records nothing else.
+    """
+
+    tracer: Tracer = dataclasses.field(
+        default_factory=lambda: Tracer(enabled=False)
+    )
+    metrics: MetricsRegistry = dataclasses.field(default_factory=MetricsRegistry)
     audit: Optional[SyscallAuditTrail] = None
+    #: Hot-path attribution (per rewrite rule, VM opcode, engine step);
+    #: the shared disabled profiler reads no clock.
+    profiler: Profiler = NULL_PROFILER
+    #: Called with every :class:`~repro.rewriting.ProgressSample` a live
+    #: search takes; pool workers sample into their capsule instead.
+    progress: Optional[Callable] = None
+    #: Expansions between two progress samples; ``None`` keeps the
+    #: search's own default (:data:`repro.rewriting.PROGRESS_INTERVAL`).
+    progress_interval: Optional[int] = None
 
     @property
     def active(self) -> bool:
@@ -95,7 +112,7 @@ class Telemetry:
     @classmethod
     def disabled(cls) -> "Telemetry":
         """The default: span calls are no-ops, nothing else is wired."""
-        return cls(tracer=Tracer(enabled=False), metrics=MetricsRegistry(), audit=None)
+        return cls()
 
 
 __all__ = [

@@ -140,43 +140,6 @@ class SyscallAuditTrail:
             self._dropped_gauge.set(dropped)
         return dropped
 
-    def absorb(self, records, total: Optional[int] = None) -> int:
-        """Fold another trail's records (a worker capsule's) into this ring.
-
-        ``records`` are :class:`AuditRecord` instances or their
-        :meth:`~AuditRecord.to_dict` dicts; they re-sequence into this
-        trail's monotone ``seq`` space in the order given.  ``total``,
-        when it exceeds ``len(records)``, accounts the source ring's own
-        evictions as drops here too, so fleet-wide totals stay honest.
-        Returns the number of records absorbed.
-        """
-        absorbed = 0
-        for data in records:
-            if isinstance(data, AuditRecord):
-                data = data.to_dict()
-            self.total += 1
-            self._ring.append(
-                AuditRecord(
-                    seq=self.total,
-                    time=float(data.get("time", 0.0)),
-                    syscall=str(data.get("syscall", "?")),
-                    pid=int(data.get("pid", 0)),
-                    args=tuple(data.get("args", ())),
-                    result=data.get("result"),
-                    errno=data.get("errno"),
-                    error=data.get("error"),
-                    uids=tuple(data["uids"]) if data.get("uids") else None,
-                    gids=tuple(data["gids"]) if data.get("gids") else None,
-                    caps_effective=data.get("caps_effective"),
-                    caps_permitted=data.get("caps_permitted"),
-                )
-            )
-            absorbed += 1
-        if total is not None and total > absorbed:
-            self.total += total - absorbed
-        self.publish_dropped()
-        return absorbed
-
     # -- reading ----------------------------------------------------------------
 
     @property

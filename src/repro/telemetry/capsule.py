@@ -2,13 +2,14 @@
 
 The query engine fans distinct ROSA searches out over a process pool
 (:mod:`repro.rosa.pool`), and before this module those workers
-searched dark — spans, metrics, hot-path profiles, progress samples and
-the audit ring never crossed the pool boundary.  A
-:class:`TelemetryCapsule` is the fix: each worker runs its search under
-its own private collector set (:class:`CapsuleCollector`) and returns
-one compact, schema-versioned, picklable capsule alongside its result;
-the parent session folds every capsule back in with
-:func:`merge_capsule`.
+searched dark — spans, metrics, hot-path profiles and progress samples
+never crossed the pool boundary.  A :class:`TelemetryCapsule` is the
+fix: each worker runs its search under its own private
+:class:`~repro.telemetry.Telemetry` (built by :class:`CapsuleCollector`)
+and returns one compact, schema-versioned, picklable capsule alongside
+its result; the parent session folds every capsule back in with
+:func:`merge_capsule`.  A worker only searches, and the search never
+runs the simulated kernel, so there is no audit trail to ship.
 
 Design points:
 
@@ -42,20 +43,19 @@ import logging
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.telemetry.audit import SyscallAuditTrail
 from repro.telemetry.clock import Clock, MONOTONIC
 from repro.telemetry.export import span_to_dict
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiler import Profiler
-from repro.telemetry.tracing import NULL_TRACER, Tracer
+from repro.telemetry.profiler import NULL_PROFILER, Profiler
+from repro.telemetry.tracing import Tracer
 
 logger = logging.getLogger("repro.telemetry.capsule")
 
 #: Bump when the capsule layout changes; the parent refuses to merge
 #: capsules written under another version (a mixed-version pool, e.g.
 #: during a rolling deploy of the analysis service, must not corrupt the
-#: parent session's telemetry).
-CAPSULE_SCHEMA_VERSION = 1
+#: parent session's telemetry).  Version 2: capsules lost the audit ring.
+CAPSULE_SCHEMA_VERSION = 2
 
 #: The :class:`~repro.rewriting.ProgressSample` fields a capsule carries.
 #: Kept as an explicit tuple so the telemetry layer never imports the
@@ -118,12 +118,14 @@ class CapsuleRequest:
     The engine derives one per batch from its live collectors (no
     tracer → no span collection, and so on), then stamps each
     submission's copy with the query's canonical key as ``trace_id``.
+    ``progress_interval`` is the parent's sampling cadence (``None``:
+    the search's default).
     """
 
     trace: bool = True
     profile: bool = False
     samples: bool = False
-    audit: bool = False
+    progress_interval: Optional[int] = None
     trace_id: Optional[str] = None
     max_samples: int = MAX_CAPSULE_SAMPLES
 
@@ -150,9 +152,6 @@ class TelemetryCapsule:
     profile: List[List[Any]] = dataclasses.field(default_factory=list)
     #: Bounded progress samples as :data:`SAMPLE_FIELDS` dicts.
     samples: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
-    #: The worker audit ring's retained tail plus its true total.
-    audit_records: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
-    audit_total: int = 0
 
     @property
     def execute_seconds(self) -> float:
@@ -163,11 +162,11 @@ class TelemetryCapsule:
 class CapsuleCollector:
     """The worker-side collector set behind one capsule.
 
-    Builds private instances of exactly the collectors the request asks
-    for — tracer, metrics registry, profiler, audit ring — plus a
-    bounded progress buffer, all on one injectable clock.  The worker
-    runs its search against these, then calls :meth:`capsule` to pack
-    everything for the trip home.
+    Builds one private :attr:`telemetry` holding exactly the collectors
+    the request asks for — tracer, profiler, a bounded progress buffer —
+    plus a metrics registry, all on one injectable clock.  The worker
+    runs its search under that telemetry, then calls :meth:`capsule` to
+    pack everything for the trip home.
     """
 
     def __init__(
@@ -176,26 +175,21 @@ class CapsuleCollector:
         clock: Clock = MONOTONIC,
         worker: Optional[str] = None,
     ) -> None:
+        from repro.telemetry import Telemetry  # the package imports this module
+
         self.request = request
         self.clock = clock
         self.worker = worker or f"pid:{os.getpid()}"
         self.clock_start = clock()
-        self.tracer = Tracer(clock=clock) if request.trace else NULL_TRACER
-        self.metrics = MetricsRegistry()
-        self.profiler = Profiler(clock=clock) if request.profile else None
-        self.audit = (
-            SyscallAuditTrail(clock=clock, metrics=self.metrics)
-            if request.audit
-            else None
-        )
         self._samples: Optional[List[Dict[str, Any]]] = (
             [] if request.samples else None
         )
-
-    @property
-    def progress(self):
-        """The progress callback to install, or ``None`` when not asked."""
-        return self.on_sample if self._samples is not None else None
+        self.telemetry = Telemetry(
+            tracer=Tracer(clock=clock, enabled=request.trace),
+            profiler=Profiler(clock=clock) if request.profile else NULL_PROFILER,
+            progress=self.on_sample if request.samples else None,
+            progress_interval=request.progress_interval,
+        )
 
     def on_sample(self, sample) -> None:
         """Record one progress reading, decimating beyond ``max_samples``."""
@@ -210,14 +204,13 @@ class CapsuleCollector:
 
     def observe_report(self, report) -> None:
         """Fold one search report's counters into the worker registry."""
-        metrics = self.metrics
+        metrics = self.telemetry.metrics
         metrics.counter("rosa.worker.queries").inc()
         metrics.counter("rosa.worker.states_explored").inc(report.states_explored)
 
     def capsule(self) -> TelemetryCapsule:
         """Pack everything collected so far into one picklable capsule."""
-        if self.audit is not None:
-            self.audit.publish_dropped()
+        telemetry = self.telemetry
         return TelemetryCapsule(
             schema=CAPSULE_SCHEMA_VERSION,
             worker=self.worker,
@@ -225,22 +218,10 @@ class CapsuleCollector:
             clock_start=self.clock_start,
             clock_end=self.clock(),
             trace_id=self.request.trace_id,
-            spans=(
-                [span_to_dict(span) for span in self.tracer.finished]
-                if self.request.trace
-                else []
-            ),
-            metrics=self.metrics.snapshot(),
-            profile=(
-                self.profiler.export_records() if self.profiler is not None else []
-            ),
+            spans=[span_to_dict(span) for span in telemetry.tracer.finished],
+            metrics=telemetry.metrics.snapshot(),
+            profile=telemetry.profiler.export_records(),
             samples=list(self._samples) if self._samples else [],
-            audit_records=(
-                [record.to_dict() for record in self.audit.records]
-                if self.audit is not None
-                else []
-            ),
-            audit_total=self.audit.total if self.audit is not None else 0,
         )
 
 
@@ -255,7 +236,6 @@ def merge_capsule(
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
     profiler: Optional[Profiler] = None,
-    audit: Optional[SyscallAuditTrail] = None,
 ) -> bool:
     """Fold one worker capsule into the parent session's collectors.
 
@@ -269,7 +249,7 @@ def merge_capsule(
     instrument and a ``name{worker="N"}`` labeled variant; profile
     records graft under ``("engine", worker, "execute")`` with a derived
     ``capsule.overhead`` remainder frame so worker attribution coverage
-    stays complete; audit records re-sequence into the parent ring.
+    stays complete.
 
     Returns ``False`` (and merges nothing) on schema skew.
     """
@@ -303,6 +283,4 @@ def merge_capsule(
         overhead = capsule.execute_seconds - rooted
         if overhead > 0.0:
             profiler.account(under + ("capsule.overhead",), overhead)
-    if audit is not None and (capsule.audit_records or capsule.audit_total):
-        audit.absorb(capsule.audit_records, total=capsule.audit_total)
     return True

@@ -5,8 +5,8 @@ searches under private collectors and return compact picklable capsules;
 the parent merges them — clock-skew-normalized spans with a ``worker``
 attribute, additively-merged metrics with per-worker labeled variants,
 profile subtrees grafted under ``("engine", "worker:N", "execute")``,
-re-sequenced audit records — and verdicts stay bit-identical with
-capsules on versus off.
+progress samples reattached to the reports — and verdicts stay
+bit-identical with capsules on versus off.
 """
 
 import dataclasses
@@ -102,9 +102,9 @@ class TestCapsuleCollector:
             clock=clock,
             worker="pid:99",
         )
-        with collector.tracer.span("rosa.query", query="q"):
+        with collector.telemetry.tracer.span("rosa.query", query="q"):
             pass
-        collector.metrics.counter("x").inc(3)
+        collector.telemetry.metrics.counter("x").inc(3)
         capsule = collector.capsule()
         clone = pickle.loads(pickle.dumps(capsule))
         assert clone.schema == CAPSULE_SCHEMA_VERSION
@@ -116,10 +116,10 @@ class TestCapsuleCollector:
 
     def test_flags_gate_what_is_collected(self):
         collector = CapsuleCollector(CapsuleRequest(trace=False))
-        assert not collector.tracer.enabled
-        assert collector.profiler is None
-        assert collector.audit is None
-        assert collector.progress is None
+        assert not collector.telemetry.tracer.enabled
+        assert not collector.telemetry.profiler.enabled
+        assert collector.telemetry.audit is None
+        assert collector.telemetry.progress is None
         capsule = collector.capsule()
         assert capsule.spans == [] and capsule.samples == []
 
@@ -154,7 +154,7 @@ class TestMergeCapsule:
             clock=worker_clock,
             worker="pid:7",
         )
-        with collector.tracer.span("rosa.query", query="q"):
+        with collector.telemetry.tracer.span("rosa.query", query="q"):
             pass
         capsule = collector.capsule()
         return dataclasses.replace(capsule, **overrides) if overrides else capsule
@@ -188,9 +188,10 @@ class TestMergeCapsule:
 
     def test_metrics_merge_additively_with_worker_labels(self):
         collector = CapsuleCollector(CapsuleRequest(trace=False))
-        collector.metrics.counter("rosa.worker.states_explored").inc(10)
-        collector.metrics.histogram("rosa.step").observe(2.0)
-        collector.metrics.histogram("rosa.step").observe(4.0)
+        worker_metrics = collector.telemetry.metrics
+        worker_metrics.counter("rosa.worker.states_explored").inc(10)
+        worker_metrics.histogram("rosa.step").observe(2.0)
+        worker_metrics.histogram("rosa.step").observe(4.0)
         capsule = collector.capsule()
         metrics = MetricsRegistry()
         metrics.counter("rosa.worker.states_explored").inc(5)
@@ -209,8 +210,8 @@ class TestMergeCapsule:
         collector = CapsuleCollector(
             CapsuleRequest(trace=False, profile=True), clock=worker_clock
         )
-        collector.profiler.account(("rosa.search",), 0.6)
-        collector.profiler.account(("rosa.search", "rule.setuid"), 0.5)
+        collector.telemetry.profiler.account(("rosa.search",), 0.6)
+        collector.telemetry.profiler.account(("rosa.search", "rule.setuid"), 0.5)
         capsule = collector.capsule()
         capsule = dataclasses.replace(capsule, clock_start=0.0, clock_end=1.0)
         parent = Profiler(clock=ManualClock())
@@ -230,23 +231,6 @@ class TestMergeCapsule:
         parent.account(under, 1.0)
         workers = parent.to_report()["workers"]
         assert workers["worker:1"]["attributed_fraction"] == pytest.approx(1.0)
-
-    def test_audit_records_resequence_and_count_source_drops(self):
-        collector = CapsuleCollector(CapsuleRequest(trace=False, audit=True))
-        collector.audit.record("open", pid=1, args=("/etc/shadow",))
-        collector.audit.record("setuid", pid=1, args=(0,), errno=1, error="EPERM")
-        capsule = collector.capsule()
-        capsule = dataclasses.replace(capsule, audit_total=5)  # 3 evicted upstream
-        metrics = MetricsRegistry()
-        parent = SyscallAuditTrail(capacity=16, metrics=metrics)
-        assert merge_capsule(
-            capsule, worker="worker:0", anchor=capsule.clock_end, audit=parent
-        )
-        assert [record.syscall for record in parent.records] == ["open", "setuid"]
-        assert [record.seq for record in parent.records] == [1, 2]
-        assert parent.total == 5
-        assert parent.dropped == 3
-        assert metrics.gauge("kernel.audit.dropped").value == 3
 
 
 class TestAuditDroppedGauge:
@@ -277,12 +261,12 @@ class TestEngineFleet:
     def fleet_engine(self, workers=4, audit=True):
         telemetry = Telemetry.enabled(audit=audit)
         profiler = Profiler()
+        telemetry.profiler = profiler
         engine = QueryEngine(
             budget=BUDGET,
             cache=None,
             jobs=workers,
             telemetry=telemetry,
-            profiler=profiler,
         )
         return engine, telemetry, profiler
 
@@ -314,12 +298,32 @@ class TestEngineFleet:
         )
 
     def test_process_pool_queue_wait_and_execute_accounting(self):
-        # Satellite: the scheduling thread must split each worker's
-        # submit-to-done window into queue_wait + execute, per worker,
-        # instead of the old lump "worker:pool inflight".
-        engine, _, profiler = self.fleet_engine()
-        engine.run_queries(distinct_requests(4))
+        # The scheduling thread must split each worker's submit-to-done
+        # window into queue_wait + execute, per worker, instead of the old
+        # lump "worker:pool inflight".  The profiler and the progress
+        # callback ride on the engine's telemetry (spans stay dark) and
+        # still reach the workers: their rule frames graft under
+        # execute, and their progress samples come back on the reports.
+        profiler = Profiler()
+        telemetry = Telemetry(
+            profiler=profiler, progress=lambda sample: None, progress_interval=1
+        )
+        engine = QueryEngine(budget=BUDGET, cache=None, jobs=2, telemetry=telemetry)
+        reports = engine.run_queries(distinct_requests(4))
+        # One sample per expansion: the default interval would take none.
+        assert all(
+            len(report.stats.samples) == report.states_explored for report in reports
+        )
         stacks = set(profiler.records)
+        grafted = {
+            stack[1] for stack in stacks if stack[2:4] == ("execute", "rosa.search")
+        }
+        assert grafted and grafted <= {"worker:0", "worker:1"}
+        assert any(
+            stack[2:4] == ("execute", "rosa.search") and stack[4].startswith("rule:")
+            for stack in stacks
+            if len(stack) == 5
+        )
         execute = {s for s in stacks if len(s) == 3 and s[2] == "execute"}
         waits = {s for s in stacks if len(s) == 3 and s[2] == "queue_wait"}
         assert execute and waits
@@ -364,4 +368,4 @@ class TestEngineFleet:
 
     def test_dark_engine_requests_no_capsules(self):
         engine = QueryEngine(budget=BUDGET, cache=None)
-        assert capsule_request(engine.telemetry, None, engine.progress) is None
+        assert capsule_request(engine.telemetry) is None

@@ -19,7 +19,7 @@ from repro.core.ledger import (
 from repro.programs import spec_by_name
 from repro.rosa import SearchBudget, check
 from repro.rosa.dsl import parse_query
-from repro.telemetry import ManualClock, Telemetry
+from repro.telemetry import CAPSULE_SCHEMA_VERSION, ManualClock, Telemetry
 
 pytestmark = pytest.mark.telemetry
 
@@ -260,7 +260,7 @@ def fleet_section(execute, tasks=None):
     """A ``workers.json``-shaped fleet dict with the given execute times."""
     tasks = tasks or [1] * len(execute)
     return {
-        "capsule_schema": 1,
+        "capsule_schema": CAPSULE_SCHEMA_VERSION,
         "mode": "process",
         "workers": {
             f"worker:{i}": {
@@ -271,8 +271,6 @@ def fleet_section(execute, tasks=None):
                 "spans": 1,
                 "samples": 0,
                 "profile_records": 0,
-                "audit_records": 0,
-                "syscalls": 0,
                 "names": [f"pid:{1000 + i}"],
             }
             for i in range(len(execute))
@@ -289,7 +287,7 @@ class TestFleetLedger:
         with open("examples/queries/figure2.rosa") as handle:
             query = parse_query(handle.read(), name="figure2")
         budget = SearchBudget(max_states=50_000, max_seconds=30.0)
-        report = check(query, budget, tracer=telemetry.tracer)
+        report = check(query, budget, telemetry=telemetry)
         return report, telemetry
 
     def capture(self, directory, rosa_run, fleet):
@@ -459,3 +457,12 @@ class TestCliLedger:
         assert code == 1
         err = capsys.readouterr().err
         assert "rosa: " in err and "explored" in err and "budget" in err
+
+    def test_analyze_progress_interval_zero_keeps_the_default(self, capsys):
+        # Every command reads --progress-interval through one telemetry
+        # handle: a non-positive interval means the search's default,
+        # never a modulo by zero.
+        code, _ = run_cli(
+            "analyze", "ping", "--progress", "--progress-interval", "0"
+        )
+        assert code == 0

@@ -22,10 +22,11 @@ def profiled(tmp_path_factory):
     """One profiled su analysis captured twice, plus the profiler itself."""
     telemetry = Telemetry.enabled(clock=ManualClock(tick=0.001))
     profiler = Profiler()
-    analyzer = PrivAnalyzer(telemetry=telemetry, profiler=profiler)
+    telemetry.profiler = profiler
+    analyzer = PrivAnalyzer(telemetry=telemetry)
     analysis = analyzer.analyze(spec_by_name("su"))
     root = tmp_path_factory.mktemp("profiled-ledgers")
-    kwargs = dict(cli_args={"program": "su"}, timestamp=1234.5, profiler=profiler)
+    kwargs = dict(cli_args={"program": "su"}, timestamp=1234.5)
     old = capture_analysis(root / "run1", analysis, telemetry, **kwargs)
     new = capture_analysis(root / "run2", analysis, telemetry, **kwargs)
     return old, new, profiler
@@ -52,9 +53,8 @@ class TestRoundTrip:
     def test_disabled_profiler_omits_the_artifact(self, tmp_path):
         telemetry = Telemetry.enabled(clock=ManualClock(tick=0.001))
         analysis = PrivAnalyzer(telemetry=telemetry).analyze(spec_by_name("su"))
-        ledger = capture_analysis(
-            tmp_path / "off", analysis, telemetry, profiler=Profiler(enabled=False)
-        )
+        telemetry.profiler = Profiler(enabled=False)
+        ledger = capture_analysis(tmp_path / "off", analysis, telemetry)
         assert ledger.profile is None
 
 

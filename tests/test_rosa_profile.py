@@ -8,7 +8,7 @@ from repro.core import PrivAnalyzer
 from repro.programs import spec_by_name
 from repro.rosa import check
 from repro.rosa.dsl import parse_query
-from repro.telemetry import ManualClock, Profiler
+from repro.telemetry import ManualClock, Profiler, Telemetry
 
 pytestmark = pytest.mark.telemetry
 
@@ -25,7 +25,7 @@ class TestParity:
     def test_check_verdict_and_costs_identical(self):
         plain = check(figure2_query())
         profiler = Profiler()
-        profiled = check(figure2_query(), profiler=profiler)
+        profiled = check(figure2_query(), telemetry=Telemetry(profiler=profiler))
         assert profiled.verdict is plain.verdict
         assert profiled.witness == plain.witness
         assert profiled.states_seen == plain.states_seen
@@ -40,7 +40,7 @@ class TestParity:
         # loops), so the whole exposure table must match bit for bit.
         spec = spec_by_name("su")
         plain = PrivAnalyzer().analyze(spec)
-        profiled = PrivAnalyzer(profiler=Profiler()).analyze(spec)
+        profiled = PrivAnalyzer(telemetry=Telemetry(profiler=Profiler())).analyze(spec)
         assert profiled.render_table() == plain.render_table()
         for attack_id in sorted(plain.phases[0].verdicts):
             assert profiled.vulnerability_window(
@@ -50,7 +50,7 @@ class TestParity:
 
     def test_disabled_profiler_is_ignored_end_to_end(self):
         profiler = Profiler(enabled=False)
-        report = check(figure2_query(), profiler=profiler)
+        report = check(figure2_query(), telemetry=Telemetry(profiler=profiler))
         assert report.verdict is not None
         assert profiler.records == {}
 
@@ -58,13 +58,13 @@ class TestParity:
 class TestAttribution:
     def test_search_root_is_at_least_95_percent_attributed(self):
         profiler = Profiler()
-        check(figure2_query(), profiler=profiler)
+        check(figure2_query(), telemetry=Telemetry(profiler=profiler))
         roots = profiler.to_report()["roots"]
         assert roots["rosa.search"]["attributed_fraction"] >= 0.95
 
     def test_rule_frames_carry_attempt_and_application_counters(self):
         profiler = Profiler()
-        check(figure2_query(), profiler=profiler)
+        check(figure2_query(), telemetry=Telemetry(profiler=profiler))
         rules = {
             stack[1]: record
             for stack, record in profiler.records.items()
@@ -77,7 +77,7 @@ class TestAttribution:
 
     def test_search_times_hashing_and_goal(self):
         profiler = Profiler()
-        check(figure2_query(), profiler=profiler)
+        check(figure2_query(), telemetry=Telemetry(profiler=profiler))
         assert ("rosa.search", "hash.incremental") in profiler.records
         assert ("rosa.search", "goal") in profiler.records
 
@@ -85,10 +85,10 @@ class TestAttribution:
 class TestPipelineFrames:
     def test_engine_and_vm_frames_present(self):
         profiler = Profiler()
-        PrivAnalyzer(profiler=profiler).analyze(spec_by_name("su"))
+        PrivAnalyzer(telemetry=Telemetry(profiler=profiler)).analyze(
+            spec_by_name("su")
+        )
         stacks = set(profiler.records)
-        assert ("engine", "worker:0", "execute") in stacks
-        assert ("engine", "worker:0", "queue_wait") in stacks
         assert ("engine", "key_derivation") in stacks
         assert ("engine", "cache.lookup") in stacks
         assert ("vm",) in stacks
@@ -99,9 +99,25 @@ class TestPipelineFrames:
         roots = profiler.to_report()["roots"]
         assert roots["vm"]["attributed_fraction"] >= 0.95
 
+    def test_serial_analysis_books_no_worker_frames(self):
+        # A serial search is booked once, under its own rosa.search root;
+        # engine;worker:N frames belong to pool workers' grafted subtrees.
+        profiler = Profiler()
+        PrivAnalyzer(telemetry=Telemetry(profiler=profiler)).analyze(
+            spec_by_name("su")
+        )
+        assert ("rosa.search",) in profiler.records
+        assert not [
+            stack
+            for stack in profiler.records
+            if stack[0] == "engine" and len(stack) > 1
+            and stack[1].startswith("worker:")
+        ]
+        assert "workers" not in profiler.to_report()
+
     def test_cache_lookup_counters_match_engine_stats(self):
         profiler = Profiler()
-        analyzer = PrivAnalyzer(profiler=profiler)
+        analyzer = PrivAnalyzer(telemetry=Telemetry(profiler=profiler))
         analyzer.analyze(spec_by_name("su"))
         counters = profiler.records[("engine", "cache.lookup")].counters
         stats = analyzer.engine.cache_stats()
@@ -115,7 +131,7 @@ class TestDeterminism:
         profiler = Profiler(clock=clock)
         # One clock drives both the search budget and the profiler, so
         # the interleaving of readings is identical across runs.
-        check(figure2_query(), clock=clock, profiler=profiler)
+        check(figure2_query(), clock=clock, telemetry=Telemetry(profiler=profiler))
         return profiler
 
     def test_manual_clock_reports_are_bit_identical(self):

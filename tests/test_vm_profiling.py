@@ -17,7 +17,7 @@ from repro.frontend import compile_source
 from repro.oskernel import Kernel
 from repro.oskernel.setup import build_kernel
 from repro.programs import spec_by_name
-from repro.telemetry import ManualClock, Profiler
+from repro.telemetry import ManualClock, Profiler, Telemetry
 from repro.testkit.reference import ReferenceInterpreter
 from repro.vm import Interpreter, ProgramExit, VMError
 
@@ -92,7 +92,8 @@ def _instrumented(source):
 
 def _dynamic(program, profiler):
     spec = spec_by_name(program)
-    analyzer = PrivAnalyzer(profiler=profiler)
+    telemetry = Telemetry() if profiler is None else Telemetry(profiler=profiler)
+    analyzer = PrivAnalyzer(telemetry=telemetry)
     module = analyzer.compile(spec)[0]
     return analyzer.run_dynamic(spec, module)
 
