@@ -1,9 +1,8 @@
-.PHONY: install test bench bench-counters examples reproduce trace-smoke ledger-smoke profile-smoke fleet-smoke fuzz-smoke fuzz corpus-smoke serve-smoke clean
+.PHONY: install test bench bench-counters examples reproduce trace-smoke ledger-smoke profile-smoke fuzz-smoke fuzz corpus-smoke serve-smoke clean
 
 TRACE_SMOKE_OUT := /tmp/privanalyzer-trace-smoke.jsonl
 LEDGER_SMOKE_DIR := /tmp/privanalyzer-ledger-smoke
 PROFILE_SMOKE_DIR := /tmp/privanalyzer-profile-smoke
-FLEET_SMOKE_DIR := /tmp/privanalyzer-fleet-smoke
 CORPUS_SMOKE_DIR := /tmp/privanalyzer-corpus-smoke
 SERVE_SMOKE_DIR := /tmp/privanalyzer-serve-smoke
 BENCH_COUNTERS_DIR := /tmp/privanalyzer-bench-counters
@@ -108,47 +107,9 @@ profile-smoke:
 	print(f'profile-smoke ok: {len(lines)} stacks, rosa.search ' \
 	      f'{search[\"attributed_fraction\"]:.1%} attributed')"
 
-# Fleet-telemetry smoke test: a --jobs 4 process-pool rosa run must
-# merge one telemetry capsule per worker — a single Perfetto trace with
-# a distinct track per worker, a process-mode workers.json section in
-# the ledger, no lump worker:pool inflight frame in the profile,
-# and >= 95% of each worker's execute time attributed in the profiler
-# report (see docs/OBSERVABILITY.md).  The queries are vulnerable by
-# design, so the rosa exit code 1 is expected.
-fleet-smoke:
-	rm -rf $(FLEET_SMOKE_DIR) && mkdir -p $(FLEET_SMOKE_DIR)
-	for i in 1 2 3 4; do \
-		sed "s/ruid : 11/ruid : 1$$i/" examples/queries/figure2.rosa \
-			> $(FLEET_SMOKE_DIR)/q$$i.rosa || exit 1; done
-	PYTHONPATH=src python -m repro.cli rosa \
-		$(FLEET_SMOKE_DIR)/q1.rosa $(FLEET_SMOKE_DIR)/q2.rosa \
-		$(FLEET_SMOKE_DIR)/q3.rosa $(FLEET_SMOKE_DIR)/q4.rosa \
-		--jobs 4 --ledger $(FLEET_SMOKE_DIR)/ledger \
-		--perfetto-out $(FLEET_SMOKE_DIR)/trace.perfetto.json \
-		--profile-out $(FLEET_SMOKE_DIR)/prof > /dev/null; \
-		test $$? -le 1
-	PYTHONPATH=src python -c "\
-	import json; \
-	trace = json.load(open('$(FLEET_SMOKE_DIR)/trace.perfetto.json')); \
-	tracks = {e['args']['name'] for e in trace \
-	          if e.get('ph') == 'M' and e['name'] == 'thread_name'}; \
-	workers = {name for name in tracks if name.startswith('worker:')}; \
-	assert len(workers) >= 2, f'expected multiple worker tracks, got {tracks}'; \
-	fleet = json.load(open('$(FLEET_SMOKE_DIR)/ledger/workers.json')); \
-	assert fleet['workers'], fleet; \
-	assert fleet['mode'] == 'process', fleet['mode']; \
-	prof = json.load(open('$(FLEET_SMOKE_DIR)/ledger/profile.json')); \
-	assert not [r for r in prof['records'] if r['stack'][:2] == ['engine', 'worker:pool']], \
-	       'unexpected worker:pool inflight frame'; \
-	fractions = {w: s['attributed_fraction'] for w, s in prof['workers'].items()}; \
-	assert fractions and all(f >= 0.95 for f in fractions.values()), fractions; \
-	print(f'fleet-smoke ok: tracks {sorted(workers)}, ' \
-	      f'{len(fleet[\"workers\"])} ledger worker(s), ' \
-	      f'min attribution {min(fractions.values()):.1%}')"
-
 # Conformance fuzz smoke (CI gate, ~40s): a fixed-seed campaign over the
-# seven default differential oracle families (cache, pools, vm — compiled
-# VM core vs reference evaluator — ledger, profile, store and prove), a
+# six default differential oracle families (cache, vm — compiled VM core
+# vs reference evaluator — ledger, profile, store and prove), a
 # second-seed 500-run campaign of the `vm` family alone (~5s: every
 # closure specialization of the compiled core meets many random
 # programs), a third-seed 500-run campaign of the `prove` family alone

@@ -29,8 +29,7 @@ def execute(spec, module):
     kernel = build_kernel(refactored_ownership=spec.refactored_fs)
     process = kernel.spawn(spec.uid, spec.gid, permitted=spec.permitted)
     vm = Interpreter(module, kernel, process, argv=list(spec.argv), stdin=list(spec.stdin))
-    vm.env.update({key: list(value) if isinstance(value, list) else value
-                   for key, value in spec.env.items()})
+    vm.env.update(spec.fresh_env())
     if spec.setup is not None:
         spec.setup(kernel, vm)
     code = vm.run()

@@ -8,9 +8,7 @@ Subcommands:
   Markdown/JSON/CSV with ``--format``);
 * ``hints <program>`` — refactoring guidance modelled on §VII-D/E;
 * ``rosa <file>...`` — check Maude-style query files (Figure 2/4
-  syntax); ``--jobs N`` fans distinct queries over a process pool whose
-  workers report back telemetry capsules (merged spans, metrics,
-  profiles — one Perfetto track per worker);
+  syntax);
 * ``fuzz`` — run the conformance testkit's seeded differential/metamorphic
   campaign; failures shrink to replayable repro files (docs/TESTING.md);
 * ``profile`` — run a program or query under the hot-path profiler and
@@ -32,7 +30,7 @@ metrics registry, ``--audit-out`` dumps the simulated kernel's syscall
 audit trail, ``--progress`` renders live ROSA search progress, and
 ``--verbose``/``--quiet`` control stderr logging.  ``--profile-out DIR``
 attaches the hot-path profiler (per rewrite rule, VM opcode, engine
-worker — see docs/PERFORMANCE.md) and writes
+step — see docs/PERFORMANCE.md) and writes
 ``DIR/profile.collapsed`` (flamegraph.pl format) plus
 ``DIR/profile.json``.  ``--ledger DIR``
 captures the whole run as a versioned artifact directory that
@@ -48,7 +46,7 @@ Examples::
     privanalyzer diff out/run1 out/run2
     privanalyzer analyze agent.privc --caps CapSetuid,CapDacReadSearch
     privanalyzer rosa examples/queries/figure2.rosa --progress
-    privanalyzer rosa examples/queries/*.rosa --jobs 4 --perfetto-out fleet.json
+    privanalyzer rosa examples/queries/*.rosa --perfetto-out trace.json
     privanalyzer table5 --format markdown
 """
 
@@ -145,11 +143,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help="disable ROSA result caching; every query searches from scratch",
     )
     group.add_argument(
-        "--jobs", type=_jobs, default=1, metavar="N",
-        help="run distinct ROSA searches on a pool of N worker processes "
-        "(default 1: serial, which is fastest at repro-scale budgets)",
-    )
-    group.add_argument(
         "--verdict-store", metavar="DIR", default=None,
         help="back the query engine with the fleet-wide shared verdict "
         "store at DIR: distinct searches run once across every process "
@@ -162,7 +155,6 @@ def _engine_kwargs(args) -> dict:
     return {
         "use_query_cache": not getattr(args, "no_query_cache", False),
         "verdict_store": getattr(args, "verdict_store", None),
-        "jobs": args.jobs,
     }
 
 
@@ -231,12 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="narrate the witness step by step when vulnerable "
         "(always searches in this process)",
     )
-    rosa.add_argument(
-        "--jobs", type=_jobs, default=1, metavar="N",
-        help="answer distinct queries on a pool of N worker processes; "
-        "each worker returns a telemetry capsule merged into this "
-        "session's trace/metrics/profile (one Perfetto track per worker)",
-    )
     _add_observability_flags(rosa)
     _add_ledger_flag(rosa)
 
@@ -282,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--oracle", action="append", default=[], metavar="FAMILY",
         help="oracle family to run (repeatable; default: the differential "
-        "families cache, pools, vm, ledger, profile, store, prove; 'all' adds "
+        "families cache, vm, ledger, profile, store, prove; 'all' adds "
         "the metamorphic properties)",
     )
     fuzz.add_argument(
@@ -439,12 +425,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--port-file", metavar="PATH", default=None,
         help="write the bound host:port to PATH once listening (for "
         "scripts starting the server with --port 0)",
-    )
-    serve.add_argument(
-        "--jobs", type=_jobs, default=1, metavar="N",
-        help="shard each request's distinct cold searches over N process-"
-        "pool workers (default 1: serial per request; concurrency across "
-        "requests is always on)",
     )
 
     for table in ("table3", "table5"):
@@ -655,7 +635,6 @@ def _cmd_analyze(args, out, telemetry: Telemetry) -> int:
             directory, analysis, telemetry,
             cache_stats=analyzer.engine.cache_stats(),
             cli_args=_manifest_args(args),
-            fleet=analyzer.engine.fleet.stats() or None,
         ),
     )
     if args.format == "table":
@@ -695,39 +674,32 @@ def _cmd_rosa(args, out, telemetry: Telemetry) -> int:
     from repro.core import ledger as ledger_mod
     from repro.rewriting import SearchBudget
     from repro.rosa import explain_witness
-    from repro.rosa.dsl import DslQuerySpec, parse_query
-    from repro.rosa.engine import QueryEngine, QueryRequest
+    from repro.rosa.dsl import parse_query
+    from repro.rosa.engine import QueryEngine
 
-    parsed = []
+    queries = []
     for name in args.files:
         try:
             text = Path(name).read_text()
         except OSError as error:
             raise SystemExit(f"privanalyzer: cannot read {name}: {error.strerror}")
-        parsed.append((parse_query(text, name=Path(name).stem), text))
+        queries.append(parse_query(text, name=Path(name).stem))
     engine = QueryEngine(
         budget=SearchBudget(max_states=args.max_states, max_seconds=args.max_seconds),
         cache=None,
-        jobs=args.jobs,
         telemetry=telemetry,
     )
     if args.explain:
-        # Witness states are never cached or pooled: each query searches here.
-        reports = [engine.check(query, track_states=True) for query, _ in parsed]
+        # Witness states are never cached: each query searches.
+        reports = [engine.check(query, track_states=True) for query in queries]
     else:
-        reports = engine.run_queries(
-            [
-                QueryRequest(query, spec=DslQuerySpec(text, query.name))
-                for query, text in parsed
-            ]
-        )
+        reports = engine.run_queries(queries)
     _export_profile(args, telemetry)
     _capture_ledger(
         args,
         lambda directory: ledger_mod.capture_rosa(
             directory, reports if len(reports) > 1 else reports[0], telemetry,
             cli_args=_manifest_args(args),
-            fleet=engine.fleet.stats() or None,
         ),
     )
     for report in reports:
@@ -951,9 +923,7 @@ def _cmd_peers(args, out, telemetry: Telemetry) -> int:
 def _cmd_serve(args, out) -> int:
     from repro.serve.server import VerdictServer
 
-    server = VerdictServer(
-        args.store, host=args.host, port=args.port, jobs=args.jobs
-    )
+    server = VerdictServer(args.store, host=args.host, port=args.port)
     try:
         server.run(port_file=args.port_file)
     except KeyboardInterrupt:

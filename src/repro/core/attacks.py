@@ -195,28 +195,6 @@ class Attack:
             goal_key=("attack", self.attack_id),
         )
 
-    def query_spec(
-        self,
-        phase_privileges: CapabilitySet,
-        uids: Tuple[int, int, int],
-        gids: Tuple[int, int, int],
-        program_syscalls: FrozenSet[str],
-        repeat: int = 1,
-        label: str = "",
-        devmem_perms: int = 0o640,
-    ) -> "AttackQuerySpec":
-        """The picklable counterpart of :meth:`build_query`, for batches."""
-        return AttackQuerySpec(
-            attack_id=self.attack_id,
-            privileges=phase_privileges,
-            uids=uids,
-            gids=gids,
-            syscalls=frozenset(program_syscalls),
-            repeat=repeat,
-            label=label,
-            devmem_perms=devmem_perms,
-        )
-
     def _goal(self):
         if self.attack_id == 1:
             return goals.file_opened_for_read(FID_DEVMEM)
@@ -227,36 +205,6 @@ class Attack:
         if self.attack_id == 4:
             return goals.process_terminated(PID_SSHD)
         raise ValueError(f"unknown attack id {self.attack_id}")
-
-
-@dataclasses.dataclass(frozen=True)
-class AttackQuerySpec:
-    """Everything needed to rebuild one attack query, in picklable form.
-
-    ROSA goals are closures and do not pickle, so the query engine's
-    process-pool mode ships this spec to workers instead; ``build()``
-    reconstructs the exact :class:`~repro.rosa.query.RosaQuery` there.
-    """
-
-    attack_id: int
-    privileges: CapabilitySet
-    uids: Tuple[int, int, int]
-    gids: Tuple[int, int, int]
-    syscalls: FrozenSet[str]
-    repeat: int = 1
-    label: str = ""
-    devmem_perms: int = 0o640
-
-    def build(self) -> RosaQuery:
-        return ATTACKS_BY_ID[self.attack_id].build_query(
-            phase_privileges=self.privileges,
-            uids=self.uids,
-            gids=self.gids,
-            program_syscalls=self.syscalls,
-            repeat=self.repeat,
-            label=self.label,
-            devmem_perms=self.devmem_perms,
-        )
 
 
 #: Syscalls that can contribute to file-access attacks (1 and 2).

@@ -30,15 +30,9 @@ generation both assume:
     and search cost.
 ``cache.json``
     Query-engine cache statistics (hits/misses/hit rate/entries).
-``workers.json``
-    Fleet telemetry: per-worker capsule accounting from pool runs
-    (``--jobs N``) — tasks, execute/queue-wait seconds, states
-    explored, span/sample/profile-record volume per stable ``worker:N`` id
-    (see :meth:`repro.rosa.pool.Fleet.stats`).  The
-    differ compares load balance and per-worker execute time.
 ``profile.json``
     The hot-path profiler's schema-versioned report (per rewrite rule,
-    VM opcode, engine worker — see
+    VM opcode, engine step — see
     :mod:`repro.telemetry.profiler`), written only when the run's
     telemetry carried a live profiler (``--profile-out``).
 
@@ -72,7 +66,8 @@ from repro.telemetry import (
 #: compare ledgers written under different schema versions.
 #: Version 2: verdict records lost the reduction counters.
 #: Version 3: ``workers.json`` lost the per-worker audit counts.
-LEDGER_SCHEMA_VERSION = 3
+#: Version 4: ``workers.json`` is gone (no ROSA process pool).
+LEDGER_SCHEMA_VERSION = 4
 
 MANIFEST_FILE = "manifest.json"
 SPANS_FILE = "spans.jsonl"
@@ -85,7 +80,6 @@ EXPOSURE_FILE = "exposure.json"
 VERDICTS_FILE = "verdicts.json"
 CACHE_FILE = "cache.json"
 PROFILE_FILE = "profile.json"
-WORKERS_FILE = "workers.json"
 
 #: Stage-duration deltas smaller than this many seconds never count as
 #: perf regressions, whatever the ratio — sub-floor stages are noise.
@@ -196,15 +190,12 @@ def capture_analysis(
     cache_stats: Optional[Dict[str, Any]] = None,
     cli_args: Optional[Dict[str, Any]] = None,
     timestamp: Optional[float] = None,
-    fleet: Optional[Dict[str, Any]] = None,
 ) -> "RunLedger":
     """Write one ``analyze`` run's artifacts; returns the loaded ledger.
 
     ``timestamp`` injects the manifest's creation time (tests pass a
     constant; the CLI passes nothing and gets ``time.time()``).
-    ``telemetry.profiler``, when live, adds its report as ``profile.json``;
-    ``fleet`` (the engine's :meth:`repro.rosa.pool.Fleet.stats`), when
-    non-empty, adds ``workers.json``.
+    ``telemetry.profiler``, when live, adds its report as ``profile.json``.
     """
     extra = [
         (EXPOSURE_FILE, analysis_to_dict(analysis)),
@@ -212,7 +203,6 @@ def capture_analysis(
         (CACHE_FILE, cache_stats or {}),
     ]
     extra += _profile_extra(telemetry.profiler)
-    extra += _fleet_extra(fleet)
     return _capture(
         directory, "analyze", analysis.spec.name, telemetry, extra, cli_args, timestamp
     )
@@ -224,13 +214,12 @@ def capture_rosa(
     telemetry: Telemetry,
     cli_args: Optional[Dict[str, Any]] = None,
     timestamp: Optional[float] = None,
-    fleet: Optional[Dict[str, Any]] = None,
 ) -> "RunLedger":
     """Write one ``rosa`` run's artifacts; returns the loaded ledger.
 
     ``report`` may be a list (one ``privanalyzer rosa`` invocation over
-    several query files, e.g. a ``--jobs`` batch); the manifest's
-    program is then the comma-joined query names.
+    several query files); the manifest's program is then the
+    comma-joined query names.
     """
     reports = report if isinstance(report, list) else [report]
     extra = [
@@ -240,7 +229,6 @@ def capture_rosa(
         )
     ]
     extra += _profile_extra(telemetry.profiler)
-    extra += _fleet_extra(fleet)
     program = ",".join(item.query.name or "?" for item in reports)
     return _capture(
         directory, "rosa", program, telemetry, extra, cli_args, timestamp
@@ -252,13 +240,6 @@ def _profile_extra(profiler) -> List[Tuple[str, Any]]:
     if not profiler.enabled:
         return []
     return [(PROFILE_FILE, profiler.to_report())]
-
-
-def _fleet_extra(fleet) -> List[Tuple[str, Any]]:
-    """The optional ``workers.json`` entry for :func:`_capture`."""
-    if not fleet:
-        return []
-    return [(WORKERS_FILE, fleet)]
 
 
 # -- loading ------------------------------------------------------------------
@@ -277,7 +258,6 @@ class RunLedger:
     syscalls: Optional[Dict[str, Any]] = None
     cache: Optional[Dict[str, Any]] = None
     profile: Optional[Dict[str, Any]] = None
-    workers: Optional[Dict[str, Any]] = None
 
     @property
     def schema(self) -> int:
@@ -357,7 +337,6 @@ class RunLedger:
             syscalls=optional_json(SYSCALLS_FILE),
             cache=optional_json(CACHE_FILE),
             profile=optional_json(PROFILE_FILE),
-            workers=optional_json(WORKERS_FILE),
         )
 
 
@@ -637,83 +616,6 @@ def _diff_profile(
             )
 
 
-def _diff_workers(
-    old: RunLedger, new: RunLedger, perf_tolerance: float, findings: List[DiffFinding]
-) -> None:
-    """Fleet sections: per-worker slowdowns and load-imbalance drift.
-
-    Only ``--jobs`` runs carry ``workers.json``, so a section present in
-    just one ledger is informational.  Per-worker execute time gates
-    like any other perf figure; the worker *set* changing (a different
-    ``--jobs``, a renamed pool) and the load balance degrading are
-    changes worth a look, not gates — wall-clock regressions already
-    surface via stages/profile.
-    """
-    if old.workers is None or new.workers is None:
-        if (old.workers is None) != (new.workers is None):
-            findings.append(
-                DiffFinding(
-                    "info", "workers",
-                    "fleet telemetry present in only one ledger "
-                    "(capture both from --jobs runs to compare workers)",
-                )
-            )
-        return
-    before = old.workers.get("workers", {})
-    after = new.workers.get("workers", {})
-    for worker in sorted(set(before) ^ set(after)):
-        where = "vanished" if worker in before else "appeared"
-        findings.append(
-            DiffFinding("change", "workers", f"{worker} {where} from the fleet")
-        )
-    for worker in sorted(set(before) & set(after)):
-        old_exec = float(before[worker].get("execute_seconds", 0.0))
-        new_exec = float(after[worker].get("execute_seconds", 0.0))
-        if (
-            new_exec > old_exec * (1.0 + perf_tolerance)
-            and new_exec - old_exec > PERF_ABSOLUTE_FLOOR
-        ):
-            ratio = new_exec / old_exec if old_exec else float("inf")
-            findings.append(
-                DiffFinding(
-                    "regression", "workers",
-                    f"{worker}: execute {old_exec * 1000:.1f} ms -> "
-                    f"{new_exec * 1000:.1f} ms ({ratio:.1f}x, tolerance "
-                    f"{1.0 + perf_tolerance:.1f}x)",
-                )
-            )
-        old_tasks = int(before[worker].get("tasks", 0))
-        new_tasks = int(after[worker].get("tasks", 0))
-        if old_tasks != new_tasks:
-            findings.append(
-                DiffFinding(
-                    "info", "workers",
-                    f"{worker}: tasks {old_tasks} -> {new_tasks}",
-                )
-            )
-
-    def imbalance(workers: Dict[str, Any]) -> float:
-        # max/mean execute time across the fleet: 1.0 is a perfect
-        # balance, 4.0 means one worker carried a 4-worker pool.
-        times = [
-            float(stats.get("execute_seconds", 0.0)) for stats in workers.values()
-        ]
-        mean = sum(times) / len(times) if times else 0.0
-        return (max(times) / mean) if mean > 0.0 else 1.0
-
-    if before and after:
-        old_skew = imbalance(before)
-        new_skew = imbalance(after)
-        if new_skew > old_skew * (1.0 + perf_tolerance) and new_skew - old_skew > 0.5:
-            findings.append(
-                DiffFinding(
-                    "change", "workers",
-                    f"load imbalance (max/mean execute) {old_skew:.2f} -> "
-                    f"{new_skew:.2f} — the fleet is draining unevenly",
-                )
-            )
-
-
 def _diff_syscalls(old: RunLedger, new: RunLedger, findings: List[DiffFinding]) -> None:
     if old.syscalls is None or new.syscalls is None:
         if (old.syscalls is None) != (new.syscalls is None):
@@ -823,7 +725,6 @@ def diff_ledgers(
     _diff_exposure(old, new, tolerance, findings)
     _diff_stages(old, new, perf_tolerance, findings)
     _diff_profile(old, new, perf_tolerance, findings)
-    _diff_workers(old, new, perf_tolerance, findings)
     _diff_syscalls(old, new, findings)
     _diff_counters(old, new, findings)
     return LedgerDiff(old=old, new=new, findings=findings)

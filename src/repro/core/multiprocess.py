@@ -74,9 +74,6 @@ class MultiProcessAnalysis:
             QueryRequest(
                 attack.build_query(phase.privileges, phase.uids, phase.gids, surface),
                 budget=budget,
-                spec=attack.query_spec(
-                    phase.privileges, phase.uids, phase.gids, surface
-                ),
             )
             for phase in phases
         ]
@@ -121,10 +118,7 @@ def analyze_multiprocess(
     vm = interpreter_class()(
         module, kernel, process, argv=list(spec.argv), stdin=list(spec.stdin)
     )
-    vm.env.update(
-        {key: list(value) if isinstance(value, list) else value
-         for key, value in spec.env.items()}
-    )
+    vm.env.update(spec.fresh_env())
     if spec.setup is not None:
         spec.setup(kernel, vm)
 

@@ -141,7 +141,6 @@ class PrivAnalyzer:
         optimize: bool = False,
         telemetry: Optional[Telemetry] = None,
         use_query_cache: bool = True,
-        jobs: int = 1,
         verdict_store=None,
     ) -> None:
         self.attacks = tuple(attacks)
@@ -172,7 +171,6 @@ class PrivAnalyzer:
         self.engine = QueryEngine(
             budget=self.budget,
             cache=QueryCache() if use_query_cache else None,
-            jobs=jobs,
             telemetry=self.telemetry,
             store=verdict_store,
         )
@@ -225,7 +223,7 @@ class PrivAnalyzer:
                 metrics=self.telemetry.metrics,
             )
             vm.attach_profiler(self.telemetry.profiler)
-            vm.env.update(spec.env)
+            vm.env.update(spec.fresh_env())
             recorder = ChronoRecorder(spec.name, process)
             recorder.attach(vm, kernel)
             if spec.setup is not None:
@@ -274,27 +272,20 @@ class PrivAnalyzer:
         metrics = self.telemetry.metrics
         verdicts: Dict[int, RosaReport] = {}
         with tracer.span("rosa.check-phase", phase=phase.name):
-            requests = []
-            for attack in self.attacks:
-                query = attack.build_query(
-                    phase.privileges,
-                    phase.uids,
-                    phase.gids,
-                    program_syscalls,
-                    repeat=self.message_repeat,
-                    label=f"{phase.name}/attack{attack.attack_id}",
+            requests = [
+                QueryRequest(
+                    attack.build_query(
+                        phase.privileges,
+                        phase.uids,
+                        phase.gids,
+                        program_syscalls,
+                        repeat=self.message_repeat,
+                        label=f"{phase.name}/attack{attack.attack_id}",
+                    ),
+                    budget=self.budget,
                 )
-                spec = attack.query_spec(
-                    phase.privileges,
-                    phase.uids,
-                    phase.gids,
-                    program_syscalls,
-                    repeat=self.message_repeat,
-                    label=f"{phase.name}/attack{attack.attack_id}",
-                )
-                requests.append(
-                    QueryRequest(query, budget=self.budget, spec=spec)
-                )
+                for attack in self.attacks
+            ]
             reports = self.engine.run_queries(requests)
             for attack, report in zip(self.attacks, reports):
                 verdicts[attack.attack_id] = report

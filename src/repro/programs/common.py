@@ -58,6 +58,18 @@ class ProgramSpec:
     setup: Optional[Callable] = None
     expected_exit: int = 0
 
+    def fresh_env(self) -> Dict[str, object]:
+        """A copy of :attr:`env` that one run may consume.
+
+        The VM's network intrinsics pop the workload queues (``connections``,
+        ``incoming``) as the program runs, so every run gets its own lists;
+        the spec's stay intact and a second run replays the same workload.
+        """
+        return {
+            key: list(value) if isinstance(value, list) else value
+            for key, value in self.env.items()
+        }
+
     @property
     def sloc(self) -> int:
         return source_sloc(self.source)

@@ -61,10 +61,32 @@ def _mix(value: int) -> int:
 def _canonical_value(value) -> Hashable:
     """A deterministic, hashable key for an attribute value."""
     if isinstance(value, frozenset):
-        return ("frozenset",) + tuple(sorted(value, key=lambda item: (str(type(item)), repr(item))))
+        return ("frozenset",) + tuple(sorted(value, key=_element_order))
     if isinstance(value, tuple):
         return ("tuple",) + tuple(_canonical_value(item) for item in value)
     return value
+
+
+def _bools_as_ints(value):
+    """``value`` with every bool replaced by the int it equals."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, tuple):
+        return tuple(_bools_as_ints(item) for item in value)
+    return value
+
+
+def _element_order(item) -> Tuple[str, str]:
+    """The sort key of one frozenset element in a canonical key.
+
+    Equal elements must get equal sort keys, or two equal frozensets
+    would list their elements in different orders: ``True == 1`` (so
+    bools sort as ints), and a nested frozenset's repr follows its
+    iteration order (so it is sorted as its canonical form).
+    """
+    if isinstance(item, (bool, tuple, frozenset)):
+        item = _bools_as_ints(_canonical_value(item))
+    return (str(type(item)), repr(item))
 
 
 def _total_order(value) -> Tuple:

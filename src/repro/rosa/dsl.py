@@ -36,7 +36,6 @@ Permission masks are written in symbolic ``rwxr-x---`` form or octal
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from typing import Dict, List, Optional, Tuple
 
@@ -404,24 +403,6 @@ def parse_goal_condition(text: str):
 def parse_query(text: str, name: str = "query") -> RosaQuery:
     """Parse a full ROSA input (Figure 2/4 style) into a query."""
     return _Parser(_tokenize(text)).parse_query(name)
-
-
-@dataclasses.dataclass(frozen=True)
-class DslQuerySpec:
-    """A picklable builder for one DSL query (process-pool transport).
-
-    Queries hold goal closures, which do not pickle; the DSL *text*
-    does.  This is the ``QueryRequest.spec`` that lets
-    ``privanalyzer rosa --jobs N`` fan query files over a process pool —
-    each worker re-parses the text, which is deterministic, so the
-    rebuilt query is search-equivalent to the parent's.
-    """
-
-    text: str
-    name: str = "query"
-
-    def build(self) -> RosaQuery:
-        return parse_query(self.text, name=self.name)
 
 
 # -- serialisation -------------------------------------------------------------------

@@ -16,8 +16,7 @@ each distinct question once:
 * :meth:`QueryEngine.run_queries` is the one lookup chain: derive keys,
   dedupe the batch, serve L1 then L2 hits, try to *prove* each distinct
   miss INVULNERABLE without searching (:mod:`repro.rosa.prove`), search
-  the rest once each (serially, or on the process pool of
-  :mod:`repro.rosa.pool`), then publish and release.
+  the rest once each in this process, then publish and release.
   :meth:`QueryEngine.check` is a one-query batch.
 
 Caching never changes a verdict: two queries share a cache entry only
@@ -43,7 +42,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.rewriting import SearchBudget, SearchStats
 # perfbench's probes patch engine.query_cache_key and engine.check: call by name.
 from repro.rosa.keys import query_cache_key
-from repro.rosa.pool import Fleet, run_pool
 from repro.rosa.prove import prove
 from repro.rosa.query import DEFAULT_BUDGET, RosaQuery, RosaReport, Verdict, check
 from repro.telemetry import Telemetry
@@ -198,15 +196,11 @@ def reusable(report: RosaReport, budget: SearchBudget) -> bool:
 class QueryRequest:
     """One entry of a :meth:`QueryEngine.run_queries` batch.
 
-    ``spec``, when given, is a picklable object with a ``build()`` method
-    returning an equivalent :class:`RosaQuery`; it is what travels to
-    process-pool workers (queries themselves hold goal closures, which do
-    not pickle).  ``budget`` overrides the engine default for this query.
+    ``budget`` overrides the engine default for this query.
     """
 
     query: RosaQuery
     budget: Optional[SearchBudget] = None
-    spec: Optional[Any] = None
 
 
 class QueryEngine:
@@ -222,7 +216,6 @@ class QueryEngine:
         self,
         budget: SearchBudget = DEFAULT_BUDGET,
         cache: Optional[QueryCache] = None,
-        jobs: int = 1,
         telemetry: Optional[Telemetry] = None,
         checker=None,
         store=None,
@@ -237,30 +230,17 @@ class QueryEngine:
         self.store = store
         #: ``None`` disables caching entirely (every check searches).
         self.cache = cache
-        if not isinstance(jobs, int) or jobs < 1:
-            raise ValueError(f"jobs must be a positive integer: {jobs!r}")
-        #: Distinct searches per batch run in this process when 1, and on
-        #: a pool of ``jobs`` worker processes (:mod:`repro.rosa.pool`)
-        #: otherwise; pooled requests must carry a picklable ``spec``.
-        self.jobs = jobs
         #: Every collector this engine feeds: spans and metrics, the
         #: profiler (key derivation, cache lookups and the pre-check
         #: under the ``engine`` root; per-rule search attribution), and
-        #: the progress callback each serial search samples into.  Pool
-        #: workers sample into their telemetry capsule instead (a
-        #: bounded, decimated tail reattached to the report at merge
-        #: time — not live).  Cache hits emit no samples.
+        #: the progress callback each search samples into.  Cache hits
+        #: emit no samples.
         self.telemetry = telemetry or Telemetry.disabled()
-        #: The search implementation behind every serial check; defaults
-        #: to :func:`repro.rosa.query.check`.  The conformance testkit
-        #: swaps in instrumented or reference checkers here to prove the
-        #: cache and the pool never change an answer (process-pool
-        #: workers always run the stock checker — closures do not pickle).
+        #: The search implementation behind every check; defaults to
+        #: :func:`repro.rosa.query.check`.  The conformance testkit swaps
+        #: in instrumented or reference checkers here to prove the cache
+        #: never changes an answer.
         self.checker = checker or check
-        #: Per-worker accounting of the telemetry capsules pool workers
-        #: return whenever a parent collector is live (see
-        #: :func:`repro.rosa.pool.capsule_request`).
-        self.fleet = Fleet()
 
     def check(
         self,
@@ -307,8 +287,7 @@ class QueryEngine:
         The batch is deduplicated by canonical key first (duplicates get
         the same search's answer re-attached to their own query), cache
         hits are served without searching, and the remaining distinct
-        searches run in this process, or on a pool of :attr:`jobs` workers
-        when ``jobs`` > 1 and more than one search is left.  A query
+        searches run once each in this process.  A query
         without a stable key is its own distinct search and is never
         cached; a :func:`reusable`-failing answer is shared with its
         deduplicated siblings in this batch only.
@@ -378,9 +357,9 @@ class QueryEngine:
         if distinct:
             metrics.counter("rosa.batch.unique").inc(len(distinct))
 
-        # 2. Prove what the abstract pre-check can, then run each
-        #    remaining distinct search once.  Every key this batch led in
-        #    the store is released afterwards, published or not.
+        # 2. Answer each distinct miss once: by the abstract pre-check's
+        #    proof, else by a search.  Every key this batch led in the
+        #    store is released afterwards, published or not.
         try:
             if distinct:
                 leaders = [indices[0] for indices in distinct.values()]
@@ -389,26 +368,11 @@ class QueryEngine:
                 }
                 answers: Dict[int, RosaReport] = {}
                 for index in leaders:
-                    report = self._proved(entries[index].query)
-                    if report is not None:
-                        answers[index] = report
-                searched = [index for index in leaders if index not in answers]
-                if searched:
-                    if self.jobs == 1 or len(searched) == 1:
-                        searched_reports = [
-                            self._checked(entries[index].query, budgets[index])
-                            for index in searched
-                        ]
-                    else:
-                        searched_reports = run_pool(
-                            self,
-                            [
-                                dataclasses.replace(entries[index], budget=budgets[index])
-                                for index in searched
-                            ],
-                            [keys[index] for index in searched],
-                        )
-                    answers.update(zip(searched, searched_reports))
+                    query = entries[index].query
+                    report = self._proved(query)
+                    if report is None:
+                        report = self._checked(query, budgets[index])
+                    answers[index] = report
                 for key_indices in distinct.values():
                     report = answers[key_indices[0]]
                     key = keys[key_indices[0]]
@@ -443,9 +407,9 @@ class QueryEngine:
     def _proved(self, query: RosaQuery) -> Optional[RosaReport]:
         """The abstract pre-check: an INVULNERABLE report, or None to search.
 
-        Runs in this process before any dispatch, and not through
-        :attr:`checker`: the search implementation only ever sees queries
-        the check could not prove.
+        Runs before the search, and not through :attr:`checker`: the
+        search implementation only ever sees queries the check could not
+        prove.
         """
         with self.telemetry.profiler.section("engine", "prove"):
             with self.telemetry.tracer.span("rosa.prove", query=query.name) as span:

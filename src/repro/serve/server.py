@@ -62,12 +62,10 @@ class VerdictServer:
         store_root: str,
         host: str = "127.0.0.1",
         port: int = 0,
-        jobs: int = 1,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.host = host
         self.port = port
-        self.jobs = jobs
         self.store = SingleFlight(SharedVerdictStore(store_root))
         #: The dashboard registry; each request's engines count into a
         #: private telemetry, whose store counters fold in here after
@@ -192,7 +190,6 @@ class VerdictServer:
         return {
             "protocol": protocol.PROTOCOL_VERSION,
             "uptime_seconds": round(time.monotonic() - self._started, 3),
-            "jobs": self.jobs,
             "requests": dict(sorted(self._requests.items())),
             "store": stats,
         }, None
@@ -228,7 +225,6 @@ class VerdictServer:
             budget=budget,
             cache=QueryCache(),
             store=self.store,
-            jobs=self.jobs,
             telemetry=telemetry,
         )
         report = engine.check(query)
@@ -259,8 +255,7 @@ class VerdictServer:
             )
         telemetry = Telemetry.disabled()
         analyzer = PrivAnalyzer(
-            budget=budget, verdict_store=self.store, jobs=self.jobs,
-            telemetry=telemetry,
+            budget=budget, verdict_store=self.store, telemetry=telemetry,
         )
         analysis = analyzer.analyze(spec)
         return analysis_to_dict(analysis), _served(telemetry)
@@ -288,7 +283,6 @@ class VerdictServer:
             analyzer = PrivAnalyzer(
                 budget=DEFAULT_SWEEP_BUDGET,
                 verdict_store=self.store,
-                jobs=self.jobs,
                 telemetry=telemetry,
             )
             analysis = analyzer.analyze(entry.spec())

@@ -13,7 +13,7 @@ Three pillars (see ``docs/OBSERVABILITY.md``):
 
 :class:`Telemetry` bundles all three with the hot-path profiler
 (:mod:`repro.telemetry.profiler`) and the live search-progress callback;
-the pipeline, query engine, search, pool and CLI all read their
+the pipeline, query engine, search and CLI all read their
 collectors from one.  ``Telemetry.disabled()`` is the default everywhere
 and costs nothing on hot paths.
 """
@@ -24,15 +24,6 @@ import dataclasses
 from typing import Callable, Optional
 
 from repro.telemetry.audit import AuditRecord, SyscallAuditTrail
-from repro.telemetry.capsule import (
-    CAPSULE_SCHEMA_VERSION,
-    CapsuleCollector,
-    CapsuleRequest,
-    TelemetryCapsule,
-    merge_capsule,
-    normalize_worker,
-    worker_index,
-)
 from repro.telemetry.clock import Clock, ManualClock, MONOTONIC
 from repro.telemetry.export import (
     metrics_to_jsonl,
@@ -49,7 +40,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    labeled_name,
 )
 from repro.telemetry.profiler import (
     NULL_PROFILER,
@@ -79,7 +69,7 @@ class Telemetry:
     #: the shared disabled profiler reads no clock.
     profiler: Profiler = NULL_PROFILER
     #: Called with every :class:`~repro.rewriting.ProgressSample` a live
-    #: search takes; pool workers sample into their capsule instead.
+    #: search takes.
     progress: Optional[Callable] = None
     #: Expansions between two progress samples; ``None`` keeps the
     #: search's own default (:data:`repro.rewriting.PROGRESS_INTERVAL`).
@@ -117,9 +107,6 @@ class Telemetry:
 
 __all__ = [
     "AuditRecord",
-    "CAPSULE_SCHEMA_VERSION",
-    "CapsuleCollector",
-    "CapsuleRequest",
     "Clock",
     "Counter",
     "Gauge",
@@ -135,13 +122,9 @@ __all__ = [
     "Span",
     "SyscallAuditTrail",
     "Telemetry",
-    "TelemetryCapsule",
     "Tracer",
-    "labeled_name",
-    "merge_capsule",
     "metrics_to_jsonl",
     "metrics_to_prometheus",
-    "normalize_worker",
     "prometheus_name",
     "render_metrics",
     "render_profile",
@@ -152,5 +135,4 @@ __all__ = [
     "spans_to_jsonl",
     "spans_to_trace_events",
     "trace_event_json",
-    "worker_index",
 ]

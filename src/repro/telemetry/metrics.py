@@ -3,30 +3,13 @@
 The registry is deliberately small: metric names are plain dotted
 strings (``vm.syscall_dispatches``, ``rosa.query_seconds``), instruments
 are created on first use, and :meth:`MetricsRegistry.snapshot` renders
-everything into one JSON-able dict.  Labels exist only as a naming
-convention: :func:`labeled_name` spells a label set into the instrument
-name (``rosa.cache.hits{worker="3"}``), which is how
-:meth:`MetricsRegistry.merge_snapshot` keeps per-worker breakdowns when
-folding pool-worker telemetry capsules into the parent registry.
+everything into one JSON-able dict.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Union
-
-
-def labeled_name(name: str, labels: Mapping[str, str]) -> str:
-    """A label-qualified instrument name: ``rosa.cache.hits{worker="3"}``.
-
-    The registry stays flat — a labeled variant is just another named
-    instrument — but exporters (Prometheus, the fleet ledger) recognise
-    the ``name{key="value"}`` spelling and render real label sets.
-    """
-    if not labels:
-        return name
-    inner = ",".join(f'{key}="{value}"' for key, value in sorted(labels.items()))
-    return f"{name}{{{inner}}}"
+from typing import Any, Dict, List, Union
 
 
 class Counter:
@@ -117,42 +100,6 @@ class Histogram:
             "stddev": self.stddev,
         }
 
-    def merge_snapshot(self, snap: Mapping[str, Any]) -> None:
-        """Fold another histogram's snapshot into this one.
-
-        Chan et al.'s parallel-moments merge: the combined mean/M2 are
-        exact (up to float rounding), so a fleet of per-worker Welford
-        aggregates merges into the same moments one registry observing
-        every value would hold.  Empty snapshots are no-ops.
-        """
-        count = int(snap.get("count", 0))
-        if count <= 0:
-            return
-        mean = float(snap.get("mean", 0.0))
-        stddev = float(snap.get("stddev", 0.0))
-        m2 = stddev * stddev * count
-        total = float(snap.get("sum", mean * count))
-        low = float(snap.get("min", mean))
-        high = float(snap.get("max", mean))
-        if self.count == 0:
-            self.count = count
-            self.total = total
-            self.min = low
-            self.max = high
-            self._mean = mean
-            self._m2 = m2
-            return
-        combined = self.count + count
-        delta = mean - self._mean
-        self._m2 += m2 + delta * delta * self.count * count / combined
-        self._mean += delta * count / combined
-        self.count = combined
-        self.total += total
-        if low < self.min:
-            self.min = low
-        if high > self.max:
-            self.max = high
-
 
 class MetricsRegistry:
     """Named instruments, created on first use, snapshot in name order."""
@@ -191,30 +138,3 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """All instruments as ``{name: {"type": ..., ...}}``, name-sorted."""
         return {name: self._instruments[name].snapshot() for name in self.names()}
-
-    def merge_snapshot(
-        self,
-        snapshot: Mapping[str, Mapping[str, Any]],
-        labels: Optional[Mapping[str, str]] = None,
-    ) -> None:
-        """Fold another registry's snapshot (a worker capsule's) into this one.
-
-        Counters add, gauges keep the running maximum (high-water
-        semantics — gauges like peak frontier sizes cannot be summed
-        across workers), histograms merge their streaming moments.  With
-        ``labels`` (e.g. ``{"worker": "3"}``) every instrument *also*
-        merges into a :func:`labeled_name` variant, so fleet totals and
-        per-worker breakdowns coexist in one flat registry.
-        """
-        for name, snap in snapshot.items():
-            targets = [name]
-            if labels:
-                targets.append(labeled_name(name, labels))
-            kind = snap.get("type")
-            for target in targets:
-                if kind == "counter":
-                    self.counter(target).inc(int(snap.get("value", 0)))
-                elif kind == "gauge":
-                    self.gauge(target).set_max(snap.get("value", 0))
-                elif kind == "histogram":
-                    self.histogram(target).merge_snapshot(snap)

@@ -3,7 +3,7 @@
 The span tracer (:mod:`repro.telemetry.tracing`) answers "how long did
 each pipeline *stage* take"; this module answers "where inside the hot
 loops did the time go" — per rewrite rule, per VM opcode, per engine
-worker.  The design constraints mirror the tracer's:
+step.  The design constraints mirror the tracer's:
 
 * **zero dependencies, injectable clock** — all timing goes through a
   ``() -> float`` clock, so tests with a
@@ -99,9 +99,7 @@ class Profiler:
     """Accumulates wall time and counts per stack path.
 
     Single-threaded by design, like the tracer: the hot paths it
-    instruments (BFS expansion, VM dispatch) run in one thread.  Pool
-    wrappers account whole-future wall times from the scheduling thread
-    instead of instrumenting workers.
+    instruments (BFS expansion, VM dispatch) run in one thread.
     """
 
     def __init__(self, clock: Clock = MONOTONIC, enabled: bool = True) -> None:
@@ -143,38 +141,6 @@ class Profiler:
     def clear(self) -> None:
         self.records.clear()
 
-    # -- capsule transport ----------------------------------------------------
-
-    def export_records(self) -> List[List]:
-        """Every record as plain picklable data, stack-sorted.
-
-        One row per stack path: ``[frames, calls, seconds, counters]``.
-        This is the shape telemetry capsules carry across the pool
-        boundary; :meth:`graft` is the inverse on the parent side.
-        """
-        return [
-            [list(stack), record.calls, record.seconds, dict(record.counters)]
-            for stack, record in sorted(self.records.items())
-        ]
-
-    def graft(self, rows: List[List], under: Tuple[str, ...]) -> None:
-        """Re-root exported records beneath the ``under`` stack prefix.
-
-        A worker's profile roots (``rosa.search`` and friends) become
-        children of e.g. ``("engine", "worker:3", "execute")``, so
-        process-mode attribution coverage holds: the engine's per-worker
-        execute frames explain their time through the grafted subtrees.
-        """
-        if not self.enabled:
-            return
-        prefix = tuple(under)
-        for frames, calls, seconds, counters in rows:
-            record = self.record(prefix + tuple(frames))
-            record.calls += calls
-            record.seconds += seconds
-            for key, amount in counters.items():
-                record.counters[key] = record.counters.get(key, 0) + amount
-
     # -- derived views --------------------------------------------------------
 
     def self_seconds(self) -> Dict[StackPath, float]:
@@ -213,15 +179,11 @@ class Profiler:
 
         ``records`` is stack-sorted; ``roots`` carries, per top-level
         frame, total seconds and the fraction attributed to named child
-        frames — the coverage figure the acceptance gate checks.  When
-        pool-worker capsules were grafted in (process/thread batch
-        runs), a ``workers`` section reports the same coverage per
-        ``("engine", "worker:N", "execute")`` subtree.
+        frames — the coverage figure the acceptance gate checks.
         """
         selfs = self.self_seconds()
         records = []
         child_seconds: Dict[str, float] = {}
-        worker_child_seconds: Dict[StackPath, float] = {}
         for stack in sorted(self.records):
             record = self.records[stack]
             entry = {
@@ -237,11 +199,6 @@ class Profiler:
             if len(stack) == 2:
                 root = stack[0]
                 child_seconds[root] = child_seconds.get(root, 0.0) + record.seconds
-            elif len(stack) == 4 and stack[0] == "engine" and stack[2] == "execute":
-                parent = stack[:3]
-                worker_child_seconds[parent] = (
-                    worker_child_seconds.get(parent, 0.0) + record.seconds
-                )
         roots = {}
         for stack, record in sorted(self.records.items()):
             if len(stack) != 1:
@@ -255,29 +212,12 @@ class Profiler:
                     min(attributed / record.seconds, 1.0) if record.seconds > 0 else 0.0
                 ),
             }
-        # Per-worker coverage, present only when execute frames have
-        # grafted children — serial profiles keep their existing shape.
-        workers = {}
-        for parent, attributed in sorted(worker_child_seconds.items()):
-            record = self.records.get(parent)
-            if record is None:
-                continue
-            workers[parent[1]] = {
-                "seconds": record.seconds,
-                "attributed_seconds": attributed,
-                "attributed_fraction": (
-                    min(attributed / record.seconds, 1.0) if record.seconds > 0 else 0.0
-                ),
-            }
-        report = {
+        return {
             "schema": PROFILE_SCHEMA_VERSION,
             "unit": "seconds",
             "records": records,
             "roots": roots,
         }
-        if workers:
-            report["workers"] = workers
-        return report
 
     def to_json(self) -> str:
         """:meth:`to_report` serialised deterministically."""

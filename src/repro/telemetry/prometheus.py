@@ -12,50 +12,28 @@ Prometheus scraper (or ``promtool check metrics``) accepts:
 
 Metric names are sanitised to the ``[a-zA-Z_:][a-zA-Z0-9_:]*`` grammar
 (dots in our dotted names become underscores) and prefixed with a
-namespace, ``privanalyzer`` by default.  Labeled instrument names
-(:func:`repro.telemetry.metrics.labeled_name` spellings such as
-``rosa.cache.hits{worker="3"}``, the per-worker variants telemetry
-capsules merge in) split into a sanitised family name plus a verbatim
-label set, and the family's ``HELP``/``TYPE`` header is emitted once
-however many label series it has.
+namespace, ``privanalyzer`` by default.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import List, Tuple, Union
+from typing import List, Union
 
 from repro.telemetry.metrics import MetricsRegistry
 
 _INVALID_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-_LABELED = re.compile(r"^(?P<base>[^{]+)(?P<labels>\{.*\})$")
-
-
-def split_labels(name: str) -> Tuple[str, str]:
-    """Split ``name{worker="3"}`` into ``("name", '{worker="3"}')``.
-
-    Unlabeled names return an empty label part.
-    """
-    match = _LABELED.match(name)
-    if match is None:
-        return name, ""
-    return match.group("base"), match.group("labels")
 
 
 def prometheus_name(name: str, namespace: str = "privanalyzer") -> str:
-    """Sanitise one dotted metric name into the Prometheus grammar.
-
-    A label part (``{key="value"}``), if present, survives verbatim —
-    only the family name is sanitised.
-    """
-    base, labels = split_labels(name)
-    safe = _INVALID_CHARS.sub("_", base)
+    """Sanitise one dotted metric name into the Prometheus grammar."""
+    safe = _INVALID_CHARS.sub("_", name)
     if namespace:
         safe = f"{namespace}_{safe}"
     if not safe or not (safe[0].isalpha() or safe[0] in "_:"):
         safe = "_" + safe
-    return safe + labels
+    return safe
 
 
 def _escape_help(text: str) -> str:
@@ -79,34 +57,26 @@ def metrics_to_prometheus(
 ) -> str:
     """The whole registry in text exposition format (empty registry → '')."""
     lines: List[str] = []
-    seen_meta: set = set()
 
-    def series(family: str, labels: str, kind: str, value, help_text: str) -> None:
-        # One HELP/TYPE header per family: the registry stores labeled
-        # variants as separate instruments, but the exposition format
-        # wants one family carrying many label sets.  Snapshot order is
-        # name-sorted, so the unlabeled series (if any) leads its family.
-        if family not in seen_meta:
-            lines.append(f"# HELP {family} {_escape_help(help_text)}")
-            lines.append(f"# TYPE {family} {kind}")
-            seen_meta.add(family)
-        lines.append(f"{family}{labels} {_format_value(value)}")
+    def header(family: str, kind: str, help_text: str) -> None:
+        lines.append(f"# HELP {family} {_escape_help(help_text)}")
+        lines.append(f"# TYPE {family} {kind}")
+
+    def series(family: str, kind: str, value, help_text: str) -> None:
+        header(family, kind, help_text)
+        lines.append(f"{family} {_format_value(value)}")
 
     for name, snapshot in metrics.snapshot().items():
-        raw_base, labels = split_labels(name)
-        base, _ = split_labels(prometheus_name(name, namespace))
+        base = prometheus_name(name, namespace)
         if snapshot["type"] == "counter":
-            series(f"{base}_total", labels, "counter", snapshot["value"], raw_base)
+            series(f"{base}_total", "counter", snapshot["value"], name)
         elif snapshot["type"] == "gauge":
-            series(base, labels, "gauge", snapshot["value"], raw_base)
+            series(base, "gauge", snapshot["value"], name)
         else:  # histogram → summary (_sum/_count) plus min/max gauges
             # Canonical summary series order: _sum then _count.
-            if base not in seen_meta:
-                lines.append(f"# HELP {base} {_escape_help(raw_base)}")
-                lines.append(f"# TYPE {base} summary")
-                seen_meta.add(base)
-            lines.append(f"{base}_sum{labels} {_format_value(snapshot['sum'])}")
-            lines.append(f"{base}_count{labels} {_format_value(snapshot['count'])}")
-            series(f"{base}_min", labels, "gauge", snapshot["min"], f"{raw_base} minimum")
-            series(f"{base}_max", labels, "gauge", snapshot["max"], f"{raw_base} maximum")
+            header(base, "summary", name)
+            lines.append(f"{base}_sum {_format_value(snapshot['sum'])}")
+            lines.append(f"{base}_count {_format_value(snapshot['count'])}")
+            series(f"{base}_min", "gauge", snapshot["min"], f"{name} minimum")
+            series(f"{base}_max", "gauge", snapshot["max"], f"{name} maximum")
     return "\n".join(lines) + "\n" if lines else ""

@@ -13,19 +13,14 @@ event objects.  We emit:
   stamped at the end of the trace, so the registry's final readings
   render as counter tracks alongside the spans.
 
-Main-session spans share one ``pid``/``tid``: the pipeline is
-single-threaded and complete events nest by their timestamps, so the
-viewer rebuilds the same tree ``render_span_tree`` prints.  Spans merged
-from pool-worker telemetry capsules carry a ``worker`` attribute
-(``worker:N``); each distinct worker gets its own ``tid`` track, named
-by a ``thread_name`` metadata event, so a ``--jobs 4`` run renders as
-one process with a ``main`` track plus one track per worker.
+Every span shares one ``pid``/``tid``: the pipeline is single-threaded
+and complete events nest by their timestamps, so the viewer rebuilds the
+same tree ``render_span_tree`` prints.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Dict, List, Optional
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -33,29 +28,6 @@ from repro.telemetry.tracing import Tracer
 
 #: The trace-event clock unit is microseconds.
 _MICROSECONDS = 1_000_000.0
-
-_WORKER_ID = re.compile(r"^worker:(\d+)$")
-
-
-def _worker_tid(worker: Any, assigned: Dict[str, int], tid: int) -> int:
-    """The track id for one span's ``worker`` attribute.
-
-    ``worker:N`` maps to ``tid + 1 + N`` (track order matches worker
-    ids); any other spelling gets the next free track, first seen first.
-    """
-    name = str(worker)
-    track = assigned.get(name)
-    if track is not None:
-        return track
-    match = _WORKER_ID.match(name)
-    if match is not None:
-        track = tid + 1 + int(match.group(1))
-    else:
-        track = tid + 1 + len(assigned)
-        while track in assigned.values():
-            track += 1
-    assigned[name] = track
-    return track
 
 
 def spans_to_trace_events(
@@ -76,15 +48,10 @@ def spans_to_trace_events(
         }
     ]
     trace_end = 0.0
-    worker_tids: Dict[str, int] = {}
     for span in tracer.finished:
         end = span.end if span.end is not None else span.start
         if end > trace_end:
             trace_end = end
-        worker = span.attributes.get("worker")
-        span_tid = (
-            _worker_tid(worker, worker_tids, tid) if worker is not None else tid
-        )
         events.append(
             {
                 "name": span.name,
@@ -93,30 +60,10 @@ def spans_to_trace_events(
                 "ts": span.start * _MICROSECONDS,
                 "dur": span.duration * _MICROSECONDS,
                 "pid": pid,
-                "tid": span_tid,
+                "tid": tid,
                 "args": dict(span.attributes),
             }
         )
-    if worker_tids:
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": "main"},
-            }
-        )
-        for name, worker_tid in sorted(worker_tids.items(), key=lambda kv: kv[1]):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": worker_tid,
-                    "args": {"name": name},
-                }
-            )
     if metrics is not None:
         for name, snapshot in metrics.snapshot().items():
             if snapshot["type"] not in ("counter", "gauge"):

@@ -136,69 +136,6 @@ class Tracer:
             self._stack.pop()
         self.finished.append(span)
 
-    def adopt_spans(
-        self,
-        span_dicts,
-        offset: float = 0.0,
-        parent: Optional[Span] = None,
-        attributes: Optional[Dict[str, Any]] = None,
-    ) -> int:
-        """Re-home finished spans recorded by another tracer.
-
-        ``span_dicts`` are :func:`~repro.telemetry.export.span_to_dict`
-        dicts (the shape telemetry capsules carry).  Foreign span ids
-        are remapped into this tracer's id space with parent/child
-        structure preserved; foreign roots attach under ``parent``
-        (default: the innermost open span).  ``offset`` shifts the
-        foreign clock readings into this tracer's clock domain, and
-        ``attributes`` (e.g. ``{"worker": "worker:3"}``) are stamped
-        onto every adopted span.  Returns the number adopted.
-        """
-        if not self.enabled or not span_dicts:
-            return 0
-        if parent is None:
-            parent = self.current
-        local_parent_id = parent.span_id if parent is not None else None
-        base_depth = parent.depth + 1 if parent is not None else 0
-        # Capsule spans arrive in end order (children before parents),
-        # so ids are assigned in a first pass and resolved in a second.
-        new_ids: Dict[int, int] = {}
-        by_id: Dict[int, Dict[str, Any]] = {}
-        for data in span_dicts:
-            new_ids[data["span_id"]] = self._next_id
-            self._next_id += 1
-            by_id[data["span_id"]] = data
-
-        def foreign_depth(data: Dict[str, Any]) -> int:
-            depth = 0
-            while data["parent_id"] in by_id:
-                data = by_id[data["parent_id"]]
-                depth += 1
-            return depth
-
-        for data in span_dicts:
-            attrs = dict(data.get("attributes") or {})
-            if attributes:
-                attrs.update(attributes)
-            foreign_parent = data.get("parent_id")
-            span = Span(
-                tracer=self,
-                span_id=new_ids[data["span_id"]],
-                parent_id=(
-                    new_ids[foreign_parent]
-                    if foreign_parent in new_ids
-                    else local_parent_id
-                ),
-                name=data["name"],
-                start=data["start"] + offset,
-                depth=base_depth + foreign_depth(data),
-                attributes=attrs,
-            )
-            end = data.get("end")
-            span.end = (end if end is not None else data["start"]) + offset
-            self.finished.append(span)
-        return len(span_dicts)
-
     @property
     def current(self) -> Optional[Span]:
         """The innermost open span, if any."""

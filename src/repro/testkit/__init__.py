@@ -4,7 +4,6 @@ metamorphic properties, fault injection, and the fuzz campaign driver.
 PRs 2–3 introduced several "must be bit-identical" equivalences:
 
 * query-cache **on vs off** must never change a verdict;
-* **serial vs process-pool** execution must agree search for search;
 * the VM's **compiled core vs straight-line reference** evaluation must
   retire the same instructions to the same final kernel state;
 * a run **ledger** written, read back and diffed against itself must be

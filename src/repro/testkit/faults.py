@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
-import signal
 from typing import Callable, Dict
 
 #: Registered fault names → installer.  An installer patches production
@@ -240,20 +238,3 @@ def _prove_drop_transition() -> Callable[[], None]:
         SetgroupsRule.transfer = original
 
     return undo
-
-
-@dataclasses.dataclass(frozen=True)
-class CrashingSpec:
-    """A picklable query spec whose ``build()`` kills its process.
-
-    Stands in for a worker lost to the OOM killer or a native crash.
-    Submitting it through the engine's process pool must surface the
-    engine's broken-pool diagnostic, not a hang or a bare
-    ``BrokenProcessPool`` — see ``tests/test_worker_crash.py``.
-    """
-
-    label: str = "crash"
-
-    def build(self):
-        os.kill(os.getpid(), signal.SIGKILL)
-        raise AssertionError("unreachable: SIGKILL is immediate")

@@ -179,7 +179,7 @@ def gen_batch_case(rng: random.Random, max_size: int = 20) -> Case:
 
 
 def build_query_request(case: Case) -> QueryRequest:
-    """The live (query, spec, budget) triple of one query case."""
+    """The live query and budget of one query case."""
     attack = ATTACKS_BY_ID[case["attack"]]
     caps = CapabilitySet(case["caps"])
     uids = tuple(case["uids"])
@@ -190,7 +190,6 @@ def build_query_request(case: Case) -> QueryRequest:
     return QueryRequest(
         query=attack.build_query(caps, uids, gids, surface, repeat=repeat),
         budget=budget,
-        spec=attack.query_spec(caps, uids, gids, surface, repeat=repeat),
     )
 
 

@@ -14,8 +14,6 @@ Differential families (the default campaign):
 
 * ``cache`` — query-cache **on vs off** (plus a second cache-served
   pass) must agree search for search;
-* ``pools`` — **serial vs process-pool** batch execution must
-  agree search for search;
 * ``vm`` — the **compiled VM core vs the straight-line reference**
   evaluator must agree on exit code, stdout, instruction count and the
   entire final kernel state, including exact error messages and
@@ -45,7 +43,7 @@ pipelines or searches per case):
 
 Comparisons use :func:`report_fingerprint`, which deliberately excludes
 ``elapsed`` (wall-clock), ``from_cache`` (provenance, not answer) and
-``compromised_state`` (process-pool workers return the picklable essence
+``compromised_state`` (store-served reports carry the picklable essence
 without the witness configuration; its absence is documented behaviour,
 not a disagreement).
 """
@@ -168,34 +166,6 @@ _register(
         description="query cache on vs off (plus a cache-served pass)",
         generate=generators.gen_batch_case,
         run=_run_cache,
-        shrink_candidates=_shrink_batch,
-    )
-)
-
-
-# -- pools: jobs=1 vs jobs=2 --------------------------------------------------
-
-
-def _run_pools(case: Case) -> OracleResult:
-    from repro.rosa.engine import QueryEngine
-
-    sides = []
-    for jobs in (1, 2):
-        engine = QueryEngine(cache=None, jobs=jobs)
-        reports = engine.run_queries(generators.build_batch_requests(case))
-        sides.append([report_fingerprint(report) for report in reports])
-    for index, (a, b) in enumerate(zip(*sides)):
-        if a != b:
-            return _mismatch("pools", f"serial[{index}]", a, f"process[{index}]", b)
-    return OracleResult("pools", ok=True)
-
-
-_register(
-    OracleFamily(
-        name="pools",
-        description="serial vs process-pool batch execution",
-        generate=generators.gen_batch_case,
-        run=_run_pools,
         shrink_candidates=_shrink_batch,
     )
 )
@@ -749,7 +719,6 @@ ALL_FAMILIES: Tuple[str, ...] = tuple(_REGISTRY)
 #: explorations per case and are opt-in via ``--oracle``.
 DEFAULT_FAMILIES: Tuple[str, ...] = (
     "cache",
-    "pools",
     "vm",
     "ledger",
     "profile",

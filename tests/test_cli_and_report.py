@@ -222,23 +222,48 @@ class TestCli:
         """
         path = tmp_path / "q.rosa"
         path.write_text(query)
-        # --explain searches in-process whatever --jobs says.
-        for jobs in ("1", "2"):
-            code, out = run_cli("rosa", str(path), "--explain", "--jobs", jobs)
-            assert code == 1
-            assert "step 1: open" in out
-            assert "compromised state reached." in out
+        code, plain = run_cli("rosa", str(path))
+        assert code == 1
+        code, out = run_cli("rosa", str(path), "--explain")
+        assert code == 1
+        assert "step 1: open" in out
+        assert "compromised state reached." in out
+        # --explain prints the same verdict and cost, then the narration.
+        assert re.sub(r"[0-9.]+ ms", "N ms", out).startswith(
+            re.sub(r"[0-9.]+ ms", "N ms", plain)
+        )
 
-    def test_rosa_answer_does_not_depend_on_jobs(self, tmp_path):
+    def test_rosa_answer_proved_by_the_pre_check(self, tmp_path):
         # Figure 2 with CapKill on the chown: the abstract pre-check
-        # proves it, and --jobs only picks where searches would run.
+        # proves it without searching.
         text = Path("examples/queries/figure2.rosa").read_text()
         path = tmp_path / "figure2_capkill.rosa"
         path.write_text(text.replace("41, CapChown)", "41, CapKill)"))
-        outputs = []
-        for jobs in ("1", "2"):
-            code, out = run_cli("rosa", str(path), "--jobs", jobs)
-            assert code == 0
-            outputs.append(re.sub(r"[0-9.]+ ms", "N ms", out))
-        assert outputs[0] == outputs[1]
-        assert "proved unreachable (abstract pre-check)" in outputs[0]
+        code, out = run_cli("rosa", str(path))
+        assert code == 0
+        assert "proved unreachable (abstract pre-check)" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "ping"),
+            ("table3",),
+            ("table5",),
+            ("rosa", "examples/queries/figure2.rosa"),
+            ("serve", "--store", "unused-store"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_jobs_is_not_an_option(self, argv, capsys):
+        # Only peers runs work on a process pool; every other command
+        # answers its queries in this process and has no --jobs.
+        with pytest.raises(SystemExit) as exited:
+            run_cli(*argv, "--jobs", "2")
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_peers_refuses_zero_jobs(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli("peers", "some-corpus", "--jobs", "0")
+        assert exited.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err

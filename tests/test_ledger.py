@@ -13,13 +13,10 @@ from repro.core.ledger import (
     LEDGER_SCHEMA_VERSION,
     RunLedger,
     capture_analysis,
-    capture_rosa,
     diff_ledgers,
 )
 from repro.programs import spec_by_name
-from repro.rosa import SearchBudget, check
-from repro.rosa.dsl import parse_query
-from repro.telemetry import CAPSULE_SCHEMA_VERSION, ManualClock, Telemetry
+from repro.telemetry import ManualClock, Telemetry
 
 pytestmark = pytest.mark.telemetry
 
@@ -254,131 +251,6 @@ class TestDiff:
         assert finding.to_dict() == {
             "severity": "regression", "kind": "verdict", "message": "flip",
         }
-
-
-def fleet_section(execute, tasks=None):
-    """A ``workers.json``-shaped fleet dict with the given execute times."""
-    tasks = tasks or [1] * len(execute)
-    return {
-        "capsule_schema": CAPSULE_SCHEMA_VERSION,
-        "mode": "process",
-        "workers": {
-            f"worker:{i}": {
-                "tasks": tasks[i],
-                "execute_seconds": execute[i],
-                "queue_wait_seconds": 0.0,
-                "states_explored": 100,
-                "spans": 1,
-                "samples": 0,
-                "profile_records": 0,
-                "names": [f"pid:{1000 + i}"],
-            }
-            for i in range(len(execute))
-        },
-    }
-
-
-class TestFleetLedger:
-    """The per-worker ledger section: capture, reload, and worker diffs."""
-
-    @pytest.fixture(scope="class")
-    def rosa_run(self):
-        telemetry = Telemetry.enabled(clock=ManualClock(tick=0.001))
-        with open("examples/queries/figure2.rosa") as handle:
-            query = parse_query(handle.read(), name="figure2")
-        budget = SearchBudget(max_states=50_000, max_seconds=30.0)
-        report = check(query, budget, telemetry=telemetry)
-        return report, telemetry
-
-    def capture(self, directory, rosa_run, fleet):
-        report, telemetry = rosa_run
-        return capture_rosa(
-            directory, [report], telemetry, fleet=fleet, timestamp=1234.5
-        )
-
-    def test_workers_json_round_trips(self, tmp_path, rosa_run):
-        fleet = fleet_section([0.5, 0.25], tasks=[2, 1])
-        ledger = self.capture(tmp_path / "run", rosa_run, fleet)
-        assert (ledger.root / "workers.json").exists()
-        assert "workers.json" in ledger.manifest["files"]
-        assert ledger.workers == fleet
-        assert RunLedger.load(ledger.root).workers == fleet
-
-    def test_serial_runs_carry_no_workers_section(self, tmp_path, rosa_run):
-        ledger = self.capture(tmp_path / "run", rosa_run, None)
-        assert not (ledger.root / "workers.json").exists()
-        assert ledger.workers is None
-
-    def test_identical_fleets_diff_clean(self, tmp_path, rosa_run):
-        fleet = fleet_section([0.5, 0.5])
-        old = self.capture(tmp_path / "run1", rosa_run, fleet)
-        new = self.capture(tmp_path / "run2", rosa_run, fleet)
-        diff = diff_ledgers(old, new)
-        assert diff.clean
-        assert not [f for f in diff.findings if f.kind == "workers"]
-
-    def test_one_sided_fleet_section_is_informational(self, tmp_path, rosa_run):
-        old = self.capture(tmp_path / "run1", rosa_run, fleet_section([0.5]))
-        new = self.capture(tmp_path / "run2", rosa_run, None)
-        diff = diff_ledgers(old, new)
-        assert diff.clean  # info never gates
-        assert any(
-            f.kind == "workers" and "only one ledger" in f.message
-            for f in diff.findings
-        )
-
-    def test_vanished_worker_is_a_change(self, tmp_path, rosa_run):
-        old = self.capture(tmp_path / "run1", rosa_run, fleet_section([0.5, 0.5]))
-        new = self.capture(tmp_path / "run2", rosa_run, fleet_section([0.5]))
-        diff = diff_ledgers(old, new)
-        assert diff.clean
-        assert any(
-            f.severity == "change" and "worker:1 vanished" in f.message
-            for f in diff.findings
-        )
-
-    def test_worker_execute_slowdown_is_a_regression(self, tmp_path, rosa_run):
-        old = self.capture(tmp_path / "run1", rosa_run, fleet_section([0.1, 0.1]))
-        new = self.capture(tmp_path / "run2", rosa_run, fleet_section([0.5, 0.1]))
-        diff = diff_ledgers(old, new, perf_tolerance=0.25)
-        assert any(
-            f.kind == "workers" and "worker:0: execute" in f.message
-            for f in diff.regressions
-        )
-        # A wide tolerance forgives the same slowdown.
-        wide = diff_ledgers(old, new, perf_tolerance=10.0)
-        assert not [f for f in wide.regressions if f.kind == "workers"]
-
-    def test_subfloor_slowdown_is_forgiven(self, tmp_path, rosa_run):
-        # 3x slower but under the absolute floor: CI noise, not a gate.
-        old = self.capture(tmp_path / "run1", rosa_run, fleet_section([0.01]))
-        new = self.capture(tmp_path / "run2", rosa_run, fleet_section([0.03]))
-        diff = diff_ledgers(old, new, perf_tolerance=0.25)
-        assert not [f for f in diff.regressions if f.kind == "workers"]
-
-    def test_task_count_drift_is_informational(self, tmp_path, rosa_run):
-        old = self.capture(
-            tmp_path / "run1", rosa_run, fleet_section([0.5, 0.5], tasks=[1, 1])
-        )
-        new = self.capture(
-            tmp_path / "run2", rosa_run, fleet_section([0.5, 0.5], tasks=[2, 0])
-        )
-        diff = diff_ledgers(old, new)
-        assert diff.clean
-        messages = [f.message for f in diff.findings if f.kind == "workers"]
-        assert any("worker:0: tasks 1 -> 2" in m for m in messages)
-
-    def test_load_imbalance_drift_is_a_change(self, tmp_path, rosa_run):
-        # worker:1 going near-idle skews max/mean without any worker
-        # slowing down, so this surfaces as a change, not a regression.
-        old = self.capture(tmp_path / "run1", rosa_run, fleet_section([0.5, 0.5]))
-        new = self.capture(tmp_path / "run2", rosa_run, fleet_section([0.5, 0.01]))
-        diff = diff_ledgers(old, new, perf_tolerance=0.25)
-        assert not [f for f in diff.regressions if f.kind == "workers"]
-        assert any(
-            f.severity == "change" and "load imbalance" in f.message
-            for f in diff.findings
-        )
 
 
 class TestCliLedger:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.caps import CapabilitySet
 from repro.core import PrivAnalyzer
+from repro.programs import spec_by_name
 from repro.programs.common import ProgramSpec, source_sloc
 from repro.rosa.query import Verdict
 
@@ -138,6 +139,21 @@ class TestPipeline:
         )
         assert analysis.chrono.total > 0
         assert analysis.instrumentation.blocks_instrumented > 0
+
+
+class TestSpecReuse:
+    @pytest.mark.parametrize("name", ["thttpd", "sshd"])
+    def test_same_spec_analyzed_twice_runs_the_same_workload(self, name):
+        # The servers' workloads are queues the VM pops (connections,
+        # incoming messages); a run must not consume the spec's own.
+        spec = spec_by_name(name)
+        env = {key: list(value) for key, value in spec.env.items()}
+        analyzer = PrivAnalyzer()
+        first, second = analyzer.analyze(spec), analyzer.analyze(spec)
+        assert second.chrono.phases == first.chrono.phases
+        assert second.exit_code == first.exit_code
+        assert second.stdout == first.stdout
+        assert spec.env == env
 
 
 class TestSloc:

@@ -41,6 +41,21 @@ class TestObj:
         b = Obj(1, "P", members=frozenset({2, 3, 1}))
         assert a.key == b.key
 
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (frozenset({0, 1, "run"}), frozenset({0, True, "run"})),
+            (frozenset({frozenset({1}), frozenset({2})}), frozenset({frozenset({True}), frozenset({2})})),
+            (frozenset({(1, 0), (2, 0)}), frozenset({(True, 0), (2, 0)})),
+        ],
+        ids=["bool-element", "nested-frozenset", "tuple-element"],
+    )
+    def test_equal_frozensets_give_equal_keys(self, left, right):
+        # True == 1, so these objects are equal; their keys must agree.
+        a, b = Obj(1, "P", members=left), Obj(1, "P", members=right)
+        assert a == b
+        assert a.key == b.key
+
     def test_repr_is_maude_style(self):
         assert repr(Obj(1, "Process", euid=10)).startswith("< 1 : Process |")
 

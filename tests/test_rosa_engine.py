@@ -14,7 +14,7 @@ import pytest
 
 from repro.caps import CapabilitySet
 from repro.core import PrivAnalyzer
-from repro.core.attacks import ALL_ATTACKS, AttackQuerySpec
+from repro.core.attacks import ALL_ATTACKS
 from repro.core.extract import syscalls_used
 from repro.core.multiprocess import DEFAULT_MULTIPROCESS_BUDGET
 from repro.programs import spec_by_name
@@ -65,10 +65,7 @@ def opaque_goal(marker):
 
 def attack_requests(privs, uids, gids, surface, repeat=1):
     return [
-        QueryRequest(
-            attack.build_query(privs, uids, gids, surface, repeat=repeat),
-            spec=attack.query_spec(privs, uids, gids, surface, repeat=repeat),
-        )
+        QueryRequest(attack.build_query(privs, uids, gids, surface, repeat=repeat))
         for attack in ALL_ATTACKS
     ]
 
@@ -91,9 +88,7 @@ def phase_requests(program, repeat=1):
             args = (phase.privileges, phase.uids, phase.gids, surface)
             kwargs = {"repeat": repeat, "label": f"{phase.name}/attack{attack.attack_id}"}
             requests.append(QueryRequest(
-                attack.build_query(*args, **kwargs),
-                budget=PHASE_BUDGET,
-                spec=attack.query_spec(*args, **kwargs),
+                attack.build_query(*args, **kwargs), budget=PHASE_BUDGET
             ))
     return requests
 
@@ -375,44 +370,15 @@ class TestRunQueries:
         assert len({report.verdict for report in reports}) == 1
         assert engine.cache.misses == 3 and len(engine.cache) == 1
 
-    def test_process_pool_matches_serial(self):
-        requests = attack_requests(self.PRIVS, *self.IDS, self.SURFACE)
-        engine = QueryEngine(
-            budget=BUDGET,
-            cache=None,
-            jobs=2,
-        )
-        for pooled, serial in zip(
-            engine.run_queries(requests), self.serial_reports(requests)
-        ):
-            assert pooled.verdict == serial.verdict
-            assert pooled.witness == serial.witness
-
-    def test_process_pool_requires_specs(self):
-        engine = QueryEngine(budget=BUDGET, cache=None, jobs=2)
-        with pytest.raises(ValueError, match="picklable spec"):
-            engine.run_queries([shadow_query("a"), shadow_query(perms=0o600)])
-
     def test_auto_mode_stays_serial_at_repro_budgets(self):
-        # One worker is the default and searches in-process, so a batch
-        # without specs runs; with more workers, a lone remaining search
-        # also stays in-process and needs no spec.
-        engine = QueryEngine(budget=BUDGET, cache=None)
-        assert engine.jobs == 1
-        reports = engine.run_queries([shadow_query("a"), shadow_query(perms=0o600)])
-        assert len(reports) == 2
-        pooled = QueryEngine(budget=BUDGET, cache=None, jobs=2)
-        (report,) = pooled.run_queries([shadow_query("a")])
-        assert report.verdict == reports[0].verdict
-
-    def test_unknown_mode_is_rejected(self):
-        # The worker count is the only knob; anything but a positive int is
-        # refused at construction.
-        for jobs in (0, -1, "2"):
-            with pytest.raises(ValueError, match="jobs must be a positive integer"):
-                QueryEngine(jobs=jobs)
-        with pytest.raises(ValueError, match="jobs must be a positive integer"):
-            PrivAnalyzer(jobs=0)
+        # Every distinct search runs in this process, so a batch of bare
+        # queries answers in request order.
+        queries = [shadow_query("a"), shadow_query(perms=0o600)]
+        reports = QueryEngine(budget=BUDGET, cache=None).run_queries(queries)
+        assert [report.query.name for report in reports] == ["a", "read-shadow"]
+        assert [report.verdict for report in reports] == [
+            check(query, BUDGET).verdict for query in queries
+        ]
 
     def test_empty_batch(self):
         assert QueryEngine(budget=BUDGET).run_queries([]) == []
@@ -426,22 +392,6 @@ class TestRunQueries:
         assert metrics["rosa.cache.misses"]["value"] == 1
         assert metrics["rosa.cache.hits"]["value"] == 1
         assert metrics["rosa.batch.queries"]["value"] == 2
-
-
-class TestAttackQuerySpec:
-    def test_spec_pickles_and_rebuilds_identically(self):
-        import pickle
-
-        privs = CapabilitySet.of("CAP_DAC_READ_SEARCH", "CAP_SETUID")
-        spec = ALL_ATTACKS[0].query_spec(
-            privs, (1000, 0, 0), (1000, 1000, 1000), frozenset({"open", "setuid"})
-        )
-        clone = pickle.loads(pickle.dumps(spec))
-        assert isinstance(clone, AttackQuerySpec)
-        built, rebuilt = spec.build(), clone.build()
-        assert built.initial.key == rebuilt.initial.key
-        assert built.goal_key == rebuilt.goal_key
-        assert query_cache_key(built, BUDGET) == query_cache_key(rebuilt, BUDGET)
 
 
 def random_configuration(rng: random.Random) -> Configuration:

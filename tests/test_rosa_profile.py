@@ -100,8 +100,7 @@ class TestPipelineFrames:
         assert roots["vm"]["attributed_fraction"] >= 0.95
 
     def test_serial_analysis_books_no_worker_frames(self):
-        # A serial search is booked once, under its own rosa.search root;
-        # engine;worker:N frames belong to pool workers' grafted subtrees.
+        # A search is booked once, under its own rosa.search root.
         profiler = Profiler()
         PrivAnalyzer(telemetry=Telemetry(profiler=profiler)).analyze(
             spec_by_name("su")

@@ -8,7 +8,7 @@ from repro.caps import Capability, CapabilitySet
 from repro.frontend import compile_source
 from repro.oskernel import Kernel, SyscallError
 from repro.oskernel.setup import build_kernel
-from repro.telemetry import ManualClock, SyscallAuditTrail
+from repro.telemetry import ManualClock, MetricsRegistry, SyscallAuditTrail
 from repro.vm import Interpreter
 
 pytestmark = pytest.mark.telemetry
@@ -194,3 +194,27 @@ class TestDroppedGauge:
         kernel.sys_getuid(process.pid)
         # No evictions yet, but the gauge exists and reads zero.
         assert telemetry.metrics.gauge("kernel.audit.dropped").value == 0
+
+
+class TestAuditDroppedGauge:
+    def test_publish_refreshes_a_stale_gauge(self):
+        # The gauge only updates on record append; direct ring
+        # manipulation (or a merge into a full ring) leaves it stale
+        # until an exporter republishes.
+        metrics = MetricsRegistry()
+        trail = SyscallAuditTrail(capacity=2, metrics=metrics)
+        for i in range(3):
+            trail.record("open", pid=1, args=(i,))
+        assert metrics.gauge("kernel.audit.dropped").value == 1
+        trail._ring.popleft()
+        assert metrics.gauge("kernel.audit.dropped").value == 1  # stale
+        assert trail.publish_dropped() == 2
+        assert metrics.gauge("kernel.audit.dropped").value == 2
+
+    def test_clear_republishes(self):
+        metrics = MetricsRegistry()
+        trail = SyscallAuditTrail(capacity=2, metrics=metrics)
+        for i in range(3):
+            trail.record("open", pid=1, args=(i,))
+        trail.clear()
+        assert metrics.gauge("kernel.audit.dropped").value == 3

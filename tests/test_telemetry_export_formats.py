@@ -109,69 +109,9 @@ class TestTraceEventExport:
         assert isinstance(stage["args"]["caps"], str)
 
 
-class TestWorkerTracks:
-    """Spans merged from worker capsules render as per-worker tracks."""
-
-    def fleet_tracer(self):
-        tracer = Tracer(clock=ManualClock(start=0.0, tick=1.0))
-        with tracer.span("rosa.run_queries"):
-            pass
-        for worker in ("worker:0", "worker:1"):
-            with tracer.span("rosa.query", worker=worker, trace_id="k"):
-                pass
-        return tracer
-
-    def test_worker_spans_get_their_own_tid(self):
-        events = spans_to_trace_events(self.fleet_tracer())
-        complete = {
-            event["args"].get("worker", "main"): event
-            for event in events
-            if event["ph"] == "X"
-        }
-        # Main-session span stays on the base track; worker:N maps to
-        # tid + 1 + N so track order matches worker ids.
-        assert complete["main"]["tid"] == 1
-        assert complete["worker:0"]["tid"] == 2
-        assert complete["worker:1"]["tid"] == 3
-
-    def test_thread_name_metadata_labels_every_track(self):
-        events = spans_to_trace_events(self.fleet_tracer())
-        names = {
-            event["tid"]: event["args"]["name"]
-            for event in events
-            if event["ph"] == "M" and event["name"] == "thread_name"
-        }
-        assert names == {1: "main", 2: "worker:0", 3: "worker:1"}
-
-    def test_no_worker_spans_means_no_thread_metadata(self):
-        events = spans_to_trace_events(traced_run())
-        assert not [e for e in events if e["name"] == "thread_name"]
-
-    def test_unrecognized_worker_spelling_gets_a_free_track(self):
-        tracer = Tracer(clock=ManualClock(tick=1.0))
-        with tracer.span("rosa.query", worker="worker:0"):
-            pass
-        with tracer.span("rosa.query", worker="oddball"):
-            pass
-        events = spans_to_trace_events(tracer)
-        tids = {
-            event["args"]["worker"]: event["tid"]
-            for event in events
-            if event["ph"] == "X"
-        }
-        assert tids["worker:0"] == 2
-        assert tids["oddball"] not in (1, tids["worker:0"])
-
-
-#: One exposition line: sanitised name, optional labels, float value.
+#: One exposition line: sanitised name, float value.
 PROM_LINE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]* "
-    r"(?:[-+]?(?:\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|\.\d+)|[-+]?Inf|NaN)$"
-)
-
-#: Same, allowing one label set between name and value.
-PROM_LABELED_LINE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{[^}]*\})? "
     r"(?:[-+]?(?:\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|\.\d+)|[-+]?Inf|NaN)$"
 )
 
@@ -211,43 +151,6 @@ class TestPrometheusExport:
         assert prometheus_name("vm.syscall.open") == "privanalyzer_vm_syscall_open"
         assert prometheus_name("weird-name!", namespace="") == "weird_name_"
         assert prometheus_name("9lives", namespace="")[0] == "_"
-
-    def labeled_registry(self):
-        """A fleet-shaped registry: base totals plus per-worker variants."""
-        metrics = MetricsRegistry()
-        metrics.counter("rosa.worker.queries").inc(4)
-        metrics.counter('rosa.worker.queries{worker="0"}').inc(3)
-        metrics.counter('rosa.worker.queries{worker="1"}').inc(1)
-        metrics.histogram('rosa.step{worker="0"}').observe(0.5)
-        return metrics
-
-    def test_labeled_series_keep_their_label_set_verbatim(self):
-        text = metrics_to_prometheus(self.labeled_registry())
-        assert 'privanalyzer_rosa_worker_queries_total{worker="0"} 3' in text
-        assert 'privanalyzer_rosa_worker_queries_total{worker="1"} 1' in text
-        assert "privanalyzer_rosa_worker_queries_total 4" in text
-
-    def test_one_type_header_per_label_family(self):
-        text = metrics_to_prometheus(self.labeled_registry())
-        headers = [
-            line
-            for line in text.splitlines()
-            if line.startswith("# TYPE privanalyzer_rosa_worker_queries_total ")
-        ]
-        assert len(headers) == 1
-
-    def test_labeled_summary_suffixes_come_before_labels(self):
-        text = metrics_to_prometheus(self.labeled_registry())
-        assert 'privanalyzer_rosa_step_sum{worker="0"} 0.5' in text
-        assert 'privanalyzer_rosa_step_count{worker="0"} 1' in text
-        assert 'privanalyzer_rosa_step_min{worker="0"} 0.5' in text
-
-    def test_labeled_lines_are_valid_exposition_format(self):
-        text = metrics_to_prometheus(self.labeled_registry())
-        lines = [line for line in text.splitlines() if not line.startswith("#")]
-        assert lines
-        for line in lines:
-            assert PROM_LABELED_LINE.match(line), line
 
 
 class TestProgressRendering:

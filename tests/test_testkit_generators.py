@@ -68,13 +68,15 @@ class TestProgramGeneration:
 
 
 class TestQueryAndConfigGeneration:
-    def test_query_case_builds_request_with_spec(self):
+    def test_query_case_builds_request(self):
         for index in range(10):
             case = generators.gen_query_case(seeded("query", index), 20)
             request = generators.build_query_request(case)
             assert isinstance(request, QueryRequest)
-            assert request.spec is not None
-            assert request.spec.build().initial.key == request.query.initial.key
+            assert request.budget.max_states == case["max_states"]
+            # Building is deterministic: the same case, the same query.
+            again = generators.build_query_request(case)
+            assert again.query.initial.key == request.query.initial.key
 
     def test_config_case_builds_valid_configuration(self):
         for index in range(10):
