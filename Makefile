@@ -7,6 +7,7 @@ CORPUS_SMOKE_DIR := /tmp/privanalyzer-corpus-smoke
 SERVE_SMOKE_DIR := /tmp/privanalyzer-serve-smoke
 BENCH_COUNTERS_DIR := /tmp/privanalyzer-bench-counters
 BENCH_COUNTERS_GOLDEN := tests/golden/bench_counters.json
+FUZZ_NEGATIVE_DIR := /tmp/privanalyzer-fuzz-negative
 FUZZ_SEED ?= 0
 FUZZ_RUNS ?= 300
 
@@ -108,17 +109,24 @@ profile-smoke:
 	      f'{search[\"attributed_fraction\"]:.1%} attributed')"
 
 # Conformance fuzz smoke (CI gate, ~40s): a fixed-seed campaign over the
-# six default differential oracle families (cache, vm — compiled VM core
-# vs reference evaluator — ledger, profile, store and prove), a
-# second-seed 500-run campaign of the `vm` family alone (~5s: every
-# closure specialization of the compiled core meets many random
-# programs), a third-seed 500-run campaign of the `prove` family alone
-# (~2s: every abstract proof re-searched by the raw BFS), plus the
-# marker-gated pytest suite.
+# six default differential oracle families (cache, vm — the generated VM
+# core vs the reference evaluator — ledger, profile, store and prove), a
+# second-seed 500-run campaign of the `vm` family alone (~5s: the code
+# the generator emits for every instruction shape meets many random
+# programs), a negative check that the `vm` family catches a patched
+# operation table in the generated code (the campaign must exit 1), a
+# third-seed 500-run campaign of the `prove` family alone (~2s: every
+# abstract proof re-searched by the raw BFS), plus the marker-gated
+# pytest suite.
 # See docs/TESTING.md.
 fuzz-smoke:
 	PYTHONPATH=src python -m repro.cli fuzz --seed 0 --runs 25
 	PYTHONPATH=src python -m repro.cli fuzz --seed 1 --runs 500 --oracle vm
+	PYTHONPATH=src python -m repro.cli fuzz --seed 0 --runs 4 --oracle vm \
+		--inject compiled-mul-truncate --artifacts $(FUZZ_NEGATIVE_DIR) > /dev/null; \
+		status=$$?; [ $$status -eq 1 ] \
+		|| { echo "fuzz-smoke: the vm family missed compiled-mul-truncate (exit $$status)"; exit 1; }
+	@echo "fuzz-smoke ok: the vm family caught compiled-mul-truncate"
 	PYTHONPATH=src python -m repro.cli fuzz --seed 2 --runs 500 --oracle prove
 	PYTHONPATH=src python -m pytest tests/ -m fuzz -q
 

@@ -70,7 +70,12 @@ class ChronoRecorder:
         self._cell = None
 
     def count(self, count: int) -> int:
-        """Attribute ``count`` instructions to the current phase."""
+        """Attribute ``count`` instructions to the current phase.
+
+        Returns 0: counting retires no instruction and raises no signal,
+        so the VM frame has nothing to settle after it (see
+        :meth:`repro.vm.interpreter.Interpreter.chrono_count`).
+        """
         cell = self._cell
         if cell is None:
             key = self._current_key

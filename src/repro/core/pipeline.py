@@ -245,8 +245,9 @@ class PrivAnalyzer:
                     if len(stack) == 2 and stack[0] == "vm"
                 ) - measured_before
                 # Block bookkeeping (count pre-adds, budget checks, the
-                # block loop) and the timers' own cost sit between the
-                # timed closures; account the remainder so the vm root is
+                # block dispatch), the entry function's code generation
+                # and the timers' own cost sit between the timed
+                # statements; account the remainder so the vm root is
                 # 100% attributed without pretending it was timed (cf.
                 # rosa.search.loop).
                 remainder = elapsed - measured

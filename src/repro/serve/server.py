@@ -25,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
+import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
@@ -73,6 +74,9 @@ class VerdictServer:
         self.telemetry = telemetry or Telemetry.enabled()
         self._started = time.monotonic()
         self._requests: Dict[str, int] = {}
+        #: Guards the bookkeeping handler threads share: the per-op
+        #: request counts and the dashboard registry's instruments.
+        self._lock = threading.Lock()
         self._shutdown = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
 
@@ -159,15 +163,17 @@ class VerdictServer:
                 raise protocol.ProtocolError(
                     f"unknown op {op!r}; known: {', '.join(protocol.OPS)}"
                 )
-            self._requests[op] = self._requests.get(op, 0) + 1
-            self.telemetry.metrics.counter("serve.requests").inc()
+            with self._lock:
+                self._requests[op] = self._requests.get(op, 0) + 1
+                self.telemetry.metrics.counter("serve.requests").inc()
             handler = getattr(self, f"_op_{op}")
             result, served = handler(message)
             self._account(served)
             return protocol.ok(op, result, request_id, served)
         except Exception as exc:  # noqa: BLE001 - the wire boundary
             logger.warning("request failed (%s): %s", op, exc)
-            self.telemetry.metrics.counter("serve.errors").inc()
+            with self._lock:
+                self.telemetry.metrics.counter("serve.errors").inc()
             return protocol.error(op, str(exc), request_id)
 
     def _account(self, served: Optional[Dict[str, int]]) -> None:
@@ -175,9 +181,10 @@ class VerdictServer:
         if not served:
             return
         metrics = self.telemetry.metrics
-        for field, name in _SERVED_COUNTERS.items():
-            if served.get(field):
-                metrics.counter(name).inc(served[field])
+        with self._lock:
+            for field, name in _SERVED_COUNTERS.items():
+                if served.get(field):
+                    metrics.counter(name).inc(served[field])
 
     # -- operations ------------------------------------------------------------
 
@@ -187,10 +194,12 @@ class VerdictServer:
     def _op_stats(self, message) -> Tuple[Any, Optional[Dict[str, int]]]:
         stats = self.store.stats()
         stats["rejected_total"] = stats.get("rejected", 0)
+        with self._lock:
+            requests = dict(sorted(self._requests.items()))
         return {
             "protocol": protocol.PROTOCOL_VERSION,
             "uptime_seconds": round(time.monotonic() - self._started, 3),
-            "requests": dict(sorted(self._requests.items())),
+            "requests": requests,
             "store": stats,
         }, None
 
@@ -198,11 +207,14 @@ class VerdictServer:
         # The single-flight coalescing gauges refresh on read, so the
         # dashboard shows them without a request having to fold them.
         flight = self.store.stats()["single_flight"]
+        entries = self.store.store.entry_count()
         metrics = self.telemetry.metrics
-        metrics.gauge("serve.single_flight.leaders").set(flight["leaders"])
-        metrics.gauge("serve.single_flight.joined").set(flight["joined"])
-        metrics.gauge("rosa.store.entries").set(self.store.store.entry_count())
-        return {"text": metrics_to_prometheus(metrics)}, None
+        with self._lock:
+            metrics.gauge("serve.single_flight.leaders").set(flight["leaders"])
+            metrics.gauge("serve.single_flight.joined").set(flight["joined"])
+            metrics.gauge("rosa.store.entries").set(entries)
+            text = metrics_to_prometheus(metrics)
+        return {"text": text}, None
 
     def _op_shutdown(self, message) -> Tuple[Any, Optional[Dict[str, int]]]:
         return {"stopping": True}, None

@@ -51,11 +51,13 @@ def _vm_mul_truncate() -> Callable[[], None]:
     """The production VM silently truncates large ``mul`` results.
 
     Models a narrowing bug in the shared ``BINARY_OPS`` semantics table,
-    which the compiled core consults when it specializes a ``mul``
-    closure (per-VM caches, so interpreters built inside the fault
-    window compile the bug in).  The reference interpreter inlines its
-    own arithmetic and stays correct — exactly the disagreement the
-    ``vm`` oracle family exists to catch.
+    which the generated core consults when it generates a ``mul`` (so
+    interpreters that generate code inside the fault window call the
+    bug: the patched entry is no stock ``operator`` function, so the
+    text, and with it the cached code, differs from the clean one).
+    The reference interpreter inlines its own arithmetic and stays
+    correct — exactly the disagreement the ``vm`` oracle family exists
+    to catch.
     """
     from repro.ir import instructions
 
@@ -77,7 +79,7 @@ def _vm_mul_truncate() -> Callable[[], None]:
 
 @fault("compiled-mul-truncate")
 def _compiled_mul_truncate() -> Callable[[], None]:
-    """The compiled core bakes a stale ``mul`` into its closures.
+    """The generated core binds a stale ``mul`` into its code.
 
     Models compile-time-captured semantics drifting from the IR's — a
     table updated in one place but not the other.  Only the compiler

@@ -4,11 +4,11 @@ The value of a differential oracle scales with how little the two sides
 share.  :class:`ReferenceInterpreter` therefore re-implements the VM's
 execution core from the IR semantics rather than reusing the production
 code paths: a straight-line ``isinstance`` ladder over per-frame value
-dictionaries instead of the compiled closure core's register lists and
+dictionaries instead of the generated core's Python locals and
 pre-counted blocks, its own operand resolution, and inline arithmetic
 (explicit two's-complement wrapping, C-style truncating division)
 instead of the shared ``BINARY_OPS``/``ICMP_PREDICATES`` tables.  A bug
-in either evaluation strategy — a stale compiled closure, a wrong wrap,
+in either evaluation strategy — stale generated code, a wrong wrap,
 a missed retire — shows up as a disagreement in exit code, stdout,
 instruction count, or final kernel state.
 

@@ -1,78 +1,105 @@
-"""The compiled VM core: per-function closure compilation.
+"""The VM core: each IR function generated as one Python function.
 
-:func:`compile_function` translates one defined IR function into a
-:class:`CompiledFunction`: SSA values become integer slots in a flat
-register list, and every instruction becomes a specialized closure with
-its operands resolved at compile time — no per-step ``isinstance``
-ladder, no dispatch-table lookup, no frame-dictionary probes.  It is
-the only production execution path: every
-:class:`~repro.vm.interpreter.Interpreter` routes defined-function calls
-here.  The testkit's :class:`~repro.testkit.reference.ReferenceInterpreter`
-is its independent differential twin — a straight-line evaluator that
-retires one instruction at a time.
+:func:`compile_function` translates one defined IR function into the
+source text of one Python ``def``, compiles it (through a process-wide
+code cache) and binds the code to the calling VM's own namespace.  SSA
+values become Python locals (``v<slot>``), and the body dispatches over
+basic-block ids in a single ``while`` loop.  It is the only production
+execution path: every :class:`~repro.vm.interpreter.Interpreter` routes
+defined-function calls here.  The testkit's
+:class:`~repro.testkit.reference.ReferenceInterpreter` is its
+independent differential twin — a straight-line evaluator that retires
+one instruction at a time.
 
 Parity with that one-at-a-time semantics is the design constraint:
 
 * ``executed_instructions`` matches a per-instruction retire count
   exactly, including on every error path.  Each basic block's count is
-  added *before* the block runs; closures that can terminate early
+  added *before* the block runs; statements that can terminate early
   (division, bad pointers) carry their baked ``tail`` — the number of
   pre-counted instructions that will now never retire — and subtract it
   before raising, so the counter always reads as if instructions were
-  retired one at a time.  Call closures take their tail back out for
-  the whole call, so callees and signal handlers retire onto (and check
-  the budget against) the exact count, and an unwinding call leaves it
+  retired one at a time.  A call takes its tail back out for the whole
+  call, so callees and signal handlers retire onto (and check the
+  budget against) the exact count, and an unwinding call leaves it
   exact.
 * When a block would cross the instruction budget, its count is not
-  pre-added and the block runs through a per-instruction slow path
-  that raises at exactly the instruction a one-at-a-time loop would.
-  A call whose callee leaves too little budget for the block's
-  pre-counted rest hands the remainder of the block to the same slow
-  path, so the instructions before the budget point still run.
+  pre-added and the frame hands the block to its *budget edge*: a
+  second function, generated on first need from the same statement
+  emitters, that retires the block's instructions one at a time and
+  raises at exactly the instruction a one-at-a-time loop would.  A call
+  whose callee leaves too little budget for the block's pre-counted
+  rest hands the rest of the block to the same path.  A block that does
+  not fit always ends inside it (the count only grows), so the edge
+  never returns; it reads the frame's locals through ``sys._getframe``.
 * Error messages are byte-identical to the reference evaluator's — the
   differential oracles fingerprint them.
-* ϕ-nodes compile to per-edge move lists (classic SSA destruction),
-  applied in instruction order so a ϕ reading an earlier ϕ of the same
-  block observes the new value, exactly like sequential evaluation.
-  Block variants are keyed by predecessor only when the block actually
+* ϕ-nodes become per-edge moves (classic SSA destruction), applied in
+  instruction order so a ϕ reading an earlier ϕ of the same block
+  observes the new value, exactly like sequential evaluation.  Block
+  variants are keyed by predecessor only when the block actually
   contains ϕ-nodes.
-* Signal delivery stays at call boundaries: every call closure runs the
+* Signal delivery stays at call boundaries: every call runs the
   pending-signal dispatch after its callee returns.
 
-**Specializations.**  The work a closure can do at compile time, it
-does there, so a step pays only for its own operation:
+**Code shape.**  The generator does at generation time what it can, so
+a statement pays only for its own operation, and keeps the text short:
+``compile()`` of a statement costs about as much as running it a
+hundred times, and much generated code (a corpus program's) runs once:
 
-* constants live in the register file: each distinct constant operand
-  gets a pool slot after the SSA slots, every call starts from a copy
-  of the pooled file, and a constant operand is read exactly like a
-  register one (``regs[i]``).  Getter closures
-  (:meth:`_Compiler._fetch`) remain only for call arguments and for a
-  global missing from ``vm.globals`` at compile time;
-* a binop bakes its width's ``half`` and ``mask`` and wraps inline,
+* a block variant that exactly one terminator reaches is emitted right
+  after that terminator (a *fallthrough*), so straight-line and loop
+  bodies run without a dispatch; the rest get ids, found by a binary
+  ``if b < k`` tree inside the ``while``.  A function whose variants all
+  fall through has no loop at all;
+* an ``alloca`` whose address is only ever loaded from or stored to is
+  a Python local, not a :class:`~repro.vm.frame.StackSlot` (stores map
+  ``None`` to ``0``, which is what a load would read), and a load from
+  one whose value is only used later in its block is no statement at
+  all: its uses read the alloca's local;
+* integer and string constants are literals in the text; every other
+  constant (global slots, function references, direct-call targets) is
+  a name bound in the VM's namespace;
+* a binop wraps inline with its width's ``half`` and ``mask`` baked in,
   ``((raw + half) & mask) - half``; no ``IntType.wrap`` call runs;
-* ``load``/``store`` through a register pointer index ``regs`` and test
-  ``slot.__class__ is StackSlot`` before the ``isinstance`` fallback
-  (which admits a :class:`~repro.vm.frame.GlobalSlot`);
-* call steps test ``process.state`` against ``RUNNING`` instead of
-  reading the ``alive`` property.
+* ChronoPriv's per-block counting call becomes ``vm.chrono_count(n)``
+  — a direct method call instead of an intrinsic dispatch — which the
+  recorder overrides per-instance with a bare counter-cell increment
+  (see :mod:`repro.chronopriv.runtime`).  The hook answers whether the
+  frame must settle after it (deliver signals, recheck the budget); the
+  recorder never asks.  A block that starts with its counting call
+  enters through one helper call, :meth:`_Compiler.enter`, which runs
+  the block's budget check, pre-add and counting call;
+* every other call is one helper call (:meth:`_Compiler.call_intrinsic`
+  and its siblings) that finds its callee, tail and block position by a
+  site id: the text names no callee, and the helper does the tail,
+  signal and budget-edge bookkeeping.
 
 Operation semantics still come from the shared tables
-(``BINARY_OPS``/``ICMP_PREDICATES``, C-level ``operator`` functions
-where one exists), read through this module's ``BINARY_OPS`` binding
-when each closure is built.  Fault hooks that patch either the shared
-table or that binding (the testkit's ``vm-mul-truncate`` and
-``compiled-mul-truncate``) therefore compile into every VM built while
-they are installed, and the ``vm`` oracle family catches them.
+(``BINARY_OPS``/``ICMP_PREDICATES``), read through this module's
+``BINARY_OPS`` binding at generation time.  An operation becomes an
+inline Python operator only when its table entry *is* the stock
+``operator`` function for it; any other entry (``sdiv``, ``srem``,
+``lshr``, or a patched one) is called through a name bound to that
+entry.  Fault hooks that patch either the shared table or that binding
+(the testkit's ``vm-mul-truncate`` and ``compiled-mul-truncate``)
+therefore change the generated text of every VM built while they are
+installed, and the ``vm`` oracle family catches them.
 
-ChronoPriv's per-block counting call compiles to
-``vm.chrono_count(n)`` — a direct method call instead of an intrinsic
-dispatch — which the recorder overrides per-instance with a bare
-counter-cell increment (see :mod:`repro.chronopriv.runtime`).
+**The code cache.**  ``compile()`` of the text is most of the cost of
+generation, so :data:`CODE_CACHE` keeps the code objects of recently
+generated texts, process-wide, keyed by the text itself.  A code object
+is immutable and its key is its whole input, so an entry cannot go
+stale; everything VM-specific (global slots, the constant pool, the
+operation-table entries, the budget edge) is bound per VM through the
+function's namespace.  Two VMs running one module share code objects
+but never globals or locals.
 
 **Instrumented mode.**  When the VM carries a :class:`VMTimer` at
 compile time (:meth:`~repro.vm.interpreter.Interpreter.attach_profiler`),
-every step and terminator closure is wrapped with a timer, so a
-profiled run measures the closures that ship:
+the same generator wraps every statement and terminator in a timer, so
+a profiled run measures the code that ships (blocks then enter inline:
+the entry helper carries no timer):
 
 ``("vm", "op:<opcode>")``
     Self time of one instruction kind.  Times are *exclusive*: a
@@ -92,24 +119,33 @@ from its own.  A window *sets* the ledger to its start value plus its
 own wall (rather than adding), so doubly-nested work is never
 subtracted twice.  ``spawn_wait`` children share their parent's timer,
 so a child's frames are nested work of the parent's ``spawn_wait``.
-Without a timer the closures are built exactly as in the uninstrumented
-core and no clock is ever read; instruction counts, budgets and error
-paths are identical either way.
+Without a timer the text carries no timer call and no clock is ever
+read; instruction counts, budgets and error paths are identical either
+way.
 
 Known (accepted) divergences from the reference evaluator, all outside
 the IR the frontend emits: reading an SSA temporary before its
-definition yields the slot's initial ``0`` instead of a "use of
-undefined value" error, and calling a defined function with too few
-arguments zero-fills the missing parameters instead of erroring at
-first use.
+definition yields ``0`` instead of a "use of undefined value" error (so
+does a load through a local-only ``alloca`` before the ``alloca`` ran),
+and calling a defined function with too few arguments zero-fills the
+missing parameters instead of erroring at first use.
 """
 
 from __future__ import annotations
 
+import builtins
+import operator
+import re
+import sys
+import threading
+from collections import OrderedDict
+from types import CodeType, FunctionType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.ir import (
     Alloca,
+    Instruction,
+    Argument,
     BinOp,
     Branch,
     Call,
@@ -140,132 +176,100 @@ _BUDGET_MSG = "instruction budget exhausted (runaway program?)"
 #: with :mod:`repro.chronopriv.instrument`).
 _CHRONO_COUNT = "__chrono_count"
 
-#: Shared ``ret void`` result — terminators return either the next
-#: :class:`_BlockCode` or a ``("ret", value)`` pair.
-_RET_NONE = ("ret", None)
-
 # Operand descriptor kinds (first element of the descriptor pair).
-_REG = 0      # value lives in a register slot
+_REG = 0      # value lives in a local (an argument or an instruction)
 _CONST = 1    # compile-time constant (int, str, FunctionRef, GlobalSlot)
 _GLOBAL = 2   # GlobalVariable missing from vm.globals at compile time
 _UNDEF = 3    # unresolvable value; using it raises the reference error
 
+#: The Python operator for each stock ``operator`` function a table
+#: entry may be; an entry missing here is called by name.
+_INLINE_OPS = {
+    operator.add: "+",
+    operator.sub: "-",
+    operator.mul: "*",
+    operator.and_: "&",
+    operator.or_: "|",
+    operator.xor: "^",
+    operator.lshift: "<<",
+}
+_INLINE_PREDICATES = {
+    operator.eq: "==",
+    operator.ne: "!=",
+    operator.lt: "<",
+    operator.le: "<=",
+    operator.gt: ">",
+    operator.ge: ">=",
+}
 
-class _BlockCode:
-    """One basic block (for one predecessor edge) in compiled form."""
+#: The local names a generated text gives SSA values.
+_LOCAL_NAME = re.compile(r"\bv\d+\b")
 
-    __slots__ = ("steps", "tails", "term", "count", "term_retires")
-
-    def __init__(self) -> None:
-        self.steps: Tuple[Callable, ...] = ()
-        #: Per-step baked tail counts, for the budget slow path to undo a
-        #: closure's own tail subtraction before re-raising.
-        self.tails: Tuple[int, ...] = ()
-        self.term: Callable = _unfilled_terminator
-        #: Instructions this block pre-adds (steps + retiring terminator).
-        self.count: int = 0
-        #: False only for blocks missing a terminator: evaluation raises
-        #: there *without* retiring an instruction.
-        self.term_retires: bool = True
-
-
-class _BudgetEdge(Exception):
-    """A call ran the count up to where its block's pre-counted rest no
-    longer fits the budget.  The call step leaves the count exact and
-    raises this; the block then finishes on the slow path from the step
-    after the call (``count - tail``), which raises at the exact
-    instruction.  It never escapes the frame that raised it."""
-
-    def __init__(self, tail: int) -> None:
-        super().__init__(tail)
-        self.tail = tail
+#: Marks a call result the frame has not stored yet (see ``_finish``).
+_UNSTORED = object()
 
 
-def _unfilled_terminator(vm, regs):  # pragma: no cover - compile-time bug trap
-    raise VMError("compiled block was never filled")
+class CodeCache:
+    """A bounded, thread-safe LRU of compiled generated texts.
 
-
-class CompiledFunction:
-    """A compiled function body; called as ``code(vm, args)``."""
-
-    __slots__ = ("function", "registers", "argc", "entry")
-
-    def __init__(
-        self, function: Function, registers: List[Any], argc: int, entry: _BlockCode
-    ) -> None:
-        self.function = function
-        #: The register file a call starts from: zeroed argument and SSA
-        #: slots, then the constant pool.
-        self.registers = registers
-        self.argc = argc
-        self.entry = entry
-
-    def __call__(self, vm, args: List[Any]):
-        regs = self.registers.copy()
-        argc = self.argc
-        for index, value in enumerate(args):
-            if index >= argc:
-                break
-            regs[index] = value
-        code = self.entry
-        maxi = vm.max_instructions
-        while True:
-            executed = vm.executed_instructions + code.count
-            if executed > maxi:
-                nxt = _run_slow(vm, regs, code, maxi)
-            else:
-                vm.executed_instructions = executed
-                try:
-                    for step in code.steps:
-                        step(vm, regs)
-                except _BudgetEdge as edge:
-                    nxt = _run_slow(vm, regs, code, maxi, code.count - edge.tail)
-                else:
-                    nxt = code.term(vm, regs)
-            if nxt.__class__ is _BlockCode:
-                code = nxt
-            else:
-                return nxt[1]
-
-
-def _run_slow(vm, regs, code: _BlockCode, maxi: int, start: int = 0):
-    """Run one block from step ``start`` with per-instruction counting.
-
-    The budget edge: the fast path did not pre-add the block (or a call
-    step stopped short, see :class:`_BudgetEdge`); retire
-    instructions one at a time so the budget error fires at exactly the
-    instruction one-at-a-time evaluation would raise on.  Step closures
-    expect their baked tail to be pre-added (and take it back out when
-    they raise), so each step runs with its tail from the parallel
-    ``tails`` record added for its duration.
+    Maps a text to the code object of the one ``def`` it holds.  The
+    text is the whole key, so a hit is always the code ``compile()``
+    would produce.  ``compile()`` runs outside the lock; two threads
+    missing on one text both compile it and one result is kept.
     """
-    steps, tails = code.steps, code.tails
-    for index in range(start, len(steps)):
-        vm.executed_instructions += 1
-        if vm.executed_instructions > maxi:
-            raise VMError(_BUDGET_MSG)
-        tail = tails[index]
-        vm.executed_instructions += tail
-        try:
-            steps[index](vm, regs)
-        except _BudgetEdge:
-            continue  # the call step left the count exact
-        vm.executed_instructions -= tail
-    if code.term_retires:
-        vm.executed_instructions += 1
-        if vm.executed_instructions > maxi:
-            raise VMError(_BUDGET_MSG)
-    return code.term(vm, regs)
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._codes: "OrderedDict[str, CodeType]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def get(self, text: str) -> CodeType:
+        with self._lock:
+            code = self._codes.get(text)
+            if code is not None:
+                self._codes.move_to_end(text)
+                return code
+        module = compile(text, "<repro.vm generated>", "exec")
+        code = next(c for c in module.co_consts if isinstance(c, CodeType))
+        with self._lock:
+            self._codes[text] = code
+            while len(self._codes) > self.capacity:
+                self._codes.popitem(last=False)
+        return code
+
+
+#: The process-wide code cache.  The 8 table programs generate 50
+#: distinct texts; the bound keeps a corpus sweep, whose texts almost
+#: never repeat, from holding code it will not run again.
+CODE_CACHE = CodeCache(64)
+
+
+def _pad(args: List[Any], argc: int) -> List[Any]:
+    """``args`` cut or zero-filled to ``argc`` values."""
+    return (list(args) + [0] * argc)[:argc]
+
+
+def _nonptr(vm, tail: int, access: str, value) -> None:
+    vm.executed_instructions -= tail
+    raise VMError(f"{access} through non-pointer {value!r}")
+
+
+def _bad_callee(target) -> None:
+    raise VMError(f"indirect call through non-function {target!r}")
 
 
 class VMTimer:
     """Compiled-in wall-clock attribution for one VM and its children.
 
     :meth:`~repro.vm.interpreter.Interpreter.attach_profiler` builds one
-    from a live profiler; the compiler wraps closures with :meth:`op`
-    and :meth:`window`, and the VM's intrinsic dispatch is wrapped with
+    from a live profiler; generated code closes each timed statement
+    with an :meth:`op_done` recorder, compiled frames are wrapped with
+    :meth:`window`, and the VM's intrinsic dispatch with
     :meth:`timed_intrinsics`.  See the module docstring for the ledger.
-    Each wrapper binds its profile record on first use and bumps it
+    Each recorder binds its profile record on first use and bumps it
     directly: the hot path pays for two clock reads and two additions,
     and stacks that never run get no record.
     """
@@ -278,52 +282,59 @@ class VMTimer:
         #: Wall seconds consumed by timed frames and intrinsics so far.
         self.nested = 0.0
 
-    def op(self, closure: Callable, opcode: str) -> Callable:
-        """``closure`` with its self time accounted to ``op:<opcode>``."""
+    def op_done(self, opcode: str) -> Callable[[float, float], None]:
+        """``done(start, nested)``: account the self time since ``start``
+        (ledger then at ``nested``) to ``op:<opcode>``."""
         timer, clock = self, self.clock
         key = ("vm", "op:" + opcode)
         record = None
 
-        def timed(vm, regs):
+        def done(start: float, nested: float) -> None:
             nonlocal record
-            nested = timer.nested
-            start = clock()
-            try:
-                return closure(vm, regs)
-            finally:
-                # A raising instruction still retired: count it too, so
-                # op calls always sum to executed_instructions.
-                elapsed = (clock() - start) - (timer.nested - nested)
-                if record is None:
-                    record = timer.profiler.record(key)
-                record.calls += 1
-                if elapsed > 0.0:
-                    record.seconds += elapsed
+            # A raising instruction still retired: count it too, so op
+            # calls always sum to executed_instructions.
+            elapsed = (clock() - start) - (timer.nested - nested)
+            if record is None:
+                record = timer.profiler.record(key)
+            record.calls += 1
+            if elapsed > 0.0:
+                record.seconds += elapsed
 
-        return timed
+        return done
 
-    def window(self, fn: Callable, key=None) -> Callable:
-        """``fn(a, b)`` as nested work: its wall time enters the ledger,
-        and its self time is accounted to ``key`` when one is given."""
+    def window_done(self, key=None) -> Callable[[float, float], None]:
+        """``done(start, nested)`` closing a window of nested work: its
+        wall time enters the ledger, and its self time is accounted to
+        ``key`` when one is given."""
         timer, clock = self, self.clock
         record = None
 
-        def timed(a, b):
+        def done(start: float, nested: float) -> None:
             nonlocal record
+            elapsed = clock() - start
+            if key is not None:
+                if record is None:
+                    record = timer.profiler.record(key)
+                record.calls += 1
+                own = elapsed - (timer.nested - nested)
+                if own > 0.0:
+                    record.seconds += own
+            timer.nested = nested + elapsed
+
+        return done
+
+    def window(self, fn: Callable, key=None) -> Callable:
+        """``fn(a, b)`` as nested work (see :meth:`window_done`)."""
+        timer, clock = self, self.clock
+        done = self.window_done(key)
+
+        def timed(a, b):
             nested = timer.nested
             start = clock()
             try:
                 return fn(a, b)
             finally:
-                elapsed = clock() - start
-                if key is not None:
-                    if record is None:
-                        record = timer.profiler.record(key)
-                    record.calls += 1
-                    own = elapsed - (timer.nested - nested)
-                    if own > 0.0:
-                        record.seconds += own
-                timer.nested = nested + elapsed
+                done(start, nested)
 
         return timed
 
@@ -335,9 +346,9 @@ class VMTimer:
             timed = windows.get(name)
             if timed is None:
                 if name == _CHRONO_COUNT:
-                    # The compiled counting step already times this
-                    # call (see ``_chrono_step``); inert child counters
-                    # land here and must not count twice.
+                    # The generated counting call already times this
+                    # call (see ``_Compiler._call``); inert child
+                    # counters land here and must not count twice.
                     return call_intrinsic(name, args)
                 timed = windows[name] = self.window(
                     call_intrinsic, ("vm", "intrinsic:" + name)
@@ -348,70 +359,263 @@ class VMTimer:
 
 
 def compile_function(vm, function: Function) -> Callable:
-    """Compile ``function`` for ``vm`` (globals prebound to its slots).
+    """Compile ``function`` for ``vm``; returns ``code(vm, args)``.
 
-    With a timer on the VM the body compiles in instrumented mode and
-    the whole frame is timed as nested work.
+    Globals present in ``vm.globals`` now are bound to their slots; any
+    other global is looked up in ``vm.globals`` when it is used.  With a
+    timer on the VM the body is generated in instrumented mode and the
+    whole frame is timed as nested work.
     """
-    code = _Compiler(vm, function).compile()
+    code = _Compiler(vm, function).build()
     timer = vm._timer
     return code if timer is None else timer.window(code)
 
 
+def _indent(lines: List[str], pad: str = "    ") -> List[str]:
+    return [pad + line for line in lines]
+
+
+def _ends_in_raise(lines: List[str]) -> bool:
+    return bool(lines) and lines[-1][:6] == "raise "
+
+
+def _wrap(raw: str, half: int, mask: int) -> str:
+    """``raw`` wrapped to a width: ``((raw + half) & mask) - half``."""
+    return f"(({raw}) + {half} & {mask}) - {half}"
+
+
 class _Compiler:
+    """Generates one function's Python text and binds it for one VM.
+
+    It stays alive behind the generated function (as its ``_edge`` and
+    ``_settle``), to generate budget-edge code for a block the first
+    time one is needed.
+    """
+
     def __init__(self, vm, function: Function) -> None:
-        self.vm = vm
         self.function = function
+        #: The VM's global slots, read when an operand is resolved.
+        self.globals = vm.globals
         #: The VM's :class:`VMTimer` when compiling in instrumented mode.
         self.timer = vm._timer
-        #: SSA value -> register slot.  Arguments first, then every
-        #: instruction (identity-keyed, like the reference's frame map).
+        #: SSA value -> local slot (``v<slot>``).  Arguments first, then
+        #: every instruction (identity-keyed, like the reference's frame
+        #: map).
         self.regmap: Dict[Value, int] = {}
         for argument in function.arguments:
             self.regmap[argument] = len(self.regmap)
         self.argc = len(self.regmap)
+        #: block -> (instructions before the terminator, the terminator
+        #: or None, whether the block holds a ϕ-node).
+        self.blocks: Dict[Any, Tuple[List[Any], Any, bool]] = {}
+        #: ChronoPriv's counting calls -> their count argument.
+        self.counting: Dict[Call, int] = {}
+        #: instruction -> (its block, its index there).
+        where: Dict[Value, Tuple[Any, int]] = {}
+        regmap = self.regmap
         for block in function.blocks:
-            for instruction in block.instructions:
-                self.regmap[instruction] = len(self.regmap)
-        #: Constant value -> register slot, after the SSA slots.  Every
-        #: call's register file starts with these filled in, so a
-        #: constant operand is read exactly like a register one.
-        self.constants: Dict[Any, int] = {}
-        #: (block, pred-or-None) -> _BlockCode.  Blocks without ϕ-nodes
-        #: compile once and share the code across every in-edge.
-        self.variants: Dict[Tuple[Any, Any], _BlockCode] = {}
-        self._worklist: List[Tuple[_BlockCode, Any, Any]] = []
+            body: List[Any] = []
+            terminator = None
+            has_phi = False
+            for index, instruction in enumerate(block.instructions):
+                regmap[instruction] = len(regmap)
+                where[instruction] = (block, index)
+                cls = instruction.__class__
+                if cls is Phi:
+                    has_phi = True
+                elif cls is Call:
+                    operands = instruction.operands
+                    callee = operands[0]
+                    if (
+                        isinstance(callee, FunctionRef)
+                        and callee.function.name == _CHRONO_COUNT
+                        and callee.function.is_declaration
+                        and len(operands) == 2
+                        and isinstance(operands[1], ConstantInt)
+                    ):
+                        self.counting[instruction] = operands[1].value
+                if terminator is None:
+                    if instruction.is_terminator:
+                        terminator = instruction
+                    else:
+                        body.append(instruction)
+            self.blocks[block] = (body, terminator, has_phi)
+        #: Slot -> SSA value.
+        self.values: List[Value] = list(self.regmap)
+        self._analyze(where)
+        #: Namespace name -> object, for every name the text binds
+        #: besides the fixed helpers (constant pool, op-table entries,
+        #: timer recorders).
+        self.bindings: Dict[str, Any] = {}
+        self._pool: Dict[Any, str] = {}
+        #: Block variants: (block, predecessor-or-None), and for each
+        #: the variant ids its terminator reaches.
+        self.variants: List[Tuple[Any, Any]] = []
+        self.successors: List[Tuple[int, ...]] = []
+        self._variant_ids: Dict[Tuple[Any, Any], int] = {}
+        #: Variant id -> (instruction count, counting-call argument) for
+        #: the variants entered through :meth:`enter` (filled while the
+        #: text is generated).
+        self.entries: List[Optional[Tuple[int, int]]] = []
+        #: Call site id -> (tail, variant id, position after the call,
+        #: the intrinsic's name or the defined function, or None).
+        self.sites: List[Tuple[int, int, int, Any]] = []
+        self._slow: Dict[Tuple[int, int], Callable] = {}
 
-    def compile(self) -> CompiledFunction:
-        entry = self._variant(self.function.entry, None)
-        while self._worklist:
-            code, block, pred = self._worklist.pop()
-            self._fill(code, block, pred)
-        registers = [0] * len(self.regmap) + list(self.constants)
-        return CompiledFunction(self.function, registers, self.argc, entry)
+    # -- analysis -------------------------------------------------------------
 
-    def _variant(self, block, pred) -> _BlockCode:
-        has_phi = any(isinstance(i, Phi) for i in block.instructions)
-        key = (block, pred if has_phi else None)
-        code = self.variants.get(key)
-        if code is None:
-            code = _BlockCode()
-            self.variants[key] = code
-            self._worklist.append((code, block, pred if has_phi else None))
-        return code
+    def _analyze(self, where: Dict[Value, Tuple[Any, int]]) -> None:
+        """Find the local-only allocas, the loads that need no local of
+        their own, and the locals to zero first.
+
+        An alloca whose address is only ever loaded from or stored to
+        becomes a plain local, and a load from one whose uses all follow
+        it in its block, with no store to (or rerun of) that alloca in
+        between, reads the alloca's local directly.  A use is safe to leave unzeroed
+        when its definition sits earlier in the same block or in the
+        entry block (and the use elsewhere); a ϕ's incoming value is read
+        at the end of its predecessor.  Every other use may run before
+        the definition, so its local starts at ``0``, as the register
+        file once did.
+        """
+        entry = self.function.entry
+        allocas = {value for value in where if value.__class__ is Alloca}
+        escaped = set()
+        unsafe = set()
+        #: value -> the last index of a use in its own block, or None
+        #: when some use is elsewhere (or a ϕ's).
+        last_use: Dict[Value, Optional[int]] = {}
+        locate = where.get
+        for block in self.function.blocks:
+            for index, instruction in enumerate(block.instructions):
+                cls = instruction.__class__
+                if cls is Phi:
+                    for pred, value in instruction.incoming.items():
+                        site = locate(value) if isinstance(value, Instruction) else None
+                        if site is None:
+                            continue
+                        last_use[value] = None
+                        if site[0] is not pred and site[0] is not entry:
+                            unsafe.add(value)
+                        if value in allocas:
+                            escaped.add(value)
+                    continue
+                pointer_use = cls is Load or cls is Store
+                for position, operand in enumerate(instruction.operands):
+                    if not isinstance(operand, Instruction):
+                        continue
+                    site = locate(operand)
+                    if site is None:
+                        continue
+                    home, at = site
+                    if home is block and at < index:
+                        if last_use.get(operand, index) is not None:
+                            last_use[operand] = index
+                    else:
+                        last_use[operand] = None
+                        if home is not entry or block is entry:
+                            unsafe.add(operand)
+                    if operand.__class__ is Alloca and not (
+                        pointer_use and position == (0 if cls is Load else 1)
+                    ):
+                        escaped.add(operand)
+        self.local_cells = allocas - escaped
+        #: Instructions whose value some instruction reads.
+        self.used = set(last_use)
+        self.zeroed = [f"v{slot}" for slot in sorted(self.regmap[v] for v in unsafe)]
+        #: Load slot -> the alloca local it reads directly.
+        self.alias: Dict[int, str] = {}
+        for block in self.function.blocks:
+            instructions = block.instructions
+            for index, instruction in enumerate(instructions):
+                if (
+                    instruction.__class__ is not Load
+                    or instruction.operands[0] not in self.local_cells
+                ):
+                    continue
+                last = last_use.get(instruction, index)
+                cell = instruction.operands[0]
+                if last is not None and not any(
+                    later is cell
+                    or (later.__class__ is Store and later.operands[1] is cell)
+                    for later in instructions[index + 1:last]
+                ):
+                    self.alias[self.regmap[instruction]] = f"v{self.regmap[cell]}"
+
+    # -- the variant graph ----------------------------------------------------
+
+    def _variant(self, block, pred) -> int:
+        key = (block, pred if self.blocks[block][2] else None)
+        vid = self._variant_ids.get(key)
+        if vid is None:
+            vid = self._variant_ids[key] = len(self.variants)
+            self.variants.append(key)
+            self.successors.append(())
+        return vid
+
+    def _layout(self) -> None:
+        """Find every variant reachable from the entry, choose the
+        fallthroughs and number the dispatched variants."""
+        self._variant(self.function.entry, None)
+        vid = 0
+        while vid < len(self.variants):
+            block = self.variants[vid][0]
+            terminator = self.blocks[block][1]
+            if isinstance(terminator, Jump):
+                self.successors[vid] = (self._variant(terminator.target, block),)
+            elif isinstance(terminator, Branch):
+                self.successors[vid] = (
+                    self._variant(terminator.if_true, block),
+                    self._variant(terminator.if_false, block),
+                )
+            vid += 1
+        refs = [0] * len(self.variants)
+        refs[0] = 1  # the call itself enters the entry variant
+        for targets in self.successors:
+            for target in targets:
+                refs[target] += 1
+        #: vid -> the successor emitted right after its terminator.
+        self.fallthrough: List[Optional[int]] = [None] * len(self.variants)
+        inlined = set()
+        for vid, targets in enumerate(self.successors):
+            for target in targets:
+                if refs[target] == 1:
+                    self.fallthrough[vid] = target
+                    inlined.add(target)
+                    break
+        #: The dispatched variants; ``b`` holds an index into this list.
+        self.heads = [vid for vid in range(len(self.variants)) if vid not in inlined]
+        self.dispatch_id = {vid: index for index, vid in enumerate(self.heads)}
+        self.looping = len(self.heads) > 1 or refs[0] > 1
+        self.entries = [None] * len(self.variants)
 
     # -- operand resolution ---------------------------------------------------
 
+    def _bind(self, obj) -> str:
+        """The namespace name bound to ``obj`` (a constant-pool entry)."""
+        name = self._pool.get(obj)
+        if name is None:
+            name = self._pool[obj] = f"k{len(self._pool)}"
+            self.bindings[name] = obj
+        return name
+
+    def _named(self, name: str, make: Callable) -> str:
+        """``name``, bound to ``make()`` on first use."""
+        if name not in self.bindings:
+            self.bindings[name] = make()
+        return name
+
     def _operand(self, value: Value) -> Tuple[int, Any]:
-        index = self.regmap.get(value)
-        if index is not None:
-            return (_REG, index)
+        if isinstance(value, (Instruction, Argument)):
+            index = self.regmap.get(value)
+            if index is not None:
+                return (_REG, index)
         if isinstance(value, (ConstantInt, ConstantString)):
             return (_CONST, value.value)
         if isinstance(value, FunctionRef):
             return (_CONST, value)
         if isinstance(value, GlobalVariable):
-            slot = self.vm.globals.get(value)
+            slot = self.globals.get(value)
             if slot is not None:
                 return (_CONST, slot)
             return (_GLOBAL, value)
@@ -422,33 +626,32 @@ class _Compiler:
             f"@{self.function.name}: use of undefined value {value.short()}",
         )
 
-    def _reg(self, desc: Tuple[int, Any]) -> Optional[int]:
-        """The register slot holding a register or constant operand's
-        value (a constant gets a pool slot on first use); ``None`` for a
-        late-bound global, which only a getter closure can read."""
+    def _reg(self, desc: Tuple[int, Any]) -> Optional[str]:
+        """The expression for a local or constant operand; ``None`` for
+        a late-bound global, which only :meth:`_fetch` can read."""
         kind, payload = desc
         if kind == _REG:
-            return payload
+            return self.alias.get(payload) or f"v{payload}"
         if kind == _CONST:
-            index = self.constants.get(payload)
-            if index is None:
-                index = self.constants[payload] = len(self.regmap) + len(self.constants)
-            return index
+            if payload.__class__ is int:
+                return repr(payload) if payload >= 0 else f"({payload!r})"
+            if payload.__class__ is str:
+                return repr(payload)
+            return self._bind(payload)
         return None
 
-    def _fetch(self, desc: Tuple[int, Any]) -> Callable:
-        kind, payload = desc
-        if kind == _GLOBAL:
+    def _fetch(self, desc: Tuple[int, Any]) -> str:
+        """The expression for any resolvable operand, a late-bound global
+        included (looked up in ``vm.globals`` when it runs)."""
+        if desc[0] == _GLOBAL:
+            return f"vm.globals[{self._bind(desc[1])}]"
+        return self._reg(desc)
 
-            def get(vm, regs, _v=payload):
-                return vm.globals[_v]
-
-        else:
-
-            def get(vm, regs, _i=self._reg(desc)):
-                return regs[_i]
-
-        return get
+    def _operands(self, *descs) -> List[str]:
+        exprs = [self._reg(desc) for desc in descs]
+        if None in exprs:
+            return [self._fetch(desc) for desc in descs]
+        return exprs
 
     @staticmethod
     def _first_undef(*descs) -> Optional[str]:
@@ -457,479 +660,555 @@ class _Compiler:
                 return payload
         return None
 
-    # -- block compilation ----------------------------------------------------
+    def _maybe_none(self, desc: Tuple[int, Any]) -> bool:
+        """Whether the operand's value can be ``None`` (a void call's
+        result, or a value passed in or merged from one)."""
+        return desc[0] == _REG and isinstance(
+            self.values[desc[1]], (Argument, Call, Phi, Select)
+        )
 
-    def _fill(self, code: _BlockCode, block, pred) -> None:
-        body: List[Any] = []
-        terminator = None
-        for instruction in block.instructions:
-            if instruction.is_terminator:
-                terminator = instruction
-                break
-            body.append(instruction)
-        step_count = len(body)
-        code.term_retires = terminator is not None
-        code.count = step_count + (1 if terminator is not None else 0)
-        timer = self.timer
-        steps: List[Callable] = []
-        tails: List[int] = []
-        for position, instruction in enumerate(body):
-            # Pre-counted instructions that never retire if this one raises.
-            tail = code.count - (position + 1)
-            step = self._compile_step(instruction, pred, tail)
-            if timer is not None:
-                step = timer.op(step, instruction.opcode)
-            steps.append(step)
-            tails.append(tail)
-        code.steps = tuple(steps)
-        code.tails = tuple(tails)
-        code.term = self._compile_terminator(terminator, block)
-        if timer is not None and terminator is not None:
-            code.term = timer.op(code.term, terminator.opcode)
+    # -- generation -----------------------------------------------------------
 
-    def _compile_step(self, instruction, pred, tail: int) -> Callable:
-        if isinstance(instruction, Phi):
-            return self._compile_phi(instruction, pred, tail)
-        if isinstance(instruction, Call):
-            return self._compile_call(instruction, tail)
-        if isinstance(instruction, BinOp):
-            return self._compile_binop(instruction, tail)
-        if isinstance(instruction, Load):
-            return self._compile_load(instruction, tail)
-        if isinstance(instruction, Store):
-            return self._compile_store(instruction, tail)
-        if isinstance(instruction, ICmp):
-            return self._compile_icmp(instruction, tail)
-        if isinstance(instruction, Select):
-            return self._compile_select(instruction, tail)
-        if isinstance(instruction, Alloca):
-            dest = self.regmap[instruction]
-            name = instruction.name
+    def build(self) -> Callable:
+        """Generate, compile (through :data:`CODE_CACHE`) and bind."""
+        self._layout()
+        text = self._text()
+        namespace = {
+            "__builtins__": builtins,
+            "VMError": VMError,
+            "StackSlot": StackSlot,
+            "FunctionRef": FunctionRef,
+            "_pad": _pad,
+            "_nonptr": _nonptr,
+            "_bad_callee": _bad_callee,
+            "_edge": self.edge,
+            "_settle": self.settle,
+            "_enter": self.enter,
+            "_intrinsic": self.call_intrinsic,
+            "_call": self.call_function,
+            "_indirect": self.call_indirect,
+        }
+        if self.timer is not None:
+            namespace["timer"] = self.timer
+            namespace["clock"] = self.timer.clock
+        namespace.update(self.bindings)
+        return FunctionType(CODE_CACHE.get(text), namespace)
 
-            def step(vm, regs, _d=dest, _n=name):
-                regs[_d] = StackSlot(_n)
-
-            return step
-        # The instruction set is closed; this only traps compiler bugs.
-        return self._raiser(f"unknown instruction {instruction.opcode}", tail)
-
-    def _raiser(self, message: str, tail: int) -> Callable:
-        if tail:
-
-            def step(vm, regs, _m=message, _t=tail):
-                vm.executed_instructions -= _t
-                raise VMError(_m)
-
+    def _text(self) -> str:
+        lines = ["def run(vm, args):"]
+        if self.argc:
+            names = ", ".join(f"v{slot}" for slot in range(self.argc))
+            lines.append(
+                f"    {names}, = args if len(args) == {self.argc} "
+                f"else _pad(args, {self.argc})"
+            )
+        if self.zeroed:
+            lines.append("    " + " = ".join(self.zeroed) + " = 0")
+        lines.append("    maxi = vm.max_instructions")
+        if self.looping:
+            lines.append("    b = 0")
+            lines.append("    while True:")
+            self._tree(lines, 0, len(self.heads), "        ")
         else:
+            self._chain(lines, 0, "    ")
+        lines.append("")
+        return "\n".join(lines)
 
-            def step(vm, regs, _m=message):
-                raise VMError(_m)
+    def _tree(self, lines: List[str], lo: int, hi: int, pad: str) -> None:
+        """Dispatch over head ids ``lo <= b < hi`` by bisection."""
+        if hi - lo == 1:
+            self._chain(lines, self.heads[lo], pad)
+            return
+        mid = (lo + hi) // 2
+        lines.append(f"{pad}if b < {mid}:")
+        self._tree(lines, lo, mid, pad + "    ")
+        lines.append(f"{pad}else:")
+        self._tree(lines, mid, hi, pad + "    ")
 
-        return step
+    def _chain(self, lines: List[str], vid: Optional[int], pad: str) -> None:
+        """Variant ``vid`` and the fallthroughs after it."""
+        while vid is not None:
+            block_lines, vid = self._block(vid)
+            lines.extend(_indent(block_lines, pad))
 
-    def _compile_phi(self, instruction: Phi, pred, tail: int) -> Callable:
+    def _goto(self, vid: int) -> str:
+        return f"b = {self.dispatch_id[vid]}"
+
+    def _timed(self, lines: List[str], opcode: str) -> List[str]:
+        if self.timer is None:
+            return lines
+        done = self._named("_op_" + opcode, lambda: self.timer.op_done(opcode))
+        return (
+            ["_n = timer.nested", "_s = clock()", "try:"] + _indent(lines or ["pass"])
+            + ["finally:", f"    {done}(_s, _n)"]
+        )
+
+    def _block(self, vid: int) -> Tuple[List[str], Optional[int]]:
+        """One variant's fast-path lines, and its fallthrough variant."""
+        block, pred = self.variants[vid]
+        body, terminator, _ = self.blocks[block]
+        count = len(body) + (1 if terminator is not None else 0)
+        if count == 0:
+            return self._no_terminator(block), None
+        # A block that starts with its counting call pre-adds only that
+        # call: the call would take the rest (its tail) straight back out.
+        # Untimed, one helper call does all that (see :meth:`enter`).
+        merged = bool(body) and body[0] in self.counting
+        first = 0
+        if merged and self.timer is None:
+            self.entries[vid] = (count, self.counting[body[0]])
+            lines = [f"_enter(vm, {vid})"]
+            if body[0] in self.used:
+                lines.append(f"v{self.regmap[body[0]]} = 0")
+            first = 1
+        else:
+            lines = [
+                f"if vm.executed_instructions + {count} > maxi: _edge({vid}, 0)",
+                f"vm.executed_instructions += {1 if merged else count}",
+            ]
+        timed = self.timer is not None
+        counting = self.counting
+        for position, instruction in enumerate(body[first:], first):
+            # Pre-counted instructions that never retire if this one raises.
+            tail = count - (position + 1)
+            step = self._step(
+                instruction, pred, 0 if merged and position == 0 else tail,
+                vid, position + 1,
+            )
+            lines += self._timed(step, instruction.opcode) if timed else step
+            if _ends_in_raise(step):
+                return lines, None
+            if instruction in counting:
+                lines += self._after_chrono(instruction, vid, position + 1, tail)
+        if terminator is None:
+            return lines + self._no_terminator(block), None
+        term_lines, fallthrough = self._terminator(vid, terminator)
+        return lines + term_lines, fallthrough
+
+    def _after_chrono(self, instruction, vid: int, start: int, tail: int) -> List[str]:
+        """What follows a counting call: settling when the hook asks for
+        it (signal delivery, then the check that the rest of the block
+        still fits), putting back the ``tail``, and the call's IR value.
+        Untimed, the hook is called right here, in the test."""
+        asks = "_k" if self.timer is not None else f"vm.chrono_count({self.counting[instruction]})"
+        if tail:
+            lines = [f"if {asks}: _settle({vid}, {start})", f"vm.executed_instructions += {tail}"]
+        else:
+            lines = [f"if {asks}: vm._dispatch_pending_signals()"]
+        if instruction in self.used:
+            lines.append(f"v{self.regmap[instruction]} = 0")
+        return lines
+
+    def _no_terminator(self, block) -> List[str]:
+        message = f"@{self.function.name}:%{block.name}: block without terminator"
+        return [f"raise VMError({message!r})"]
+
+    def _terminator(self, vid: int, instruction) -> Tuple[List[str], Optional[int]]:
+        opcode = instruction.opcode
+        timed = self.timer is not None
+        if isinstance(instruction, Ret):
+            if instruction.value is None:
+                lines = self._timed(["pass"], opcode) if timed else []
+                return lines + ["return None"], None
+            desc = self._operand(instruction.value)
+            if desc[0] == _UNDEF:
+                return self._timed([f"raise VMError({desc[1]!r})"], opcode), None
+            value = self._fetch(desc) if desc[0] == _GLOBAL else self._reg(desc)
+            if not timed:
+                return [f"return {value}"], None
+            return self._timed([f"_r = {value}"], opcode) + ["return _r"], None
+        if isinstance(instruction, Jump):
+            target = self.successors[vid][0]
+            lines = self._timed(["pass"], opcode) if timed else []
+            if self.fallthrough[vid] == target:
+                return lines, target
+            return lines + [self._goto(target)], None
+        if isinstance(instruction, Branch):
+            if_true, if_false = self.successors[vid]
+            desc = self._operand(instruction.operands[0])
+            if desc[0] == _UNDEF:
+                return self._timed([f"raise VMError({desc[1]!r})"], opcode), None
+            cond = self._fetch(desc) if desc[0] == _GLOBAL else self._reg(desc)
+            lines = []
+            if timed:
+                lines = self._timed([f"_c = {cond}"], opcode)
+                cond = "_c"
+            fallthrough = self.fallthrough[vid]
+            if fallthrough == if_true:
+                return lines + [
+                    f"if not {cond}:", f"    {self._goto(if_false)}", "    continue"
+                ], if_true
+            if fallthrough == if_false:
+                return lines + [
+                    f"if {cond}:", f"    {self._goto(if_true)}", "    continue"
+                ], if_false
+            return lines + [
+                f"b = {self.dispatch_id[if_true]} if {cond} "
+                f"else {self.dispatch_id[if_false]}"
+            ], None
+        if isinstance(instruction, Unreachable):
+            block = self.variants[vid][0]
+            message = f"@{self.function.name}:%{block.name}: reached unreachable"
+            return self._timed([f"raise VMError({message!r})"], opcode), None
+        # The terminator set is closed; this only traps generator bugs.
+        message = f"unknown instruction {opcode}"
+        return self._timed([f"raise VMError({message!r})"], opcode), None
+
+    # -- statements -----------------------------------------------------------
+
+    def _raise(self, message: str, tail: int) -> List[str]:
+        lines = [f"vm.executed_instructions -= {tail}"] if tail else []
+        return lines + [f"raise VMError({message!r})"]
+
+    def _step(self, instruction, pred, tail: int, vid: int, start: int) -> List[str]:
+        """One instruction's statement lines; ``tail`` is what they take
+        out of the pre-added count before raising or calling, and
+        ``start`` the position after the instruction in variant ``vid``."""
+        cls = instruction.__class__
+        if cls is Call:
+            return self._call(instruction, tail, vid, start)
+        if cls is Load:
+            return self._load(instruction, tail)
+        if cls is Store:
+            return self._store(instruction, tail)
+        if cls is BinOp:
+            return self._binop(instruction, tail)
+        if cls is ICmp:
+            return self._icmp(instruction, tail)
+        if cls is Phi:
+            return self._phi(instruction, pred, tail)
+        if cls is Select:
+            return self._select(instruction, tail)
+        if cls is Alloca:
+            dest = f"v{self.regmap[instruction]}"
+            if instruction in self.local_cells:
+                return [f"{dest} = 0"]
+            return [f"{dest} = StackSlot({instruction.name!r})"]
+        # The instruction set is closed; this only traps generator bugs.
+        return self._raise(f"unknown instruction {instruction.opcode}", tail)
+
+    def _phi(self, instruction: Phi, pred, tail: int) -> List[str]:
         incoming = instruction.incoming.get(pred)
         if incoming is None:
-            return self._raiser(
+            return self._raise(
                 f"phi has no incoming for predecessor "
                 f"%{pred.name if pred else '?'}",
                 tail,
             )
         desc = self._operand(incoming)
         if desc[0] == _UNDEF:
-            return self._raiser(desc[1], tail)
-        dest = self.regmap[instruction]
+            return self._raise(desc[1], tail)
         source = self._reg(desc)
         if source is None:
+            source = f"vm.globals[{self._bind(desc[1])}]"
+        return [f"v{self.regmap[instruction]} = {source}"]
 
-            def step(vm, regs, _d=dest, _v=desc[1]):
-                regs[_d] = vm.globals[_v]
-
-        else:
-
-            def step(vm, regs, _d=dest, _s=source):
-                regs[_d] = regs[_s]
-
-        return step
-
-    def _compile_binop(self, instruction: BinOp, tail: int) -> Callable:
+    def _binop(self, instruction: BinOp, tail: int) -> List[str]:
         lhs = self._operand(instruction.operands[0])
         rhs = self._operand(instruction.operands[1])
         undef = self._first_undef(lhs, rhs)
         if undef is not None:
-            return self._raiser(undef, tail)
-        dest = self.regmap[instruction]
+            return self._raise(undef, tail)
+        dest = f"v{self.regmap[instruction]}"
         op = instruction.op
-        opfn = BINARY_OPS[op]
+        a, b = self._operands(lhs, rhs)
+        symbol = _INLINE_OPS.get(BINARY_OPS[op])
+        if symbol is not None:
+            raw = f"{a} {symbol} {b}"
+        else:
+            raw = f"{self._named('op_' + op, lambda: BINARY_OPS[op])}({a}, {b})"
         half, mask = instruction.type.half, instruction.type.mask
-        a, b = self._reg(lhs), self._reg(rhs)
-        fast = a is not None and b is not None
-        if op in ("sdiv", "srem"):
-            if fast:
+        if op not in ("sdiv", "srem"):
+            return [f"{dest} = {_wrap(raw, half, mask)}"]
+        lines = ["try:", f"    {dest} = {raw}", "except ZeroDivisionError:"]
+        if tail:
+            lines.append(f"    vm.executed_instructions -= {tail}")
+        return lines + [
+            f"    raise VMError({op + ' by zero'!r}) from None",
+            f"{dest} = {_wrap(dest, half, mask)}",
+        ]
 
-                def step(vm, regs, _d=dest, _a=a, _b=b, _o=opfn, _h=half, _m=mask,
-                         _op=op, _t=tail):
-                    try:
-                        raw = _o(regs[_a], regs[_b])
-                    except ZeroDivisionError:
-                        vm.executed_instructions -= _t
-                        raise VMError(f"{_op} by zero") from None
-                    regs[_d] = ((raw + _h) & _m) - _h
-
-                return step
-            get_l, get_r = self._fetch(lhs), self._fetch(rhs)
-
-            def step(vm, regs, _d=dest, _l=get_l, _r=get_r, _o=opfn, _h=half,
-                     _m=mask, _op=op, _t=tail):
-                try:
-                    raw = _o(_l(vm, regs), _r(vm, regs))
-                except ZeroDivisionError:
-                    vm.executed_instructions -= _t
-                    raise VMError(f"{_op} by zero") from None
-                regs[_d] = ((raw + _h) & _m) - _h
-
-            return step
-        if fast:
-
-            def step(vm, regs, _d=dest, _a=a, _b=b, _o=opfn, _h=half, _m=mask):
-                regs[_d] = ((_o(regs[_a], regs[_b]) + _h) & _m) - _h
-
-            return step
-        get_l, get_r = self._fetch(lhs), self._fetch(rhs)
-
-        def step(vm, regs, _d=dest, _l=get_l, _r=get_r, _o=opfn, _h=half, _m=mask):
-            regs[_d] = ((_o(_l(vm, regs), _r(vm, regs)) + _h) & _m) - _h
-
-        return step
-
-    def _compile_icmp(self, instruction: ICmp, tail: int) -> Callable:
+    def _icmp(self, instruction: ICmp, tail: int) -> List[str]:
         lhs = self._operand(instruction.operands[0])
         rhs = self._operand(instruction.operands[1])
         undef = self._first_undef(lhs, rhs)
         if undef is not None:
-            return self._raiser(undef, tail)
-        dest = self.regmap[instruction]
-        predicate = ICMP_PREDICATES[instruction.predicate]
-        a, b = self._reg(lhs), self._reg(rhs)
-        if a is not None and b is not None:
+            return self._raise(undef, tail)
+        a, b = self._operands(lhs, rhs)
+        predicate = instruction.predicate
+        symbol = _INLINE_PREDICATES.get(ICMP_PREDICATES[predicate])
+        if symbol is not None:
+            test = f"{a} {symbol} {b}"
+        else:
+            name = self._named("cmp_" + predicate, lambda: ICMP_PREDICATES[predicate])
+            test = f"{name}({a}, {b})"
+        return [f"v{self.regmap[instruction]} = 1 if {test} else 0"]
 
-            def step(vm, regs, _d=dest, _a=a, _b=b, _p=predicate):
-                regs[_d] = 1 if _p(regs[_a], regs[_b]) else 0
-
-            return step
-        get_l, get_r = self._fetch(lhs), self._fetch(rhs)
-
-        def step(vm, regs, _d=dest, _l=get_l, _r=get_r, _p=predicate):
-            regs[_d] = 1 if _p(_l(vm, regs), _r(vm, regs)) else 0
-
-        return step
-
-    def _compile_load(self, instruction: Load, tail: int) -> Callable:
-        pointer = self._operand(instruction.pointer)
-        kind, payload = pointer
+    def _load(self, instruction: Load, tail: int) -> List[str]:
+        kind, payload = pointer = self._operand(instruction.pointer)
         if kind == _UNDEF:
-            return self._raiser(payload, tail)
-        dest = self.regmap[instruction]
+            return self._raise(payload, tail)
+        dest = f"v{self.regmap[instruction]}"
         if kind == _CONST and isinstance(payload, StackSlot):
             # Global load: the slot is prebound, no pointer check needed.
-
-            def step(vm, regs, _d=dest, _s=payload):
-                value = _s.value
-                regs[_d] = 0 if value is None else value
-
-            return step
+            return [f"{dest} = {self._bind(payload)}.value",
+                    f"if {dest} is None: {dest} = 0"]
         if kind == _CONST:
-            return self._raiser(f"load through non-pointer {payload!r}", tail)
+            return self._raise(f"load through non-pointer {payload!r}", tail)
         if kind == _REG:
+            if instruction.pointer in self.local_cells:
+                if self.regmap[instruction] in self.alias:
+                    return []
+                return [f"{dest} = v{payload}"]
             # The exact-class test is the common case; the isinstance
-            # fallback admits GlobalSlot (a global's address in a register).
+            # fallback admits GlobalSlot (a global's address in a local).
+            slot = f"v{payload}"
+            return [
+                f"{dest} = {slot}.value if {slot}.__class__ is StackSlot "
+                f"or isinstance({slot}, StackSlot) "
+                f"else _nonptr(vm, {tail}, 'load', {slot})",
+                f"if {dest} is None: {dest} = 0",
+            ]
+        return [
+            f"_p = {self._fetch(pointer)}",
+            f"{dest} = _p.value if isinstance(_p, StackSlot) "
+            f"else _nonptr(vm, {tail}, 'load', _p)",
+            f"if {dest} is None: {dest} = 0",
+        ]
 
-            def step(vm, regs, _d=dest, _p=payload, _t=tail):
-                slot = regs[_p]
-                if slot.__class__ is StackSlot or isinstance(slot, StackSlot):
-                    value = slot.value
-                    regs[_d] = 0 if value is None else value
-                else:
-                    vm.executed_instructions -= _t
-                    raise VMError(f"load through non-pointer {slot!r}")
-
-            return step
-        get_p = self._fetch(pointer)
-
-        def step(vm, regs, _d=dest, _g=get_p, _t=tail):
-            slot = _g(vm, regs)
-            if isinstance(slot, StackSlot):
-                value = slot.value
-                regs[_d] = 0 if value is None else value
-            else:
-                vm.executed_instructions -= _t
-                raise VMError(f"load through non-pointer {slot!r}")
-
-        return step
-
-    def _compile_store(self, instruction: Store, tail: int) -> Callable:
+    def _store(self, instruction: Store, tail: int) -> List[str]:
         # The pointer resolves first, then is checked, then the value
         # resolves; error precedence here matches that order.
-        pointer = self._operand(instruction.pointer)
-        kind, payload = pointer
+        kind, payload = pointer = self._operand(instruction.pointer)
         if kind == _UNDEF:
-            return self._raiser(payload, tail)
+            return self._raise(payload, tail)
         value = self._operand(instruction.value)
         if value[0] == _UNDEF:
             if kind == _CONST and isinstance(payload, StackSlot):
-                return self._raiser(value[1], tail)
+                return self._raise(value[1], tail)
             if kind == _CONST:
-                return self._raiser(
-                    f"store through non-pointer {payload!r}", tail
-                )
-            get_p = self._fetch(pointer)
-
-            def step(vm, regs, _g=get_p, _m=value[1], _t=tail):
-                slot = _g(vm, regs)
-                vm.executed_instructions -= _t
-                if isinstance(slot, StackSlot):
-                    raise VMError(_m)
-                raise VMError(f"store through non-pointer {slot!r}")
-
-            return step
+                return self._raise(f"store through non-pointer {payload!r}", tail)
+            lines = [f"_p = {self._fetch(pointer)}"]
+            if tail:
+                lines.append(f"vm.executed_instructions -= {tail}")
+            return lines + [
+                f"if isinstance(_p, StackSlot): raise VMError({value[1]!r})",
+                "_nonptr(vm, 0, 'store', _p)",
+            ]
         source = self._reg(value)
         if kind == _CONST and isinstance(payload, StackSlot):
-            if source is not None:
-
-                def step(vm, regs, _s=payload, _v=source):
-                    _s.value = regs[_v]
-
-            else:
-
-                def step(vm, regs, _s=payload, _g=self._fetch(value)):
-                    _s.value = _g(vm, regs)
-
-            return step
+            if source is None:
+                source = self._fetch(value)
+            return [f"{self._bind(payload)}.value = {source}"]
         if kind == _CONST:
-            return self._raiser(f"store through non-pointer {payload!r}", tail)
+            return self._raise(f"store through non-pointer {payload!r}", tail)
+        local = kind == _REG and instruction.pointer in self.local_cells
         if kind == _REG and source is not None:
+            slot = f"v{payload}"
+            if local:
+                lines = [f"{slot} = {source}"]
+                if self._maybe_none(value):
+                    lines.append(f"if {slot} is None: {slot} = 0")
+                return lines
+            return [
+                f"if {slot}.__class__ is StackSlot or isinstance({slot}, StackSlot): "
+                f"{slot}.value = {source}",
+                f"else: _nonptr(vm, {tail}, 'store', {slot})",
+            ]
+        target, source = self._fetch(pointer), self._fetch(value)
+        if local:
+            return [f"{target} = {source}"]
+        return [
+            f"_p = {target}",
+            f"if isinstance(_p, StackSlot): _p.value = {source}",
+            f"else: _nonptr(vm, {tail}, 'store', _p)",
+        ]
 
-            def step(vm, regs, _p=payload, _v=source, _t=tail):
-                slot = regs[_p]
-                if slot.__class__ is StackSlot or isinstance(slot, StackSlot):
-                    slot.value = regs[_v]
-                else:
-                    vm.executed_instructions -= _t
-                    raise VMError(f"store through non-pointer {slot!r}")
-
-            return step
-        get_p = self._fetch(pointer)
-        get_v = self._fetch(value)
-
-        def step(vm, regs, _gp=get_p, _gv=get_v, _t=tail):
-            slot = _gp(vm, regs)
-            if isinstance(slot, StackSlot):
-                slot.value = _gv(vm, regs)
-            else:
-                vm.executed_instructions -= _t
-                raise VMError(f"store through non-pointer {slot!r}")
-
-        return step
-
-    def _compile_select(self, instruction: Select, tail: int) -> Callable:
+    def _select(self, instruction: Select, tail: int) -> List[str]:
         cond = self._operand(instruction.operands[0])
         if_true = self._operand(instruction.operands[1])
         if_false = self._operand(instruction.operands[2])
         undef = self._first_undef(cond, if_true, if_false)
         if undef is not None:
-            return self._raiser(undef, tail)
-        dest = self.regmap[instruction]
-        c, t, f = self._reg(cond), self._reg(if_true), self._reg(if_false)
-        if c is not None and t is not None and f is not None:
+            return self._raise(undef, tail)
+        dest = f"v{self.regmap[instruction]}"
+        exprs = [self._reg(cond), self._reg(if_true), self._reg(if_false)]
+        if None not in exprs:
+            c, t, f = exprs
+            return [f"{dest} = {t} if {c} else {f}"]
+        c, t, f = self._fetch(cond), self._fetch(if_true), self._fetch(if_false)
+        # Like the reference evaluator, all three operands resolve.
+        return [f"_a = {t}", f"_b = {f}", f"{dest} = _a if {c} else _b"]
 
-            def step(vm, regs, _d=dest, _c=c, _t=t, _f=f):
-                regs[_d] = regs[_t] if regs[_c] else regs[_f]
-
-            return step
-        get_c = self._fetch(cond)
-        get_t = self._fetch(if_true)
-        get_f = self._fetch(if_false)
-
-        def step(vm, regs, _d=dest, _gc=get_c, _gt=get_t, _gf=get_f):
-            # Like the reference evaluator, all three operands resolve.
-            taken = _gt(vm, regs)
-            other = _gf(vm, regs)
-            regs[_d] = taken if _gc(vm, regs) else other
-
-        return step
-
-    def _compile_call(self, instruction: Call, tail: int) -> Callable:
-        dest = self.regmap[instruction]
+    def _call(self, instruction: Call, tail: int, vid: int, start: int) -> List[str]:
+        """A call.  Apart from the counting call, it runs through a
+        helper (:meth:`call_intrinsic`, :meth:`call_function`,
+        :meth:`call_indirect`) that takes ``tail`` out of the pre-added
+        count for the callee's run, delivers signals and puts it back;
+        the helper finds ``tail``, ``vid``, ``start`` and the callee by
+        a site id, so the text names none of them."""
         arg_descs = [self._operand(arg) for arg in instruction.args]
         callee = instruction.callee
         if isinstance(callee, FunctionRef):
             undef = self._first_undef(*arg_descs)
             if undef is not None:
-                return self._raiser(undef, tail)
+                return self._raise(undef, tail)
+            if instruction in self.counting:
+                return self._chrono(self.counting[instruction], tail)
             target = callee.function
-            if (
-                target.is_declaration
-                and target.name == _CHRONO_COUNT
-                and len(instruction.args) == 1
-                and isinstance(instruction.args[0], ConstantInt)
-            ):
-                return self._chrono_step(dest, instruction.args[0].value, tail)
-            getters = tuple(self._fetch(desc) for desc in arg_descs)
-            if target.is_declaration:
+            helper = "_intrinsic" if target.is_declaration else "_call"
+            callee_arg = target.name if target.is_declaration else target
+            head = []
+        else:
+            callee_desc = self._operand(callee)
+            undef = self._first_undef(callee_desc, *arg_descs)
+            if undef is not None:
+                return self._raise(undef, tail)
+            helper, callee_arg = "_indirect", None
+            head = [self._fetch(callee_desc)]
+        args = [self._fetch(desc) for desc in arg_descs]
+        site = len(self.sites)
+        self.sites.append((tail, vid, start, callee_arg))
+        call = f"{helper}(vm, {', '.join([str(site), *head, *args])})"
+        if instruction in self.used:
+            return [f"v{self.regmap[instruction]} = {call}"]
+        return [call]
 
-                def step(vm, regs, _d=dest, _n=target.name, _g=getters, _t=tail):
-                    vm.executed_instructions -= _t
-                    regs[_d] = vm._call_intrinsic(_n, [g(vm, regs) for g in _g])
-                    process = vm.process
-                    if process.pending_signals or process.state != RUNNING:
-                        vm._dispatch_pending_signals()
-                    if vm.executed_instructions + _t > vm.max_instructions:
-                        raise _BudgetEdge(_t)
-                    vm.executed_instructions += _t
-
-                return step
-
-            def step(vm, regs, _d=dest, _f=target, _g=getters, _t=tail):
-                vm.executed_instructions -= _t
-                regs[_d] = vm.call_function(_f, [g(vm, regs) for g in _g])
-                process = vm.process
-                if process.pending_signals or process.state != RUNNING:
-                    vm._dispatch_pending_signals()
-                if vm.executed_instructions + _t > vm.max_instructions:
-                    raise _BudgetEdge(_t)
-                vm.executed_instructions += _t
-
-            return step
-        callee_desc = self._operand(callee)
-        undef = self._first_undef(callee_desc, *arg_descs)
-        if undef is not None:
-            return self._raiser(undef, tail)
-        get_callee = self._fetch(callee_desc)
-        getters = tuple(self._fetch(desc) for desc in arg_descs)
-
-        def step(vm, regs, _d=dest, _gc=get_callee, _g=getters, _t=tail):
-            vm.executed_instructions -= _t
-            target = _gc(vm, regs)
-            if not isinstance(target, FunctionRef):
-                raise VMError(f"indirect call through non-function {target!r}")
-            regs[_d] = vm.call_function(
-                target.function, [g(vm, regs) for g in _g]
-            )
-            process = vm.process
-            if process.pending_signals or process.state != RUNNING:
-                vm._dispatch_pending_signals()
-            if vm.executed_instructions + _t > vm.max_instructions:
-                raise _BudgetEdge(_t)
-            vm.executed_instructions += _t
-
-        return step
-
-    def _chrono_step(self, dest: int, count: int, tail: int) -> Callable:
+    def _chrono(self, count: int, tail: int) -> List[str]:
         """ChronoPriv's per-block counter: a direct method call.
 
         ``vm.chrono_count`` defaults to the intrinsic dispatch (so inert
         and custom hooks keep working) and the recorder overrides it
-        per-instance with a counter-cell increment.  Signal delivery at
-        the call boundary is preserved.  In instrumented mode the step is
-        timed as ``intrinsic:__chrono_count``, the counting layer's tax.
+        per-instance with a counter-cell increment; either returns
+        whether the frame must settle (see :meth:`_after_chrono`).  In
+        instrumented mode the call is timed as
+        ``intrinsic:__chrono_count``, the counting layer's tax.
         """
+        take = [f"vm.executed_instructions -= {tail}"] if tail else []
+        if self.timer is None:
+            return take  # the call itself is in the test after it
+        done = self._named(
+            "_chrono_done",
+            lambda: self.timer.window_done(("vm", "intrinsic:" + _CHRONO_COUNT)),
+        )
+        return (
+            ["_cn = timer.nested", "_cs = clock()", "try:"]
+            + _indent(take + [f"_k = vm.chrono_count({count})"])
+            + ["finally:", f"    {done}(_cs, _cn)"]
+        )
 
-        def step(vm, regs, _d=dest, _k=count, _t=tail):
-            vm.executed_instructions -= _t
-            regs[_d] = vm.chrono_count(_k)
-            process = vm.process
-            if process.pending_signals or process.state != RUNNING:
-                vm._dispatch_pending_signals()
-            if vm.executed_instructions + _t > vm.max_instructions:
-                raise _BudgetEdge(_t)
-            vm.executed_instructions += _t
+    # -- run time: calls and the budget edge ----------------------------------
 
-        if self.timer is not None:
-            return self.timer.window(step, ("vm", "intrinsic:" + _CHRONO_COUNT))
-        return step
+    def call_intrinsic(self, vm, site: int, *args):
+        """Call site ``site``'s intrinsic (see :meth:`_returned`)."""
+        tail, vid, start, name = self.sites[site]
+        vm.executed_instructions -= tail
+        result = vm._call_intrinsic(name, list(args))
+        return self._returned(vm, tail, vid, start, result)
 
-    # -- terminators ----------------------------------------------------------
+    def call_function(self, vm, site: int, *args):
+        """Call site ``site``'s defined function (see :meth:`_returned`)."""
+        tail, vid, start, function = self.sites[site]
+        vm.executed_instructions -= tail
+        result = vm.call_function(function, list(args))
+        return self._returned(vm, tail, vid, start, result)
 
-    def _compile_terminator(self, instruction, block) -> Callable:
-        function_name = self.function.name
-        if instruction is None:
+    def call_indirect(self, vm, site: int, target, *args):
+        """Call through the pointer ``target`` (see :meth:`_returned`)."""
+        tail, vid, start, _ = self.sites[site]
+        vm.executed_instructions -= tail
+        if not isinstance(target, FunctionRef):
+            _bad_callee(target)
+        result = vm.call_function(target.function, list(args))
+        return self._returned(vm, tail, vid, start, result)
 
-            def term(vm, regs, _m=(
-                f"@{function_name}:%{block.name}: block without terminator"
-            )):
-                raise VMError(_m)
+    def _returned(self, vm, tail: int, vid: int, start: int, result):
+        """After a call: deliver pending signals, then put the call's
+        ``tail`` back, or hand the rest of the block to the budget edge
+        if it no longer fits."""
+        process = vm.process
+        if process.pending_signals or process.state != RUNNING:
+            vm._dispatch_pending_signals()
+        if tail:
+            if vm.executed_instructions + tail > vm.max_instructions:
+                self._finish(vid, start, sys._getframe(2), result)
+            vm.executed_instructions += tail
+        return result
 
-            return term
-        if isinstance(instruction, Ret):
-            value = instruction.value
-            if value is None:
+    def enter(self, vm, vid: int) -> None:
+        """Enter variant ``vid``, which starts with its counting call: the
+        block's budget check and pre-add, the call, and settling after it
+        (what :meth:`_block` otherwise emits inline)."""
+        count, hook_arg = self.entries[vid]
+        if vm.executed_instructions + count > vm.max_instructions:
+            self._finish(vid, 0, sys._getframe(1))
+        vm.executed_instructions += 1
+        if vm.chrono_count(hook_arg):
+            self._settle(vid, 1, sys._getframe(1))
+        vm.executed_instructions += count - 1
 
-                def term(vm, regs):
-                    return _RET_NONE
+    def settle(self, vid: int, start: int) -> None:
+        """After the counting call before instruction ``start`` of variant
+        ``vid`` asked for it: deliver pending signals, then hand the rest
+        of the block to the budget edge if it no longer fits."""
+        self._settle(vid, start, sys._getframe(1))
 
-                return term
-            desc = self._operand(value)
-            kind, payload = desc
-            if kind == _UNDEF:
+    def _settle(self, vid: int, start: int, frame) -> None:
+        vm = frame.f_locals["vm"]
+        process = vm.process
+        if process.pending_signals or process.state != RUNNING:
+            vm._dispatch_pending_signals()
+        body, terminator, _ = self.blocks[self.variants[vid][0]]
+        rest = len(body) - start + (1 if terminator is not None else 0)
+        if vm.executed_instructions + rest > vm.max_instructions:
+            self._finish(vid, start, frame)
 
-                def term(vm, regs, _m=payload):
-                    raise VMError(_m)
+    def edge(self, vid: int, start: int) -> None:
+        """Variant ``vid`` does not fit the budget from instruction
+        ``start`` on: finish it one retire at a time (see the module
+        docstring).  Always raises."""
+        self._finish(vid, start, sys._getframe(1))
 
-            elif kind == _REG:
+    def _finish(self, vid: int, start: int, frame, result=_UNSTORED) -> None:
+        """Run the budget edge of variant ``vid`` from ``start`` over the
+        locals of ``frame``; ``result`` is the value of the call just
+        before ``start`` when the frame has not stored it yet."""
+        slow = self._slow.get((vid, start))
+        if slow is None:
+            text = self._slow_text(vid, start)
+            namespace = frame.f_globals
+            namespace.update(self.bindings)
+            slow = self._slow[(vid, start)] = FunctionType(
+                CODE_CACHE.get(text), namespace
+            )
+        values = frame.f_locals
+        if result is not _UNSTORED:
+            call = self.blocks[self.variants[vid][0]][0][start - 1]
+            values[f"v{self.regmap[call]}"] = result
+        slow(values["vm"], values)
 
-                def term(vm, regs, _s=payload):
-                    return ("ret", regs[_s])
-
-            elif kind == _GLOBAL:
-
-                def term(vm, regs, _v=payload):
-                    return ("ret", vm.globals[_v])
-
-            else:
-                result = ("ret", payload)
-
-                def term(vm, regs, _r=result):
-                    return _r
-
-            return term
-        if isinstance(instruction, Jump):
-            target = self._variant(instruction.target, block)
-
-            def term(vm, regs, _n=target):
-                return _n
-
-            return term
-        if isinstance(instruction, Branch):
-            if_true = self._variant(instruction.if_true, block)
-            if_false = self._variant(instruction.if_false, block)
-            desc = self._operand(instruction.operands[0])
-            kind, payload = desc
-            if kind == _UNDEF:
-
-                def term(vm, regs, _m=payload):
-                    raise VMError(_m)
-
-            elif kind == _GLOBAL:
-
-                def term(vm, regs, _v=payload, _t=if_true, _f=if_false):
-                    return _t if vm.globals[_v] else _f
-
-            else:
-
-                def term(vm, regs, _c=self._reg(desc), _t=if_true, _f=if_false):
-                    return _t if regs[_c] else _f
-
-            return term
-        if isinstance(instruction, Unreachable):
-
-            def term(vm, regs, _m=(
-                f"@{function_name}:%{block.name}: reached unreachable"
-            )):
-                raise VMError(_m)
-
-            return term
-        # pragma: no cover - the terminator set is closed
-        def term(vm, regs, _m=f"unknown instruction {instruction.opcode}"):
-            raise VMError(_m)
-
-        return term
+    def _slow_text(self, vid: int, start: int) -> str:
+        block, pred = self.variants[vid]
+        body, terminator, _ = self.blocks[block]
+        retiring = body[start:] + ([terminator] if terminator is not None else [])
+        lines: List[str] = []
+        for position, instruction in enumerate(retiring):
+            lines.append("vm.executed_instructions += 1")
+            if position == len(retiring) - 1:
+                # The block did not fit, so this retire crosses the budget.
+                lines.append(f"raise VMError({_BUDGET_MSG!r})")
+                break
+            lines.append(
+                f"if vm.executed_instructions > maxi: raise VMError({_BUDGET_MSG!r})"
+            )
+            step = self._step(instruction, pred, 0, vid, start + position + 1)
+            lines += self._timed(step, instruction.opcode)
+            if _ends_in_raise(step):
+                break
+            if instruction in self.counting:
+                lines += self._after_chrono(instruction, vid, start + position + 1, 0)
+        names = sorted(set(_LOCAL_NAME.findall("\n".join(lines))))
+        prologue = ["maxi = frame['maxi']"] + [
+            f"{name} = frame.get({name!r}, 0)" for name in names
+        ]
+        return "def edge(vm, frame):\n" + "\n".join(_indent(prologue + lines)) + "\n"

@@ -7,13 +7,15 @@ accounting and hooks for the ChronoPriv runtime.
 
 Design notes:
 
-* defined functions run on the compiled closure core
-  (:mod:`repro.vm.compiled`): SSA values live in per-call register
-  lists, and ``alloca`` yields a :class:`~repro.vm.frame.StackSlot`
-  cell, so pointers are first-class runtime objects;
+* defined functions run on the generated core
+  (:mod:`repro.vm.compiled`): each becomes one Python function whose
+  locals hold the SSA values, and an ``alloca`` whose address escapes
+  yields a :class:`~repro.vm.frame.StackSlot` cell, so pointers are
+  first-class runtime objects;
 * declarations (functions without bodies) dispatch to the intrinsics
   table — syscall wrappers, the AutoPriv ``priv_*`` runtime and libc-ish
-  helpers (:mod:`repro.vm.intrinsics`);
+  helpers (:mod:`repro.vm.intrinsics`); each name is resolved, with its
+  dispatch counters, once per VM;
 * pending signals are dispatched at call boundaries by invoking the
   registered handler function in a nested frame, which is how the sshd
   model's privileged signal handlers execute;
@@ -28,6 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.ir import Function, GlobalVariable, Module
 from repro.oskernel import Kernel, Process
+from repro.oskernel.process import RUNNING
 from repro.vm.frame import GlobalSlot
 
 
@@ -39,7 +42,7 @@ _INTERPRETER_CLASS: Optional[type] = None
 def interpreter_class() -> type:
     """The class the pipeline uses to execute programs.
 
-    Defaults to :class:`Interpreter` (the compiled core).  The
+    Defaults to :class:`Interpreter` (the generated core).  The
     conformance testkit swaps in its straight-line reference interpreter
     with :func:`set_interpreter_class` to run whole differential
     pipelines; embedders can install their own subclasses the same way.
@@ -73,10 +76,11 @@ class VMError(RuntimeError):
 class Interpreter:
     """Executes one module as one process.
 
-    Defined functions run on the compiled closure core
-    (:mod:`repro.vm.compiled`), compiled once per function per VM.
+    Defined functions run on the generated core
+    (:mod:`repro.vm.compiled`), generated and bound once per function
+    per VM (the compiled code itself is shared process-wide).
     :meth:`attach_profiler` switches later compiles to the core's
-    instrumented mode, so a profiled run times the same closures an
+    instrumented mode, so a profiled run times the same code an
     unprofiled run executes.  The testkit's reference interpreter
     overrides :meth:`_run_function`, the one frame-execution hook, with
     its own straight-line evaluator.
@@ -122,9 +126,13 @@ class Interpreter:
         self.children: List["Interpreter"] = []
         self._in_signal_handler = False
         self._call_depth = 0
-        #: Per-VM compiled-function cache (globals are prebound to this
-        #: VM's slots, so the cache cannot be shared across instances).
+        #: Per-VM compiled functions.  Each is bound to this VM's global
+        #: slots, so the functions cannot be shared across instances;
+        #: their code objects are (see :data:`repro.vm.compiled.CODE_CACHE`).
         self._compiled: Dict[Function, Callable] = {}
+        #: Intrinsic name -> ``call(vm, args)``, its function and dispatch
+        #: counters resolved on first use (see :meth:`_call_intrinsic`).
+        self._intrinsic_calls: Dict[str, Callable] = {}
         #: Compiled-in wall-clock attribution (see :meth:`attach_profiler`).
         self._timer = None
 
@@ -133,6 +141,7 @@ class Interpreter:
     def register_intrinsic(self, name: str, fn: Callable) -> None:
         """Install or replace an intrinsic (``fn(vm, args) -> value``)."""
         self.intrinsics[name] = fn
+        self._intrinsic_calls.pop(name, None)
 
     def attach_profiler(self, profiler) -> "Interpreter":
         """Time every opcode and intrinsic into ``profiler``.
@@ -141,7 +150,7 @@ class Interpreter:
         per-intrinsic timers (``("vm", "op:<opcode>")`` and
         ``("vm", "intrinsic:<name>")`` records), and every child
         ``spawn_wait`` creates inherits them.  A ``None`` or disabled
-        profiler attaches nothing, so the closures stay untimed.
+        profiler attaches nothing, so the generated code stays untimed.
         """
         if profiler is not None and profiler.enabled:
             from repro.vm.compiled import VMTimer
@@ -201,27 +210,54 @@ class Interpreter:
     def chrono_count(self, count: int):
         """ChronoPriv's per-block counting hook, as a direct method call.
 
-        The compiled core calls this instead of dispatching the
+        The generated core calls this instead of dispatching the
         ``__chrono_count`` intrinsic; the default defers to the
         intrinsics table so inert counters (spawned children) and custom
         hooks keep working, and the ChronoPriv recorder overrides it
         per-instance with a bare counter-cell increment
         (:meth:`repro.chronopriv.runtime.ChronoRecorder.attach`).
+
+        A hook returns a true value when the calling frame must settle
+        after it, as after any call: it retired instructions, left a
+        signal pending or stopped the process.  The IR value of the
+        counting call is 0.
         """
-        return self._call_intrinsic("__chrono_count", [count])
+        executed = self.executed_instructions
+        self._call_intrinsic("__chrono_count", [count])
+        process = self.process
+        return (
+            self.executed_instructions != executed
+            or bool(process.pending_signals)
+            or process.state != RUNNING
+        )
 
     def _call_intrinsic(self, name: str, args: List[Any]):
+        call = self._intrinsic_calls.get(name)
+        if call is None:
+            call = self._intrinsic_calls[name] = self._bind_intrinsic(name)
+        return call(self, args)
+
+    def _bind_intrinsic(self, name: str) -> Callable:
+        """``call(vm, args)`` for one intrinsic: its function plus the
+        dispatch counters it bumps, resolved once."""
         fn = self.intrinsics.get(name)
         if fn is None:
             raise VMError(f"no intrinsic or definition for @{name}")
-        if self.metrics is not None:
-            from repro.vm.intrinsics import SYSCALL_INTRINSICS
+        if self.metrics is None:
+            return fn
+        from repro.vm.intrinsics import SYSCALL_INTRINSICS
 
-            self.metrics.counter("vm.intrinsic_dispatches").inc()
-            if name in SYSCALL_INTRINSICS:
-                self.metrics.counter("vm.syscall_dispatches").inc()
-                self.metrics.counter(f"vm.syscall.{name}").inc()
-        return fn(self, args)
+        counters = [self.metrics.counter("vm.intrinsic_dispatches")]
+        if name in SYSCALL_INTRINSICS:
+            counters.append(self.metrics.counter("vm.syscall_dispatches"))
+            counters.append(self.metrics.counter(f"vm.syscall.{name}"))
+
+        def call(vm, args):
+            for counter in counters:
+                counter.inc()
+            return fn(vm, args)
+
+        return call
 
     # -- signals --------------------------------------------------------------------
 

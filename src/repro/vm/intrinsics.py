@@ -306,10 +306,12 @@ def _spawn_wait(vm, args):
         child_vm.globals[var].value = slot.value
     # Copy the intrinsics table so per-process hooks diverge; the parent's
     # ChronoPriv recorder must not absorb the child's counts (phases are
-    # per-process), so the child starts with the inert counter until an
+    # per-process), so the child starts with the inert counter, both as
+    # the intrinsic and as the generated core's direct hook, until an
     # observer attaches its own recorder.
     child_vm.intrinsics = dict(vm.intrinsics)
-    child_vm.intrinsics["__chrono_count"] = _chrono_count
+    child_vm.register_intrinsic("__chrono_count", _chrono_count)
+    child_vm.chrono_count = _uncounted
     for observer in vm.child_observers:
         observer(child_vm)
     try:
@@ -468,6 +470,12 @@ def _sleep(vm, args):
 
 def _chrono_count(vm, args):
     """ChronoPriv's per-block hook; inert until the runtime replaces it."""
+    return 0
+
+
+def _uncounted(count):
+    """:func:`_chrono_count` as a ``vm.chrono_count`` hook: counts nothing
+    and leaves the frame nothing to settle."""
     return 0
 
 

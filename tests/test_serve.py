@@ -8,6 +8,7 @@ concurrent cold clients must not duplicate work (total publishes equal
 the store's distinct objects).
 """
 
+import sys
 import threading
 import time
 from pathlib import Path
@@ -240,3 +241,33 @@ class TestMetricsAccounting:
         assert lines["privanalyzer_rosa_store_published_total"] > 0
         assert lines["privanalyzer_rosa_store_hits_total"] > 0
         assert lines["privanalyzer_rosa_store_entries"] == lines["privanalyzer_rosa_store_published_total"]
+
+
+class TestConcurrentBookkeeping:
+    def test_no_request_is_lost_under_concurrency(self, tmp_path):
+        """Handler threads share the request counts and the dashboard
+        registry; with a tiny switch interval an unlocked
+        read-modify-write loses increments."""
+        server = VerdictServer(str(tmp_path / "store"))
+        line = protocol.encode({"op": "ping", "id": 1})
+        threads, per_thread = 8, 20000
+
+        def hammer():
+            for _ in range(per_thread):
+                assert server._dispatch(line)["ok"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        stats = server._dispatch(protocol.encode({"op": "stats"}))["result"]
+        assert stats["requests"]["ping"] == threads * per_thread
+        requests = server.telemetry.metrics.counter("serve.requests").value
+        assert requests == threads * per_thread + 1  # the pings and the stats

@@ -208,3 +208,71 @@ class TestMiscIntrinsics:
         """
         _, out, _, _ = run(source, stdin=["one", "two"])
         assert out == ["one", "two", ""]
+
+
+#: Every ``vm.*`` counter one dynamic run of each program leaves in its
+#: telemetry registry.  The VM resolves an intrinsic and its dispatch
+#: counters once per VM; these are the counts a per-dispatch lookup gave.
+DISPATCH_COUNTERS = {
+    "passwd": {
+        "vm.instructions_executed": 79701, "vm.intrinsic_dispatches": 1782,
+        "vm.syscall_dispatches": 40, "vm.syscall.chmod": 1, "vm.syscall.chown": 1,
+        "vm.syscall.close": 3, "vm.syscall.exit": 1, "vm.syscall.getuid": 1,
+        "vm.syscall.open": 4, "vm.syscall.prctl_lockdown": 1,
+        "vm.syscall.priv_lower": 4, "vm.syscall.priv_raise": 4,
+        "vm.syscall.priv_remove": 6, "vm.syscall.read": 2, "vm.syscall.rename": 1,
+        "vm.syscall.setuid": 1, "vm.syscall.signal": 3, "vm.syscall.stat_group": 1,
+        "vm.syscall.stat_mode": 1, "vm.syscall.stat_owner": 1,
+        "vm.syscall.unlink": 1, "vm.syscall.write": 3,
+    },
+    "thttpd": {
+        "vm.instructions_executed": 91980, "vm.intrinsic_dispatches": 1300,
+        "vm.syscall_dispatches": 38, "vm.syscall.bind": 1, "vm.syscall.chown": 1,
+        "vm.syscall.chroot": 1, "vm.syscall.close": 3, "vm.syscall.exit": 1,
+        "vm.syscall.getgid": 1, "vm.syscall.getuid": 1, "vm.syscall.listen": 1,
+        "vm.syscall.open": 3, "vm.syscall.prctl_lockdown": 1,
+        "vm.syscall.priv_lower": 4, "vm.syscall.priv_raise": 4,
+        "vm.syscall.priv_remove": 10, "vm.syscall.read": 2, "vm.syscall.setgid": 1,
+        "vm.syscall.setgroups0": 1, "vm.syscall.socket": 1, "vm.syscall.write": 1,
+    },
+}
+
+
+class TestDispatchCounters:
+    @pytest.mark.parametrize("program", sorted(DISPATCH_COUNTERS))
+    def test_counts_match_per_dispatch_lookup(self, program):
+        from repro.core.pipeline import PrivAnalyzer
+        from repro.programs import spec_by_name
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        analyzer = PrivAnalyzer(telemetry=telemetry)
+        spec = spec_by_name(program)
+        analyzer.run_dynamic(spec, analyzer.compile(spec)[0])
+        counters = {
+            name: metric["value"]
+            for name, metric in telemetry.metrics.snapshot().items()
+            if name.startswith("vm.")
+        }
+        assert counters == DISPATCH_COUNTERS[program]
+
+    def test_registering_replaces_a_resolved_intrinsic(self):
+        module = compile_source("void main() { print_int(getuid()); print_int(getuid()); }")
+        kernel = build_kernel()
+        vm = Interpreter(module, kernel, kernel.spawn(UID_USER, GID_USER))
+        calls = []
+
+        def second_getuid(vm, args):
+            calls.append(args)
+            return 7
+
+        original = vm.intrinsics["getuid"]
+
+        def first_getuid(vm, args):
+            vm.register_intrinsic("getuid", second_getuid)
+            return original(vm, args)
+
+        vm.register_intrinsic("getuid", first_getuid)
+        vm.run()
+        assert vm.stdout == [str(UID_USER), "7"]
+        assert calls == [[]]
