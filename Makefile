@@ -138,7 +138,10 @@ fuzz:
 		--seed $(FUZZ_SEED) --runs $(FUZZ_RUNS) --oracle all
 
 # Corpus + peers smoke test (CI gate): a seeded 32-program daemon
-# corpus with one planted CAP_SYS_ADMIN hoarder.  The peers report must
+# corpus with one planted CAP_SYS_ADMIN hoarder.  After the --jobs 2
+# sweep (two processes publishing to one profile store), every line of
+# the store's lineage.jsonl must parse and its keys must be exactly the
+# objects on disk.  The peers report must
 # rank the violator top-1 with the report's only capability finding,
 # and a serial sweep (no store) must write a byte-identical report to
 # the --jobs 2 process-pool one.  A warm rerun over the same profile
@@ -154,6 +157,14 @@ corpus-smoke:
 	PYTHONPATH=src python -m repro.cli peers $(CORPUS_SMOKE_DIR)/corpus \
 		--store $(CORPUS_SMOKE_DIR)/profiles --jobs 2 --format json \
 		--out $(CORPUS_SMOKE_DIR)/peers.json > /dev/null
+	PYTHONPATH=src python -c "\
+	import glob, json, os; \
+	records = [json.loads(line) for line in open('$(CORPUS_SMOKE_DIR)/profiles/lineage.jsonl')]; \
+	keys = {record['key'] for record in records}; \
+	objects = {os.path.basename(path)[:-len('.json')] \
+	           for path in glob.glob('$(CORPUS_SMOKE_DIR)/profiles/objects/*/*.json')}; \
+	assert keys == objects, (sorted(keys ^ objects), len(keys), len(objects)); \
+	print(f'corpus-smoke ok: {len(records)} lineage records parse, keys match {len(objects)} objects')"
 	PYTHONPATH=src python -c "\
 	import json; \
 	manifest = json.load(open('$(CORPUS_SMOKE_DIR)/corpus/manifest.json')); \

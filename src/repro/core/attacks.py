@@ -11,17 +11,21 @@ the objects the attack targets, User/Group objects bounding the wildcard
 domains, and one message per system call the program can issue — every
 message granted the phase's *entire permitted set*, because the attack
 model (§III) lets an exploited program raise anything still permitted.
+:meth:`Attack.deferred_query` keys that query by these inputs, so the
+pipeline builds it only when no cache or store already holds its answer.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.caps import CapabilitySet
 from repro.rewriting import Configuration, Msg
 from repro.rosa import goals, model, syscalls
-from repro.rosa.query import RosaQuery
+from repro.rosa.keys import builder_source
+from repro.rosa.query import DeferredQuery, RosaQuery
 
 # Object ids within attack configurations.
 PID_TARGET = 1  # the (possibly compromised) program under analysis
@@ -46,40 +50,46 @@ UNPRIVILEGED_PORT = 8080
 W = syscalls.WILDCARD
 
 
+#: One message builder per modelled syscall, taking the granted caps.
+_MESSAGE_BUILDERS = {
+    "open": lambda caps: syscalls.sys_open(PID_TARGET, W, syscalls.O_RDWR, caps),
+    "open_read": lambda caps: syscalls.sys_open(PID_TARGET, W, syscalls.O_RDONLY, caps),
+    "open_write": lambda caps: syscalls.sys_open(PID_TARGET, W, syscalls.O_WRONLY, caps),
+    "setuid": lambda caps: syscalls.sys_setuid(PID_TARGET, W, caps),
+    "seteuid": lambda caps: syscalls.sys_seteuid(PID_TARGET, W, caps),
+    "setresuid": lambda caps: syscalls.sys_setresuid(PID_TARGET, W, W, W, caps),
+    "setgid": lambda caps: syscalls.sys_setgid(PID_TARGET, W, caps),
+    "setegid": lambda caps: syscalls.sys_setegid(PID_TARGET, W, caps),
+    "setresgid": lambda caps: syscalls.sys_setresgid(PID_TARGET, W, W, W, caps),
+    "setgroups": lambda caps: syscalls.sys_setgroups(PID_TARGET, W, caps),
+    "kill": lambda caps: syscalls.sys_kill(PID_TARGET, W, model.SIGKILL, caps),
+    "chmod": lambda caps: syscalls.sys_chmod(PID_TARGET, W, 0o777, caps),
+    "fchmod": lambda caps: syscalls.sys_fchmod(PID_TARGET, W, 0o777, caps),
+    "chown": lambda caps: syscalls.sys_chown(PID_TARGET, W, W, W, caps),
+    "fchown": lambda caps: syscalls.sys_fchown(PID_TARGET, W, W, W, caps),
+    "unlink": lambda caps: syscalls.sys_unlink(PID_TARGET, W, caps),
+    "rename": lambda caps: syscalls.sys_rename(PID_TARGET, W, "attacker", caps),
+    "socket": lambda caps: syscalls.sys_socket(PID_TARGET, caps),
+    "bind": lambda caps: syscalls.sys_bind(PID_TARGET, W, W, caps),
+    "connect": lambda caps: syscalls.sys_connect(PID_TARGET, W, W, caps),
+}
+
+
+def _modelled(names: Iterable[str]) -> List[str]:
+    """The names ROSA models a message for, sorted; the rest contribute nothing."""
+    return sorted(name for name in set(names) if name in _MESSAGE_BUILDERS)
+
+
 def _attack_messages(
     names: Iterable[str], privs: CapabilitySet, repeat: int = 1
 ) -> List[Msg]:
     """One message per allowed syscall, each usable ``repeat`` times."""
     caps = privs.as_frozenset()
-    builders = {
-        "open": lambda: syscalls.sys_open(PID_TARGET, W, syscalls.O_RDWR, caps),
-        "open_read": lambda: syscalls.sys_open(PID_TARGET, W, syscalls.O_RDONLY, caps),
-        "open_write": lambda: syscalls.sys_open(PID_TARGET, W, syscalls.O_WRONLY, caps),
-        "setuid": lambda: syscalls.sys_setuid(PID_TARGET, W, caps),
-        "seteuid": lambda: syscalls.sys_seteuid(PID_TARGET, W, caps),
-        "setresuid": lambda: syscalls.sys_setresuid(PID_TARGET, W, W, W, caps),
-        "setgid": lambda: syscalls.sys_setgid(PID_TARGET, W, caps),
-        "setegid": lambda: syscalls.sys_setegid(PID_TARGET, W, caps),
-        "setresgid": lambda: syscalls.sys_setresgid(PID_TARGET, W, W, W, caps),
-        "setgroups": lambda: syscalls.sys_setgroups(PID_TARGET, W, caps),
-        "kill": lambda: syscalls.sys_kill(PID_TARGET, W, model.SIGKILL, caps),
-        "chmod": lambda: syscalls.sys_chmod(PID_TARGET, W, 0o777, caps),
-        "fchmod": lambda: syscalls.sys_fchmod(PID_TARGET, W, 0o777, caps),
-        "chown": lambda: syscalls.sys_chown(PID_TARGET, W, W, W, caps),
-        "fchown": lambda: syscalls.sys_fchown(PID_TARGET, W, W, W, caps),
-        "unlink": lambda: syscalls.sys_unlink(PID_TARGET, W, caps),
-        "rename": lambda: syscalls.sys_rename(PID_TARGET, W, "attacker", caps),
-        "socket": lambda: syscalls.sys_socket(PID_TARGET, caps),
-        "bind": lambda: syscalls.sys_bind(PID_TARGET, W, W, caps),
-        "connect": lambda: syscalls.sys_connect(PID_TARGET, W, W, caps),
-    }
     messages: List[Msg] = []
-    for name in sorted(set(names)):
-        builder = builders.get(name)
-        if builder is None:
-            continue  # syscalls ROSA does not model contribute nothing
+    for name in _modelled(names):
+        builder = _MESSAGE_BUILDERS[name]
         for _ in range(repeat):
-            messages.append(builder())
+            messages.append(builder(caps))
     return messages
 
 
@@ -117,6 +127,61 @@ class Attack:
     #: program syscall if the attack can use it, mirroring the paper's
     #: observation that attacks 3/4 have small relevant-call sets (§VIII).
     relevant_syscalls: FrozenSet[str]
+
+    def _query_inputs(
+        self,
+        phase_privileges: CapabilitySet,
+        uids: Tuple[int, int, int],
+        gids: Tuple[int, int, int],
+        program_syscalls: FrozenSet[str],
+        repeat: int = 1,
+        devmem_perms: int = 0o640,
+    ) -> Tuple:
+        """Exactly what :meth:`build_query`'s configuration and goal depend on.
+
+        The attack id (it fixes the goal and the target objects), the
+        credentials, the modelled usable syscalls, and the granted caps
+        and ``repeat`` only when a message is built; ``devmem_perms``
+        only for the /dev/mem attacks; and this module's source.  Never
+        the label: two phases with equal inputs are the same question.
+        """
+        usable = _modelled(program_syscalls & self.relevant_syscalls)
+        messages = (
+            (tuple(usable), phase_privileges.to_mask(), repeat)
+            if usable and repeat > 0 else ()
+        )
+        return (
+            builder_source(__name__),
+            self.attack_id,
+            tuple(uids),
+            tuple(gids),
+            messages,
+            devmem_perms if self.attack_id in (1, 2) else None,
+        )
+
+    def deferred_query(
+        self,
+        phase_privileges: CapabilitySet,
+        uids: Tuple[int, int, int],
+        gids: Tuple[int, int, int],
+        program_syscalls: FrozenSet[str],
+        repeat: int = 1,
+        label: str = "",
+        devmem_perms: int = 0o640,
+    ) -> DeferredQuery:
+        """The query of :meth:`build_query`, keyed by its inputs and built
+        by the engine only when neither its L1 nor its store answers."""
+        return DeferredQuery(
+            name=label or f"attack{self.attack_id}",
+            inputs=self._query_inputs(
+                phase_privileges, uids, gids, program_syscalls, repeat, devmem_perms
+            ),
+            build=functools.partial(
+                self.build_query, phase_privileges, uids, gids, program_syscalls,
+                repeat=repeat, label=label, devmem_perms=devmem_perms,
+            ),
+            description=self.description,
+        )
 
     def build_query(
         self,

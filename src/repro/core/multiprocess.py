@@ -72,7 +72,9 @@ class MultiProcessAnalysis:
         ]
         requests = [
             QueryRequest(
-                attack.build_query(phase.privileges, phase.uids, phase.gids, surface),
+                attack.deferred_query(
+                    phase.privileges, phase.uids, phase.gids, surface
+                ),
                 budget=budget,
             )
             for phase in phases

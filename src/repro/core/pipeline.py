@@ -8,8 +8,9 @@
    and add ChronoPriv's counting instrumentation;
 2. execute the instrumented program on a fresh simulated machine with
    the paper's workload, recording privilege/credential phases;
-3. for every observed phase and every modeled attack, build and check a
-   ROSA query, yielding the ✓/✗/⊙ verdict grid of Tables III and V.
+3. for every observed phase and every modeled attack, ask ROSA one
+   query (built only when no cache or store answers it), yielding the
+   ✓/✗/⊙ verdict grid of Tables III and V.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ class PrivAnalyzer:
         with tracer.span("rosa.check-phase", phase=phase.name):
             requests = [
                 QueryRequest(
-                    attack.build_query(
+                    attack.deferred_query(
                         phase.privileges,
                         phase.uids,
                         phase.gids,

@@ -14,9 +14,10 @@ each distinct question once:
   persistence across processes is the attested
   :class:`~repro.rosa.store.SharedVerdictStore` (L2);
 * :meth:`QueryEngine.run_queries` is the one lookup chain: derive keys,
-  dedupe the batch, serve L1 then L2 hits, try to *prove* each distinct
-  miss INVULNERABLE without searching (:mod:`repro.rosa.prove`), search
-  the rest once each in this process, then publish and release.
+  dedupe the batch, serve L1 then L2 hits, build each distinct miss
+  that came as a :class:`~repro.rosa.query.DeferredQuery`, try to
+  *prove* it INVULNERABLE without searching (:mod:`repro.rosa.prove`),
+  search the rest once each in this process, then publish and release.
   :meth:`QueryEngine.check` is a one-query batch.
 
 Caching never changes a verdict: two queries share a cache entry only
@@ -43,7 +44,14 @@ from repro.rewriting import SearchBudget, SearchStats
 # perfbench's probes patch engine.query_cache_key and engine.check: call by name.
 from repro.rosa.keys import query_cache_key
 from repro.rosa.prove import prove
-from repro.rosa.query import DEFAULT_BUDGET, RosaQuery, RosaReport, Verdict, check
+from repro.rosa.query import (
+    DEFAULT_BUDGET,
+    DeferredQuery,
+    RosaQuery,
+    RosaReport,
+    Verdict,
+    check,
+)
 from repro.telemetry import Telemetry
 
 
@@ -196,11 +204,17 @@ def reusable(report: RosaReport, budget: SearchBudget) -> bool:
 class QueryRequest:
     """One entry of a :meth:`QueryEngine.run_queries` batch.
 
-    ``budget`` overrides the engine default for this query.
+    ``query`` is a built query or a deferred one, which the engine
+    builds only if it has to answer it.  ``budget`` overrides the engine
+    default for this query.
     """
 
-    query: RosaQuery
+    query: Union[RosaQuery, DeferredQuery]
     budget: Optional[SearchBudget] = None
+
+
+def _built(query: Union[RosaQuery, DeferredQuery]) -> RosaQuery:
+    return query.build() if isinstance(query, DeferredQuery) else query
 
 
 class QueryEngine:
@@ -244,7 +258,7 @@ class QueryEngine:
 
     def check(
         self,
-        query: RosaQuery,
+        query: Union[RosaQuery, DeferredQuery],
         budget: Optional[SearchBudget] = None,
         track_states: bool = False,
     ) -> RosaReport:
@@ -254,7 +268,9 @@ class QueryEngine:
         never cached.
         """
         if track_states:
-            return self._checked(query, budget or self.budget, track_states=True)
+            return self._checked(
+                _built(query), budget or self.budget, track_states=True
+            )
         return self.run_queries([QueryRequest(query, budget)])[0]
 
     def _checked(
@@ -286,8 +302,9 @@ class QueryEngine:
 
         The batch is deduplicated by canonical key first (duplicates get
         the same search's answer re-attached to their own query), cache
-        hits are served without searching, and the remaining distinct
-        searches run once each in this process.  A query
+        hits are served without searching (and deferred queries among
+        them without building), and the remaining distinct searches run
+        once each in this process.  A query
         without a stable key is its own distinct search and is never
         cached; a :func:`reusable`-failing answer is shared with its
         deduplicated siblings in this batch only.
@@ -368,7 +385,7 @@ class QueryEngine:
                 }
                 answers: Dict[int, RosaReport] = {}
                 for index in leaders:
-                    query = entries[index].query
+                    query = _built(entries[index].query)
                     report = self._proved(query)
                     if report is None:
                         report = self._checked(query, budgets[index])

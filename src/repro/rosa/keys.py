@@ -3,8 +3,10 @@
 :func:`query_cache_key` derives a deterministic content hash for one
 (query, budget) pair from the initial configuration's canonical
 (AC-equality) key, the goal identity, the rule-system signature and the
-budget.  Two queries share a key only when the
-bounded search is guaranteed to answer them identically, so the key
+budget.  A :class:`~repro.rosa.query.DeferredQuery` (an attack query
+not yet built) is keyed by its builder's inputs instead, so a served
+question never builds its configuration.  Two queries share a key only
+when the bounded search is guaranteed to answer them identically, so the key
 addresses both the engine's in-memory L1 and the fleet-wide attested
 store (:mod:`repro.rosa.store`).  Queries whose identity cannot be
 derived stably (a goal whose identity embeds an object address, a rule
@@ -18,10 +20,10 @@ import hashlib
 import importlib
 import re
 import weakref
-from typing import Any, Hashable, List, Optional, Tuple
+from typing import Any, Hashable, List, Optional, Tuple, Union
 
 from repro.rewriting import ObjectSystem, SearchBudget
-from repro.rosa.query import DEFAULT_BUDGET, RosaQuery, unix_system
+from repro.rosa.query import DEFAULT_BUDGET, DeferredQuery, RosaQuery, unix_system
 
 #: Bump when the cache entry format or the key derivation changes;
 #: persisted entries with another version are never found (the version is
@@ -41,7 +43,10 @@ from repro.rosa.query import DEFAULT_BUDGET, RosaQuery, unix_system
 #: the key material and cached outcomes lost the reduction counters.
 #: Version 7: the engine proves queries INVULNERABLE before searching, so
 #: cached outcomes grew ``proved`` and a proved key holds zero states.
-CACHE_SCHEMA_VERSION = 7
+#: Version 8: attack queries are keyed by their builder's inputs
+#: (:class:`~repro.rosa.query.DeferredQuery`), not their built
+#: configuration.
+CACHE_SCHEMA_VERSION = 8
 
 #: The modules whose source defines what a stored answer holds: the
 #: syscall rules and the constants, object model, capabilities and
@@ -155,6 +160,12 @@ _class_source = functools.lru_cache(maxsize=256)(
 _model_source = functools.lru_cache(maxsize=1)(
     lambda: tuple(_source_digest(name) for name in MODEL_MODULES)
 )
+#: The source digest of a query builder's module (a
+#: :class:`~repro.rosa.query.DeferredQuery`'s inputs carry it), read on
+#: first use and once per process.
+builder_source = functools.lru_cache(maxsize=16)(
+    lambda module_name: _source_digest(module_name)
+)
 
 #: Instance attributes of a system that the signature covers otherwise
 #: (``name``, ``rules``) or that cannot change a verdict.
@@ -209,7 +220,7 @@ def system_signature(system: Optional[ObjectSystem] = None) -> Optional[str]:
 
 
 def query_cache_key(
-    query: RosaQuery,
+    query: Union[RosaQuery, DeferredQuery],
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> Optional[str]:
     """The canonical content-hash key of one (query, budget) pair.
@@ -217,14 +228,20 @@ def query_cache_key(
     Derived from the initial configuration's canonical (AC-equality) key,
     the goal identity, the rule-system signature and the budget — every
     input that determines the search's verdict and its cost counters.
+    A :class:`~repro.rosa.query.DeferredQuery` is keyed by its builder's
+    inputs, the rule-system signature and the budget instead, without
+    building it; its keys live apart from built queries' keys.
     The hash is stable across processes and interpreter runs (no
     ``hash()`` involvement), so it keys the fleet-wide
     :class:`~repro.rosa.store.SharedVerdictStore` too.
 
-    ``None`` when the goal or the rule system has no stable identity
-    (see :func:`goal_identity`, :func:`system_signature`): the query is
-    then answered by a live search and never cached or published.
+    ``None`` when the goal, the deferred inputs or the rule system have
+    no stable identity (see :func:`goal_identity`,
+    :func:`system_signature`): the query is then answered by a live
+    search and never cached or published.
     """
+    if isinstance(query, DeferredQuery):
+        return _inputs_key(query, budget)
     goal = query.goal_key if query.goal_key is not None else goal_identity(query.goal)
     signature = system_signature(query.system)
     if goal is None or signature is None:
@@ -239,4 +256,17 @@ def query_cache_key(
     hasher.update(_config_digest(query.initial))
     hasher.update(signature.encode("ascii"))
     hasher.update(repr(tail).encode("utf-8"))
+    return hasher.hexdigest()
+
+
+def _inputs_key(query: DeferredQuery, budget: SearchBudget) -> Optional[str]:
+    """The key of a deferred query: its builder's inputs, not its build."""
+    signature = system_signature(query.system)
+    text = repr(
+        ("rosa-inputs", CACHE_SCHEMA_VERSION, query.inputs, budget_identity(budget))
+    )
+    if signature is None or _ADDRESS.search(text):
+        return None
+    hasher = hashlib.sha256(signature.encode("ascii"))
+    hasher.update(text.encode("utf-8"))
     return hasher.hexdigest()

@@ -26,7 +26,7 @@ import enum
 import functools
 import logging
 import time
-from typing import Callable, Hashable, List, Optional
+from typing import Callable, Hashable, List, Optional, Tuple, Union
 
 from repro.rewriting import (
     Configuration,
@@ -85,10 +85,31 @@ class RosaQuery:
 
 
 @dataclasses.dataclass
+class DeferredQuery:
+    """A query known by its builder's inputs, built only when it must be answered.
+
+    ``inputs`` is the key material (:func:`repro.rosa.keys.query_cache_key`):
+    it must determine everything ``build()`` puts into the query's
+    initial configuration and goal, and nothing else, so that two
+    deferred queries share a key exactly when their built queries do.
+    The query engine builds only the queries that neither its L1 nor its
+    store answers; a report it serves carries this deferred query.
+    """
+
+    name: str
+    inputs: Tuple
+    build: Callable[[], RosaQuery]
+    description: str = ""
+    system: Optional[ObjectSystem] = None
+
+
+@dataclasses.dataclass
 class RosaReport:
     """The verdict plus the evidence behind it."""
 
-    query: RosaQuery
+    #: The question answered: a served answer to a deferred request
+    #: carries its :class:`DeferredQuery`, which holds the name.
+    query: Union[RosaQuery, DeferredQuery]
     verdict: Verdict
     #: Rule labels of the witness path when vulnerable (attack recipe).
     witness: List[str]

@@ -26,8 +26,12 @@ Crypto-Anaylzer exemplar (SNIPPETS.md):
   binding match and its attestation (a sha256 over all of them plus the
   payload) re-validates.  Anything else is *rejected*: counted, skipped,
   and recomputed by the caller, whose publish repairs the entry.
-* **Append-only lineage.** Every publish appends one JSON line to
-  ``lineage.jsonl`` under :func:`advisory_lock`.
+* **Append-only lineage.** Every fresh publish appends one JSON line to
+  ``lineage.jsonl`` in one ``write``, under an exclusive ``flock`` on
+  the file's own ``O_APPEND`` descriptor (:func:`advisory_lock`).  The
+  kernel releases a dead holder's lock, so there is no lockfile to
+  orphan or break.  Linux emulates ``flock`` with POSIX byte-range
+  locks over NFS, so the lock holds there too.
 
 Each kind is a class of a few lines with its own ``get(key)`` (the value
 or ``None``) and ``put(key, value)`` (whether a fresh object landed) —
@@ -38,7 +42,6 @@ consults as its L2 behind the in-memory LRU.
 from __future__ import annotations
 
 import contextlib
-import errno
 import hashlib
 import json
 import logging
@@ -47,7 +50,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Iterator, Optional, Set, Union
 
 from repro.rosa.engine import CachedOutcome
 from repro.rosa.keys import system_signature
@@ -68,50 +71,35 @@ LINEAGE_FILE = "lineage.jsonl"
 
 
 @contextlib.contextmanager
-def advisory_lock(
-    path: str, timeout: float = 10.0, stale_after: float = 30.0
-) -> Iterator[None]:
-    """An advisory cross-process lock around ``path`` (a ``.lock`` sibling).
+def advisory_lock(path: str, timeout: float = 10.0) -> Iterator[int]:
+    """Hold an exclusive ``flock`` on ``path``, opened for appending.
 
-    Lockfile-based (``O_CREAT | O_EXCL``), so it works on any filesystem
-    a store can live on — no ``fcntl`` dependency, no byte-range
-    semantics to get wrong over NFS.  Waiting processes poll; a lockfile
-    older than ``stale_after`` seconds is treated as an orphan (its
-    holder crashed between acquire and release) and broken.  Raises
-    ``TimeoutError`` if the lock cannot be won inside ``timeout`` seconds
-    — callers must fail loudly rather than interleave their writes.
+    Yields the locked ``O_APPEND`` descriptor (the file is created if
+    missing), so the caller writes its record through the very
+    descriptor that holds the lock.  Every ``open`` is its own lock
+    owner, so threads of one process exclude each other as processes
+    do.  Waiting callers poll; the kernel drops the lock of a holder
+    that dies, so no lock is ever orphaned and none is ever broken
+    under a live holder.  Raises ``TimeoutError`` if the lock cannot be
+    won inside ``timeout`` seconds — callers must fail loudly rather
+    than interleave their writes.
     """
-    lock_path = path + ".lock"
-    deadline = time.monotonic() + timeout
-    while True:
-        try:
-            fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except OSError as error:
-            if error.errno != errno.EEXIST:
-                raise
-        try:
-            age = time.time() - os.stat(lock_path).st_mtime
-            if age > stale_after:
-                # The holder died without releasing; break the orphan.
-                # (A racing breaker just loses the unlink — harmless.)
-                logger.warning("breaking stale lock %s (age %.1fs)", lock_path, age)
-                os.unlink(lock_path)
-                continue
-        except OSError:
-            pass  # the holder released between our open and stat
-        if time.monotonic() >= deadline:
-            raise TimeoutError(f"could not acquire {lock_path} in {timeout}s")
-        time.sleep(0.002)
+    import fcntl  # on first publish, so no process start-up pays for it
+
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
     try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
-        os.close(fd)
-        yield
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            except BlockingIOError:
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(f"could not acquire {path} in {timeout}s")
+                time.sleep(0.002)
+        yield fd
     finally:
-        try:
-            os.unlink(lock_path)
-        except OSError:  # pragma: no cover - already broken as stale
-            pass
+        os.close(fd)  # closing the only descriptor releases the lock
 
 
 def attest(kind: str, key: str, binding: str, payload: Any) -> str:
@@ -160,6 +148,8 @@ class AttestedStore:
         self.objects = self.root / OBJECTS_DIR
         self.objects.mkdir(parents=True, exist_ok=True)
         self.binding = binding
+        #: Fanout shards this handle has created (see :meth:`_tempfile`).
+        self._shards: Set[Path] = set()
         self.hits = 0
         self.misses = 0
         self.published = 0
@@ -233,13 +223,12 @@ class AttestedStore:
         publishing is also the repair path for rejected entries.
         """
         path = self._path(key)
-        if path.exists():
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    if self._validate(key, json.load(handle)) is not None:
-                        return False
-            except (OSError, ValueError):
-                pass  # torn or corrupt: fall through and replace it
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                if self._validate(key, json.load(handle)) is not None:
+                    return False
+        except (OSError, ValueError):
+            pass  # missing, torn or corrupt: publish (or replace) it
         payload = self.encode(value)
         entry = {
             "schema": STORE_SCHEMA_VERSION,
@@ -249,13 +238,11 @@ class AttestedStore:
             "payload": payload,
             "attestation": attest(self.kind, key, self.binding, payload),
         }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=str(path.parent), prefix=f".{self.kind}-", suffix=".tmp"
-        )
+        text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        fd, tmp_path = self._tempfile(path.parent)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True, separators=(",", ":"))
+                handle.write(text)
             os.replace(tmp_path, path)
         except BaseException:
             try:
@@ -266,6 +253,22 @@ class AttestedStore:
         self.published += 1
         self._append_lineage(key, value, entry["attestation"])
         return True
+
+    def _tempfile(self, shard: Path):
+        """A fresh temporary file in ``shard``: ``(fd, path)``.
+
+        The handle creates each fanout shard once; a shard removed since
+        (say, by someone pruning the store) is created again, once.
+        """
+        if shard not in self._shards:
+            shard.mkdir(parents=True, exist_ok=True)
+            self._shards.add(shard)
+        options = dict(dir=str(shard), prefix=f".{self.kind}-", suffix=".tmp")
+        try:
+            return tempfile.mkstemp(**options)
+        except FileNotFoundError:
+            shard.mkdir(parents=True, exist_ok=True)
+            return tempfile.mkstemp(**options)
 
     def _append_lineage(self, key: str, value: Any, attestation: str) -> None:
         """One publish record into the append-only history, under the lock."""
@@ -281,9 +284,8 @@ class AttestedStore:
         lineage = self.root / LINEAGE_FILE
         line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         try:
-            with advisory_lock(str(lineage)):
-                with open(lineage, "a", encoding="utf-8") as handle:
-                    handle.write(line)
+            with advisory_lock(str(lineage)) as fd:
+                os.write(fd, line.encode("utf-8"))
         except (OSError, TimeoutError) as error:  # pragma: no cover - contention
             # Lineage is an audit trail, not a correctness dependency:
             # losing one record under extreme contention must not fail

@@ -178,23 +178,33 @@ def gen_batch_case(rng: random.Random, max_size: int = 20) -> Case:
     return {"queries": queries}
 
 
-def build_query_request(case: Case) -> QueryRequest:
-    """The live query and budget of one query case."""
+def build_query_request(case: Case, deferred: bool = False) -> QueryRequest:
+    """The live query and budget of one query case.
+
+    ``deferred`` keys the query by its inputs and leaves building it to
+    the engine (:meth:`~repro.core.attacks.Attack.deferred_query`), as
+    the pipeline does.  Optional case fields ``label`` and
+    ``devmem_perms`` reach the builder too.
+    """
     attack = ATTACKS_BY_ID[case["attack"]]
-    caps = CapabilitySet(case["caps"])
-    uids = tuple(case["uids"])
-    gids = tuple(case["gids"])
-    surface = frozenset(case["surface"])
-    repeat = int(case.get("repeat", 1))
+    build = attack.deferred_query if deferred else attack.build_query
     budget = SearchBudget(max_states=int(case.get("max_states", 20_000)))
     return QueryRequest(
-        query=attack.build_query(caps, uids, gids, surface, repeat=repeat),
+        query=build(
+            CapabilitySet(case["caps"]),
+            tuple(case["uids"]),
+            tuple(case["gids"]),
+            frozenset(case["surface"]),
+            repeat=int(case.get("repeat", 1)),
+            label=case.get("label", ""),
+            devmem_perms=int(case.get("devmem_perms", 0o640)),
+        ),
         budget=budget,
     )
 
 
-def build_batch_requests(case: Case) -> List[QueryRequest]:
-    return [build_query_request(query_case) for query_case in case["queries"]]
+def build_batch_requests(case: Case, deferred: bool = False) -> List[QueryRequest]:
+    return [build_query_request(query_case, deferred) for query_case in case["queries"]]
 
 
 # -- ROSA configurations -------------------------------------------------------

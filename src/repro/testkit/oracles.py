@@ -13,7 +13,9 @@ Each **oracle family** bundles three functions under a name:
 Differential families (the default campaign):
 
 * ``cache`` — query-cache **on vs off** (plus a second cache-served
-  pass) must agree search for search;
+  pass, and both passes again with queries keyed by their inputs and
+  built only on a miss) must agree search for search, and input keys
+  must be equal exactly when the built configurations' keys are;
 * ``vm`` — the **compiled VM core vs the straight-line reference**
   evaluator must agree on exit code, stdout, instruction count and the
   entire final kernel state, including exact error messages and
@@ -51,6 +53,7 @@ not a disagreement).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import tempfile
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -126,11 +129,48 @@ def _mismatch(family_name: str, label_a: str, a, label_b: str, b) -> OracleResul
 # -- cache: on vs off ---------------------------------------------------------
 
 
+def _key_variants(query_case: Case) -> Iterable[Case]:
+    """The case and variants whose key must move exactly with its configuration.
+
+    Clearing the caps or bumping ``repeat`` changes the configuration
+    only when a message is built; a label, an unmodelled syscall or the
+    /dev/mem mode of an attack without /dev/mem never changes it.
+    """
+    yield query_case
+    yield dict(query_case, caps=[])
+    yield dict(query_case, repeat=int(query_case.get("repeat", 1)) + 1)
+    yield dict(query_case, label="renamed", devmem_perms=0)
+    yield dict(query_case, surface=sorted(set(query_case["surface"]) | {"getpid"}))
+
+
 def _run_cache(case: Case) -> OracleResult:
     from repro.rosa.engine import QueryCache, QueryEngine
+    from repro.rosa.keys import query_cache_key
+
+    # Input keys must split the batch exactly as configuration keys do.
+    variants = [
+        variant for query_case in case["queries"] for variant in _key_variants(query_case)
+    ]
+    keyed = []
+    for variant in variants:
+        built = generators.build_query_request(variant)
+        deferred = generators.build_query_request(variant, deferred=True)
+        keyed.append((
+            query_cache_key(deferred.query, deferred.budget),
+            query_cache_key(built.query, built.budget),
+        ))
+    for (i, (input_a, built_a)), (j, (input_b, built_b)) in itertools.combinations(
+        enumerate(keyed), 2
+    ):
+        if (input_a == input_b) != (built_a == built_b):
+            return _mismatch(
+                "cache", f"input keys equal ({variants[i]} vs {variants[j]})",
+                input_a == input_b, "configuration keys equal", built_a == built_b,
+            )
 
     off = QueryEngine(cache=None)
     on = QueryEngine(cache=QueryCache())
+    deferred = QueryEngine(cache=QueryCache())
 
     reports_off = off.run_queries(generators.build_batch_requests(case))
     first = on.run_queries(generators.build_batch_requests(case))
@@ -139,12 +179,21 @@ def _run_cache(case: Case) -> OracleResult:
         return OracleResult(
             "cache", ok=False, details="second pass produced no cache hits"
         )
-    for index, (a, b, c) in enumerate(zip(reports_off, first, served)):
-        fa, fb, fc = (report_fingerprint(r) for r in (a, b, c))
-        if fa != fb:
-            return _mismatch("cache", f"off[{index}]", fa, f"on-first[{index}]", fb)
-        if fa != fc:
-            return _mismatch("cache", f"off[{index}]", fa, f"on-cached[{index}]", fc)
+    runs = [("on-first", first), ("on-cached", served)]
+    for label in ("deferred-first", "deferred-cached"):
+        runs.append((label, deferred.run_queries(
+            generators.build_batch_requests(case, deferred=True)
+        )))
+    if deferred.cache.hits == 0:
+        return OracleResult(
+            "cache", ok=False, details="second deferred pass produced no cache hits"
+        )
+    for index, a in enumerate(reports_off):
+        fa = report_fingerprint(a)
+        for label, reports in runs:
+            fb = report_fingerprint(reports[index])
+            if fa != fb:
+                return _mismatch("cache", f"off[{index}]", fa, f"{label}[{index}]", fb)
     return OracleResult("cache", ok=True)
 
 
@@ -163,7 +212,8 @@ def _shrink_batch(case: Case) -> Iterable[Case]:
 _register(
     OracleFamily(
         name="cache",
-        description="query cache on vs off (plus a cache-served pass)",
+        description="query cache on vs off (plus a cache-served pass), "
+        "queries built before or after keying",
         generate=generators.gen_batch_case,
         run=_run_cache,
         shrink_candidates=_shrink_batch,

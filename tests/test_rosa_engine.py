@@ -14,7 +14,7 @@ import pytest
 
 from repro.caps import CapabilitySet
 from repro.core import PrivAnalyzer
-from repro.core.attacks import ALL_ATTACKS
+from repro.core.attacks import ALL_ATTACKS, Attack
 from repro.core.extract import syscalls_used
 from repro.core.multiprocess import DEFAULT_MULTIPROCESS_BUDGET
 from repro.programs import spec_by_name
@@ -200,6 +200,89 @@ class TestCanonicalKeys:
         query = RosaQuery("mixed", Configuration(elements), goal)
         assert engine.check(query).verdict is Verdict.INVULNERABLE
         assert engine.check(query).from_cache
+
+
+class TestKeyBeforeBuild:
+    """Attack queries are keyed by their inputs and built only on a miss."""
+
+    PROGRAMS = ("passwd", "thttpd", "sshd", "su")
+
+    @staticmethod
+    def phase_queries(program):
+        """(deferred, built) pairs for every phase × attack of ``program``."""
+        analyzer = PrivAnalyzer()
+        spec = spec_by_name(program)
+        module, _, _ = analyzer.compile(spec)
+        chrono, _, _ = analyzer.run_dynamic(spec, module)
+        surface = syscalls_used(module)
+        pairs = []
+        for phase in chrono.phases:
+            for attack in ALL_ATTACKS:
+                args = (phase.privileges, phase.uids, phase.gids, surface)
+                pairs.append((
+                    attack.deferred_query(*args, label=phase.name),
+                    attack.build_query(*args, label=phase.name),
+                ))
+        return pairs
+
+    def test_input_keys_split_queries_as_configuration_keys_do(self):
+        pairs = [
+            pair for program in self.PROGRAMS for pair in self.phase_queries(program)
+        ]
+        input_keys = [query_cache_key(deferred, BUDGET) for deferred, _ in pairs]
+        built_keys = [query_cache_key(built, BUDGET) for _, built in pairs]
+        assert None not in input_keys and None not in built_keys
+        for (a, b), (c, d) in itertools.combinations(zip(input_keys, built_keys), 2):
+            assert (a == c) == (b == d)
+        assert len(set(input_keys)) < len(input_keys)
+
+    def test_key_ignores_label_and_unused_inputs(self):
+        attack = ALL_ATTACKS[2]  # bind a privileged port: no /dev/mem
+        uids = gids = (1000, 1000, 1000)
+        surface = frozenset({"open", "kill"})  # nothing attack 3 can use
+        base = attack.deferred_query(CapabilitySet.empty(), uids, gids, surface)
+        variants = [
+            attack.deferred_query(CapabilitySet.empty(), uids, gids, surface, label="x"),
+            attack.deferred_query(
+                CapabilitySet.of("CAP_NET_BIND_SERVICE"), uids, gids, surface, repeat=3
+            ),
+            attack.deferred_query(
+                CapabilitySet.empty(), uids, gids, surface, devmem_perms=0
+            ),
+        ]
+        key = query_cache_key(base, BUDGET)
+        assert [query_cache_key(v, BUDGET) for v in variants] == [key] * 3
+        assert query_cache_key(base.build(), BUDGET) == query_cache_key(
+            variants[1].build(), BUDGET
+        )
+
+    def test_primed_analyze_builds_no_query(self, monkeypatch, tmp_path):
+        program = spec_by_name("passwd")
+        keys = []
+        derive = engine_module.query_cache_key
+
+        def recording(*args):
+            keys.append(derive(*args))
+            return keys[-1]
+
+        monkeypatch.setattr(engine_module, "query_cache_key", recording)
+        builds = counting(monkeypatch, Attack, "build_query")
+        cold = PrivAnalyzer(verdict_store=tmp_path)
+        cold.analyze(program)
+        # Cold: one build per distinct key, each a store miss.
+        assert len(builds) == len(set(keys)) == cold.engine.store.misses
+        assert 0 < len(builds) < len(keys)
+
+        builds.clear()
+        warm = PrivAnalyzer(verdict_store=tmp_path)
+        served = warm.analyze(program)
+        assert warm.engine.store.hits > 0 and warm.engine.store.misses == 0
+        assert builds == []
+        assert all(
+            report.from_cache and report.query.name == f"{phase.phase.name}/attack{a}"
+            for phase in served.phases
+            for a, report in phase.verdicts.items()
+        )
 
 
 class TestUncacheableGoals:

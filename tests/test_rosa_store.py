@@ -12,6 +12,7 @@ import hashlib
 import importlib
 import json
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -28,7 +29,9 @@ from repro.rosa import QueryCache, QueryEngine, Verdict, query_cache_key, unix_r
 from repro.rosa.engine import CachedOutcome
 from repro.rosa.keys import system_signature
 from repro.rosa.store import (
+    LINEAGE_FILE,
     STORE_SCHEMA_VERSION,
+    AttestedStore,
     SharedVerdictStore,
     SingleFlight,
     advisory_lock,
@@ -119,12 +122,6 @@ def rewrite_entry(store, key, edit) -> None:
 
 
 class TestAdvisoryLock:
-    def test_lock_creates_and_removes_lockfile(self, tmp_path):
-        target = str(tmp_path / "cache.json")
-        with advisory_lock(target):
-            assert (tmp_path / "cache.json.lock").exists()
-        assert not (tmp_path / "cache.json.lock").exists()
-
     def test_contended_lock_times_out_loudly(self, tmp_path):
         target = str(tmp_path / "cache.json")
         with advisory_lock(target):
@@ -132,17 +129,71 @@ class TestAdvisoryLock:
                 with advisory_lock(target, timeout=0.05):
                     pass  # pragma: no cover
 
-    def test_stale_lock_is_broken(self, tmp_path):
-        target = str(tmp_path / "cache.json")
-        lock = tmp_path / "cache.json.lock"
-        lock.write_text("99999")
-        stale = time.time() - 120.0
-        import os
+    def test_dead_holder_does_not_block_the_next_publisher(self, tmp_path):
+        # A child takes the lineage lock and dies holding it: the kernel
+        # drops its flock, so the next publisher neither waits the lock
+        # out nor loses its lineage record.
+        store = SharedVerdictStore(tmp_path)
+        lineage = str(tmp_path / LINEAGE_FILE)
+        ready, go = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child never returns
+            try:
+                with advisory_lock(lineage):
+                    os.write(go, b"x")
+                    os._exit(0)
+            finally:
+                os._exit(1)
+        os.close(go)
+        assert os.read(ready, 1) == b"x"
+        os.close(ready)
+        assert os.waitpid(pid, 0)[1] == 0
+        with advisory_lock(lineage, timeout=1.0) as fd:
+            assert fd >= 0
+        assert store.put(key_for(0), outcome_for(0))
+        assert [record["key"] for record in store.lineage()] == [key_for(0)]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            LINEAGE_FILE, "objects",
+        ]
 
-        os.utime(lock, (stale, stale))
-        with advisory_lock(target, timeout=1.0, stale_after=30.0):
-            pass  # the orphan was broken, not waited out
-        assert not lock.exists()
+
+class _SampleStore(AttestedStore):
+    kind = "sample"
+    encode = staticmethod(lambda value: value)
+    decode = staticmethod(lambda payload: payload)
+
+
+class TestPublish:
+    KEY = "ab" + "0" * 62
+    PAYLOAD = {
+        "verdict": "invulnerable", "witness": ["setuid", "open"], "states": 3,
+        "elapsed": 0.125, "proved": False, "note": "caf\u00e9",
+    }
+    #: The object the streaming ``json.dump`` publisher wrote for this
+    #: key and payload: the one-shot encoder must not change a byte.
+    OBJECT = (
+        b'{"attestation":"863f23afa6cb7ad24ce07ccddb82e2616c097529c2b2e20c35980b2aeadf2e60",'
+        b'"binding":"binding-v1",'
+        b'"key":"ab00000000000000000000000000000000000000000000000000000000000000",'
+        b'"kind":"sample","payload":{"elapsed":0.125,"note":"caf\\u00e9","proved":false,'
+        b'"states":3,"verdict":"invulnerable","witness":["setuid","open"]},"schema":2}'
+    )
+
+    def test_object_bytes_are_unchanged(self, tmp_path):
+        store = _SampleStore(tmp_path, "binding-v1")
+        assert store._publish(self.KEY, self.PAYLOAD)
+        assert store._path(self.KEY).read_bytes() == self.OBJECT
+        assert store._read(self.KEY) == self.PAYLOAD
+
+    def test_a_removed_shard_is_created_again(self, tmp_path):
+        store = _SampleStore(tmp_path, "binding-v1")
+        assert store._publish(self.KEY, self.PAYLOAD)
+        shard = store._path(self.KEY).parent
+        store._path(self.KEY).unlink()
+        shard.rmdir()
+        assert store._publish(self.KEY, self.PAYLOAD)
+        assert store._path(self.KEY).read_bytes() == self.OBJECT
+        assert len(store.lineage()) == 2
 
 
 class TestSharedVerdictStore:

@@ -4,14 +4,16 @@ The VM is most of a served request, so its per-instruction work is
 pinned as counts, not seconds:
 
 * running each Table III/V program makes zero ``IntType.wrap`` calls —
-  every binop closure wraps inline with its width's baked constants;
+  the generated code wraps every binop inline with its width's baked
+  constants;
 * each program still retires exactly the instructions (perfbench's
   ``vm.instructions``, the ChronoPriv total), phases and exit code it
-  did before the closures were specialized;
-* compiling passwd's closures builds exactly ``PASSWD_FETCHES`` getter
-  closures (``_Compiler._fetch``): constants are pooled into the
-  register file, so only call arguments still take a getter.  Before
-  the constant pool it built 420.
+  did before the core was specialized and then generated;
+* generating passwd's code asks ``_Compiler._fetch`` (the operand
+  expression that may read a late-bound global) for exactly
+  ``PASSWD_FETCHES`` operands: locals and constants are emitted inline,
+  so a rise means the generator routes more operands through the
+  general path.
 """
 
 import pytest

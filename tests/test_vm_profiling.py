@@ -1,7 +1,7 @@
 """The compiled core's instrumented mode: timers that never change what runs.
 
-A profiled run compiles per-opcode and per-intrinsic timers into the
-same closures an unprofiled run executes.  These tests pin down that
+A profiled run generates the same code an unprofiled run executes,
+plus per-opcode and per-intrinsic timer calls.  These tests pin down that
 the timers are absent without a live profiler, that they leave the
 instruction accounting (block pre-adds, baked tails, the budget slow
 path) exactly as it was, and that ``spawn_wait`` children are timed too.

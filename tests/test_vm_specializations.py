@@ -1,9 +1,10 @@
 """Parity of every compiled-core specialization with the reference evaluator.
 
-The compiled core (:mod:`repro.vm.compiled`) picks a closure per
-instruction from its operand kinds: a register, a constant (pooled into
-the register file) or a global that is missing from ``vm.globals`` when
-the function compiles and is read at run time through a getter closure.
+The compiled core (:mod:`repro.vm.compiled`) generates each
+instruction's code from its operand kinds: a local, a constant (emitted
+inline or bound into the function's namespace) or a global that is
+missing from ``vm.globals`` when the function compiles and is read from
+``vm.globals`` at run time.
 Each test here builds small IR functions that force one shape, runs them
 on the compiled core (plain and instrumented) and on
 :class:`~repro.testkit.reference.ReferenceInterpreter`, and requires the
