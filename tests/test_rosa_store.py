@@ -122,6 +122,20 @@ def rewrite_entry(store, key, edit) -> None:
 
 
 class TestAdvisoryLock:
+    def test_lock_creates_and_removes_lockfile(self, tmp_path):
+        # The lock is an flock on the target itself: taking it creates
+        # the target, no sidecar lockfile is made, and leaving the block
+        # removes the lock so the next taker wins it at once.
+        target = tmp_path / "cache.json"
+        with advisory_lock(str(target)):
+            assert target.exists()
+            with pytest.raises(TimeoutError):
+                with advisory_lock(str(target), timeout=0.01):
+                    pass  # pragma: no cover
+        with advisory_lock(str(target), timeout=0.01):
+            pass
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cache.json"]
+
     def test_contended_lock_times_out_loudly(self, tmp_path):
         target = str(tmp_path / "cache.json")
         with advisory_lock(target):
@@ -129,10 +143,11 @@ class TestAdvisoryLock:
                 with advisory_lock(target, timeout=0.05):
                     pass  # pragma: no cover
 
-    def test_dead_holder_does_not_block_the_next_publisher(self, tmp_path):
-        # A child takes the lineage lock and dies holding it: the kernel
-        # drops its flock, so the next publisher neither waits the lock
-        # out nor loses its lineage record.
+    def test_stale_lock_is_broken(self, tmp_path):
+        # A stale lock is one whose holder died: a child takes the
+        # lineage lock and exits holding it, the kernel drops its flock,
+        # so the next publisher neither waits the lock out nor loses its
+        # lineage record.
         store = SharedVerdictStore(tmp_path)
         lineage = str(tmp_path / LINEAGE_FILE)
         ready, go = os.pipe()
