@@ -142,8 +142,9 @@ class Attack:
         The attack id (it fixes the goal and the target objects), the
         credentials, the modelled usable syscalls, and the granted caps
         and ``repeat`` only when a message is built; ``devmem_perms``
-        only for the /dev/mem attacks; and this module's source.  Never
-        the label: two phases with equal inputs are the same question.
+        only for the /dev/mem attacks.  Never the label: two phases with
+        equal inputs are the same question.  (The key also binds this
+        module's source: see :meth:`deferred_query`.)
         """
         usable = _modelled(program_syscalls & self.relevant_syscalls)
         messages = (
@@ -151,7 +152,6 @@ class Attack:
             if usable and repeat > 0 else ()
         )
         return (
-            builder_source(__name__),
             self.attack_id,
             tuple(uids),
             tuple(gids),
@@ -173,6 +173,7 @@ class Attack:
         by the engine only when neither its L1 nor its store answers."""
         return DeferredQuery(
             name=label or f"attack{self.attack_id}",
+            source=builder_source(__name__),
             inputs=self._query_inputs(
                 phase_privileges, uids, gids, program_syscalls, repeat, devmem_perms
             ),
@@ -180,7 +181,6 @@ class Attack:
                 self.build_query, phase_privileges, uids, gids, program_syscalls,
                 repeat=repeat, label=label, devmem_perms=devmem_perms,
             ),
-            description=self.description,
         )
 
     def build_query(

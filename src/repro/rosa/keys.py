@@ -229,14 +229,15 @@ def query_cache_key(
     the goal identity, the rule-system signature and the budget — every
     input that determines the search's verdict and its cost counters.
     A :class:`~repro.rosa.query.DeferredQuery` is keyed by its builder's
-    inputs, the rule-system signature and the budget instead, without
-    building it; its keys live apart from built queries' keys.
+    source digest and inputs, the UNIX system's signature and the budget
+    instead, without building it; its keys live apart from built
+    queries' keys.
     The hash is stable across processes and interpreter runs (no
     ``hash()`` involvement), so it keys the fleet-wide
     :class:`~repro.rosa.store.SharedVerdictStore` too.
 
-    ``None`` when the goal, the deferred inputs or the rule system have
-    no stable identity (see :func:`goal_identity`,
+    ``None`` when the goal, the deferred source or inputs, or the rule
+    system have no stable identity (see :func:`goal_identity`,
     :func:`system_signature`): the query is then answered by a live
     search and never cached or published.
     """
@@ -260,12 +261,20 @@ def query_cache_key(
 
 
 def _inputs_key(query: DeferredQuery, budget: SearchBudget) -> Optional[str]:
-    """The key of a deferred query: its builder's inputs, not its build."""
-    signature = system_signature(query.system)
-    text = repr(
-        ("rosa-inputs", CACHE_SCHEMA_VERSION, query.inputs, budget_identity(budget))
-    )
-    if signature is None or _ADDRESS.search(text):
+    """The key of a deferred query: its builder's inputs, not its build.
+
+    ``None`` when the builder's source digest is missing: the inputs
+    alone would then ignore every edit to the builder.
+    """
+    signature = system_signature()
+    text = repr((
+        "rosa-inputs",
+        CACHE_SCHEMA_VERSION,
+        query.source,
+        query.inputs,
+        budget_identity(budget),
+    ))
+    if query.source is None or signature is None or _ADDRESS.search(text):
         return None
     hasher = hashlib.sha256(signature.encode("ascii"))
     hasher.update(text.encode("utf-8"))

@@ -88,19 +88,22 @@ class RosaQuery:
 class DeferredQuery:
     """A query known by its builder's inputs, built only when it must be answered.
 
-    ``inputs`` is the key material (:func:`repro.rosa.keys.query_cache_key`):
-    it must determine everything ``build()`` puts into the query's
-    initial configuration and goal, and nothing else, so that two
-    deferred queries share a key exactly when their built queries do.
+    ``source`` (the source digest of the builder's module) and
+    ``inputs`` are the key material
+    (:func:`repro.rosa.keys.query_cache_key`): together they must
+    determine everything ``build()`` puts into the query's initial
+    configuration and goal, and nothing else, so that two deferred
+    queries share a key exactly when their built queries do.  A ``None``
+    source (a module with no readable source) makes the query
+    uncacheable.  ``build()`` must search the default UNIX system.
     The query engine builds only the queries that neither its L1 nor its
     store answers; a report it serves carries this deferred query.
     """
 
     name: str
+    source: Optional[str]
     inputs: Tuple
     build: Callable[[], RosaQuery]
-    description: str = ""
-    system: Optional[ObjectSystem] = None
 
 
 @dataclasses.dataclass

@@ -30,8 +30,11 @@ Crypto-Anaylzer exemplar (SNIPPETS.md):
   ``lineage.jsonl`` in one ``write``, under an exclusive ``flock`` on
   the file's own ``O_APPEND`` descriptor (:func:`advisory_lock`).  The
   kernel releases a dead holder's lock, so there is no lockfile to
-  orphan or break.  Linux emulates ``flock`` with POSIX byte-range
-  locks over NFS, so the lock holds there too.
+  orphan or break.  On a local filesystem every ``open`` is its own
+  lock owner, so threads exclude each other as processes do.  Over NFS
+  Linux emulates ``flock`` with POSIX byte-range locks, which the
+  process owns: there the lock excludes other processes only, not
+  other threads of one process.
 
 Each kind is a class of a few lines with its own ``get(key)`` (the value
 or ``None``) and ``put(key, value)`` (whether a fresh object landed) —
@@ -50,7 +53,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Set, Union
+from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.rosa.engine import CachedOutcome
 from repro.rosa.keys import system_signature
@@ -76,9 +79,10 @@ def advisory_lock(path: str, timeout: float = 10.0) -> Iterator[int]:
 
     Yields the locked ``O_APPEND`` descriptor (the file is created if
     missing), so the caller writes its record through the very
-    descriptor that holds the lock.  Every ``open`` is its own lock
-    owner, so threads of one process exclude each other as processes
-    do.  Waiting callers poll; the kernel drops the lock of a holder
+    descriptor that holds the lock.  On a local filesystem every
+    ``open`` is its own lock owner, so threads of one process exclude
+    each other as processes do (over NFS, only processes: see the
+    module docstring).  Waiting callers poll; the kernel drops the lock of a holder
     that dies, so no lock is ever orphaned and none is ever broken
     under a live holder.  Raises ``TimeoutError`` if the lock cannot be
     won inside ``timeout`` seconds — callers must fail loudly rather
@@ -148,8 +152,6 @@ class AttestedStore:
         self.objects = self.root / OBJECTS_DIR
         self.objects.mkdir(parents=True, exist_ok=True)
         self.binding = binding
-        #: Fanout shards this handle has created (see :meth:`_tempfile`).
-        self._shards: Set[Path] = set()
         self.hits = 0
         self.misses = 0
         self.published = 0
@@ -257,12 +259,9 @@ class AttestedStore:
     def _tempfile(self, shard: Path):
         """A fresh temporary file in ``shard``: ``(fd, path)``.
 
-        The handle creates each fanout shard once; a shard removed since
-        (say, by someone pruning the store) is created again, once.
+        A missing fanout shard (new, or removed since by someone pruning
+        the store) is created on the first miss.
         """
-        if shard not in self._shards:
-            shard.mkdir(parents=True, exist_ok=True)
-            self._shards.add(shard)
         options = dict(dir=str(shard), prefix=f".{self.kind}-", suffix=".tmp")
         try:
             return tempfile.mkstemp(**options)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.caps import CapabilitySet
 from repro.core import PrivAnalyzer
+from repro.core import attacks as attacks_module
 from repro.core.attacks import ALL_ATTACKS, Attack
 from repro.core.extract import syscalls_used
 from repro.core.multiprocess import DEFAULT_MULTIPROCESS_BUDGET
@@ -255,6 +256,14 @@ class TestKeyBeforeBuild:
         assert query_cache_key(base.build(), BUDGET) == query_cache_key(
             variants[1].build(), BUDGET
         )
+
+    def test_missing_builder_source_makes_the_query_uncacheable(self, monkeypatch):
+        monkeypatch.setattr(attacks_module, "builder_source", lambda name: None)
+        query = ALL_ATTACKS[0].deferred_query(
+            CapabilitySet.empty(), (1000,) * 3, (1000,) * 3, frozenset({"open"})
+        )
+        assert query.source is None
+        assert query_cache_key(query, BUDGET) is None
 
     def test_primed_analyze_builds_no_query(self, monkeypatch, tmp_path):
         program = spec_by_name("passwd")
