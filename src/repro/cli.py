@@ -139,10 +139,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     """ROSA query-engine flags shared by analyze / table commands."""
     group = parser.add_argument_group("query engine (see docs/PERFORMANCE.md)")
     group.add_argument(
-        "--no-query-cache", action="store_true",
-        help="disable ROSA result caching; every query searches from scratch",
-    )
-    group.add_argument(
         "--verdict-store", metavar="DIR", default=None,
         help="back the query engine with the fleet-wide shared verdict "
         "store at DIR: distinct searches run once across every process "
@@ -153,7 +149,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 def _engine_kwargs(args) -> dict:
     """PrivAnalyzer keyword arguments derived from the engine flags."""
     return {
-        "use_query_cache": not getattr(args, "no_query_cache", False),
         "verdict_store": getattr(args, "verdict_store", None),
     }
 

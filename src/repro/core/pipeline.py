@@ -141,7 +141,6 @@ class PrivAnalyzer:
         message_repeat: int = 1,
         optimize: bool = False,
         telemetry: Optional[Telemetry] = None,
-        use_query_cache: bool = True,
         verdict_store=None,
     ) -> None:
         self.attacks = tuple(attacks)
@@ -168,10 +167,9 @@ class PrivAnalyzer:
         #: The ROSA query engine: dedupes/caches/schedules the phase × attack
         #: queries.  Phases sharing a credential tuple search once, and one
         #: analyzer carries answers across programs/table regenerations.
-        #: ``use_query_cache=False`` degrades to plain per-query searches.
         self.engine = QueryEngine(
             budget=self.budget,
-            cache=QueryCache() if use_query_cache else None,
+            cache=QueryCache(),
             telemetry=self.telemetry,
             store=verdict_store,
         )
@@ -229,33 +227,10 @@ class PrivAnalyzer:
             recorder.attach(vm, kernel)
             if spec.setup is not None:
                 spec.setup(kernel, vm)
-            profiler = self.telemetry.profiler
-            if profiler.enabled:
-                measured_before = sum(
-                    record.seconds
-                    for stack, record in profiler.records.items()
-                    if len(stack) == 2 and stack[0] == "vm"
-                )
-                start = profiler.clock()
-                exit_code = vm.run()
-                elapsed = profiler.clock() - start
-                profiler.account(("vm",), elapsed)
-                measured = sum(
-                    record.seconds
-                    for stack, record in profiler.records.items()
-                    if len(stack) == 2 and stack[0] == "vm"
-                ) - measured_before
-                # Block bookkeeping (count pre-adds, budget checks, the
-                # block dispatch), the entry function's code generation
-                # and the timers' own cost sit between the timed
-                # statements; account the remainder so the vm root is
-                # 100% attributed without pretending it was timed (cf.
-                # rosa.search.loop).
-                remainder = elapsed - measured
-                if remainder > 0.0:
-                    profiler.account(("vm", "interp.loop"), remainder)
-                    profiler.count(("vm", "interp.loop"), "derived")
-            else:
+            # Block bookkeeping, the entry function's code generation and
+            # the timers' own cost sit between the timed statements: the
+            # root books them as the derived ``vm;interp.loop``.
+            with self.telemetry.profiler.root("vm", "interp.loop"):
                 exit_code = vm.run()
             span.set_attribute("instructions", vm.executed_instructions)
             span.set_attribute("exit_code", exit_code)

@@ -526,11 +526,13 @@ class ObjectSystem:
 
     Rules are *indexed by the message head they consume*: a
     :class:`MessageRule` can only fire when a message with its trigger
-    name is pending, so :meth:`successors` skips such rules outright when
-    the configuration holds no matching message — instead of attempting
-    all rules against all messages per state.  Rule order is preserved,
-    so the successor stream is element-for-element identical to the
-    unindexed enumeration (skipped rules would have yielded nothing).
+    name is pending, so :meth:`rules_for` — the one rule filter, which
+    :meth:`successors` and the search profiler both iterate — leaves such
+    rules out when the configuration holds no matching message, instead
+    of attempting all rules against all messages per state.  Rule order
+    is preserved, so the successor stream is element-for-element
+    identical to the unindexed enumeration (skipped rules would have
+    yielded nothing).
 
     ``indexed=False`` restores the brute-force enumeration; benchmarks
     use it to measure the index's effect, and tests use it to assert the
@@ -543,28 +545,31 @@ class ObjectSystem:
         self.name = name
         self.rules = tuple(rules)
         self.indexed = indexed
-        #: ``(rule, trigger)`` pairs in rule order; ``trigger`` is the
-        #: message name gating the rule, or None for always-attempted rules.
-        self._triggers: Tuple[Tuple[ObjectRule, Optional[str]], ...] = tuple(
-            (
-                rule,
-                rule.message_name
-                if isinstance(rule, MessageRule) and rule.message_name
-                else None,
+        #: :meth:`rules_for`'s answers by pending message-name set.
+        self._fireable: Dict[frozenset, Tuple[ObjectRule, ...]] = {}
+
+    def rules_for(self, config: Configuration) -> Tuple[ObjectRule, ...]:
+        """The rules that may fire at ``config``, in rule order.
+
+        Memoized per set of pending message names (configurations cache
+        theirs), so a search allocates nothing per state here.
+        """
+        if not self.indexed:
+            return self.rules
+        present = config.message_names()
+        rules = self._fireable.get(present)
+        if rules is None:
+            rules = self._fireable[present] = tuple(
+                rule
+                for rule in self.rules
+                if not isinstance(rule, MessageRule)
+                or not rule.message_name
+                or rule.message_name in present
             )
-            for rule in self.rules
-        )
+        return rules
 
     def successors(self, config: Configuration) -> Iterator[Tuple[str, Configuration]]:
-        if not self.indexed:
-            for rule in self.rules:
-                for result in rule.rewrites(config):
-                    yield rule.label, result
-            return
-        present = config.message_names()
-        for rule, trigger in self._triggers:
-            if trigger is not None and trigger not in present:
-                continue
+        for rule in self.rules_for(config):
             for result in rule.rewrites(config):
                 yield rule.label, result
 

@@ -80,7 +80,8 @@ class CachedOutcome:
     proved: bool = False
 
     def to_json(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        # The fields, flat: ``dataclasses.asdict`` deep-copies each one.
+        return dict(vars(self))
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "CachedOutcome":
@@ -341,16 +342,11 @@ class QueryEngine:
                 distinct[index] = [index]  # uncacheable: searched alone
                 continue
             if self.cache is not None:
-                lookup_start = profiler.clock() if profiler.enabled else 0.0
-                entry = self.cache.get(key)
-                if profiler.enabled:
-                    profiler.account(
-                        ("engine", "cache.lookup"), profiler.clock() - lookup_start
-                    )
-                    profiler.count(
-                        ("engine", "cache.lookup"),
-                        "hits" if entry is not None else "misses",
-                    )
+                with profiler.section("engine", "cache.lookup"):
+                    entry = self.cache.get(key)
+                profiler.count(
+                    ("engine", "cache.lookup"), "misses" if entry is None else "hits"
+                )
                 if entry is not None:
                     cache_hits.inc()
                     reports[index] = self._served_from_cache(

@@ -169,7 +169,7 @@ builder_source = functools.lru_cache(maxsize=16)(
 
 #: Instance attributes of a system that the signature covers otherwise
 #: (``name``, ``rules``) or that cannot change a verdict.
-_SYSTEM_FIELDS = frozenset({"name", "rules", "indexed", "_triggers"})
+_SYSTEM_FIELDS = frozenset({"name", "rules", "indexed", "_fireable"})
 
 #: System signatures by system instance (see :func:`system_signature`).
 _SIGNATURES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

@@ -195,7 +195,6 @@ def check(
     # state itself is its visited-set key — no full-key materialisation
     # per successor.
     canonical = lambda config: config  # noqa: E731
-    profiled = None
     if profiler.enabled:
         from repro.rosa.profile import ProfiledSearch
 
@@ -204,20 +203,18 @@ def check(
         canonical = profiled.canonical
         goal = profiled.goal
     with telemetry.tracer.span("rosa.query", query=query.name) as span:
-        search_start = profiler.clock() if profiled is not None else 0.0
-        result: SearchResult = breadth_first_search(
-            query.initial,
-            successors,
-            goal,
-            budget=budget,
-            canonical=canonical,
-            track_states=track_states,
-            progress=telemetry.progress,
-            progress_interval=telemetry.progress_interval or PROGRESS_INTERVAL,
-            clock=clock,
-        )
-        if profiled is not None:
-            profiled.finish(profiler.clock() - search_start)
+        with profiler.root("rosa.search", "search.loop"):
+            result: SearchResult = breadth_first_search(
+                query.initial,
+                successors,
+                goal,
+                budget=budget,
+                canonical=canonical,
+                track_states=track_states,
+                progress=telemetry.progress,
+                progress_interval=telemetry.progress_interval or PROGRESS_INTERVAL,
+                clock=clock,
+            )
         if result.outcome is SearchOutcome.FOUND:
             verdict = Verdict.VULNERABLE
         elif result.outcome is SearchOutcome.EXHAUSTED:

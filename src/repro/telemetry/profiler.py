@@ -10,8 +10,8 @@ step.  The design constraints mirror the tracer's:
   :class:`~repro.telemetry.clock.ManualClock` get bit-identical reports;
 * **off by default, near-zero overhead when disabled** — a disabled
   profiler allocates no attribution records: :meth:`Profiler.account`
-  returns immediately and :meth:`Profiler.section` hands back one shared
-  inert context manager;
+  returns immediately and :meth:`Profiler.section` and
+  :meth:`Profiler.root` hand back one shared inert context manager;
 * **aggregated, not evented** — attribution is keyed by a *stack path*
   (a tuple of frame names such as ``("rosa.search", "rule:setuid")``),
   and each key accumulates call counts, wall seconds and named counters.
@@ -28,8 +28,9 @@ schema-versioned JSON document the run ledger embeds and
 
 from __future__ import annotations
 
+import contextlib
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.telemetry.clock import Clock, MONOTONIC
 
@@ -137,6 +138,39 @@ class Profiler:
         if not self.enabled:
             return _NULL_SECTION
         return _Section(self, stack)
+
+    def root(self, name: str, remainder: str):
+        """A context manager timing one top-level frame, ``(name,)``.
+
+        The time its direct children did not gain while it was open
+        (bookkeeping between the timed regions, the timers' own cost) is
+        accounted to ``(name, remainder)`` with a ``derived`` counter:
+        computed, not timed, but it keeps the root 100% attributed.
+        """
+        if not self.enabled:
+            return _NULL_SECTION
+        return self._root(name, remainder)
+
+    @contextlib.contextmanager
+    def _root(self, name: str, remainder: str) -> Iterator[None]:
+        def children() -> float:
+            return sum(
+                record.seconds
+                for stack, record in self.records.items()
+                if len(stack) == 2 and stack[0] == name
+            )
+
+        before = children()
+        start = self.clock()
+        try:
+            yield
+        finally:
+            elapsed = self.clock() - start
+            self.account((name,), elapsed)
+            untimed = elapsed - (children() - before)
+            if untimed > 0.0:
+                self.account((name, remainder), untimed)
+                self.count((name, remainder), "derived")
 
     def clear(self) -> None:
         self.records.clear()

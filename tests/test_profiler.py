@@ -39,6 +39,31 @@ class TestRecording:
         # Enter reads the clock once, exit once: exactly one tick apart.
         assert profiler.records[("stage", "inner")].seconds == 1.0
 
+    def test_root_books_the_untimed_remainder_as_derived(self):
+        profiler = Profiler(clock=ManualClock(tick=1.0))
+        profiler.account(("stage", "before"), 5.0)  # booked outside the root
+        with profiler.root("stage", "loop"):
+            profiler.account(("stage", "timed"), 3.0)
+            profiler.account(("stage", "timed", "deeper"), 2.0)
+            profiler.clock.advance(9.0)
+        # 10 s elapsed (one tick + the advance); 3 s went to a timed child.
+        assert profiler.records[("stage",)].seconds == 10.0
+        loop = profiler.records[("stage", "loop")]
+        assert loop.seconds == 7.0
+        assert loop.counters == {"derived": 1}
+        assert profiler.to_report()["roots"]["stage"]["attributed_fraction"] == 1.0
+
+    def test_reentering_a_root_adds_to_it(self):
+        profiler = Profiler(clock=ManualClock(tick=1.0))
+        for timed in (0.25, 0.5):
+            with profiler.root("stage", "loop"):
+                profiler.account(("stage", "timed"), timed)
+        root = profiler.records[("stage",)]
+        assert (root.calls, root.seconds) == (2, 2.0)
+        loop = profiler.records[("stage", "loop")]
+        assert (loop.calls, loop.seconds) == (2, 1.25)
+        assert loop.counters == {"derived": 2}
+
     def test_clear(self):
         profiler = Profiler()
         profiler.account(("a",), 1.0)
@@ -60,6 +85,16 @@ class TestDisabled:
         assert profiler.section("a") is _NULL_SECTION
         assert profiler.section("a", "b") is _NULL_SECTION
         with profiler.section("a"):
+            pass
+        assert profiler.records == {}
+
+    def test_disabled_root_reads_no_clock(self):
+        def clock():
+            raise AssertionError("a disabled profiler read its clock")
+
+        profiler = Profiler(clock=clock, enabled=False)
+        assert profiler.root("a", "rest") is _NULL_SECTION
+        with profiler.root("a", "rest"):
             pass
         assert profiler.records == {}
 

@@ -542,9 +542,9 @@ class TestVerdictParity:
     def test_pipeline_parity_engine_on_vs_off(self, program):
         # Fresh specs per run: workload env lists are consumed by the VM.
         with_engine = PrivAnalyzer().analyze(spec_by_name(program))
-        without_cache = PrivAnalyzer(use_query_cache=False).analyze(
-            spec_by_name(program)
-        )
+        uncached = PrivAnalyzer()
+        uncached.engine = QueryEngine(cache=None)
+        without_cache = uncached.analyze(spec_by_name(program))
         assert len(with_engine.phases) == len(without_cache.phases)
         for cached, plain in zip(with_engine.phases, without_cache.phases):
             assert cached.phase.name == plain.phase.name

@@ -1,5 +1,6 @@
 """Search profiling: attribution coverage, parity, determinism."""
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -7,16 +8,32 @@ import pytest
 from repro.core import PrivAnalyzer
 from repro.programs import spec_by_name
 from repro.rosa import check
+from repro.rosa.defenses import (
+    apply_capsicum,
+    apply_cfi,
+    apply_data_integrity,
+    apply_seccomp,
+)
 from repro.rosa.dsl import parse_query
 from repro.telemetry import ManualClock, Profiler, Telemetry
 
 pytestmark = pytest.mark.telemetry
 
-QUERY_PATH = Path(__file__).parent.parent / "examples" / "queries" / "figure2.rosa"
+EXAMPLES = Path(__file__).parent.parent / "examples"
+QUERY_PATH = EXAMPLES / "queries" / "figure2.rosa"
 
 
 def figure2_query():
     return parse_query(QUERY_PATH.read_text(), name="figure2")
+
+
+def defense_example():
+    spec = importlib.util.spec_from_file_location(
+        "defense_analysis", EXAMPLES / "defense_analysis.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestParity:
@@ -47,6 +64,29 @@ class TestParity:
                 attack_id
             ) == plain.vulnerability_window(attack_id)
         assert profiled.invulnerable_window() == plain.invulnerable_window()
+
+    @pytest.mark.parametrize("opens_first", [False, True])
+    @pytest.mark.parametrize(
+        "defense",
+        [
+            lambda query, order: apply_seccomp(query, ["open"]),
+            lambda query, order: apply_cfi(query, order),
+            lambda query, order: apply_data_integrity(query),
+            lambda query, order: apply_capsicum(query),
+        ],
+        ids=["seccomp", "cfi", "arg-integrity", "capsicum"],
+    )
+    def test_defended_queries_search_the_same_states(self, defense, opens_first):
+        # The CFI model's system decides its own successors; a profiled
+        # search must run them, not the stock rule filter underneath.
+        query = defense(*defense_example().build_query(opens_first))
+        plain = check(query)
+        profiler = Profiler()
+        profiled = check(query, telemetry=Telemetry(profiler=profiler))
+        assert profiled.verdict is plain.verdict
+        assert profiled.witness == plain.witness
+        assert profiled.states_seen == plain.states_seen
+        assert profiler.records
 
     def test_disabled_profiler_is_ignored_end_to_end(self):
         profiler = Profiler(enabled=False)
