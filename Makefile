@@ -1,8 +1,9 @@
-.PHONY: install test bench bench-counters examples reproduce trace-smoke ledger-smoke profile-smoke fuzz-smoke fuzz corpus-smoke serve-smoke clean
+.PHONY: install test bench bench-counters examples reproduce trace-smoke ledger-smoke profile-smoke frontend-smoke fuzz-smoke fuzz corpus-smoke serve-smoke clean
 
 TRACE_SMOKE_OUT := /tmp/privanalyzer-trace-smoke.jsonl
 LEDGER_SMOKE_DIR := /tmp/privanalyzer-ledger-smoke
 PROFILE_SMOKE_DIR := /tmp/privanalyzer-profile-smoke
+FRONTEND_SMOKE_DIR := /tmp/privanalyzer-frontend-smoke
 CORPUS_SMOKE_DIR := /tmp/privanalyzer-corpus-smoke
 SERVE_SMOKE_DIR := /tmp/privanalyzer-serve-smoke
 BENCH_COUNTERS_DIR := /tmp/privanalyzer-bench-counters
@@ -107,6 +108,31 @@ profile-smoke:
 	assert report['roots']['vm']['attributed_fraction'] >= 0.95, report['roots']['vm']; \
 	print(f'profile-smoke ok: {len(lines)} stacks, rosa.search ' \
 	      f'{search[\"attributed_fraction\"]:.1%} attributed')"
+
+# Frontend error smoke test (CI gate, ~1s): `analyze` on three malformed
+# .privc files (a `0x` literal with no digits, an unbalanced `}`, and
+# parentheses nested one level past the parser's MAX_NESTING) must each
+# exit 1 with one `privanalyzer: <path>: <message>` line on stderr and no
+# Python traceback.
+frontend-smoke:
+	rm -rf $(FRONTEND_SMOKE_DIR) && mkdir -p $(FRONTEND_SMOKE_DIR)
+	printf 'int main() { return 0x; }\n' > $(FRONTEND_SMOKE_DIR)/hex.privc
+	printf 'int main() { return 0; }\n}\n' > $(FRONTEND_SMOKE_DIR)/brace.privc
+	PYTHONPATH=src python -c "\
+	from repro.frontend.parser import MAX_NESTING as n; \
+	print('int main() { return ' + '(' * n + '1' + ')' * n + '; }')" \
+		> $(FRONTEND_SMOKE_DIR)/deep.privc
+	for name in hex brace deep; do \
+		err=$(FRONTEND_SMOKE_DIR)/$$name.err; \
+		PYTHONPATH=src python -m repro.cli analyze $(FRONTEND_SMOKE_DIR)/$$name.privc \
+			--caps CapSetuid > /dev/null 2> $$err; status=$$?; \
+		[ $$status -eq 1 ] || { echo "frontend-smoke: $$name.privc exited $$status, not 1"; cat $$err; exit 1; }; \
+		grep -q "^privanalyzer: $(FRONTEND_SMOKE_DIR)/$$name.privc: " $$err \
+			|| { echo "frontend-smoke: no privanalyzer: line for $$name.privc"; cat $$err; exit 1; }; \
+		! grep -q Traceback $$err \
+			|| { echo "frontend-smoke: traceback for $$name.privc"; cat $$err; exit 1; }; \
+		echo "frontend-smoke ok: $$(cat $$err)"; \
+	done
 
 # Conformance fuzz smoke (CI gate, ~40s): a fixed-seed campaign over the
 # six default differential oracle families (cache, vm — the generated VM

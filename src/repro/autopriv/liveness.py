@@ -19,8 +19,10 @@ The analysis has three layers:
    call site generating ``uses(callee)``.
 
 Facts are kernel bit masks (``int``, as :meth:`CapabilitySet.to_mask`
-encodes them), and every call site's generated mask is computed once;
-the public results are converted back to capability sets at the end.
+encodes them), and every call site's generated mask is computed once.
+``uses``, ``live_out`` and ``pinned`` are converted back to capability
+sets at the end; the per-block facts stay masks, with frozenset views
+for readers that want capabilities.
 
 Privileges used by registered signal handlers are pinned live for the
 whole program: a handler can run at any instruction (§VII-C), so its
@@ -31,11 +33,11 @@ privileges alive in the paper's Table III.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.caps import Capability, CapabilitySet
 from repro.ir import BasicBlock, Call, CallGraph, Function, Module
-from repro.ir.dataflow import SetDataflowProblem, solve
+from repro.ir.dataflow import SetDataflowProblem, flow_graph, solve
 from repro.autopriv import privuse
 
 CapFacts = FrozenSet[Capability]
@@ -53,12 +55,36 @@ class PrivLiveness:
     live_out: Dict[Function, CapabilitySet]
     #: Privileges pinned live forever (signal handlers' uses).
     pinned: CapabilitySet
-    #: Per-block liveness at block entry/exit, per function.
-    block_in: Dict[Function, Dict[BasicBlock, CapFacts]]
-    block_out: Dict[Function, Dict[BasicBlock, CapFacts]]
+    #: Per-block liveness at block entry/exit, per function, as kernel bit
+    #: masks (reachable blocks only).
+    block_in_masks: Dict[Function, Dict[BasicBlock, int]]
+    block_out_masks: Dict[Function, Dict[BasicBlock, int]]
     #: The kernel bit mask each call site in a defined function generates:
     #: its own raise/lower mask plus its possible targets' ``uses``.
     call_gen: Dict[Call, int]
+    #: The union of ``call_gen`` over each block's call sites.
+    block_gen: Dict[BasicBlock, int]
+
+    @property
+    def block_in(self) -> Dict[Function, Dict[BasicBlock, CapFacts]]:
+        """:attr:`block_in_masks` as capability frozensets."""
+        return _as_facts(self.block_in_masks)
+
+    @property
+    def block_out(self) -> Dict[Function, Dict[BasicBlock, CapFacts]]:
+        """:attr:`block_out_masks` as capability frozensets."""
+        return _as_facts(self.block_out_masks)
+
+
+def _as_facts(
+    per_function: Dict[Function, Dict[BasicBlock, int]]
+) -> Dict[Function, Dict[BasicBlock, CapFacts]]:
+    return {
+        function: {
+            block: CapabilitySet.from_mask(mask).as_frozenset() for block, mask in masks.items()
+        }
+        for function, masks in per_function.items()
+    }
 
 
 class _BlockLiveness(SetDataflowProblem):
@@ -100,15 +126,19 @@ def analyze_module(
     sites: Dict[BasicBlock, List[Tuple[Call, List[Function]]]] = {}
     call_gen: Dict[Call, int] = {}
     direct: Dict[Function, int] = {function: 0 for function in functions}
+    handlers: Set[Function] = set()
+    resolve_call = callgraph.resolve_call
     for function in defined:
+        used = 0
         for block in function.blocks:
             block_sites = sites[block] = []
             for instruction in block.instructions:
                 if isinstance(instruction, Call):
-                    own = privuse.instruction_uses(instruction).to_mask()
-                    call_gen[instruction] = own
-                    direct[function] |= own
-                    block_sites.append((instruction, callgraph.resolve_call(instruction)))
+                    own = call_gen[instruction] = privuse.use_mask(instruction)
+                    used |= own
+                    block_sites.append((instruction, resolve_call(instruction)))
+                    handlers.update(privuse.registered_handlers(instruction))
+        direct[function] = used
 
     # Layer 1: transitive uses per function.
     uses: Dict[Function, int] = {}
@@ -120,7 +150,7 @@ def analyze_module(
 
     # Pinned privileges: whatever registered signal handlers may use.
     pinned = 0
-    for handler in privuse.registered_signal_handlers(module):
+    for handler in handlers:
         pinned |= uses.get(handler, 0)
 
     block_gen: Dict[BasicBlock, int] = {}
@@ -133,37 +163,49 @@ def analyze_module(
         block_gen[block] = generated
 
     # Layer 2 + 3: iterate return-liveness and per-function block liveness
-    # to a joint fixpoint.
+    # to a joint fixpoint.  A function's block liveness depends only on
+    # its own ``live_out``, so each round re-solves just the functions
+    # whose ``live_out`` changed (all of them in the first round), over
+    # flow graphs built once.
+    graphs = {function: flow_graph(function, "backward") for function in defined}
+    # Per function, its blocks' call sites last to first, for propagation.
+    backward_sites = {
+        function: [
+            (block, [(call_gen[call], targets) for call, targets in reversed(sites[block])])
+            for block in function.blocks
+            if sites[block]
+        ]
+        for function in defined
+    }
     live_out: Dict[Function, int] = {function: 0 for function in functions}
     block_in: Dict[Function, Dict[BasicBlock, int]] = {}
     block_out: Dict[Function, Dict[BasicBlock, int]] = {}
     entry_function = module.functions.get(entry)
-    changed = True
-    while changed:
-        changed = False
-        for function in defined:
-            result = solve(_BlockLiveness(block_gen, live_out[function]), function)
-            if (
-                block_in.get(function) != result.block_in
-                or block_out.get(function) != result.block_out
-            ):
-                block_in[function] = result.block_in
-                block_out[function] = result.block_out
-                changed = True
+    stale = defined
+    while stale:
+        for function in stale:
+            result = solve(
+                _BlockLiveness(block_gen, live_out[function]), function, graphs[function]
+            )
+            block_in[function] = result.block_in
+            block_out[function] = result.block_out
         # Propagate liveness-after-call-site into callees' live_out.
-        new_live_out = {function: 0 for function in functions}
+        new_live_out = dict.fromkeys(functions, 0)
         for function in defined:
-            for block, live in block_out[function].items():
-                for call, targets in reversed(sites[block]):
+            out = block_out[function]
+            for block, block_sites in backward_sites[function]:
+                if block not in out:
+                    continue  # unreachable
+                live = out[block]
+                for generated, targets in block_sites:
                     # ``live`` currently holds liveness *after* this call.
                     for target in targets:
                         new_live_out[target] |= live
-                    live |= call_gen[call]
+                    live |= generated
         if entry_function is not None:
             new_live_out[entry_function] = 0
-        if new_live_out != live_out:
-            live_out = new_live_out
-            changed = True
+        stale = [function for function in defined if new_live_out[function] != live_out[function]]
+        live_out = new_live_out
 
     sets: Dict[int, CapabilitySet] = {}
 
@@ -172,23 +214,14 @@ def analyze_module(
             sets[mask] = CapabilitySet.from_mask(mask)
         return sets[mask]
 
-    def as_facts(
-        per_function: Dict[Function, Dict[BasicBlock, int]]
-    ) -> Dict[Function, Dict[BasicBlock, CapFacts]]:
-        return {
-            function: {
-                block: as_set(mask).as_frozenset() for block, mask in masks.items()
-            }
-            for function, masks in per_function.items()
-        }
-
     return PrivLiveness(
         module=module,
         callgraph=callgraph,
         uses={function: as_set(mask) for function, mask in uses.items()},
         live_out={function: as_set(mask) for function, mask in live_out.items()},
         pinned=as_set(pinned),
-        block_in=as_facts(block_in),
-        block_out=as_facts(block_out),
+        block_in_masks=block_in,
+        block_out_masks=block_out,
         call_gen=call_gen,
+        block_gen=block_gen,
     )

@@ -10,10 +10,10 @@ capabilities" — the conservative answer.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import List, Optional, Set
 
-from repro.caps import Capability, CapabilitySet
-from repro.ir import BinOp, Call, ConstantInt, Function, Instruction, Module, Value
+from repro.caps import CapabilitySet
+from repro.ir import BinOp, Call, ConstantInt, Function, FunctionRef, Instruction, Module, Value
 from repro.ir.instructions import BINARY_OPS
 
 #: Name of the runtime wrapper whose argument names the capabilities used.
@@ -26,6 +26,8 @@ PRIV_REMOVE = "priv_remove"
 SIGNAL_REGISTER = "signal"
 
 FULL_MASK = CapabilitySet.full()
+FULL_BITS = FULL_MASK.to_mask()
+_USE_WRAPPERS = (PRIV_RAISE, PRIV_LOWER)
 
 
 def fold_constant(value: Value) -> Optional[int]:
@@ -48,17 +50,22 @@ def fold_constant(value: Value) -> Optional[int]:
     return None
 
 
+def argument_mask(call: Call) -> int:
+    """The kernel bit mask named by a ``priv_*`` call's mask argument.
+
+    A mask that does not fold to a constant, or names no valid capability
+    set, is every capability.
+    """
+    operands = call.operands  # the callee, then the arguments
+    mask = fold_constant(operands[1]) if len(operands) > 1 else None
+    if mask is None or not 0 <= mask <= FULL_BITS:
+        return FULL_BITS
+    return mask
+
+
 def mask_argument(call: Call) -> CapabilitySet:
     """The capability set named by a ``priv_*`` call's mask argument."""
-    if not call.args:
-        return FULL_MASK
-    mask = fold_constant(call.args[0])
-    if mask is None:
-        return FULL_MASK
-    try:
-        return CapabilitySet.from_mask(mask)
-    except ValueError:
-        return FULL_MASK
+    return CapabilitySet.from_mask(argument_mask(call))
 
 
 def is_priv_call(call: Call, wrapper: str) -> bool:
@@ -76,9 +83,10 @@ def _is_use(instruction: Instruction) -> bool:
     closing ``priv_lower`` is the last point the privilege is needed, and
     removal happens after it.
     """
-    return isinstance(instruction, Call) and (
-        is_priv_call(instruction, PRIV_RAISE) or is_priv_call(instruction, PRIV_LOWER)
-    )
+    if not isinstance(instruction, Call):
+        return False
+    target = instruction.direct_target
+    return target is not None and target.name in _USE_WRAPPERS
 
 
 def direct_uses(function: Function) -> CapabilitySet:
@@ -92,23 +100,27 @@ def direct_uses(function: Function) -> CapabilitySet:
 
 def instruction_uses(instruction: Instruction) -> CapabilitySet:
     """Capabilities used by this one instruction (non-transitively)."""
-    if _is_use(instruction):
-        return mask_argument(instruction)
-    return CapabilitySet.empty()
+    return CapabilitySet.from_mask(use_mask(instruction))
+
+
+def use_mask(instruction: Instruction) -> int:
+    """:func:`instruction_uses` as a kernel bit mask."""
+    return argument_mask(instruction) if _is_use(instruction) else 0
+
+
+def registered_handlers(call: Call) -> List[Function]:
+    """The functions ``call`` registers as signal handlers (none unless it
+    is a ``signal()`` call)."""
+    if not is_priv_call(call, SIGNAL_REGISTER):
+        return []
+    return [arg.function for arg in call.operands[1:] if isinstance(arg, FunctionRef)]
 
 
 def registered_signal_handlers(module: Module) -> Set[Function]:
     """Functions passed as handlers to ``signal()`` anywhere in the module."""
-    from repro.ir import FunctionRef
-
     handlers: Set[Function] = set()
     for function in module.defined_functions():
         for instruction in function.instructions():
-            if not isinstance(instruction, Call):
-                continue
-            if not is_priv_call(instruction, SIGNAL_REGISTER):
-                continue
-            for arg in instruction.args:
-                if isinstance(arg, FunctionRef):
-                    handlers.add(arg.function)
+            if isinstance(instruction, Call):
+                handlers.update(registered_handlers(instruction))
     return handlers

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Callable, Dict, FrozenSet, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from repro.caps import Capability, CapabilitySet
-from repro.ir import Call, ConstantInt, Function, I64, Module, predecessors
+from repro.caps import CapabilitySet
+from repro.ir import BasicBlock, Call, ConstantInt, Function, I64, Module
 from repro.autopriv import privuse
 from repro.autopriv.liveness import analyze_module
 
@@ -51,10 +51,6 @@ def _runtime_fn(module: Module, name: str, param_types) -> "Function":
     return module.declare(name, I64, param_types)
 
 
-def _to_mask(facts: FrozenSet[Capability]) -> int:
-    return CapabilitySet(facts).to_mask()
-
-
 def _remove_call(module: Module, mask: int) -> Call:
     remove_fn = _runtime_fn(module, privuse.PRIV_REMOVE, [I64])
     return Call(remove_fn.ref(), [ConstantInt(I64, mask)], I64)
@@ -81,33 +77,41 @@ def transform_module(
     insertions: List[Tuple[str, str, int, CapabilitySet]] = []
     candidates = (initial_permitted - liveness.pinned).to_mask()
     call_gen = liveness.call_gen
+    block_gen = liveness.block_gen
 
     for function in module.defined_functions():
-        if function not in liveness.block_in:
+        if function not in liveness.block_in_masks:
             continue
-        preds = predecessors(function)
-        block_in = {block: _to_mask(f) for block, f in liveness.block_in[function].items()}
-        block_out = {block: _to_mask(f) for block, f in liveness.block_out[function].items()}
+        block_in = liveness.block_in_masks[function]
+        block_out = liveness.block_out_masks[function]
+        # What flows into each block: the union of its reachable
+        # predecessors' exit liveness (absent for a block with none).
+        incoming: Dict[BasicBlock, int] = {}
+        for pred, live in block_out.items():
+            for successor in pred.successors():
+                incoming[successor] = incoming.get(successor, 0) | live
         for block in function.blocks:
             if block not in block_in:
                 continue  # unreachable
             # Walk the block backward tracking instruction-level liveness:
             # a privilege dies after the instruction that generates it
-            # when it is not live after that instruction.
-            live_after = block_out[block]
-            transitions: List[Tuple[int, int]] = []
-            for index in range(len(block.instructions) - 1, -1, -1):
-                instruction = block.instructions[index]
-                generated = call_gen.get(instruction, 0)
-                dying = generated & ~live_after & candidates
-                if dying and not instruction.is_terminator:
-                    transitions.append((index, dying))
-                live_after |= generated
-            # Insert from the highest index down so indices stay valid.
-            for index, dying in transitions:
-                block.insert(index + 1, _remove_call(module, dying))
-                removed = CapabilitySet.from_mask(dying)
-                insertions.append((function.name, block.name, index + 1, removed))
+            # when it is not live after that instruction.  A block whose
+            # calls generate no candidate has no such death.
+            if block_gen[block] & candidates:
+                live_after = block_out[block]
+                transitions: List[Tuple[int, int]] = []
+                for index in range(len(block.instructions) - 1, -1, -1):
+                    instruction = block.instructions[index]
+                    generated = call_gen.get(instruction, 0)
+                    dying = generated & ~live_after & candidates
+                    if dying and not instruction.is_terminator:
+                        transitions.append((index, dying))
+                    live_after |= generated
+                # Insert from the highest index down so indices stay valid.
+                for index, dying in transitions:
+                    block.insert(index + 1, _remove_call(module, dying))
+                    removed = CapabilitySet.from_mask(dying)
+                    insertions.append((function.name, block.name, index + 1, removed))
 
             # Edge deaths: a privilege live out of some predecessor (on
             # behalf of a *different* successor) but dead on entry here —
@@ -115,13 +119,9 @@ def transform_module(
             # exit edge.  Removal at block entry is safe: liveness at
             # block entry is path-insensitive, so the privilege is dead
             # on every path from here regardless of the edge taken.
-            reachable_preds = [pred for pred in preds[block] if pred in block_out]
-            if not reachable_preds:
+            if block not in incoming:
                 continue
-            incoming = 0
-            for pred in reachable_preds:
-                incoming |= block_out[pred]
-            dying_at_entry = incoming & ~block_in[block] & candidates
+            dying_at_entry = incoming[block] & ~block_in[block] & candidates
             if dying_at_entry:
                 block.insert(0, _remove_call(module, dying_at_entry))
                 removed = CapabilitySet.from_mask(dying_at_entry)
@@ -132,8 +132,8 @@ def transform_module(
     entry_function = module.functions.get(entry)
     if entry_function is not None and not entry_function.is_declaration:
         entry_block = entry_function.entry
-        live_at_entry = liveness.block_in.get(entry_function, {}).get(entry_block, frozenset())
-        entry_removed = CapabilitySet.from_mask(candidates & ~_to_mask(live_at_entry))
+        live_at_entry = liveness.block_in_masks.get(entry_function, {}).get(entry_block, 0)
+        entry_removed = CapabilitySet.from_mask(candidates & ~live_at_entry)
         position = 0
         if insert_lockdown:
             lockdown = _runtime_fn(module, "prctl_lockdown", [])

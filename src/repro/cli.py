@@ -615,6 +615,7 @@ def _capture_ledger(args, capture) -> None:
 
 def _cmd_analyze(args, out, telemetry: Telemetry) -> int:
     from repro.core import ledger as ledger_mod
+    from repro.frontend import LexError, LowerError, ParseError, SemaError
 
     spec = _resolve_spec(args)
     analyzer = PrivAnalyzer(
@@ -622,7 +623,12 @@ def _cmd_analyze(args, out, telemetry: Telemetry) -> int:
         telemetry=telemetry,
         **_engine_kwargs(args),
     )
-    analysis = analyzer.analyze(spec)
+    try:
+        analysis = analyzer.analyze(spec)
+    except (LexError, ParseError, SemaError, LowerError) as error:
+        # A malformed program is the user's input, not a crash.
+        print(f"privanalyzer: {args.program}: {error}", file=sys.stderr)
+        return 1
     _export_profile(args, telemetry)
     _capture_ledger(
         args,

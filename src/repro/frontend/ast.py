@@ -14,12 +14,31 @@ from typing import List, Optional, Tuple
 # -- positions -----------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
 class Pos:
-    """Line/column of a token, for diagnostics."""
+    """Line/column of a token, for diagnostics.
 
-    line: int
-    column: int
+    Compared and hashed by value.  A plain slotted class rather than a
+    frozen dataclass, whose constructor costs several times more: the
+    parser makes one per syntax node.  Nothing assigns to a position
+    once it is made.
+    """
+
+    __slots__ = ("line", "column")
+
+    def __init__(self, line: int, column: int) -> None:
+        self.line = line
+        self.column = column
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Pos:
+            return self.line == other.line and self.column == other.column
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.line, self.column))
+
+    def __repr__(self) -> str:
+        return f"Pos(line={self.line!r}, column={self.column!r})"
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"

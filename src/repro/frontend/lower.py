@@ -9,7 +9,7 @@ integers.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.frontend import ast
 from repro.frontend.parser import parse
@@ -17,8 +17,9 @@ from repro.frontend.sema import SemaResult, analyze
 from repro.ir import (
     BOOL,
     BasicBlock,
+    ConstantInt,
+    ConstantString,
     Function,
-    FunctionRef,
     I64,
     IRBuilder,
     Module,
@@ -41,8 +42,12 @@ class _FunctionLowering:
         self.func = func
         self.function = lowering.module.get_function(func.name)
         self.builder = IRBuilder()
-        #: Scope stack: name -> alloca slot.
-        self.scopes: List[Dict[str, Value]] = []
+        self.globals = lowering.module.globals
+        #: The alloca slot each visible local name resolves to, and per
+        #: open scope the (name, slot it shadowed or None) pairs to restore
+        #: when the scope closes: one dict lookup finds a name.
+        self.visible: Dict[str, Value] = {}
+        self.scopes: List[List[Tuple[str, Optional[Value]]]] = []
         #: (break target, continue target) stack.
         self.loop_targets: List = []
         self._terminated = False
@@ -50,21 +55,33 @@ class _FunctionLowering:
     # -- scope ------------------------------------------------------------------
 
     def lookup_slot(self, name: str) -> Optional[Value]:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return self.module_lowering.module.globals.get(name)
+        slot = self.visible.get(name)
+        return self.globals.get(name) if slot is None else slot
+
+    def _open_scope(self) -> None:
+        self.scopes.append([])
+
+    def _bind(self, name: str, slot: Value) -> None:
+        self.scopes[-1].append((name, self.visible.get(name)))
+        self.visible[name] = slot
+
+    def _close_scope(self) -> None:
+        for name, shadowed in reversed(self.scopes.pop()):
+            if shadowed is None:
+                del self.visible[name]
+            else:
+                self.visible[name] = shadowed
 
     # -- entry ------------------------------------------------------------------
 
     def lower(self) -> None:
         entry = self.function.add_block("entry")
         self.builder.position_at_end(entry)
-        self.scopes.append({})
+        self._open_scope()
         for argument, (_, name) in zip(self.function.arguments, self.func.params):
             slot = self.builder.alloca(name)
             self.builder.store(argument, slot)
-            self.scopes[-1][name] = slot
+            self._bind(name, slot)
         self._terminated = False
         self.lower_block(self.func.body, new_scope=False)
         if not self._terminated:
@@ -72,7 +89,7 @@ class _FunctionLowering:
                 self.builder.ret()
             else:
                 self.builder.ret(0)
-        self.scopes.pop()
+        self._close_scope()
 
     def _start_block(self, block: BasicBlock) -> None:
         self.builder.position_at_end(block)
@@ -87,7 +104,7 @@ class _FunctionLowering:
 
     def lower_block(self, block: ast.Block, new_scope: bool = True) -> None:
         if new_scope:
-            self.scopes.append({})
+            self._open_scope()
         for statement in block.statements:
             if self._terminated:
                 # Unreachable source after return/break: drop it (clang
@@ -95,10 +112,12 @@ class _FunctionLowering:
                 break
             self.lower_statement(statement)
         if new_scope:
-            self.scopes.pop()
+            self._close_scope()
 
     def lower_statement(self, statement: ast.Stmt) -> None:
-        if isinstance(statement, ast.Block):
+        if isinstance(statement, ast.ExprStmt):
+            self.lower_expr(statement.expr, want_value=False)
+        elif isinstance(statement, ast.Block):
             self.lower_block(statement)
         elif isinstance(statement, ast.VarDecl):
             slot = self.builder.alloca(statement.name)
@@ -106,7 +125,7 @@ class _FunctionLowering:
                 self.lower_expr(statement.init) if statement.init is not None else 0
             )
             self.builder.store(init_value, slot)
-            self.scopes[-1][statement.name] = slot
+            self._bind(statement.name, slot)
         elif isinstance(statement, ast.Assign):
             slot = self.lookup_slot(statement.name)
             if slot is None:
@@ -132,8 +151,6 @@ class _FunctionLowering:
             _, continue_target = self.loop_targets[-1]
             self.builder.jmp(continue_target)
             self._terminated = True
-        elif isinstance(statement, ast.ExprStmt):
-            self.lower_expr(statement.expr, want_value=False)
         else:  # pragma: no cover
             raise LowerError(f"unknown statement {type(statement).__name__}")
 
@@ -170,7 +187,7 @@ class _FunctionLowering:
         self._start_block(end_block)
 
     def lower_for(self, statement: ast.For) -> None:
-        self.scopes.append({})
+        self._open_scope()
         if statement.init is not None:
             self.lower_statement(statement.init)
         cond_block = self.function.add_block("for.cond")
@@ -194,7 +211,7 @@ class _FunctionLowering:
             self.lower_statement(statement.step)
         self._terminate_with_jump(cond_block)
         self._start_block(end_block)
-        self.scopes.pop()
+        self._close_scope()
 
     # -- expressions -----------------------------------------------------------------
 
@@ -215,26 +232,29 @@ class _FunctionLowering:
         return self._to_bool(self.lower_expr(expr, as_condition=True))
 
     def lower_expr(self, expr: ast.Expr, want_value: bool = True, as_condition: bool = False) -> Value:
-        builder = self.builder
-        if isinstance(expr, ast.IntLit):
-            return builder.value(expr.value)
-        if isinstance(expr, ast.StrLit):
-            return builder.value(expr.value)
-        if isinstance(expr, ast.Ident):
-            constants = self.module_lowering.sema.constants
-            if expr.name in constants and self.lookup_slot(expr.name) is None:
-                return builder.value(constants[expr.name])
+        kind = expr.__class__
+        if kind is ast.Ident:
             slot = self.lookup_slot(expr.name)
             if slot is not None:
-                return builder.load(slot, name=expr.name)
+                return self.builder.load(slot, name=expr.name)
+            constants = self.module_lowering.sema.constants
+            if expr.name in constants:
+                return ConstantInt(I64, constants[expr.name])
             # A bare function name evaluates to its address.
             function = self.module_lowering.module.functions.get(expr.name)
             if function is not None:
                 return function.ref()
             raise LowerError(f"{expr.pos}: unresolved identifier {expr.name!r}")
-        if isinstance(expr, ast.AddrOf):
-            return self.module_lowering.module.get_function(expr.name).ref()
-        if isinstance(expr, ast.Unary):
+        if kind is ast.IntLit:
+            return ConstantInt(I64, expr.value)
+        if kind is ast.CallExpr:
+            return self.lower_call(expr)
+        if kind is ast.Binary:
+            return self.lower_binary(expr, as_condition)
+        if kind is ast.StrLit:
+            return ConstantString(expr.value)
+        if kind is ast.Unary:
+            builder = self.builder
             operand = self.lower_expr(expr.operand)
             if expr.op == "-":
                 return builder.sub(0, self._to_int(operand))
@@ -242,10 +262,8 @@ class _FunctionLowering:
                 result = builder.icmp("eq", self._to_int(operand), 0)
                 return result if as_condition else self._to_int(result)
             raise LowerError(f"{expr.pos}: unknown unary {expr.op}")
-        if isinstance(expr, ast.Binary):
-            return self.lower_binary(expr, as_condition)
-        if isinstance(expr, ast.CallExpr):
-            return self.lower_call(expr)
+        if kind is ast.AddrOf:
+            return self.module_lowering.module.get_function(expr.name).ref()
         raise LowerError(f"{expr.pos}: unknown expression {type(expr).__name__}")
 
     _CMP = {"==": "eq", "!=": "ne", "<": "slt", "<=": "sle", ">": "sgt", ">=": "sge"}

@@ -32,6 +32,18 @@ PRECEDENCE = {
 }
 
 
+#: How deep constructs may nest.  Each of these opens one level, held
+#: while its contents are parsed: a block (a function body too), an
+#: ``else if`` link, a parenthesised expression, a unary operator, a call's
+#: argument list, and each binary operator chained onto one operand.  The
+#: later stages walk the syntax tree recursively, so a deeper program
+#: would exhaust Python's stack; past this limit the parser raises a
+#: positioned :class:`ParseError` instead.
+MAX_NESTING = 128
+
+_VAR_TYPES = frozenset(("int", "str", "fnptr"))
+
+
 class ParseError(SyntaxError):
     def __init__(self, message: str, token: Token) -> None:
         super().__init__(f"{token.pos}: {message} (got {token.kind} {token.text!r})")
@@ -42,47 +54,67 @@ class Parser:
     def __init__(self, source: str) -> None:
         self.tokens = tokenize(source)
         self.index = 0
+        #: The token at ``index``; the list ends with the EOF token, which
+        #: is never consumed, so every other token has a successor.
+        self.token = self.tokens[0]
+        #: Open nesting levels (see :data:`MAX_NESTING`).
+        self.depth = 0
 
     # -- token plumbing -----------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.index]
-
     def advance(self) -> Token:
-        token = self.current
+        token = self.token
         if token.kind != "eof":
             self.index += 1
+            self.token = self.tokens[self.index]
         return token
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        token = self.current
-        return token.kind == kind and (text is None or token.text == text)
+    def accept_op(self, text: str) -> bool:
+        token = self.token
+        if token.text == text and token.kind == "op":
+            self.index += 1
+            self.token = self.tokens[self.index]
+            return True
+        return False
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.advance()
-        return None
+    def expect_op(self, text: str) -> Token:
+        token = self.token
+        if token.text != text or token.kind != "op":
+            raise ParseError(f"expected {text}", token)
+        self.index += 1
+        self.token = self.tokens[self.index]
+        return token
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if self.at(kind, text):
-            return self.advance()
-        raise ParseError(f"expected {text or kind}", self.current)
+    def expect(self, kind: str) -> Token:
+        if self.token.kind != kind:
+            raise ParseError(f"expected {kind}", self.token)
+        return self.advance()
+
+    def _nest(self, token: Token) -> int:
+        """Open one nesting level at ``token``; returns the depth to restore."""
+        depth = self.depth
+        if depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", token)
+        self.depth = depth + 1
+        return depth
 
     # -- toplevel -------------------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
         globals_: List[ast.GlobalDecl] = []
         functions: List[ast.FuncDecl] = []
-        while not self.at("eof"):
-            if self.accept("keyword", "extern"):
+        while self.token.kind != "eof":
+            token = self.token
+            if token.kind == "keyword" and token.text == "extern":
+                self.advance()
                 functions.append(self._parse_extern())
                 continue
             type_token = self.expect("keyword")
             if type_token.text not in TYPE_NAMES:
                 raise ParseError("expected a type", type_token)
             name_token = self.expect("ident")
-            if self.at("op", "("):
+            token = self.token
+            if token.text == "(" and token.kind == "op":
                 functions.append(self._parse_function(type_token.text, name_token))
             else:
                 globals_.append(self._parse_global(name_token))
@@ -95,16 +127,16 @@ class Parser:
             raise ParseError("expected a return type", type_token)
         name_token = self.expect("ident")
         params = self._parse_params()
-        self.expect("op", ";")
+        self.expect_op(";")
         return ast.FuncDecl(name_token.pos, type_token.text, name_token.text, params, None)
 
     def _parse_global(self, name_token: Token) -> ast.GlobalDecl:
         init = 0
-        if self.accept("op", "="):
-            negative = self.accept("op", "-") is not None
+        if self.accept_op("="):
+            negative = self.accept_op("-")
             value_token = self.expect("int")
             init = -value_token.value if negative else value_token.value
-        self.expect("op", ";")
+        self.expect_op(";")
         return ast.GlobalDecl(name_token.pos, name_token.text, init)
 
     def _parse_function(self, return_type: str, name_token: Token) -> ast.FuncDecl:
@@ -113,182 +145,225 @@ class Parser:
         return ast.FuncDecl(name_token.pos, return_type, name_token.text, params, body)
 
     def _parse_params(self) -> List[Tuple[str, str]]:
-        self.expect("op", "(")
+        self.expect_op("(")
         params: List[Tuple[str, str]] = []
-        if not self.at("op", ")"):
+        if not self.accept_op(")"):
             while True:
                 type_token = self.expect("keyword")
-                if type_token.text not in TYPE_NAMES or type_token.text == "void":
+                if type_token.text not in _VAR_TYPES:
                     raise ParseError("expected a parameter type", type_token)
                 param_name = self.expect("ident")
                 params.append((type_token.text, param_name.text))
-                if not self.accept("op", ","):
+                if not self.accept_op(","):
                     break
-        self.expect("op", ")")
+            self.expect_op(")")
         return params
 
     # -- statements --------------------------------------------------------------------
 
     def _parse_block(self) -> ast.Block:
-        open_token = self.expect("op", "{")
+        open_token = self.expect_op("{")
+        depth = self._nest(open_token)
         statements: List[ast.Stmt] = []
-        while not self.at("op", "}"):
-            statements.append(self._parse_statement())
-        self.expect("op", "}")
+        append = statements.append
+        parse_statement = self._parse_statement
+        while True:
+            token = self.token
+            if token.text == "}" and token.kind == "op":
+                break
+            append(parse_statement())
+        self.index += 1
+        self.token = self.tokens[self.index]
+        self.depth = depth
         return ast.Block(open_token.pos, statements)
 
     def _parse_statement(self) -> ast.Stmt:
-        token = self.current
-        if token.kind == "op" and token.text == "{":
-            return self._parse_block()
-        if token.kind == "keyword":
-            if token.text in ("int", "str", "fnptr"):
+        token = self.token
+        kind = token.kind
+        if kind == "keyword":
+            text = token.text
+            if text in _VAR_TYPES:
                 return self._parse_vardecl()
-            if token.text == "if":
+            if text == "if":
                 return self._parse_if()
-            if token.text == "while":
+            if text == "while":
                 return self._parse_while()
-            if token.text == "for":
+            if text == "for":
                 return self._parse_for()
-            if token.text == "return":
+            if text == "return":
                 self.advance()
-                value = None if self.at("op", ";") else self._parse_expr()
-                self.expect("op", ";")
+                value = None
+                if self.token.text != ";" or self.token.kind != "op":
+                    value = self._parse_expr()
+                self.expect_op(";")
                 return ast.Return(token.pos, value)
-            if token.text == "break":
+            if text == "break":
                 self.advance()
-                self.expect("op", ";")
+                self.expect_op(";")
                 return ast.Break(token.pos)
-            if token.text == "continue":
+            if text == "continue":
                 self.advance()
-                self.expect("op", ";")
+                self.expect_op(";")
                 return ast.Continue(token.pos)
             raise ParseError("unexpected keyword", token)
+        if kind == "op" and token.text == "{":
+            return self._parse_block()
         return self._parse_simple_statement(expect_semicolon=True)
 
     def _parse_vardecl(self) -> ast.VarDecl:
         type_token = self.advance()
         name_token = self.expect("ident")
         init = None
-        if self.accept("op", "="):
+        if self.accept_op("="):
             init = self._parse_expr()
-        self.expect("op", ";")
+        self.expect_op(";")
         return ast.VarDecl(type_token.pos, type_token.text, name_token.text, init)
 
     def _parse_if(self) -> ast.If:
-        token = self.expect("keyword", "if")
-        self.expect("op", "(")
+        token = self.advance()  # the ``if`` keyword
+        self.expect_op("(")
         cond = self._parse_expr()
-        self.expect("op", ")")
+        self.expect_op(")")
         then_body = self._parse_block()
         else_body: Optional[ast.Block] = None
-        if self.accept("keyword", "else"):
-            if self.at("keyword", "if"):
+        else_token = self.token
+        if else_token.text == "else" and else_token.kind == "keyword":
+            self.advance()
+            if self.token.text == "if" and self.token.kind == "keyword":
                 # else-if chains: wrap the nested if in a synthetic block.
+                depth = self._nest(self.token)
                 nested = self._parse_if()
+                self.depth = depth
                 else_body = ast.Block(nested.pos, [nested])
             else:
                 else_body = self._parse_block()
         return ast.If(token.pos, cond, then_body, else_body)
 
     def _parse_while(self) -> ast.While:
-        token = self.expect("keyword", "while")
-        self.expect("op", "(")
+        token = self.advance()  # the ``while`` keyword
+        self.expect_op("(")
         cond = self._parse_expr()
-        self.expect("op", ")")
+        self.expect_op(")")
         return ast.While(token.pos, cond, self._parse_block())
 
     def _parse_for(self) -> ast.For:
-        token = self.expect("keyword", "for")
-        self.expect("op", "(")
+        token = self.advance()  # the ``for`` keyword
+        self.expect_op("(")
         init: Optional[ast.Stmt] = None
-        if not self.at("op", ";"):
-            if self.at("keyword", "int") or self.at("keyword", "str") or self.at("keyword", "fnptr"):
+        if not self.accept_op(";"):
+            if self.token.kind == "keyword" and self.token.text in _VAR_TYPES:
                 init = self._parse_vardecl()  # consumes the ';'
             else:
                 init = self._parse_simple_statement(expect_semicolon=True)
-        else:
-            self.expect("op", ";")
-        cond = None if self.at("op", ";") else self._parse_expr()
-        self.expect("op", ";")
-        step = None if self.at("op", ")") else self._parse_simple_statement(expect_semicolon=False)
-        self.expect("op", ")")
+        cond = None if self.token.text == ";" and self.token.kind == "op" else self._parse_expr()
+        self.expect_op(";")
+        step = None
+        if self.token.text != ")" or self.token.kind != "op":
+            step = self._parse_simple_statement(expect_semicolon=False)
+        self.expect_op(")")
         return ast.For(token.pos, init, cond, step, self._parse_block())
 
     def _parse_simple_statement(self, expect_semicolon: bool) -> ast.Stmt:
         """Assignment or expression statement."""
-        token = self.current
-        if token.kind == "ident" and self.tokens[self.index + 1].text == "=" and self.tokens[self.index + 1].kind == "op":
+        token = self.token
+        following = self.tokens[self.index + 1] if token.kind == "ident" else None
+        if following is not None and following.text == "=" and following.kind == "op":
             # Plain assignment `name = expr` (== is a distinct token).
-            name_token = self.advance()
-            self.expect("op", "=")
+            self.index += 2
+            self.token = self.tokens[self.index]
             value = self._parse_expr()
             if expect_semicolon:
-                self.expect("op", ";")
-            return ast.Assign(name_token.pos, name_token.text, value)
+                self.expect_op(";")
+            return ast.Assign(token.pos, token.text, value)
         expr = self._parse_expr()
         if expect_semicolon:
-            self.expect("op", ";")
+            self.expect_op(";")
         return ast.ExprStmt(token.pos, expr)
 
     # -- expressions (precedence climbing) ---------------------------------------------
 
     def _parse_expr(self, min_precedence: int = 1) -> ast.Expr:
         lhs = self._parse_unary()
+        token = self.token
+        if token.kind != "op":
+            return lhs
+        precedence = PRECEDENCE.get(token.text, 0)
+        if precedence < min_precedence:
+            return lhs
+        depth = self.depth
         while True:
-            token = self.current
-            if token.kind != "op" or token.text not in PRECEDENCE:
-                break
-            precedence = PRECEDENCE[token.text]
-            if precedence < min_precedence:
-                break
-            self.advance()
+            # Each operator chained onto ``lhs`` nests it one level deeper.
+            self._nest(token)
+            self.index += 1
+            self.token = self.tokens[self.index]
             rhs = self._parse_expr(precedence + 1)
             lhs = ast.Binary(token.pos, token.text, lhs, rhs)
+            token = self.token
+            if token.kind != "op":
+                break
+            precedence = PRECEDENCE.get(token.text, 0)
+            if precedence < min_precedence:
+                break
+        self.depth = depth
         return lhs
 
     def _parse_unary(self) -> ast.Expr:
-        token = self.current
-        if token.kind == "op" and token.text in ("-", "!"):
-            self.advance()
-            return ast.Unary(token.pos, token.text, self._parse_unary())
-        if token.kind == "op" and token.text == "&":
-            self.advance()
-            name_token = self.expect("ident")
-            return ast.AddrOf(token.pos, name_token.text)
-        return self._parse_postfix()
-
-    def _parse_postfix(self) -> ast.Expr:
-        expr = self._parse_primary()
-        while self.at("op", "("):
-            open_token = self.advance()
+        """A unary expression: prefix operators, a primary, call suffixes."""
+        token = self.token
+        kind = token.kind
+        if kind == "op":
+            text = token.text
+            if text == "-" or text == "!":
+                depth = self._nest(token)
+                self.index += 1
+                self.token = self.tokens[self.index]
+                operand = self._parse_unary()
+                self.depth = depth
+                return ast.Unary(token.pos, text, operand)
+            if text == "&":
+                self.advance()
+                name_token = self.expect("ident")
+                return ast.AddrOf(token.pos, name_token.text)
+            if text == "(":
+                depth = self._nest(token)
+                self.index += 1
+                self.token = self.tokens[self.index]
+                expr = self._parse_expr()
+                self.expect_op(")")
+                self.depth = depth
+            else:
+                raise ParseError("expected an expression", token)
+        else:
+            if kind == "ident":
+                expr = ast.Ident(token.pos, token.text)
+            elif kind == "int":
+                expr = ast.IntLit(token.pos, token.value)
+            elif kind == "string":
+                expr = ast.StrLit(token.pos, token.text)
+            else:
+                raise ParseError("expected an expression", token)
+            self.index += 1
+            self.token = self.tokens[self.index]
+        # Call suffixes; each nests the callee one level deeper.
+        open_token = self.token
+        if open_token.text != "(" or open_token.kind != "op":
+            return expr
+        depth = self.depth
+        while open_token.text == "(" and open_token.kind == "op":
+            self._nest(open_token)
+            self.index += 1
+            self.token = self.tokens[self.index]
             args: List[ast.Expr] = []
-            if not self.at("op", ")"):
+            if not self.accept_op(")"):
                 while True:
                     args.append(self._parse_expr())
-                    if not self.accept("op", ","):
+                    if not self.accept_op(","):
                         break
-            self.expect("op", ")")
+                self.expect_op(")")
             expr = ast.CallExpr(open_token.pos, expr, args)
+            open_token = self.token
+        self.depth = depth
         return expr
-
-    def _parse_primary(self) -> ast.Expr:
-        token = self.current
-        if token.kind == "int":
-            self.advance()
-            return ast.IntLit(token.pos, token.value)
-        if token.kind == "string":
-            self.advance()
-            return ast.StrLit(token.pos, token.text)
-        if token.kind == "ident":
-            self.advance()
-            return ast.Ident(token.pos, token.text)
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            expr = self._parse_expr()
-            self.expect("op", ")")
-            return expr
-        raise ParseError("expected an expression", token)
 
 
 def parse(source: str) -> ast.Program:

@@ -126,14 +126,13 @@ class _Checker:
     # -- scope helpers ---------------------------------------------------------
 
     def _declared(self, name: str) -> bool:
-        return (
-            any(name in scope for scope in self.locals)
-            or name in self.globals
-            or name in self.constants
-        )
+        return self._is_variable(name) or name in self.constants
 
     def _is_variable(self, name: str) -> bool:
-        return any(name in scope for scope in self.locals) or name in self.globals
+        for scope in self.locals:
+            if name in scope:
+                return True
+        return name in self.globals
 
     def problem(self, pos: ast.Pos, message: str) -> None:
         self.problems.append(f"{pos}: {message}")
@@ -160,7 +159,9 @@ class _Checker:
         self.locals.pop()
 
     def check_statement(self, statement: ast.Stmt) -> None:
-        if isinstance(statement, ast.Block):
+        if isinstance(statement, ast.ExprStmt):
+            self.check_expr(statement.expr)
+        elif isinstance(statement, ast.Block):
             self.check_block(statement)
         elif isinstance(statement, ast.VarDecl):
             if statement.init is not None:
@@ -214,19 +215,20 @@ class _Checker:
             if self.loop_depth == 0:
                 keyword = "break" if isinstance(statement, ast.Break) else "continue"
                 self.problem(statement.pos, f"{keyword} outside a loop")
-        elif isinstance(statement, ast.ExprStmt):
-            self.check_expr(statement.expr)
         else:  # pragma: no cover
             self.problem(statement.pos, f"unknown statement {type(statement).__name__}")
 
     # -- expressions ---------------------------------------------------------------------
 
     def check_expr(self, expr: ast.Expr) -> None:
-        if isinstance(expr, (ast.IntLit, ast.StrLit)):
-            return
         if isinstance(expr, ast.Ident):
             if not self._declared(expr.name) and expr.name not in self.functions:
                 self.problem(expr.pos, f"use of undeclared {expr.name!r}")
+            return
+        if isinstance(expr, ast.CallExpr):
+            self.check_call(expr)
+            return
+        if isinstance(expr, (ast.IntLit, ast.StrLit)):
             return
         if isinstance(expr, ast.AddrOf):
             if expr.name not in self.functions:
@@ -240,9 +242,6 @@ class _Checker:
         if isinstance(expr, ast.Binary):
             self.check_expr(expr.lhs)
             self.check_expr(expr.rhs)
-            return
-        if isinstance(expr, ast.CallExpr):
-            self.check_call(expr)
             return
         self.problem(expr.pos, f"unknown expression {type(expr).__name__}")  # pragma: no cover
 

@@ -16,7 +16,7 @@ from repro.ir.cfg import (
     reachable_blocks,
     reverse_postorder,
 )
-from repro.ir.dataflow import DataflowResult, SetDataflowProblem, solve
+from repro.ir.dataflow import DataflowResult, FlowGraph, SetDataflowProblem, flow_graph, solve
 from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import (
     Alloca,
@@ -68,6 +68,7 @@ __all__ = [
     "ConstantInt",
     "ConstantString",
     "DataflowResult",
+    "FlowGraph",
     "Function",
     "FunctionRef",
     "FunctionType",
@@ -99,6 +100,7 @@ __all__ = [
     "VoidType",
     "const_int",
     "dominators",
+    "flow_graph",
     "fold_constants",
     "immediate_dominators",
     "optimize_function",

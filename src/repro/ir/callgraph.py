@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Set
 from repro.ir.function import Function
 from repro.ir.instructions import Call
 from repro.ir.module import Module
+from repro.ir.values import FunctionRef
 
 
 class CallGraph:
@@ -52,23 +53,24 @@ class CallGraph:
             self.callees[function] = set()
             self.has_indirect_call[function] = False
         for function in module.defined_functions():
-            for instruction in function.instructions():
-                if not isinstance(instruction, Call):
-                    continue
-                target = instruction.direct_target
-                if target is not None:
-                    self.callees[function].add(target)
-                    # An external (declaration-only) callee may invoke any
-                    # function pointer it receives — qsort/pthread_create/
-                    # spawn_wait-style callbacks.  Conservatively add edges
-                    # to those arguments.
-                    if target.is_declaration:
-                        for callback in self._callback_arguments(instruction):
-                            self.callees[function].add(callback)
-                else:
-                    self.has_indirect_call[function] = True
-                    for candidate in self._indirect_targets(instruction):
-                        self.callees[function].add(candidate)
+            callees = self.callees[function]
+            for block in function.blocks:
+                for instruction in block.instructions:
+                    if not isinstance(instruction, Call):
+                        continue
+                    callee = instruction.operands[0]
+                    if isinstance(callee, FunctionRef):
+                        target = callee.function
+                        callees.add(target)
+                        # An external (declaration-only) callee may invoke any
+                        # function pointer it receives — qsort/pthread_create/
+                        # spawn_wait-style callbacks.  Conservatively add edges
+                        # to those arguments.
+                        if target.is_declaration:
+                            callees.update(self._callback_arguments(instruction))
+                    else:
+                        self.has_indirect_call[function] = True
+                        callees.update(self._indirect_targets(instruction))
 
     def _indirect_targets(self, call: Call) -> Iterable[Function]:
         if self.filter == "address-taken":
@@ -105,10 +107,8 @@ class CallGraph:
 
     @staticmethod
     def _callback_arguments(call: Call) -> List[Function]:
-        from repro.ir.values import FunctionRef
-
         return [
-            arg.function for arg in call.args if isinstance(arg, FunctionRef)
+            arg.function for arg in call.operands[1:] if isinstance(arg, FunctionRef)
         ]
 
     def resolve_call(self, call: Call) -> List[Function]:
@@ -118,10 +118,11 @@ class CallGraph:
         targets any function whose address is passed in — the callee may
         invoke the callback before returning.
         """
-        target = call.direct_target
-        if target is not None:
+        callee = call.operands[0]
+        if isinstance(callee, FunctionRef):
+            target = callee.function
             if target.is_declaration:
-                return [target] + self._callback_arguments(call)
+                return [target, *self._callback_arguments(call)]
             return [target]
         return list(self._indirect_targets(call))
 

@@ -32,19 +32,27 @@ def reachable_blocks(function: Function) -> Set[BasicBlock]:
 
 
 def postorder(function: Function) -> List[BasicBlock]:
-    """Blocks in postorder from the entry (unreachable blocks omitted)."""
+    """Blocks in postorder from the entry (unreachable blocks omitted).
+
+    A depth-first walk with an explicit stack, visiting successors in
+    order, so a deep CFG cannot exhaust Python's stack.
+    """
+    if function.is_declaration:
+        return []
     order: List[BasicBlock] = []
-    seen: Set[BasicBlock] = set()
-
-    def visit(block: BasicBlock) -> None:
-        seen.add(block)
-        for successor in block.successors():
+    entry = function.entry
+    seen = {entry}
+    stack = [(entry, iter(entry.successors()))]
+    while stack:
+        block, successors = stack[-1]
+        for successor in successors:
             if successor not in seen:
-                visit(successor)
-        order.append(block)
-
-    if not function.is_declaration:
-        visit(function.entry)
+                seen.add(successor)
+                stack.append((successor, iter(successor.successors())))
+                break
+        else:
+            stack.pop()
+            order.append(block)
     return order
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-from typing import Dict, FrozenSet, TypeVar, Union
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, TypeVar, Union
 
 from repro.ir.cfg import postorder, predecessors, reverse_postorder
 from repro.ir.function import BasicBlock, Function
@@ -71,26 +71,62 @@ class SetDataflowProblem:
         return self.gen(block) | (incoming - self.kill(block))
 
 
-def solve(problem: SetDataflowProblem, function: Function) -> DataflowResult:
-    """Run the iterative worklist algorithm to a fixpoint."""
-    if function.is_declaration:
-        return DataflowResult({}, {})
-    forward = problem.direction == "forward"
-    order = reverse_postorder(function) if forward else postorder(function)
-    if forward:
+class FlowGraph(NamedTuple):
+    """One function's blocks as one direction of data flow sees them.
+
+    ``order`` is the iteration order (reverse postorder going forward,
+    postorder going backward; unreachable blocks omitted), ``sources``
+    maps each block to the blocks whose facts flow into it
+    (predecessors going forward, successors going backward), and
+    ``boundaries`` holds the blocks that also receive the boundary fact.
+    A caller that solves one function many times builds this once with
+    :func:`flow_graph` and passes it to every :func:`solve`.
+    """
+
+    direction: str
+    order: List[BasicBlock]
+    sources: Dict[BasicBlock, Sequence[BasicBlock]]
+    boundaries: Set[BasicBlock]
+
+
+def flow_graph(function: Function, direction: str) -> FlowGraph:
+    """The :class:`FlowGraph` of a defined ``function`` for ``direction``."""
+    if direction == "forward":
+        order = reverse_postorder(function)
         preds = predecessors(function)
         sources = {block: preds[block] for block in order}
-        boundaries = {function.entry}
-    else:
-        sources = {block: list(block.successors()) for block in order}
-        boundaries = {block for block in order if not sources[block]}
+        return FlowGraph(direction, order, sources, {function.entry})
+    sources = {block: block.successors() for block in postorder(function)}
+    boundaries = {block for block, successors in sources.items() if not successors}
+    return FlowGraph(direction, list(sources), sources, boundaries)
+
+
+def solve(
+    problem: SetDataflowProblem, function: Function, graph: Optional[FlowGraph] = None
+) -> DataflowResult:
+    """Run the iterative worklist algorithm to a fixpoint.
+
+    ``graph`` is ``flow_graph(function, problem.direction)``, built here
+    when not given.
+    """
+    if function.is_declaration:
+        return DataflowResult({}, {})
+    if graph is None:
+        graph = flow_graph(function, problem.direction)
+    elif graph.direction != problem.direction:
+        raise ValueError(
+            f"a {graph.direction} flow graph cannot solve a {problem.direction} problem"
+        )
+    order, sources, boundaries = graph.order, graph.sources, graph.boundaries
 
     merge = operator.or_ if problem.meet == "union" else operator.and_
+    transfer = problem.transfer
     initial, boundary = problem.initial(), problem.boundary()
-    block_in: BlockSets = {block: initial for block in order}
-    block_out: BlockSets = {block: initial for block in order}
+    block_in: BlockSets = dict.fromkeys(order, initial)
+    block_out: BlockSets = dict.fromkeys(order, initial)
     # Facts flow out of ``block_out`` into ``block_in`` going forward, and
     # the other way round going backward.
+    forward = problem.direction == "forward"
     into, out_of = (block_in, block_out) if forward else (block_out, block_in)
 
     changed = True
@@ -106,7 +142,7 @@ def solve(problem: SetDataflowProblem, function: Function) -> DataflowResult:
                     incoming = merge(incoming, boundary)
             else:
                 incoming = boundary if block in boundaries else initial
-            outgoing = problem.transfer(block, incoming)
+            outgoing = transfer(block, incoming)
             if incoming != into[block] or outgoing != out_of[block]:
                 into[block], out_of[block] = incoming, outgoing
                 changed = True

@@ -19,13 +19,14 @@ class BasicBlock:
 
     def append(self, instruction: Instruction) -> Instruction:
         """Append an instruction; refuses to add past a terminator."""
-        if self.terminator is not None:
+        instructions = self.instructions
+        if instructions and instructions[-1].is_terminator:
             raise ValueError(
                 f"block {self.name} already has terminator "
-                f"{self.terminator.opcode}; cannot append {instruction.opcode}"
+                f"{instructions[-1].opcode}; cannot append {instruction.opcode}"
             )
         instruction.parent = self
-        self.instructions.append(instruction)
+        instructions.append(instruction)
         return instruction
 
     def insert(self, index: int, instruction: Instruction) -> Instruction:

@@ -25,16 +25,16 @@ class Instruction(Value):
     """Base class; subclasses define ``opcode`` and their operand lists."""
 
     opcode = "?"
+    #: True on the block-ending instructions (branches, ``ret``, ``unreachable``).
+    is_terminator = False
 
     def __init__(self, vtype: Type, operands: Sequence[Value], name: str = "") -> None:
-        super().__init__(vtype, name)
+        # ``Value.__init__``, inlined: lowering builds one per IR instruction.
+        self.type = vtype
+        self.name = name
         self.operands: List[Value] = list(operands)
         #: Back-reference, set when the instruction is appended to a block.
         self.parent = None
-
-    @property
-    def is_terminator(self) -> bool:
-        return False
 
     def successors(self) -> Tuple:
         """Successor basic blocks (terminators only)."""
@@ -218,7 +218,8 @@ class Call(Instruction):
     @property
     def direct_target(self):
         """The called :class:`~repro.ir.function.Function`, if direct."""
-        return self.callee.function if isinstance(self.callee, FunctionRef) else None
+        callee = self.operands[0]
+        return callee.function if isinstance(callee, FunctionRef) else None
 
     def render(self) -> str:
         args = ", ".join(arg.short() for arg in self.args)
@@ -229,15 +230,12 @@ class Branch(Instruction):
     """Conditional branch on an ``i1``."""
 
     opcode = "br"
+    is_terminator = True
 
     def __init__(self, cond: Value, if_true, if_false) -> None:
         super().__init__(VOID, [cond])
         self.if_true = if_true
         self.if_false = if_false
-
-    @property
-    def is_terminator(self) -> bool:
-        return True
 
     def successors(self) -> Tuple:
         return (self.if_true, self.if_false)
@@ -253,14 +251,11 @@ class Jump(Instruction):
     """Unconditional branch."""
 
     opcode = "jmp"
+    is_terminator = True
 
     def __init__(self, target) -> None:
         super().__init__(VOID, [])
         self.target = target
-
-    @property
-    def is_terminator(self) -> bool:
-        return True
 
     def successors(self) -> Tuple:
         return (self.target,)
@@ -273,13 +268,10 @@ class Ret(Instruction):
     """Return from the current function."""
 
     opcode = "ret"
+    is_terminator = True
 
     def __init__(self, value: Optional[Value] = None) -> None:
         super().__init__(VOID, [value] if value is not None else [])
-
-    @property
-    def is_terminator(self) -> bool:
-        return True
 
     @property
     def value(self) -> Optional[Value]:
@@ -297,10 +289,7 @@ class Unreachable(Instruction):
     """
 
     opcode = "unreachable"
+    is_terminator = True
 
     def __init__(self) -> None:
         super().__init__(VOID, [])
-
-    @property
-    def is_terminator(self) -> bool:
-        return True

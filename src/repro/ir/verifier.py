@@ -10,8 +10,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.ir.function import Function
-from repro.ir.instructions import Branch, Call, Instruction, Jump, Phi
+from repro.ir.instructions import Branch, Call, Instruction, Phi
 from repro.ir.module import Module
+from repro.ir.types import BOOL
 from repro.ir.values import Argument, ConstantInt, ConstantString, FunctionRef, GlobalVariable, UndefValue
 
 
@@ -32,86 +33,88 @@ def verify_module(module: Module) -> None:
         raise VerificationError(problems)
 
 
+#: Operands any function may use, and operands it must define itself.
+_SHARED_OPERANDS = (ConstantInt, ConstantString, FunctionRef, GlobalVariable, UndefValue)
+_LOCAL_OPERANDS = (Argument, Instruction)
+
+
+def _label(function: Function, block, instruction: Instruction) -> str:
+    return f"@{function.name}:%{block.name}: {instruction.opcode}"
+
+
 def _verify_function(module: Module, function: Function) -> List[str]:
+    # Labels are formatted only for a problem: a clean module builds none.
     problems: List[str] = []
-    where = f"@{function.name}"
-    blocks = set(function.blocks)
+    blocks = function.blocks
+    block_set = set(blocks)
     defined_values = set(function.arguments)
-    for block in function.blocks:
+    for block in blocks:
         defined_values.update(block.instructions)
 
-    if not function.blocks:
-        return problems
-
-    for block in function.blocks:
-        label = f"{where}:%{block.name}"
+    for block in blocks:
+        instructions = block.instructions
         if block.parent is not function:
-            problems.append(f"{label}: block parent pointer is wrong")
-        if block.terminator is None:
-            problems.append(f"{label}: block lacks a terminator")
-        for index, instruction in enumerate(block.instructions):
-            if instruction.is_terminator and index != len(block.instructions) - 1:
-                problems.append(
-                    f"{label}: terminator {instruction.opcode} not at block end"
-                )
-            problems.extend(
-                _verify_instruction(module, function, block, instruction, defined_values)
-            )
-    return problems
+            problems.append(f"@{function.name}:%{block.name}: block parent pointer is wrong")
+        if not instructions or not instructions[-1].is_terminator:
+            problems.append(f"@{function.name}:%{block.name}: block lacks a terminator")
+        last = len(instructions) - 1
+        for index, instruction in enumerate(instructions):
+            if instruction.is_terminator:
+                if index != last:
+                    problems.append(
+                        f"@{function.name}:%{block.name}: "
+                        f"terminator {instruction.opcode} not at block end"
+                    )
+                # Branch targets must be blocks of this function.
+                for target in instruction.successors():
+                    if target not in block_set:
+                        problems.append(
+                            f"{_label(function, block, instruction)}: "
+                            f"branch target %{target.name} not in function"
+                        )
 
+            # Operands must be constants, globals, or values defined in this function.
+            for operand in instruction.operands:
+                if isinstance(operand, _LOCAL_OPERANDS):
+                    if operand not in defined_values:
+                        problems.append(
+                            f"{_label(function, block, instruction)}: "
+                            f"operand {operand.short()} defined in another function"
+                        )
+                elif not isinstance(operand, _SHARED_OPERANDS):
+                    problems.append(
+                        f"{_label(function, block, instruction)}: "
+                        f"unsupported operand kind {type(operand).__name__}"
+                    )
 
-def _verify_instruction(module, function, block, instruction: Instruction, defined_values) -> List[str]:
-    problems: List[str] = []
-    label = f"@{function.name}:%{block.name}: {instruction.opcode}"
+            # Direct calls must match the callee's arity (varargs excepted).
+            if isinstance(instruction, Call):
+                target = instruction.direct_target
+                if target is not None and not target.type.vararg:
+                    expected = len(target.type.param_types)
+                    actual = len(instruction.operands) - 1
+                    if expected != actual:
+                        problems.append(
+                            f"{_label(function, block, instruction)}: call to "
+                            f"@{target.name} passes {actual} args, expects {expected}"
+                        )
 
-    # Branch targets must be blocks of this function.
-    for target in instruction.successors():
-        if target not in set(function.blocks):
-            problems.append(f"{label}: branch target %{target.name} not in function")
+            # Phi nodes must cover their predecessors (checked loosely: each
+            # incoming block must be a block of this function).
+            elif isinstance(instruction, Phi):
+                for incoming_block in instruction.incoming:
+                    if incoming_block not in block_set:
+                        problems.append(
+                            f"{_label(function, block, instruction)}: "
+                            "phi incoming from foreign block"
+                        )
 
-    # Operands must be constants, globals, or values defined in this function.
-    for operand in instruction.operands:
-        if isinstance(
-            operand,
-            (ConstantInt, ConstantString, FunctionRef, GlobalVariable, UndefValue),
-        ):
-            continue
-        if isinstance(operand, (Argument, Instruction)):
-            if operand not in defined_values:
-                problems.append(
-                    f"{label}: operand {operand.short()} defined in another function"
-                )
-            continue
-        problems.append(f"{label}: unsupported operand kind {type(operand).__name__}")
-
-    # Direct calls must match the callee's arity (varargs excepted).
-    if isinstance(instruction, Call):
-        target = instruction.direct_target
-        if target is not None and not target.type.vararg:
-            expected = len(target.type.param_types)
-            actual = len(instruction.args)
-            if expected != actual:
-                problems.append(
-                    f"{label}: call to @{target.name} passes {actual} args, "
-                    f"expects {expected}"
-                )
-
-    # Phi nodes must cover their predecessors (checked loosely: each
-    # incoming block must be a block of this function).
-    if isinstance(instruction, Phi):
-        for incoming_block in instruction.incoming:
-            if incoming_block not in set(function.blocks):
-                problems.append(f"{label}: phi incoming from foreign block")
-
-    # Conditional branches need an i1 condition.
-    if isinstance(instruction, Branch):
-        cond = instruction.operands[0]
-        from repro.ir.types import BOOL
-
-        if cond.type is not BOOL:
-            problems.append(f"{label}: branch condition is {cond.type}, not i1")
-
-    if isinstance(instruction, Jump) and not instruction.successors():
-        problems.append(f"{label}: jump without target")
-
+            # Conditional branches need an i1 condition.
+            elif isinstance(instruction, Branch):
+                cond = instruction.operands[0]
+                if cond.type is not BOOL:
+                    problems.append(
+                        f"{_label(function, block, instruction)}: "
+                        f"branch condition is {cond.type}, not i1"
+                    )
     return problems

@@ -146,6 +146,35 @@ class TestCli:
         with pytest.raises(SystemExit, match="--caps"):
             run_cli("analyze", str(path))
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("int main() { return 0x; }", "1:21: integer literal '0x' has no digits"),
+            ("int main() { return 1 }", "1:23: expected ; (got op '}')"),
+            ("int main() { return y; }", "semantic errors:\n  - 1:21: use of undeclared 'y'"),
+        ],
+        ids=["lex", "parse", "sema"],
+    )
+    def test_analyze_malformed_program_is_an_error_line(self, tmp_path, capsys, source, message):
+        path = tmp_path / "bad.privc"
+        path.write_text(source)
+        code, out = run_cli("analyze", str(path), "--caps", "CapSetuid")
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err == f"privanalyzer: {path}: {message}\n"
+
+    def test_analyze_malformed_program_prints_no_traceback(self, tmp_path):
+        path = tmp_path / "bad.privc"
+        path.write_text("int main() { return 1 }")
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "analyze", str(path), "--caps", "CapSetuid"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr == f"privanalyzer: {path}: 1:23: expected ; (got op '}}')\n"
+
     def test_analyze_unknown_program(self):
         with pytest.raises(SystemExit, match="neither a built-in"):
             run_cli("analyze", "no-such-program")

@@ -12,7 +12,13 @@ from repro.frontend import (
     parse,
     tokenize,
 )
+from repro.caps import CapabilitySet
+from repro.core.pipeline import PrivAnalyzer
+from repro.frontend.ast import Pos
+from repro.frontend.lexer import Token
+from repro.frontend.parser import MAX_NESTING
 from repro.oskernel import Kernel
+from repro.programs.common import ProgramSpec
 from repro.vm import Interpreter
 
 
@@ -66,6 +72,24 @@ class TestLexer:
     def test_unexpected_character(self):
         with pytest.raises(LexError):
             tokenize("a $ b")
+
+    @pytest.mark.parametrize("prefix", ["0x", "0X", "0o", "0O"])
+    def test_radix_prefix_without_digits_is_a_positioned_lex_error(self, prefix):
+        with pytest.raises(LexError) as raised:
+            tokenize(f"return\n  {prefix};")
+        assert raised.value.pos == Pos(2, 3)
+        assert str(raised.value) == f"2:3: integer literal {prefix!r} has no digits"
+        with pytest.raises(LexError):
+            compile_source(f"int main() {{ return {prefix}; }}")
+
+    def test_tokens_compare_and_print_by_value(self):
+        token = Token("int", "0x1f", 31, Pos(3, 4))
+        assert token == Token("int", "0x1f", 31, Pos(3, 4))
+        assert token != Token("int", "0x1f", 31, Pos(3, 5))
+        assert hash(token) == hash(Token("int", "0x1f", 31, Pos(3, 4)))
+        assert repr(token) == "Token(int, '0x1f' @3:4)"
+        assert repr(Pos(3, 4)) == "Pos(line=3, column=4)"
+        assert Token("eof", "") == Token("eof", "", 0, Pos(0, 0))
 
 
 class TestParser:
@@ -127,6 +151,69 @@ class TestParser:
         """
         _, out = run_main(source)
         assert out == ["3"]
+
+
+def _nested_parens(levels):
+    return "int main() { return %s1%s; }" % ("(" * levels, ")" * levels)
+
+
+def _chain(terms):
+    return "int main() { return %s; }" % "+".join(["1"] * terms)
+
+
+def _else_if_chain(links):
+    links = "".join(" else if (x) { x = 2; }" for _ in range(links))
+    return f"int main() {{ int x = 0; if (x) {{ x = 1; }}{links} return x; }}"
+
+
+def _nested_blocks(levels):
+    return "int main() { %s return 0; }" % ("{" * levels + "}" * levels)
+
+
+class TestNestingLimit:
+    """Nesting past ``MAX_NESTING`` is a positioned ParseError.
+
+    Each builder takes the size at which its deepest construct sits
+    exactly at the limit (the function body is one level; the else-if
+    chain's first ``if`` block another).  Without the limit, sizes like
+    247 parentheses or a 495-term sum exhaust Python's stack in the
+    recursive stages after parsing.
+    """
+
+    CASES = {
+        "parentheses": (_nested_parens, MAX_NESTING - 1),
+        "operator chain": (_chain, MAX_NESTING),
+        "else-if chain": (_else_if_chain, MAX_NESTING - 2),
+        "blocks": (_nested_blocks, MAX_NESTING - 1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_at_the_limit_the_program_compiles(self, case):
+        build, limit = self.CASES[case]
+        spec = ProgramSpec(
+            name="deep", description="nesting at the limit",
+            source=build(limit), permitted=CapabilitySet.empty(),
+        )
+        analyzer = PrivAnalyzer()
+        module, _, _ = analyzer.compile(spec)
+        chrono, _, _ = analyzer.run_dynamic(spec, module)
+        assert chrono.total > 0
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_past_the_limit_is_a_positioned_parse_error(self, case):
+        build, limit = self.CASES[case]
+        message = f"nesting deeper than {MAX_NESTING} levels"
+        with pytest.raises(ParseError, match=message) as raised:
+            compile_source(build(limit + 1))
+        assert raised.value.token.pos.line == 1
+        assert raised.value.token.kind == "op"
+
+    def test_the_old_crash_sizes_are_parse_errors(self):
+        for source in (
+            _nested_parens(247), _chain(495), _else_if_chain(329), _nested_blocks(494),
+        ):
+            with pytest.raises(ParseError):
+                compile_source(source)
 
 
 class TestSema:

@@ -14,6 +14,7 @@ from repro.ir import (
     postorder,
     predecessors,
     reachable_blocks,
+    flow_graph,
     reverse_postorder,
     solve,
 )
@@ -82,6 +83,15 @@ class TestCfg:
         order = reverse_postorder(function)
         assert order.index(entry) < order.index(header)
         assert order.index(header) < order.index(body)
+
+    def test_postorder_of_a_deep_chain_needs_no_recursion(self):
+        module = Module("m")
+        function = module.add_function("f", VOID, [])
+        blocks = [function.add_block(f"b{index}") for index in range(2000)]
+        for block, successor in zip(blocks, blocks[1:]):
+            IRBuilder(block).jmp(successor)
+        IRBuilder(blocks[-1]).ret()
+        assert postorder(function) == blocks[::-1]
 
 
 class TestDominators:
@@ -239,3 +249,16 @@ class TestDataflow:
         declared = module.declare("ext", I64, [])
         result = solve(_Reachability(), declared)
         assert result.block_in == {}
+
+    @pytest.mark.parametrize(
+        "problem", [_Reachability(), _BackwardReach()], ids=["forward", "backward"]
+    )
+    def test_prebuilt_flow_graph_gives_the_same_result(self, problem):
+        function, _ = loop()
+        graph = flow_graph(function, problem.direction)
+        assert solve(problem, function, graph) == solve(problem, function)
+
+    def test_flow_graph_of_the_other_direction_is_refused(self):
+        function, _ = loop()
+        with pytest.raises(ValueError, match="backward flow graph"):
+            solve(_Reachability(), function, flow_graph(function, "backward"))

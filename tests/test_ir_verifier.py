@@ -10,11 +10,13 @@ from repro.ir import (
     IRBuilder,
     Jump,
     Module,
+    Phi,
     Ret,
     VOID,
     VerificationError,
     verify_module,
 )
+from repro.ir.values import Value
 
 
 def fresh():
@@ -93,3 +95,35 @@ class TestVerifier:
         module = Module("m")
         module.declare("ext", I64, [I64])
         verify_module(module)
+
+    def test_problem_texts_are_pinned(self):
+        """Every problem class at once, with the exact text and order."""
+        module, function, entry = fresh()
+        other = module.add_function("g", I64, [I64], ["y"])
+        foreign = other.add_block("foreign")
+        callee = module.declare("ext", I64, [I64, I64])
+        entry.instructions.append(Ret(ConstantInt(I64, 0)))
+        entry.instructions.append(Jump(foreign))
+        entry.instructions.append(Call(callee.ref(), [other.arguments[0]], I64))
+        phi = Phi(I64)
+        phi.add_incoming(ConstantInt(I64, 1), foreign)
+        phi.add_incoming(Value(I64, "odd"), entry)
+        entry.instructions.append(phi)
+        entry.instructions.append(Branch(ConstantInt(I64, 1), entry, entry))
+        loose = function.add_block("loose")
+        loose.parent = None
+        with pytest.raises(VerificationError) as excinfo:
+            verify_module(module)
+        assert excinfo.value.problems == [
+            "@f:%entry: terminator ret not at block end",
+            "@f:%entry: terminator jmp not at block end",
+            "@f:%entry: jmp: branch target %foreign not in function",
+            "@f:%entry: call: operand %y defined in another function",
+            "@f:%entry: call: call to @ext passes 1 args, expects 2",
+            "@f:%entry: phi: unsupported operand kind Value",
+            "@f:%entry: phi: phi incoming from foreign block",
+            "@f:%entry: br: branch condition is i64, not i1",
+            "@f:%loose: block parent pointer is wrong",
+            "@f:%loose: block lacks a terminator",
+            "@g:%foreign: block lacks a terminator",
+        ]

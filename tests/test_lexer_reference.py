@@ -1,7 +1,9 @@
 """Differential test: the regex-driven PrivC lexer against a reference.
 
 ``reference_tokenize`` is the original character-at-a-time lexer, kept
-here verbatim as the specification.  The production lexer in
+here as the specification.  It is verbatim but for one fix: a ``0x`` or
+``0o`` prefix with no digits after it is a ``LexError`` at the literal's
+position (the original let ``int()`` raise a bare ``ValueError``).  The production lexer in
 :mod:`repro.frontend.lexer` drives one compiled master regex instead;
 on every input the two must produce the same token list, or raise the
 same exception type with the same message (and, for ``LexError``, the
@@ -93,12 +95,16 @@ def reference_tokenize(source: str) -> List[Token]:
                 while index < length and source[index] in "0123456789abcdefABCDEF":
                     advance()
                 text = source[begin:index]
+                if len(text) == 2:
+                    raise LexError(f"integer literal {text!r} has no digits", start)
                 value = int(text, 16)
             elif source.startswith("0o", index) or source.startswith("0O", index):
                 advance(2)
                 while index < length and source[index] in "01234567":
                     advance()
                 text = source[begin:index]
+                if len(text) == 2:
+                    raise LexError(f"integer literal {text!r} has no digits", start)
                 value = int(text[2:], 8)
             else:
                 while index < length and source[index].isdigit():
