@@ -109,20 +109,22 @@ profile-smoke:
 	print(f'profile-smoke ok: {len(lines)} stacks, rosa.search ' \
 	      f'{search[\"attributed_fraction\"]:.1%} attributed')"
 
-# Frontend error smoke test (CI gate, ~1s): `analyze` on three malformed
-# .privc files (a `0x` literal with no digits, an unbalanced `}`, and
+# Frontend error smoke test (CI gate, ~1s): `analyze` on four malformed
+# .privc files (a `0x` literal with no digits, a literal `12²` whose `²`
+# is a digit to str.isdigit but not to int(), an unbalanced `}`, and
 # parentheses nested one level past the parser's MAX_NESTING) must each
 # exit 1 with one `privanalyzer: <path>: <message>` line on stderr and no
 # Python traceback.
 frontend-smoke:
 	rm -rf $(FRONTEND_SMOKE_DIR) && mkdir -p $(FRONTEND_SMOKE_DIR)
 	printf 'int main() { return 0x; }\n' > $(FRONTEND_SMOKE_DIR)/hex.privc
+	printf 'int main() { return 12\302\262; }\n' > $(FRONTEND_SMOKE_DIR)/digit.privc
 	printf 'int main() { return 0; }\n}\n' > $(FRONTEND_SMOKE_DIR)/brace.privc
 	PYTHONPATH=src python -c "\
 	from repro.frontend.parser import MAX_NESTING as n; \
 	print('int main() { return ' + '(' * n + '1' + ')' * n + '; }')" \
 		> $(FRONTEND_SMOKE_DIR)/deep.privc
-	for name in hex brace deep; do \
+	for name in hex digit brace deep; do \
 		err=$(FRONTEND_SMOKE_DIR)/$$name.err; \
 		PYTHONPATH=src python -m repro.cli analyze $(FRONTEND_SMOKE_DIR)/$$name.privc \
 			--caps CapSetuid > /dev/null 2> $$err; status=$$?; \

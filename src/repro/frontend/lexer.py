@@ -186,7 +186,13 @@ def tokenize(source: str) -> List[Token]:
             while end < length and source[end].isdigit():
                 end += 1
             text = source[start:end]
-            kind, value = "int", int(text)
+            try:
+                value = int(text)
+            except ValueError:  # a digit to ``str.isdigit`` but not to ``int``
+                raise LexError(
+                    f"integer literal {text!r} has a non-decimal digit", Pos(line, column)
+                ) from None
+            kind = "int"
         elif kind == "line_comment" or kind == "end":
             index = end
             continue

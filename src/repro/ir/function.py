@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.ir.instructions import Instruction
 from repro.ir.types import FunctionType, Type
@@ -79,6 +79,11 @@ class Function:
             for index, (ptype, pname) in enumerate(zip(ftype.param_types, names))
         ]
         self.blocks: List[BasicBlock] = []
+        #: The names of ``self.blocks`` as :meth:`add_block` last left
+        #: them, and per base name the lowest ``.N`` suffix that may still
+        #: be free (see :meth:`_unique_block_name`).
+        self._names: Set[str] = set()
+        self._next_suffix: Dict[str, int] = {}
         #: Set when any FunctionRef to this function escapes into data flow
         #: (i.e. its address is taken somewhere other than a direct call).
         self.address_taken = False
@@ -103,13 +108,28 @@ class Function:
         return block
 
     def _unique_block_name(self, base: str) -> str:
-        existing = {block.name for block in self.blocks}
-        if base not in existing:
-            return base
-        counter = 1
-        while f"{base}.{counter}" in existing:
-            counter += 1
-        return f"{base}.{counter}"
+        """``base``, or ``base.N`` with the lowest ``N`` no block has.
+
+        The name set is kept across calls, so building a function costs
+        time linear in its blocks; it is rebuilt when something other
+        than :meth:`add_block` changed how many blocks there are (a pass
+        that drops blocks).
+        """
+        names = self._names
+        if len(names) != len(self.blocks):
+            names = self._names = {block.name for block in self.blocks}
+            self._next_suffix = {}
+        name = base
+        if name in names:
+            # Names only join the set, so every suffix below the hint is
+            # still taken.
+            counter = self._next_suffix.get(base, 1)
+            while f"{base}.{counter}" in names:
+                counter += 1
+            self._next_suffix[base] = counter + 1
+            name = f"{base}.{counter}"
+        names.add(name)
+        return name
 
     def ref(self) -> FunctionRef:
         """A value holding this function's address."""

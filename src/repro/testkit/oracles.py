@@ -19,7 +19,9 @@ Differential families (the default campaign):
 * ``vm`` — the **compiled VM core vs the straight-line reference**
   evaluator must agree on exit code, stdout, instruction count and the
   entire final kernel state, including exact error messages and
-  budget-exhaustion points;
+  budget-exhaustion points; and, on the ChronoPriv-instrumented module,
+  the **recorder's phase table vs a per-block counter** that reads the
+  process's phase key at every block;
 * ``ledger`` — a run ledger **written, read back and diffed against
   itself** must be clean;
 * ``profile`` — the **privilege profile extracted from the live run vs
@@ -263,43 +265,81 @@ def kernel_fingerprint(kernel) -> Tuple:
     )
 
 
-def _execute_program(case: Case, interpreter_cls) -> Tuple:
+def _execute_program(case: Case, interpreter_cls, count_phases=None) -> Tuple:
+    """Run the case's program: exit, stdout, instruction count and final
+    kernel state.  With ``count_phases(vm, kernel)`` (which returns a
+    reader of the phase table) the module is ChronoPriv-instrumented and
+    the table is a fifth element."""
     from repro.caps import CapabilitySet
+    from repro.chronopriv import instrument_module
     from repro.frontend import compile_source
     from repro.oskernel.setup import build_kernel
     from repro.vm.interpreter import VMError
 
     module = compile_source(generators.render_program(case), "fuzzcase")
+    if count_phases is not None:
+        instrument_module(module)
     kernel = build_kernel()
     process = kernel.spawn(
         int(case["uid"]), int(case["gid"]),
         permitted=CapabilitySet(case["permitted"]),
     )
     vm = interpreter_cls(module, kernel, process)
+    phases = count_phases(vm, kernel) if count_phases is not None else None
     try:
         exit_code: Any = vm.run()
     except VMError as error:
         exit_code = ("vmerror", str(error))
-    return (
+    outcome = (
         exit_code,
         tuple(vm.stdout),
         vm.executed_instructions,
         kernel_fingerprint(kernel),
     )
+    return outcome if phases is None else outcome + (phases(),)
 
 
-_VM_SIDE_LABELS = ("exit", "stdout", "instructions", "kernel")
+def _recorded_phases(vm, kernel) -> Callable[[], Tuple]:
+    """ChronoPriv's recorder on ``vm``; returns its phase-table reader."""
+    from repro.chronopriv import ChronoRecorder
+
+    recorder = ChronoRecorder("fuzzcase", vm.process)
+    recorder.attach(vm, kernel)
+    return lambda: tuple(
+        (phase.privileges, phase.uids, phase.gids, phase.instruction_count)
+        for phase in recorder.report().phases
+    )
+
+
+def _counted_phases(vm, kernel) -> Callable[[], Tuple]:
+    """The reference per-block phase counter on ``vm``; returns its
+    phase-table reader."""
+    from repro.testkit.reference import ReferencePhaseCounter
+
+    return ReferencePhaseCounter(vm).table
+
+
+_VM_SIDE_LABELS = ("exit", "stdout", "instructions", "kernel", "phases")
 
 
 def _run_vm(case: Case) -> OracleResult:
     from repro.testkit.reference import ReferenceInterpreter
     from repro.vm.interpreter import Interpreter
 
-    production = _execute_program(case, Interpreter)
-    reference = _execute_program(case, ReferenceInterpreter)
-    for label, a, b in zip(_VM_SIDE_LABELS, production, reference):
-        if a != b:
-            return _mismatch("vm", f"vm.{label}", a, f"reference.{label}", b)
+    # Plain, then ChronoPriv-instrumented: the production recorder on the
+    # compiled core against the reference's own per-block phase counter.
+    for prefix, production, reference in (
+        ("", (Interpreter,), (ReferenceInterpreter,)),
+        ("instrumented.", (Interpreter, _recorded_phases),
+         (ReferenceInterpreter, _counted_phases)),
+    ):
+        ours = _execute_program(case, *production)
+        theirs = _execute_program(case, *reference)
+        for label, a, b in zip(_VM_SIDE_LABELS, ours, theirs):
+            if a != b:
+                return _mismatch(
+                    "vm", f"vm.{prefix}{label}", a, f"reference.{prefix}{label}", b
+                )
     return OracleResult("vm", ok=True)
 
 

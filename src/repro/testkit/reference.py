@@ -224,3 +224,35 @@ class ReferenceInterpreter(Interpreter):
                     f"@{frame.function.name}:%{block.name}: "
                     f"reached {instruction.opcode}"
                 )
+
+
+class ReferencePhaseCounter:
+    """ChronoPriv's phase table, counted independently of the recorder.
+
+    :class:`~repro.chronopriv.ChronoRecorder` books the VM's running
+    ``chrono_total`` at its process's credential changes.  This counter
+    shares none of that: it installs a ``__chrono_count`` intrinsic that
+    reads the process's (permitted set, uid triple, gid triple) key at
+    every block it counts.  Each child ``spawn_wait`` creates gets a
+    counter of its own, in :attr:`children`.
+    """
+
+    def __init__(self, vm) -> None:
+        self.counts = {}
+        self.children = []
+        vm.register_intrinsic("__chrono_count", self._count)
+        vm.child_observers.append(
+            lambda child: self.children.append(ReferencePhaseCounter(child))
+        )
+
+    def _count(self, vm, args):
+        process = vm.process
+        creds = process.creds
+        key = (process.caps.permitted, creds.uid_triple, creds.gid_triple)
+        self.counts[key] = self.counts.get(key, 0) + args[0]
+        return 0
+
+    def table(self):
+        """``(permitted, uids, gids, count)`` per phase, in the order of
+        each phase's first counted block."""
+        return tuple(key + (count,) for key, count in self.counts.items())

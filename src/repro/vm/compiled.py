@@ -62,14 +62,25 @@ hundred times, and much generated code (a corpus program's) runs once:
   a name bound in the VM's namespace;
 * a binop wraps inline with its width's ``half`` and ``mask`` baked in,
   ``((raw + half) & mask) - half``; no ``IntType.wrap`` call runs;
-* ChronoPriv's per-block counting call becomes ``vm.chrono_count(n)``
-  — a direct method call instead of an intrinsic dispatch — which the
-  recorder overrides per-instance with a bare counter-cell increment
-  (see :mod:`repro.chronopriv.runtime`).  The hook answers whether the
-  frame must settle after it (deliver signals, recheck the budget); the
-  recorder never asks.  A block that starts with its counting call
-  enters through one helper call, :meth:`_Compiler.enter`, which runs
-  the block's budget check, pre-add and counting call;
+* an ``icmp`` whose only reader is the branch right after it is no
+  statement: the branch tests the comparison itself.  A local-only
+  alloca's zero store is left out when a store to it comes next.  (The
+  budget edge keeps both, so it still retires them one at a time.);
+* ChronoPriv's per-block counting call, in a *plain* VM (one with the
+  stock ``__chrono_count`` hook), is ``vm.chrono_total += n``:
+  no call at all, since the stock hook only adds there and the recorder
+  books that total at credential changes (see
+  :mod:`repro.chronopriv.runtime`).  A block that starts with its
+  counting call enters inline when it is on a cycle of the variant
+  graph (the budget check, the pre-add and the addition), and through
+  one helper call, :meth:`_Compiler.enter`, otherwise, which keeps the
+  text of straight-line code short.  With a custom hook the counting
+  call is ``vm.chrono_count(n)``, which dispatches the intrinsic and
+  answers whether the frame must settle after it (deliver signals,
+  recheck the budget); its blocks enter through
+  :meth:`_Compiler.enter_hooked`.  Replacing the hook drops the VM's
+  compiled functions
+  (:meth:`~repro.vm.interpreter.Interpreter.register_intrinsic`);
 * every other call is one helper call (:meth:`_Compiler.call_intrinsic`
   and its siblings) that finds its callee, tail and block position by a
   site id: the text names no callee, and the helper does the tail,
@@ -98,8 +109,8 @@ but never globals or locals.
 **Instrumented mode.**  When the VM carries a :class:`VMTimer` at
 compile time (:meth:`~repro.vm.interpreter.Interpreter.attach_profiler`),
 the same generator wraps every statement and terminator in a timer, so
-a profiled run measures the code that ships (blocks then enter inline:
-the entry helper carries no timer):
+a profiled run measures the code that ships (blocks then enter inline,
+with the count timed on its own, and no statement is left out):
 
 ``("vm", "op:<opcode>")``
     Self time of one instruction kind.  Times are *exclusive*: a
@@ -169,6 +180,7 @@ from repro.ir.instructions import BINARY_OPS, ICMP_PREDICATES
 from repro.oskernel.process import RUNNING
 from repro.vm.frame import StackSlot
 from repro.vm.interpreter import VMError
+from repro.vm.intrinsics import chrono_count
 
 _BUDGET_MSG = "instruction budget exhausted (runaway program?)"
 
@@ -347,8 +359,8 @@ class VMTimer:
             if timed is None:
                 if name == _CHRONO_COUNT:
                     # The generated counting call already times this
-                    # call (see ``_Compiler._call``); inert child
-                    # counters land here and must not count twice.
+                    # dispatch (see ``_Compiler._chrono``); it must not
+                    # count twice.
                     return call_intrinsic(name, args)
                 timed = windows[name] = self.window(
                     call_intrinsic, ("vm", "intrinsic:" + name)
@@ -398,6 +410,10 @@ class _Compiler:
         self.globals = vm.globals
         #: The VM's :class:`VMTimer` when compiling in instrumented mode.
         self.timer = vm._timer
+        #: Whether the counting calls are the stock hook, inlined as an
+        #: addition to ``vm.chrono_total``; a custom hook is called through
+        #: ``vm.chrono_count`` instead.
+        self.plain = vm.intrinsics.get(_CHRONO_COUNT) is chrono_count
         #: SSA value -> local slot (``v<slot>``).  Arguments first, then
         #: every instruction (identity-keyed, like the reference's frame
         #: map).
@@ -485,6 +501,8 @@ class _Compiler:
         #: value -> the last index of a use in its own block, or None
         #: when some use is elsewhere (or a ϕ's).
         last_use: Dict[Value, Optional[int]] = {}
+        #: value -> how many operands (ϕ incomings included) read it.
+        readers: Dict[Value, int] = {}
         locate = where.get
         for block in self.function.blocks:
             for index, instruction in enumerate(block.instructions):
@@ -495,6 +513,7 @@ class _Compiler:
                         if site is None:
                             continue
                         last_use[value] = None
+                        readers[value] = readers.get(value, 0) + 1
                         if site[0] is not pred and site[0] is not entry:
                             unsafe.add(value)
                         if value in allocas:
@@ -507,6 +526,7 @@ class _Compiler:
                     site = locate(operand)
                     if site is None:
                         continue
+                    readers[operand] = readers.get(operand, 0) + 1
                     home, at = site
                     if home is block and at < index:
                         if last_use.get(operand, index) is not None:
@@ -520,8 +540,9 @@ class _Compiler:
                     ):
                         escaped.add(operand)
         self.local_cells = allocas - escaped
-        #: Instructions whose value some instruction reads.
-        self.used = set(last_use)
+        #: Instructions whose value some instruction reads -> how many
+        #: operands (ϕ incomings included) read it.
+        self.used = readers
         self.zeroed = [f"v{slot}" for slot in sorted(self.regmap[v] for v in unsafe)]
         #: Load slot -> the alloca local it reads directly.
         self.alias: Dict[int, str] = {}
@@ -588,6 +609,53 @@ class _Compiler:
         self.dispatch_id = {vid: index for index, vid in enumerate(self.heads)}
         self.looping = len(self.heads) > 1 or refs[0] > 1
         self.entries = [None] * len(self.variants)
+        #: The variants on a cycle, whose counted entry is inlined.  Every
+        #: cycle runs through a dispatched variant, so a function that
+        #: does not loop has none.
+        inline = self.plain and self.timer is None and self.looping
+        self.cyclic = self._cycles() if inline else set()
+
+    def _cycles(self) -> set:
+        """The variants on a cycle of the variant graph: the members of
+        its strongly connected components (Tarjan) that have an edge
+        inside them."""
+        successors = self.successors
+        order: List[Optional[int]] = [None] * len(successors)
+        low = [0] * len(successors)
+        stack: List[int] = []
+        on_stack = [False] * len(successors)
+        cyclic = set()
+        order[0] = low[0] = 0
+        stack.append(0)
+        on_stack[0] = True
+        seen = 1
+        work = [(0, iter(successors[0]))]
+        while work:
+            vid, targets = work[-1]
+            for target in targets:
+                if order[target] is None:
+                    order[target] = low[target] = seen
+                    seen += 1
+                    stack.append(target)
+                    on_stack[target] = True
+                    work.append((target, iter(successors[target])))
+                    break
+                if on_stack[target]:
+                    low[vid] = min(low[vid], order[target])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[vid])
+                if low[vid] == order[vid]:
+                    at = stack.index(vid)
+                    component = stack[at:]
+                    del stack[at:]
+                    for member in component:
+                        on_stack[member] = False
+                    if len(component) > 1 or vid in successors[vid]:
+                        cyclic.update(component)
+        return cyclic
 
     # -- operand resolution ---------------------------------------------------
 
@@ -683,7 +751,7 @@ class _Compiler:
             "_bad_callee": _bad_callee,
             "_edge": self.edge,
             "_settle": self.settle,
-            "_enter": self.enter,
+            "_enter": self.enter if self.plain else self.enter_hooked,
             "_intrinsic": self.call_intrinsic,
             "_call": self.call_function,
             "_indirect": self.call_indirect,
@@ -750,25 +818,44 @@ class _Compiler:
         count = len(body) + (1 if terminator is not None else 0)
         if count == 0:
             return self._no_terminator(block), None
-        # A block that starts with its counting call pre-adds only that
-        # call: the call would take the rest (its tail) straight back out.
-        # Untimed, one helper call does all that (see :meth:`enter`).
+        # A block that starts with its counting call enters in one go when
+        # untimed: inline on a cycle of a plain VM, else through one helper
+        # call (see :meth:`enter`).  Timed with a custom hook, it pre-adds
+        # only that call: the call would take the rest (its tail) straight
+        # back out.
         merged = bool(body) and body[0] in self.counting
+        timed = self.timer is not None
         first = 0
-        if merged and self.timer is None:
-            self.entries[vid] = (count, self.counting[body[0]])
-            lines = [f"_enter(vm, {vid})"]
+        if merged and not timed:
+            added = self.counting[body[0]]
+            if vid in self.cyclic:
+                lines = [
+                    f"if vm.executed_instructions + {count} > maxi: _edge({vid})",
+                    f"vm.executed_instructions += {count}",
+                    f"vm.chrono_total += {added}",
+                ]
+            else:
+                self.entries[vid] = (count, added)
+                lines = [f"_enter(vm, {vid})"]
             if body[0] in self.used:
                 lines.append(f"v{self.regmap[body[0]]} = 0")
             first = 1
         else:
             lines = [
-                f"if vm.executed_instructions + {count} > maxi: _edge({vid}, 0)",
-                f"vm.executed_instructions += {1 if merged else count}",
+                f"if vm.executed_instructions + {count} > maxi: _edge({vid})",
+                f"vm.executed_instructions += {1 if merged and not self.plain else count}",
             ]
-        timed = self.timer is not None
+        # Untimed, the fast path leaves out two statements the budget edge
+        # keeps: an icmp that only the branch after it reads (the branch
+        # tests the comparison itself) and a local-only alloca's zero
+        # store when a store to it comes next.
+        test = None if timed else self._fused_test(body, terminator)
+        last = len(body) - (test is not None)
         counting = self.counting
-        for position, instruction in enumerate(body[first:], first):
+        for position in range(first, last):
+            instruction = body[position]
+            if not timed and self._overwritten(body, position):
+                continue
             # Pre-counted instructions that never retire if this one raises.
             tail = count - (position + 1)
             step = self._step(
@@ -782,19 +869,53 @@ class _Compiler:
                 lines += self._after_chrono(instruction, vid, position + 1, tail)
         if terminator is None:
             return lines + self._no_terminator(block), None
-        term_lines, fallthrough = self._terminator(vid, terminator)
+        term_lines, fallthrough = self._terminator(vid, terminator, test)
         return lines + term_lines, fallthrough
+
+    def _fused_test(self, body: List[Any], terminator) -> Optional[str]:
+        """The comparison a branch tests in place of its condition, when
+        the condition is an icmp right before it that nothing else reads."""
+        if terminator.__class__ is not Branch or not body:
+            return None
+        compare = body[-1]
+        if (
+            compare.__class__ is not ICmp
+            or terminator.operands[0] is not compare
+            or self.used.get(compare) != 1
+        ):
+            return None
+        lhs = self._operand(compare.operands[0])
+        rhs = self._operand(compare.operands[1])
+        if self._first_undef(lhs, rhs) is not None:
+            return None
+        return self._compare(lhs, rhs, compare.predicate)
+
+    def _overwritten(self, body: List[Any], position: int) -> bool:
+        """Whether ``body[position]`` is a local-only alloca whose zero
+        store the next statement, a store to it, replaces."""
+        alloca = body[position]
+        if alloca.__class__ is not Alloca or alloca not in self.local_cells:
+            return False
+        store = body[position + 1] if position + 1 < len(body) else None
+        return (
+            store.__class__ is Store
+            and store.pointer is alloca
+            and self._operand(store.value)[0] != _UNDEF
+        )
 
     def _after_chrono(self, instruction, vid: int, start: int, tail: int) -> List[str]:
         """What follows a counting call: settling when the hook asks for
         it (signal delivery, then the check that the rest of the block
         still fits), putting back the ``tail``, and the call's IR value.
-        Untimed, the hook is called right here, in the test."""
-        asks = "_k" if self.timer is not None else f"vm.chrono_count({self.counting[instruction]})"
-        if tail:
-            lines = [f"if {asks}: _settle({vid}, {start})", f"vm.executed_instructions += {tail}"]
-        else:
-            lines = [f"if {asks}: vm._dispatch_pending_signals()"]
+        Untimed, the hook is called right here, in the test; the stock
+        hook never asks, so a plain VM only sets the value."""
+        lines = []
+        if not self.plain:
+            asks = "_k" if self.timer is not None else f"vm.chrono_count({self.counting[instruction]})"
+            if tail:
+                lines = [f"if {asks}: _settle({vid}, {start})", f"vm.executed_instructions += {tail}"]
+            else:
+                lines = [f"if {asks}: vm._dispatch_pending_signals()"]
         if instruction in self.used:
             lines.append(f"v{self.regmap[instruction]} = 0")
         return lines
@@ -803,7 +924,11 @@ class _Compiler:
         message = f"@{self.function.name}:%{block.name}: block without terminator"
         return [f"raise VMError({message!r})"]
 
-    def _terminator(self, vid: int, instruction) -> Tuple[List[str], Optional[int]]:
+    def _terminator(
+        self, vid: int, instruction, test: Optional[str] = None
+    ) -> Tuple[List[str], Optional[int]]:
+        """A terminator's lines and its fallthrough variant; a branch with
+        a ``test`` tests that expression instead of its condition."""
         opcode = instruction.opcode
         timed = self.timer is not None
         if isinstance(instruction, Ret):
@@ -825,10 +950,12 @@ class _Compiler:
             return lines + [self._goto(target)], None
         if isinstance(instruction, Branch):
             if_true, if_false = self.successors[vid]
-            desc = self._operand(instruction.operands[0])
-            if desc[0] == _UNDEF:
-                return self._timed([f"raise VMError({desc[1]!r})"], opcode), None
-            cond = self._fetch(desc) if desc[0] == _GLOBAL else self._reg(desc)
+            cond = test
+            if cond is None:
+                desc = self._operand(instruction.operands[0])
+                if desc[0] == _UNDEF:
+                    return self._timed([f"raise VMError({desc[1]!r})"], opcode), None
+                cond = self._fetch(desc) if desc[0] == _GLOBAL else self._reg(desc)
             lines = []
             if timed:
                 lines = self._timed([f"_c = {cond}"], opcode)
@@ -934,15 +1061,17 @@ class _Compiler:
         undef = self._first_undef(lhs, rhs)
         if undef is not None:
             return self._raise(undef, tail)
+        test = self._compare(lhs, rhs, instruction.predicate)
+        return [f"v{self.regmap[instruction]} = 1 if {test} else 0"]
+
+    def _compare(self, lhs, rhs, predicate: str) -> str:
+        """The comparison expression of an icmp with defined operands."""
         a, b = self._operands(lhs, rhs)
-        predicate = instruction.predicate
         symbol = _INLINE_PREDICATES.get(ICMP_PREDICATES[predicate])
         if symbol is not None:
-            test = f"{a} {symbol} {b}"
-        else:
-            name = self._named("cmp_" + predicate, lambda: ICMP_PREDICATES[predicate])
-            test = f"{name}({a}, {b})"
-        return [f"v{self.regmap[instruction]} = 1 if {test} else 0"]
+            return f"{a} {symbol} {b}"
+        name = self._named("cmp_" + predicate, lambda: ICMP_PREDICATES[predicate])
+        return f"{name}({a}, {b})"
 
     def _load(self, instruction: Load, tail: int) -> List[str]:
         kind, payload = pointer = self._operand(instruction.pointer)
@@ -1075,25 +1204,31 @@ class _Compiler:
         return [call]
 
     def _chrono(self, count: int, tail: int) -> List[str]:
-        """ChronoPriv's per-block counter: a direct method call.
+        """ChronoPriv's per-block counter.
 
-        ``vm.chrono_count`` defaults to the intrinsic dispatch (so inert
-        and custom hooks keep working) and the recorder overrides it
-        per-instance with a counter-cell increment; either returns
+        In a plain VM it is the stock hook's addition to
+        ``vm.chrono_total``, inline.  Otherwise it is a call of
+        ``vm.chrono_count``, which dispatches the intrinsic and returns
         whether the frame must settle (see :meth:`_after_chrono`).  In
-        instrumented mode the call is timed as
+        instrumented mode either is timed as
         ``intrinsic:__chrono_count``, the counting layer's tax.
         """
-        take = [f"vm.executed_instructions -= {tail}"] if tail else []
+        if self.plain:
+            count_lines = [f"vm.chrono_total += {count}"]
+        else:
+            take = [f"vm.executed_instructions -= {tail}"] if tail else []
+            if self.timer is None:
+                return take  # the call itself is in the test after it
+            count_lines = take + [f"_k = vm.chrono_count({count})"]
         if self.timer is None:
-            return take  # the call itself is in the test after it
+            return count_lines
         done = self._named(
             "_chrono_done",
             lambda: self.timer.window_done(("vm", "intrinsic:" + _CHRONO_COUNT)),
         )
         return (
             ["_cn = timer.nested", "_cs = clock()", "try:"]
-            + _indent(take + [f"_k = vm.chrono_count({count})"])
+            + _indent(count_lines)
             + ["finally:", f"    {done}(_cs, _cn)"]
         )
 
@@ -1136,9 +1271,19 @@ class _Compiler:
         return result
 
     def enter(self, vm, vid: int) -> None:
-        """Enter variant ``vid``, which starts with its counting call: the
-        block's budget check and pre-add, the call, and settling after it
-        (what :meth:`_block` otherwise emits inline)."""
+        """Enter variant ``vid`` of a plain VM, which starts with its
+        counting call: the block's budget check, its pre-add and the
+        count (what :meth:`_block` emits inline on a cycle)."""
+        count, added = self.entries[vid]
+        if vm.executed_instructions + count > vm.max_instructions:
+            self._finish(vid, 0, sys._getframe(1))
+        vm.executed_instructions += count
+        vm.chrono_total += added
+
+    def enter_hooked(self, vm, vid: int) -> None:
+        """Enter variant ``vid``, which starts with its counting call, in
+        a VM with a custom hook: the block's budget check and pre-add,
+        the hook call, and settling after it."""
         count, hook_arg = self.entries[vid]
         if vm.executed_instructions + count > vm.max_instructions:
             self._finish(vid, 0, sys._getframe(1))
@@ -1163,11 +1308,10 @@ class _Compiler:
         if vm.executed_instructions + rest > vm.max_instructions:
             self._finish(vid, start, frame)
 
-    def edge(self, vid: int, start: int) -> None:
-        """Variant ``vid`` does not fit the budget from instruction
-        ``start`` on: finish it one retire at a time (see the module
-        docstring).  Always raises."""
-        self._finish(vid, start, sys._getframe(1))
+    def edge(self, vid: int) -> None:
+        """Variant ``vid`` does not fit the budget: finish it one retire at
+        a time (see the module docstring).  Always raises."""
+        self._finish(vid, 0, sys._getframe(1))
 
     def _finish(self, vid: int, start: int, frame, result=_UNSTORED) -> None:
         """Run the budget edge of variant ``vid`` from ``start`` over the

@@ -107,6 +107,10 @@ class Interpreter:
         self.max_instructions = max_instructions
         #: IR instructions retired (the VM's own ground-truth counter).
         self.executed_instructions = 0
+        #: What the stock ``__chrono_count`` hook has counted: the sum of
+        #: the counts of every instrumented block entered so far.
+        #: :class:`repro.chronopriv.ChronoRecorder` books it per phase.
+        self.chrono_total = 0
         self.globals: Dict[GlobalVariable, GlobalSlot] = {}
         for var in module.globals.values():
             slot = GlobalSlot(var.name)
@@ -139,9 +143,17 @@ class Interpreter:
     # -- public API -------------------------------------------------------------
 
     def register_intrinsic(self, name: str, fn: Callable) -> None:
-        """Install or replace an intrinsic (``fn(vm, args) -> value``)."""
+        """Install or replace an intrinsic (``fn(vm, args) -> value``).
+
+        Replacing ``__chrono_count`` drops the compiled functions: the
+        generated core inlines the stock hook (see
+        :mod:`repro.vm.compiled`), so code compiled before would never
+        call the new one.
+        """
         self.intrinsics[name] = fn
         self._intrinsic_calls.pop(name, None)
+        if name == "__chrono_count":
+            self._compiled.clear()
 
     def attach_profiler(self, profiler) -> "Interpreter":
         """Time every opcode and intrinsic into ``profiler``.
@@ -208,14 +220,12 @@ class Interpreter:
         return code(self, args)
 
     def chrono_count(self, count: int):
-        """ChronoPriv's per-block counting hook, as a direct method call.
+        """ChronoPriv's per-block counting hook, where it is not inlined.
 
-        The generated core calls this instead of dispatching the
-        ``__chrono_count`` intrinsic; the default defers to the
-        intrinsics table so inert counters (spawned children) and custom
-        hooks keep working, and the ChronoPriv recorder overrides it
-        per-instance with a bare counter-cell increment
-        (:meth:`repro.chronopriv.runtime.ChronoRecorder.attach`).
+        Code generated for a VM with the stock hook adds each block's
+        count to :attr:`chrono_total` itself.  Code generated for a
+        custom ``__chrono_count`` intrinsic calls this instead, which
+        dispatches the intrinsic.
 
         A hook returns a true value when the calling frame must settle
         after it, as after any call: it retired instructions, left a

@@ -304,14 +304,11 @@ def _spawn_wait(vm, args):
     # values into the child, then diverge.
     for var, slot in vm.globals.items():
         child_vm.globals[var].value = slot.value
-    # Copy the intrinsics table so per-process hooks diverge; the parent's
-    # ChronoPriv recorder must not absorb the child's counts (phases are
-    # per-process), so the child starts with the inert counter, both as
-    # the intrinsic and as the generated core's direct hook, until an
-    # observer attaches its own recorder.
+    # Copy the intrinsics table so per-process hooks diverge.  Phases are
+    # per-process, so the child counts with the stock hook into its own
+    # ``chrono_total``, which an observer's recorder books.
     child_vm.intrinsics = dict(vm.intrinsics)
-    child_vm.register_intrinsic("__chrono_count", _chrono_count)
-    child_vm.chrono_count = _uncounted
+    child_vm.register_intrinsic("__chrono_count", chrono_count)
     for observer in vm.child_observers:
         observer(child_vm)
     try:
@@ -468,14 +465,12 @@ def _sleep(vm, args):
     return 0
 
 
-def _chrono_count(vm, args):
-    """ChronoPriv's per-block hook; inert until the runtime replaces it."""
-    return 0
-
-
-def _uncounted(count):
-    """:func:`_chrono_count` as a ``vm.chrono_count`` hook: counts nothing
-    and leaves the frame nothing to settle."""
+def chrono_count(vm, args):
+    """ChronoPriv's stock per-block hook: adds the block's count to
+    ``vm.chrono_total``, which :class:`repro.chronopriv.ChronoRecorder`
+    books per phase.  The generated core inlines it as that one addition
+    (see :mod:`repro.vm.compiled`)."""
+    vm.chrono_total += args[0]
     return 0
 
 
@@ -571,6 +566,6 @@ def default_intrinsics() -> Dict[str, Callable]:
         "argc": _argc,
         "arg_str": _arg_str,
         "sleep": _sleep,
-        # ChronoPriv hook (replaced when instrumentation is active)
-        "__chrono_count": _chrono_count,
+        # ChronoPriv's per-block counter
+        "__chrono_count": chrono_count,
     }

@@ -135,6 +135,30 @@ class TestBasicBlocks:
         b = function.add_block("x")
         assert a.name != b.name
 
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(["x", "x.1", "x.2", "y", "y.1"]), st.integers(0, 9)),
+            max_size=30,
+        )
+    )
+    def test_unique_block_names_match_a_rescan(self, steps):
+        """Names are those of a full rescan of the blocks on every add,
+        also after a pass replaces the block list (an int step keeps
+        every block but the one at that index)."""
+        module = Module("m")
+        function = module.add_function("f", VOID, [])
+        for step in steps:
+            if isinstance(step, int):
+                function.blocks = [
+                    block for index, block in enumerate(function.blocks) if index != step
+                ]
+                continue
+            existing = {block.name for block in function.blocks}
+            expected, counter = step, 1
+            while expected in existing:
+                expected, counter = f"{step}.{counter}", counter + 1
+            assert function.add_block(step).name == expected
+
     def test_entry_requires_body(self):
         module = Module("m")
         function = module.declare("ext", I64, [])

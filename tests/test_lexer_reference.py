@@ -1,9 +1,11 @@
 """Differential test: the regex-driven PrivC lexer against a reference.
 
 ``reference_tokenize`` is the original character-at-a-time lexer, kept
-here as the specification.  It is verbatim but for one fix: a ``0x`` or
-``0o`` prefix with no digits after it is a ``LexError`` at the literal's
-position (the original let ``int()`` raise a bare ``ValueError``).  The production lexer in
+here as the specification.  It is verbatim but for two fixes, where the
+original let ``int()`` raise a bare ``ValueError``: a ``0x`` or ``0o``
+prefix with no digits after it, and a decimal literal with a character
+``str.isdigit`` accepts but ``int()`` does not (``12²``), are each a
+``LexError`` at the literal's position.  The production lexer in
 :mod:`repro.frontend.lexer` drives one compiled master regex instead;
 on every input the two must produce the same token list, or raise the
 same exception type with the same message (and, for ``LexError``, the
@@ -110,7 +112,12 @@ def reference_tokenize(source: str) -> List[Token]:
                 while index < length and source[index].isdigit():
                     advance()
                 text = source[begin:index]
-                value = int(text)
+                try:
+                    value = int(text)
+                except ValueError:
+                    raise LexError(
+                        f"integer literal {text!r} has a non-decimal digit", start
+                    ) from None
             tokens.append(Token("int", text, value, start))
             continue
         # identifier / keyword
@@ -140,7 +147,7 @@ def _outcome(lexer, source):
     """Tokens, or the raised exception's type, message and position."""
     try:
         return "tokens", lexer(source)
-    except (LexError, ValueError) as exc:
+    except LexError as exc:
         return type(exc).__name__, str(exc), getattr(exc, "pos", None)
 
 
@@ -205,6 +212,18 @@ def test_matches_reference_on_dense_alphabet(source):
 )
 def test_matches_reference_on_edge_cases(source):
     assert_same(source)
+
+
+@pytest.mark.parametrize(
+    "source,text,pos",
+    [("12²", "12²", Pos(1, 1)), ("²", "²", Pos(1, 1)), ("x = 1²;", "1²", Pos(1, 5))],
+)
+def test_non_decimal_digit_is_a_positioned_lex_error(source, text, pos):
+    for lexer in (tokenize, reference_tokenize):
+        with pytest.raises(LexError) as caught:
+            lexer(source)
+        assert caught.value.pos == pos
+        assert f"integer literal {text!r} has a non-decimal digit" in str(caught.value)
 
 
 def test_study_programs_lex_identically():

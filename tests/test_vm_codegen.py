@@ -16,6 +16,7 @@ import pytest
 from repro.chronopriv import instrument_module
 from repro.frontend import compile_source
 from repro.oskernel import Kernel, signals
+from repro.telemetry import Profiler
 from repro.testkit.faults import install_fault
 from repro.testkit.oracles import family
 from repro.testkit.reference import ReferenceInterpreter
@@ -184,10 +185,11 @@ void main() {
 """
 
 
-def _signalling_run(module, interpreter, budget, chrono_signals):
+def _signalling_run(module, interpreter, budget, chrono_signals, profiler=None):
     kernel = Kernel()
     process = kernel.spawn(1000, 1000)
     vm = interpreter(module, kernel, process, max_instructions=budget)
+    vm.attach_profiler(profiler)
     if chrono_signals:
         # A counting hook that raises a signal at every other block it
         # counts outside a handler (in loops and in straight-line code,
@@ -220,3 +222,17 @@ def test_every_budget_through_signal_handlers(chrono_signals):
         compiled_run = _signalling_run(module, Interpreter, budget, chrono_signals)
         reference = _signalling_run(module, ReferenceInterpreter, budget, chrono_signals)
         assert compiled_run == reference, budget
+
+
+@pytest.mark.parametrize("chrono_signals", [False, True])
+def test_every_budget_through_timed_counting(chrono_signals):
+    """Under a profiler the stock count is timed inline and a custom
+    hook is a timed call; both keep the budget and signal parity."""
+    module = compile_source(SIGNAL_SOURCE)
+    instrument_module(module)
+    full = _signalling_run(module, Interpreter, 10_000, chrono_signals, Profiler())
+    assert full[0] == 0 and full[2]
+    for budget in range(1, full[1] + 2):
+        timed = _signalling_run(module, Interpreter, budget, chrono_signals, Profiler())
+        reference = _signalling_run(module, ReferenceInterpreter, budget, chrono_signals)
+        assert timed == reference, budget

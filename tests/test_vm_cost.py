@@ -13,14 +13,29 @@ pinned as counts, not seconds:
   expression that may read a late-bound global) for exactly
   ``PASSWD_FETCHES`` operands: locals and constants are emitted inline,
   so a rise means the generator routes more operands through the
-  general path.
+  general path;
+* entering a counted basic block costs no Python call on a cycle of the
+  variant graph: each program makes exactly ``ENTERS`` calls of
+  ``_Compiler.enter`` (the entry helper of the other blocks), and
+  ChronoPriv's recorder runs only at credential changes and at the
+  report (``RECORDER_CALLS``), never per block;
+* the generated text, whose ``compile()`` a corpus sweep pays for almost
+  every function, stays as short as pinned in ``TEXT_COST``: texts
+  generated, distinct texts and their AST nodes, for the 8 programs and
+  for the seed-0 corpus of the ``corpus-cold`` benchmark workload.
 """
+
+import ast
+import inspect
 
 import pytest
 
+from repro.chronopriv import ChronoRecorder
 from repro.core.pipeline import PrivAnalyzer
+from repro.corpus import CorpusSpec, generate_corpus
 from repro.ir.types import IntType
 from repro.programs import spec_by_name
+from repro.testkit.generators import build_program_spec
 from repro.vm import compiled
 
 from tests.test_rosa_engine import counting
@@ -57,3 +72,96 @@ def test_passwd_getter_closures(monkeypatch):
     fetches = counting(monkeypatch, compiled._Compiler, "_fetch")
     analyzer.run_dynamic(spec, module)
     assert len(fetches) == PASSWD_FETCHES
+
+
+#: Per program: calls of ``_Compiler.enter`` in one run.
+ENTERS = {
+    "passwd": 25,
+    "passwdRef": 26,
+    "ping": 28,
+    "su": 19,
+    "suRef": 24,
+    "thttpd": 19,
+    "sshd": 34,
+    "sshdPrivsep": 18,
+}
+
+#: Per program: calls of any ``ChronoRecorder`` method in one run and
+#: its report (credential-change observers of every process included).
+RECORDER_CALLS = {
+    "passwd": 49,
+    "passwdRef": 34,
+    "ping": 28,
+    "su": 49,
+    "suRef": 40,
+    "thttpd": 58,
+    "sshd": 58,
+    "sshdPrivsep": 48,
+}
+
+#: (texts generated, distinct texts, AST nodes) per pass.
+TEXT_COST = {
+    "tables": (61, 50, 28332),
+    "corpus": (245, 239, 113423),
+}
+
+
+def _count_methods(monkeypatch, cls):
+    """Wrap every method ``cls`` defines; returns the call list."""
+    calls = []
+    for name, method in list(vars(cls).items()):
+        if inspect.isfunction(method) and name != "__init__":
+            def counted(*args, _method=method, **kwargs):
+                calls.append(1)
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("program", sorted(ENTERS))
+def test_block_entry_makes_no_recorder_call(program, monkeypatch):
+    assert not any(
+        name in vars(ChronoRecorder) for name in ("count", "_on_count", "_cell")
+    )
+    spec = spec_by_name(program)
+    analyzer = PrivAnalyzer()
+    module = analyzer.compile(spec)[0]
+    enters = counting(monkeypatch, compiled._Compiler, "enter")
+    recorder_calls = _count_methods(monkeypatch, ChronoRecorder)
+    report, _, _ = analyzer.run_dynamic(spec, module)
+    assert report.total == TABLE_RUNS[program][0]
+    assert len(enters) == ENTERS[program]
+    assert len(recorder_calls) == RECORDER_CALLS[program]
+
+
+def _corpus_specs():
+    entries = generate_corpus(CorpusSpec(seed=0, include_builtins=False))
+    return [
+        build_program_spec(entry.case, name=entry.name)
+        if entry.kind == "generated"
+        else spec_by_name(entry.name)
+        for entry in entries
+    ]
+
+
+@pytest.mark.parametrize("workload", sorted(TEXT_COST))
+def test_generated_text_size(workload, monkeypatch):
+    specs = (
+        [spec_by_name(program) for program in sorted(TABLE_RUNS)]
+        if workload == "tables"
+        else _corpus_specs()
+    )
+    texts = []
+    generate = compiled._Compiler._text
+
+    def recorded(self):
+        texts.append(generate(self))
+        return texts[-1]
+
+    monkeypatch.setattr(compiled._Compiler, "_text", recorded)
+    for spec in specs:
+        analyzer = PrivAnalyzer()
+        analyzer.run_dynamic(spec, analyzer.compile(spec)[0])
+    nodes = sum(sum(1 for _ in ast.walk(ast.parse(text))) for text in texts)
+    assert (len(texts), len(set(texts)), nodes) == TEXT_COST[workload]
