@@ -85,6 +85,11 @@ PROFILE_FILE = "profile.json"
 #: perf regressions, whatever the ratio — sub-floor stages are noise.
 PERF_ABSOLUTE_FLOOR = 0.05
 
+#: Counters of how warm the process-wide VM code caches were, not of the
+#: run's own work: one program analyzed twice in a process reads them
+#: differently by design, so the diff does not compare them.
+CACHE_COUNTERS = frozenset({"vm.texts_generated", "vm.code_cache_hits"})
+
 
 # -- capture ------------------------------------------------------------------
 
@@ -665,7 +670,7 @@ def _diff_syscalls(old: RunLedger, new: RunLedger, findings: List[DiffFinding]) 
 
 def _diff_counters(old: RunLedger, new: RunLedger, findings: List[DiffFinding]) -> None:
     """Deterministic counters (VM instructions, syscall counts) as changes."""
-    for name in sorted(set(old.metrics) & set(new.metrics)):
+    for name in sorted((set(old.metrics) & set(new.metrics)) - CACHE_COUNTERS):
         before, after = old.metrics[name], new.metrics[name]
         if before.get("type") != "counter" or after.get("type") != "counter":
             continue

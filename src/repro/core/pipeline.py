@@ -16,6 +16,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import logging
 import os
 from typing import Dict, List, Optional, Sequence
@@ -176,6 +177,19 @@ class PrivAnalyzer:
 
     # -- stage 1: compile + AutoPriv + ChronoPriv ---------------------------------
 
+    def content_key(self, spec: ProgramSpec) -> str:
+        """A digest of everything :meth:`compile` reads: the spec's
+        source, name and permitted set, and this analyzer's compile
+        options.  Two compiles with one key build the same IR."""
+        identity = "\0".join((
+            spec.name,
+            spec.permitted.describe(),
+            str(self.optimize),
+            self.indirect_targets_filter,
+            spec.source,
+        ))
+        return hashlib.sha256(identity.encode()).hexdigest()
+
     def compile(self, spec: ProgramSpec) -> tuple:
         """Compile the spec's source and run both compiler stages."""
         from repro.ir.passes import optimize_module
@@ -202,6 +216,7 @@ class PrivAnalyzer:
                 span.set_attribute("blocks", instrumentation.blocks_instrumented)
             with tracer.span("ir.verify"):
                 verify_module(module)
+        module.content_key = self.content_key(spec)
         logger.debug(
             "%s: compiled (%d priv_remove insertions, %d blocks instrumented)",
             spec.name, transform.insertion_count, instrumentation.blocks_instrumented,

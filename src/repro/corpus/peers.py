@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.caps import POWERFUL_CAPABILITIES
 from repro.corpus.profile import PrivilegeProfile
@@ -53,51 +53,84 @@ HOLD_FINDING_MARGIN = 0.25
 _POWERFUL_NAMES = frozenset(str(cap) for cap in POWERFUL_CAPABILITIES)
 
 
-def _l1(a: Dict[str, float], b: Dict[str, float]) -> float:
-    total = 0.0
-    for key in sorted(set(a) | set(b)):
-        total += abs(a.get(key, 0.0) - b.get(key, 0.0))
-    return total
+class _Encoded:
+    """Profiles encoded once for :func:`distance_matrix`.
+
+    ``windows`` and ``cap_hold`` become tuples over the sorted union of
+    every profile's keys (a missing key reads ``0.0``, as in the
+    per-pair sums, where it adds ``abs(0.0 - 0.0)``, exactly ``0.0``), so
+    a pair's sums add the same terms in the same key order; the syscall
+    surfaces become int masks over one syscall numbering.
+    """
+
+    def __init__(self, profiles: Sequence[PrivilegeProfile]) -> None:
+        window_keys = sorted({key for profile in profiles for key in profile.windows})
+        caps = sorted({cap for profile in profiles for cap in profile.cap_hold})
+        #: The cap-hold weight of each position of an encoded hold tuple.
+        self.weights = tuple(
+            W_CAP_POWERFUL if cap in _POWERFUL_NAMES else W_CAP_ORDINARY for cap in caps
+        )
+        bits = {
+            name: 1 << index
+            for index, name in enumerate(sorted({
+                name
+                for profile in profiles
+                for surface in (profile.static_surface, profile.dynamic_surface)
+                for name in surface
+            }))
+        }
+
+        def mask(surface) -> int:
+            value = 0
+            for name in surface:
+                value |= bits[name]
+            return value
+
+        #: Per profile: (windows, invulnerable window, cap holds, root-euid
+        #: fraction, static surface mask, dynamic surface mask).
+        self.rows = [
+            (
+                tuple(profile.windows.get(key, 0.0) for key in window_keys),
+                profile.invulnerable_window,
+                tuple(profile.cap_hold.get(cap, 0.0) for cap in caps),
+                profile.root_euid_fraction,
+                mask(profile.static_surface),
+                mask(profile.dynamic_surface),
+            )
+            for profile in profiles
+        ]
+
+    def distance(self, i: int, j: int) -> float:
+        """The documented distance between profiles ``i`` and ``j``."""
+        a_windows, a_safe, a_held, a_root, a_static, a_dynamic = self.rows[i]
+        b_windows, b_safe, b_held, b_root, b_static, b_dynamic = self.rows[j]
+        windows = 0.0
+        for x, y in zip(a_windows, b_windows):
+            windows += abs(x - y)
+        held = 0.0
+        for weight, x, y in zip(self.weights, a_held, b_held):
+            held += weight * abs(x - y)
+        return (
+            W_WINDOWS * windows
+            + W_INVULNERABLE * abs(a_safe - b_safe)
+            + held
+            + W_ROOT * abs(a_root - b_root)
+            + W_SURFACE * _jaccard_distance(a_static, b_static)
+            + W_SURFACE * _jaccard_distance(a_dynamic, b_dynamic)
+        )
 
 
-def _cap_hold_distance(a: Dict[str, float], b: Dict[str, float]) -> float:
-    total = 0.0
-    for cap in sorted(set(a) | set(b)):
-        weight = W_CAP_POWERFUL if cap in _POWERFUL_NAMES else W_CAP_ORDINARY
-        total += weight * abs(a.get(cap, 0.0) - b.get(cap, 0.0))
-    return total
-
-
-def _jaccard_distance(first: FrozenSet[str], second: FrozenSet[str]) -> float:
-    if not first and not second:
+def _jaccard_distance(first: int, second: int) -> float:
+    """1 − Jaccard of two surfaces given as masks."""
+    union = first | second
+    if not union:
         return 0.0
-    return 1.0 - len(first & second) / len(first | second)
-
-
-def _surfaces(profile: PrivilegeProfile) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    """The static and dynamic syscall surfaces as sets."""
-    return frozenset(profile.static_surface), frozenset(profile.dynamic_surface)
-
-
-def _distance(
-    a: PrivilegeProfile,
-    a_surfaces: Tuple[FrozenSet[str], FrozenSet[str]],
-    b: PrivilegeProfile,
-    b_surfaces: Tuple[FrozenSet[str], FrozenSet[str]],
-) -> float:
-    return (
-        W_WINDOWS * _l1(a.windows, b.windows)
-        + W_INVULNERABLE * abs(a.invulnerable_window - b.invulnerable_window)
-        + _cap_hold_distance(a.cap_hold, b.cap_hold)
-        + W_ROOT * abs(a.root_euid_fraction - b.root_euid_fraction)
-        + W_SURFACE * _jaccard_distance(a_surfaces[0], b_surfaces[0])
-        + W_SURFACE * _jaccard_distance(a_surfaces[1], b_surfaces[1])
-    )
+    return 1.0 - (first & second).bit_count() / union.bit_count()
 
 
 def profile_distance(a: PrivilegeProfile, b: PrivilegeProfile) -> float:
     """The documented weighted distance between two profiles."""
-    return _distance(a, _surfaces(a), b, _surfaces(b))
+    return _Encoded([a, b]).distance(0, 1)
 
 
 def distance_matrix(profiles: Sequence[PrivilegeProfile]) -> List[List[float]]:
@@ -108,12 +141,12 @@ def distance_matrix(profiles: Sequence[PrivilegeProfile]) -> List[List[float]]:
     diagonal, so only the upper triangle is computed and then mirrored.
     """
     count = len(profiles)
-    surfaces = [_surfaces(profile) for profile in profiles]
+    distance = _Encoded(profiles).distance
     matrix = [[0.0] * count for _ in range(count)]
     for i in range(count):
-        row, a, a_surfaces = matrix[i], profiles[i], surfaces[i]
+        row = matrix[i]
         for j in range(i + 1, count):
-            row[j] = matrix[j][i] = _distance(a, a_surfaces, profiles[j], surfaces[j])
+            row[j] = matrix[j][i] = distance(i, j)
     return matrix
 
 

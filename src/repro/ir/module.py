@@ -17,6 +17,13 @@ class Module:
         self.name = name
         self.functions: Dict[str, Function] = {}
         self.globals: Dict[str, GlobalVariable] = {}
+        #: A digest of everything the module was compiled from, set by
+        #: whoever compiled it (:meth:`repro.core.pipeline.PrivAnalyzer.compile`),
+        #: or None.  Modules with one key hold the same IR, so the VM
+        #: shares its generated code among them
+        #: (:func:`repro.vm.compiled.compile_function`).  A pass that
+        #: changes a keyed module must reset it to None.
+        self.content_key: Optional[str] = None
 
     # -- functions -----------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """The VM core: each IR function generated as one Python function.
 
 :func:`compile_function` translates one defined IR function into the
-source text of one Python ``def``, compiles it (through a process-wide
-code cache) and binds the code to the calling VM's own namespace.  SSA
+source text of one Python ``def``, compiles it (through process-wide
+caches) and binds the code to the calling VM's own namespace.  SSA
 values become Python locals (``v<slot>``), and the body dispatches over
 basic-block ids in a single ``while`` loop.  It is the only production
 execution path: every :class:`~repro.vm.interpreter.Interpreter` routes
@@ -73,15 +73,15 @@ hundred times, and much generated code (a corpus program's) runs once:
   :mod:`repro.chronopriv.runtime`).  A block that starts with its
   counting call enters inline when it is on a cycle of the variant
   graph (the budget check, the pre-add and the addition), and through
-  one helper call, :meth:`_Compiler.enter`, otherwise, which keeps the
+  one helper call, :meth:`_Runtime.enter`, otherwise, which keeps the
   text of straight-line code short.  With a custom hook the counting
   call is ``vm.chrono_count(n)``, which dispatches the intrinsic and
   answers whether the frame must settle after it (deliver signals,
   recheck the budget); its blocks enter through
-  :meth:`_Compiler.enter_hooked`.  Replacing the hook drops the VM's
+  :meth:`_Runtime.enter_hooked`.  Replacing the hook drops the VM's
   compiled functions
   (:meth:`~repro.vm.interpreter.Interpreter.register_intrinsic`);
-* every other call is one helper call (:meth:`_Compiler.call_intrinsic`
+* every other call is one helper call (:meth:`_Runtime.call_intrinsic`
   and its siblings) that finds its callee, tail and block position by a
   site id: the text names no callee, and the helper does the tail,
   signal and budget-edge bookkeeping.
@@ -97,14 +97,35 @@ entry.  Fault hooks that patch either the shared table or that binding
 therefore change the generated text of every VM built while they are
 installed, and the ``vm`` oracle family catches them.
 
-**The code cache.**  ``compile()`` of the text is most of the cost of
-generation, so :data:`CODE_CACHE` keeps the code objects of recently
-generated texts, process-wide, keyed by the text itself.  A code object
-is immutable and its key is its whole input, so an entry cannot go
-stale; everything VM-specific (global slots, the constant pool, the
-operation-table entries, the budget edge) is bound per VM through the
-function's namespace.  Two VMs running one module share code objects
-but never globals or locals.
+**Recipe, key and bind.**  Generation (:class:`_Compiler`) makes an
+immutable :class:`Recipe`: the code object, plus everything a VM must
+bind, by name where the module holds it (constant-pool entries: global
+slots and late-bound globals by global name, function references by
+function name; operation-table entries; timer recorders), the call-site
+table (tails, block positions, callee names) and the block-entry table.
+:func:`bind` resolves those names against one VM's ``vm.module`` and
+``vm.globals`` and gives the function its own run-time helpers
+(:class:`_Runtime`: ``_intrinsic``, ``_call``, ``_indirect``, ``_enter``,
+``_settle``, ``_edge``).  The budget edge is rare, so a bound function
+regenerates it from its VM's own :class:`~repro.ir.Function` the first
+time a block needs it.  A recipe holds no IR object and no VM, so a
+request's module and VM are still freed by reference counting.
+
+:data:`RECIPES` keeps recipes process-wide, keyed by content: the
+module's ``content_key`` (a digest of the source and compile options,
+stamped by :meth:`repro.core.pipeline.PrivAnalyzer.compile`), the
+function's name, whether the VM is timed, and whether it counts with
+the stock hook; a recipe serves only while every
+``BINARY_OPS``/``ICMP_PREDICATES`` entry its text read is still the
+table's entry (so the ``*-mul-truncate`` faults get fresh code).  A
+program analyzed again, by a served request, a ``spawn_wait`` child or
+:func:`repro.core.multiprocess.analyze_multiprocess`, generates no text.
+A module without a key (hand-built IR) always generates.  Generating
+still compiles through :data:`CODE_CACHE`, which keeps the code objects
+of recently generated texts keyed by the text itself: a code object is
+immutable and its key is its whole input, so neither cache can go
+stale.  Two VMs running one program share code objects but never
+globals or locals.
 
 **Instrumented mode.**  When the VM carries a :class:`VMTimer` at
 compile time (:meth:`~repro.vm.interpreter.Interpreter.attach_profiler`),
@@ -221,7 +242,38 @@ _LOCAL_NAME = re.compile(r"\bv\d+\b")
 _UNSTORED = object()
 
 
-class CodeCache:
+class LRU:
+    """A bounded, thread-safe least-recently-used map."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, key) -> Any:
+        """The entry under ``key`` (now the most recent), or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def store(self, key, entry) -> None:
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+class CodeCache(LRU):
     """A bounded, thread-safe LRU of compiled generated texts.
 
     Maps a text to the code object of the one ``def`` it holds.  The
@@ -230,26 +282,12 @@ class CodeCache:
     missing on one text both compile it and one result is kept.
     """
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._codes: "OrderedDict[str, CodeType]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
     def get(self, text: str) -> CodeType:
-        with self._lock:
-            code = self._codes.get(text)
-            if code is not None:
-                self._codes.move_to_end(text)
-                return code
-        module = compile(text, "<repro.vm generated>", "exec")
-        code = next(c for c in module.co_consts if isinstance(c, CodeType))
-        with self._lock:
-            self._codes[text] = code
-            while len(self._codes) > self.capacity:
-                self._codes.popitem(last=False)
+        code = self.lookup(text)
+        if code is None:
+            module = compile(text, "<repro.vm generated>", "exec")
+            code = next(c for c in module.co_consts if isinstance(c, CodeType))
+            self.store(text, code)
         return code
 
 
@@ -257,6 +295,12 @@ class CodeCache:
 #: distinct texts; the bound keeps a corpus sweep, whose texts almost
 #: never repeat, from holding code it will not run again.
 CODE_CACHE = CodeCache(64)
+
+#: The process-wide recipe cache (see :func:`compile_function`): one
+#: :class:`Recipe` per (program content key, function name, timed, plain
+#: hook).  The 8 table programs need 61; a corpus sweep, whose programs
+#: never repeat, only cycles through it.
+RECIPES = LRU(128)
 
 
 def _pad(args: List[Any], argc: int) -> List[Any]:
@@ -377,10 +421,145 @@ def compile_function(vm, function: Function) -> Callable:
     other global is looked up in ``vm.globals`` when it is used.  With a
     timer on the VM the body is generated in instrumented mode and the
     whole frame is timed as nested work.
+
+    When ``vm.module`` carries a content key and ``function`` is its
+    function of that name, the recipe comes from :data:`RECIPES` if one
+    was made for the same key, function name and mode and every
+    operation-table entry its text read is still the table's entry;
+    otherwise it is generated (and then kept there).  ``vm.metrics``
+    counts ``vm.texts_generated`` and ``vm.code_cache_hits`` (functions
+    bound from a kept recipe, without generating text).
     """
-    code = _Compiler(vm, function).build()
+    module = vm.module
     timer = vm._timer
+    key = recipe = None
+    if module.content_key is not None and module.functions.get(function.name) is function:
+        key = (
+            module.content_key, function.name, timer is not None,
+            vm.intrinsics.get(_CHRONO_COUNT) is chrono_count,
+        )
+        recipe = RECIPES.lookup(key)
+        if recipe is not None and not recipe.current():
+            recipe = None
+    metrics = vm.metrics
+    if recipe is None:
+        recipe = _Compiler(vm, function).recipe()
+        if key is not None and recipe.portable:
+            RECIPES.store(key, recipe)
+        if metrics is not None:
+            metrics.counter("vm.texts_generated").inc()
+    elif metrics is not None:
+        metrics.counter("vm.code_cache_hits").inc()
+    code = bind(recipe, vm, function)
     return code if timer is None else timer.window(code)
+
+
+# Binding kinds: how :func:`bind` finds a namespace entry in a VM.
+_VALUE = 0      # the object itself (operation-table entries)
+_SLOT = 1       # the VM's slot of the module's global of that name
+_GLOBAL_VAR = 2  # the module's global of that name (read late)
+_REF = 3        # a FunctionRef to the module's function of that name
+_OP_DONE = 4    # the VM timer's recorder for that opcode
+_WINDOW_DONE = 5  # the VM timer's window recorder for that profile key
+
+
+class Recipe:
+    """What any VM running the same program content binds to run one
+    generated function: the code, and everything else by name.
+
+    A recipe holds no IR object and no VM object (unless it is not
+    :attr:`portable`), so it outlives neither a request's module nor its
+    VM.  It is never mutated after :meth:`_Compiler.recipe` builds it.
+    """
+
+    __slots__ = (
+        "code", "binds", "sites", "calls", "entries", "sizes", "reads",
+        "timed", "plain", "portable",
+    )
+
+    def __init__(
+        self, code, binds, sites, calls, entries, sizes, reads, timed, plain, portable
+    ) -> None:
+        self.code: CodeType = code
+        #: (namespace name, binding kind, payload) per bound name.
+        self.binds: Tuple[Tuple[str, int, Any], ...] = binds
+        #: Call site id -> (tail, variant id, position after the call,
+        #: the intrinsic's or defined function's name, or None).
+        self.sites: Tuple[Tuple[int, int, int, Any], ...] = sites
+        #: The site ids whose callee is a defined function, by name.
+        self.calls: Tuple[int, ...] = calls
+        #: Variant id -> (instruction count, counting-call argument) for
+        #: the variants entered through ``_enter``.
+        self.entries: Tuple[Optional[Tuple[int, int]], ...] = entries
+        #: Variant id -> its instruction count.
+        self.sizes: Tuple[int, ...] = sizes
+        #: (0 for ``BINARY_OPS`` or 1 for ``ICMP_PREDICATES``, name,
+        #: entry) for every table entry the text read.
+        self.reads: Tuple[Tuple[int, str, Any], ...] = reads
+        self.timed = timed
+        self.plain = plain
+        #: Whether every binding is by name (false when the function
+        #: uses an IR object its module does not hold by name).
+        self.portable = portable
+
+    def current(self) -> bool:
+        """Whether every table entry the text read is still the table's."""
+        for table, name, entry in self.reads:
+            if (ICMP_PREDICATES if table else BINARY_OPS).get(name) is not entry:
+                return False
+        return True
+
+
+#: The namespace entries every generated function shares.
+_NAMESPACE = {
+    "__builtins__": builtins,
+    "VMError": VMError,
+    "StackSlot": StackSlot,
+    "FunctionRef": FunctionRef,
+    "_pad": _pad,
+    "_nonptr": _nonptr,
+    "_bad_callee": _bad_callee,
+}
+
+
+def bind(recipe: Recipe, vm, function: Function) -> Callable:
+    """``recipe``'s function bound to ``vm``: its names resolved against
+    ``vm.module`` and ``vm.globals``, with run-time helpers of its own."""
+    module = vm.module
+    sites = recipe.sites
+    if recipe.calls:
+        sites = list(sites)
+        functions = module.functions
+        for index in recipe.calls:
+            tail, vid, start, name = sites[index]
+            sites[index] = (tail, vid, start, functions[name])
+    runtime = _Runtime(function, sites, recipe.entries, recipe.sizes)
+    namespace = dict(_NAMESPACE)
+    namespace["_edge"] = runtime.edge
+    namespace["_settle"] = runtime.settle
+    namespace["_enter"] = runtime.enter if recipe.plain else runtime.enter_hooked
+    namespace["_intrinsic"] = runtime.call_intrinsic
+    namespace["_call"] = runtime.call_function
+    namespace["_indirect"] = runtime.call_indirect
+    timer = vm._timer
+    if recipe.timed:
+        namespace["timer"] = timer
+        namespace["clock"] = timer.clock
+    for name, kind, payload in recipe.binds:
+        if kind == _VALUE:
+            value = payload
+        elif kind == _SLOT:
+            value = vm.globals[module.globals[payload]]
+        elif kind == _GLOBAL_VAR:
+            value = module.globals[payload]
+        elif kind == _REF:
+            value = FunctionRef(module.functions[payload])
+        elif kind == _OP_DONE:
+            value = timer.op_done(payload)
+        else:
+            value = timer.window_done(payload)
+        namespace[name] = value
+    return FunctionType(recipe.code, namespace)
 
 
 def _indent(lines: List[str], pad: str = "    ") -> List[str]:
@@ -397,15 +576,16 @@ def _wrap(raw: str, half: int, mask: int) -> str:
 
 
 class _Compiler:
-    """Generates one function's Python text and binds it for one VM.
-
-    It stays alive behind the generated function (as its ``_edge`` and
-    ``_settle``), to generate budget-edge code for a block the first
-    time one is needed.
+    """Generates one function's Python text, as it reads for one VM, and
+    the :class:`Recipe` that binds it to any VM running the same program
+    content.  A :class:`_Runtime` makes one anew, for the VM it runs
+    in, to generate budget-edge code the first time a block needs it.
     """
 
     def __init__(self, vm, function: Function) -> None:
         self.function = function
+        #: The VM's module, whose names the recipe binds by.
+        self.module = vm.module
         #: The VM's global slots, read when an operand is resolved.
         self.globals = vm.globals
         #: The VM's :class:`VMTimer` when compiling in instrumented mode.
@@ -459,24 +639,28 @@ class _Compiler:
         #: Slot -> SSA value.
         self.values: List[Value] = list(self.regmap)
         self._analyze(where)
-        #: Namespace name -> object, for every name the text binds
-        #: besides the fixed helpers (constant pool, op-table entries,
-        #: timer recorders).
-        self.bindings: Dict[str, Any] = {}
+        #: (namespace name, binding kind, payload) for every name the
+        #: text binds besides the fixed helpers (constant pool, op-table
+        #: entries, timer recorders).
+        self.binds: List[Tuple[str, int, Any]] = []
         self._pool: Dict[Any, str] = {}
+        self._names: set = set()
+        #: Whether every binding is by name (see :attr:`Recipe.portable`).
+        self.portable = True
+        #: (table, name) -> the operation-table entry the text read.
+        self.reads: Dict[Tuple[int, str], Any] = {}
         #: Block variants: (block, predecessor-or-None), and for each
         #: the variant ids its terminator reaches.
         self.variants: List[Tuple[Any, Any]] = []
         self.successors: List[Tuple[int, ...]] = []
         self._variant_ids: Dict[Tuple[Any, Any], int] = {}
         #: Variant id -> (instruction count, counting-call argument) for
-        #: the variants entered through :meth:`enter` (filled while the
-        #: text is generated).
+        #: the variants entered through :meth:`_Runtime.enter` (filled
+        #: while the text is generated).
         self.entries: List[Optional[Tuple[int, int]]] = []
         #: Call site id -> (tail, variant id, position after the call,
         #: the intrinsic's name or the defined function, or None).
         self.sites: List[Tuple[int, int, int, Any]] = []
-        self._slow: Dict[Tuple[int, int], Callable] = {}
 
     # -- analysis -------------------------------------------------------------
 
@@ -664,13 +848,31 @@ class _Compiler:
         name = self._pool.get(obj)
         if name is None:
             name = self._pool[obj] = f"k{len(self._pool)}"
-            self.bindings[name] = obj
+            self.binds.append((name, *self._by_name(obj)))
         return name
 
-    def _named(self, name: str, make: Callable) -> str:
-        """``name``, bound to ``make()`` on first use."""
-        if name not in self.bindings:
-            self.bindings[name] = make()
+    def _by_name(self, obj) -> Tuple[int, Any]:
+        """How a VM finds ``obj``: by its name in the module when the
+        module holds it under that name, else as itself."""
+        module = self.module
+        if isinstance(obj, GlobalVariable):
+            if module.globals.get(obj.name) is obj:
+                return (_GLOBAL_VAR, obj.name)
+        elif isinstance(obj, FunctionRef):
+            if module.functions.get(obj.function.name) is obj.function:
+                return (_REF, obj.function.name)
+        elif isinstance(obj, StackSlot):
+            var = module.globals.get(obj.label)
+            if var is not None and self.globals.get(var) is obj:
+                return (_SLOT, obj.label)
+        self.portable = False
+        return (_VALUE, obj)
+
+    def _named(self, name: str, kind: int, payload) -> str:
+        """``name``, bound (on first use) as ``kind`` of ``payload``."""
+        if name not in self._names:
+            self._names.add(name)
+            self.binds.append((name, kind, payload))
         return name
 
     def _operand(self, value: Value) -> Tuple[int, Any]:
@@ -737,30 +939,40 @@ class _Compiler:
 
     # -- generation -----------------------------------------------------------
 
-    def build(self) -> Callable:
-        """Generate, compile (through :data:`CODE_CACHE`) and bind."""
+    def recipe(self) -> Recipe:
+        """Generate the function's text, compile it (through
+        :data:`CODE_CACHE`) and describe what a VM binds."""
         self._layout()
-        text = self._text()
-        namespace = {
-            "__builtins__": builtins,
-            "VMError": VMError,
-            "StackSlot": StackSlot,
-            "FunctionRef": FunctionRef,
-            "_pad": _pad,
-            "_nonptr": _nonptr,
-            "_bad_callee": _bad_callee,
-            "_edge": self.edge,
-            "_settle": self.settle,
-            "_enter": self.enter if self.plain else self.enter_hooked,
-            "_intrinsic": self.call_intrinsic,
-            "_call": self.call_function,
-            "_indirect": self.call_indirect,
-        }
-        if self.timer is not None:
-            namespace["timer"] = self.timer
-            namespace["clock"] = self.timer.clock
-        namespace.update(self.bindings)
-        return FunctionType(CODE_CACHE.get(text), namespace)
+        return self._recipe(self._text())
+
+    def edge_recipe(self, vid: int, start: int) -> Recipe:
+        """The budget edge of variant ``vid`` from ``start`` (see
+        :meth:`_slow_text`), after :meth:`_layout`."""
+        return self._recipe(self._slow_text(vid, start))
+
+    def _recipe(self, text: str) -> Recipe:
+        functions = self.module.functions
+        sites = []
+        calls = []
+        for index, (tail, vid, start, callee) in enumerate(self.sites):
+            if isinstance(callee, Function):
+                if functions.get(callee.name) is callee:
+                    calls.append(index)
+                    callee = callee.name
+                else:
+                    self.portable = False
+            sites.append((tail, vid, start, callee))
+        blocks = self.blocks
+        sizes = tuple(
+            len(blocks[block][0]) + (blocks[block][1] is not None)
+            for block, _ in self.variants
+        )
+        reads = tuple((table, name, entry) for (table, name), entry in self.reads.items())
+        return Recipe(
+            CODE_CACHE.get(text), tuple(self.binds), tuple(sites), tuple(calls),
+            tuple(self.entries), sizes, reads, self.timer is not None, self.plain,
+            self.portable,
+        )
 
     def _text(self) -> str:
         lines = ["def run(vm, args):"]
@@ -805,7 +1017,7 @@ class _Compiler:
     def _timed(self, lines: List[str], opcode: str) -> List[str]:
         if self.timer is None:
             return lines
-        done = self._named("_op_" + opcode, lambda: self.timer.op_done(opcode))
+        done = self._named("_op_" + opcode, _OP_DONE, opcode)
         return (
             ["_n = timer.nested", "_s = clock()", "try:"] + _indent(lines or ["pass"])
             + ["finally:", f"    {done}(_s, _n)"]
@@ -820,9 +1032,9 @@ class _Compiler:
             return self._no_terminator(block), None
         # A block that starts with its counting call enters in one go when
         # untimed: inline on a cycle of a plain VM, else through one helper
-        # call (see :meth:`enter`).  Timed with a custom hook, it pre-adds
-        # only that call: the call would take the rest (its tail) straight
-        # back out.
+        # call (see :meth:`_Runtime.enter`).  Timed with a custom hook, it
+        # pre-adds only that call: the call would take the rest (its tail)
+        # straight back out.
         merged = bool(body) and body[0] in self.counting
         timed = self.timer is not None
         first = 0
@@ -1039,11 +1251,12 @@ class _Compiler:
         dest = f"v{self.regmap[instruction]}"
         op = instruction.op
         a, b = self._operands(lhs, rhs)
-        symbol = _INLINE_OPS.get(BINARY_OPS[op])
+        entry = self.reads[(0, op)] = BINARY_OPS[op]
+        symbol = _INLINE_OPS.get(entry)
         if symbol is not None:
             raw = f"{a} {symbol} {b}"
         else:
-            raw = f"{self._named('op_' + op, lambda: BINARY_OPS[op])}({a}, {b})"
+            raw = f"{self._named('op_' + op, _VALUE, entry)}({a}, {b})"
         half, mask = instruction.type.half, instruction.type.mask
         if op not in ("sdiv", "srem"):
             return [f"{dest} = {_wrap(raw, half, mask)}"]
@@ -1067,10 +1280,11 @@ class _Compiler:
     def _compare(self, lhs, rhs, predicate: str) -> str:
         """The comparison expression of an icmp with defined operands."""
         a, b = self._operands(lhs, rhs)
-        symbol = _INLINE_PREDICATES.get(ICMP_PREDICATES[predicate])
+        entry = self.reads[(1, predicate)] = ICMP_PREDICATES[predicate]
+        symbol = _INLINE_PREDICATES.get(entry)
         if symbol is not None:
             return f"{a} {symbol} {b}"
-        name = self._named("cmp_" + predicate, lambda: ICMP_PREDICATES[predicate])
+        name = self._named("cmp_" + predicate, _VALUE, entry)
         return f"{name}({a}, {b})"
 
     def _load(self, instruction: Load, tail: int) -> List[str]:
@@ -1171,8 +1385,8 @@ class _Compiler:
 
     def _call(self, instruction: Call, tail: int, vid: int, start: int) -> List[str]:
         """A call.  Apart from the counting call, it runs through a
-        helper (:meth:`call_intrinsic`, :meth:`call_function`,
-        :meth:`call_indirect`) that takes ``tail`` out of the pre-added
+        helper (:meth:`_Runtime.call_intrinsic` and its siblings) that
+        takes ``tail`` out of the pre-added
         count for the callee's run, delivers signals and puts it back;
         the helper finds ``tail``, ``vid``, ``start`` and the callee by
         a site id, so the text names none of them."""
@@ -1223,8 +1437,7 @@ class _Compiler:
         if self.timer is None:
             return count_lines
         done = self._named(
-            "_chrono_done",
-            lambda: self.timer.window_done(("vm", "intrinsic:" + _CHRONO_COUNT)),
+            "_chrono_done", _WINDOW_DONE, ("vm", "intrinsic:" + _CHRONO_COUNT)
         )
         return (
             ["_cn = timer.nested", "_cs = clock()", "try:"]
@@ -1232,7 +1445,54 @@ class _Compiler:
             + ["finally:", f"    {done}(_cs, _cn)"]
         )
 
-    # -- run time: calls and the budget edge ----------------------------------
+    def _slow_text(self, vid: int, start: int) -> str:
+        block, pred = self.variants[vid]
+        body, terminator, _ = self.blocks[block]
+        retiring = body[start:] + ([terminator] if terminator is not None else [])
+        lines: List[str] = []
+        for position, instruction in enumerate(retiring):
+            lines.append("vm.executed_instructions += 1")
+            if position == len(retiring) - 1:
+                # The block did not fit, so this retire crosses the budget.
+                lines.append(f"raise VMError({_BUDGET_MSG!r})")
+                break
+            lines.append(
+                f"if vm.executed_instructions > maxi: raise VMError({_BUDGET_MSG!r})"
+            )
+            step = self._step(instruction, pred, 0, vid, start + position + 1)
+            lines += self._timed(step, instruction.opcode)
+            if _ends_in_raise(step):
+                break
+            if instruction in self.counting:
+                lines += self._after_chrono(instruction, vid, start + position + 1, 0)
+        names = sorted(set(_LOCAL_NAME.findall("\n".join(lines))))
+        prologue = ["maxi = frame['maxi']"] + [
+            f"{name} = frame.get({name!r}, 0)" for name in names
+        ]
+        return "def edge(vm, frame):\n" + "\n".join(_indent(prologue + lines)) + "\n"
+
+
+class _Runtime:
+    """The run-time helpers of one generated function bound to one VM:
+    its call sites' calls, its block entries, settling after a counting
+    hook, and the budget edge.
+
+    It holds the VM's own :class:`~repro.ir.Function`, never the VM, and
+    makes a :class:`_Compiler` for the budget edge only when a block
+    first needs one.
+    """
+
+    __slots__ = ("function", "sites", "entries", "sizes", "_generator", "_slow")
+
+    def __init__(self, function: Function, sites, entries, sizes) -> None:
+        self.function = function
+        #: Call site id -> (tail, variant id, position after the call,
+        #: the intrinsic's name or the defined function, or None).
+        self.sites = sites
+        self.entries = entries
+        self.sizes = sizes
+        self._generator: Optional[_Compiler] = None
+        self._slow: Dict[Tuple[int, int], Callable] = {}
 
     def call_intrinsic(self, vm, site: int, *args):
         """Call site ``site``'s intrinsic (see :meth:`_returned`)."""
@@ -1273,7 +1533,7 @@ class _Compiler:
     def enter(self, vm, vid: int) -> None:
         """Enter variant ``vid`` of a plain VM, which starts with its
         counting call: the block's budget check, its pre-add and the
-        count (what :meth:`_block` emits inline on a cycle)."""
+        count (what :meth:`_Compiler._block` emits inline on a cycle)."""
         count, added = self.entries[vid]
         if vm.executed_instructions + count > vm.max_instructions:
             self._finish(vid, 0, sys._getframe(1))
@@ -1303,9 +1563,7 @@ class _Compiler:
         process = vm.process
         if process.pending_signals or process.state != RUNNING:
             vm._dispatch_pending_signals()
-        body, terminator, _ = self.blocks[self.variants[vid][0]]
-        rest = len(body) - start + (1 if terminator is not None else 0)
-        if vm.executed_instructions + rest > vm.max_instructions:
+        if vm.executed_instructions + self.sizes[vid] - start > vm.max_instructions:
             self._finish(vid, start, frame)
 
     def edge(self, vid: int) -> None:
@@ -1317,42 +1575,18 @@ class _Compiler:
         """Run the budget edge of variant ``vid`` from ``start`` over the
         locals of ``frame``; ``result`` is the value of the call just
         before ``start`` when the frame has not stored it yet."""
+        values = frame.f_locals
+        vm = values["vm"]
+        generator = self._generator
+        if generator is None:
+            generator = self._generator = _Compiler(vm, self.function)
+            generator._layout()
         slow = self._slow.get((vid, start))
         if slow is None:
-            text = self._slow_text(vid, start)
-            namespace = frame.f_globals
-            namespace.update(self.bindings)
-            slow = self._slow[(vid, start)] = FunctionType(
-                CODE_CACHE.get(text), namespace
+            slow = self._slow[(vid, start)] = bind(
+                generator.edge_recipe(vid, start), vm, self.function
             )
-        values = frame.f_locals
         if result is not _UNSTORED:
-            call = self.blocks[self.variants[vid][0]][0][start - 1]
-            values[f"v{self.regmap[call]}"] = result
-        slow(values["vm"], values)
-
-    def _slow_text(self, vid: int, start: int) -> str:
-        block, pred = self.variants[vid]
-        body, terminator, _ = self.blocks[block]
-        retiring = body[start:] + ([terminator] if terminator is not None else [])
-        lines: List[str] = []
-        for position, instruction in enumerate(retiring):
-            lines.append("vm.executed_instructions += 1")
-            if position == len(retiring) - 1:
-                # The block did not fit, so this retire crosses the budget.
-                lines.append(f"raise VMError({_BUDGET_MSG!r})")
-                break
-            lines.append(
-                f"if vm.executed_instructions > maxi: raise VMError({_BUDGET_MSG!r})"
-            )
-            step = self._step(instruction, pred, 0, vid, start + position + 1)
-            lines += self._timed(step, instruction.opcode)
-            if _ends_in_raise(step):
-                break
-            if instruction in self.counting:
-                lines += self._after_chrono(instruction, vid, start + position + 1, 0)
-        names = sorted(set(_LOCAL_NAME.findall("\n".join(lines))))
-        prologue = ["maxi = frame['maxi']"] + [
-            f"{name} = frame.get({name!r}, 0)" for name in names
-        ]
-        return "def edge(vm, frame):\n" + "\n".join(_indent(prologue + lines)) + "\n"
+            call = generator.blocks[generator.variants[vid][0]][0][start - 1]
+            values[f"v{generator.regmap[call]}"] = result
+        slow(vm, values)

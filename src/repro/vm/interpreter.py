@@ -77,8 +77,8 @@ class Interpreter:
     """Executes one module as one process.
 
     Defined functions run on the generated core
-    (:mod:`repro.vm.compiled`), generated and bound once per function
-    per VM (the compiled code itself is shared process-wide).
+    (:mod:`repro.vm.compiled`), bound once per function per VM from a
+    recipe that every VM running the same program content shares.
     :meth:`attach_profiler` switches later compiles to the core's
     instrumented mode, so a profiled run times the same code an
     unprofiled run executes.  The testkit's reference interpreter
@@ -118,7 +118,8 @@ class Interpreter:
             self.globals[var] = slot
         self.intrinsics: Dict[str, Callable] = default_intrinsics()
         #: Optional :class:`repro.telemetry.MetricsRegistry`; when set, the
-        #: VM counts retired instructions and intrinsic/syscall dispatches.
+        #: VM counts retired instructions, intrinsic/syscall dispatches and
+        #: the functions it generated text for or bound from a cached recipe.
         self.metrics = metrics
         #: Extra environment the workload provides (e.g. pending HTTP
         #: requests for thttpd, scp channel data for sshd).
@@ -132,7 +133,8 @@ class Interpreter:
         self._call_depth = 0
         #: Per-VM compiled functions.  Each is bound to this VM's global
         #: slots, so the functions cannot be shared across instances;
-        #: their code objects are (see :data:`repro.vm.compiled.CODE_CACHE`).
+        #: their recipes and code objects are (see
+        #: :data:`repro.vm.compiled.RECIPES`).
         self._compiled: Dict[Function, Callable] = {}
         #: Intrinsic name -> ``call(vm, args)``, its function and dispatch
         #: counters resolved on first use (see :meth:`_call_intrinsic`).
@@ -211,7 +213,9 @@ class Interpreter:
             self._call_depth -= 1
 
     def _run_function(self, function: Function, args: List[Any]):
-        """Execute one defined function's body: the frame-execution hook."""
+        """Execute one defined function's body: the frame-execution hook.
+        The first call binds the function for this VM
+        (:func:`repro.vm.compiled.compile_function`)."""
         code = self._compiled.get(function)
         if code is None:
             from repro.vm.compiled import compile_function

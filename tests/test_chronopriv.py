@@ -4,9 +4,11 @@ import pytest
 
 from repro.caps import CapabilitySet
 from repro.chronopriv import ChronoRecorder, instrument_module
+from repro.core.pipeline import PrivAnalyzer
 from repro.frontend import compile_source
 from repro.ir import Call, Unreachable, verify_module
 from repro.oskernel.setup import build_kernel, GID_USER, UID_USER
+from repro.programs import spec_by_name
 from repro.testkit.reference import ReferenceInterpreter, ReferencePhaseCounter
 from repro.vm import Interpreter
 
@@ -382,3 +384,34 @@ class TestRecorderBooksAtCredentialChanges:
         finally:
             gc.enable()
         assert report.total > 0
+
+
+class TestKeyedRecipes:
+    """Programs compiled by the pipeline share generated code by content;
+    nothing ChronoPriv counts may change with it."""
+
+    def test_a_custom_hook_on_a_cached_program_is_called(self):
+        from tests.test_vm_codegen import _vm_of
+
+        plain, report = _vm_of("passwd")  # the recipes are now cached
+        hooked = []
+        vm, _ = _vm_of("passwd", hook=lambda vm, args: hooked.append(args[0]) or 0)
+        assert sum(hooked) == plain.chrono_total == report.total
+        assert vm.chrono_total == 0
+        assert vm.executed_instructions == plain.executed_instructions
+
+    def test_every_table_program_analyzed_twice_gives_one_answer(self):
+        from repro.core.report import analysis_to_dict
+        from tests.test_vm_cost import TABLE_RUNS
+
+        for program in sorted(TABLE_RUNS):
+            spec = spec_by_name(program)
+            answers = []
+            for _ in range(2):
+                analysis = PrivAnalyzer().analyze(spec)
+                chrono = analysis.chrono
+                assert (
+                    chrono.total, len(chrono.phases), analysis.exit_code
+                ) == TABLE_RUNS[program]
+                answers.append(analysis_to_dict(analysis))
+            assert answers[0] == answers[1], program

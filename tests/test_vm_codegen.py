@@ -1,26 +1,36 @@
-"""The generated core's process-wide code cache and its call protocol.
+"""The generated core's process-wide caches and its call protocol.
 
 :mod:`repro.vm.compiled` compiles each generated text once per process
-(:data:`~repro.vm.compiled.CODE_CACHE`, keyed by the text itself) and
-binds the code to each VM's own namespace.  These tests pin down that a
-cached code object never outlives a patched operation table, that VMs
-(two built from one module, and ``spawn_wait`` children) share code
-objects but never globals or locals, and that the cache stays bounded.
-The last one runs every budget through signal handlers, including
-signals a counting hook raises, against the reference evaluator: the
-settling after a call, and the budget edge the helpers hand off to.
+(:data:`~repro.vm.compiled.CODE_CACHE`, keyed by the text itself), keeps
+one recipe per program content, function and mode
+(:data:`~repro.vm.compiled.RECIPES`), and binds the code to each VM's
+own namespace.  These tests pin down that neither cache outlives a
+patched operation table or a change of mode, that VMs (two built from
+one module, and ``spawn_wait`` children) share code objects but never
+globals or locals, and that the caches stay bounded.  The last one runs
+every budget through signal handlers, including signals a counting hook
+raises, against the reference evaluator: the settling after a call, and
+the budget edge the helpers hand off to.
 """
+
+import gc
+import sys
+import threading
+import weakref
 
 import pytest
 
-from repro.chronopriv import instrument_module
+from repro.chronopriv import ChronoRecorder, instrument_module
+from repro.core.pipeline import PrivAnalyzer
 from repro.frontend import compile_source
 from repro.oskernel import Kernel, signals
-from repro.telemetry import Profiler
+from repro.oskernel.setup import build_kernel
+from repro.programs import spec_by_name
+from repro.telemetry import Profiler, Telemetry
 from repro.testkit.faults import install_fault
 from repro.testkit.oracles import family
 from repro.testkit.reference import ReferenceInterpreter
-from repro.vm import Interpreter, VMError, compiled
+from repro.vm import Interpreter, VMError, compiled, set_interpreter_class
 
 from tests.test_testkit_oracles import MUL_CASE
 
@@ -86,6 +96,141 @@ def test_a_patched_table_changes_the_text(fault):
     again = code()
     assert again.__code__ is clean.__code__
     assert again(_vm(module), [40]) == 120
+
+
+def _pipeline_run(program, interpreter=Interpreter):
+    """One ``run_dynamic`` of a table program compiled by the pipeline
+    (so its module carries a content key): (phase rows, exit code,
+    stdout) and the texts its VM generated."""
+    spec = spec_by_name(program)
+    telemetry = Telemetry()
+    analyzer = PrivAnalyzer(telemetry=telemetry)
+    module = analyzer.compile(spec)[0]
+    assert module.content_key is not None
+    previous = set_interpreter_class(interpreter)
+    try:
+        report, exit_code, stdout = analyzer.run_dynamic(spec, module)
+    finally:
+        set_interpreter_class(previous)
+    rows = [(phase.name, phase.instruction_count) for phase in report.phases]
+    return (rows, exit_code, stdout), telemetry.metrics.counter("vm.texts_generated").value
+
+
+def test_a_fault_installed_after_a_keyed_run_gets_fresh_code():
+    reference, _ = _pipeline_run("passwd", ReferenceInterpreter)
+    _pipeline_run("passwd")  # the clean recipes are now cached
+    for fault in ("compiled-mul-truncate", "vm-mul-truncate"):
+        with install_fault(fault):
+            faulted, generated = _pipeline_run("passwd")
+        assert generated > 0, fault
+        assert faulted != reference, fault
+        clean, generated = _pipeline_run("passwd")
+        assert generated > 0, fault
+        assert clean == reference, fault
+
+
+def _vm_of(program, profiler=None, hook=None):
+    """A VM that ran ``program`` compiled by the pipeline, with ``hook``
+    as its ``__chrono_count`` intrinsic when one is given."""
+    spec = spec_by_name(program)
+    module = PrivAnalyzer().compile(spec)[0]
+    kernel = build_kernel(refactored_ownership=spec.refactored_fs)
+    process = kernel.spawn(spec.uid, spec.gid, permitted=spec.permitted)
+    vm = Interpreter(module, kernel, process, argv=list(spec.argv), stdin=list(spec.stdin))
+    vm.attach_profiler(profiler)
+    vm.env.update(spec.fresh_env())
+    recorder = ChronoRecorder(spec.name, process)
+    recorder.attach(vm, kernel)
+    if spec.setup is not None:
+        spec.setup(kernel, vm)
+    if hook is not None:
+        vm.register_intrinsic("__chrono_count", hook)
+    vm.run()
+    return vm, recorder.report()
+
+
+def test_plain_and_profiled_runs_of_one_program_keep_their_own_code():
+    plain, report = _vm_of("passwd")
+    profiler = Profiler()
+    profiled, profiled_report = _vm_of("passwd", profiler)
+    ops = [key for key in profiler.records if key[1].startswith("op:")]
+    calls = sum(profiler.records[key].calls for key in ops)
+    assert calls == profiled.executed_instructions > 0
+    again, again_report = _vm_of("passwd")
+    assert sum(profiler.records[key].calls for key in ops) == calls
+    for vm in (plain, again):
+        assert vm._compiled
+        for code in vm._compiled.values():
+            assert "timer" not in code.__globals__
+    assert again_report.total == profiled_report.total == report.total
+
+
+def _holds_ir(root) -> bool:
+    """Whether ``root`` reaches an IR object through recipes, tuples,
+    lists and code objects (op-table entries are not followed)."""
+    from types import CodeType
+
+    from repro.ir import BasicBlock, Function, Module, Value
+
+    stack, seen = [root], set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (Module, Function, BasicBlock, Value)):
+            return True
+        if isinstance(obj, (compiled.Recipe, tuple, list, CodeType)):
+            stack.extend(gc.get_referents(obj))
+    return False
+
+
+def test_a_keyed_module_and_its_vm_are_freed_with_the_cache_warm():
+    _vm_of("passwd")  # the recipes are now cached
+    gc.disable()
+    try:
+        vm, report = _vm_of("passwd")
+        module, freed_vm = weakref.ref(vm.module), weakref.ref(vm)
+        del vm
+        assert module() is None
+        assert freed_vm() is None
+    finally:
+        gc.enable()
+    assert report.total == 70037
+    recipes = list(compiled.RECIPES._entries.values())
+    assert recipes
+    assert not any(_holds_ir(recipe) for recipe in recipes)
+
+
+def test_threads_sharing_the_recipe_cache_agree(monkeypatch):
+    # More threads than cores bind (and, racing on a miss, generate)
+    # recipes of two programs through a cache too small to hold both.
+    monkeypatch.setattr(compiled, "RECIPES", compiled.LRU(6))
+    expected = {program: _vm_of(program)[1].total for program in ("passwd", "ping")}
+    failures = []
+
+    def work(index):
+        try:
+            for round_ in range(3):
+                program = ("passwd", "ping")[(index + round_) % 2]
+                if _vm_of(program)[1].total != expected[program]:
+                    failures.append(program)
+        except Exception as error:  # reported below, with its thread
+            failures.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(compiled.RECIPES) <= 6
 
 
 def test_vms_share_code_but_not_globals():

@@ -16,13 +16,19 @@ pinned as counts, not seconds:
   general path;
 * entering a counted basic block costs no Python call on a cycle of the
   variant graph: each program makes exactly ``ENTERS`` calls of
-  ``_Compiler.enter`` (the entry helper of the other blocks), and
+  ``_Runtime.enter`` (the entry helper of the other blocks), and
   ChronoPriv's recorder runs only at credential changes and at the
   report (``RECORDER_CALLS``), never per block;
 * the generated text, whose ``compile()`` a corpus sweep pays for almost
   every function, stays as short as pinned in ``TEXT_COST``: texts
   generated, distinct texts and their AST nodes, for the 8 programs and
-  for the seed-0 corpus of the ``corpus-cold`` benchmark workload.
+  for the seed-0 corpus of the ``corpus-cold`` benchmark workload;
+* a program analyzed again in the same process generates no text: the
+  VM binds every function from its cached recipe, as the
+  ``vm.texts_generated`` and ``vm.code_cache_hits`` counters show.
+
+The tests that pin generation start from empty code caches
+(``cold_code``), so they pin cold generation whatever ran before them.
 """
 
 import ast
@@ -35,6 +41,7 @@ from repro.core.pipeline import PrivAnalyzer
 from repro.corpus import CorpusSpec, generate_corpus
 from repro.ir.types import IntType
 from repro.programs import spec_by_name
+from repro.telemetry import Telemetry
 from repro.testkit.generators import build_program_spec
 from repro.vm import compiled
 
@@ -54,6 +61,13 @@ TABLE_RUNS = {
 PASSWD_FETCHES = 111
 
 
+@pytest.fixture
+def cold_code():
+    """Empty the process-wide recipe and code caches."""
+    compiled.RECIPES.clear()
+    compiled.CODE_CACHE.clear()
+
+
 @pytest.mark.parametrize("program", sorted(TABLE_RUNS))
 def test_run_makes_no_wrap_calls_and_keeps_counts(program, monkeypatch):
     spec = spec_by_name(program)
@@ -65,7 +79,7 @@ def test_run_makes_no_wrap_calls_and_keeps_counts(program, monkeypatch):
     assert (report.total, len(report.phases), exit_code) == TABLE_RUNS[program]
 
 
-def test_passwd_getter_closures(monkeypatch):
+def test_passwd_getter_closures(monkeypatch, cold_code):
     spec = spec_by_name("passwd")
     analyzer = PrivAnalyzer()
     module = analyzer.compile(spec)[0]
@@ -74,7 +88,7 @@ def test_passwd_getter_closures(monkeypatch):
     assert len(fetches) == PASSWD_FETCHES
 
 
-#: Per program: calls of ``_Compiler.enter`` in one run.
+#: Per program: calls of ``_Runtime.enter`` in one run.
 ENTERS = {
     "passwd": 25,
     "passwdRef": 26,
@@ -120,14 +134,14 @@ def _count_methods(monkeypatch, cls):
 
 
 @pytest.mark.parametrize("program", sorted(ENTERS))
-def test_block_entry_makes_no_recorder_call(program, monkeypatch):
+def test_block_entry_makes_no_recorder_call(program, monkeypatch, cold_code):
     assert not any(
         name in vars(ChronoRecorder) for name in ("count", "_on_count", "_cell")
     )
     spec = spec_by_name(program)
     analyzer = PrivAnalyzer()
     module = analyzer.compile(spec)[0]
-    enters = counting(monkeypatch, compiled._Compiler, "enter")
+    enters = counting(monkeypatch, compiled._Runtime, "enter")
     recorder_calls = _count_methods(monkeypatch, ChronoRecorder)
     report, _, _ = analyzer.run_dynamic(spec, module)
     assert report.total == TABLE_RUNS[program][0]
@@ -146,7 +160,7 @@ def _corpus_specs():
 
 
 @pytest.mark.parametrize("workload", sorted(TEXT_COST))
-def test_generated_text_size(workload, monkeypatch):
+def test_generated_text_size(workload, monkeypatch, cold_code):
     specs = (
         [spec_by_name(program) for program in sorted(TABLE_RUNS)]
         if workload == "tables"
@@ -165,3 +179,32 @@ def test_generated_text_size(workload, monkeypatch):
         analyzer.run_dynamic(spec, analyzer.compile(spec)[0])
     nodes = sum(sum(1 for _ in ast.walk(ast.parse(text))) for text in texts)
     assert (len(texts), len(set(texts)), nodes) == TEXT_COST[workload]
+
+
+#: Per program: the defined functions its run compiles, each once.
+FUNCTIONS = {
+    "passwd": 8,
+    "passwdRef": 8,
+    "ping": 4,
+    "su": 8,
+    "suRef": 8,
+    "thttpd": 9,
+    "sshd": 9,
+    "sshdPrivsep": 4,
+}
+
+
+@pytest.mark.parametrize("program", sorted(FUNCTIONS))
+def test_a_second_run_generates_no_text(program, cold_code):
+    spec = spec_by_name(program)
+    runs = []
+    for _ in range(2):
+        telemetry = Telemetry()
+        analyzer = PrivAnalyzer(telemetry=telemetry)
+        report, _, _ = analyzer.run_dynamic(spec, analyzer.compile(spec)[0])
+        assert report.total == TABLE_RUNS[program][0]
+        runs.append(tuple(
+            telemetry.metrics.counter(name).value
+            for name in ("vm.texts_generated", "vm.code_cache_hits")
+        ))
+    assert runs == [(FUNCTIONS[program], 0), (0, FUNCTIONS[program])]

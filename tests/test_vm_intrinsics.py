@@ -7,6 +7,8 @@ from repro.frontend import compile_source
 from repro.oskernel.setup import build_kernel, UID_USER, GID_USER
 from repro.vm import Interpreter
 
+from tests.test_vm_cost import cold_code  # noqa: F401  (a fixture)
+
 
 def run(source, caps=(), uid=UID_USER, gid=GID_USER, argv=(), stdin=(), env=None,
         refactored=False, setup=None):
@@ -211,8 +213,9 @@ class TestMiscIntrinsics:
 
 
 #: Every ``vm.*`` counter one dynamic run of each program leaves in its
-#: telemetry registry.  The VM resolves an intrinsic and its dispatch
-#: counters once per VM; these are the counts a per-dispatch lookup gave.
+#: telemetry registry, from empty code caches.  The VM resolves an
+#: intrinsic and its dispatch counters once per VM; these are the counts
+#: a per-dispatch lookup gave.
 DISPATCH_COUNTERS = {
     "passwd": {
         "vm.instructions_executed": 79701, "vm.intrinsic_dispatches": 1782,
@@ -223,7 +226,7 @@ DISPATCH_COUNTERS = {
         "vm.syscall.priv_remove": 6, "vm.syscall.read": 2, "vm.syscall.rename": 1,
         "vm.syscall.setuid": 1, "vm.syscall.signal": 3, "vm.syscall.stat_group": 1,
         "vm.syscall.stat_mode": 1, "vm.syscall.stat_owner": 1,
-        "vm.syscall.unlink": 1, "vm.syscall.write": 3,
+        "vm.syscall.unlink": 1, "vm.syscall.write": 3, "vm.texts_generated": 8,
     },
     "thttpd": {
         "vm.instructions_executed": 91980, "vm.intrinsic_dispatches": 1300,
@@ -234,13 +237,14 @@ DISPATCH_COUNTERS = {
         "vm.syscall.priv_lower": 4, "vm.syscall.priv_raise": 4,
         "vm.syscall.priv_remove": 10, "vm.syscall.read": 2, "vm.syscall.setgid": 1,
         "vm.syscall.setgroups0": 1, "vm.syscall.socket": 1, "vm.syscall.write": 1,
+        "vm.texts_generated": 9,
     },
 }
 
 
 class TestDispatchCounters:
     @pytest.mark.parametrize("program", sorted(DISPATCH_COUNTERS))
-    def test_counts_match_per_dispatch_lookup(self, program):
+    def test_counts_match_per_dispatch_lookup(self, program, cold_code):
         from repro.core.pipeline import PrivAnalyzer
         from repro.programs import spec_by_name
         from repro.telemetry import Telemetry
