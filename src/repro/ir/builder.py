@@ -41,12 +41,6 @@ class IRBuilder:
         self.block = block
         return self
 
-    @property
-    def function(self) -> Function:
-        if self.block is None or self.block.parent is None:
-            raise ValueError("builder has no insertion point")
-        return self.block.parent
-
     # -- coercion ---------------------------------------------------------------
 
     @staticmethod

@@ -12,9 +12,8 @@ from repro.ir.values import Argument, FunctionRef
 class BasicBlock:
     """A straight-line instruction sequence ending in one terminator."""
 
-    def __init__(self, name: str, parent: Optional["Function"] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.parent = parent
         self.instructions: List[Instruction] = []
 
     def append(self, instruction: Instruction) -> Instruction:
@@ -25,13 +24,11 @@ class BasicBlock:
                 f"block {self.name} already has terminator "
                 f"{instructions[-1].opcode}; cannot append {instruction.opcode}"
             )
-        instruction.parent = self
         instructions.append(instruction)
         return instruction
 
     def insert(self, index: int, instruction: Instruction) -> Instruction:
         """Insert at ``index`` (used by instrumentation passes)."""
-        instruction.parent = self
         self.instructions.insert(index, instruction)
         return instruction
 
@@ -103,7 +100,7 @@ class Function:
         return self.blocks[0]
 
     def add_block(self, name: str) -> BasicBlock:
-        block = BasicBlock(self._unique_block_name(name), self)
+        block = BasicBlock(self._unique_block_name(name))
         self.blocks.append(block)
         return block
 

@@ -33,8 +33,6 @@ class Instruction(Value):
         self.type = vtype
         self.name = name
         self.operands: List[Value] = list(operands)
-        #: Back-reference, set when the instruction is appended to a block.
-        self.parent = None
 
     def successors(self) -> Tuple:
         """Successor basic blocks (terminators only)."""

@@ -141,9 +141,7 @@ def simplify_branches(function: Function) -> PassReport:
         if cond is None:
             continue
         target = terminator.if_true if cond.value else terminator.if_false
-        jump = Jump(target)
-        jump.parent = block
-        block.instructions[-1] = jump
+        block.instructions[-1] = Jump(target)
         report.simplified_branches += 1
     return report
 

@@ -53,8 +53,6 @@ def _verify_function(module: Module, function: Function) -> List[str]:
 
     for block in blocks:
         instructions = block.instructions
-        if block.parent is not function:
-            problems.append(f"@{function.name}:%{block.name}: block parent pointer is wrong")
         if not instructions or not instructions[-1].is_terminator:
             problems.append(f"@{function.name}:%{block.name}: block lacks a terminator")
         last = len(instructions) - 1

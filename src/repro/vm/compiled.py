@@ -66,21 +66,16 @@ hundred times, and much generated code (a corpus program's) runs once:
   statement: the branch tests the comparison itself.  A local-only
   alloca's zero store is left out when a store to it comes next.  (The
   budget edge keeps both, so it still retires them one at a time.);
-* ChronoPriv's per-block counting call, in a *plain* VM (one with the
-  stock ``__chrono_count`` hook), is ``vm.chrono_total += n``:
-  no call at all, since the stock hook only adds there and the recorder
-  books that total at credential changes (see
+* ChronoPriv's per-block counting call is ``vm.chrono_total += n``:
+  no call at all, since the stock ``__chrono_count`` hook only adds
+  there and the recorder books that total at credential changes (see
   :mod:`repro.chronopriv.runtime`).  A block that starts with its
   counting call enters inline when it is on a cycle of the variant
   graph (the budget check, the pre-add and the addition), and through
   one helper call, :meth:`_Runtime.enter`, otherwise, which keeps the
-  text of straight-line code short.  With a custom hook the counting
-  call is ``vm.chrono_count(n)``, which dispatches the intrinsic and
-  answers whether the frame must settle after it (deliver signals,
-  recheck the budget); its blocks enter through
-  :meth:`_Runtime.enter_hooked`.  Replacing the hook drops the VM's
-  compiled functions
-  (:meth:`~repro.vm.interpreter.Interpreter.register_intrinsic`);
+  text of straight-line code short.  A custom hook runs only under the
+  reference interpreter: :func:`compile_function` refuses a VM that has
+  one;
 * every other call is one helper call (:meth:`_Runtime.call_intrinsic`
   and its siblings) that finds its callee, tail and block position by a
   site id: the text names no callee, and the helper does the tail,
@@ -106,7 +101,7 @@ table (tails, block positions, callee names) and the block-entry table.
 :func:`bind` resolves those names against one VM's ``vm.module`` and
 ``vm.globals`` and gives the function its own run-time helpers
 (:class:`_Runtime`: ``_intrinsic``, ``_call``, ``_indirect``, ``_enter``,
-``_settle``, ``_edge``).  The budget edge is rare, so a bound function
+``_edge``).  The budget edge is rare, so a bound function
 regenerates it from its VM's own :class:`~repro.ir.Function` the first
 time a block needs it.  A recipe holds no IR object and no VM, so a
 request's module and VM are still freed by reference counting.
@@ -114,13 +109,13 @@ request's module and VM are still freed by reference counting.
 :data:`RECIPES` keeps recipes process-wide, keyed by content: the
 module's ``content_key`` (a digest of the source and compile options,
 stamped by :meth:`repro.core.pipeline.PrivAnalyzer.compile`), the
-function's name, whether the VM is timed, and whether it counts with
-the stock hook; a recipe serves only while every
-``BINARY_OPS``/``ICMP_PREDICATES`` entry its text read is still the
-table's entry (so the ``*-mul-truncate`` faults get fresh code).  A
-program analyzed again, by a served request, a ``spawn_wait`` child or
-:func:`repro.core.multiprocess.analyze_multiprocess`, generates no text.
-A module without a key (hand-built IR) always generates.  Generating
+function's name, and whether the VM is timed; a recipe serves only
+while every ``BINARY_OPS``/``ICMP_PREDICATES`` entry its text read is
+still the table's entry (so the ``*-mul-truncate`` faults get fresh
+code).  A program analyzed again, by a served request, a ``spawn_wait``
+child or :func:`repro.core.multiprocess.analyze_multiprocess`,
+generates no text.  A module without a key (hand-built IR) always
+generates.  Generating
 still compiles through :data:`CODE_CACHE`, which keeps the code objects
 of recently generated texts keyed by the text itself: a code object is
 immutable and its key is its whole input, so neither cache can go
@@ -201,7 +196,7 @@ from repro.ir.instructions import BINARY_OPS, ICMP_PREDICATES
 from repro.oskernel.process import RUNNING
 from repro.vm.frame import StackSlot
 from repro.vm.interpreter import VMError
-from repro.vm.intrinsics import chrono_count
+from repro.vm.intrinsics import stock_chrono_count
 
 _BUDGET_MSG = "instruction budget exhausted (runaway program?)"
 
@@ -297,9 +292,9 @@ class CodeCache(LRU):
 CODE_CACHE = CodeCache(64)
 
 #: The process-wide recipe cache (see :func:`compile_function`): one
-#: :class:`Recipe` per (program content key, function name, timed, plain
-#: hook).  The 8 table programs need 61; a corpus sweep, whose programs
-#: never repeat, only cycles through it.
+#: :class:`Recipe` per (program content key, function name, timed).  The
+#: 8 table programs need 61; a corpus sweep, whose programs never
+#: repeat, only cycles through it.
 RECIPES = LRU(128)
 
 
@@ -401,11 +396,6 @@ class VMTimer:
         def call(name, args):
             timed = windows.get(name)
             if timed is None:
-                if name == _CHRONO_COUNT:
-                    # The generated counting call already times this
-                    # dispatch (see ``_Compiler._chrono``); it must not
-                    # count twice.
-                    return call_intrinsic(name, args)
                 timed = windows[name] = self.window(
                     call_intrinsic, ("vm", "intrinsic:" + name)
                 )
@@ -420,7 +410,11 @@ def compile_function(vm, function: Function) -> Callable:
     Globals present in ``vm.globals`` now are bound to their slots; any
     other global is looked up in ``vm.globals`` when it is used.  With a
     timer on the VM the body is generated in instrumented mode and the
-    whole frame is timed as nested work.
+    whole frame is timed as nested work.  A VM whose ``__chrono_count``
+    intrinsic is not the stock hook is refused with a :class:`VMError`:
+    the generated code inlines the stock hook, and a custom hook runs
+    only under the reference interpreter
+    (:class:`~repro.testkit.reference.ReferenceInterpreter`).
 
     When ``vm.module`` carries a content key and ``function`` is its
     function of that name, the recipe comes from :data:`RECIPES` if one
@@ -430,14 +424,16 @@ def compile_function(vm, function: Function) -> Callable:
     counts ``vm.texts_generated`` and ``vm.code_cache_hits`` (functions
     bound from a kept recipe, without generating text).
     """
+    if vm.intrinsics.get(_CHRONO_COUNT) is not stock_chrono_count:
+        raise VMError(
+            f"@{function.name}: a custom {_CHRONO_COUNT} hook runs only under "
+            "the reference interpreter"
+        )
     module = vm.module
     timer = vm._timer
     key = recipe = None
     if module.content_key is not None and module.functions.get(function.name) is function:
-        key = (
-            module.content_key, function.name, timer is not None,
-            vm.intrinsics.get(_CHRONO_COUNT) is chrono_count,
-        )
+        key = (module.content_key, function.name, timer is not None)
         recipe = RECIPES.lookup(key)
         if recipe is not None and not recipe.current():
             recipe = None
@@ -473,13 +469,10 @@ class Recipe:
     """
 
     __slots__ = (
-        "code", "binds", "sites", "calls", "entries", "sizes", "reads",
-        "timed", "plain", "portable",
+        "code", "binds", "sites", "calls", "entries", "reads", "timed", "portable",
     )
 
-    def __init__(
-        self, code, binds, sites, calls, entries, sizes, reads, timed, plain, portable
-    ) -> None:
+    def __init__(self, code, binds, sites, calls, entries, reads, timed, portable) -> None:
         self.code: CodeType = code
         #: (namespace name, binding kind, payload) per bound name.
         self.binds: Tuple[Tuple[str, int, Any], ...] = binds
@@ -491,13 +484,10 @@ class Recipe:
         #: Variant id -> (instruction count, counting-call argument) for
         #: the variants entered through ``_enter``.
         self.entries: Tuple[Optional[Tuple[int, int]], ...] = entries
-        #: Variant id -> its instruction count.
-        self.sizes: Tuple[int, ...] = sizes
         #: (0 for ``BINARY_OPS`` or 1 for ``ICMP_PREDICATES``, name,
         #: entry) for every table entry the text read.
         self.reads: Tuple[Tuple[int, str, Any], ...] = reads
         self.timed = timed
-        self.plain = plain
         #: Whether every binding is by name (false when the function
         #: uses an IR object its module does not hold by name).
         self.portable = portable
@@ -533,11 +523,10 @@ def bind(recipe: Recipe, vm, function: Function) -> Callable:
         for index in recipe.calls:
             tail, vid, start, name = sites[index]
             sites[index] = (tail, vid, start, functions[name])
-    runtime = _Runtime(function, sites, recipe.entries, recipe.sizes)
+    runtime = _Runtime(function, sites, recipe.entries)
     namespace = dict(_NAMESPACE)
     namespace["_edge"] = runtime.edge
-    namespace["_settle"] = runtime.settle
-    namespace["_enter"] = runtime.enter if recipe.plain else runtime.enter_hooked
+    namespace["_enter"] = runtime.enter
     namespace["_intrinsic"] = runtime.call_intrinsic
     namespace["_call"] = runtime.call_function
     namespace["_indirect"] = runtime.call_indirect
@@ -590,10 +579,6 @@ class _Compiler:
         self.globals = vm.globals
         #: The VM's :class:`VMTimer` when compiling in instrumented mode.
         self.timer = vm._timer
-        #: Whether the counting calls are the stock hook, inlined as an
-        #: addition to ``vm.chrono_total``; a custom hook is called through
-        #: ``vm.chrono_count`` instead.
-        self.plain = vm.intrinsics.get(_CHRONO_COUNT) is chrono_count
         #: SSA value -> local slot (``v<slot>``).  Arguments first, then
         #: every instruction (identity-keyed, like the reference's frame
         #: map).
@@ -796,7 +781,7 @@ class _Compiler:
         #: The variants on a cycle, whose counted entry is inlined.  Every
         #: cycle runs through a dispatched variant, so a function that
         #: does not loop has none.
-        inline = self.plain and self.timer is None and self.looping
+        inline = self.timer is None and self.looping
         self.cyclic = self._cycles() if inline else set()
 
     def _cycles(self) -> set:
@@ -962,16 +947,10 @@ class _Compiler:
                 else:
                     self.portable = False
             sites.append((tail, vid, start, callee))
-        blocks = self.blocks
-        sizes = tuple(
-            len(blocks[block][0]) + (blocks[block][1] is not None)
-            for block, _ in self.variants
-        )
         reads = tuple((table, name, entry) for (table, name), entry in self.reads.items())
         return Recipe(
             CODE_CACHE.get(text), tuple(self.binds), tuple(sites), tuple(calls),
-            tuple(self.entries), sizes, reads, self.timer is not None, self.plain,
-            self.portable,
+            tuple(self.entries), reads, self.timer is not None, self.portable,
         )
 
     def _text(self) -> str:
@@ -1031,14 +1010,11 @@ class _Compiler:
         if count == 0:
             return self._no_terminator(block), None
         # A block that starts with its counting call enters in one go when
-        # untimed: inline on a cycle of a plain VM, else through one helper
-        # call (see :meth:`_Runtime.enter`).  Timed with a custom hook, it
-        # pre-adds only that call: the call would take the rest (its tail)
-        # straight back out.
-        merged = bool(body) and body[0] in self.counting
+        # untimed: inline on a cycle, else through one helper call (see
+        # :meth:`_Runtime.enter`).
         timed = self.timer is not None
         first = 0
-        if merged and not timed:
+        if not timed and body and body[0] in self.counting:
             added = self.counting[body[0]]
             if vid in self.cyclic:
                 lines = [
@@ -1055,7 +1031,7 @@ class _Compiler:
         else:
             lines = [
                 f"if vm.executed_instructions + {count} > maxi: _edge({vid})",
-                f"vm.executed_instructions += {1 if merged and not self.plain else count}",
+                f"vm.executed_instructions += {count}",
             ]
         # Untimed, the fast path leaves out two statements the budget edge
         # keeps: an icmp that only the branch after it reads (the branch
@@ -1063,22 +1039,17 @@ class _Compiler:
         # store when a store to it comes next.
         test = None if timed else self._fused_test(body, terminator)
         last = len(body) - (test is not None)
-        counting = self.counting
         for position in range(first, last):
             instruction = body[position]
             if not timed and self._overwritten(body, position):
                 continue
             # Pre-counted instructions that never retire if this one raises.
             tail = count - (position + 1)
-            step = self._step(
-                instruction, pred, 0 if merged and position == 0 else tail,
-                vid, position + 1,
-            )
+            step = self._step(instruction, pred, tail, vid, position + 1)
             lines += self._timed(step, instruction.opcode) if timed else step
             if _ends_in_raise(step):
                 return lines, None
-            if instruction in counting:
-                lines += self._after_chrono(instruction, vid, position + 1, tail)
+            lines += self._chrono_value(instruction)
         if terminator is None:
             return lines + self._no_terminator(block), None
         term_lines, fallthrough = self._terminator(vid, terminator, test)
@@ -1115,22 +1086,11 @@ class _Compiler:
             and self._operand(store.value)[0] != _UNDEF
         )
 
-    def _after_chrono(self, instruction, vid: int, start: int, tail: int) -> List[str]:
-        """What follows a counting call: settling when the hook asks for
-        it (signal delivery, then the check that the rest of the block
-        still fits), putting back the ``tail``, and the call's IR value.
-        Untimed, the hook is called right here, in the test; the stock
-        hook never asks, so a plain VM only sets the value."""
-        lines = []
-        if not self.plain:
-            asks = "_k" if self.timer is not None else f"vm.chrono_count({self.counting[instruction]})"
-            if tail:
-                lines = [f"if {asks}: _settle({vid}, {start})", f"vm.executed_instructions += {tail}"]
-            else:
-                lines = [f"if {asks}: vm._dispatch_pending_signals()"]
-        if instruction in self.used:
-            lines.append(f"v{self.regmap[instruction]} = 0")
-        return lines
+    def _chrono_value(self, instruction) -> List[str]:
+        """The IR value of a counting call some instruction reads: 0."""
+        if instruction in self.counting and instruction in self.used:
+            return [f"v{self.regmap[instruction]} = 0"]
+        return []
 
     def _no_terminator(self, block) -> List[str]:
         message = f"@{self.function.name}:%{block.name}: block without terminator"
@@ -1397,7 +1357,7 @@ class _Compiler:
             if undef is not None:
                 return self._raise(undef, tail)
             if instruction in self.counting:
-                return self._chrono(self.counting[instruction], tail)
+                return self._chrono(self.counting[instruction])
             target = callee.function
             helper = "_intrinsic" if target.is_declaration else "_call"
             callee_arg = target.name if target.is_declaration else target
@@ -1417,33 +1377,20 @@ class _Compiler:
             return [f"v{self.regmap[instruction]} = {call}"]
         return [call]
 
-    def _chrono(self, count: int, tail: int) -> List[str]:
-        """ChronoPriv's per-block counter.
-
-        In a plain VM it is the stock hook's addition to
-        ``vm.chrono_total``, inline.  Otherwise it is a call of
-        ``vm.chrono_count``, which dispatches the intrinsic and returns
-        whether the frame must settle (see :meth:`_after_chrono`).  In
-        instrumented mode either is timed as
-        ``intrinsic:__chrono_count``, the counting layer's tax.
-        """
-        if self.plain:
-            count_lines = [f"vm.chrono_total += {count}"]
-        else:
-            take = [f"vm.executed_instructions -= {tail}"] if tail else []
-            if self.timer is None:
-                return take  # the call itself is in the test after it
-            count_lines = take + [f"_k = vm.chrono_count({count})"]
+    def _chrono(self, count: int) -> List[str]:
+        """ChronoPriv's per-block counter: the stock hook's addition to
+        ``vm.chrono_total``, inline.  In instrumented mode it is timed as
+        ``intrinsic:__chrono_count``, the counting layer's tax."""
+        count_line = f"vm.chrono_total += {count}"
         if self.timer is None:
-            return count_lines
+            return [count_line]
         done = self._named(
             "_chrono_done", _WINDOW_DONE, ("vm", "intrinsic:" + _CHRONO_COUNT)
         )
-        return (
-            ["_cn = timer.nested", "_cs = clock()", "try:"]
-            + _indent(count_lines)
-            + ["finally:", f"    {done}(_cs, _cn)"]
-        )
+        return [
+            "_cn = timer.nested", "_cs = clock()", "try:", f"    {count_line}",
+            "finally:", f"    {done}(_cs, _cn)",
+        ]
 
     def _slow_text(self, vid: int, start: int) -> str:
         block, pred = self.variants[vid]
@@ -1463,8 +1410,7 @@ class _Compiler:
             lines += self._timed(step, instruction.opcode)
             if _ends_in_raise(step):
                 break
-            if instruction in self.counting:
-                lines += self._after_chrono(instruction, vid, start + position + 1, 0)
+            lines += self._chrono_value(instruction)
         names = sorted(set(_LOCAL_NAME.findall("\n".join(lines))))
         prologue = ["maxi = frame['maxi']"] + [
             f"{name} = frame.get({name!r}, 0)" for name in names
@@ -1474,23 +1420,21 @@ class _Compiler:
 
 class _Runtime:
     """The run-time helpers of one generated function bound to one VM:
-    its call sites' calls, its block entries, settling after a counting
-    hook, and the budget edge.
+    its call sites' calls, its block entries and the budget edge.
 
     It holds the VM's own :class:`~repro.ir.Function`, never the VM, and
     makes a :class:`_Compiler` for the budget edge only when a block
     first needs one.
     """
 
-    __slots__ = ("function", "sites", "entries", "sizes", "_generator", "_slow")
+    __slots__ = ("function", "sites", "entries", "_generator", "_slow")
 
-    def __init__(self, function: Function, sites, entries, sizes) -> None:
+    def __init__(self, function: Function, sites, entries) -> None:
         self.function = function
         #: Call site id -> (tail, variant id, position after the call,
         #: the intrinsic's name or the defined function, or None).
         self.sites = sites
         self.entries = entries
-        self.sizes = sizes
         self._generator: Optional[_Compiler] = None
         self._slow: Dict[Tuple[int, int], Callable] = {}
 
@@ -1531,40 +1475,14 @@ class _Runtime:
         return result
 
     def enter(self, vm, vid: int) -> None:
-        """Enter variant ``vid`` of a plain VM, which starts with its
-        counting call: the block's budget check, its pre-add and the
-        count (what :meth:`_Compiler._block` emits inline on a cycle)."""
+        """Enter variant ``vid``, which starts with its counting call: the
+        block's budget check, its pre-add and the count (what
+        :meth:`_Compiler._block` emits inline on a cycle)."""
         count, added = self.entries[vid]
         if vm.executed_instructions + count > vm.max_instructions:
             self._finish(vid, 0, sys._getframe(1))
         vm.executed_instructions += count
         vm.chrono_total += added
-
-    def enter_hooked(self, vm, vid: int) -> None:
-        """Enter variant ``vid``, which starts with its counting call, in
-        a VM with a custom hook: the block's budget check and pre-add,
-        the hook call, and settling after it."""
-        count, hook_arg = self.entries[vid]
-        if vm.executed_instructions + count > vm.max_instructions:
-            self._finish(vid, 0, sys._getframe(1))
-        vm.executed_instructions += 1
-        if vm.chrono_count(hook_arg):
-            self._settle(vid, 1, sys._getframe(1))
-        vm.executed_instructions += count - 1
-
-    def settle(self, vid: int, start: int) -> None:
-        """After the counting call before instruction ``start`` of variant
-        ``vid`` asked for it: deliver pending signals, then hand the rest
-        of the block to the budget edge if it no longer fits."""
-        self._settle(vid, start, sys._getframe(1))
-
-    def _settle(self, vid: int, start: int, frame) -> None:
-        vm = frame.f_locals["vm"]
-        process = vm.process
-        if process.pending_signals or process.state != RUNNING:
-            vm._dispatch_pending_signals()
-        if vm.executed_instructions + self.sizes[vid] - start > vm.max_instructions:
-            self._finish(vid, start, frame)
 
     def edge(self, vid: int) -> None:
         """Variant ``vid`` does not fit the budget: finish it one retire at

@@ -30,7 +30,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.ir import Function, GlobalVariable, Module
 from repro.oskernel import Kernel, Process
-from repro.oskernel.process import RUNNING
 from repro.vm.frame import GlobalSlot
 
 
@@ -149,8 +148,10 @@ class Interpreter:
 
         Replacing ``__chrono_count`` drops the compiled functions: the
         generated core inlines the stock hook (see
-        :mod:`repro.vm.compiled`), so code compiled before would never
-        call the new one.
+        :mod:`repro.vm.compiled`) and refuses a custom one, which runs
+        only under the reference interpreter, so the next call of a
+        defined function raises :class:`VMError` rather than skip the
+        new hook.
         """
         self.intrinsics[name] = fn
         self._intrinsic_calls.pop(name, None)
@@ -222,28 +223,6 @@ class Interpreter:
 
             code = self._compiled[function] = compile_function(self, function)
         return code(self, args)
-
-    def chrono_count(self, count: int):
-        """ChronoPriv's per-block counting hook, where it is not inlined.
-
-        Code generated for a VM with the stock hook adds each block's
-        count to :attr:`chrono_total` itself.  Code generated for a
-        custom ``__chrono_count`` intrinsic calls this instead, which
-        dispatches the intrinsic.
-
-        A hook returns a true value when the calling frame must settle
-        after it, as after any call: it retired instructions, left a
-        signal pending or stopped the process.  The IR value of the
-        counting call is 0.
-        """
-        executed = self.executed_instructions
-        self._call_intrinsic("__chrono_count", [count])
-        process = self.process
-        return (
-            self.executed_instructions != executed
-            or bool(process.pending_signals)
-            or process.state != RUNNING
-        )
 
     def _call_intrinsic(self, name: str, args: List[Any]):
         call = self._intrinsic_calls.get(name)

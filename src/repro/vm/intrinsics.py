@@ -306,9 +306,11 @@ def _spawn_wait(vm, args):
         child_vm.globals[var].value = slot.value
     # Copy the intrinsics table so per-process hooks diverge.  Phases are
     # per-process, so the child counts with the stock hook into its own
-    # ``chrono_total``, which an observer's recorder books.
+    # ``chrono_total``, which an observer's recorder books; a parent's
+    # custom hook (only the reference interpreter runs one) is not
+    # inherited, and an observer may install the child's own.
     child_vm.intrinsics = dict(vm.intrinsics)
-    child_vm.register_intrinsic("__chrono_count", chrono_count)
+    child_vm.register_intrinsic("__chrono_count", stock_chrono_count)
     for observer in vm.child_observers:
         observer(child_vm)
     try:
@@ -465,11 +467,12 @@ def _sleep(vm, args):
     return 0
 
 
-def chrono_count(vm, args):
+def stock_chrono_count(vm, args):
     """ChronoPriv's stock per-block hook: adds the block's count to
     ``vm.chrono_total``, which :class:`repro.chronopriv.ChronoRecorder`
     books per phase.  The generated core inlines it as that one addition
-    (see :mod:`repro.vm.compiled`)."""
+    and runs no other hook (see :mod:`repro.vm.compiled`); a custom
+    ``__chrono_count`` runs only under the reference interpreter."""
     vm.chrono_total += args[0]
     return 0
 
@@ -567,5 +570,5 @@ def default_intrinsics() -> Dict[str, Callable]:
         "arg_str": _arg_str,
         "sleep": _sleep,
         # ChronoPriv's per-block counter
-        "__chrono_count": chrono_count,
+        "__chrono_count": stock_chrono_count,
     }

@@ -10,7 +10,7 @@ from repro.ir import Call, Unreachable, verify_module
 from repro.oskernel.setup import build_kernel, GID_USER, UID_USER
 from repro.programs import spec_by_name
 from repro.testkit.reference import ReferenceInterpreter, ReferencePhaseCounter
-from repro.vm import Interpreter
+from repro.vm import Interpreter, VMError
 
 SIMPLE = """
 void main() {
@@ -218,13 +218,14 @@ def recorded_rows(report):
     ]
 
 
-def reference_count(module, caps=(), interpreter=Interpreter):
-    """``module`` run under the counter that reads the process's phase
-    key at every block (the ``vm`` oracle's reference side)."""
+def reference_count(module, caps=()):
+    """``module`` run by the reference interpreter under the counter that
+    reads the process's phase key at every block (the ``vm`` oracle's
+    reference side)."""
     kernel = build_kernel()
     process = kernel.spawn(UID_USER, GID_USER, permitted=CapabilitySet.of(*caps))
     kernel.sys_prctl_lockdown(process.pid)
-    vm = interpreter(module, kernel, process)
+    vm = ReferenceInterpreter(module, kernel, process)
     counter = ReferencePhaseCounter(vm)
     vm.run()
     return counter, vm
@@ -238,10 +239,9 @@ class TestRecorderBooksAtCredentialChanges:
         module = compile_source(source)
         instrument_module(module)
         report, vm, _ = execute(module, caps)
-        for interpreter in (Interpreter, ReferenceInterpreter):
-            counter, reference_vm = reference_count(module, caps, interpreter)
-            assert recorded_rows(report) == list(counter.table()), interpreter
-            assert reference_vm.executed_instructions == vm.executed_instructions
+        counter, reference_vm = reference_count(module, caps)
+        assert recorded_rows(report) == list(counter.table())
+        assert reference_vm.executed_instructions == vm.executed_instructions
         return report
 
     def test_two_credential_changes_inside_one_block(self):
@@ -324,10 +324,9 @@ class TestRecorderBooksAtCredentialChanges:
         (child, child_vm), = children
         assert parent.report().total == vm.chrono_total
         assert child.report().total == child_vm.chrono_total > 0
-        for interpreter in (Interpreter, ReferenceInterpreter):
-            counter, _ = reference_count(module, (), interpreter)
-            assert recorded_rows(parent.report()) == list(counter.table())
-            assert recorded_rows(child.report()) == list(counter.children[0].table())
+        counter, _ = reference_count(module)
+        assert recorded_rows(parent.report()) == list(counter.table())
+        assert recorded_rows(child.report()) == list(counter.children[0].table())
 
     def test_analyze_multiprocess_children_match_the_reference(self):
         from repro.core.multiprocess import analyze_multiprocess
@@ -353,7 +352,18 @@ class TestRecorderBooksAtCredentialChanges:
             list(counter.children[0].table()),
         ]
 
-    def test_hook_registered_after_the_first_compile_sees_every_block(self):
+    def test_a_hook_registered_before_the_first_call_is_refused(self):
+        module = compile_source(SIMPLE)
+        instrument_module(module)
+        kernel = build_kernel()
+        vm = Interpreter(module, kernel, kernel.spawn(UID_USER, GID_USER))
+        hooked = []
+        vm.register_intrinsic("__chrono_count", lambda vm, args: hooked.append(args[0]) or 0)
+        with pytest.raises(VMError, match="only under the reference interpreter"):
+            vm.run()
+        assert hooked == [] and vm.executed_instructions == 0
+
+    def test_a_hook_registered_after_the_first_compile_is_refused(self):
         module = compile_source(SIMPLE)
         instrument_module(module)
         kernel = build_kernel()
@@ -363,9 +373,9 @@ class TestRecorderBooksAtCredentialChanges:
         assert counted > 0
         hooked = []
         vm.register_intrinsic("__chrono_count", lambda vm, args: hooked.append(args[0]) or 0)
-        vm.run()
-        assert sum(hooked) == counted
-        assert vm.chrono_total == counted
+        with pytest.raises(VMError, match="only under the reference interpreter"):
+            vm.run()
+        assert hooked == [] and vm.chrono_total == counted
 
     def test_recorded_vm_is_freed_without_the_cycle_collector(self):
         # The kernel holds the recorder weakly; a strong reference back
@@ -390,15 +400,21 @@ class TestKeyedRecipes:
     """Programs compiled by the pipeline share generated code by content;
     nothing ChronoPriv counts may change with it."""
 
-    def test_a_custom_hook_on_a_cached_program_is_called(self):
+    def test_a_custom_hook_on_a_cached_program_is_refused(self):
         from tests.test_vm_codegen import _vm_of
 
         plain, report = _vm_of("passwd")  # the recipes are now cached
         hooked = []
-        vm, _ = _vm_of("passwd", hook=lambda vm, args: hooked.append(args[0]) or 0)
+        with pytest.raises(VMError, match="only under the reference interpreter"):
+            _vm_of("passwd", hook=lambda vm, args: hooked.append(args[0]) or 0)
+        assert hooked == []
+        # The reference interpreter still runs the hook on the same program.
+        reference, _ = _vm_of(
+            "passwd", hook=lambda vm, args: hooked.append(args[0]) or 0,
+            interpreter=ReferenceInterpreter,
+        )
         assert sum(hooked) == plain.chrono_total == report.total
-        assert vm.chrono_total == 0
-        assert vm.executed_instructions == plain.executed_instructions
+        assert reference.executed_instructions == plain.executed_instructions
 
     def test_every_table_program_analyzed_twice_gives_one_answer(self):
         from repro.core.report import analysis_to_dict

@@ -110,8 +110,7 @@ class TestVerifier:
         phi.add_incoming(Value(I64, "odd"), entry)
         entry.instructions.append(phi)
         entry.instructions.append(Branch(ConstantInt(I64, 1), entry, entry))
-        loose = function.add_block("loose")
-        loose.parent = None
+        function.add_block("loose")
         with pytest.raises(VerificationError) as excinfo:
             verify_module(module)
         assert excinfo.value.problems == [
@@ -123,7 +122,6 @@ class TestVerifier:
             "@f:%entry: phi: unsupported operand kind Value",
             "@f:%entry: phi: phi incoming from foreign block",
             "@f:%entry: br: branch condition is i64, not i1",
-            "@f:%loose: block parent pointer is wrong",
             "@f:%loose: block lacks a terminator",
             "@g:%foreign: block lacks a terminator",
         ]

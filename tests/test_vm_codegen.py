@@ -5,12 +5,13 @@
 one recipe per program content, function and mode
 (:data:`~repro.vm.compiled.RECIPES`), and binds the code to each VM's
 own namespace.  These tests pin down that neither cache outlives a
-patched operation table or a change of mode, that VMs (two built from
-one module, and ``spawn_wait`` children) share code objects but never
-globals or locals, and that the caches stay bounded.  The last one runs
-every budget through signal handlers, including signals a counting hook
-raises, against the reference evaluator: the settling after a call, and
-the budget edge the helpers hand off to.
+patched operation table or a change of mode (timed or not), that VMs
+(two built from one module, and ``spawn_wait`` children) share code
+objects but never globals or locals, and that the caches stay bounded.
+The last ones run every budget through signal handlers, including
+signals an intrinsic hook raises, against the reference evaluator,
+untimed and timed: the settling after a call, and the budget edge the
+helpers hand off to.
 """
 
 import gc
@@ -129,14 +130,15 @@ def test_a_fault_installed_after_a_keyed_run_gets_fresh_code():
         assert clean == reference, fault
 
 
-def _vm_of(program, profiler=None, hook=None):
-    """A VM that ran ``program`` compiled by the pipeline, with ``hook``
-    as its ``__chrono_count`` intrinsic when one is given."""
+def _vm_of(program, profiler=None, hook=None, interpreter=Interpreter):
+    """A VM of class ``interpreter`` that ran ``program`` compiled by the
+    pipeline, with ``hook`` as its ``__chrono_count`` intrinsic when one
+    is given."""
     spec = spec_by_name(program)
     module = PrivAnalyzer().compile(spec)[0]
     kernel = build_kernel(refactored_ownership=spec.refactored_fs)
     process = kernel.spawn(spec.uid, spec.gid, permitted=spec.permitted)
-    vm = Interpreter(module, kernel, process, argv=list(spec.argv), stdin=list(spec.stdin))
+    vm = interpreter(module, kernel, process, argv=list(spec.argv), stdin=list(spec.stdin))
     vm.attach_profiler(profiler)
     vm.env.update(spec.fresh_env())
     recorder = ChronoRecorder(spec.name, process)
@@ -191,9 +193,13 @@ def test_a_keyed_module_and_its_vm_are_freed_with_the_cache_warm():
     try:
         vm, report = _vm_of("passwd")
         module, freed_vm = weakref.ref(vm.module), weakref.ref(vm)
+        # passwd's main has no loop: no block of it is on a cycle, and
+        # neither blocks nor instructions point back at their function.
+        main = weakref.ref(vm.module.functions["main"])
         del vm
         assert module() is None
         assert freed_vm() is None
+        assert main() is None
     finally:
         gc.enable()
     assert report.total == 70037
@@ -330,26 +336,27 @@ void main() {
 """
 
 
-def _signalling_run(module, interpreter, budget, chrono_signals, profiler=None):
+def _signalling_run(module, interpreter, budget, hook_signals, profiler=None):
     kernel = Kernel()
     process = kernel.spawn(1000, 1000)
     vm = interpreter(module, kernel, process, max_instructions=budget)
     vm.attach_profiler(profiler)
-    if chrono_signals:
-        # A counting hook that raises a signal at every other block it
-        # counts outside a handler (in loops and in straight-line code,
-        # ten times at most): the frame must settle after the counting
-        # call, as after any call.
-        counted = []
+    if hook_signals:
+        # A ``print_int`` hook that raises a signal at every other call
+        # outside a handler (ten times at most): the frame must settle
+        # after the intrinsic call, as after any call.  (A custom
+        # ``__chrono_count`` runs only under the reference interpreter.)
+        stock = vm.intrinsics["print_int"]
+        printed = []
 
-        def count(vm, args):
-            if not vm._in_signal_handler and len(counted) < 20:
-                counted.append(args)
-                if len(counted) % 2 == 0:
+        def print_and_signal(vm, args):
+            if not vm._in_signal_handler and len(printed) < 20:
+                printed.append(args)
+                if len(printed) % 2 == 0:
                     kernel.sys_kill(process.pid, process.pid, signals.SIGUSR1)
-            return 0
+            return stock(vm, args)
 
-        vm.register_intrinsic("__chrono_count", count)
+        vm.register_intrinsic("print_int", print_and_signal)
     try:
         outcome = vm.run()
     except VMError as error:
@@ -357,27 +364,27 @@ def _signalling_run(module, interpreter, budget, chrono_signals, profiler=None):
     return outcome, vm.executed_instructions, tuple(vm.stdout)
 
 
-@pytest.mark.parametrize("chrono_signals", [False, True])
-def test_every_budget_through_signal_handlers(chrono_signals):
+@pytest.mark.parametrize("hook_signals", [False, True])
+def test_every_budget_through_signal_handlers(hook_signals):
     module = compile_source(SIGNAL_SOURCE)
     instrument_module(module)
-    full = _signalling_run(module, Interpreter, 10_000, chrono_signals)
+    full = _signalling_run(module, Interpreter, 10_000, hook_signals)
     assert full[0] == 0 and full[2]
     for budget in range(1, full[1] + 2):
-        compiled_run = _signalling_run(module, Interpreter, budget, chrono_signals)
-        reference = _signalling_run(module, ReferenceInterpreter, budget, chrono_signals)
+        compiled_run = _signalling_run(module, Interpreter, budget, hook_signals)
+        reference = _signalling_run(module, ReferenceInterpreter, budget, hook_signals)
         assert compiled_run == reference, budget
 
 
-@pytest.mark.parametrize("chrono_signals", [False, True])
-def test_every_budget_through_timed_counting(chrono_signals):
-    """Under a profiler the stock count is timed inline and a custom
-    hook is a timed call; both keep the budget and signal parity."""
+@pytest.mark.parametrize("hook_signals", [False, True])
+def test_every_budget_through_timed_counting(hook_signals):
+    """Under a profiler the stock count is timed inline and an intrinsic
+    is a timed call; both keep the budget and signal parity."""
     module = compile_source(SIGNAL_SOURCE)
     instrument_module(module)
-    full = _signalling_run(module, Interpreter, 10_000, chrono_signals, Profiler())
+    full = _signalling_run(module, Interpreter, 10_000, hook_signals, Profiler())
     assert full[0] == 0 and full[2]
     for budget in range(1, full[1] + 2):
-        timed = _signalling_run(module, Interpreter, budget, chrono_signals, Profiler())
-        reference = _signalling_run(module, ReferenceInterpreter, budget, chrono_signals)
+        timed = _signalling_run(module, Interpreter, budget, hook_signals, Profiler())
+        reference = _signalling_run(module, ReferenceInterpreter, budget, hook_signals)
         assert timed == reference, budget
