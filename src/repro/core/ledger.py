@@ -125,12 +125,14 @@ def _report_record(
 
 
 def _syscalls_by_credential(audit) -> Dict[str, Any]:
-    """Observed syscall names grouped by the caller's credential tuple."""
+    """Observed syscall names grouped by the caller's credential tuple,
+    from the trail's surfaces (complete, whatever the ring dropped);
+    ``total`` and ``dropped`` describe the ring, ``audit.jsonl``."""
     groups: Dict[str, set] = {}
-    for record in audit.records:
-        uids = ",".join(map(str, record.uids)) if record.uids else "?"
-        gids = ",".join(map(str, record.gids)) if record.gids else "?"
-        groups.setdefault(f"uid={uids} gid={gids}", set()).add(record.syscall)
+    for (uid_set, gid_set), names in audit.surfaces.items():
+        uids = ",".join(map(str, uid_set)) if uid_set else "?"
+        gids = ",".join(map(str, gid_set)) if gid_set else "?"
+        groups.setdefault(f"uid={uids} gid={gids}", set()).update(names)
     return {
         "total": audit.total,
         "dropped": audit.dropped,
@@ -533,6 +535,25 @@ def _diff_exposure(
             )
 
 
+def _slowdown(
+    area: str, what: str, old_total: float, new_total: float, perf_tolerance: float
+) -> Optional[DiffFinding]:
+    """A regression finding when ``what`` took more than ``1 +
+    perf_tolerance`` times as long and more than
+    :data:`PERF_ABSOLUTE_FLOOR` seconds longer, else ``None``."""
+    if (
+        new_total <= old_total * (1.0 + perf_tolerance)
+        or new_total - old_total <= PERF_ABSOLUTE_FLOOR
+    ):
+        return None
+    ratio = new_total / old_total if old_total else float("inf")
+    return DiffFinding(
+        "regression", area,
+        f"{what}: {old_total * 1000:.1f} ms -> {new_total * 1000:.1f} ms "
+        f"({ratio:.1f}x, tolerance {1.0 + perf_tolerance:.1f}x)",
+    )
+
+
 def _diff_stages(
     old: RunLedger, new: RunLedger, perf_tolerance: float, findings: List[DiffFinding]
 ) -> None:
@@ -544,20 +565,11 @@ def _diff_stages(
             DiffFinding("change", "perf", f"stage {name!r} {where} the trace")
         )
     for name in sorted(set(before) & set(after)):
-        old_total, new_total = before[name], after[name]
-        if (
-            new_total > old_total * (1.0 + perf_tolerance)
-            and new_total - old_total > PERF_ABSOLUTE_FLOOR
-        ):
-            ratio = new_total / old_total if old_total else float("inf")
-            findings.append(
-                DiffFinding(
-                    "regression", "perf",
-                    f"stage {name!r}: {old_total * 1000:.1f} ms -> "
-                    f"{new_total * 1000:.1f} ms ({ratio:.1f}x, tolerance "
-                    f"{1.0 + perf_tolerance:.1f}x)",
-                )
-            )
+        finding = _slowdown(
+            "perf", f"stage {name!r}", before[name], after[name], perf_tolerance
+        )
+        if finding is not None:
+            findings.append(finding)
 
 
 def _diff_profile(
@@ -604,21 +616,14 @@ def _diff_profile(
             DiffFinding("info", "profile", f"hot path {stack!r} {where} the profile")
         )
     for stack in sorted(set(before) & set(after)):
-        old_total = float(before[stack].get("seconds", 0.0))
-        new_total = float(after[stack].get("seconds", 0.0))
-        if (
-            new_total > old_total * (1.0 + perf_tolerance)
-            and new_total - old_total > PERF_ABSOLUTE_FLOOR
-        ):
-            ratio = new_total / old_total if old_total else float("inf")
-            findings.append(
-                DiffFinding(
-                    "regression", "profile",
-                    f"hot path {stack!r}: {old_total * 1000:.1f} ms -> "
-                    f"{new_total * 1000:.1f} ms ({ratio:.1f}x, tolerance "
-                    f"{1.0 + perf_tolerance:.1f}x)",
-                )
-            )
+        finding = _slowdown(
+            "profile", f"hot path {stack!r}",
+            float(before[stack].get("seconds", 0.0)),
+            float(after[stack].get("seconds", 0.0)),
+            perf_tolerance,
+        )
+        if finding is not None:
+            findings.append(finding)
 
 
 def _diff_syscalls(old: RunLedger, new: RunLedger, findings: List[DiffFinding]) -> None:
@@ -662,8 +667,8 @@ def _diff_syscalls(old: RunLedger, new: RunLedger, findings: List[DiffFinding]) 
             DiffFinding(
                 "change", "syscalls",
                 f"audit ring started dropping records "
-                f"({new.syscalls['dropped']} evicted) — the surface above "
-                f"may be incomplete",
+                f"({new.syscalls['dropped']} evicted) — audit.jsonl no "
+                f"longer holds every syscall",
             )
         )
 

@@ -36,7 +36,7 @@ from repro.corpus.profile import (
 from repro.corpus.store import ProfileStore
 from repro.programs import spec_by_name
 from repro.rewriting import SearchBudget
-from repro.telemetry import Telemetry
+from repro.telemetry import SyscallAuditTrail, Telemetry
 
 #: The sweep's default per-program search budget — matches the fuzz
 #: harness's: generous for these small programs, bounded for CI.
@@ -78,7 +78,9 @@ def _profile_task(payload: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
     budget = SearchBudget(
         max_states=payload["max_states"], max_seconds=payload["max_seconds"]
     )
-    telemetry = Telemetry.enabled(audit=True)
+    # Only the audit trail is read (for the dynamic surface), so it is
+    # the only collector turned on.
+    telemetry = Telemetry(audit=SyscallAuditTrail())
     analyzer = PrivAnalyzer(
         budget=budget,
         telemetry=telemetry,

@@ -6,7 +6,10 @@ policy from *observed* syscall traces.  :class:`SyscallAuditTrail` is the
 raw material for that on our simulated kernel: a bounded ring buffer of
 :class:`AuditRecord` entries, one per syscall, each carrying the calling
 pid, the caller's credentials and capability sets *at call time*, the
-arguments, and the result (or errno on failure).
+arguments, and the result (or errno on failure).  Beside the ring it
+keeps the syscall names seen under each credential tuple, which no
+eviction shrinks: the observed surface is complete however small the
+ring is.
 
 The trail is pure data — it never imports the kernel.  The kernel wraps
 its ``sys_*`` methods and feeds records in (see
@@ -73,7 +76,8 @@ class AuditRecord:
 
 
 class SyscallAuditTrail:
-    """Bounded recorder: the newest ``capacity`` syscalls, oldest evicted."""
+    """Bounded recorder: the newest ``capacity`` syscalls, oldest evicted,
+    plus every syscall name seen per credential tuple."""
 
     def __init__(
         self,
@@ -87,6 +91,9 @@ class SyscallAuditTrail:
         self.clock = clock
         self._ring: Deque[AuditRecord] = deque(maxlen=capacity)
         self.total = 0
+        #: (uids, gids) -> the names of every syscall made under them,
+        #: evicted records included.
+        self.surfaces: Dict[Tuple[Any, Any], set] = {}
         # With a registry attached, ring evictions surface as the
         # ``kernel.audit.dropped`` gauge, so a silently truncated trail
         # is visible in every metrics snapshot, not just on the trail.
@@ -123,6 +130,7 @@ class SyscallAuditTrail:
             caps_permitted=caps_permitted,
         )
         self._ring.append(entry)
+        self.surfaces.setdefault((uids, gids), set()).add(syscall)
         if self._dropped_gauge is not None:
             self._dropped_gauge.set(self.total - len(self._ring))
         return entry
@@ -169,4 +177,5 @@ class SyscallAuditTrail:
 
     def clear(self) -> None:
         self._ring.clear()
+        self.surfaces.clear()
         self.publish_dropped()

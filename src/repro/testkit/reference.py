@@ -81,7 +81,9 @@ class ReferenceInterpreter(Interpreter):
         if isinstance(value, FunctionRef):
             return value
         if isinstance(value, GlobalVariable):
-            return self.globals[value]
+            slot = self.globals.get(value)
+            if slot is not None:
+                return slot
         if isinstance(value, UndefValue):
             return 0
         if value in frame.values:

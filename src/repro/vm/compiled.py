@@ -95,8 +95,8 @@ installed, and the ``vm`` oracle family catches them.
 **Recipe, key and bind.**  Generation (:class:`_Compiler`) makes an
 immutable :class:`Recipe`: the code object, plus everything a VM must
 bind, by name where the module holds it (constant-pool entries: global
-slots and late-bound globals by global name, function references by
-function name; operation-table entries; timer recorders), the call-site
+slots by global name, function references by function name;
+operation-table entries; timer recorders), the call-site
 table (tails, block positions, callee names) and the block-entry table.
 :func:`bind` resolves those names against one VM's ``vm.module`` and
 ``vm.globals`` and gives the function its own run-time helpers
@@ -206,9 +206,10 @@ _CHRONO_COUNT = "__chrono_count"
 
 # Operand descriptor kinds (first element of the descriptor pair).
 _REG = 0      # value lives in a local (an argument or an instruction)
-_CONST = 1    # compile-time constant (int, str, FunctionRef, GlobalSlot)
-_GLOBAL = 2   # GlobalVariable missing from vm.globals at compile time
-_UNDEF = 3    # unresolvable value; using it raises the reference error
+_CONST = 1    # literal in the text or name bound at bind time (int, str,
+              # FunctionRef, a global's GlobalSlot)
+_UNDEF = 2    # unresolvable value (a global with no VM slot included);
+              # using it raises the reference error
 
 #: The Python operator for each stock ``operator`` function a table
 #: entry may be; an entry missing here is called by name.
@@ -407,10 +408,11 @@ class VMTimer:
 def compile_function(vm, function: Function) -> Callable:
     """Compile ``function`` for ``vm``; returns ``code(vm, args)``.
 
-    Globals present in ``vm.globals`` now are bound to their slots; any
-    other global is looked up in ``vm.globals`` when it is used.  With a
-    timer on the VM the body is generated in instrumented mode and the
-    whole frame is timed as nested work.  A VM whose ``__chrono_count``
+    Every global operand is bound to its slot in ``vm.globals``; a
+    global with no slot there is an undefined value, and using it raises
+    the reference interpreter's :class:`VMError`.  With a timer on the
+    VM the body is generated in instrumented mode and the whole frame is
+    timed as nested work.  A VM whose ``__chrono_count``
     intrinsic is not the stock hook is refused with a :class:`VMError`:
     the generated code inlines the stock hook, and a custom hook runs
     only under the reference interpreter
@@ -453,10 +455,9 @@ def compile_function(vm, function: Function) -> Callable:
 # Binding kinds: how :func:`bind` finds a namespace entry in a VM.
 _VALUE = 0      # the object itself (operation-table entries)
 _SLOT = 1       # the VM's slot of the module's global of that name
-_GLOBAL_VAR = 2  # the module's global of that name (read late)
-_REF = 3        # a FunctionRef to the module's function of that name
-_OP_DONE = 4    # the VM timer's recorder for that opcode
-_WINDOW_DONE = 5  # the VM timer's window recorder for that profile key
+_REF = 2        # a FunctionRef to the module's function of that name
+_OP_DONE = 3    # the VM timer's recorder for that opcode
+_WINDOW_DONE = 4  # the VM timer's window recorder for that profile key
 
 
 class Recipe:
@@ -539,8 +540,6 @@ def bind(recipe: Recipe, vm, function: Function) -> Callable:
             value = payload
         elif kind == _SLOT:
             value = vm.globals[module.globals[payload]]
-        elif kind == _GLOBAL_VAR:
-            value = module.globals[payload]
         elif kind == _REF:
             value = FunctionRef(module.functions[payload])
         elif kind == _OP_DONE:
@@ -840,10 +839,7 @@ class _Compiler:
         """How a VM finds ``obj``: by its name in the module when the
         module holds it under that name, else as itself."""
         module = self.module
-        if isinstance(obj, GlobalVariable):
-            if module.globals.get(obj.name) is obj:
-                return (_GLOBAL_VAR, obj.name)
-        elif isinstance(obj, FunctionRef):
+        if isinstance(obj, FunctionRef):
             if module.functions.get(obj.function.name) is obj.function:
                 return (_REF, obj.function.name)
         elif isinstance(obj, StackSlot):
@@ -873,7 +869,6 @@ class _Compiler:
             slot = self.globals.get(value)
             if slot is not None:
                 return (_CONST, slot)
-            return (_GLOBAL, value)
         if isinstance(value, UndefValue):
             return (_CONST, 0)
         return (
@@ -881,32 +876,16 @@ class _Compiler:
             f"@{self.function.name}: use of undefined value {value.short()}",
         )
 
-    def _reg(self, desc: Tuple[int, Any]) -> Optional[str]:
-        """The expression for a local or constant operand; ``None`` for
-        a late-bound global, which only :meth:`_fetch` can read."""
+    def _reg(self, desc: Tuple[int, Any]) -> str:
+        """The expression for a local or constant operand."""
         kind, payload = desc
         if kind == _REG:
             return self.alias.get(payload) or f"v{payload}"
-        if kind == _CONST:
-            if payload.__class__ is int:
-                return repr(payload) if payload >= 0 else f"({payload!r})"
-            if payload.__class__ is str:
-                return repr(payload)
-            return self._bind(payload)
-        return None
-
-    def _fetch(self, desc: Tuple[int, Any]) -> str:
-        """The expression for any resolvable operand, a late-bound global
-        included (looked up in ``vm.globals`` when it runs)."""
-        if desc[0] == _GLOBAL:
-            return f"vm.globals[{self._bind(desc[1])}]"
-        return self._reg(desc)
-
-    def _operands(self, *descs) -> List[str]:
-        exprs = [self._reg(desc) for desc in descs]
-        if None in exprs:
-            return [self._fetch(desc) for desc in descs]
-        return exprs
+        if payload.__class__ is int:
+            return repr(payload) if payload >= 0 else f"({payload!r})"
+        if payload.__class__ is str:
+            return repr(payload)
+        return self._bind(payload)
 
     @staticmethod
     def _first_undef(*descs) -> Optional[str]:
@@ -1110,7 +1089,7 @@ class _Compiler:
             desc = self._operand(instruction.value)
             if desc[0] == _UNDEF:
                 return self._timed([f"raise VMError({desc[1]!r})"], opcode), None
-            value = self._fetch(desc) if desc[0] == _GLOBAL else self._reg(desc)
+            value = self._reg(desc)
             if not timed:
                 return [f"return {value}"], None
             return self._timed([f"_r = {value}"], opcode) + ["return _r"], None
@@ -1127,7 +1106,7 @@ class _Compiler:
                 desc = self._operand(instruction.operands[0])
                 if desc[0] == _UNDEF:
                     return self._timed([f"raise VMError({desc[1]!r})"], opcode), None
-                cond = self._fetch(desc) if desc[0] == _GLOBAL else self._reg(desc)
+                cond = self._reg(desc)
             lines = []
             if timed:
                 lines = self._timed([f"_c = {cond}"], opcode)
@@ -1197,10 +1176,7 @@ class _Compiler:
         desc = self._operand(incoming)
         if desc[0] == _UNDEF:
             return self._raise(desc[1], tail)
-        source = self._reg(desc)
-        if source is None:
-            source = f"vm.globals[{self._bind(desc[1])}]"
-        return [f"v{self.regmap[instruction]} = {source}"]
+        return [f"v{self.regmap[instruction]} = {self._reg(desc)}"]
 
     def _binop(self, instruction: BinOp, tail: int) -> List[str]:
         lhs = self._operand(instruction.operands[0])
@@ -1210,7 +1186,7 @@ class _Compiler:
             return self._raise(undef, tail)
         dest = f"v{self.regmap[instruction]}"
         op = instruction.op
-        a, b = self._operands(lhs, rhs)
+        a, b = self._reg(lhs), self._reg(rhs)
         entry = self.reads[(0, op)] = BINARY_OPS[op]
         symbol = _INLINE_OPS.get(entry)
         if symbol is not None:
@@ -1239,7 +1215,7 @@ class _Compiler:
 
     def _compare(self, lhs, rhs, predicate: str) -> str:
         """The comparison expression of an icmp with defined operands."""
-        a, b = self._operands(lhs, rhs)
+        a, b = self._reg(lhs), self._reg(rhs)
         entry = self.reads[(1, predicate)] = ICMP_PREDICATES[predicate]
         symbol = _INLINE_PREDICATES.get(entry)
         if symbol is not None:
@@ -1258,24 +1234,17 @@ class _Compiler:
                     f"if {dest} is None: {dest} = 0"]
         if kind == _CONST:
             return self._raise(f"load through non-pointer {payload!r}", tail)
-        if kind == _REG:
-            if instruction.pointer in self.local_cells:
-                if self.regmap[instruction] in self.alias:
-                    return []
-                return [f"{dest} = v{payload}"]
-            # The exact-class test is the common case; the isinstance
-            # fallback admits GlobalSlot (a global's address in a local).
-            slot = f"v{payload}"
-            return [
-                f"{dest} = {slot}.value if {slot}.__class__ is StackSlot "
-                f"or isinstance({slot}, StackSlot) "
-                f"else _nonptr(vm, {tail}, 'load', {slot})",
-                f"if {dest} is None: {dest} = 0",
-            ]
+        if instruction.pointer in self.local_cells:
+            if self.regmap[instruction] in self.alias:
+                return []
+            return [f"{dest} = v{payload}"]
+        # The exact-class test is the common case; the isinstance
+        # fallback admits GlobalSlot (a global's address in a local).
+        slot = self._reg(pointer)
         return [
-            f"_p = {self._fetch(pointer)}",
-            f"{dest} = _p.value if isinstance(_p, StackSlot) "
-            f"else _nonptr(vm, {tail}, 'load', _p)",
+            f"{dest} = {slot}.value if {slot}.__class__ is StackSlot "
+            f"or isinstance({slot}, StackSlot) "
+            f"else _nonptr(vm, {tail}, 'load', {slot})",
             f"if {dest} is None: {dest} = 0",
         ]
 
@@ -1287,11 +1256,16 @@ class _Compiler:
             return self._raise(payload, tail)
         value = self._operand(instruction.value)
         if value[0] == _UNDEF:
-            if kind == _CONST and isinstance(payload, StackSlot):
+            # A local-only alloca's local holds the cell's value, not the
+            # cell, but the cell is always a pointer.
+            if (
+                kind == _CONST and isinstance(payload, StackSlot)
+                or instruction.pointer in self.local_cells
+            ):
                 return self._raise(value[1], tail)
             if kind == _CONST:
                 return self._raise(f"store through non-pointer {payload!r}", tail)
-            lines = [f"_p = {self._fetch(pointer)}"]
+            lines = [f"_p = {self._reg(pointer)}"]
             if tail:
                 lines.append(f"vm.executed_instructions -= {tail}")
             return lines + [
@@ -1300,31 +1274,19 @@ class _Compiler:
             ]
         source = self._reg(value)
         if kind == _CONST and isinstance(payload, StackSlot):
-            if source is None:
-                source = self._fetch(value)
             return [f"{self._bind(payload)}.value = {source}"]
         if kind == _CONST:
             return self._raise(f"store through non-pointer {payload!r}", tail)
-        local = kind == _REG and instruction.pointer in self.local_cells
-        if kind == _REG and source is not None:
-            slot = f"v{payload}"
-            if local:
-                lines = [f"{slot} = {source}"]
-                if self._maybe_none(value):
-                    lines.append(f"if {slot} is None: {slot} = 0")
-                return lines
-            return [
-                f"if {slot}.__class__ is StackSlot or isinstance({slot}, StackSlot): "
-                f"{slot}.value = {source}",
-                f"else: _nonptr(vm, {tail}, 'store', {slot})",
-            ]
-        target, source = self._fetch(pointer), self._fetch(value)
-        if local:
-            return [f"{target} = {source}"]
+        slot = self._reg(pointer)
+        if instruction.pointer in self.local_cells:
+            lines = [f"{slot} = {source}"]
+            if self._maybe_none(value):
+                lines.append(f"if {slot} is None: {slot} = 0")
+            return lines
         return [
-            f"_p = {target}",
-            f"if isinstance(_p, StackSlot): _p.value = {source}",
-            f"else: _nonptr(vm, {tail}, 'store', _p)",
+            f"if {slot}.__class__ is StackSlot or isinstance({slot}, StackSlot): "
+            f"{slot}.value = {source}",
+            f"else: _nonptr(vm, {tail}, 'store', {slot})",
         ]
 
     def _select(self, instruction: Select, tail: int) -> List[str]:
@@ -1334,14 +1296,8 @@ class _Compiler:
         undef = self._first_undef(cond, if_true, if_false)
         if undef is not None:
             return self._raise(undef, tail)
-        dest = f"v{self.regmap[instruction]}"
-        exprs = [self._reg(cond), self._reg(if_true), self._reg(if_false)]
-        if None not in exprs:
-            c, t, f = exprs
-            return [f"{dest} = {t} if {c} else {f}"]
-        c, t, f = self._fetch(cond), self._fetch(if_true), self._fetch(if_false)
-        # Like the reference evaluator, all three operands resolve.
-        return [f"_a = {t}", f"_b = {f}", f"{dest} = _a if {c} else _b"]
+        c, t, f = self._reg(cond), self._reg(if_true), self._reg(if_false)
+        return [f"v{self.regmap[instruction]} = {t} if {c} else {f}"]
 
     def _call(self, instruction: Call, tail: int, vid: int, start: int) -> List[str]:
         """A call.  Apart from the counting call, it runs through a
@@ -1368,8 +1324,8 @@ class _Compiler:
             if undef is not None:
                 return self._raise(undef, tail)
             helper, callee_arg = "_indirect", None
-            head = [self._fetch(callee_desc)]
-        args = [self._fetch(desc) for desc in arg_descs]
+            head = [self._reg(callee_desc)]
+        args = [self._reg(desc) for desc in arg_descs]
         site = len(self.sites)
         self.sites.append((tail, vid, start, callee_arg))
         call = f"{helper}(vm, {', '.join([str(site), *head, *args])})"

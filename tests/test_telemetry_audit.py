@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.caps import Capability, CapabilitySet
+from repro.core.ledger import _syscalls_by_credential
 from repro.frontend import compile_source
 from repro.oskernel import Kernel, SyscallError
 from repro.oskernel.setup import build_kernel
@@ -97,6 +98,17 @@ class TestKernelAudit:
         trail.clear()
         assert len(trail) == 0
         assert trail.total == 1  # sequence numbers keep counting
+        assert trail.surfaces == {}
+
+    def test_surface_outlives_ring_eviction(self):
+        trail = SyscallAuditTrail(capacity=2)
+        names = ["open", "read", "write", "close", "getuid"]
+        for name in names:
+            trail.record(name, 1, (), uids=(0, 0, 0), gids=(5, 5, 5))
+        syscalls = _syscalls_by_credential(trail)
+        assert syscalls["by_credential"] == {"uid=0,0,0 gid=5,5,5": sorted(names)}
+        assert (syscalls["total"], syscalls["dropped"]) == (5, 3)
+        assert trail.syscall_names() == ["close", "getuid"]
 
 
 #: A program whose syscall order is fully scripted: raise, open-write-close

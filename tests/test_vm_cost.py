@@ -9,11 +9,6 @@ pinned as counts, not seconds:
 * each program still retires exactly the instructions (perfbench's
   ``vm.instructions``, the ChronoPriv total), phases and exit code it
   did before the core was specialized and then generated;
-* generating passwd's code asks ``_Compiler._fetch`` (the operand
-  expression that may read a late-bound global) for exactly
-  ``PASSWD_FETCHES`` operands: locals and constants are emitted inline,
-  so a rise means the generator routes more operands through the
-  general path;
 * entering a counted basic block costs no Python call on a cycle of the
   variant graph: each program makes exactly ``ENTERS`` calls of
   ``_Runtime.enter`` (the entry helper of the other blocks), and
@@ -58,7 +53,6 @@ TABLE_RUNS = {
     "sshd": (106357, 4, 0),
     "sshdPrivsep": (119, 3, 0),
 }
-PASSWD_FETCHES = 111
 
 
 @pytest.fixture
@@ -77,15 +71,6 @@ def test_run_makes_no_wrap_calls_and_keeps_counts(program, monkeypatch):
     report, exit_code, _ = analyzer.run_dynamic(spec, module)
     assert len(wraps) == 0
     assert (report.total, len(report.phases), exit_code) == TABLE_RUNS[program]
-
-
-def test_passwd_getter_closures(monkeypatch, cold_code):
-    spec = spec_by_name("passwd")
-    analyzer = PrivAnalyzer()
-    module = analyzer.compile(spec)[0]
-    fetches = counting(monkeypatch, compiled._Compiler, "_fetch")
-    analyzer.run_dynamic(spec, module)
-    assert len(fetches) == PASSWD_FETCHES
 
 
 #: Per program: calls of ``_Runtime.enter`` in one run.

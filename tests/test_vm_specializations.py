@@ -2,9 +2,8 @@
 
 The compiled core (:mod:`repro.vm.compiled`) generates each
 instruction's code from its operand kinds: a local, a constant (emitted
-inline or bound into the function's namespace) or a global that is
-missing from ``vm.globals`` when the function compiles and is read from
-``vm.globals`` at run time.
+inline or bound into the function's namespace) or an undefined value,
+such as a global with no slot in ``vm.globals``, whose use raises.
 Each test here builds small IR functions that force one shape, runs them
 on the compiled core (plain and instrumented) and on
 :class:`~repro.testkit.reference.ReferenceInterpreter`, and requires the
@@ -13,7 +12,8 @@ same return value, error text and ``executed_instructions``.
 The matrix covers every binary op and icmp predicate x operand kind x
 width; ``sdiv``/``srem`` with negative and zero operands at every
 position in a block; ``load``/``store`` through a non-pointer in each
-operand kind; and every instruction budget across a block with a call.
+operand kind; a global with no VM slot in each kind of use; and every
+instruction budget across a block with a call.
 """
 
 import itertools
@@ -28,10 +28,9 @@ from repro.telemetry import Profiler
 from repro.testkit.reference import ReferenceInterpreter
 from repro.vm import Interpreter, VMError
 from repro.vm.compiled import compile_function
-from repro.vm.frame import GlobalSlot
 
-REG, CONST, GLOBAL = "reg", "const", "global"
-KINDS = (REG, CONST, GLOBAL)
+REG, CONST = "reg", "const"
+KINDS = (REG, CONST)
 WIDTHS = (1, 8, 32, 64)
 MODES = ("plain", "instrumented")
 
@@ -59,18 +58,11 @@ class _Case:
         self.module = Module("m")
         self.vtype = IntType(bits)
         self.params = []
-        #: GlobalVariable -> value, bound into ``vm.globals`` only after
-        #: the function compiled, so the compiled core reads it late.
-        self.late = {}
 
     def operand(self, kind, value):
         """An operand of ``kind`` whose run-time value is ``value``."""
         if kind == CONST:
             return ConstantInt(self.vtype, value)
-        if kind == GLOBAL:
-            var = GlobalVariable(f"late{len(self.late)}")
-            self.late[var] = value
-            return var
         self.params.append(value)
         return ("param", len(self.params) - 1)
 
@@ -100,11 +92,9 @@ def run_both(case, function, mode, max_instructions=10_000):
     if mode == "instrumented":
         vm.attach_profiler(Profiler())
     code = compile_function(vm, function)
-    vm.globals.update(case.late)
     compiled = (_outcome(lambda: code(vm, list(case.params))), vm.executed_instructions)
 
     ref = ReferenceInterpreter(case.module, _KERNEL, _PROCESS, max_instructions=max_instructions)
-    ref.globals.update(case.late)
     reference = (
         _outcome(lambda: ref.call_function(function, list(case.params))),
         ref.executed_instructions,
@@ -133,9 +123,7 @@ def _binop_case(op, lkind, rkind, bits, lhs, rhs, before=0, after=0):
     return case, function
 
 
-# (GLOBAL, GLOBAL) would be pointer-typed arithmetic, which no frontend
-# IR contains; every other pairing is exercised.
-KIND_PAIRS = [pair for pair in itertools.product(KINDS, KINDS) if pair != (GLOBAL, GLOBAL)]
+KIND_PAIRS = list(itertools.product(KINDS, KINDS))
 
 
 @pytest.mark.parametrize("op", sorted(BINARY_OPS) + sorted(ICMP_PREDICATES))
@@ -190,23 +178,17 @@ def test_access_through_non_pointer(access):
 
 
 def _memory_case(pointer_kind, value_kind):
-    """Store then load through an alloca (register), a global prebound
-    at compile time (constant) or a late-bound global, with a stored
-    value of each kind; returns what the load read plus a counter."""
+    """Store then load through an alloca (register) or a global bound to
+    its slot (constant), with a stored value of each kind; returns what
+    the load read plus a counter."""
     case = _Case()
     value = case.operand(value_kind, 7)
-    module = case.module
-    if pointer_kind == GLOBAL:
-        late = GlobalVariable("cell")
-        case.late[late] = GlobalSlot("cell")
     function = case.function()
     builder = IRBuilder(function.add_block("entry"))
     if pointer_kind == REG:
         pointer = builder.alloca("cell")
-    elif pointer_kind == CONST:
-        pointer = module.add_global("cell", 5)
     else:
-        pointer = late
+        pointer = case.module.add_global("cell", 5)
     builder.store(_resolve(function, value), pointer)
     loaded = builder.load(pointer)
     builder.ret(builder.add(loaded, 1))
@@ -220,6 +202,41 @@ def test_store_load_through_each_pointer_kind(pointer_kind):
         compiled, reference = run_both(case, function, mode)
         assert compiled == reference, (value_kind, mode)
         assert compiled[0] == ("ret", 8)
+
+
+SLOTLESS_USES = ("load", "store", "store value", "call argument")
+
+
+def _slotless_case(use):
+    """A use of a global that is not in the module, so no VM gives it a
+    slot, between two adds (the tail a raise takes out)."""
+    case = _Case()
+    module = case.module
+    helper = module.add_function("helper", I64, [I64], ["x"])
+    IRBuilder(helper.add_block("entry")).ret(helper.arguments[0])
+    ghost = GlobalVariable("ghost")
+    function = case.function()
+    builder = IRBuilder(function.add_block("entry"))
+    acc = builder.add(ConstantInt(I64, 0), 1)
+    if use == "load":
+        builder.load(ghost)
+    elif use == "store":
+        builder.store(acc, ghost)
+    elif use == "store value":
+        builder.store(ghost, builder.alloca("cell"))
+    else:
+        builder.call(helper, [ghost])
+    builder.ret(builder.add(acc, 1))
+    return case, function
+
+
+@pytest.mark.parametrize("use", SLOTLESS_USES)
+def test_a_global_without_a_slot_is_an_undefined_value(use):
+    for mode in MODES:
+        case, function = _slotless_case(use)
+        compiled, reference = run_both(case, function, mode)
+        assert compiled == reference, mode
+        assert compiled[0] == ("error", "@f: use of undefined value @ghost")
 
 
 def test_global_slot_through_a_register():
@@ -238,6 +255,24 @@ def test_global_slot_through_a_register():
         results.append((vm.call_function(function, [vm.globals[var]]),
                         vm.executed_instructions))
     assert results[0] == results[1] == (7, 5)
+
+
+def test_a_pointer_loaded_from_a_local_alloca():
+    """A pointer kept in a local-only alloca and loaded right before the
+    store and load through it: the loaded value reads the alloca's
+    local, so both accesses must read that local too."""
+    case = _Case()
+    function = case.function()
+    builder = IRBuilder(function.add_block("entry"))
+    cell = builder.alloca("cell")
+    builder.store(case.module.add_global("g", 9), cell)
+    pointer = builder.load(cell)
+    builder.store(5, pointer)
+    builder.ret(builder.add(builder.load(pointer), 1))
+    for mode in MODES:
+        compiled, reference = run_both(case, function, mode)
+        assert compiled == reference, mode
+        assert compiled == (("ret", 6), 7)
 
 
 def _call_block_case():
