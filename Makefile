@@ -155,6 +155,11 @@ fuzz-smoke:
 		status=$$?; [ $$status -eq 1 ] \
 		|| { echo "fuzz-smoke: the vm family missed compiled-mul-truncate (exit $$status)"; exit 1; }
 	@echo "fuzz-smoke ok: the vm family caught compiled-mul-truncate"
+	PYTHONPATH=src python -m repro.cli fuzz --seed 1 --runs 4 --oracle vm \
+		--inject compiled-srem-floor --artifacts $(FUZZ_NEGATIVE_DIR) > /dev/null; \
+		status=$$?; [ $$status -eq 1 ] \
+		|| { echo "fuzz-smoke: the vm family missed compiled-srem-floor (exit $$status)"; exit 1; }
+	@echo "fuzz-smoke ok: the vm family caught compiled-srem-floor"
 	PYTHONPATH=src python -m repro.cli fuzz --seed 2 --runs 500 --oracle prove
 	PYTHONPATH=src python -m pytest tests/ -m fuzz -q
 

@@ -106,6 +106,31 @@ def _compiled_mul_truncate() -> Callable[[], None]:
     return undo
 
 
+@fault("compiled-srem-floor")
+def _compiled_srem_floor() -> Callable[[], None]:
+    """The generated core divides by a literal with Python's floor.
+
+    Models an inline fast path that forgot C's truncation toward zero:
+    only the compiler module's ``_DIVIDE_BY_CONSTANT`` templates are
+    rebound, so an ``sdiv``/``srem`` by a positive literal of a negative
+    dividend rounds down (``-7 % 2`` reads 1, not -1).  Every division
+    the generator still calls by name, the shared table and the
+    reference evaluator stay correct: the ``vm`` oracle family's
+    compiled-vs-reference comparison is what catches it.
+    """
+    from repro.vm import compiled
+
+    original = compiled._DIVIDE_BY_CONSTANT
+    compiled._DIVIDE_BY_CONSTANT = {
+        entry: template.split(" if ")[0] for entry, template in original.items()
+    }
+
+    def undo() -> None:
+        compiled._DIVIDE_BY_CONSTANT = original
+
+    return undo
+
+
 @fault("cache-verdict-flip")
 def _cache_verdict_flip() -> Callable[[], None]:
     """The query cache flips every verdict it serves.

@@ -62,6 +62,14 @@ hundred times, and much generated code (a corpus program's) runs once:
   a name bound in the VM's namespace;
 * a binop wraps inline with its width's ``half`` and ``mask`` baked in,
   ``((raw + half) & mask) - half``; no ``IntType.wrap`` call runs;
+* an ``sdiv``/``srem`` by a literal ``c > 0`` is one expression,
+  ``a % c if a >= 0 else -(-a % c)`` (or ``//``): no ``try`` and no
+  call.  A remainder is smaller than ``c``, so it needs no wrap; a
+  quotient keeps its wrap, since a dividend an intrinsic returned may be
+  wider than the type;
+* a block's budget check and pre-add read the counter once:
+  ``if (n := vm.executed_instructions + k) > maxi: _edge(vid)``, then
+  ``vm.executed_instructions = n``;
 * an ``icmp`` whose only reader is the branch right after it is no
   statement: the branch tests the comparison itself.  A local-only
   alloca's zero store is left out when a store to it comes next.  (The
@@ -79,18 +87,28 @@ hundred times, and much generated code (a corpus program's) runs once:
 * every other call is one helper call (:meth:`_Runtime.call_intrinsic`
   and its siblings) that finds its callee, tail and block position by a
   site id: the text names no callee, and the helper does the tail,
-  signal and budget-edge bookkeeping.
+  signal and budget-edge bookkeeping.  In an untimed function the
+  helper calls a pure intrinsic
+  (:data:`~repro.vm.intrinsics.PURE_INTRINSICS`: ``strlen``, ``streq``
+  and the other helpers that touch no kernel or process state) whose VM
+  entry is still the stock function straight away, one frame in all:
+  such a call retires nothing and cannot signal, so there is no
+  bookkeeping to do.
 
 Operation semantics still come from the shared tables
 (``BINARY_OPS``/``ICMP_PREDICATES``), read through this module's
 ``BINARY_OPS`` binding at generation time.  An operation becomes an
 inline Python operator only when its table entry *is* the stock
-``operator`` function for it; any other entry (``sdiv``, ``srem``,
-``lshr``, or a patched one) is called through a name bound to that
-entry.  Fault hooks that patch either the shared table or that binding
-(the testkit's ``vm-mul-truncate`` and ``compiled-mul-truncate``)
-therefore change the generated text of every VM built while they are
-installed, and the ``vm`` oracle family catches them.
+``operator`` function for it, and a division by a positive literal is
+inline only when its entry *is* the stock ``sdiv``/``srem`` function
+(the expression comes from ``_DIVIDE_BY_CONSTANT``); any other entry
+(``lshr``, a division by anything else, or a patched one) is called
+through a name bound to that entry.  Fault hooks that patch the shared
+table, that binding or the division templates (the testkit's
+``vm-mul-truncate``, ``compiled-mul-truncate`` and
+``compiled-srem-floor``) therefore change the generated text of every VM
+built while they are installed, and the ``vm`` oracle family catches
+them.
 
 **Recipe, key and bind.**  Generation (:class:`_Compiler`) makes an
 immutable :class:`Recipe`: the code object, plus everything a VM must
@@ -110,11 +128,12 @@ request's module and VM are still freed by reference counting.
 module's ``content_key`` (a digest of the source and compile options,
 stamped by :meth:`repro.core.pipeline.PrivAnalyzer.compile`), the
 function's name, and whether the VM is timed; a recipe serves only
-while every ``BINARY_OPS``/``ICMP_PREDICATES`` entry its text read is
-still the table's entry (so the ``*-mul-truncate`` faults get fresh
-code).  A program analyzed again, by a served request, a ``spawn_wait``
-child or :func:`repro.core.multiprocess.analyze_multiprocess`,
-generates no text.  A module without a key (hand-built IR) always
+while every ``BINARY_OPS``/``ICMP_PREDICATES`` entry and division
+template its text read is still the table's entry (so the faults above
+get fresh code).  A program analyzed again, by a served request, a
+``spawn_wait`` child or
+:func:`repro.core.multiprocess.analyze_multiprocess`, generates no
+text.  A module without a key (hand-built IR) always
 generates.  Generating
 still compiles through :data:`CODE_CACHE`, which keeps the code objects
 of recently generated texts keyed by the text itself: a code object is
@@ -192,11 +211,11 @@ from repro.ir import (
     UndefValue,
     Value,
 )
-from repro.ir.instructions import BINARY_OPS, ICMP_PREDICATES
+from repro.ir.instructions import BINARY_OPS, ICMP_PREDICATES, _signed_div, _signed_rem
 from repro.oskernel.process import RUNNING
 from repro.vm.frame import StackSlot
 from repro.vm.interpreter import VMError
-from repro.vm.intrinsics import stock_chrono_count
+from repro.vm.intrinsics import PURE_INTRINSICS, stock_chrono_count
 
 _BUDGET_MSG = "instruction budget exhausted (runaway program?)"
 
@@ -229,6 +248,15 @@ _INLINE_PREDICATES = {
     operator.le: "<=",
     operator.gt: ">",
     operator.ge: ">=",
+}
+
+#: The inline expression of a division by a literal ``c > 0`` for each
+#: stock division entry: C's truncation toward zero, which Python's
+#: floor operators give for a non-negative dividend and, mirrored, for a
+#: negative one.  ``c`` cannot be zero, so there is nothing to catch.
+_DIVIDE_BY_CONSTANT = {
+    _signed_div: "{a} // {c} if {a} >= 0 else -(-{a} // {c})",
+    _signed_rem: "{a} % {c} if {a} >= 0 else -(-{a} % {c})",
 }
 
 #: The local names a generated text gives SSA values.
@@ -485,9 +513,10 @@ class Recipe:
         #: Variant id -> (instruction count, counting-call argument) for
         #: the variants entered through ``_enter``.
         self.entries: Tuple[Optional[Tuple[int, int]], ...] = entries
-        #: (0 for ``BINARY_OPS`` or 1 for ``ICMP_PREDICATES``, name,
-        #: entry) for every table entry the text read.
-        self.reads: Tuple[Tuple[int, str, Any], ...] = reads
+        #: (0 for ``BINARY_OPS``, 1 for ``ICMP_PREDICATES`` or 2 for
+        #: ``_DIVIDE_BY_CONSTANT``, key, entry) for every table entry the
+        #: text read.
+        self.reads: Tuple[Tuple[int, Any, Any], ...] = reads
         self.timed = timed
         #: Whether every binding is by name (false when the function
         #: uses an IR object its module does not hold by name).
@@ -495,8 +524,9 @@ class Recipe:
 
     def current(self) -> bool:
         """Whether every table entry the text read is still the table's."""
-        for table, name, entry in self.reads:
-            if (ICMP_PREDICATES if table else BINARY_OPS).get(name) is not entry:
+        tables = (BINARY_OPS, ICMP_PREDICATES, _DIVIDE_BY_CONSTANT)
+        for table, key, entry in self.reads:
+            if tables[table].get(key) is not entry:
                 return False
         return True
 
@@ -524,7 +554,9 @@ def bind(recipe: Recipe, vm, function: Function) -> Callable:
         for index in recipe.calls:
             tail, vid, start, name = sites[index]
             sites[index] = (tail, vid, start, functions[name])
-    runtime = _Runtime(function, sites, recipe.entries)
+    runtime = _Runtime(
+        function, sites, recipe.entries, _NO_PURE if recipe.timed else PURE_INTRINSICS
+    )
     namespace = dict(_NAMESPACE)
     namespace["_edge"] = runtime.edge
     namespace["_enter"] = runtime.enter
@@ -631,8 +663,8 @@ class _Compiler:
         self._names: set = set()
         #: Whether every binding is by name (see :attr:`Recipe.portable`).
         self.portable = True
-        #: (table, name) -> the operation-table entry the text read.
-        self.reads: Dict[Tuple[int, str], Any] = {}
+        #: (table, key) -> the operation-table entry the text read.
+        self.reads: Dict[Tuple[int, Any], Any] = {}
         #: Block variants: (block, predecessor-or-None), and for each
         #: the variant ids its terminator reaches.
         self.variants: List[Tuple[Any, Any]] = []
@@ -996,11 +1028,7 @@ class _Compiler:
         if not timed and body and body[0] in self.counting:
             added = self.counting[body[0]]
             if vid in self.cyclic:
-                lines = [
-                    f"if vm.executed_instructions + {count} > maxi: _edge({vid})",
-                    f"vm.executed_instructions += {count}",
-                    f"vm.chrono_total += {added}",
-                ]
+                lines = self._count_block(vid, count) + [f"vm.chrono_total += {added}"]
             else:
                 self.entries[vid] = (count, added)
                 lines = [f"_enter(vm, {vid})"]
@@ -1008,10 +1036,7 @@ class _Compiler:
                 lines.append(f"v{self.regmap[body[0]]} = 0")
             first = 1
         else:
-            lines = [
-                f"if vm.executed_instructions + {count} > maxi: _edge({vid})",
-                f"vm.executed_instructions += {count}",
-            ]
+            lines = self._count_block(vid, count)
         # Untimed, the fast path leaves out two statements the budget edge
         # keeps: an icmp that only the branch after it reads (the branch
         # tests the comparison itself) and a local-only alloca's zero
@@ -1033,6 +1058,16 @@ class _Compiler:
             return lines + self._no_terminator(block), None
         term_lines, fallthrough = self._terminator(vid, terminator, test)
         return lines + term_lines, fallthrough
+
+    @staticmethod
+    def _count_block(vid: int, count: int) -> List[str]:
+        """Variant ``vid``'s budget check and pre-add of its ``count``
+        instructions, reading the counter once (``n`` is the generator's
+        own local)."""
+        return [
+            f"if (n := vm.executed_instructions + {count}) > maxi: _edge({vid})",
+            "vm.executed_instructions = n",
+        ]
 
     def _fused_test(self, body: List[Any], terminator) -> Optional[str]:
         """The comparison a branch tests in place of its condition, when
@@ -1188,12 +1223,24 @@ class _Compiler:
         op = instruction.op
         a, b = self._reg(lhs), self._reg(rhs)
         entry = self.reads[(0, op)] = BINARY_OPS[op]
+        half, mask = instruction.type.half, instruction.type.mask
+        divisor = rhs[1]
+        if rhs[0] == _CONST and divisor.__class__ is int and divisor > 0:
+            template = _DIVIDE_BY_CONSTANT.get(entry)
+            if template is not None:
+                # A remainder is smaller than its literal divisor, so it
+                # fits the width; a quotient fits it only when the
+                # dividend does, and an intrinsic's result need not.
+                self.reads[(2, entry)] = template
+                raw = template.format(a=a, c=b)
+                if entry is _signed_rem:
+                    return [f"{dest} = {raw}"]
+                return [f"{dest} = {_wrap(raw, half, mask)}"]
         symbol = _INLINE_OPS.get(entry)
         if symbol is not None:
             raw = f"{a} {symbol} {b}"
         else:
             raw = f"{self._named('op_' + op, _VALUE, entry)}({a}, {b})"
-        half, mask = instruction.type.half, instruction.type.mask
         if op not in ("sdiv", "srem"):
             return [f"{dest} = {_wrap(raw, half, mask)}"]
         lines = ["try:", f"    {dest} = {raw}", "except ZeroDivisionError:"]
@@ -1374,6 +1421,10 @@ class _Compiler:
         return "def edge(vm, frame):\n" + "\n".join(_indent(prologue + lines)) + "\n"
 
 
+#: The pure intrinsics of a timed function: none, so each call is timed.
+_NO_PURE: Dict[str, Callable] = {}
+
+
 class _Runtime:
     """The run-time helpers of one generated function bound to one VM:
     its call sites' calls, its block entries and the budget edge.
@@ -1383,20 +1434,40 @@ class _Runtime:
     first needs one.
     """
 
-    __slots__ = ("function", "sites", "entries", "_generator", "_slow")
+    __slots__ = ("function", "sites", "entries", "pure", "_generator", "_slow")
 
-    def __init__(self, function: Function, sites, entries) -> None:
+    def __init__(self, function: Function, sites, entries, pure) -> None:
         self.function = function
         #: Call site id -> (tail, variant id, position after the call,
         #: the intrinsic's name or the defined function, or None).
         self.sites = sites
         self.entries = entries
+        #: Intrinsic name -> the stock function :meth:`call_intrinsic`
+        #: calls directly (:data:`~repro.vm.intrinsics.PURE_INTRINSICS`,
+        #: or none in a timed function).
+        self.pure = pure
         self._generator: Optional[_Compiler] = None
         self._slow: Dict[Tuple[int, int], Callable] = {}
 
     def call_intrinsic(self, vm, site: int, *args):
-        """Call site ``site``'s intrinsic (see :meth:`_returned`)."""
+        """Call site ``site``'s intrinsic (see :meth:`_returned`).
+
+        A pure intrinsic whose VM entry is still the stock function is
+        called directly: it retires no instruction, queues no signal and
+        cannot end the process, so the tail, signal and budget bookkeeping
+        around it would change nothing.  Only its tail is taken out if it
+        raises, and ``vm.pure_intrinsic_calls`` counts it for the VM's
+        dispatch counter (see :meth:`~repro.vm.interpreter.Interpreter.run`).
+        """
         tail, vid, start, name = self.sites[site]
+        fn = self.pure.get(name)
+        if fn is not None and vm.intrinsics.get(name) is fn:
+            vm.pure_intrinsic_calls += 1
+            try:
+                return fn(vm, [*args])
+            except BaseException:
+                vm.executed_instructions -= tail
+                raise
         vm.executed_instructions -= tail
         result = vm._call_intrinsic(name, list(args))
         return self._returned(vm, tail, vid, start, result)
@@ -1435,9 +1506,10 @@ class _Runtime:
         block's budget check, its pre-add and the count (what
         :meth:`_Compiler._block` emits inline on a cycle)."""
         count, added = self.entries[vid]
-        if vm.executed_instructions + count > vm.max_instructions:
+        n = vm.executed_instructions + count
+        if n > vm.max_instructions:
             self._finish(vid, 0, sys._getframe(1))
-        vm.executed_instructions += count
+        vm.executed_instructions = n
         vm.chrono_total += added
 
     def edge(self, vid: int) -> None:

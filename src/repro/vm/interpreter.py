@@ -110,6 +110,10 @@ class Interpreter:
         #: the counts of every instrumented block entered so far.
         #: :class:`repro.chronopriv.ChronoRecorder` books it per phase.
         self.chrono_total = 0
+        #: Pure intrinsic calls the generated core made without
+        #: :meth:`_call_intrinsic`; :meth:`run` adds them to the
+        #: ``vm.intrinsic_dispatches`` counter.
+        self.pure_intrinsic_calls = 0
         self.globals: Dict[GlobalVariable, GlobalSlot] = {}
         for var in module.globals.values():
             slot = GlobalSlot(var.name)
@@ -195,6 +199,10 @@ class Interpreter:
                 self.metrics.counter("vm.instructions_executed").inc(
                     self.executed_instructions
                 )
+                if self.pure_intrinsic_calls:
+                    self.metrics.counter("vm.intrinsic_dispatches").inc(
+                        self.pure_intrinsic_calls
+                    )
         return result if isinstance(result, int) else 0
 
     # -- execution core -----------------------------------------------------------

@@ -320,7 +320,6 @@ def _spawn_wait(vm, args):
         exit_code = stop.code
     vm.kernel.sys_exit(child_process.pid)
     vm.stdout.extend(child_vm.stdout)
-    vm.children = getattr(vm, "children", [])
     vm.children.append(child_vm)
     return exit_code
 
@@ -491,6 +490,27 @@ SYSCALL_INTRINSICS = frozenset({
     "socket", "socket_raw", "setsockopt", "bind", "listen", "connect",
     "signal", "kill", "spawn_wait", "exit",
 })
+
+#: The stock helpers that read nothing but their arguments (no kernel,
+#: process, workload or VM state) and run no VM code: name -> the stock
+#: function.  The generated core calls one straight from its call site
+#: while the VM's entry for it is still this function (see
+#: :meth:`repro.vm.compiled._Runtime.call_intrinsic`).  Disjoint from
+#: :data:`SYSCALL_INTRINSICS`; ``getspnam`` opens a file, and the IO and
+#: workload helpers use the VM's queues, so none of them is here.
+PURE_INTRINSICS: Dict[str, Callable] = {
+    "strlen": _strlen,
+    "strcat": _strcat,
+    "streq": _streq,
+    "str_field": _str_field,
+    "int_to_str": _int_to_str,
+    "str_to_int": _str_to_int,
+    "crypt": _crypt,
+    "getpw_gid": _getpw_gid,
+    "getpwnam_uid": _getpwnam_uid,
+    "getpwuid_name": _getpwuid_name,
+    "shadow_replace_hash": _shadow_replace_hash,
+}
 
 
 def default_intrinsics() -> Dict[str, Callable]:

@@ -31,6 +31,16 @@ MUL_CASE = {
     "gid": 1000,
 }
 
+#: A remainder of a negative literal by a positive one (C reads -1, a
+#: floor 96): trips the compiled-srem-floor fault.
+SREM_CASE = {
+    "vars": 1,
+    "body": [["set", 0, ["bin", "%", ["lit", -1], ["lit", 97]]]],
+    "permitted": [],
+    "uid": 1000,
+    "gid": 1000,
+}
+
 
 class TestFamiliesPassOnCorrectCode:
     @pytest.mark.parametrize("name", ALL_FAMILIES)
@@ -79,6 +89,20 @@ class TestFaultInjection:
         assert result.failed
         assert "vm." in result.details and "reference." in result.details
         assert oracle.run(MUL_CASE).ok
+
+    def test_inline_division_fault_caught_by_vm_oracle(self):
+        from repro.vm import compiled
+
+        templates = compiled._DIVIDE_BY_CONSTANT
+        oracle = family("vm")
+        assert oracle.run(SREM_CASE).ok
+        with install_fault("compiled-srem-floor"):
+            assert compiled._DIVIDE_BY_CONSTANT is not templates
+            result = oracle.run(SREM_CASE)
+        assert result.failed
+        assert "'96'" in result.details and "'-1'" in result.details
+        assert compiled._DIVIDE_BY_CONSTANT is templates
+        assert oracle.run(SREM_CASE).ok
 
     def test_cache_fault_caught_by_cache_oracle(self):
         oracle = family("cache")
@@ -136,6 +160,7 @@ class TestFaultInjection:
     def test_fault_registry_names(self):
         assert "vm-mul-truncate" in FAULTS
         assert "compiled-mul-truncate" in FAULTS
+        assert "compiled-srem-floor" in FAULTS
         assert "cache-verdict-flip" in FAULTS
         assert "profile-ledger-skew" in FAULTS
         assert "store-attestation-skew" in FAULTS

@@ -33,7 +33,7 @@ from repro.testkit.oracles import family
 from repro.testkit.reference import ReferenceInterpreter
 from repro.vm import Interpreter, VMError, compiled, set_interpreter_class
 
-from tests.test_testkit_oracles import MUL_CASE
+from tests.test_testkit_oracles import MUL_CASE, SREM_CASE
 
 #: A global every call updates, a loop that sleeps (the hook the
 #: interleaving test uses) and a spawned child running the same helper.
@@ -70,13 +70,17 @@ def _run_alone(module):
     return vm.run(), vm.stdout
 
 
-@pytest.mark.parametrize("fault", ["compiled-mul-truncate", "vm-mul-truncate"])
-def test_the_vm_oracle_catches_a_fault_installed_after_a_clean_run(fault):
+@pytest.mark.parametrize("fault,case", [
+    ("compiled-mul-truncate", MUL_CASE),
+    ("vm-mul-truncate", MUL_CASE),
+    ("compiled-srem-floor", SREM_CASE),
+])
+def test_the_vm_oracle_catches_a_fault_installed_after_a_clean_run(fault, case):
     oracle = family("vm")
-    assert oracle.run(MUL_CASE).ok  # leaves the clean code in the cache
+    assert oracle.run(case).ok  # leaves the clean code in the cache
     with install_fault(fault):
-        assert oracle.run(MUL_CASE).failed
-    assert oracle.run(MUL_CASE).ok
+        assert oracle.run(case).failed
+    assert oracle.run(case).ok
 
 
 @pytest.mark.parametrize("fault", ["compiled-mul-truncate", "vm-mul-truncate"])
@@ -128,6 +132,18 @@ def test_a_fault_installed_after_a_keyed_run_gets_fresh_code():
         clean, generated = _pipeline_run("passwd")
         assert generated > 0, fault
         assert clean == reference, fault
+
+
+def test_the_inline_division_fault_regenerates_only_dividing_functions():
+    # passwd never divides a negative number, so the fault changes no
+    # output; its 4 functions that divide by a literal (of 8) get fresh
+    # code under it and after it.
+    _pipeline_run("passwd")
+    with install_fault("compiled-srem-floor"):
+        _, generated = _pipeline_run("passwd")
+    assert generated == 4
+    _, generated = _pipeline_run("passwd")
+    assert generated == 4
 
 
 def _vm_of(program, profiler=None, hook=None, interpreter=Interpreter):

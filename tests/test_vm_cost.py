@@ -14,6 +14,11 @@ pinned as counts, not seconds:
   ``_Runtime.enter`` (the entry helper of the other blocks), and
   ChronoPriv's recorder runs only at credential changes and at the
   report (``RECORDER_CALLS``), never per block;
+* a pure intrinsic (``strlen`` in a loop test, say) is called straight
+  from its call site, so only the effectful ones reach
+  ``Interpreter._call_intrinsic`` (``INTRINSIC_DISPATCHES``), and a
+  division by a positive literal is inline: no run calls the
+  ``sdiv``/``srem`` table functions;
 * the generated text, whose ``compile()`` a corpus sweep pays for almost
   every function, stays as short as pinned in ``TEXT_COST``: texts
   generated, distinct texts and their AST nodes, for the 8 programs and
@@ -28,17 +33,19 @@ The tests that pin generation start from empty code caches
 
 import ast
 import inspect
+import sys
 
 import pytest
 
 from repro.chronopriv import ChronoRecorder
 from repro.core.pipeline import PrivAnalyzer
 from repro.corpus import CorpusSpec, generate_corpus
+from repro.ir.instructions import BINARY_OPS
 from repro.ir.types import IntType
 from repro.programs import spec_by_name
 from repro.telemetry import Telemetry
 from repro.testkit.generators import build_program_spec
-from repro.vm import compiled
+from repro.vm import Interpreter, compiled
 
 from tests.test_rosa_engine import counting
 
@@ -98,10 +105,47 @@ RECORDER_CALLS = {
     "sshdPrivsep": 48,
 }
 
+#: Per program: calls of ``Interpreter._call_intrinsic`` in one run (the
+#: intrinsic calls that are not pure, or not from generated code).
+INTRINSIC_DISPATCHES = {
+    "passwd": 46,
+    "passwdRef": 40,
+    "ping": 39,
+    "su": 27,
+    "suRef": 29,
+    "thttpd": 108,
+    "sshd": 46,
+    "sshdPrivsep": 49,
+}
+
+
+@pytest.mark.parametrize("program", sorted(INTRINSIC_DISPATCHES))
+def test_pure_calls_and_constant_divisions_take_no_helper(program, monkeypatch):
+    spec = spec_by_name(program)
+    analyzer = PrivAnalyzer()
+    module = analyzer.compile(spec)[0]
+    dispatches = counting(monkeypatch, Interpreter, "_call_intrinsic")
+    divisions = {BINARY_OPS["sdiv"].__code__, BINARY_OPS["srem"].__code__}
+    divided = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in divisions:
+            divided.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        report, _, _ = analyzer.run_dynamic(spec, module)
+    finally:
+        sys.setprofile(None)
+    assert report.total == TABLE_RUNS[program][0]
+    assert len(dispatches) == INTRINSIC_DISPATCHES[program]
+    assert divided == []
+
+
 #: (texts generated, distinct texts, AST nodes) per pass.
 TEXT_COST = {
-    "tables": (61, 50, 28332),
-    "corpus": (245, 239, 113423),
+    "tables": (61, 50, 28460),
+    "corpus": (245, 239, 115612),
 }
 
 

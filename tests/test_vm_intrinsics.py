@@ -1,11 +1,18 @@
 """The intrinsics surface, exercised from PrivC programs."""
 
+import itertools
+
 import pytest
 
 from repro.caps import CapabilitySet
 from repro.frontend import compile_source
+from repro.ir import I64, IRBuilder, Module
+from repro.ir.values import ConstantInt
 from repro.oskernel.setup import build_kernel, UID_USER, GID_USER
-from repro.vm import Interpreter
+from repro.telemetry import MetricsRegistry, Profiler
+from repro.testkit.reference import ReferenceInterpreter
+from repro.vm import Interpreter, VMError
+from repro.vm.intrinsics import PURE_INTRINSICS, SYSCALL_INTRINSICS, default_intrinsics
 
 from tests.test_vm_cost import cold_code  # noqa: F401  (a fixture)
 
@@ -280,3 +287,145 @@ class TestDispatchCounters:
         vm.run()
         assert vm.stdout == [str(UID_USER), "7"]
         assert calls == [[]]
+
+
+def _pure_raise_case(before, after, loop):
+    """``f(x)`` calling ``strlen`` with ``before`` and ``after`` adds
+    around the call in its block.  Straight-line, the call gets ``x``;
+    in a loop, the third pass calls it with ``x`` and the others with a
+    string.  ``f(5)`` raises inside ``strlen``."""
+    module = Module("m")
+    strlen = module.add_function("strlen", I64, [I64], ["s"])
+    function = module.add_function("f", I64, [I64], ["x"])
+    entry = function.add_block("entry")
+    builder = IRBuilder(entry)
+    arg = function.arguments[0]
+    if loop:
+        body, done = function.add_block("body"), function.add_block("done")
+        builder.jmp(body)
+        builder.position_at_end(body)
+        counter = builder.phi(I64)
+        arg = builder.select(builder.icmp("eq", counter, 2), arg, "abc")
+    acc = builder.add(0, 1)
+    for _ in range(before):
+        acc = builder.add(acc, 1)
+    length = builder.call(strlen, [arg])
+    for _ in range(after):
+        acc = builder.add(acc, length)
+    if loop:
+        nxt = builder.add(counter, 1)
+        builder.br(builder.icmp("slt", nxt, 4), body, done)
+        counter.add_incoming(ConstantInt(I64, 0), entry)
+        counter.add_incoming(nxt, body)
+        builder.position_at_end(done)
+    builder.ret(acc)
+    return module, function
+
+
+def _raised(vm, function, args):
+    """What calling ``function`` raised, and the VM's count after it."""
+    try:
+        vm.call_function(function, args)
+    except Exception as error:  # noqa: BLE001 - the error is the result
+        return type(error), str(error), vm.executed_instructions
+    raise AssertionError("the call did not raise")
+
+
+def _strlen_vm(source, cls=Interpreter, **kwargs):
+    module = compile_source(source)
+    kernel = build_kernel()
+    return cls(module, kernel, kernel.spawn(UID_USER, GID_USER), **kwargs)
+
+
+#: Calls ``strlen`` five times (four passes of the loop test, one at exit).
+STRLEN_LOOP = """
+void main() {
+    int i = 0;
+    while (i < strlen("abcd")) { i = i + 1; }
+    print_int(i);
+}
+"""
+
+
+class TestPureIntrinsics:
+    """The generated core calls a pure intrinsic straight from its call
+    site; everything observable matches the dispatching path and the
+    reference interpreter."""
+
+    def test_pure_set_is_stock_and_disjoint_from_syscalls(self):
+        stock = default_intrinsics()
+        assert PURE_INTRINSICS
+        assert not set(PURE_INTRINSICS) & SYSCALL_INTRINSICS
+        for name, fn in PURE_INTRINSICS.items():
+            assert stock[name] is fn, name
+
+    @pytest.mark.parametrize("loop", [False, True])
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_a_raising_pure_call_at_each_block_position(self, loop, profiled):
+        for before, after in itertools.product(range(3), range(3)):
+            module, function = _pure_raise_case(before, after, loop)
+            kernel = build_kernel()
+            outcomes = []
+            for cls in (Interpreter, ReferenceInterpreter):
+                vm = cls(module, kernel, kernel.spawn(UID_USER, GID_USER))
+                if profiled and cls is Interpreter:
+                    vm.attach_profiler(Profiler())
+                outcomes.append(_raised(vm, function, [5]))
+            assert outcomes[0] == outcomes[1], (before, after)
+            assert outcomes[0][0] is TypeError
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_a_registered_override_is_called(self, when):
+        vm = _strlen_vm(STRLEN_LOOP)
+        main = vm.module.functions["main"]
+        calls = []
+
+        def short(vm, args):
+            calls.append(args)
+            return 2
+
+        if when == "after":
+            vm.call_function(main, [])  # compiles main with the stock strlen
+            assert vm.stdout == ["4"]
+        vm.register_intrinsic("strlen", short)
+        vm.call_function(main, [])
+        assert vm.stdout[-1] == "2"
+        assert calls == [["abcd"]] * 3
+
+    def test_an_override_registered_mid_run_is_called(self):
+        vm = _strlen_vm(
+            'void main() { print_int(strlen("ab")); getuid(); print_int(strlen("ab")); }'
+        )
+        original = vm.intrinsics["getuid"]
+
+        def replacing_getuid(vm, args):
+            vm.register_intrinsic("strlen", lambda vm, args: 7)
+            return original(vm, args)
+
+        vm.register_intrinsic("getuid", replacing_getuid)
+        vm.run()
+        assert vm.stdout == ["2", "7"]
+
+    def test_a_profiled_run_books_each_call(self):
+        profiler = Profiler()
+        vm = _strlen_vm(STRLEN_LOOP)
+        vm.attach_profiler(profiler)
+        vm.run()
+        assert vm.stdout == ["4"]
+        assert profiler.records[("vm", "intrinsic:strlen")].calls == 5
+
+    def test_dispatch_count_survives_the_budget_error(self):
+        full = _strlen_vm(STRLEN_LOOP)
+        full.run()
+        for budget in range(full.executed_instructions):
+            counts = []
+            for cls in (Interpreter, ReferenceInterpreter):
+                metrics = MetricsRegistry()
+                vm = _strlen_vm(STRLEN_LOOP, cls, max_instructions=budget, metrics=metrics)
+                with pytest.raises(VMError, match="instruction budget exhausted"):
+                    vm.run()
+                counts.append((
+                    metrics.counter("vm.intrinsic_dispatches").value,
+                    vm.executed_instructions,
+                ))
+            assert counts[0] == counts[1], budget

@@ -11,7 +11,8 @@ same return value, error text and ``executed_instructions``.
 
 The matrix covers every binary op and icmp predicate x operand kind x
 width; ``sdiv``/``srem`` with negative and zero operands at every
-position in a block; ``load``/``store`` through a non-pointer in each
+position in a block (by a literal, too, which is inline, and of a
+dividend wider than its type); ``load``/``store`` through a non-pointer in each
 operand kind; a global with no VM slot in each kind of use; and every
 instruction budget across a block with a call.
 """
@@ -145,6 +146,17 @@ def test_division_at_every_block_position(op):
         case, function = _binop_case(op, lkind, rkind, 64, lhs, rhs, before, after)
         compiled, reference = run_both(case, function, mode)
         assert compiled == reference, (lkind, rkind, mode, lhs, rhs, before, after)
+
+
+@pytest.mark.parametrize("op", ["sdiv", "srem"])
+def test_division_of_a_dividend_wider_than_its_type(op):
+    # Arguments arrive unwrapped (an intrinsic's result can exceed the
+    # width too), so the quotient of an inline division by a literal
+    # still wraps; the remainder is smaller than the literal.
+    for bits, lhs, mode in itertools.product(WIDTHS[1:], (2**70 + 5, -(2**70) - 5), MODES):
+        case, function = _binop_case(op, REG, CONST, bits, lhs, 3)
+        compiled, reference = run_both(case, function, mode)
+        assert compiled == reference, (bits, lhs, mode)
 
 
 def _pointer_case(access, kind, pointee, before, after):
